@@ -19,6 +19,7 @@ import numpy as np
 
 from . import calib, jsonio, matio, probe, ragctl, recal, reprgeo, rewards, trajspace
 from .errors import (
+    AlignmentError,
     DegenerateRatio,
     HypothesisViolated,
     IoError,
@@ -369,7 +370,7 @@ def _cmd_recal_ats(args) -> int:
         jsonio.write_report(
             args.model_out,
             {
-                "schema": "uncal-ats-model-v1",
+                "schema": "uncal-ats-model-v2",
                 "weights": list(model.weights),
                 "bias": model.bias,
                 "l2": model.l2,
@@ -377,6 +378,7 @@ def _cmd_recal_ats(args) -> int:
                 "feature_stds": list(model.feature_stds),
                 "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
                 "fit_nll": model.fit_nll,
+                "fit": model.fit.summary(),
                 "config": {
                     "fit": str(args.fit),
                     "l2": args.l2,
@@ -416,17 +418,30 @@ def _parse_layers(text: str) -> list[int]:
 
 
 def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
-    """qid -> (tokens x dims) matrix from a layer file plus its sidecar."""
+    """qid -> (tokens x dims) matrix from a layer file plus its sidecar.
+
+    Row t of a qid's matrix is the hidden state of its token t: the qid's
+    sidecar `token_index` values must be exactly 0..k-1, in any order. A row
+    without `token_index` takes its position among the qid's rows.
+    """
     values = matio.read_matrix(mat_path)
     rows = matio.read_row_ids(str(mat_path) + ".ids.jsonl")
     if len(rows) != values.shape[0]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
-        grouped.setdefault(str(row["qid"]), []).append((int(row.get("token_index", i)), i))
+        members = grouped.setdefault(str(row["qid"]), [])
+        token = row.get("token_index", len(members))
+        if type(token) is not int:
+            raise AlignmentError(f"{mat_path}: sidecar row {i + 1} has token_index {token!r}")
+        members.append((token, i))
     out = {}
     for qid, members in grouped.items():
         members.sort()
+        if [token for token, _ in members] != list(range(len(members))):
+            raise AlignmentError(
+                f"{mat_path}: token indices of qid {qid!r} are not 0..{len(members) - 1}"
+            )
         out[qid] = values[[i for _, i in members]]
     return out
 
@@ -501,13 +516,14 @@ def _cmd_probe_fit(args) -> int:
     jsonio.write_report(
         args.out,
         {
-            "schema": "uncal-probe-model-v1",
+            "schema": "uncal-probe-model-v2",
             "layer": model.layer,
             "weights": [float(v) for v in model.weights],
             "bias": model.bias,
             "threshold": model.threshold,
             "feature_means": [float(v) for v in model.feature_means],
             "feature_stds": [float(v) for v in model.feature_stds],
+            "fit": model.fit.summary(),
             "config": {
                 "hidden": str(args.hidden),
                 "preds": str(args.preds),
@@ -534,7 +550,6 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, dict]:
         threshold=float(obj["threshold"]),
         feature_means=np.array(obj["feature_means"], dtype=float),
         feature_stds=np.array(obj["feature_stds"], dtype=float),
-        loss_trace=(),
     )
     return model, obj.get("config", {})
 

@@ -3,8 +3,8 @@
 Confidences are clamped away from {0, 1} before the logit transform so that
 grid-valued traces (0.05, 0.9, ...) and the occasional hard 0/1 survive the
 mapping. Both fitters are deterministic: global scaling uses golden-section
-search over log-temperature, adaptive scaling uses fixed-step full-batch
-gradient descent from a fixed initialization.
+search over log-temperature, adaptive scaling uses the shared Newton-CG
+minimizer (`optim`) from a fixed initialization.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import optim
 from .errors import DegenerateFit
 from .rewards import (
     DEFAULT_F1_THRESHOLD,
@@ -29,8 +30,6 @@ CONF_CLAMP = 1e-4
 LOG_T_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-6
 ATS_TEMPERATURE_FLOOR = 0.05
-ATS_STEP = 0.1
-ATS_ITERS = 2000
 ATS_FEATURE_NAMES = ("conf_logit", "response_length", "answer_length", "reasoning_depth")
 
 
@@ -162,6 +161,7 @@ class AtsModel:
     feature_means: tuple[float, float, float, float]
     feature_stds: tuple[float, float, float, float]
     fit_nll: float = float("nan")
+    fit: optim.Fit | None = None
 
 
 def ats_features(record: PredictionRecord) -> tuple[float, float, float, float]:
@@ -222,50 +222,38 @@ def fit_ats(
     l2: float = 0.0,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> AtsModel:
-    """Fit adaptive temperature scaling by full-batch gradient descent.
+    """Fit adaptive temperature scaling with `optim.minimize` (Newton-CG).
 
-    Fixed step 0.1 for 2000 iterations from w = 0 and a bias chosen so the
-    initial temperature is exactly 1 (i.e. the identity mapping). The best
-    parameters seen along the trajectory are returned, so the fit never ends
-    worse than an iterate it already visited.
+    The fit starts from w = 0 and the bias that makes the initial temperature
+    exactly 1 (the identity mapping); the line search never lets the
+    objective rise above that start. `fit_nll` is the unpenalized NLL at the
+    result, computed as for global scaling.
     """
     features, logits, outcomes = _ats_design(records, f1_threshold)
     phi, means, stds = _standardize(features)
-    n, d = phi.shape
 
-    w = np.zeros(d)
-    b = _softplus_inv(1.0 - ATS_TEMPERATURE_FLOOR)
+    def nll(u):
+        s = _sigmoid(u)  # dT/du
+        t = _softplus(u) + ATS_TEMPERATURE_FLOOR
+        z = logits / t
+        p = _sigmoid(z)
+        dz = -logits * s / t**2
+        d2z = -logits * s * ((1.0 - s) / t**2 - 2.0 * s / t**3)
+        loss = float(np.mean(np.logaddexp(0.0, z) - outcomes * z))
+        return loss, (p - outcomes) * dz, p * (1.0 - p) * dz**2 + (p - outcomes) * d2z
 
-    def objective(w_, b_):
-        t = _softplus(phi @ w_ + b_) + ATS_TEMPERATURE_FLOOR
-        return _bernoulli_nll(_sigmoid(logits / t), outcomes) + l2 * float(w_ @ w_)
-
-    best_w, best_b = w.copy(), b
-    best_obj = objective(w, b)
-    # a fixed step can diverge when l2 is extreme; divergent iterates simply
-    # never become the best-seen parameters, so overflow there is harmless
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(ATS_ITERS):
-            u = phi @ w + b
-            t = _softplus(u) + ATS_TEMPERATURE_FLOOR
-            p = _sigmoid(logits / t)
-            # d(nll)/dT_i = (p_i - y_i) * (-logit_i / T_i^2); dT/du = sigmoid(u)
-            du = (p - outcomes) * (-logits / t**2) * _sigmoid(u)
-            grad_w = phi.T @ du / n + 2.0 * l2 * w
-            grad_b = float(np.mean(du))
-            w = w - ATS_STEP * grad_w
-            b = b - ATS_STEP * grad_b
-            obj = objective(w, b)
-            if obj < best_obj:
-                best_obj = obj
-                best_w, best_b = w.copy(), b
+    start = np.zeros(phi.shape[1] + 1)
+    start[-1] = _softplus_inv(1.0 - ATS_TEMPERATURE_FLOOR)
+    theta, fit = optim.minimize(nll, phi, start, l2)
+    t = _softplus(phi @ theta[:-1] + theta[-1]) + ATS_TEMPERATURE_FLOOR
     return AtsModel(
-        weights=tuple(float(v) for v in best_w),
-        bias=float(best_b),
+        weights=tuple(float(v) for v in theta[:-1]),
+        bias=float(theta[-1]),
         l2=l2,
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
-        fit_nll=best_obj - l2 * float(best_w @ best_w),
+        fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes),
+        fit=fit,
     )
 
 

@@ -117,3 +117,21 @@ def oracle_trigger_counts(decisions, noret_correct, final_correct):
         "untouched_correct": untouched_correct,
         "final_wrong_in_triggered": final_wrong_in_trig,
     }
+
+
+def oracle_logistic_gd(phi, y, l2, step=0.1, iters=2000):
+    """Objective reached by plain full-batch gradient descent from zero on
+    L2-regularized logistic regression over standardized features `phi`
+    (bias unpenalized): the probe's original fixed-step fit, kept as a
+    brute-force reference for the Newton-CG minimizer."""
+    import numpy as np
+
+    n, d = phi.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(iters):
+        p = 1.0 / (1.0 + np.exp(-(phi @ w + b)))
+        w = w - step * (phi.T @ (p - y) / n + 2.0 * l2 * w)
+        b = b - step * float(np.mean(p - y))
+    z = phi @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + l2 * float(w @ w)

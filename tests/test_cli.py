@@ -7,8 +7,8 @@ import pytest
 
 import uncal
 from uncal import jsonio, matio, trajspace
-from uncal.cli import main
-from uncal.errors import CorruptInput
+from uncal.cli import _load_token_stack, main
+from uncal.errors import AlignmentError, CorruptInput
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
 
 from conftest import planted_stack
@@ -138,6 +138,48 @@ class TestExitCodes:
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", str(out)]) == 0
 
 
+class TestTokenStack:
+    @staticmethod
+    def write_layer(path, ids):
+        values = np.arange(2 * len(ids), dtype=np.float32).reshape(len(ids), 2)
+        matio.write_matrix(path, values)
+        matio.write_row_ids(str(path) + ".ids.jsonl", ids)
+        return values
+
+    def test_rows_ordered_by_token_index(self, tmp_path):
+        path = tmp_path / "layer_0.mat"
+        values = self.write_layer(
+            path, [{"qid": "a", "token_index": 1}, {"qid": "a", "token_index": 0}]
+        )
+        np.testing.assert_array_equal(_load_token_stack(path)["a"], values[[1, 0]])
+
+    def test_gap_rejected(self, tmp_path):
+        # an emission at token 2 would otherwise read token 3's hidden state
+        path = tmp_path / "layer_0.mat"
+        self.write_layer(path, [{"qid": "a", "token_index": t} for t in (0, 2, 3)])
+        with pytest.raises(AlignmentError):
+            _load_token_stack(path)
+
+    def test_duplicate_rejected(self, tmp_path):
+        path = tmp_path / "layer_0.mat"
+        self.write_layer(path, [{"qid": "a", "token_index": t} for t in (0, 1, 1)])
+        with pytest.raises(AlignmentError):
+            _load_token_stack(path)
+
+    def test_non_integer_token_index_rejected(self, tmp_path):
+        path = tmp_path / "layer_0.mat"
+        self.write_layer(path, [{"qid": "a", "token_index": t} for t in (0, 1.5)])
+        with pytest.raises(AlignmentError):
+            _load_token_stack(path)
+
+    def test_missing_token_index_uses_position_within_qid(self, tmp_path):
+        path = tmp_path / "layer_0.mat"
+        values = self.write_layer(path, [{"qid": q} for q in ("a", "b", "a", "b", "b")])
+        stack = _load_token_stack(path)
+        np.testing.assert_array_equal(stack["a"], values[[0, 2]])
+        np.testing.assert_array_equal(stack["b"], values[[1, 3, 4]])
+
+
 class TestFunctional:
     def test_theory_verify_one_line_per_space(self, tmp_path):
         spaces = tmp_path / "spaces.jsonl"
@@ -166,6 +208,22 @@ class TestFunctional:
         loaded = load_predictions(out).records
         assert loaded[0].verbal_confidence == 0.25   # replaced
         assert loaded[1].verbal_confidence == 0.9    # no p_affirmative: untouched
+
+
+    def test_fitted_models_report_convergence(self, tmp_path):
+        preds = write_hidden_dir(tmp_path / "hidden")
+        assert main(["recal", "ats", "--fit", str(PREDS_FIXTURE),
+                     "--apply", str(PREDS_FIXTURE), "--out", str(tmp_path / "o.jsonl"),
+                     "--model-out", str(tmp_path / "ats.json")]) == 0
+        assert main(["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+                     "--preds", str(preds), "--layer", "8",
+                     "--out", str(tmp_path / "probe.json")]) == 0
+        for name, schema in (("ats.json", "uncal-ats-model-v2"),
+                             ("probe.json", "uncal-probe-model-v2")):
+            model = json.loads((tmp_path / name).read_text())
+            assert model["schema"] == schema
+            assert sorted(model["fit"]) == ["converged", "grad_norm", "iterations"]
+            assert model["fit"]["converged"] is True
 
 
 class TestGoldenReport:

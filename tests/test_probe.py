@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uncal import matio, probe
+from uncal import matio, optim, probe
 from uncal.errors import (
     AlignmentError,
     DegenerateFit,
@@ -12,7 +12,7 @@ from uncal.errors import (
 from uncal.rewards import EmissionEvent, PredictionRecord
 
 from conftest import planted_stack
-from oracles import oracle_auprc, oracle_auroc
+from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd
 
 
 def emitted_record(token_index, tokens=10, text_pos=5):
@@ -104,7 +104,8 @@ class TestFitProbe:
         y = (rng.random(200) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
         base = probe.fit_probe(x, y, l2=0.0)
         doubled = probe.fit_probe(np.hstack([x, x[:, [0]]]), y, l2=0.0)
-        # gradient descent from zero splits the weight across the duplicates
+        # CG from zero gives identical columns identical steps, so the
+        # duplicates split the weight evenly
         assert doubled.weights[0] == doubled.weights[3]
         np.testing.assert_allclose(
             base.scores(x), doubled.scores(np.hstack([x, x[:, [0]]])), atol=1e-6
@@ -115,8 +116,30 @@ class TestFitProbe:
         x = rng.normal(0.0, 1.0, size=(120, 5))
         y = (x[:, 0] + 0.3 * rng.normal(size=120) > 0).astype(int)
         model = probe.fit_probe(x, y, l2=1e-2)
-        assert all(a >= b - 1e-12 for a, b in zip(model.loss_trace, model.loss_trace[1:]))
-        assert len(model.loss_trace) == probe.PROBE_ITERS // probe.LOSS_TRACE_EVERY + 1
+        trace = model.fit.loss_trace
+        assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+        # optimality, recomputed from the returned parameters: the full
+        # gradient is within the minimizer's tolerance, and brute-force
+        # gradient descent reaches no lower objective
+        phi = (x - model.feature_means) / model.feature_stds
+        z = phi @ model.weights + model.bias
+        residual = 1.0 / (1.0 + np.exp(-z)) - y
+        grad = np.append(phi.T @ residual / len(y) + 2e-2 * model.weights, residual.mean())
+        assert model.fit.converged
+        assert np.max(np.abs(grad)) <= optim.GRAD_TOL
+        objective = np.mean(np.logaddexp(0.0, z) - y * z) + 1e-2 * model.weights @ model.weights
+        assert objective <= oracle_logistic_gd(phi, y, 1e-2) + 1e-12
+
+    def test_separable_blobs_unregularized_stay_finite(self):
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(-2.0, 1.0, (40, 4)), rng.normal(2.0, 1.0, (40, 4))])
+        y = np.array([0] * 40 + [1] * 40)
+        model = probe.fit_probe(x, y, l2=0.0)
+        # no finite minimizer exists; the fit must still stop within the cap
+        assert model.fit.iterations <= optim.MAX_ITERS
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        trace = model.fit.loss_trace
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateFit):
