@@ -1,5 +1,11 @@
 """Calibration and behavioral metrics over batches of prediction records.
 
+Every metric reads one `ScoredBatch` (`rewards.score_predictions`): each
+record's confidence and correctness are computed once, however many metrics a
+report holds. `calibration_report_from_batch` and `error_taxonomy_from_batch`
+take the batch; the record-taking functions (`ece`, `brier`, ...,
+`calibration_report`, `error_taxonomy`) score their records and delegate.
+
 Records without a parseable confidence are excluded from confidence metrics
 but still count toward accuracy and the parse rate. All aggregations are pure
 and deterministic; per-dataset partitions can be computed independently and
@@ -18,11 +24,10 @@ from .errors import EmptyBatch, UndefinedCorrelation
 from .rewards import (
     DEFAULT_F1_THRESHOLD,
     PredictionRecord,
+    ScoredBatch,
     extract_answer_line,
     match_record,
-    record_confidence,
-    record_correct,
-    scan_emissions,
+    score_predictions,
 )
 
 DEFAULT_ECE_BINS = 10
@@ -62,15 +67,22 @@ class CalibrationReport:
     bins: tuple[CalibBin, ...]
 
 
-def _usable(records, f1_threshold):
-    """(confidence, correct, qid) triples for records with parsed confidence."""
-    out = []
-    for r in records:
-        conf = record_confidence(r)
-        if conf is None:
-            continue
-        out.append((conf, record_correct(r, f1_threshold), r.qid))
-    return out
+def _usable(batch: ScoredBatch) -> list[tuple[float, bool, str]]:
+    """(confidence, correct, qid) rows of the records with a confidence."""
+    rows = batch.usable()
+    if not rows:
+        raise EmptyBatch("no records with parseable confidence")
+    return rows
+
+
+def _check_bins(num_bins: int) -> None:
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5)")
 
 
 def ece(
@@ -79,12 +91,8 @@ def ece(
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> float:
     """Expected calibration error over equal-width confidence bins."""
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
-    return _ece_from_bins(_fill_bins(rows, num_bins), len(rows))
+    _check_bins(num_bins)
+    return _ece(_usable(score_predictions(records, f1_threshold)), num_bins)
 
 
 def _fill_bins(rows, num_bins):
@@ -95,9 +103,10 @@ def _fill_bins(rows, num_bins):
     return bins
 
 
-def _ece_from_bins(bins, n):
+def _ece(rows, num_bins):
+    n = len(rows)
     total = 0.0
-    for members in bins:
+    for members in _fill_bins(rows, num_bins):
         if not members:
             continue
         mean_conf = math.fsum(c for c, _ in members) / len(members)
@@ -111,9 +120,11 @@ def reliability_bins(
     num_bins: int = DEFAULT_ECE_BINS,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> tuple[CalibBin, ...]:
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
+    _check_bins(num_bins)
+    return _reliability_bins(_usable(score_predictions(records, f1_threshold)), num_bins)
+
+
+def _reliability_bins(rows, num_bins):
     out = []
     for i, members in enumerate(_fill_bins(rows, num_bins)):
         lo = i / num_bins
@@ -132,9 +143,10 @@ def brier(
     records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> float:
     """Mean squared gap between confidence and the 0/1 outcome."""
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
+    return _brier(_usable(score_predictions(records, f1_threshold)))
+
+
+def _brier(rows):
     return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y, _ in rows) / len(rows)
 
 
@@ -145,11 +157,11 @@ def nll(
 ) -> float:
     """Mean negative log-likelihood of the outcome under the stated confidence,
     with confidences clamped to [epsilon, 1 - epsilon] to stay finite."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
+    _check_epsilon(epsilon)
+    return _nll(_usable(score_predictions(records, f1_threshold)), epsilon)
+
+
+def _nll(rows, epsilon):
     total = 0.0
     for conf, correct, _ in rows:
         p = conf if correct else 1.0 - conf
@@ -170,10 +182,11 @@ def ausc(
     accuracy. Grouping ties makes the value invariant to duplicating every
     record.
     """
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
-    rows.sort(key=lambda t: (-t[0], t[2]))
+    return _ausc(_usable(score_predictions(records, f1_threshold)))
+
+
+def _ausc(rows):
+    rows = sorted(rows, key=lambda t: (-t[0], t[2]))
     n = len(rows)
     points = []  # (coverage, selective accuracy) at each distinct confidence
     seen = 0
@@ -201,26 +214,36 @@ def calibration_report(
     nll_epsilon: float = DEFAULT_NLL_EPSILON,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> CalibrationReport:
-    records = list(records)
-    if not records:
+    return calibration_report_from_batch(
+        score_predictions(records, f1_threshold), num_bins, nll_epsilon
+    )
+
+
+def calibration_report_from_batch(
+    batch: ScoredBatch,
+    num_bins: int = DEFAULT_ECE_BINS,
+    nll_epsilon: float = DEFAULT_NLL_EPSILON,
+) -> CalibrationReport:
+    """Every calibration metric of one scored batch."""
+    n = len(batch)
+    if not n:
         raise EmptyBatch("no records")
-    rows = _usable(records, f1_threshold)
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
-    n = len(records)
-    accuracy = sum(1 for r in records if record_correct(r, f1_threshold)) / n
+    rows = _usable(batch)
+    _check_bins(num_bins)
+    _check_epsilon(nll_epsilon)
+    accuracy = sum(1 for ok in batch.correct if ok) / n
     mean_conf = math.fsum(c for c, _, _ in rows) / len(rows)
     return CalibrationReport(
         n=n,
         accuracy=accuracy,
         mean_confidence=mean_conf,
         overconfidence_gap=mean_conf - accuracy,
-        ece=ece(records, num_bins, f1_threshold),
-        brier=brier(records, f1_threshold),
-        nll=nll(records, nll_epsilon, f1_threshold),
+        ece=_ece(rows, num_bins),
+        brier=_brier(rows),
+        nll=_nll(rows, nll_epsilon),
         parse_rate=len(rows) / n,
-        ausc=ausc(records, f1_threshold),
-        bins=reliability_bins(records, num_bins, f1_threshold),
+        ausc=_ausc(rows),
+        bins=_reliability_bins(rows, num_bins),
     )
 
 
@@ -248,26 +271,36 @@ def error_taxonomy(
     strict_threshold: float = 0.7,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> ErrorTaxonomy:
+    """Decompose wrong answers by stated confidence (see
+    `error_taxonomy_from_batch`)."""
+    return error_taxonomy_from_batch(
+        score_predictions(records, f1_threshold), epistemic_threshold, strict_threshold
+    )
+
+
+def error_taxonomy_from_batch(
+    batch: ScoredBatch,
+    epistemic_threshold: float = 0.5,
+    strict_threshold: float = 0.7,
+) -> ErrorTaxonomy:
     """Decompose wrong answers by stated confidence.
 
     Epistemic errors are wrong answers above the confidence threshold;
     aleatoric ones sit at or below it. Only records with a parseable
-    confidence participate. The emission split rescans the response text for
-    the uncertainty marker.
+    confidence participate. The emission split uses whether the response
+    text contains the uncertainty marker, not the record's emission events.
     """
     if not 0.0 < epistemic_threshold < 1.0 or not 0.0 < strict_threshold < 1.0:
         raise ValueError("thresholds must lie in (0,1)")
     if strict_threshold < epistemic_threshold:
         raise ValueError("strict threshold must be >= epistemic threshold")
-    wrong = []
-    for r in records:
-        conf = record_confidence(r)
-        if conf is None:
-            continue
-        if not record_correct(r, f1_threshold):
-            wrong.append((conf, bool(scan_emissions(r.response_text))))
-    if not records:
+    if not len(batch):
         raise EmptyBatch("no records")
+    wrong = [
+        (c, marked)
+        for c, ok, marked in zip(batch.confidence, batch.correct, batch.marked)
+        if c is not None and not ok
+    ]
     total_wrong = len(wrong)
     epistemic = sum(1 for c, _ in wrong if c > epistemic_threshold)
     strict = sum(1 for c, _ in wrong if c > strict_threshold)
@@ -395,10 +428,8 @@ class BehavioralSummary:
     macro: BehaviorRow
 
 
-def _behavior_row(records, f1_threshold):
+def _behavior_row(records, correct_flags, emit_flags):
     n = len(records)
-    correct_flags = [record_correct(r, f1_threshold) for r in records]
-    emit_flags = [len(r.emissions) >= 1 for r in records]
     wrong_total = sum(1 for ok in correct_flags if not ok)
     correct_total = n - wrong_total
     wrong_emit = sum(1 for ok, e in zip(correct_flags, emit_flags) if not ok and e)
@@ -441,11 +472,15 @@ def behavioral_summary(
     records = list(records)
     if not records:
         raise EmptyBatch("no records")
-    datasets = sorted({r.dataset for r in records})
+    batch = score_predictions(records, f1_threshold)
     per_dataset = {}
-    for name in datasets:
-        members = [r for r in records if r.dataset == name]
-        per_dataset[name] = _behavior_row(members, f1_threshold)
+    for name in sorted(set(batch.dataset)):
+        members = [i for i, d in enumerate(batch.dataset) if d == name]
+        per_dataset[name] = _behavior_row(
+            [records[i] for i in members],
+            [batch.correct[i] for i in members],
+            [batch.emitted[i] for i in members],
+        )
     return BehavioralSummary(
         per_dataset=per_dataset, macro=_macro(list(per_dataset.values()))
     )

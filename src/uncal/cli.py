@@ -23,6 +23,7 @@ from .errors import (
     DegenerateRatio,
     HypothesisViolated,
     IoError,
+    MissingField,
     UncalError,
 )
 
@@ -171,20 +172,20 @@ def _emit_lines(args, lines: list[dict]) -> None:
             print(jsonio.dumps_canonical(line))
 
 
-def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
-    result = jsonio.load_lines(
-        path, lambda obj, label: trajspace.space_from_dict(obj)
-    )
+def _accepted(path, result: jsonio.LoadResult) -> list:
+    """The loaded records; each rejected line is reported once on stderr as
+    `path:line: message`."""
     for line_no, message in result.errors:
         print(f"{path}:{line_no}: {message}", file=sys.stderr)
     return result.records
+
+
+def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
+    return _accepted(path, jsonio.load_lines(path, trajspace.space_from_dict))
 
 
 def _load_preds(path) -> list[rewards.PredictionRecord]:
-    result = jsonio.load_predictions(path)
-    for line_no, message in result.errors:
-        print(f"{path}:{line_no}: {message}", file=sys.stderr)
-    return result.records
+    return _accepted(path, jsonio.load_predictions(path))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +260,21 @@ def _cmd_theory_iterate(args) -> int:
 
 def _cmd_match(args) -> int:
     records = _load_preds(args.input)
-    annotated = [rewards.annotate_record(r, args.f1_threshold) for r in records]
-    out = args.out or args.input
-    jsonio.write_jsonl(out, [jsonio.prediction_to_dict(r) for r in annotated])
+    rows = [
+        jsonio.prediction_to_dict(rewards.annotate_record(r, args.f1_threshold))
+        for r in records
+    ]
+    if args.out:
+        jsonio.write_jsonl(args.out, rows)
+    else:
+        jsonio.rewrite_jsonl(args.input, rows)
     return 0
 
 
 def _cmd_calib(args) -> int:
-    records = _load_preds(args.input)
-    report = calib.calibration_report(
-        records, args.bins, args.nll_epsilon, args.f1_threshold
-    )
-    taxonomy = calib.error_taxonomy(records, f1_threshold=args.f1_threshold)
+    batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
+    report = calib.calibration_report_from_batch(batch, args.bins, args.nll_epsilon)
+    taxonomy = calib.error_taxonomy_from_batch(batch)
     payload = {
         "schema": "uncal-calib-report-v1",
         "config": {
@@ -425,11 +429,14 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
     without `token_index` takes its position among the qid's rows.
     """
     values = matio.read_matrix(mat_path)
-    rows = matio.read_row_ids(str(mat_path) + ".ids.jsonl")
+    sidecar = str(mat_path) + ".ids.jsonl"
+    rows = matio.read_row_ids(sidecar)
     if len(rows) != values.shape[0]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, dict) or "qid" not in row:
+            raise MissingField(f"{sidecar}: row {i + 1} has no 'qid' field")
         members = grouped.setdefault(str(row["qid"]), [])
         token = row.get("token_index", len(members))
         if type(token) is not int:
@@ -538,11 +545,19 @@ def _cmd_probe_fit(args) -> int:
     return 0
 
 
+_PROBE_MODEL_FIELDS = ("layer", "weights", "bias", "threshold", "feature_means", "feature_stds")
+
+
 def _load_probe_model(path) -> tuple[probe.ProbeModel, dict]:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoError(f"cannot read model {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MissingField(f"{path}: not a probe model (expected a JSON object)")
+    for key in _PROBE_MODEL_FIELDS:
+        if key not in obj:
+            raise MissingField(f"{path}: probe model has no {key!r} field")
     model = probe.ProbeModel(
         layer=int(obj["layer"]),
         weights=np.array(obj["weights"], dtype=float),
@@ -605,13 +620,12 @@ def _trigger_report_dict(report: ragctl.TriggerReport) -> dict:
 
 
 def _cmd_rag(args) -> int:
-    result = jsonio.load_rag_traces(args.input)
-    for line_no, message in result.errors:
-        print(f"{args.input}:{line_no}: {message}", file=sys.stderr)
-    records = result.records
+    records = _accepted(args.input, jsonio.load_rag_traces(args.input))
     policy = ragctl.parse_policy_spec(args.policy)
-    report = ragctl.simulate(policy, records, args.f1_threshold)
-    per_dataset = ragctl.simulate_by_dataset(policy, records, args.f1_threshold)
+    fires = ragctl.decide_all(policy, records)
+    scored = ragctl.score_traces(records, args.f1_threshold)
+    report = ragctl.trigger_report(scored, fires)
+    per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
     payload = {
         "schema": "uncal-rag-report-v1",
         "config": {
@@ -651,25 +665,22 @@ def _cmd_repr_cka(args) -> int:
 
 
 def _cmd_repr_kl(args) -> int:
-    pairs_result = jsonio.load_lines(
+    pairs = _accepted(args.pairs, jsonio.load_lines(
         args.pairs,
-        lambda obj, label: reprgeo.TokenDistPair(
+        lambda obj: reprgeo.TokenDistPair(
             position=int(obj["position"]),
             base_probs=np.array(obj["base_probs"], dtype=float),
             calibrated_probs=np.array(obj["calibrated_probs"], dtype=float),
         ),
-    )
-    ann_result = jsonio.load_lines(
+    ))
+    annotations = _accepted(args.annotations, jsonio.load_lines(
         args.annotations,
-        lambda obj, label: reprgeo.TokenAnnotation(
+        lambda obj: reprgeo.TokenAnnotation(
             position=int(obj["position"]),
             type=reprgeo.TokenType(obj["type"]),
         ),
-    )
-    for path, result in ((args.pairs, pairs_result), (args.annotations, ann_result)):
-        for line_no, message in result.errors:
-            print(f"{path}:{line_no}: {message}", file=sys.stderr)
-    table = reprgeo.kl_by_type(pairs_result.records, ann_result.records, args.epsilon)
+    ))
+    table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
     rows = {
         token_type.value: {
             "count": row.count,

@@ -75,6 +75,10 @@ class UndefinedSimilarity(UncalError):
     """A similarity or drift ratio is undefined (zero variance or zero norm)."""
 
 
+class MissingField(UncalError):
+    """A model or sidecar file lacks a field the command needs."""
+
+
 class CorruptInput(UncalError):
     """More than half of the lines in an input file failed validation."""
 

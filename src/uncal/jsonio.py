@@ -1,8 +1,9 @@
 """JSON Lines record streams and deterministic report serialization.
 
 Loading is strict: every line is validated against the record schema, invalid
-lines are reported with their line numbers, and a file where more than half
-the lines fail is rejected outright. Report writing controls float formatting
+lines are returned with their line numbers (the messages carry no location;
+callers prefix `path:line:` once), and a file where more than half the lines
+fail is rejected outright. Report writing controls float formatting
 (17 significant digits, round-trip exact) and key order so that identical
 configurations produce byte-identical files.
 """
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -71,7 +75,7 @@ def _write_canonical(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -79,7 +83,7 @@ def _write_canonical(obj, out: list[str]) -> None:
                 out.append(",")
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _write_canonical(obj[key], out)
         out.append("}")
@@ -104,10 +108,33 @@ def write_report(path, obj) -> None:
 def write_jsonl(path, objs: Sequence[dict]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                fh.write(dumps_canonical(obj) + "\n")
+            _write_lines(fh, objs)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def rewrite_jsonl(path, objs: Sequence[dict]) -> None:
+    """Replace an existing file atomically: the lines go to a temporary file
+    in the same directory, which then takes the file's place (and mode).
+    If writing fails, the original file is left untouched."""
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                _write_lines(fh, objs)
+            os.chmod(tmp, path.stat().st_mode & 0o7777)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_lines(fh, objs) -> None:
+    for obj in objs:
+        fh.write(dumps_canonical(obj) + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -167,88 +194,128 @@ def prediction_to_dict(record: PredictionRecord) -> dict:
     return out
 
 
-def _require(obj: dict, key: str, kind, line_label: str):
+def _require(obj: dict, key: str, kind):
     if key not in obj:
-        raise ValueError(f"{line_label}: missing required field {key!r}")
+        raise ValueError(f"missing required field {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
-        raise ValueError(f"{line_label}: field {key!r} has wrong type")
+        raise ValueError(f"field {key!r} has wrong type")
     return value
 
 
-def prediction_from_dict(obj: dict, line_label: str = "record") -> PredictionRecord:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{line_label}: not a JSON object")
-    unknown = set(obj) - _PRED_FIELDS
-    if unknown:
-        raise ValueError(f"{line_label}: unknown fields {sorted(unknown)}")
-    qid = _require(obj, "qid", str, line_label)
-    golds = _require(obj, "gold_answers", list, line_label)
+def _golds(obj: dict) -> tuple[str, ...]:
+    golds = _require(obj, "gold_answers", list)
     if not golds or not all(isinstance(g, str) for g in golds):
-        raise ValueError(f"{line_label}: gold_answers must be non-empty strings")
-    text = _require(obj, "response_text", str, line_label)
-    conf = obj.get("verbal_confidence")
-    if conf is not None:
-        if not isinstance(conf, (int, float)) or isinstance(conf, bool):
-            raise ValueError(f"{line_label}: verbal_confidence must be a number")
-        conf = float(conf)
-        if not 0.0 <= conf <= 1.0:
-            raise ValueError(f"{line_label}: verbal_confidence outside [0,1]")
+        raise ValueError("gold_answers must be non-empty strings")
+    return tuple(golds)
+
+
+# JSON numbers decode to exactly these types; bool (an int subclass) is not one
+_NUMBER_TYPES = (int, float)
+
+
+def _optional(obj: dict, key: str, types: tuple, what: str):
+    """Optional field whose value must have exactly one of `types`."""
+    value = obj.get(key)
+    if value is not None and type(value) not in types:
+        raise ValueError(f"{key} must be {what}")
+    return value
+
+
+def _probability(obj: dict, key: str) -> float | None:
+    """Optional number in [0,1]."""
+    value = obj.get(key)
+    if value is None:
+        return None
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{key} must be a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{key} outside [0,1]")
+    return float(value)
+
+
+def _token_probs(obj: dict, key: str) -> tuple[float, ...] | None:
+    """Optional list of numbers in (0,1]."""
+    value = obj.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(
+        type(p) in _NUMBER_TYPES and 0.0 < p <= 1.0 for p in value
+    ):
+        raise ValueError(f"{key} must be numbers in (0,1]")
+    return tuple(map(float, value))
+
+
+def _count(obj: dict, key: str) -> int | None:
+    """Optional nonnegative integer."""
+    value = obj.get(key)
+    if value is not None and (type(value) is not int or value < 0):
+        raise ValueError(f"{key} must be a nonnegative int")
+    return value
+
+
+def _check_fields(obj, known: set[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}")
+
+
+def prediction_from_dict(obj: dict) -> PredictionRecord:
+    _check_fields(obj, _PRED_FIELDS)
+    qid = _require(obj, "qid", str)
+    golds = _golds(obj)
+    text = _require(obj, "response_text", str)
     emissions_raw = obj.get("emissions")
     if emissions_raw is None:
         emissions = tuple(scan_emissions(text))
     else:
         if not isinstance(emissions_raw, list):
-            raise ValueError(f"{line_label}: emissions must be a list")
-        emissions = tuple(
-            EmissionEvent(
-                char_position=int(e["char_position"]),
-                token_index=int(e["token_index"]) if e.get("token_index") is not None else None,
-            )
-            for e in emissions_raw
-        )
-    token_probs = obj.get("token_probs")
-    if token_probs is not None:
-        if not isinstance(token_probs, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 < p <= 1.0
-            for p in token_probs
-        ):
-            raise ValueError(f"{line_label}: token_probs must be numbers in (0,1]")
-        token_probs = tuple(float(p) for p in token_probs)
-    count = obj.get("response_token_count")
+            raise ValueError("emissions must be a list")
+        emissions = tuple(map(_emission, emissions_raw))
+    count = _count(obj, "response_token_count")
     if count is None:
         count = len(text.split())
-    elif not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"{line_label}: response_token_count must be a nonnegative int")
-    p_aff = obj.get("p_affirmative")
-    if p_aff is not None:
-        p_aff = float(p_aff)
-        if not 0.0 <= p_aff <= 1.0:
-            raise ValueError(f"{line_label}: p_affirmative outside [0,1]")
-    match = obj.get("match")
-    if match is not None:
-        match = MatchResult(
-            correct=bool(match["correct"]),
-            rule=MatchRule(match["rule"]),
-            f1=float(match["f1"]),
-        )
-    try:
-        return PredictionRecord(
-            qid=qid,
-            dataset=str(obj.get("dataset", "")),
-            question=str(obj.get("question", "")),
-            gold_answers=tuple(golds),
-            response_text=text,
-            extracted_answer=obj.get("extracted_answer"),
-            verbal_confidence=conf,
-            emissions=emissions,
-            response_token_count=count,
-            token_probs=token_probs,
-            p_affirmative=p_aff,
-            match=match,
-        )
-    except ValueError as exc:
-        raise ValueError(f"{line_label}: {exc}") from exc
+    return PredictionRecord(
+        qid=qid,
+        dataset=str(obj.get("dataset", "")),
+        question=str(obj.get("question", "")),
+        gold_answers=golds,
+        response_text=text,
+        extracted_answer=_optional(obj, "extracted_answer", (str,), "a string"),
+        verbal_confidence=_probability(obj, "verbal_confidence"),
+        emissions=emissions,
+        response_token_count=count,
+        token_probs=_token_probs(obj, "token_probs"),
+        p_affirmative=_probability(obj, "p_affirmative"),
+        match=_match(obj.get("match")),
+    )
+
+
+def _emission(obj) -> EmissionEvent:
+    if not isinstance(obj, dict):
+        raise ValueError("each emission must be a JSON object")
+    position = _count(obj, "char_position")
+    if position is None:
+        raise ValueError("emission without char_position")
+    return EmissionEvent(char_position=position, token_index=_count(obj, "token_index"))
+
+
+def _match(obj) -> MatchResult | None:
+    """A cached match block: boolean `correct`, a known `rule`, `f1` in [0,1]."""
+    if obj is None:
+        return None
+    if not isinstance(obj, dict):
+        raise ValueError("match must be a JSON object")
+    f1 = _probability(obj, "f1")
+    if f1 is None:
+        raise ValueError("match without f1")
+    return MatchResult(
+        correct=_require(obj, "correct", bool),
+        rule=MatchRule(_require(obj, "rule", str)),
+        f1=f1,
+    )
 
 
 def rag_to_dict(record: RagTraceRecord) -> dict:
@@ -273,50 +340,26 @@ def rag_to_dict(record: RagTraceRecord) -> dict:
     return out
 
 
-def rag_from_dict(obj: dict, line_label: str = "record") -> RagTraceRecord:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{line_label}: not a JSON object")
-    unknown = set(obj) - _RAG_FIELDS
-    if unknown:
-        raise ValueError(f"{line_label}: unknown fields {sorted(unknown)}")
-    qid = _require(obj, "qid", str, line_label)
-    golds = _require(obj, "gold_answers", list, line_label)
-    if not golds or not all(isinstance(g, str) for g in golds):
-        raise ValueError(f"{line_label}: gold_answers must be non-empty strings")
-    noret = _require(obj, "noret_answer", str, line_label)
-    ret = _require(obj, "ret_answer", str, line_label)
-    conf = obj.get("noret_confidence")
-    if conf is not None:
-        conf = float(conf)
-        if not 0.0 <= conf <= 1.0:
-            raise ValueError(f"{line_label}: noret_confidence outside [0,1]")
-    probs = obj.get("noret_token_probs")
-    if probs is not None:
-        probs = tuple(float(p) for p in probs)
-    try:
-        return RagTraceRecord(
-            qid=qid,
-            dataset=str(obj.get("dataset", "")),
-            gold_answers=tuple(golds),
-            noret_answer=noret,
-            ret_answer=ret,
-            noret_confidence=conf,
-            noret_emissions=int(obj.get("noret_emissions", 0)),
-            noret_probe_score=(
-                float(obj["noret_probe_score"])
-                if obj.get("noret_probe_score") is not None
-                else None
-            ),
-            noret_token_probs=probs,
-            noret_response_text=obj.get("noret_response_text"),
-            external_trigger=(
-                bool(obj["external_trigger"])
-                if obj.get("external_trigger") is not None
-                else None
-            ),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{line_label}: {exc}") from exc
+def rag_from_dict(obj: dict) -> RagTraceRecord:
+    _check_fields(obj, _RAG_FIELDS)
+    qid = _require(obj, "qid", str)
+    golds = _golds(obj)
+    noret = _require(obj, "noret_answer", str)
+    ret = _require(obj, "ret_answer", str)
+    probe_score = _optional(obj, "noret_probe_score", _NUMBER_TYPES, "a number")
+    return RagTraceRecord(
+        qid=qid,
+        dataset=str(obj.get("dataset", "")),
+        gold_answers=golds,
+        noret_answer=noret,
+        ret_answer=ret,
+        noret_confidence=_probability(obj, "noret_confidence"),
+        noret_emissions=_count(obj, "noret_emissions") or 0,
+        noret_probe_score=None if probe_score is None else float(probe_score),
+        noret_token_probs=_token_probs(obj, "noret_token_probs"),
+        noret_response_text=_optional(obj, "noret_response_text", (str,), "a string"),
+        external_trigger=_optional(obj, "external_trigger", (bool,), "true or false"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +374,10 @@ class LoadResult:
     total_lines: int
 
 
-def load_lines(path, parse: Callable[[dict, str], object]) -> LoadResult:
+def load_lines(path, parse: Callable[[dict], object]) -> LoadResult:
+    """Parse every nonblank line with `parse`. A line that is not JSON, or
+    that `parse` rejects (ValueError, KeyError, TypeError), becomes an error
+    entry (line number, message) instead of a record."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -343,15 +389,16 @@ def load_lines(path, parse: Callable[[dict, str], object]) -> LoadResult:
         if not line.strip():
             continue
         total += 1
-        label = f"{path}:{i}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             errors.append((i, f"invalid JSON: {exc.msg}"))
             continue
         try:
-            records.append(parse(obj, label))
-        except (ValueError, KeyError, TypeError) as exc:
+            records.append(parse(obj))
+        except KeyError as exc:
+            errors.append((i, f"missing field {exc.args[0]!r}"))
+        except (ValueError, TypeError) as exc:
             errors.append((i, str(exc)))
     if total and len(errors) > total / 2:
         raise CorruptInput(

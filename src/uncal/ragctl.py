@@ -6,6 +6,12 @@ was forced. A policy decides per record whether to retrieve; the simulator
 then scores the resulting final answers and the trigger decisions against the
 pre-retrieval failures.
 
+Scoring and deciding are separate passes. `score_traces` matches both answers
+of every trace once; `decide_all` turns a policy into one boolean per record.
+A `TriggerReport` is then a count over those two passes (`trigger_report`,
+`trigger_reports_by_dataset`), so one scoring serves the overall report,
+every dataset and every point of a threshold sweep.
+
 Boundary semantics: confidence triggering is strict (confidence < tau), so
 tau = 0 reproduces Never and tau just above the highest confidence reproduces
 Always.
@@ -23,6 +29,7 @@ from .errors import EmptyBatch, MissingSignal
 from .probe import ProbeModel, fit_probe
 from .rewards import (
     DEFAULT_F1_THRESHOLD,
+    MatchResult,
     MatchRule,
     match_answer,
     reasoning_depth,
@@ -220,16 +227,43 @@ class TriggerReport:
     global_wrong_coverage: float | None
 
 
-def simulate(
-    policy: ControllerPolicy,
-    records: Sequence[RagTraceRecord],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> TriggerReport:
-    """Run the one-shot retrieval protocol: answer, maybe retrieve, rescore."""
+@dataclass(frozen=True)
+class ScoredTraces:
+    """Both answers of every trace matched once, in record order."""
+
+    noret: tuple[MatchResult, ...]
+    ret: tuple[MatchResult, ...]
+    dataset: tuple[str, ...]
+
+
+def score_traces(
+    records: Sequence[RagTraceRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
+) -> ScoredTraces:
+    """Match each trace's no-retrieval and with-retrieval answers once."""
     records = list(records)
-    if not records:
+    return ScoredTraces(
+        noret=tuple(match_answer(r.noret_answer, r.gold_answers, f1_threshold)
+                    for r in records),
+        ret=tuple(match_answer(r.ret_answer, r.gold_answers, f1_threshold)
+                  for r in records),
+        dataset=tuple(r.dataset for r in records),
+    )
+
+
+def decide_all(policy: ControllerPolicy, records: Sequence[RagTraceRecord]) -> list[bool]:
+    """The policy's retrieval decision for every record, in record order."""
+    return [decide(policy, r) for r in records]
+
+
+def _tally(
+    scored: ScoredTraces, fires: Sequence[bool], members: Sequence[int]
+) -> TriggerReport:
+    """Report over the records `members` (indices in record order)."""
+    if len(fires) != len(scored.noret):
+        raise ValueError("need exactly one decision per scored record")
+    n = len(members)
+    if not n:
         raise EmptyBatch("no trace records")
-    n = len(records)
     triggered = 0
     noret_wrong = 0
     triggered_and_wrong = 0
@@ -237,15 +271,10 @@ def simulate(
     untouched_correct = 0
     em_sum = 0
     f1_sum = 0.0
-    for record in records:
-        fire = decide(policy, record)
-        noret_match = match_answer(record.noret_answer, record.gold_answers, f1_threshold)
-        final_answer = record.ret_answer if fire else record.noret_answer
-        final_match = (
-            match_answer(final_answer, record.gold_answers, f1_threshold)
-            if fire
-            else noret_match
-        )
+    for i in members:
+        fire = fires[i]
+        noret_match = scored.noret[i]
+        final_match = scored.ret[i] if fire else noret_match
         em_sum += 1 if (final_match.correct and final_match.rule is MatchRule.EXACT_MATCH) else 0
         f1_sum += final_match.f1
         if fire:
@@ -276,17 +305,41 @@ def simulate(
     )
 
 
+def trigger_report(scored: ScoredTraces, fires: Sequence[bool]) -> TriggerReport:
+    """Accounting of one set of decisions over the whole scored batch."""
+    return _tally(scored, fires, range(len(fires)))
+
+
+def trigger_reports_by_dataset(
+    scored: ScoredTraces, fires: Sequence[bool]
+) -> dict[str, TriggerReport]:
+    """Per-dataset reports (sorted by dataset name), for table-shaped output."""
+    members: dict[str, list[int]] = {}
+    for i, name in enumerate(scored.dataset):
+        members.setdefault(name, []).append(i)
+    return {name: _tally(scored, fires, members[name]) for name in sorted(members)}
+
+
+def simulate(
+    policy: ControllerPolicy,
+    records: Sequence[RagTraceRecord],
+    f1_threshold: float = DEFAULT_F1_THRESHOLD,
+) -> TriggerReport:
+    """Run the one-shot retrieval protocol: answer, maybe retrieve, rescore."""
+    records = list(records)
+    fires = decide_all(policy, records)
+    return trigger_report(score_traces(records, f1_threshold), fires)
+
+
 def simulate_by_dataset(
     policy: ControllerPolicy,
     records: Sequence[RagTraceRecord],
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> dict[str, TriggerReport]:
     """Per-dataset reports (sorted by dataset name), for table-shaped output."""
-    out = {}
-    for name in sorted({r.dataset for r in records}):
-        members = [r for r in records if r.dataset == name]
-        out[name] = simulate(policy, members, f1_threshold)
-    return out
+    records = list(records)
+    fires = decide_all(policy, records)
+    return trigger_reports_by_dataset(score_traces(records, f1_threshold), fires)
 
 
 def sweep_threshold(
@@ -296,21 +349,27 @@ def sweep_threshold(
     window: int = 1,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> list[tuple[float, TriggerReport]]:
-    """One report per grid point for a thresholded policy family."""
-    if not list(grid):
+    """One report per grid point for a thresholded policy family; the records
+    are scored once for the whole grid."""
+    grid = list(grid)
+    if not grid:
         raise ValueError("grid must be non-empty")
-    out = []
+    policies = []
     for value in grid:
         if kind is PolicyKind.CONFIDENCE_THRESHOLD:
-            policy = ControllerPolicy.confidence_threshold(value)
+            policies.append(ControllerPolicy.confidence_threshold(value))
         elif kind is PolicyKind.EMISSION_PLUS_PROBE:
-            policy = ControllerPolicy.emission_plus_probe(value)
+            policies.append(ControllerPolicy.emission_plus_probe(value))
         elif kind is PolicyKind.TOKEN_PROB_WINDOW:
-            policy = ControllerPolicy.token_prob_window(value, window)
+            policies.append(ControllerPolicy.token_prob_window(value, window))
         else:
             raise ValueError(f"policy family {kind} has no threshold to sweep")
-        out.append((value, simulate(policy, records, f1_threshold)))
-    return out
+    records = list(records)
+    scored = score_traces(records, f1_threshold)
+    return [
+        (value, trigger_report(scored, decide_all(policy, records)))
+        for value, policy in zip(grid, policies)
+    ]
 
 
 def parse_policy_spec(spec: str, model: ProbeModel | None = None) -> ControllerPolicy:

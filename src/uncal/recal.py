@@ -20,10 +20,11 @@ from .errors import DegenerateFit
 from .rewards import (
     DEFAULT_F1_THRESHOLD,
     PredictionRecord,
+    ScoredBatch,
     extract_answer_line,
     reasoning_depth,
     record_confidence,
-    record_correct,
+    score_predictions,
 )
 
 CONF_CLAMP = 1e-4
@@ -55,25 +56,19 @@ def _softplus_inv(y: float) -> float:
     return math.log(math.expm1(y))
 
 
-def _fit_rows(records, f1_threshold):
-    """(logit, outcome) pairs for records usable in a temperature fit."""
-    logits = []
-    outcomes = []
-    raw = []
-    for r in records:
-        conf = record_confidence(r)
-        if conf is None:
-            continue
-        logits.append(_logit(conf))
-        outcomes.append(1.0 if record_correct(r, f1_threshold) else 0.0)
-        raw.append(conf)
-    if len(logits) < 2:
+def _fit_rows(batch: ScoredBatch):
+    """(logits, outcomes) arrays of the records usable in a temperature fit."""
+    rows = batch.usable()
+    if len(rows) < 2:
         raise DegenerateFit("need at least two records with parseable confidence")
-    if len(set(outcomes)) < 2:
+    if len({ok for _, ok, _ in rows}) < 2:
         raise DegenerateFit("both outcome classes must be present")
-    if all(c in (0.0, 1.0) for c in raw):
+    if all(c in (0.0, 1.0) for c, _, _ in rows):
         raise DegenerateFit("all confidences sit at 0 or 1; no usable spread")
-    return np.array(logits), np.array(outcomes)
+    return (
+        np.array([_logit(c) for c, _, _ in rows]),
+        np.array([1.0 if ok else 0.0 for _, ok, _ in rows]),
+    )
 
 
 def _bernoulli_nll(probs: np.ndarray, outcomes: np.ndarray) -> float:
@@ -103,7 +98,7 @@ def fit_global_ts(
     is not at least as good as T = 1 (possible only by the search tolerance),
     T = 1 is returned.
     """
-    logits, outcomes = _fit_rows(records, f1_threshold)
+    logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
 
     def objective(log_t):
         return _bernoulli_nll(_sigmoid(logits / math.exp(log_t)), outcomes)
@@ -140,7 +135,7 @@ def ts_nll(
     records: Sequence[PredictionRecord],
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> float:
-    logits, outcomes = _fit_rows(records, f1_threshold)
+    logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
     return _bernoulli_nll(_sigmoid(logits / model.temperature), outcomes)
 
 
@@ -171,9 +166,17 @@ def ats_features(record: PredictionRecord) -> tuple[float, float, float, float]:
     tokens when absent); answer length counts characters of the extracted
     answer; reasoning depth counts nonempty lines before the answer line.
     """
+    return _ats_row(record, _confidence(record))
+
+
+def _confidence(record: PredictionRecord) -> float:
     conf = record_confidence(record)
     if conf is None:
         raise DegenerateFit(f"record {record.qid!r} has no parseable confidence")
+    return conf
+
+
+def _ats_row(record: PredictionRecord, conf: float) -> tuple[float, float, float, float]:
     length = record.response_token_count
     if length <= 0:
         length = len(record.response_text.split())
@@ -188,26 +191,14 @@ def ats_features(record: PredictionRecord) -> tuple[float, float, float, float]:
     )
 
 
-def _ats_design(records, f1_threshold):
-    rows = []
-    outcomes = []
-    logits = []
-    raw_confs = []
-    for r in records:
-        conf = record_confidence(r)
-        if conf is None:
-            continue
-        rows.append(ats_features(r))
-        logits.append(_logit(conf))
-        outcomes.append(1.0 if record_correct(r, f1_threshold) else 0.0)
-        raw_confs.append(conf)
-    if len(rows) < 2:
-        raise DegenerateFit("need at least two records with parseable confidence")
-    if len(set(outcomes)) < 2:
-        raise DegenerateFit("both outcome classes must be present")
-    if all(c in (0.0, 1.0) for c in raw_confs):
-        raise DegenerateFit("all confidences sit at 0 or 1; no usable spread")
-    return np.array(rows), np.array(logits), np.array(outcomes)
+def _ats_design(records, batch: ScoredBatch):
+    """(features, logits, outcomes) of the records usable in the fit; the
+    batch is `score_predictions(records)`."""
+    logits, outcomes = _fit_rows(batch)
+    features = [
+        _ats_row(r, c) for r, c in zip(records, batch.confidence) if c is not None
+    ]
+    return np.array(features), logits, outcomes
 
 
 def _standardize(features):
@@ -229,7 +220,10 @@ def fit_ats(
     objective rise above that start. `fit_nll` is the unpenalized NLL at the
     result, computed as for global scaling.
     """
-    features, logits, outcomes = _ats_design(records, f1_threshold)
+    records = list(records)
+    features, logits, outcomes = _ats_design(
+        records, score_predictions(records, f1_threshold)
+    )
     phi, means, stds = _standardize(features)
 
     def nll(u):
@@ -258,7 +252,11 @@ def fit_ats(
 
 
 def ats_temperature(model: AtsModel, record: PredictionRecord) -> float:
-    raw = np.array(ats_features(record))
+    return _temperature(model, ats_features(record))
+
+
+def _temperature(model: AtsModel, features) -> float:
+    raw = np.array(features)
     phi = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
     u = float(phi @ np.array(model.weights)) + model.bias
     return float(_softplus(np.array(u))) + ATS_TEMPERATURE_FLOOR
@@ -266,26 +264,9 @@ def ats_temperature(model: AtsModel, record: PredictionRecord) -> float:
 
 def apply_ats(model: AtsModel, record: PredictionRecord) -> float:
     """Recalibrated confidence sigmoid(logit(c)/T_record)."""
-    conf = record_confidence(record)
-    if conf is None:
-        raise DegenerateFit(f"record {record.qid!r} has no parseable confidence")
-    return float(_sigmoid(np.array(_logit(conf) / ats_temperature(model, record))))
-
-
-def ats_nll(
-    model: AtsModel,
-    records: Sequence[PredictionRecord],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> float:
-    probs = []
-    outcomes = []
-    for r in records:
-        conf = record_confidence(r)
-        if conf is None:
-            continue
-        probs.append(apply_ats(model, r))
-        outcomes.append(1.0 if record_correct(r, f1_threshold) else 0.0)
-    return _bernoulli_nll(np.array(probs), np.array(outcomes))
+    conf = _confidence(record)
+    t = _temperature(model, _ats_row(record, conf))
+    return float(_sigmoid(np.array(_logit(conf) / t)))
 
 
 def ptrue_combine(record: PredictionRecord, p_affirmative: float) -> float:

@@ -3,6 +3,9 @@
 Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
 agreement, then a token-F1 fallback against the best gold answer.
+`score_predictions` turns a batch into one verdict per record (confidence,
+correctness, emission flags), so each record is matched at most once however
+many metrics read the batch.
 """
 
 from __future__ import annotations
@@ -231,6 +234,11 @@ def _dates_agree(a: tuple[int, int | None, int | None], b) -> bool:
     return True
 
 
+def _check_threshold(f1_threshold: float) -> None:
+    if not 0.0 <= f1_threshold <= 1.0:
+        raise ValueError("f1_threshold must lie in [0,1]")
+
+
 def match_answer(
     pred: str, golds: Sequence[str], f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> MatchResult:
@@ -242,8 +250,7 @@ def match_answer(
     """
     if not golds:
         raise ValueError("golds must be non-empty")
-    if not 0.0 <= f1_threshold <= 1.0:
-        raise ValueError("f1_threshold must lie in [0,1]")
+    _check_threshold(f1_threshold)
     norm_pred = normalize_answer(pred)
     if any(norm_pred == normalize_answer(g) for g in golds):
         return MatchResult(True, MatchRule.EXACT_MATCH, 1.0)
@@ -278,9 +285,25 @@ def match_record(
 def record_correct(
     record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> bool:
-    if record.match is not None:
-        return record.match.correct
-    return match_record(record, f1_threshold).correct
+    """Is the record's answer correct under `f1_threshold`?
+
+    A cached `match` block decides without rematching, but never overrides
+    the threshold: ExactMatch, YesNo and Date verdicts do not depend on it,
+    and a cached TokenF1 result is correct exactly when its F1 reaches
+    `f1_threshold` (a record without an answer stays wrong).
+    """
+    cached = record.match
+    if cached is None:
+        return match_record(record, f1_threshold).correct
+    _check_threshold(f1_threshold)
+    if cached.rule is not MatchRule.TOKEN_F1:
+        return cached.correct
+    if cached.f1 < f1_threshold:
+        return False
+    return (
+        record.extracted_answer is not None
+        or extract_answer_line(record.response_text) is not None
+    )
 
 
 def annotate_record(
@@ -347,6 +370,51 @@ def record_confidence(record: PredictionRecord) -> float | None:
     if record.verbal_confidence is not None:
         return record.verbal_confidence
     return extract_confidence(record.response_text)
+
+
+@dataclass(frozen=True)
+class ScoredBatch:
+    """One verdict per record of a batch, in record order.
+
+    `confidence` is None where no confidence parses; `marked` says whether
+    the response text contains the uncertainty marker (what a rescan with
+    `scan_emissions` would find) and `emitted` whether the record carries at
+    least one emission event.
+    """
+
+    confidence: tuple[float | None, ...]
+    correct: tuple[bool, ...]
+    qid: tuple[str, ...]
+    dataset: tuple[str, ...]
+    marked: tuple[bool, ...]
+    emitted: tuple[bool, ...]
+
+    def __len__(self) -> int:
+        return len(self.correct)
+
+    def usable(self) -> list[tuple[float, bool, str]]:
+        """(confidence, correct, qid) for the records with a confidence."""
+        return [
+            (c, ok, q)
+            for c, ok, q in zip(self.confidence, self.correct, self.qid)
+            if c is not None
+        ]
+
+
+def score_predictions(
+    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
+) -> ScoredBatch:
+    """Score every record once: one confidence lookup and one correctness
+    verdict (`record_correct`) per record."""
+    records = list(records)
+    return ScoredBatch(
+        confidence=tuple(record_confidence(r) for r in records),
+        correct=tuple(record_correct(r, f1_threshold) for r in records),
+        qid=tuple(r.qid for r in records),
+        dataset=tuple(r.dataset for r in records),
+        marked=tuple(UNCERTAIN_MARKER in r.response_text for r in records),
+        emitted=tuple(len(r.emissions) >= 1 for r in records),
+    )
 
 
 def reasoning_depth(response_text: str) -> int:

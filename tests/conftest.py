@@ -114,6 +114,20 @@ def planted_stack(
     return records, stacks
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace `module.name` for the test with a wrapper that records the
+    arguments of each call in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -5,9 +5,9 @@ import pytest
 
 from uncal import calib
 from uncal.errors import EmptyBatch, UndefinedCorrelation
-from uncal.rewards import PredictionRecord
+from uncal.rewards import PredictionRecord, score_predictions
 
-from conftest import make_record, random_batch
+from conftest import count_calls, make_record, random_batch
 from oracles import oracle_ausc, oracle_brier, oracle_ece, oracle_nll
 
 
@@ -276,3 +276,38 @@ def test_calibration_report_shape():
     assert report.overconfidence_gap == pytest.approx(report.mean_confidence - report.accuracy)
     assert len(report.bins) == 5
     assert sum(b.count for b in report.bins) == 2
+
+
+class TestScoredBatch:
+    def test_batch_report_equals_record_functions_exactly(self, rng):
+        records, _ = random_batch(rng, 60, with_ties=True)
+        records.append(make_record("none", None, False))
+        batch = score_predictions(records)
+        report = calib.calibration_report_from_batch(batch, num_bins=7)
+        assert report == calib.calibration_report(records, num_bins=7)
+        assert report.ece == calib.ece(records, num_bins=7)
+        assert report.brier == calib.brier(records)
+        assert report.nll == calib.nll(records)
+        assert report.ausc == calib.ausc(records)
+        assert report.bins == calib.reliability_bins(records, num_bins=7)
+        assert calib.error_taxonomy_from_batch(batch) == calib.error_taxonomy(records)
+
+    def test_report_matches_each_record_once(self, rng, monkeypatch):
+        import uncal.rewards as rewards
+
+        calls = count_calls(monkeypatch, rewards, "match_record")
+        records, _ = random_batch(rng, 40)
+        calib.calibration_report(records)
+        assert len(calls) == 40
+
+    def test_empty_and_unparsed_batches_rejected(self):
+        with pytest.raises(EmptyBatch):
+            calib.calibration_report_from_batch(score_predictions([]))
+        with pytest.raises(EmptyBatch):
+            calib.error_taxonomy_from_batch(score_predictions([]))
+        with pytest.raises(EmptyBatch):
+            calib.calibration_report([make_record("q", None, True)])
+
+    def test_bins_validated(self):
+        with pytest.raises(ValueError):
+            calib.reliability_bins([make_record("q", 0.5, True)], num_bins=0)

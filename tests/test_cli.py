@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uncal
 from uncal import jsonio, matio, trajspace
 from uncal.cli import _load_token_stack, main
-from uncal.errors import AlignmentError, CorruptInput
+from uncal.errors import AlignmentError, CorruptInput, MissingField
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
 
 from conftest import planted_stack
@@ -374,3 +376,212 @@ def test_float_serialization_round_trips():
         assert float(text) == (0.0 if v == 0.0 else v)
     with pytest.raises(ValueError):
         jsonio.format_float(float("nan"))
+
+
+def _write_lines(path, objs):
+    # json.dumps keeps 2.0 a float; the canonical writer would print it as 2
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    return path
+
+
+class TestCachedMatchThreshold:
+    def test_calib_threshold_overrides_cached_token_f1(self, tmp_path):
+        # token F1 of "big machine" against "big machine records" is 0.8
+        records = [
+            {"qid": f"q{i}", "gold_answers": ["big machine records"],
+             "response_text": "Answer: " + ("big machine records" if i % 2 else "big machine"),
+             "verbal_confidence": 0.7}
+            for i in range(6)
+        ]
+        raw = _write_lines(tmp_path / "raw.jsonl", records)
+        matched = tmp_path / "matched.jsonl"
+        assert main(["match", "--in", str(raw), "--f1-threshold", "0.3",
+                     "--out", str(matched)]) == 0
+        accuracy = {}
+        for name, path in (("raw", raw), ("matched", matched)):
+            out = tmp_path / f"{name}.json"
+            assert main(["calib", "--in", str(path), "--f1-threshold", "0.9",
+                         "--out", str(out)]) == 0
+            accuracy[name] = json.loads(out.read_text())["accuracy"]
+        assert accuracy == {"raw": 0.5, "matched": 0.5}
+
+
+class TestRejectionsReportedOnce:
+    GOOD_PRED = {"qid": "g", "gold_answers": ["a"], "response_text": "Answer: a",
+                 "verbal_confidence": 0.5}
+
+    @staticmethod
+    def rejections(err, path):
+        lines = [line for line in err.splitlines() if str(path) in line]
+        for line in lines:
+            assert line.count(str(path)) == 1, line
+        return lines
+
+    def test_preds_and_rag(self, tmp_path, capsys):
+        preds = _write_lines(tmp_path / "preds.jsonl", [
+            self.GOOD_PRED, self.GOOD_PRED | {"verbal_confidence": 1.5}, self.GOOD_PRED,
+        ])
+        with open(preds, "a") as fh:
+            fh.write("{broken\n")
+        assert main(["calib", "--in", str(preds), "--out", str(tmp_path / "c.json")]) == 0
+        assert self.rejections(capsys.readouterr().err, preds) == [
+            f"{preds}:2: verbal_confidence outside [0,1]",
+            f"{preds}:4: invalid JSON: Expecting property name enclosed in double quotes",
+        ]
+        good = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "b"}
+        traces = _write_lines(tmp_path / "traces.jsonl",
+                              [good, good | {"noret_emissions": -1}, good])
+        assert main(["rag", "--policy", "always", "--in", str(traces),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert self.rejections(capsys.readouterr().err, traces) == [
+            f"{traces}:2: noret_emissions must be a nonnegative int",
+        ]
+
+    def test_spaces_and_kl_inputs(self, tmp_path, capsys):
+        spaces = tmp_path / "spaces.jsonl"
+        write_spaces(spaces, count=3)
+        with open(spaces, "a") as fh:
+            fh.write('{"trajectories": []}\n')
+        assert main(["theory", "verify", "--in", str(spaces),
+                     "--out", str(tmp_path / "v.jsonl")]) == 0
+        assert self.rejections(capsys.readouterr().err, spaces) == [
+            f"{spaces}:4: missing field 'gold_answer'",
+        ]
+        pair = {"position": 0, "base_probs": [0.5, 0.5], "calibrated_probs": [0.4, 0.6]}
+        pairs = _write_lines(tmp_path / "pairs.jsonl",
+                             [pair, pair | {"position": 1}, {"position": 2}])
+        ann = _write_lines(tmp_path / "ann.jsonl", [
+            {"position": 0, "type": "ReasoningToken"},
+            {"position": 1, "type": "ReasoningToken"},
+            {"type": "ReasoningToken"},
+        ])
+        assert main(["repr", "kl", "--pairs", str(pairs), "--annotations", str(ann),
+                     "--out", str(tmp_path / "kl.json")]) == 0
+        err = capsys.readouterr().err
+        assert self.rejections(err, pairs) == [f"{pairs}:3: missing field 'base_probs'"]
+        assert self.rejections(err, ann) == [f"{ann}:3: missing field 'position'"]
+
+
+class TestRagLoaderChecks:
+    GOOD = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "b"}
+
+    def load_one(self, tmp_path, **fields):
+        """Rejections among three traces whose middle one carries `fields`."""
+        path = _write_lines(tmp_path / "t.jsonl", [self.GOOD, self.GOOD | fields, self.GOOD])
+        return load_rag_traces(path).errors
+
+    @pytest.mark.parametrize("value", [True, "0.5", 1.5, -0.1])
+    def test_noret_confidence_is_a_number_in_unit_interval(self, tmp_path, value):
+        [(line, message)] = self.load_one(tmp_path, noret_confidence=value)
+        assert line == 2 and "noret_confidence" in message
+
+    @pytest.mark.parametrize("value", [[-3, 7], [0.5, True], [0.0], ["0.5"], 0.5])
+    def test_noret_token_probs_are_numbers_in_open_unit_interval(self, tmp_path, value):
+        [(line, message)] = self.load_one(tmp_path, noret_token_probs=value)
+        assert line == 2 and "noret_token_probs" in message
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, "2", True, -1])
+    def test_noret_emissions_is_a_nonnegative_int(self, tmp_path, value):
+        [(line, message)] = self.load_one(tmp_path, noret_emissions=value)
+        assert line == 2 and "noret_emissions" in message
+
+    @pytest.mark.parametrize("field, value", [
+        ("noret_probe_score", True), ("noret_probe_score", "0.7"),
+        ("external_trigger", "false"), ("external_trigger", 0),
+        ("noret_response_text", 3),
+    ])
+    def test_other_signals_type_checked(self, tmp_path, field, value):
+        [(line, message)] = self.load_one(tmp_path, **{field: value})
+        assert line == 2 and field in message
+
+    def test_valid_signals_load(self, tmp_path):
+        assert self.load_one(tmp_path, noret_confidence=1, noret_token_probs=[1, 0.25],
+                             noret_emissions=2) == []
+
+
+class TestPredictionLoaderChecks:
+    GOOD = {"qid": "q", "gold_answers": ["5"], "response_text": "Answer: 5 <uncertain>"}
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"extracted_answer": 5}, "extracted_answer"),
+        ({"p_affirmative": True}, "p_affirmative"),
+        ({"emissions": [{"char_position": 10.7}]}, "char_position"),
+        ({"emissions": [{"char_position": 10, "token_index": "3"}]}, "token_index"),
+        ({"emissions": [10]}, "emission"),
+        ({"match": {"correct": "false", "rule": "ExactMatch", "f1": 1.0}}, "correct"),
+        ({"match": {"correct": True, "rule": "Fuzzy", "f1": 1.0}}, "Fuzzy"),
+        ({"match": {"correct": True, "rule": "TokenF1", "f1": 1.5}}, "f1"),
+        ({"match": {"correct": True, "rule": "TokenF1"}}, "f1"),
+    ])
+    def test_rejected(self, tmp_path, fields, named):
+        path = _write_lines(tmp_path / "p.jsonl", [self.GOOD, self.GOOD | fields, self.GOOD])
+        [(line, message)] = load_predictions(path).errors
+        assert line == 2 and named in message
+
+
+class TestMissingFields:
+    def test_ats_model_passed_to_probe_eval(self, tmp_path, capsys):
+        preds = write_hidden_dir(tmp_path / "hidden")
+        model = tmp_path / "ats.json"
+        assert main(["recal", "ats", "--fit", str(PREDS_FIXTURE),
+                     "--apply", str(PREDS_FIXTURE), "--out", str(tmp_path / "o.jsonl"),
+                     "--model-out", str(model)]) == 0
+        assert main(["probe", "eval", "--model", str(model),
+                     "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+                     "--preds", str(preds)]) == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and "'layer'" in err
+
+    def test_sidecar_row_without_qid(self, tmp_path, capsys):
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = tmp_path / "hidden" / "layer_8.mat"
+        sidecar = Path(str(layer) + ".ids.jsonl")
+        rows = sidecar.read_text().splitlines()
+        rows[3] = json.dumps({"token_index": 3})
+        sidecar.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MissingField):
+            _load_token_stack(layer)
+        assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "row 4" in err and "'qid'" in err
+
+
+class TestAtomicInPlaceMatch:
+    def test_in_place_rewrite_annotates(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        shutil.copy(PREDS_FIXTURE, path)
+        path.chmod(0o640)
+        assert main(["match", "--in", str(path)]) == 0
+        assert all(r.match is not None for r in load_predictions(path).records)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+    def test_failing_writer_leaves_input_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "preds.jsonl"
+        shutil.copy(PREDS_FIXTURE, path)
+        before = path.read_bytes()
+        calls = []
+        original = jsonio.dumps_canonical
+
+        def failing(obj):
+            calls.append(obj)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            return original(obj)
+
+        monkeypatch.setattr(jsonio, "dumps_canonical", failing)
+        assert main(["match", "--in", str(path)]) == 2
+        assert len(calls) == 5
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(blacklist_categories=("Cs",))))
+@example("\x00\x1f\x7f  \"\\/")
+@example("\U0001f600 non-BMP \U00010348")
+def test_canonical_strings_match_json_dumps(text):
+    expected = json.dumps(text, ensure_ascii=False)
+    assert jsonio.dumps_canonical(text) == expected
+    assert jsonio.dumps_canonical({text: text}) == "{" + expected + ":" + expected + "}"

@@ -5,7 +5,7 @@ from uncal import ragctl
 from uncal.errors import DegenerateFit, EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
-from conftest import random_rag_batch
+from conftest import count_calls, random_rag_batch
 from oracles import oracle_trigger_counts
 
 
@@ -252,3 +252,34 @@ def test_per_dataset_reports(rng):
     by_dataset = ragctl.simulate_by_dataset(ControllerPolicy.always(), records)
     assert set(by_dataset) == {r.dataset for r in records}
     assert sum(r.n for r in by_dataset.values()) == 40
+
+
+class TestScoredTraces:
+    def test_each_answer_matched_once_for_the_whole_sweep(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, ragctl, "match_answer")
+        records = random_rag_batch(rng, 30)
+        ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records,
+                               [i / 10 for i in range(11)])
+        assert len(calls) == 60
+
+    def test_reports_are_counts_over_one_scoring(self, rng):
+        records = random_rag_batch(rng, 50)
+        scored = ragctl.score_traces(records)
+        assert [m.correct for m in scored.noret] == [r.noret_answer == "alpha" for r in records]
+        assert [m.correct for m in scored.ret] == [r.ret_answer == "alpha" for r in records]
+        for policy in (ControllerPolicy.confidence_threshold(0.4),
+                       ControllerPolicy.emission_only(), ControllerPolicy.always()):
+            fires = ragctl.decide_all(policy, records)
+            assert ragctl.trigger_report(scored, fires) == ragctl.simulate(policy, records)
+            by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
+            assert list(by_dataset) == sorted({r.dataset for r in records})
+            for name, report in by_dataset.items():
+                members = [r for r in records if r.dataset == name]
+                assert report == ragctl.simulate(policy, members)
+            assert by_dataset == ragctl.simulate_by_dataset(policy, records)
+
+    def test_empty_batch(self):
+        scored = ragctl.score_traces([])
+        with pytest.raises(EmptyBatch):
+            ragctl.trigger_report(scored, [])
+        assert ragctl.trigger_reports_by_dataset(scored, []) == {}

@@ -7,7 +7,7 @@ from uncal import recal
 from uncal.errors import DegenerateFit
 from uncal.rewards import PredictionRecord
 
-from conftest import make_record
+from conftest import count_calls, make_record
 
 
 def calibrated_batch(rng, t_star, n=4000):
@@ -194,3 +194,15 @@ def test_rank_order_preserved_under_ts(rng):
     confs = [r.verbal_confidence for r in batch]
     mapped = [recal.apply_ts(model, c) for c in confs]
     assert np.array_equal(np.argsort(confs, kind="stable"), np.argsort(mapped, kind="stable"))
+
+
+def test_fits_score_each_record_once(rng, monkeypatch):
+    import uncal.rewards as rewards
+
+    records = calibrated_batch(rng, 1.5, n=200)
+    records.append(make_record("unparsed", None, True))
+    matches = count_calls(monkeypatch, rewards, "match_record")
+    confidences = count_calls(monkeypatch, rewards, "record_confidence")
+    recal.fit_global_ts(records)
+    recal.fit_ats(records, l2=0.01)
+    assert len(matches) == len(confidences) == 2 * len(records)

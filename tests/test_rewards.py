@@ -7,6 +7,7 @@ from uncal.rewards import (
     EmissionEvent,
     MatchRule,
     PredictionRecord,
+    annotate_record,
     emission_reward,
     extract_answer_line,
     extract_confidence,
@@ -17,10 +18,14 @@ from uncal.rewards import (
     normalize_answer,
     parse_date,
     reasoning_depth,
+    record_correct,
     scan_emissions,
+    score_predictions,
     token_f1,
     verbal_reward,
 )
+
+from conftest import count_calls
 
 
 class TestExtractAnswerLine:
@@ -258,3 +263,84 @@ def test_reasoning_depth_counts_lines_before_answer():
     text = "step one\n\nstep two\nAnswer: x\ntrailing"
     assert reasoning_depth(text) == 2
     assert reasoning_depth("no answer\nlines here") == 2
+
+
+class TestScorePredictions:
+    def test_fields_in_record_order(self):
+        records = [
+            PredictionRecord(qid="a", dataset="d1", gold_answers=("Paris",),
+                             response_text="hmm <uncertain>\nAnswer: Paris",
+                             verbal_confidence=0.8),
+            PredictionRecord(qid="b", dataset="d2", gold_answers=("Paris",),
+                             response_text="Answer: Rome\nConfidence: 0.3",
+                             emissions=(EmissionEvent(char_position=0),)),
+            PredictionRecord(qid="c", gold_answers=("Paris",), response_text="no answer"),
+        ]
+        batch = score_predictions(records)
+        assert len(batch) == 3
+        assert batch.confidence == (0.8, 0.3, None)
+        assert batch.correct == (True, False, False)
+        assert batch.qid == ("a", "b", "c")
+        assert batch.dataset == ("d1", "d2", "")
+        # `marked` reads the text, `emitted` the record's emission events
+        assert batch.marked == (True, False, False)
+        assert batch.emitted == (False, True, False)
+        assert batch.usable() == [(0.8, True, "a"), (0.3, False, "b")]
+
+    def test_each_record_matched_and_read_once(self, monkeypatch):
+        import uncal.rewards as rewards
+
+        matches = count_calls(monkeypatch, rewards, "match_record")
+        confidences = count_calls(monkeypatch, rewards, "record_confidence")
+        records = [
+            PredictionRecord(qid=f"q{i}", gold_answers=("x",),
+                             response_text=f"Answer: {'x' if i % 2 else 'y'}",
+                             verbal_confidence=0.5)
+            for i in range(7)
+        ]
+        score_predictions(records)
+        assert len(matches) == 7 and len(confidences) == 7
+
+
+class TestCachedMatchHonoursThreshold:
+    # token F1 of "big machine" against "big machine records" is 0.8
+    PARTIAL = PredictionRecord(qid="p", gold_answers=("big machine records",),
+                               response_text="Answer: big machine")
+
+    def test_token_f1_cache_rejudged_at_threshold(self):
+        cached = annotate_record(self.PARTIAL, 0.3)
+        assert cached.match.correct and cached.match.rule is MatchRule.TOKEN_F1
+        assert record_correct(cached, 0.3) is True
+        assert record_correct(cached, 0.9) is False
+        assert record_correct(cached, 0.8) is True
+
+    def test_threshold_free_rules_trust_the_cache(self):
+        record = PredictionRecord(qid="e", gold_answers=("yes",), response_text="Answer: True")
+        cached = annotate_record(record, 0.3)
+        assert cached.match.rule is MatchRule.YES_NO
+        assert record_correct(cached, 1.0) is True
+
+    def test_no_answer_stays_wrong_at_zero_threshold(self):
+        record = PredictionRecord(qid="n", gold_answers=("x",), response_text="no answer")
+        assert record_correct(record, 0.0) is False
+        assert record_correct(annotate_record(record, 0.3), 0.0) is False
+
+    def test_threshold_validated_on_cached_records(self):
+        with pytest.raises(ValueError):
+            record_correct(annotate_record(self.PARTIAL, 0.3), 1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        answer=st.lists(st.sampled_from(["big", "machine", "records", "the", "yes"]),
+                        max_size=4),
+        gold=st.lists(st.sampled_from(["big", "machine", "records", "no"]),
+                      min_size=1, max_size=4),
+        cached_at=st.floats(0.0, 1.0),
+        judged_at=st.floats(0.0, 1.0),
+    )
+    def test_cache_never_changes_the_verdict(self, answer, gold, cached_at, judged_at):
+        record = PredictionRecord(qid="h", gold_answers=(" ".join(gold),),
+                                  response_text="Answer: " + " ".join(answer))
+        assert record_correct(annotate_record(record, cached_at), judged_at) == record_correct(
+            record, judged_at
+        )
