@@ -1,10 +1,12 @@
 """Toolkit for executable uncertainty interfaces over recorded model traces.
 
-Subpackages by concern: `trajspace` (exact tilted-policy simulation),
-`rewards` (answer matching and both reward functions), `calib` (calibration
-metrics), `recal` (post-hoc recalibration), `probe` (hidden-state wrongness
-probe), `ragctl` (retrieval-trigger simulation), `reprgeo` (representation
-analytics), `cli` (the `uncal` command).
+Modules by concern: `trajspace` (exact tilted-policy simulation), `rewards`
+(answer matching and both reward functions), `calib` (calibration metrics
+and the error taxonomy), `recal` (temperature scaling), `probe`
+(hidden-state wrongness probe), `ragctl` (retrieval-trigger simulation),
+`reprgeo` (representation analytics), `optim` (the minimizer both fits
+share), `jsonio` and `matio` (file formats), and `cli` (the `uncal` command,
+from which every report is produced).
 """
 
 __version__ = "0.1.0"

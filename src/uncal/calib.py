@@ -1,10 +1,10 @@
-"""Calibration and behavioral metrics over batches of prediction records.
+"""Calibration metrics and the wrong-answer taxonomy over prediction records.
 
 Every metric reads one `ScoredBatch` (`rewards.score_predictions`): each
 record's confidence and correctness are computed once, however many metrics a
-report holds. `calibration_report_from_batch` and `error_taxonomy_from_batch`
-take the batch; the record-taking functions (`ece`, `brier`, ...,
-`calibration_report`, `error_taxonomy`) score their records and delegate.
+report holds. `calibration_report` and `error_taxonomy` take the batch; the
+single-metric functions (`ece`, `brier`, `nll`, `ausc`) score their records
+and delegate.
 
 Records without a parseable confidence are excluded from confidence metrics
 but still count toward accuracy and the parse rate. All aggregations are pure
@@ -16,17 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .errors import EmptyBatch, UndefinedCorrelation
+from .errors import EmptyBatch
 from .rewards import (
     DEFAULT_F1_THRESHOLD,
     PredictionRecord,
     ScoredBatch,
-    extract_answer_line,
-    match_record,
     score_predictions,
 )
 
@@ -115,16 +111,7 @@ def _ece(rows, num_bins):
     return total
 
 
-def reliability_bins(
-    records: Sequence[PredictionRecord],
-    num_bins: int = DEFAULT_ECE_BINS,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> tuple[CalibBin, ...]:
-    _check_bins(num_bins)
-    return _reliability_bins(_usable(score_predictions(records, f1_threshold)), num_bins)
-
-
-def _reliability_bins(rows, num_bins):
+def _calib_bins(rows, num_bins):
     out = []
     for i, members in enumerate(_fill_bins(rows, num_bins)):
         lo = i / num_bins
@@ -209,17 +196,6 @@ def _ausc(rows):
 
 
 def calibration_report(
-    records: Sequence[PredictionRecord],
-    num_bins: int = DEFAULT_ECE_BINS,
-    nll_epsilon: float = DEFAULT_NLL_EPSILON,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> CalibrationReport:
-    return calibration_report_from_batch(
-        score_predictions(records, f1_threshold), num_bins, nll_epsilon
-    )
-
-
-def calibration_report_from_batch(
     batch: ScoredBatch,
     num_bins: int = DEFAULT_ECE_BINS,
     nll_epsilon: float = DEFAULT_NLL_EPSILON,
@@ -243,7 +219,7 @@ def calibration_report_from_batch(
         nll=_nll(rows, nll_epsilon),
         parse_rate=len(rows) / n,
         ausc=_ausc(rows),
-        bins=_reliability_bins(rows, num_bins),
+        bins=_calib_bins(rows, num_bins),
     )
 
 
@@ -266,19 +242,6 @@ class ErrorTaxonomy:
 
 
 def error_taxonomy(
-    records: Sequence[PredictionRecord],
-    epistemic_threshold: float = 0.5,
-    strict_threshold: float = 0.7,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> ErrorTaxonomy:
-    """Decompose wrong answers by stated confidence (see
-    `error_taxonomy_from_batch`)."""
-    return error_taxonomy_from_batch(
-        score_predictions(records, f1_threshold), epistemic_threshold, strict_threshold
-    )
-
-
-def error_taxonomy_from_batch(
     batch: ScoredBatch,
     epistemic_threshold: float = 0.5,
     strict_threshold: float = 0.7,
@@ -321,166 +284,4 @@ def error_taxonomy_from_batch(
         bands=tuple(bands),
         epistemic_with_emit=with_emit,
         epistemic_without_emit=epistemic - with_emit,
-    )
-
-
-@dataclass(frozen=True)
-class NearMissSplit:
-    """Wrong answers split by token overlap with the gold: near misses keep
-    meaningful overlap, factual misses do not.
-
-    Wrongness here is strict (token overlap below 1.0 does not make an answer
-    correct), otherwise the near-miss cell would be empty by construction.
-    """
-
-    near_miss: int
-    factual_miss: int
-
-
-def near_miss_split(
-    records: Sequence[PredictionRecord], overlap_threshold: float = DEFAULT_F1_THRESHOLD
-) -> NearMissSplit:
-    near = 0
-    factual = 0
-    for r in records:
-        result = match_record(r, f1_threshold=1.0)
-        if result.correct:
-            continue
-        if result.f1 >= overlap_threshold:
-            near += 1
-        else:
-            factual += 1
-    return NearMissSplit(near_miss=near, factual_miss=factual)
-
-
-@dataclass(frozen=True)
-class ConsistencySummary:
-    greedy_conf_passrate_corr: float
-    mean_conf_passrate_corr: float
-    mean_within_question_conf_std: float
-    pass_rate_high_conf: float | None
-    pass_rate_low_conf: float | None
-    high_low_gap: float | None
-
-
-def _pearson(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    if denom == 0.0:
-        raise UndefinedCorrelation("zero variance in a correlation input")
-    return float(dx @ dy) / denom
-
-
-def consistency_stats(
-    groups: Mapping[str, Sequence[tuple[float, bool]]],
-    high: float = 0.7,
-    low: float = 0.3,
-) -> ConsistencySummary:
-    """Question-level agreement between stated confidence and pass rate.
-
-    Each group holds (confidence, correct) samples for one question; the
-    greedy sample is the first one. Within-question spread uses the
-    population standard deviation. High/low pass rates average the per-
-    question pass rate over questions whose mean confidence clears the cut.
-    """
-    if any(not samples for samples in groups.values()):
-        raise ValueError("every question group must be non-empty")
-    if len(groups) < 2:
-        raise UndefinedCorrelation("need at least two question groups")
-    keys = sorted(groups)
-    greedy = [groups[k][0][0] for k in keys]
-    mean_conf = [float(np.mean([c for c, _ in groups[k]])) for k in keys]
-    pass_rate = [
-        sum(1 for _, ok in groups[k] if ok) / len(groups[k]) for k in keys
-    ]
-    stds = [float(np.std([c for c, _ in groups[k]])) for k in keys]
-    high_rates = [p for m, p in zip(mean_conf, pass_rate) if m >= high]
-    low_rates = [p for m, p in zip(mean_conf, pass_rate) if m < low]
-    rate_high = float(np.mean(high_rates)) if high_rates else None
-    rate_low = float(np.mean(low_rates)) if low_rates else None
-    gap = rate_high - rate_low if rate_high is not None and rate_low is not None else None
-    return ConsistencySummary(
-        greedy_conf_passrate_corr=_pearson(greedy, pass_rate),
-        mean_conf_passrate_corr=_pearson(mean_conf, pass_rate),
-        mean_within_question_conf_std=float(np.mean(stds)),
-        pass_rate_high_conf=rate_high,
-        pass_rate_low_conf=rate_low,
-        high_low_gap=gap,
-    )
-
-
-@dataclass(frozen=True)
-class BehaviorRow:
-    n: int
-    accuracy: float
-    answer_line_rate: float
-    emit_rate: float
-    wrong_and_emit_rate: float | None
-    correct_and_emit_rate: float | None
-
-
-@dataclass(frozen=True)
-class BehavioralSummary:
-    per_dataset: dict[str, BehaviorRow]
-    macro: BehaviorRow
-
-
-def _behavior_row(records, correct_flags, emit_flags):
-    n = len(records)
-    wrong_total = sum(1 for ok in correct_flags if not ok)
-    correct_total = n - wrong_total
-    wrong_emit = sum(1 for ok, e in zip(correct_flags, emit_flags) if not ok and e)
-    correct_emit = sum(1 for ok, e in zip(correct_flags, emit_flags) if ok and e)
-    return BehaviorRow(
-        n=n,
-        accuracy=correct_total / n,
-        answer_line_rate=sum(
-            1 for r in records if extract_answer_line(r.response_text) is not None
-        )
-        / n,
-        emit_rate=sum(1 for e in emit_flags if e) / n,
-        wrong_and_emit_rate=wrong_emit / wrong_total if wrong_total else None,
-        correct_and_emit_rate=correct_emit / correct_total if correct_total else None,
-    )
-
-
-def _macro(rows):
-    def mean_of(values):
-        defined = [v for v in values if v is not None]
-        return float(np.mean(defined)) if defined else None
-
-    return BehaviorRow(
-        n=sum(r.n for r in rows),
-        accuracy=float(np.mean([r.accuracy for r in rows])),
-        answer_line_rate=float(np.mean([r.answer_line_rate for r in rows])),
-        emit_rate=float(np.mean([r.emit_rate for r in rows])),
-        wrong_and_emit_rate=mean_of([r.wrong_and_emit_rate for r in rows]),
-        correct_and_emit_rate=mean_of([r.correct_and_emit_rate for r in rows]),
-    )
-
-
-def behavioral_summary(
-    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> BehavioralSummary:
-    """Per-dataset and macro-averaged behavior: accuracy, answer-line
-    completion, emission rate, and emission co-occurrence with wrong/correct
-    answers. Macro rates are unweighted means over datasets, skipping cells
-    that are undefined for a dataset."""
-    records = list(records)
-    if not records:
-        raise EmptyBatch("no records")
-    batch = score_predictions(records, f1_threshold)
-    per_dataset = {}
-    for name in sorted(set(batch.dataset)):
-        members = [i for i, d in enumerate(batch.dataset) if d == name]
-        per_dataset[name] = _behavior_row(
-            [records[i] for i in members],
-            [batch.correct[i] for i in members],
-            [batch.emitted[i] for i in members],
-        )
-    return BehavioralSummary(
-        per_dataset=per_dataset, macro=_macro(list(per_dataset.values()))
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -20,6 +21,7 @@ import numpy as np
 from . import calib, jsonio, matio, probe, ragctl, recal, reprgeo, rewards, trajspace
 from .errors import (
     AlignmentError,
+    BadField,
     DegenerateRatio,
     HypothesisViolated,
     IoError,
@@ -41,27 +43,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized procedures (UNCAL_SEED overrides)")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers()
 
-    theory = sub.add_parser("theory", help="tilted-policy verification").add_subparsers(
-        dest="theory_command"
-    )
+    theory = sub.add_parser("theory", help="tilted-policy verification").add_subparsers()
     verify = theory.add_parser("verify", help="mass-ratio bound check per space")
+    verify.set_defaults(handler=_cmd_theory_verify)
     verify.add_argument("--in", dest="input", required=True)
     verify.add_argument("--eta", type=float, default=1.0)
     verify.add_argument("--out", default=None)
     iterate = theory.add_parser("iterate", help="repeated tilt trace per space")
+    iterate.set_defaults(handler=_cmd_theory_iterate)
     iterate.add_argument("--in", dest="input", required=True)
     iterate.add_argument("--eta", type=float, default=1.0)
     iterate.add_argument("--steps", type=int, default=5)
     iterate.add_argument("--out", default=None)
 
     match = sub.add_parser("match", help="annotate records with match results")
+    match.set_defaults(handler=_cmd_match)
     match.add_argument("--in", dest="input", required=True)
     match.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
     match.add_argument("--out", default=None, help="default: rewrite in place")
 
     cal = sub.add_parser("calib", help="calibration report over a record batch")
+    cal.set_defaults(handler=_cmd_calib)
     cal.add_argument("--in", dest="input", required=True)
     cal.add_argument("--bins", type=int, default=calib.DEFAULT_ECE_BINS)
     cal.add_argument("--nll-epsilon", type=float, default=calib.DEFAULT_NLL_EPSILON)
@@ -69,11 +73,10 @@ def _build_parser() -> _Parser:
     cal.add_argument("--out", default=None)
     cal.add_argument("--csv", default=None, help="reliability-diagram bins as CSV")
 
-    rec = sub.add_parser("recal", help="post-hoc recalibration").add_subparsers(
-        dest="recal_command"
-    )
-    for name in ("ts", "ats"):
+    rec = sub.add_parser("recal", help="post-hoc recalibration").add_subparsers()
+    for name, handler in (("ts", _cmd_recal_ts), ("ats", _cmd_recal_ats)):
         p = rec.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--fit", required=True)
         p.add_argument("--apply", dest="apply_path", required=True)
         p.add_argument("--out", required=True)
@@ -82,13 +85,13 @@ def _build_parser() -> _Parser:
         if name == "ats":
             p.add_argument("--l2", type=float, default=0.0)
     ptrue = rec.add_parser("ptrue")
+    ptrue.set_defaults(handler=_cmd_recal_ptrue)
     ptrue.add_argument("--in", dest="input", required=True)
     ptrue.add_argument("--out", required=True)
 
-    pr = sub.add_parser("probe", help="hidden-state wrongness probe").add_subparsers(
-        dest="probe_command"
-    )
+    pr = sub.add_parser("probe", help="hidden-state wrongness probe").add_subparsers()
     sweep = pr.add_parser("sweep")
+    sweep.set_defaults(handler=_cmd_probe_sweep)
     sweep.add_argument("--hidden", required=True, help="directory of layer_<k>.mat files")
     sweep.add_argument("--preds", required=True)
     sweep.add_argument("--layers", required=True, help="comma-separated layer indices")
@@ -98,6 +101,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--csv", default=None)
     fitp = pr.add_parser("fit")
+    fitp.set_defaults(handler=_cmd_probe_fit)
     fitp.add_argument("--hidden", required=True, help="one layer_<k>.mat file")
     fitp.add_argument("--preds", required=True)
     fitp.add_argument("--layer", type=int, default=-1)
@@ -106,38 +110,42 @@ def _build_parser() -> _Parser:
     fitp.add_argument("--l2", type=float, default=probe.DEFAULT_L2)
     fitp.add_argument("--out", required=True)
     evalp = pr.add_parser("eval")
+    evalp.set_defaults(handler=_cmd_probe_eval)
     evalp.add_argument("--model", required=True)
     evalp.add_argument("--hidden", required=True)
     evalp.add_argument("--preds", required=True)
     evalp.add_argument("--out", default=None)
 
     rag = sub.add_parser("rag", help="retrieval-controller simulation")
+    rag.set_defaults(handler=_cmd_rag)
     rag.add_argument("--policy", required=True,
-                     help="always|never|emit|conf:T|emit+probe:T|flare:T[:W]|external")
+                     help="always|never|emit|conf:T|emit+probe:T|flare:T|external")
     rag.add_argument("--in", dest="input", required=True)
     rag.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
     rag.add_argument("--out", default=None)
     rag.add_argument("--csv", default=None, help="per-dataset EM/F1/T table")
 
-    rep = sub.add_parser("repr", help="representation analytics").add_subparsers(
-        dest="repr_command"
-    )
+    rep = sub.add_parser("repr", help="representation analytics").add_subparsers()
     cka = rep.add_parser("cka")
+    cka.set_defaults(handler=_cmd_repr_cka)
     cka.add_argument("--x", required=True)
     cka.add_argument("--y", required=True)
     cka.add_argument("--out", default=None)
     klp = rep.add_parser("kl")
+    klp.set_defaults(handler=_cmd_repr_kl)
     klp.add_argument("--pairs", required=True)
     klp.add_argument("--annotations", required=True)
     klp.add_argument("--epsilon", type=float, default=reprgeo.KL_EPSILON)
     klp.add_argument("--out", default=None)
     klp.add_argument("--csv", default=None)
     pca = rep.add_parser("pca")
+    pca.set_defaults(handler=_cmd_repr_pca)
     pca.add_argument("--in", dest="input", required=True)
     pca.add_argument("--k", type=int, required=True)
     pca.add_argument("--out", default=None)
     pca.add_argument("--csv", default=None, help="projected rows as CSV")
     drift = rep.add_parser("drift")
+    drift.set_defaults(handler=_cmd_repr_drift)
     drift.add_argument("--base", required=True)
     drift.add_argument("--cal", required=True)
     drift.add_argument("--interest", default=None, help="comma-separated row indices")
@@ -273,8 +281,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_calib(args) -> int:
     batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
-    report = calib.calibration_report_from_batch(batch, args.bins, args.nll_epsilon)
-    taxonomy = calib.error_taxonomy_from_batch(batch)
+    report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
+    taxonomy = calib.error_taxonomy(batch)
     payload = {
         "schema": "uncal-calib-report-v1",
         "config": {
@@ -405,20 +413,19 @@ def _cmd_recal_ptrue(args) -> int:
             skipped += 1
             rewritten.append(r)
         else:
-            rewritten.append(
-                replace(r, verbal_confidence=recal.ptrue_combine(r, r.p_affirmative))
-            )
+            rewritten.append(replace(r, verbal_confidence=r.p_affirmative))
     jsonio.write_jsonl(args.out, [jsonio.prediction_to_dict(r) for r in rewritten])
     if skipped:
         print(f"skipped {skipped} records without p_affirmative", file=sys.stderr)
     return 0
 
 
-def _parse_layers(text: str) -> list[int]:
+def _parse_ints(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value such as `--layers 0,8`."""
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"bad --layers value {text!r}") from exc
+        raise UsageError(f"bad {flag} value {text!r}") from exc
 
 
 def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
@@ -455,7 +462,7 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
 
 def _cmd_probe_sweep(args) -> int:
     seed = _resolve_seed(args)
-    layers = _parse_layers(args.layers)
+    layers = _parse_ints("--layers", args.layers)
     records = _load_preds(args.preds)
     stacks = {}
     for layer in layers:
@@ -545,40 +552,65 @@ def _cmd_probe_fit(args) -> int:
     return 0
 
 
-_PROBE_MODEL_FIELDS = ("layer", "weights", "bias", "threshold", "feature_means", "feature_stds")
+def _is_number(value) -> bool:
+    # a finite JSON number (bool is not one); `json` also reads NaN and
+    # Infinity, and a NaN score would stall the AUROC tie loop
+    return type(value) in (int, float) and math.isfinite(value)
 
 
-def _load_probe_model(path) -> tuple[probe.ProbeModel, dict]:
+def _is_numbers(value) -> bool:
+    return type(value) is list and all(map(_is_number, value))
+
+
+_PROBE_MODEL_FIELDS = {
+    "layer": ("an integer", lambda v: type(v) is int),
+    "weights": ("a list of finite numbers", _is_numbers),
+    "bias": ("a finite number", _is_number),
+    "threshold": ("a finite number", _is_number),
+    "feature_means": ("a list of finite numbers", _is_numbers),
+    "feature_stds": ("a list of finite numbers", _is_numbers),
+}
+
+
+def _load_probe_model(path) -> tuple[probe.ProbeModel, list[int]]:
+    """The model in a `probe fit` output, and the [window, span tokens] it was
+    fitted with (the defaults where its config does not say)."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise MissingField(f"{path}: not a probe model (expected a JSON object)")
-    for key in _PROBE_MODEL_FIELDS:
+    for key, (what, valid) in _PROBE_MODEL_FIELDS.items():
         if key not in obj:
             raise MissingField(f"{path}: probe model has no {key!r} field")
+        if not valid(obj[key]):
+            raise BadField(f"{path}: probe model field {key!r} must be {what}")
+    config = obj.get("config", {})
+    if not isinstance(config, dict):
+        raise BadField(f"{path}: probe model field 'config' must be an object")
+    sizes = []
+    for key, default in (("window", probe.DEFAULT_WINDOW),
+                         ("span_tokens", probe.DEFAULT_SPAN_TOKENS)):
+        sizes.append(config.get(key, default))
+        if type(sizes[-1]) is not int:
+            raise BadField(f"{path}: probe model field 'config.{key}' must be an integer")
     model = probe.ProbeModel(
-        layer=int(obj["layer"]),
+        layer=obj["layer"],
         weights=np.array(obj["weights"], dtype=float),
         bias=float(obj["bias"]),
         threshold=float(obj["threshold"]),
         feature_means=np.array(obj["feature_means"], dtype=float),
         feature_stds=np.array(obj["feature_stds"], dtype=float),
     )
-    return model, obj.get("config", {})
+    return model, sizes
 
 
 def _cmd_probe_eval(args) -> int:
-    model, model_config = _load_probe_model(args.model)
+    model, (window, span_tokens) = _load_probe_model(args.model)
     records = _load_preds(args.preds)
     stack = _load_token_stack(args.hidden)
-    feats, labels, _ = _probe_dataset(
-        records,
-        stack,
-        int(model_config.get("window", probe.DEFAULT_WINDOW)),
-        int(model_config.get("span_tokens", probe.DEFAULT_SPAN_TOKENS)),
-    )
+    feats, labels, _ = _probe_dataset(records, stack, window, span_tokens)
     x = np.stack([f.vector() for f in feats])
     scores = model.scores(x)
     precision, recall, f1 = probe.trigger_prf(scores, labels, model.threshold)
@@ -615,7 +647,6 @@ def _trigger_report_dict(report: ragctl.TriggerReport) -> dict:
         "trigger_recall": report.trigger_recall,
         "untouched_accuracy": report.untouched_accuracy,
         "wrong_within_triggered": report.wrong_within_triggered,
-        "global_wrong_coverage": report.global_wrong_coverage,
     }
 
 
@@ -627,7 +658,7 @@ def _cmd_rag(args) -> int:
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
     payload = {
-        "schema": "uncal-rag-report-v1",
+        "schema": "uncal-rag-report-v2",
         "config": {
             "input": str(args.input),
             "policy": args.policy,
@@ -730,10 +761,6 @@ def _cmd_repr_pca(args) -> int:
     return 0
 
 
-def _parse_rows(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
-
-
 def _cmd_repr_drift(args) -> int:
     base = matio.read_matrix(args.base)
     cal = matio.read_matrix(args.cal)
@@ -750,7 +777,10 @@ def _cmd_repr_drift(args) -> int:
     }
     if args.interest and args.baseline:
         report = reprgeo.embedding_drift_report(
-            _parse_rows(args.interest), _parse_rows(args.baseline), base, cal
+            _parse_ints("--interest", args.interest),
+            _parse_ints("--baseline", args.baseline),
+            base,
+            cal,
         )
         payload["embedding_drift"] = {
             "interest_mean_drift": report.interest_mean_drift,
@@ -761,40 +791,11 @@ def _cmd_repr_drift(args) -> int:
     return 0
 
 
-_THEORY = {"verify": _cmd_theory_verify, "iterate": _cmd_theory_iterate}
-_RECAL = {"ts": _cmd_recal_ts, "ats": _cmd_recal_ats, "ptrue": _cmd_recal_ptrue}
-_PROBE = {"sweep": _cmd_probe_sweep, "fit": _cmd_probe_fit, "eval": _cmd_probe_eval}
-_REPR = {
-    "cka": _cmd_repr_cka,
-    "kl": _cmd_repr_kl,
-    "pca": _cmd_repr_pca,
-    "drift": _cmd_repr_drift,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
-        if args.command == "theory":
-            handler = _THEORY.get(args.theory_command)
-        elif args.command == "recal":
-            handler = _RECAL.get(args.recal_command)
-        elif args.command == "probe":
-            handler = _PROBE.get(args.probe_command)
-        elif args.command == "repr":
-            handler = _REPR.get(args.repr_command)
-        elif args.command == "match":
-            handler = _cmd_match
-        elif args.command == "calib":
-            handler = _cmd_calib
-        elif args.command == "rag":
-            handler = _cmd_rag
-        else:
-            handler = None
+        handler = getattr(args, "handler", None)
         if handler is None:
             parser.print_usage(sys.stderr)
             return 1

@@ -47,10 +47,6 @@ class EmptyBatch(UncalError):
     """A metric was requested over zero usable records."""
 
 
-class UndefinedCorrelation(UncalError):
-    """A correlation is undefined (fewer than two groups, or zero variance)."""
-
-
 class DegenerateFit(UncalError):
     """A model fit cannot proceed (single class, too few records, no spread)."""
 
@@ -77,6 +73,10 @@ class UndefinedSimilarity(UncalError):
 
 class MissingField(UncalError):
     """A model or sidecar file lacks a field the command needs."""
+
+
+class BadField(UncalError):
+    """A model file holds a field of the wrong type."""
 
 
 class CorruptInput(UncalError):

@@ -1,9 +1,9 @@
 """Binary matrix container: `UNCAL-MAT v1` header plus row-major f32 payload.
 
 The header is a single ASCII line `UNCAL-MAT v1 rows=<n> dims=<d> dtype=f32le`
-followed by rows*dims little-endian 32-bit floats. Row identities live in a
-sidecar JSON Lines file, one object per row (for example {"qid": ...} or
-{"qid": ..., "token_index": ...}).
+followed by rows*dims little-endian 32-bit floats, all finite. Row identities
+live in a sidecar JSON Lines file, one object per row (for example
+{"qid": ...} or {"qid": ..., "token_index": ...}).
 """
 
 from __future__ import annotations
@@ -47,7 +47,10 @@ def read_matrix(path) -> np.ndarray:
     expected = rows * dims * 4
     if len(payload) != expected:
         raise IoError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, dims).astype(np.float32)
+    values = np.frombuffer(payload, dtype="<f4").reshape(rows, dims).astype(np.float32)
+    if not np.isfinite(values).all():
+        raise IoError(f"{path}: payload holds a NaN or infinite value")
+    return values
 
 
 def write_row_ids(path, rows) -> None:

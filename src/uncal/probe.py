@@ -36,36 +36,6 @@ def _sigmoid(x):
 
 
 @dataclass(frozen=True)
-class HiddenMatrix:
-    """Rows of hidden-state vectors with one id per row."""
-
-    layer: int
-    values: np.ndarray
-    row_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("hidden matrix must be 2-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("hidden matrix must be finite")
-        if len(self.row_ids) != values.shape[0]:
-            raise ValueError("row_ids length must equal the number of rows")
-        if len(set(self.row_ids)) != len(self.row_ids):
-            raise ValueError("row_ids must be unique")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", tuple(self.row_ids))
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class ProbeFeatures:
     """Mean-pooled span vector plus (token count, emission count, first-emit
     fraction)."""

@@ -10,7 +10,12 @@ Scoring and deciding are separate passes. `score_traces` matches both answers
 of every trace once; `decide_all` turns a policy into one boolean per record.
 A `TriggerReport` is then a count over those two passes (`trigger_report`,
 `trigger_reports_by_dataset`), so one scoring serves the overall report,
-every dataset and every point of a threshold sweep.
+every dataset and every point of a threshold sweep. A with-retrieval answer
+equal to the no-retrieval one reuses that answer's match.
+
+Policies: always, never, emit (any emission), conf:T (confidence below T),
+emit+probe:T (an emission and a probe score of at least T), flare:T (some
+token probability below T, after FLARE) and external (a recorded trigger).
 
 Boundary semantics: confidence triggering is strict (confidence < tau), so
 tau = 0 reproduces Never and tau just above the highest confidence reproduces
@@ -23,27 +28,8 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyBatch, MissingSignal
-from .probe import ProbeModel, fit_probe
-from .rewards import (
-    DEFAULT_F1_THRESHOLD,
-    MatchResult,
-    MatchRule,
-    match_answer,
-    reasoning_depth,
-)
-
-HEDGING_LEXICON = (
-    "not sure",
-    "i think",
-    "perhaps",
-    "probably",
-    "i believe",
-    "couldn't find",
-    "don't have",
-)
+from .rewards import DEFAULT_F1_THRESHOLD, MatchResult, MatchRule, match_answer
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,6 @@ class PolicyKind(enum.Enum):
     EMISSION_ONLY = "emit"
     EMISSION_PLUS_PROBE = "emit+probe"
     TOKEN_PROB_WINDOW = "flare"
-    FEATURE_CLASSIFIER = "clf"
     EXTERNAL = "external"
 
 
@@ -91,16 +76,12 @@ class ControllerPolicy:
     tau: float | None = None
     theta: float | None = None
     tau_p: float | None = None
-    window: int = 1
-    model: ProbeModel | None = None
 
     def __post_init__(self):
         for name in ("tau", "theta", "tau_p"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1]")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
     @staticmethod
     def always() -> "ControllerPolicy":
@@ -123,12 +104,8 @@ class ControllerPolicy:
         return ControllerPolicy(PolicyKind.EMISSION_PLUS_PROBE, theta=theta)
 
     @staticmethod
-    def token_prob_window(tau_p: float, window: int = 1) -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, tau_p=tau_p, window=window)
-
-    @staticmethod
-    def feature_classifier(model: ProbeModel) -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.FEATURE_CLASSIFIER, model=model)
+    def token_prob_window(tau_p: float) -> "ControllerPolicy":
+        return ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, tau_p=tau_p)
 
     @staticmethod
     def external() -> "ControllerPolicy":
@@ -157,50 +134,12 @@ def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
     if kind is PolicyKind.TOKEN_PROB_WINDOW:
         if record.noret_token_probs is None:
             raise MissingSignal(f"record {record.qid!r} has no token probabilities")
-        # any window containing a token below tau_p triggers; equivalent to
-        # the minimum token probability falling below tau_p
         return any(p < policy.tau_p for p in record.noret_token_probs)
-    if kind is PolicyKind.FEATURE_CLASSIFIER:
-        if policy.model is None:
-            raise MissingSignal("feature-classifier policy has no fitted model")
-        return bool(policy.model.decide(classifier_features(record).reshape(1, -1))[0])
     if kind is PolicyKind.EXTERNAL:
         if record.external_trigger is None:
             raise MissingSignal(f"record {record.qid!r} has no external trigger column")
         return record.external_trigger
     raise ValueError(f"unhandled policy kind {kind}")
-
-
-def hedging_cue_count(text: str) -> int:
-    """Total occurrences of the hedging phrases, case-insensitive."""
-    lowered = text.lower()
-    return sum(lowered.count(phrase) for phrase in HEDGING_LEXICON)
-
-
-def classifier_features(record: RagTraceRecord) -> np.ndarray:
-    """Surface features: response length (chars), reasoning-line count,
-    hedging-cue count, emission-present flag."""
-    text = record.noret_response_text
-    if text is None:
-        raise MissingSignal(f"record {record.qid!r} has no response text")
-    return np.array(
-        [
-            float(len(text)),
-            float(reasoning_depth(text)),
-            float(hedging_cue_count(text)),
-            1.0 if record.noret_emissions >= 1 else 0.0,
-        ]
-    )
-
-
-def fit_feature_classifier(
-    records: Sequence[RagTraceRecord],
-    labels: Sequence[int],
-    l2: float = 1e-2,
-) -> ProbeModel:
-    """Logistic regression over the surface features (reuses the probe fitter)."""
-    x = np.stack([classifier_features(r) for r in records])
-    return fit_probe(x, labels, l2=l2)
 
 
 @dataclass(frozen=True)
@@ -211,6 +150,8 @@ class TriggerReport:
     as reference (the pre-intervention failure set); `wrong_within_triggered`
     instead looks at the final answers of triggered records, i.e. how much
     failure survives retrieval. Undefined cells (zero denominators) are None.
+    `trigger_recall` is also the share of no-retrieval failures the policy
+    covers, hence its alias `global_wrong_coverage`.
     """
 
     n: int
@@ -224,7 +165,10 @@ class TriggerReport:
     trigger_recall: float | None
     untouched_accuracy: float | None
     wrong_within_triggered: float | None
-    global_wrong_coverage: float | None
+
+    @property
+    def global_wrong_coverage(self) -> float | None:
+        return self.trigger_recall
 
 
 @dataclass(frozen=True)
@@ -239,13 +183,16 @@ class ScoredTraces:
 def score_traces(
     records: Sequence[RagTraceRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> ScoredTraces:
-    """Match each trace's no-retrieval and with-retrieval answers once."""
+    """Match each trace's no-retrieval and with-retrieval answers once; an
+    unchanged answer reuses the no-retrieval match."""
     records = list(records)
+    noret = tuple(match_answer(r.noret_answer, r.gold_answers, f1_threshold)
+                  for r in records)
     return ScoredTraces(
-        noret=tuple(match_answer(r.noret_answer, r.gold_answers, f1_threshold)
-                    for r in records),
-        ret=tuple(match_answer(r.ret_answer, r.gold_answers, f1_threshold)
-                  for r in records),
+        noret=noret,
+        ret=tuple(m if r.ret_answer == r.noret_answer
+                  else match_answer(r.ret_answer, r.gold_answers, f1_threshold)
+                  for r, m in zip(records, noret)),
         dataset=tuple(r.dataset for r in records),
     )
 
@@ -301,7 +248,6 @@ def _tally(
         trigger_recall=triggered_and_wrong / noret_wrong if noret_wrong else None,
         untouched_accuracy=untouched_correct / untouched if untouched else None,
         wrong_within_triggered=final_wrong_in_triggered / triggered if triggered else None,
-        global_wrong_coverage=triggered_and_wrong / noret_wrong if noret_wrong else None,
     )
 
 
@@ -331,22 +277,17 @@ def simulate(
     return trigger_report(score_traces(records, f1_threshold), fires)
 
 
-def simulate_by_dataset(
-    policy: ControllerPolicy,
-    records: Sequence[RagTraceRecord],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> dict[str, TriggerReport]:
-    """Per-dataset reports (sorted by dataset name), for table-shaped output."""
-    records = list(records)
-    fires = decide_all(policy, records)
-    return trigger_reports_by_dataset(score_traces(records, f1_threshold), fires)
+_THRESHOLDED = {
+    PolicyKind.CONFIDENCE_THRESHOLD: ControllerPolicy.confidence_threshold,
+    PolicyKind.EMISSION_PLUS_PROBE: ControllerPolicy.emission_plus_probe,
+    PolicyKind.TOKEN_PROB_WINDOW: ControllerPolicy.token_prob_window,
+}
 
 
 def sweep_threshold(
     kind: PolicyKind,
     records: Sequence[RagTraceRecord],
     grid: Sequence[float],
-    window: int = 1,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> list[tuple[float, TriggerReport]]:
     """One report per grid point for a thresholded policy family; the records
@@ -354,16 +295,9 @@ def sweep_threshold(
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be non-empty")
-    policies = []
-    for value in grid:
-        if kind is PolicyKind.CONFIDENCE_THRESHOLD:
-            policies.append(ControllerPolicy.confidence_threshold(value))
-        elif kind is PolicyKind.EMISSION_PLUS_PROBE:
-            policies.append(ControllerPolicy.emission_plus_probe(value))
-        elif kind is PolicyKind.TOKEN_PROB_WINDOW:
-            policies.append(ControllerPolicy.token_prob_window(value, window))
-        else:
-            raise ValueError(f"policy family {kind} has no threshold to sweep")
+    if kind not in _THRESHOLDED:
+        raise ValueError(f"policy family {kind} has no threshold to sweep")
+    policies = [_THRESHOLDED[kind](value) for value in grid]
     records = list(records)
     scored = score_traces(records, f1_threshold)
     return [
@@ -372,30 +306,17 @@ def sweep_threshold(
     ]
 
 
-def parse_policy_spec(spec: str, model: ProbeModel | None = None) -> ControllerPolicy:
-    """Parse CLI policy strings: always | never | emit | conf:T | emit+probe:T
-    | flare:T[:W] | external | clf."""
-    text = spec.strip().lower()
-    if text == "always":
-        return ControllerPolicy.always()
-    if text == "never":
-        return ControllerPolicy.never()
-    if text == "emit":
-        return ControllerPolicy.emission_only()
-    if text == "external":
-        return ControllerPolicy.external()
-    if text == "clf":
-        if model is None:
-            raise ValueError("clf policy needs a fitted classifier model")
-        return ControllerPolicy.feature_classifier(model)
-    if ":" in text:
-        head, _, rest = text.partition(":")
-        if head == "conf":
-            return ControllerPolicy.confidence_threshold(float(rest))
-        if head == "emit+probe":
-            return ControllerPolicy.emission_plus_probe(float(rest))
-        if head == "flare":
-            parts = rest.split(":")
-            window = int(parts[1]) if len(parts) > 1 else 1
-            return ControllerPolicy.token_prob_window(float(parts[0]), window)
-    raise ValueError(f"unrecognized policy spec {spec!r}")
+def parse_policy_spec(spec: str) -> ControllerPolicy:
+    """Parse CLI policy strings: always | never | emit | external | conf:T |
+    emit+probe:T | flare:T."""
+    head, sep, rest = spec.strip().lower().partition(":")
+    kind = next((k for k in PolicyKind if k.value == head), None)
+    if kind is None or bool(sep) != (kind in _THRESHOLDED):
+        raise ValueError(f"unrecognized policy spec {spec!r}")
+    if not sep:
+        return ControllerPolicy(kind)
+    try:
+        value = float(rest)
+    except ValueError:
+        raise ValueError(f"policy spec {spec!r}: {rest!r} is not a number") from None
+    return _THRESHOLDED[kind](value)

@@ -1,4 +1,4 @@
-"""Post-hoc recalibration: global and adaptive temperature scaling, P(True).
+"""Post-hoc recalibration: global and adaptive temperature scaling.
 
 Confidences are clamped away from {0, 1} before the logit transform so that
 grid-valued traces (0.05, 0.9, ...) and the occasional hard 0/1 survive the
@@ -267,11 +267,3 @@ def apply_ats(model: AtsModel, record: PredictionRecord) -> float:
     conf = _confidence(record)
     t = _temperature(model, _ats_row(record, conf))
     return float(_sigmoid(np.array(_logit(conf) / t)))
-
-
-def ptrue_combine(record: PredictionRecord, p_affirmative: float) -> float:
-    """Replace the verbalized confidence with the affirmative-token
-    probability supplied in the trace."""
-    if not 0.0 <= p_affirmative <= 1.0:
-        raise ValueError("p_affirmative must lie in [0,1]")
-    return p_affirmative

@@ -2,8 +2,8 @@
 
 Covers token-level KL divergence (optionally grouped by token type), linear
 centered kernel alignment between representation matrices, PCA by power
-iteration with deflation, digit-mass binning for logit-lens readouts, and
-relative Frobenius drift between weight matrices.
+iteration with deflation, and relative Frobenius drift between weight
+matrices.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError, UndefinedSimilarity
 
 KL_EPSILON = 1e-9
-DEFAULT_BIN_EDGES = (0.3, 0.7)
 PCA_ITERS = 1000
 PCA_TOL = 1e-10
 
@@ -194,38 +193,6 @@ def pca_project(x, k: int, seed: int = 0, iters: int = PCA_ITERS, tol: float = P
         explained_variance_ratio=ratios,
         components=comp,
     )
-
-
-@dataclass(frozen=True)
-class BinMasses:
-    low: float
-    mid: float
-    high: float
-
-
-def logit_lens_bins(
-    digit_probs: Mapping[int, float],
-    edges: tuple[float, float] = DEFAULT_BIN_EDGES,
-) -> BinMasses:
-    """Sum digit masses (digits 0..10, value = digit/10) into low/mid/high
-    bins: value <= edges[0] is low, <= edges[1] is mid, above is high."""
-    low_hi, mid_hi = edges
-    if not 0.0 <= low_hi < mid_hi <= 1.0:
-        raise ValueError("edges must satisfy 0 <= low < mid <= 1")
-    low = mid = high = 0.0
-    for digit, prob in digit_probs.items():
-        if not 0 <= digit <= 10:
-            raise ValueError(f"digit {digit} outside the 0..10 scale")
-        if prob < 0.0:
-            raise ValueError("digit masses must be nonnegative")
-        value = digit / 10.0
-        if value <= low_hi:
-            low += prob
-        elif value <= mid_hi:
-            mid += prob
-        else:
-            high += prob
-    return BinMasses(low=low, mid=mid, high=high)
 
 
 def frobenius_drift(w_base, w_cal) -> float:

@@ -4,7 +4,7 @@ Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
 agreement, then a token-F1 fallback against the best gold answer.
 `score_predictions` turns a batch into one verdict per record (confidence,
-correctness, emission flags), so each record is matched at most once however
+correctness, marker flag), so each record is matched at most once however
 many metrics read the batch.
 """
 
@@ -111,6 +111,8 @@ class PredictionRecord:
             object.__setattr__(self, "token_probs", tuple(self.token_probs))
         if self.verbal_confidence is not None and not 0.0 <= self.verbal_confidence <= 1.0:
             raise ValueError("verbal_confidence must lie in [0,1]")
+        if self.p_affirmative is not None and not 0.0 <= self.p_affirmative <= 1.0:
+            raise ValueError("p_affirmative must lie in [0,1]")
         positions = [e.char_position for e in self.emissions]
         if positions != sorted(positions):
             raise ValueError("emissions must be sorted by char_position")
@@ -378,16 +380,13 @@ class ScoredBatch:
 
     `confidence` is None where no confidence parses; `marked` says whether
     the response text contains the uncertainty marker (what a rescan with
-    `scan_emissions` would find) and `emitted` whether the record carries at
-    least one emission event.
+    `scan_emissions` would find).
     """
 
     confidence: tuple[float | None, ...]
     correct: tuple[bool, ...]
     qid: tuple[str, ...]
-    dataset: tuple[str, ...]
     marked: tuple[bool, ...]
-    emitted: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.correct)
@@ -411,9 +410,7 @@ def score_predictions(
         confidence=tuple(record_confidence(r) for r in records),
         correct=tuple(record_correct(r, f1_threshold) for r in records),
         qid=tuple(r.qid for r in records),
-        dataset=tuple(r.dataset for r in records),
         marked=tuple(UNCERTAIN_MARKER in r.response_text for r in records),
-        emitted=tuple(len(r.emissions) >= 1 for r in records),
     )
 
 

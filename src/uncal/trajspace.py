@@ -462,9 +462,3 @@ def random_space(rng: np.random.Generator, max_trajectories: int = 20) -> Trajec
     )
     return TrajectorySpace(trajs, gold)
 
-
-def random_custom_rewards(
-    rng: np.random.Generator, space: TrajectorySpace, low: float = -1.0, high: float = 1.0
-) -> RewardSpec:
-    values = {t.id: float(rng.uniform(low, high)) for t in space.trajectories}
-    return RewardSpec.custom(values)

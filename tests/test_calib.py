@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uncal import calib
-from uncal.errors import EmptyBatch, UndefinedCorrelation
+from uncal.errors import EmptyBatch
 from uncal.rewards import PredictionRecord, score_predictions
 
 from conftest import count_calls, make_record, random_batch
@@ -125,7 +125,7 @@ class TestMetricOracleAgreement:
 class TestErrorTaxonomy:
     def test_no_wrong_answers(self):
         records = [make_record(f"q{i}", 0.9, True) for i in range(4)]
-        taxonomy = calib.error_taxonomy(records)
+        taxonomy = calib.error_taxonomy(score_predictions(records))
         assert taxonomy.total_wrong == 0 and taxonomy.epistemic == 0
         assert all(b.count == 0 for b in taxonomy.bands)
 
@@ -135,7 +135,7 @@ class TestErrorTaxonomy:
             make_record("q2", 0.6, False),
             make_record("q3", 0.2, False),
         ]
-        taxonomy = calib.error_taxonomy(records)
+        taxonomy = calib.error_taxonomy(score_predictions(records))
         assert taxonomy.total_wrong == 3
         assert taxonomy.epistemic == 2 and taxonomy.aleatoric == 1
         assert taxonomy.strict_epistemic == 1
@@ -147,7 +147,7 @@ class TestErrorTaxonomy:
             make_record("q2", 0.71, False),  # lands in c > 0.7
             make_record("q3", 0.1, False),   # lands in c <= 0.1
         ]
-        taxonomy = calib.error_taxonomy(records)
+        taxonomy = calib.error_taxonomy(score_predictions(records))
         by_label = {b.label: b.count for b in taxonomy.bands}
         assert by_label["c>0.7"] == 1
         assert by_label["0.5<c<=0.7"] == 1
@@ -158,108 +158,17 @@ class TestErrorTaxonomy:
             make_record("q1", 0.8, False, emissions_text="hmm <uncertain>"),
             make_record("q2", 0.8, False),
         ]
-        taxonomy = calib.error_taxonomy(records)
+        taxonomy = calib.error_taxonomy(score_predictions(records))
         assert taxonomy.epistemic_with_emit == 1
         assert taxonomy.epistemic_without_emit == 1
 
     def test_partition_invariant(self, rng):
         for _ in range(10):
             records, _ = random_batch(rng, 25)
-            taxonomy = calib.error_taxonomy(records)
+            taxonomy = calib.error_taxonomy(score_predictions(records))
             assert taxonomy.epistemic + taxonomy.aleatoric == taxonomy.total_wrong
             assert taxonomy.strict_epistemic <= taxonomy.epistemic
             assert sum(b.count for b in taxonomy.bands) == taxonomy.total_wrong
-
-
-class TestConsistencyStats:
-    def test_perfect_monotone(self):
-        groups = {
-            "q1": [(1.0, True), (1.0, True)],
-            "q2": [(0.5, True), (0.5, False)],
-            "q3": [(0.0, False), (0.0, False)],
-        }
-        summary = calib.consistency_stats(groups)
-        assert summary.greedy_conf_passrate_corr == pytest.approx(1.0)
-        assert summary.mean_conf_passrate_corr == pytest.approx(1.0)
-
-    def test_zero_variance_rejected(self):
-        groups = {"q1": [(0.5, True)], "q2": [(0.5, False)]}
-        with pytest.raises(UndefinedCorrelation):
-            calib.consistency_stats(groups)
-
-    def test_hand_pearson(self):
-        groups = {
-            "q1": [(0.9, True), (0.9, True)],
-            "q2": [(0.5, False), (0.5, False)],
-            "q3": [(0.1, True), (0.1, False)],
-        }
-        summary = calib.consistency_stats(groups)
-        # x = (0.9, 0.5, 0.1), pass rates y = (1, 0, 0.5) -> r = 0.5
-        assert summary.greedy_conf_passrate_corr == pytest.approx(0.5, abs=1e-12)
-        assert summary.mean_within_question_conf_std == 0.0
-        assert summary.pass_rate_high_conf == pytest.approx(1.0)
-        assert summary.pass_rate_low_conf == pytest.approx(0.5)
-        assert summary.high_low_gap == pytest.approx(0.5)
-
-    def test_single_group_rejected(self):
-        with pytest.raises(UndefinedCorrelation):
-            calib.consistency_stats({"q1": [(0.5, True), (0.7, False)]})
-
-
-class TestBehavioralSummary:
-    def test_full_completion(self):
-        records = [make_record(f"q{i}", 0.5, True) for i in range(3)]
-        summary = calib.behavioral_summary(records)
-        assert summary.macro.answer_line_rate == 1.0
-
-    def test_hand_counts(self):
-        records = [
-            make_record("q1", 0.5, False, emissions_text="<uncertain>"),
-            make_record("q2", 0.5, False, emissions_text="<uncertain>"),
-            make_record("q3", 0.5, True, emissions_text="<uncertain>"),
-            make_record("q4", 0.5, True),
-        ]
-        row = calib.behavioral_summary(records).per_dataset["synth"]
-        assert row.emit_rate == pytest.approx(0.75)
-        assert row.wrong_and_emit_rate == pytest.approx(1.0)
-        assert row.correct_and_emit_rate == pytest.approx(0.5)
-
-    def test_macro_averages_over_datasets(self):
-        records = [
-            make_record("q1", 0.5, True, dataset="d1"),
-            make_record("q2", 0.5, True, dataset="d1"),
-            make_record("q3", 0.5, False, dataset="d2"),
-        ]
-        summary = calib.behavioral_summary(records)
-        assert set(summary.per_dataset) == {"d1", "d2"}
-        assert summary.macro.accuracy == pytest.approx((1.0 + 0.0) / 2)
-        # d1 has no wrong answers: its wrong-emit cell is undefined and skipped
-        assert summary.per_dataset["d1"].wrong_and_emit_rate is None
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            calib.behavioral_summary([])
-
-
-class TestNearMissSplit:
-    def test_split(self):
-        records = [
-            PredictionRecord(
-                qid="q1", gold_answers=("mount laurel township",),
-                response_text="Answer: born in mount laurel",
-            ),
-            PredictionRecord(
-                qid="q2", gold_answers=("water polo",), response_text="Answer: golf",
-            ),
-            PredictionRecord(
-                qid="q3", gold_answers=("paris",), response_text="Answer: paris",
-            ),
-        ]
-        split = calib.near_miss_split(records, overlap_threshold=0.3)
-        assert split.near_miss == 1 and split.factual_miss == 1
-        split = calib.near_miss_split(records, overlap_threshold=0.9)
-        # the overlapping answer no longer clears the near-miss cut
-        assert split.near_miss == 0 and split.factual_miss == 2
 
 
 def test_calibration_report_shape():
@@ -268,7 +177,7 @@ def test_calibration_report_shape():
         make_record("q2", 0.4, False),
         make_record("q3", None, True),
     ]
-    report = calib.calibration_report(records, num_bins=5)
+    report = calib.calibration_report(score_predictions(records), num_bins=5)
     assert report.n == 3
     assert report.parse_rate == pytest.approx(2.0 / 3.0)
     assert report.accuracy == pytest.approx(2.0 / 3.0)
@@ -282,32 +191,32 @@ class TestScoredBatch:
     def test_batch_report_equals_record_functions_exactly(self, rng):
         records, _ = random_batch(rng, 60, with_ties=True)
         records.append(make_record("none", None, False))
-        batch = score_predictions(records)
-        report = calib.calibration_report_from_batch(batch, num_bins=7)
-        assert report == calib.calibration_report(records, num_bins=7)
+        report = calib.calibration_report(score_predictions(records), num_bins=7)
         assert report.ece == calib.ece(records, num_bins=7)
         assert report.brier == calib.brier(records)
         assert report.nll == calib.nll(records)
         assert report.ausc == calib.ausc(records)
-        assert report.bins == calib.reliability_bins(records, num_bins=7)
-        assert calib.error_taxonomy_from_batch(batch) == calib.error_taxonomy(records)
 
     def test_report_matches_each_record_once(self, rng, monkeypatch):
         import uncal.rewards as rewards
 
         calls = count_calls(monkeypatch, rewards, "match_record")
         records, _ = random_batch(rng, 40)
-        calib.calibration_report(records)
+        batch = score_predictions(records)
+        calib.calibration_report(batch)
+        calib.error_taxonomy(batch)
         assert len(calls) == 40
 
     def test_empty_and_unparsed_batches_rejected(self):
         with pytest.raises(EmptyBatch):
-            calib.calibration_report_from_batch(score_predictions([]))
+            calib.calibration_report(score_predictions([]))
         with pytest.raises(EmptyBatch):
-            calib.error_taxonomy_from_batch(score_predictions([]))
+            calib.error_taxonomy(score_predictions([]))
         with pytest.raises(EmptyBatch):
-            calib.calibration_report([make_record("q", None, True)])
+            calib.calibration_report(score_predictions([make_record("q", None, True)]))
 
     def test_bins_validated(self):
         with pytest.raises(ValueError):
-            calib.reliability_bins([make_record("q", 0.5, True)], num_bins=0)
+            calib.calibration_report(
+                score_predictions([make_record("q", 0.5, True)]), num_bins=0
+            )

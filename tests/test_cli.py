@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import uncal
 from uncal import jsonio, matio, trajspace
-from uncal.cli import _load_token_stack, main
-from uncal.errors import AlignmentError, CorruptInput, MissingField
+from uncal.cli import _load_probe_model, _load_token_stack, main
+from uncal.errors import AlignmentError, BadField, CorruptInput, MissingField
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
 
 from conftest import planted_stack
@@ -118,6 +118,30 @@ class TestExitCodes:
     def test_no_subcommand_exits_one(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("group", ["theory", "recal", "probe", "repr"])
+    def test_group_without_subcommand_prints_usage(self, group, capsys):
+        assert main([group]) == 1
+        assert "usage: uncal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["flare:0.3:4", "clf"])
+    def test_unsupported_policy_spec_exits_one(self, policy, capsys):
+        assert main(["rag", "--policy", policy, "--in", str(RAG_FIXTURE)]) == 1
+        assert repr(policy) in capsys.readouterr().err
+
+    def test_bad_row_list_is_a_usage_error(self, tmp_path, capsys):
+        matio.write_matrix(tmp_path / "x.mat", np.eye(3))
+        assert main(["repr", "drift", "--base", str(tmp_path / "x.mat"),
+                     "--cal", str(tmp_path / "x.mat"),
+                     "--interest", "0,x", "--baseline", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "bad --interest value '0,x'" in err and "usage: uncal" in err
+
+    def test_non_finite_matrix_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mat"
+        matio.write_matrix(bad, np.array([[1.0, 2.0], [np.nan, 0.5], [3.0, 1.0]]))
+        assert main(["repr", "pca", "--in", str(bad), "--k", "1"]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["calib", "--in", str(tmp_path / "absent.jsonl")]) == 2
 
@@ -211,6 +235,15 @@ class TestFunctional:
         assert loaded[0].verbal_confidence == 0.25   # replaced
         assert loaded[1].verbal_confidence == 0.9    # no p_affirmative: untouched
 
+
+    def test_rag_report_names_each_number_once(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["rag", "--policy", "emit", "--in", str(RAG_FIXTURE),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == "uncal-rag-report-v2"
+        for block in [report["overall"], *report["per_dataset"].values()]:
+            assert "trigger_recall" in block and "global_wrong_coverage" not in block
 
     def test_fitted_models_report_convergence(self, tmp_path):
         preds = write_hidden_dir(tmp_path / "hidden")
@@ -531,6 +564,35 @@ class TestMissingFields:
                      "--preds", str(preds)]) == 1
         err = capsys.readouterr().err
         assert str(model) in err and "'layer'" in err
+
+    @pytest.mark.parametrize("field, value", [("bias", None), ("layer", [1]),
+                                              ("weights", "0.5"), ("threshold", True),
+                                              ("config", {"window": None})])
+    def test_wrongly_typed_probe_model_field(self, tmp_path, capsys, field, value):
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = tmp_path / "hidden" / "layer_8.mat"
+        model = tmp_path / "model.json"
+        assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
+                     "--layer", "8", "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj[field] = value
+        model.write_text(json.dumps(obj))
+        assert main(["probe", "eval", "--model", str(model), "--hidden", str(layer),
+                     "--preds", str(preds)]) == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and f"'{field}" in err
+
+    @pytest.mark.parametrize("field, value", [("bias", float("nan")),
+                                              ("weights", [0.0, float("inf")])])
+    def test_non_finite_probe_model_field(self, tmp_path, field, value):
+        # refused on load; evaluating it would stall `probe.auroc` on NaN scores
+        model = tmp_path / "model.json"
+        obj = {"layer": 8, "weights": [0.0, 1.0], "bias": 0.0, "threshold": 0.5,
+               "feature_means": [0.0, 0.0], "feature_stds": [1.0, 1.0]}
+        obj[field] = value
+        model.write_text(json.dumps(obj))
+        with pytest.raises(BadField, match=field):
+            _load_probe_model(model)
 
     def test_sidecar_row_without_qid(self, tmp_path, capsys):
         preds = write_hidden_dir(tmp_path / "hidden")

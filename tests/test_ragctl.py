@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from uncal import ragctl
-from uncal.errors import DegenerateFit, EmptyBatch, MissingSignal
+from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
 from conftest import count_calls, random_rag_batch
@@ -10,7 +9,7 @@ from oracles import oracle_trigger_counts
 
 
 def trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
-          token_probs=None, text=None, external=None):
+          token_probs=None, external=None):
     return RagTraceRecord(
         qid=qid,
         gold_answers=("alpha",),
@@ -20,7 +19,6 @@ def trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
         noret_emissions=emissions,
         noret_probe_score=probe_score,
         noret_token_probs=token_probs,
-        noret_response_text=text,
         external_trigger=external,
     )
 
@@ -144,53 +142,6 @@ class TestSimulate:
             ragctl.simulate(ControllerPolicy.always(), [])
 
 
-class TestFeatureClassifier:
-    def build_records(self):
-        records = []
-        for i in range(16):
-            wrong = i % 2 == 0
-            text = (
-                "I couldn't find the answer anywhere.\nAnswer: omega"
-                if wrong
-                else "The answer is alpha.\nAnswer: alpha"
-            )
-            records.append(
-                trace(f"c{i}", not wrong, True, text=text, emissions=1 if wrong else 0)
-            )
-        return records
-
-    def test_lexicon_separates_fixture(self):
-        records = self.build_records()
-        labels = [0 if r.noret_answer == "alpha" else 1 for r in records]
-        model = ragctl.fit_feature_classifier(records, labels)
-        from uncal.probe import auroc
-
-        scores = model.scores(
-            np.stack([ragctl.classifier_features(r) for r in records])
-        )
-        assert auroc(scores, labels) == 1.0
-
-    def test_hedging_cue_count(self):
-        assert ragctl.hedging_cue_count("I think it might be X, but I'm not sure") == 2
-        assert ragctl.hedging_cue_count("Perhaps; probably; I believe.") == 3
-        assert ragctl.hedging_cue_count("plain assertion") == 0
-
-    def test_constant_features_rejected(self):
-        records = [trace(f"k{i}", i % 2 == 0, True, text="same text", emissions=0)
-                   for i in range(12)]
-        labels = [i % 2 for i in range(12)]
-        with pytest.raises(DegenerateFit):
-            ragctl.fit_feature_classifier(records, labels)
-
-    def test_classifier_policy_decides(self):
-        records = self.build_records()
-        labels = [0 if r.noret_answer == "alpha" else 1 for r in records]
-        model = ragctl.fit_feature_classifier(records, labels)
-        policy = ControllerPolicy.feature_classifier(model)
-        fired = [ragctl.decide(policy, r) for r in records]
-        assert fired == [bool(lbl) for lbl in labels]
-
-
 class TestSweepThreshold:
     def test_endpoints_reproduce_never_and_always(self):
         # all fixture confidences sit strictly inside (0, 1)
@@ -232,24 +183,30 @@ class TestPolicySpec:
         assert policy.kind is PolicyKind.CONFIDENCE_THRESHOLD and policy.tau == 0.5
         policy = ragctl.parse_policy_spec("emit+probe:0.6")
         assert policy.kind is PolicyKind.EMISSION_PLUS_PROBE and policy.theta == 0.6
-        policy = ragctl.parse_policy_spec("flare:0.4:8")
-        assert policy.kind is PolicyKind.TOKEN_PROB_WINDOW
-        assert policy.tau_p == 0.4 and policy.window == 8
+        policy = ragctl.parse_policy_spec("flare:0.4")
+        assert policy.kind is PolicyKind.TOKEN_PROB_WINDOW and policy.tau_p == 0.4
+        assert ragctl.parse_policy_spec(" External ").kind is PolicyKind.EXTERNAL
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            ragctl.parse_policy_spec("sometimes")
+        for spec in ("sometimes", "flare:0.3:4", "clf", "conf", "always:0.5", "conf:high"):
+            with pytest.raises(ValueError):
+                ragctl.parse_policy_spec(spec)
 
     def test_parameter_ranges_validated(self):
         with pytest.raises(ValueError):
             ControllerPolicy.confidence_threshold(1.5)
         with pytest.raises(ValueError):
-            ControllerPolicy.token_prob_window(0.4, window=0)
+            ControllerPolicy.token_prob_window(-0.1)
+        with pytest.raises(ValueError):
+            ragctl.parse_policy_spec("emit+probe:2")
 
 
 def test_per_dataset_reports(rng):
     records = random_rag_batch(rng, 40)
-    by_dataset = ragctl.simulate_by_dataset(ControllerPolicy.always(), records)
+    policy = ControllerPolicy.always()
+    by_dataset = ragctl.trigger_reports_by_dataset(
+        ragctl.score_traces(records), ragctl.decide_all(policy, records)
+    )
     assert set(by_dataset) == {r.dataset for r in records}
     assert sum(r.n for r in by_dataset.values()) == 40
 
@@ -260,7 +217,8 @@ class TestScoredTraces:
         records = random_rag_batch(rng, 30)
         ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records,
                                [i / 10 for i in range(11)])
-        assert len(calls) == 60
+        # one match per no-retrieval answer, one per changed with-retrieval answer
+        assert len(calls) == 48 == 30 + sum(r.ret_answer != r.noret_answer for r in records)
 
     def test_reports_are_counts_over_one_scoring(self, rng):
         records = random_rag_batch(rng, 50)
@@ -276,7 +234,6 @@ class TestScoredTraces:
             for name, report in by_dataset.items():
                 members = [r for r in records if r.dataset == name]
                 assert report == ragctl.simulate(policy, members)
-            assert by_dataset == ragctl.simulate_by_dataset(policy, records)
 
     def test_empty_batch(self):
         scored = ragctl.score_traces([])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uncal import recal
+from uncal import jsonio, recal
+from uncal.cli import main
 from uncal.errors import DegenerateFit
 from uncal.rewards import PredictionRecord
 
@@ -149,17 +150,31 @@ class TestAts:
             assert recal.ats_temperature(model, record) >= recal.ATS_TEMPERATURE_FLOOR
 
 
+def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
+    """The records after `uncal recal ptrue`."""
+    src = tmp_path / "in.jsonl"
+    out = tmp_path / "out.jsonl"
+    jsonio.write_jsonl(src, [jsonio.prediction_to_dict(r) for r in records])
+    assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
+    return jsonio.load_predictions(out).records
+
+
 class TestPtrue:
-    def test_pass_through_extremes(self):
-        record = make_record("q", 0.5, True)
-        assert recal.ptrue_combine(record, 1.0) == 1.0
-        assert recal.ptrue_combine(record, 0.397) == 0.397
+    def test_pass_through_extremes(self, tmp_path):
+        records = [
+            PredictionRecord(qid=f"q{i}", gold_answers=("x",), response_text="Answer: x",
+                             verbal_confidence=0.5, p_affirmative=p)
+            for i, p in enumerate((1.0, 0.397, 0.0))
+        ]
+        out = recal_ptrue(tmp_path, records)
+        assert [r.verbal_confidence for r in out] == [1.0, 0.397, 0.0]
 
     def test_range_validated(self):
         with pytest.raises(ValueError):
-            recal.ptrue_combine(make_record("q", 0.5, True), 1.2)
+            PredictionRecord(qid="q", gold_answers=("x",), response_text="Answer: x",
+                             p_affirmative=1.2)
 
-    def test_batch_replacement_reduces_overconfident_wrong(self, rng):
+    def test_batch_replacement_reduces_overconfident_wrong(self, tmp_path):
         # wrong answers carry low affirmative probability in this fixture
         records = []
         for i in range(40):
@@ -183,7 +198,7 @@ class TestPtrue:
 
         before = overconfident_wrong([r.verbal_confidence for r in records])
         after = overconfident_wrong(
-            [recal.ptrue_combine(r, r.p_affirmative) for r in records]
+            [r.verbal_confidence for r in recal_ptrue(tmp_path, records)]
         )
         assert before == 20 and after == 0
 

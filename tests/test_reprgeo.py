@@ -188,29 +188,6 @@ class TestPca:
             reprgeo.pca_project(np.ones((6, 2)), 1)
 
 
-class TestLogitLensBins:
-    def test_all_mass_on_nine(self):
-        masses = reprgeo.logit_lens_bins({9: 0.7})
-        assert masses.high == pytest.approx(0.7)
-        assert masses.low == 0.0 and masses.mid == 0.0
-
-    def test_uniform_digit_split(self):
-        digit_probs = {d: 1.0 / 11.0 for d in range(11)}
-        masses = reprgeo.logit_lens_bins(digit_probs, edges=(0.3, 0.7))
-        assert masses.low == pytest.approx(4.0 / 11.0)
-        assert masses.mid == pytest.approx(4.0 / 11.0)
-        assert masses.high == pytest.approx(3.0 / 11.0)
-        assert masses.low + masses.mid + masses.high == pytest.approx(1.0)
-
-    def test_zero_vector(self):
-        masses = reprgeo.logit_lens_bins({})
-        assert (masses.low, masses.mid, masses.high) == (0.0, 0.0, 0.0)
-
-    def test_digit_range_validated(self):
-        with pytest.raises(ValueError):
-            reprgeo.logit_lens_bins({11: 0.5})
-
-
 class TestDrift:
     def test_identical_is_zero(self, rng):
         w = rng.normal(size=(4, 4))

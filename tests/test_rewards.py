@@ -281,10 +281,8 @@ class TestScorePredictions:
         assert batch.confidence == (0.8, 0.3, None)
         assert batch.correct == (True, False, False)
         assert batch.qid == ("a", "b", "c")
-        assert batch.dataset == ("d1", "d2", "")
-        # `marked` reads the text, `emitted` the record's emission events
+        # `marked` reads the text, not the record's emission events
         assert batch.marked == (True, False, False)
-        assert batch.emitted == (False, True, False)
         assert batch.usable() == [(0.8, True, "a"), (0.3, False, "b")]
 
     def test_each_record_matched_and_read_once(self, monkeypatch):
