@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +82,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--model-out", default=None)
         p.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
         if name == "ats":
-            p.add_argument("--l2", type=float, default=0.0)
+            p.add_argument("--l2", type=float, default=recal.DEFAULT_ATS_L2)
     ptrue = rec.add_parser("ptrue")
     ptrue.set_defaults(handler=_cmd_recal_ptrue)
     ptrue.add_argument("--in", dest="input", required=True)
@@ -160,21 +159,15 @@ def _resolve_seed(args) -> int:
 
 
 def _emit(args, payload: dict) -> None:
-    out = getattr(args, "out", None)
-    text = jsonio.dumps_canonical(payload)
-    if out:
-        try:
-            Path(out).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {out}: {exc}") from exc
+    if args.out:
+        jsonio.write_report(args.out, payload)
     else:
-        print(text)
+        print(jsonio.dumps_canonical(payload))
 
 
 def _emit_lines(args, lines: list[dict]) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        jsonio.write_jsonl(out, lines)
+    if args.out:
+        jsonio.write_jsonl(args.out, lines)
     else:
         for line in lines:
             print(jsonio.dumps_canonical(line))
@@ -189,7 +182,7 @@ def _accepted(path, result: jsonio.LoadResult) -> list:
 
 
 def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
-    return _accepted(path, jsonio.load_lines(path, trajspace.space_from_dict))
+    return _accepted(path, jsonio.load_lines(path, jsonio.space_from_dict))
 
 
 def _load_preds(path) -> list[rewards.PredictionRecord]:
@@ -226,15 +219,7 @@ def _cmd_theory_verify(args) -> int:
         except DegenerateRatio:
             line["status"] = "degenerate_ratio"
         else:
-            line.update(
-                status="ok",
-                a=check.a,
-                b=check.b,
-                lhs=check.lhs,
-                rhs=check.rhs,
-                holds=check.holds,
-                support_preserved=check.support_preserved,
-            )
+            line.update(status="ok", **asdict(check))
         lines.append(line)
     _emit_lines(args, lines)
     return 0
@@ -282,7 +267,6 @@ def _cmd_match(args) -> int:
 def _cmd_calib(args) -> int:
     batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
-    taxonomy = calib.error_taxonomy(batch)
     payload = {
         "schema": "uncal-calib-report-v1",
         "config": {
@@ -292,35 +276,9 @@ def _cmd_calib(args) -> int:
             "f1_threshold": args.f1_threshold,
             "seed": _resolve_seed(args),
         },
-        "n": report.n,
-        "accuracy": report.accuracy,
-        "mean_confidence": report.mean_confidence,
-        "overconfidence_gap": report.overconfidence_gap,
-        "ece": report.ece,
-        "brier": report.brier,
-        "nll": report.nll,
-        "parse_rate": report.parse_rate,
-        "ausc": report.ausc,
+        **asdict(report),
         "bins_used": args.bins,
-        "bins": [
-            {
-                "lo": b.lo, "hi": b.hi, "count": b.count,
-                "mean_conf": b.mean_conf, "accuracy": b.accuracy,
-            }
-            for b in report.bins
-        ],
-        "error_taxonomy": {
-            "total_wrong": taxonomy.total_wrong,
-            "epistemic": taxonomy.epistemic,
-            "aleatoric": taxonomy.aleatoric,
-            "strict_epistemic": taxonomy.strict_epistemic,
-            "epistemic_with_emit": taxonomy.epistemic_with_emit,
-            "epistemic_without_emit": taxonomy.epistemic_without_emit,
-            "bands": [
-                {"label": b.label, "count": b.count, "fraction": b.fraction}
-                for b in taxonomy.bands
-            ],
-        },
+        "error_taxonomy": asdict(calib.error_taxonomy(batch)),
     }
     _emit(args, payload)
     if args.csv:
@@ -332,20 +290,33 @@ def _cmd_calib(args) -> int:
     return 0
 
 
-def _cmd_recal_ts(args) -> int:
-    fit_records = _load_preds(args.fit)
-    model = recal.fit_global_ts(fit_records, args.f1_threshold)
-    apply_records = _load_preds(args.apply_path)
-    rewritten = []
+def _write_recalibrated(args, records, new_confidence, missing: str) -> None:
+    """Write `records` to `--out`, each with `verbal_confidence` replaced by
+    `new_confidence(record)`; a record for which that is None is written
+    unchanged and counted on stderr as lacking `missing`."""
+    rows = []
     skipped = 0
-    for r in apply_records:
-        conf = rewards.record_confidence(r)
+    for record in records:
+        conf = new_confidence(record)
         if conf is None:
             skipped += 1
-            rewritten.append(r)
         else:
-            rewritten.append(replace(r, verbal_confidence=recal.apply_ts(model, conf)))
-    jsonio.write_jsonl(args.out, [jsonio.prediction_to_dict(r) for r in rewritten])
+            record = replace(record, verbal_confidence=conf)
+        rows.append(jsonio.prediction_to_dict(record))
+    jsonio.write_jsonl(args.out, rows)
+    if skipped:
+        print(f"skipped {skipped} records without {missing}", file=sys.stderr)
+
+
+def _cmd_recal_ts(args) -> int:
+    model = recal.fit_global_ts(_load_preds(args.fit), args.f1_threshold)
+
+    def calibrated(record):
+        conf = rewards.record_confidence(record)
+        return None if conf is None else recal.apply_ts(model, conf)
+
+    _write_recalibrated(args, _load_preds(args.apply_path), calibrated,
+                        "parseable confidence")
     if args.model_out:
         jsonio.write_report(
             args.model_out,
@@ -360,24 +331,16 @@ def _cmd_recal_ts(args) -> int:
                 },
             },
         )
-    if skipped:
-        print(f"skipped {skipped} records without parseable confidence", file=sys.stderr)
     return 0
 
 
 def _cmd_recal_ats(args) -> int:
-    fit_records = _load_preds(args.fit)
-    model = recal.fit_ats(fit_records, args.l2, args.f1_threshold)
-    apply_records = _load_preds(args.apply_path)
-    rewritten = []
-    skipped = 0
-    for r in apply_records:
-        if rewards.record_confidence(r) is None:
-            skipped += 1
-            rewritten.append(r)
-        else:
-            rewritten.append(replace(r, verbal_confidence=recal.apply_ats(model, r)))
-    jsonio.write_jsonl(args.out, [jsonio.prediction_to_dict(r) for r in rewritten])
+    model = recal.fit_ats(_load_preds(args.fit), args.l2, args.f1_threshold)
+    _write_recalibrated(
+        args, _load_preds(args.apply_path),
+        lambda r: None if rewards.record_confidence(r) is None else recal.apply_ats(model, r),
+        "parseable confidence",
+    )
     if args.model_out:
         jsonio.write_report(
             args.model_out,
@@ -399,24 +362,12 @@ def _cmd_recal_ats(args) -> int:
                 },
             },
         )
-    if skipped:
-        print(f"skipped {skipped} records without parseable confidence", file=sys.stderr)
     return 0
 
 
 def _cmd_recal_ptrue(args) -> int:
-    records = _load_preds(args.input)
-    rewritten = []
-    skipped = 0
-    for r in records:
-        if r.p_affirmative is None:
-            skipped += 1
-            rewritten.append(r)
-        else:
-            rewritten.append(replace(r, verbal_confidence=r.p_affirmative))
-    jsonio.write_jsonl(args.out, [jsonio.prediction_to_dict(r) for r in rewritten])
-    if skipped:
-        print(f"skipped {skipped} records without p_affirmative", file=sys.stderr)
+    _write_recalibrated(args, _load_preds(args.input), lambda r: r.p_affirmative,
+                        "p_affirmative")
     return 0
 
 
@@ -484,14 +435,7 @@ def _cmd_probe_sweep(args) -> int:
             "l2": args.l2,
             "seed": seed,
         },
-        "rows": [
-            {
-                "layer": r.layer, "auroc": r.auroc, "auprc": r.auprc,
-                "precision": r.precision, "recall": r.recall, "f1": r.f1,
-                "n_train": r.n_train, "n_dev": r.n_dev,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
     }
     _emit(args, payload)
     if args.csv:
@@ -552,24 +496,21 @@ def _cmd_probe_fit(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    # a finite JSON number (bool is not one); `json` also reads NaN and
-    # Infinity, and a NaN score would stall the AUROC tie loop
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_numbers(value) -> bool:
-    return type(value) is list and all(map(_is_number, value))
-
-
 _PROBE_MODEL_FIELDS = {
-    "layer": ("an integer", lambda v: type(v) is int),
-    "weights": ("a list of finite numbers", _is_numbers),
-    "bias": ("a finite number", _is_number),
-    "threshold": ("a finite number", _is_number),
-    "feature_means": ("a list of finite numbers", _is_numbers),
-    "feature_stds": ("a list of finite numbers", _is_numbers),
+    "layer": jsonio.read_int,
+    "weights": jsonio.read_numbers,
+    "bias": jsonio.read_number,
+    "threshold": jsonio.read_number,
+    "feature_means": jsonio.read_numbers,
+    "feature_stds": jsonio.read_numbers,
 }
+
+
+def _probe_model_field(path, name: str, read, value):
+    try:
+        return read(f"field {name!r}", value)
+    except ValueError as exc:
+        raise BadField(f"{path}: probe model {exc}") from None
 
 
 def _load_probe_model(path) -> tuple[probe.ProbeModel, list[int]]:
@@ -581,29 +522,22 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, list[int]]:
         raise IoError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise MissingField(f"{path}: not a probe model (expected a JSON object)")
-    for key, (what, valid) in _PROBE_MODEL_FIELDS.items():
+    fields = {}
+    for key, read in _PROBE_MODEL_FIELDS.items():
         if key not in obj:
             raise MissingField(f"{path}: probe model has no {key!r} field")
-        if not valid(obj[key]):
-            raise BadField(f"{path}: probe model field {key!r} must be {what}")
+        fields[key] = _probe_model_field(path, key, read, obj[key])
     config = obj.get("config", {})
     if not isinstance(config, dict):
         raise BadField(f"{path}: probe model field 'config' must be an object")
-    sizes = []
-    for key, default in (("window", probe.DEFAULT_WINDOW),
-                         ("span_tokens", probe.DEFAULT_SPAN_TOKENS)):
-        sizes.append(config.get(key, default))
-        if type(sizes[-1]) is not int:
-            raise BadField(f"{path}: probe model field 'config.{key}' must be an integer")
-    model = probe.ProbeModel(
-        layer=obj["layer"],
-        weights=np.array(obj["weights"], dtype=float),
-        bias=float(obj["bias"]),
-        threshold=float(obj["threshold"]),
-        feature_means=np.array(obj["feature_means"], dtype=float),
-        feature_stds=np.array(obj["feature_stds"], dtype=float),
-    )
-    return model, sizes
+    sizes = [
+        _probe_model_field(path, f"config.{key}", jsonio.read_int, config.get(key, default))
+        for key, default in (("window", probe.DEFAULT_WINDOW),
+                             ("span_tokens", probe.DEFAULT_SPAN_TOKENS))
+    ]
+    for key in ("weights", "feature_means", "feature_stds"):
+        fields[key] = np.array(fields[key], dtype=float)
+    return probe.ProbeModel(**fields), sizes
 
 
 def _cmd_probe_eval(args) -> int:
@@ -634,22 +568,6 @@ def _cmd_probe_eval(args) -> int:
     return 0
 
 
-def _trigger_report_dict(report: ragctl.TriggerReport) -> dict:
-    return {
-        "n": report.n,
-        "triggered": report.triggered,
-        "noret_wrong": report.noret_wrong,
-        "triggered_and_wrong": report.triggered_and_wrong,
-        "trigger_rate": report.trigger_rate,
-        "final_em": report.final_em,
-        "final_f1": report.final_f1,
-        "trigger_precision": report.trigger_precision,
-        "trigger_recall": report.trigger_recall,
-        "untouched_accuracy": report.untouched_accuracy,
-        "wrong_within_triggered": report.wrong_within_triggered,
-    }
-
-
 def _cmd_rag(args) -> int:
     records = _accepted(args.input, jsonio.load_rag_traces(args.input))
     policy = ragctl.parse_policy_spec(args.policy)
@@ -665,8 +583,8 @@ def _cmd_rag(args) -> int:
             "f1_threshold": args.f1_threshold,
             "seed": _resolve_seed(args),
         },
-        "overall": _trigger_report_dict(report),
-        "per_dataset": {name: _trigger_report_dict(r) for name, r in per_dataset.items()},
+        "overall": asdict(report),
+        "per_dataset": {name: asdict(r) for name, r in per_dataset.items()},
     }
     _emit(args, payload)
     if args.csv:
@@ -696,20 +614,9 @@ def _cmd_repr_cka(args) -> int:
 
 
 def _cmd_repr_kl(args) -> int:
-    pairs = _accepted(args.pairs, jsonio.load_lines(
-        args.pairs,
-        lambda obj: reprgeo.TokenDistPair(
-            position=int(obj["position"]),
-            base_probs=np.array(obj["base_probs"], dtype=float),
-            calibrated_probs=np.array(obj["calibrated_probs"], dtype=float),
-        ),
-    ))
+    pairs = _accepted(args.pairs, jsonio.load_lines(args.pairs, jsonio.kl_pair_from_dict))
     annotations = _accepted(args.annotations, jsonio.load_lines(
-        args.annotations,
-        lambda obj: reprgeo.TokenAnnotation(
-            position=int(obj["position"]),
-            type=reprgeo.TokenType(obj["type"]),
-        ),
+        args.annotations, jsonio.kl_annotation_from_dict
     ))
     table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
     rows = {
@@ -804,10 +711,7 @@ def main(argv=None) -> int:
         print(f"uncal: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except IoError as exc:
-        print(f"uncal: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"uncal: {exc}", file=sys.stderr)
         return 2
     except (UncalError, ValueError) as exc:

@@ -60,7 +60,7 @@ class AlignmentError(UncalError):
 
 
 class UndefinedMetric(UncalError):
-    """A rank metric needs both classes present."""
+    """A rank metric needs both classes present and finite scores."""
 
 
 class ShapeError(UncalError):

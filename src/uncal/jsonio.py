@@ -1,6 +1,7 @@
 """JSON Lines record streams and deterministic report serialization.
 
-Loading is strict: every line is validated against the record schema, invalid
+Loading is strict: every line is read by the one table of its line kind
+(`PREDICTION`, `RAG_TRACE`, `SPACE`, `KL_PAIR`, `KL_ANNOTATION`), invalid
 lines are returned with their line numbers (the messages carry no location;
 callers prefix `path:line:` once), and a file where more than half the lines
 fail is rejected outright. Report writing controls float formatting
@@ -10,17 +11,20 @@ configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import CorruptInput, IoError
+from .errors import CorruptInput, IoError, ShapeError
 from .ragctl import RagTraceRecord
+from .reprgeo import TokenAnnotation, TokenDistPair, TokenType
 from .rewards import (
     EmissionEvent,
     MatchResult,
@@ -28,18 +32,7 @@ from .rewards import (
     PredictionRecord,
     scan_emissions,
 )
-
-_PRED_FIELDS = {
-    "qid", "dataset", "question", "gold_answers", "response_text",
-    "extracted_answer", "verbal_confidence", "emissions",
-    "response_token_count", "token_probs", "p_affirmative", "match",
-}
-_RAG_FIELDS = {
-    "qid", "dataset", "gold_answers", "noret_answer", "noret_confidence",
-    "noret_emissions", "noret_probe_score", "noret_token_probs", "ret_answer",
-    "noret_response_text", "external_trigger",
-}
-
+from .trajspace import Trajectory, TrajectorySpace
 
 # ---------------------------------------------------------------------------
 # Canonical serialization
@@ -159,7 +152,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Record <-> dict
+# Writing records
 # ---------------------------------------------------------------------------
 
 
@@ -194,130 +187,6 @@ def prediction_to_dict(record: PredictionRecord) -> dict:
     return out
 
 
-def _require(obj: dict, key: str, kind):
-    if key not in obj:
-        raise ValueError(f"missing required field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"field {key!r} has wrong type")
-    return value
-
-
-def _golds(obj: dict) -> tuple[str, ...]:
-    golds = _require(obj, "gold_answers", list)
-    if not golds or not all(isinstance(g, str) for g in golds):
-        raise ValueError("gold_answers must be non-empty strings")
-    return tuple(golds)
-
-
-# JSON numbers decode to exactly these types; bool (an int subclass) is not one
-_NUMBER_TYPES = (int, float)
-
-
-def _optional(obj: dict, key: str, types: tuple, what: str):
-    """Optional field whose value must have exactly one of `types`."""
-    value = obj.get(key)
-    if value is not None and type(value) not in types:
-        raise ValueError(f"{key} must be {what}")
-    return value
-
-
-def _probability(obj: dict, key: str) -> float | None:
-    """Optional number in [0,1]."""
-    value = obj.get(key)
-    if value is None:
-        return None
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{key} must be a number")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{key} outside [0,1]")
-    return float(value)
-
-
-def _token_probs(obj: dict, key: str) -> tuple[float, ...] | None:
-    """Optional list of numbers in (0,1]."""
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(
-        type(p) in _NUMBER_TYPES and 0.0 < p <= 1.0 for p in value
-    ):
-        raise ValueError(f"{key} must be numbers in (0,1]")
-    return tuple(map(float, value))
-
-
-def _count(obj: dict, key: str) -> int | None:
-    """Optional nonnegative integer."""
-    value = obj.get(key)
-    if value is not None and (type(value) is not int or value < 0):
-        raise ValueError(f"{key} must be a nonnegative int")
-    return value
-
-
-def _check_fields(obj, known: set[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown fields {sorted(unknown)}")
-
-
-def prediction_from_dict(obj: dict) -> PredictionRecord:
-    _check_fields(obj, _PRED_FIELDS)
-    qid = _require(obj, "qid", str)
-    golds = _golds(obj)
-    text = _require(obj, "response_text", str)
-    emissions_raw = obj.get("emissions")
-    if emissions_raw is None:
-        emissions = tuple(scan_emissions(text))
-    else:
-        if not isinstance(emissions_raw, list):
-            raise ValueError("emissions must be a list")
-        emissions = tuple(map(_emission, emissions_raw))
-    count = _count(obj, "response_token_count")
-    if count is None:
-        count = len(text.split())
-    return PredictionRecord(
-        qid=qid,
-        dataset=str(obj.get("dataset", "")),
-        question=str(obj.get("question", "")),
-        gold_answers=golds,
-        response_text=text,
-        extracted_answer=_optional(obj, "extracted_answer", (str,), "a string"),
-        verbal_confidence=_probability(obj, "verbal_confidence"),
-        emissions=emissions,
-        response_token_count=count,
-        token_probs=_token_probs(obj, "token_probs"),
-        p_affirmative=_probability(obj, "p_affirmative"),
-        match=_match(obj.get("match")),
-    )
-
-
-def _emission(obj) -> EmissionEvent:
-    if not isinstance(obj, dict):
-        raise ValueError("each emission must be a JSON object")
-    position = _count(obj, "char_position")
-    if position is None:
-        raise ValueError("emission without char_position")
-    return EmissionEvent(char_position=position, token_index=_count(obj, "token_index"))
-
-
-def _match(obj) -> MatchResult | None:
-    """A cached match block: boolean `correct`, a known `rule`, `f1` in [0,1]."""
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ValueError("match must be a JSON object")
-    f1 = _probability(obj, "f1")
-    if f1 is None:
-        raise ValueError("match without f1")
-    return MatchResult(
-        correct=_require(obj, "correct", bool),
-        rule=MatchRule(_require(obj, "rule", str)),
-        f1=f1,
-    )
-
-
 def rag_to_dict(record: RagTraceRecord) -> dict:
     out = {
         "qid": record.qid,
@@ -340,26 +209,211 @@ def rag_to_dict(record: RagTraceRecord) -> dict:
     return out
 
 
-def rag_from_dict(obj: dict) -> RagTraceRecord:
-    _check_fields(obj, _RAG_FIELDS)
-    qid = _require(obj, "qid", str)
-    golds = _golds(obj)
-    noret = _require(obj, "noret_answer", str)
-    ret = _require(obj, "ret_answer", str)
-    probe_score = _optional(obj, "noret_probe_score", _NUMBER_TYPES, "a number")
-    return RagTraceRecord(
-        qid=qid,
-        dataset=str(obj.get("dataset", "")),
-        gold_answers=golds,
-        noret_answer=noret,
-        ret_answer=ret,
-        noret_confidence=_probability(obj, "noret_confidence"),
-        noret_emissions=_count(obj, "noret_emissions") or 0,
-        noret_probe_score=None if probe_score is None else float(probe_score),
-        noret_token_probs=_token_probs(obj, "noret_token_probs"),
-        noret_response_text=_optional(obj, "noret_response_text", (str,), "a string"),
-        external_trigger=_optional(obj, "external_trigger", (bool,), "true or false"),
+# ---------------------------------------------------------------------------
+# Reading: value readers, one table per line kind, one function for all tables
+# ---------------------------------------------------------------------------
+
+# JSON numbers decode to exactly these types; bool (an int subclass) is not one
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    # `json` also reads NaN and Infinity; the range test refuses them, and
+    # ints too large for a float
+    return type(value) in _NUMBER_TYPES and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _reader(valid, what: str):
+    """Reader of the values `valid` accepts. A reader takes the field name for
+    its message and a decoded JSON value, and returns the value or raises
+    ValueError naming the field."""
+
+    def read(name: str, value):
+        if not valid(value):
+            raise ValueError(f"{name} must be {what}")
+        return value
+
+    return read
+
+
+def _typed(kind: type, what: str):
+    """Reader of the values of exactly type `kind` (so a bool is no int).
+    Strings are most of the fields read, so this costs one call, not two."""
+
+    def read(name: str, value):
+        if type(value) is not kind:
+            raise ValueError(f"{name} must be {what}")
+        return value
+
+    return read
+
+
+read_string = _typed(str, "a string")
+read_int = _typed(int, "an integer")
+read_bool = _typed(bool, "true or false")
+read_strings = _reader(
+    lambda v: type(v) is list and v != [] and all(type(s) is str for s in v),
+    "a non-empty list of strings",
+)
+read_number = _reader(_finite, "a finite number")
+read_numbers = _reader(
+    lambda v: type(v) is list and all(map(_finite, v)), "a list of finite numbers"
+)
+read_probabilities = _reader(
+    lambda v: type(v) is list
+    and all(type(p) in _NUMBER_TYPES and 0.0 <= p <= 1.0 for p in v),
+    "numbers in [0,1]",
+)
+read_token_probs = _reader(
+    lambda v: type(v) is list
+    and all(type(p) in _NUMBER_TYPES and 0.0 < p <= 1.0 for p in v),
+    "numbers in (0,1]",
+)
+read_count = _reader(lambda v: type(v) is int and v >= 0, "a nonnegative int")
+
+
+def read_probability(name: str, value) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{name} must be a number")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} outside [0,1]")
+    return value
+
+
+def read_enum(kind: type[enum.Enum]):
+    """Reader of the value string of one member of `kind`."""
+    members = {member.value: member for member in kind}
+
+    def read(name: str, value):
+        if type(value) is not str or value not in members:
+            raise ValueError(f"{name} must be one of {sorted(members)}, got {value!r}")
+        return members[value]
+
+    return read
+
+
+def read_object(table: dict, build):
+    """Reader of a nested object: `build(**fields)` of its fields read by `table`."""
+    return lambda name, value: build(**read_table(table, value, name))
+
+
+def read_objects(table: dict, build):
+    """Reader of a list of objects, each read as by `read_object(table, build)`."""
+
+    def read(name: str, value):
+        if type(value) is not list:
+            raise ValueError(f"{name} must be a list of JSON objects")
+        return tuple(build(**read_table(table, v, name)) for v in value)
+
+    return read
+
+
+REQUIRED = object()  # the default of a field every object must carry
+
+# {field: (reader, default or REQUIRED)}, one table per line kind
+EMISSION = {"char_position": (read_count, REQUIRED), "token_index": (read_count, None)}
+MATCH = {
+    "correct": (read_bool, REQUIRED),
+    "rule": (read_enum(MatchRule), REQUIRED),
+    "f1": (read_probability, REQUIRED),
+}
+PREDICTION = {
+    "qid": (read_string, REQUIRED),
+    "dataset": (read_string, ""),
+    "question": (read_string, ""),
+    "gold_answers": (read_strings, REQUIRED),
+    "response_text": (read_string, REQUIRED),
+    "extracted_answer": (read_string, None),
+    "verbal_confidence": (read_probability, None),
+    "emissions": (read_objects(EMISSION, EmissionEvent), None),  # None: scanned
+    "response_token_count": (read_count, None),  # None: whitespace tokens
+    "token_probs": (read_token_probs, None),
+    "p_affirmative": (read_probability, None),
+    "match": (read_object(MATCH, MatchResult), None),
+}
+RAG_TRACE = {
+    "qid": (read_string, REQUIRED),
+    "dataset": (read_string, ""),
+    "gold_answers": (read_strings, REQUIRED),
+    "noret_answer": (read_string, REQUIRED),
+    "ret_answer": (read_string, REQUIRED),
+    "noret_confidence": (read_probability, None),
+    "noret_emissions": (read_count, 0),
+    "noret_probe_score": (read_number, None),
+    "noret_token_probs": (read_token_probs, None),
+    "noret_response_text": (read_string, None),
+    "external_trigger": (read_bool, None),
+}
+TRAJECTORY = {
+    "id": (read_string, REQUIRED),
+    "answer": (read_string, REQUIRED),
+    "confidence": (read_probability, REQUIRED),
+    "base_prob": (read_probability, REQUIRED),
+}
+SPACE = {
+    "gold_answer": (read_string, REQUIRED),
+    "trajectories": (read_objects(TRAJECTORY, dict), REQUIRED),
+}
+KL_PAIR = {
+    "position": (read_count, REQUIRED),
+    "base_probs": (read_probabilities, REQUIRED),
+    "calibrated_probs": (read_probabilities, REQUIRED),
+}
+KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenType), REQUIRED)}
+
+
+def read_table(table: dict, obj, name: str = "line") -> dict:
+    """The fields of the JSON object `obj` read by `table`. An absent field
+    takes its default, and so does a null where the default is None. Rejects
+    a non-object, unknown fields, a missing required field and any value its
+    reader refuses."""
+    if type(obj) is not dict:
+        raise ValueError(f"{name} must be a JSON object")
+    out = {}
+    absent = 0
+    for key, (read, default) in table.items():
+        value = obj.get(key)
+        if value is not None or (default is not None and key in obj):
+            out[key] = read(key, value)
+        elif default is REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        else:
+            out[key] = default
+            absent += key not in obj
+    # the keys of `obj` beyond the table fields it holds are unknown
+    if len(obj) > len(table) - absent:
+        raise ValueError(f"unknown fields {sorted(obj.keys() - table.keys())}")
+    return out
+
+
+def _parser(table: dict, build):
+    """`obj -> record` for the lines of one table."""
+    return lambda obj: build(**read_table(table, obj))
+
+
+def prediction_from_dict(obj) -> PredictionRecord:
+    fields = read_table(PREDICTION, obj)
+    text = fields["response_text"]
+    if fields["emissions"] is None:
+        fields["emissions"] = tuple(scan_emissions(text))
+    if fields["response_token_count"] is None:
+        fields["response_token_count"] = len(text.split())
+    return PredictionRecord(**fields)
+
+
+def space_from_dict(obj) -> TrajectorySpace:
+    fields = read_table(SPACE, obj)
+    gold = fields["gold_answer"]
+    return TrajectorySpace(
+        tuple(Trajectory(**t, correct=t["answer"] == gold) for t in fields["trajectories"]),
+        gold,
     )
+
+
+rag_from_dict = _parser(RAG_TRACE, RagTraceRecord)
+kl_pair_from_dict = _parser(KL_PAIR, TokenDistPair)
+kl_annotation_from_dict = _parser(KL_ANNOTATION, TokenAnnotation)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +429,9 @@ class LoadResult:
 
 
 def load_lines(path, parse: Callable[[dict], object]) -> LoadResult:
-    """Parse every nonblank line with `parse`. A line that is not JSON, or
-    that `parse` rejects (ValueError, KeyError, TypeError), becomes an error
-    entry (line number, message) instead of a record."""
+    """Parse every nonblank line with `parse`, one of the `*_from_dict`
+    functions. A line that is not JSON, or that `parse` rejects, becomes an
+    error entry (line number, message) instead of a record."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -396,9 +450,7 @@ def load_lines(path, parse: Callable[[dict], object]) -> LoadResult:
             continue
         try:
             records.append(parse(obj))
-        except KeyError as exc:
-            errors.append((i, f"missing field {exc.args[0]!r}"))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, ShapeError) as exc:
             errors.append((i, str(exc)))
     if total and len(errors) > total / 2:
         raise CorruptInput(

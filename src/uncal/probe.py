@@ -101,9 +101,6 @@ class ProbeModel:
         phi = (x - self.feature_means) / self.feature_stds
         return _sigmoid(phi @ self.weights + self.bias)
 
-    def decide(self, features) -> np.ndarray:
-        return self.scores(features) >= self.threshold
-
 
 def _as_matrix(features) -> np.ndarray:
     if isinstance(features, np.ndarray):
@@ -164,6 +161,9 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("AUROC needs both classes")
+    if not np.all(np.isfinite(s)):
+        # the tie loop below never advances past a NaN (NaN != NaN)
+        raise UndefinedMetric("AUROC needs finite scores")
     order = np.argsort(s, kind="mergesort")
     ranks = np.empty(len(s), dtype=float)
     sorted_scores = s[order]
@@ -188,6 +188,8 @@ def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos = int(np.sum(y == 1))
     if n_pos == 0 or int(np.sum(y == 0)) == 0:
         raise UndefinedMetric("AUPRC needs both classes")
+    if not np.all(np.isfinite(s)):
+        raise UndefinedMetric("AUPRC needs finite scores")
     order = np.argsort(-s, kind="mergesort")
     s_sorted = s[order]
     y_sorted = y[order]

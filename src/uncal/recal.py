@@ -31,7 +31,7 @@ CONF_CLAMP = 1e-4
 LOG_T_RANGE = (-5.0, 5.0)
 GOLDEN_TOL = 1e-6
 ATS_TEMPERATURE_FLOOR = 0.05
-ATS_FEATURE_NAMES = ("conf_logit", "response_length", "answer_length", "reasoning_depth")
+DEFAULT_ATS_L2 = 1e-3
 
 
 def _clamp_conf(c: float) -> float:
@@ -210,7 +210,7 @@ def _standardize(features):
 
 def fit_ats(
     records: Sequence[PredictionRecord],
-    l2: float = 0.0,
+    l2: float = DEFAULT_ATS_L2,
     f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> AtsModel:
     """Fit adaptive temperature scaling with `optim.minimize` (Newton-CG).

@@ -109,8 +109,7 @@ def kl_by_type(
 
 
 def _as_2d(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(x, dtype=float)
     if values.ndim != 2:
         raise ShapeError("expected a 2-dimensional matrix")
     return values
@@ -145,7 +144,7 @@ class PcaResult:
     components: np.ndarray  # k x dims, rows unit-norm
 
 
-def pca_project(x, k: int, seed: int = 0, iters: int = PCA_ITERS, tol: float = PCA_TOL) -> PcaResult:
+def pca_project(x, k: int, seed: int = 0) -> PcaResult:
     """Top-k principal components via power iteration with deflation.
 
     Deterministic: start vectors come from a seeded generator and each
@@ -169,13 +168,13 @@ def pca_project(x, k: int, seed: int = 0, iters: int = PCA_ITERS, tol: float = P
     for _ in range(k):
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        for _ in range(iters):
+        for _ in range(PCA_ITERS):
             av = work @ v
             norm = np.linalg.norm(av)
             if norm < 1e-300:
                 break  # deflated to (numerical) zero; eigenvalue is 0
             nxt = av / norm
-            if np.linalg.norm(nxt - v) < tol:
+            if np.linalg.norm(nxt - v) < PCA_TOL:
                 v = nxt
                 break
             v = nxt
@@ -231,6 +230,9 @@ def embedding_drift_report(
         raise ValueError("row sets must be non-empty")
     if set(interest) & set(baseline):
         raise ValueError("row sets must be disjoint")
+    for i in interest + baseline:
+        if not 0 <= i < base.shape[0]:
+            raise ValueError(f"row index {i} outside 0..{base.shape[0] - 1}")
 
     def row_drift(indices):
         drifts = []

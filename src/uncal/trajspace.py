@@ -95,9 +95,6 @@ class TrajectorySpace:
     def probs(self) -> np.ndarray:
         return np.array([t.base_prob for t in self.trajectories], dtype=float)
 
-    def answers(self) -> tuple[str, ...]:
-        return tuple(t.answer for t in self.trajectories)
-
     def with_probs(self, probs: Sequence[float]) -> "TrajectorySpace":
         """Copy of this space with replaced base probabilities."""
         if len(probs) != len(self.trajectories):
@@ -392,8 +389,8 @@ def iterate_tilt(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (one JSON object per space) and the random-space generator
-# used by the verification sweeps.
+# Writing (one JSON object per space; `jsonio.space_from_dict` reads it) and
+# the random-space generator used by the verification sweeps.
 # ---------------------------------------------------------------------------
 
 
@@ -410,27 +407,6 @@ def space_to_dict(space: TrajectorySpace) -> dict:
             for t in space.trajectories
         ],
     }
-
-
-def space_from_dict(obj: Mapping) -> TrajectorySpace:
-    gold = obj["gold_answer"]
-    if not isinstance(gold, str):
-        raise ValueError("gold_answer must be a string")
-    rows = obj["trajectories"]
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("trajectories must be a non-empty list")
-    trajs = []
-    for row in rows:
-        trajs.append(
-            Trajectory(
-                id=str(row["id"]),
-                answer=str(row["answer"]),
-                confidence=float(row["confidence"]),
-                base_prob=float(row["base_prob"]),
-                correct=str(row["answer"]) == gold,
-            )
-        )
-    return TrajectorySpace(tuple(trajs), gold)
 
 
 _ALPHABET = ("A", "B", "C")

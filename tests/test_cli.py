@@ -12,6 +12,8 @@ from uncal import jsonio, matio, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, BadField, CorruptInput, MissingField
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
+from uncal.ragctl import RagTraceRecord
+from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
 
 from conftest import planted_stack
 
@@ -135,6 +137,14 @@ class TestExitCodes:
                      "--interest", "0,x", "--baseline", "1"]) == 1
         err = capsys.readouterr().err
         assert "bad --interest value '0,x'" in err and "usage: uncal" in err
+
+    @pytest.mark.parametrize("interest", ["100", "-1"])
+    def test_drift_row_outside_the_matrix_exits_one(self, tmp_path, capsys, interest):
+        matio.write_matrix(tmp_path / "x.mat", np.arange(1.0, 16.0).reshape(5, 3))
+        assert main(["repr", "drift", "--base", str(tmp_path / "x.mat"),
+                     "--cal", str(tmp_path / "x.mat"),
+                     "--interest", interest, "--baseline", "1"]) == 1
+        assert f"row index {interest} outside 0..4" in capsys.readouterr().err
 
     def test_non_finite_matrix_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "nan.mat"
@@ -550,6 +560,146 @@ class TestPredictionLoaderChecks:
         path = _write_lines(tmp_path / "p.jsonl", [self.GOOD, self.GOOD | fields, self.GOOD])
         [(line, message)] = load_predictions(path).errors
         assert line == 2 and named in message
+
+
+class TestTableRejections:
+    """Values the loaders once coerced into plausible ones (a dataset named
+    "None", a position 2.7 read as 2, booleans read as 1.0 and 0.0). Each line
+    is now rejected as `path:line: message` naming the field, and the command
+    goes on with the other lines."""
+
+    @staticmethod
+    def rejected(capsys, path) -> str:
+        [line] = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith(f"{path}:")]
+        assert line.startswith(f"{path}:2: ")
+        return line
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"dataset": None}, "dataset"), ({"question": 3}, "question"),
+    ])
+    def test_prediction(self, tmp_path, capsys, fields, named):
+        good = {"qid": "g", "gold_answers": ["a"], "response_text": "Answer: a",
+                "verbal_confidence": 0.5}
+        path = _write_lines(tmp_path / "p.jsonl", [good, good | fields, good])
+        assert main(["calib", "--in", str(path), "--out", str(tmp_path / "c.json")]) == 0
+        assert named in self.rejected(capsys, path)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"dataset": None}, "dataset"), ({"dataset": 3}, "dataset"),
+        ({"noret_probe_score": float("nan")}, "noret_probe_score"),
+    ])
+    def test_rag_trace(self, tmp_path, capsys, fields, named):
+        good = {"qid": "r", "gold_answers": ["a"], "noret_answer": "b", "ret_answer": "a",
+                "dataset": "nq", "noret_emissions": 1, "noret_probe_score": 0.9}
+        path = _write_lines(tmp_path / "t.jsonl", [good, good | fields, good])
+        out = tmp_path / "r.json"
+        assert main(["rag", "--policy", "emit+probe:0.5", "--in", str(path),
+                     "--out", str(out)]) == 0
+        assert named in self.rejected(capsys, path)
+        report = json.loads(out.read_text())
+        assert list(report["per_dataset"]) == ["nq"] and report["overall"]["n"] == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 1), ("answer", 7), ("confidence", "0.5"), ("base_prob", True),
+    ])
+    def test_space_trajectory(self, tmp_path, capsys, field, value):
+        def space(first=None):
+            trajectories = [{"id": "t0", "answer": "A", "confidence": 0.5, "base_prob": 1.0},
+                            {"id": "t1", "answer": "B", "confidence": 0.5, "base_prob": 0.0}]
+            trajectories[0].update(first or {})
+            return {"gold_answer": "A", "trajectories": trajectories}
+
+        path = _write_lines(tmp_path / "s.jsonl", [space(), space({field: value}), space()])
+        assert main(["theory", "verify", "--in", str(path),
+                     "--out", str(tmp_path / "v.jsonl")]) == 0
+        assert field in self.rejected(capsys, path)
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"position": 2.7}, "position"),
+        ({"base_probs": [True, False]}, "base_probs"),
+        ({"calibrated_probs": ["0.5", "0.5"]}, "calibrated_probs"),
+        ({"base_probs": [float("nan"), 1.0]}, "base_probs"),
+        ({"base_probs": [1.0]}, "equal-length"),  # ended the whole command at the parent
+    ])
+    def test_kl_pair(self, tmp_path, capsys, fields, named):
+        pair = {"position": 0, "base_probs": [0.5, 0.5], "calibrated_probs": [0.4, 0.6]}
+        pairs = _write_lines(tmp_path / "pairs.jsonl",
+                             [pair, pair | {"position": 2} | fields, pair | {"position": 1}])
+        ann = _write_lines(tmp_path / "ann.jsonl",
+                           [{"position": k, "type": "ReasoningToken"} for k in range(3)])
+        out = tmp_path / "kl.json"
+        assert main(["repr", "kl", "--pairs", str(pairs), "--annotations", str(ann),
+                     "--out", str(out)]) == 0
+        assert named in self.rejected(capsys, pairs)
+        assert json.loads(out.read_text())["by_type"]["ReasoningToken"]["count"] == 2
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"position": 1.5}, "position"), ({"type": "Digit"}, "type"),
+    ])
+    def test_kl_annotation(self, tmp_path, capsys, fields, named):
+        pair = {"position": 0, "base_probs": [0.5, 0.5], "calibrated_probs": [0.4, 0.6]}
+        pairs = _write_lines(tmp_path / "pairs.jsonl", [pair, pair | {"position": 1}])
+        note = {"position": 0, "type": "ReasoningToken"}
+        ann = _write_lines(tmp_path / "ann.jsonl", [note, note | fields, note | {"position": 1}])
+        assert main(["repr", "kl", "--pairs", str(pairs), "--annotations", str(ann),
+                     "--out", str(tmp_path / "kl.json")]) == 0
+        assert named in self.rejected(capsys, ann)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_PROB = st.floats(0.0, 1.0)
+_TOKEN_PROBS = st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4).map(tuple)
+_GOLDS = st.lists(_TEXT, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _predictions(draw) -> PredictionRecord:
+    text = draw(_TEXT)
+    positions = sorted(draw(st.sets(st.integers(0, max(len(text) - 1, 0)), max_size=3)))
+    return PredictionRecord(
+        qid=draw(_TEXT), gold_answers=draw(_GOLDS), response_text=text,
+        dataset=draw(_TEXT), question=draw(_TEXT),
+        extracted_answer=draw(st.none() | _TEXT),
+        verbal_confidence=draw(st.none() | _PROB),
+        emissions=tuple(EmissionEvent(p, draw(st.none() | st.integers(0, 99)))
+                        for p in positions),
+        response_token_count=draw(st.integers(0, 10**6)),
+        token_probs=draw(st.none() | _TOKEN_PROBS),
+        p_affirmative=draw(st.none() | _PROB),
+        match=draw(st.none() | st.builds(MatchResult, st.booleans(),
+                                         st.sampled_from(MatchRule), _PROB)),
+    )
+
+
+_RAG_TRACES = st.builds(
+    RagTraceRecord,
+    qid=_TEXT, gold_answers=_GOLDS, noret_answer=_TEXT, ret_answer=_TEXT, dataset=_TEXT,
+    noret_confidence=st.none() | _PROB,
+    noret_emissions=st.integers(0, 99),
+    noret_probe_score=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    noret_token_probs=st.none() | _TOKEN_PROBS,
+    noret_response_text=st.none() | _TEXT,
+    external_trigger=st.none() | st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predictions())
+def test_prediction_writer_loader_round_trip(record):
+    line = jsonio.dumps_canonical(prediction_to_dict(record))
+    again = jsonio.prediction_from_dict(json.loads(line))
+    assert again == record
+    assert jsonio.dumps_canonical(prediction_to_dict(again)) == line
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RAG_TRACES)
+def test_rag_writer_loader_round_trip(record):
+    line = jsonio.dumps_canonical(jsonio.rag_to_dict(record))
+    again = jsonio.rag_from_dict(json.loads(line))
+    assert again == record
+    assert jsonio.dumps_canonical(jsonio.rag_to_dict(again)) == line
 
 
 class TestMissingFields:

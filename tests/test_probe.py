@@ -166,6 +166,15 @@ class TestRankMetrics:
         with pytest.raises(UndefinedMetric):
             probe.auprc([0.4, 0.6], [0, 0])
 
+    def test_auroc_rejects_nan_score(self):
+        # NaN != NaN, so the tie loop would never advance past it
+        with pytest.raises(UndefinedMetric, match="finite"):
+            probe.auroc([0.1, float("nan"), 0.3], [0, 1, 1])
+
+    def test_auprc_rejects_nan_score(self):
+        with pytest.raises(UndefinedMetric, match="finite"):
+            probe.auprc([0.1, float("nan"), 0.3], [0, 1, 1])
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.0, 1.0, 60)

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import uncal
 from uncal import jsonio, recal
 from uncal.cli import main
 from uncal.errors import DegenerateFit
@@ -221,3 +223,15 @@ def test_fits_score_each_record_once(rng, monkeypatch):
     recal.fit_global_ts(records)
     recal.fit_ats(records, l2=0.01)
     assert len(matches) == len(confidences) == 2 * len(records)
+
+
+def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):
+    # unpenalized, the 19 usable fixture records have no finite minimizer:
+    # the weights ran into the thousands while the fit reported convergence
+    fixture = str(uncal.fixture_path("preds20.jsonl"))
+    model = tmp_path / "ats.json"
+    assert main(["recal", "ats", "--fit", fixture, "--apply", fixture,
+                 "--out", str(tmp_path / "out.jsonl"), "--model-out", str(model)]) == 0
+    report = json.loads(model.read_text())
+    assert report["l2"] == recal.DEFAULT_ATS_L2
+    assert max(abs(w) for w in report["weights"]) < 10
