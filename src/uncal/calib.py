@@ -2,9 +2,9 @@
 
 Every metric reads one `ScoredBatch` (`rewards.score_predictions`): each
 record's confidence and correctness are computed once, however many metrics a
-report holds. `calibration_report` and `error_taxonomy` take the batch; the
-single-metric functions (`ece`, `brier`, `nll`, `ausc`) score their records
-and delegate.
+report holds. `calibration_report` computes every metric of a batch and
+`error_taxonomy` splits its wrong answers; there is no single-metric entry
+point.
 
 Records without a parseable confidence are excluded from confidence metrics
 but still count toward accuracy and the parse rate. All aggregations are pure
@@ -16,15 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import EmptyBatch
-from .rewards import (
-    DEFAULT_F1_THRESHOLD,
-    PredictionRecord,
-    ScoredBatch,
-    score_predictions,
-)
+from .rewards import ScoredBatch
 
 DEFAULT_ECE_BINS = 10
 DEFAULT_NLL_EPSILON = 1e-6
@@ -81,16 +75,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must lie in (0, 0.5)")
 
 
-def ece(
-    records: Sequence[PredictionRecord],
-    num_bins: int = DEFAULT_ECE_BINS,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> float:
-    """Expected calibration error over equal-width confidence bins."""
-    _check_bins(num_bins)
-    return _ece(_usable(score_predictions(records, f1_threshold)), num_bins)
-
-
 def _fill_bins(rows, num_bins):
     bins = [[] for _ in range(num_bins)]
     for conf, correct, _ in rows:
@@ -100,6 +84,7 @@ def _fill_bins(rows, num_bins):
 
 
 def _ece(rows, num_bins):
+    """Expected calibration error over equal-width confidence bins."""
     n = len(rows)
     total = 0.0
     for members in _fill_bins(rows, num_bins):
@@ -126,29 +111,14 @@ def _calib_bins(rows, num_bins):
     return tuple(out)
 
 
-def brier(
-    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> float:
-    """Mean squared gap between confidence and the 0/1 outcome."""
-    return _brier(_usable(score_predictions(records, f1_threshold)))
-
-
 def _brier(rows):
+    """Mean squared gap between confidence and the 0/1 outcome."""
     return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y, _ in rows) / len(rows)
 
 
-def nll(
-    records: Sequence[PredictionRecord],
-    epsilon: float = DEFAULT_NLL_EPSILON,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> float:
+def _nll(rows, epsilon):
     """Mean negative log-likelihood of the outcome under the stated confidence,
     with confidences clamped to [epsilon, 1 - epsilon] to stay finite."""
-    _check_epsilon(epsilon)
-    return _nll(_usable(score_predictions(records, f1_threshold)), epsilon)
-
-
-def _nll(rows, epsilon):
     total = 0.0
     for conf, correct, _ in rows:
         p = conf if correct else 1.0 - conf
@@ -156,9 +126,7 @@ def _nll(rows, epsilon):
     return total / len(rows)
 
 
-def ausc(
-    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> float:
+def _ausc(rows):
     """Area under the selective accuracy vs. coverage curve.
 
     Records are ranked by confidence descending (ties broken by qid for a
@@ -169,10 +137,6 @@ def ausc(
     accuracy. Grouping ties makes the value invariant to duplicating every
     record.
     """
-    return _ausc(_usable(score_predictions(records, f1_threshold)))
-
-
-def _ausc(rows):
     rows = sorted(rows, key=lambda t: (-t[0], t[2]))
     n = len(rows)
     points = []  # (coverage, selective accuracy) at each distinct confidence

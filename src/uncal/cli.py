@@ -1,9 +1,10 @@
 """`uncal` command line: deterministic orchestration over trace files.
 
 Every subcommand reads files, writes files, and embeds its fully resolved
-configuration in the report it emits. Identical configurations (and seed)
-produce byte-identical outputs. Exit codes: 0 success, 1 validation or usage
-failure, 2 I/O failure.
+configuration in the report it emits. Identical configurations produce
+byte-identical outputs. `--seed` (or `UNCAL_SEED`) is read only by the probe's
+train/dev split, so only `probe sweep` and `probe fit` record it. Exit codes:
+0 success, 1 validation or usage failure, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized procedures (UNCAL_SEED overrides)")
+                        help="seed of the probe's qid split (UNCAL_SEED overrides)")
     sub = parser.add_subparsers()
 
     theory = sub.add_parser("theory", help="tilted-policy verification").add_subparsers()
@@ -268,16 +269,14 @@ def _cmd_calib(args) -> int:
     batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     payload = {
-        "schema": "uncal-calib-report-v1",
+        "schema": "uncal-calib-report-v2",
         "config": {
             "input": str(args.input),
             "bins": args.bins,
             "nll_epsilon": args.nll_epsilon,
             "f1_threshold": args.f1_threshold,
-            "seed": _resolve_seed(args),
         },
         **asdict(report),
-        "bins_used": args.bins,
         "error_taxonomy": asdict(calib.error_taxonomy(batch)),
     }
     _emit(args, payload)
@@ -321,14 +320,10 @@ def _cmd_recal_ts(args) -> int:
         jsonio.write_report(
             args.model_out,
             {
-                "schema": "uncal-ts-model-v1",
+                "schema": "uncal-ts-model-v2",
                 "temperature": model.temperature,
                 "fit_nll": model.fit_nll,
-                "config": {
-                    "fit": str(args.fit),
-                    "f1_threshold": args.f1_threshold,
-                    "seed": _resolve_seed(args),
-                },
+                "config": {"fit": str(args.fit), "f1_threshold": args.f1_threshold},
             },
         )
     return 0
@@ -345,7 +340,7 @@ def _cmd_recal_ats(args) -> int:
         jsonio.write_report(
             args.model_out,
             {
-                "schema": "uncal-ats-model-v2",
+                "schema": "uncal-ats-model-v3",
                 "weights": list(model.weights),
                 "bias": model.bias,
                 "l2": model.l2,
@@ -358,7 +353,6 @@ def _cmd_recal_ats(args) -> int:
                     "fit": str(args.fit),
                     "l2": args.l2,
                     "f1_threshold": args.f1_threshold,
-                    "seed": _resolve_seed(args),
                 },
             },
         )
@@ -393,13 +387,9 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "qid" not in row:
-            raise MissingField(f"{sidecar}: row {i + 1} has no 'qid' field")
-        members = grouped.setdefault(str(row["qid"]), [])
-        token = row.get("token_index", len(members))
-        if type(token) is not int:
-            raise AlignmentError(f"{mat_path}: sidecar row {i + 1} has token_index {token!r}")
-        members.append((token, i))
+        members = grouped.setdefault(row["qid"], [])
+        token = row["token_index"]
+        members.append((len(members) if token is None else token, i))
     out = {}
     for qid, members in grouped.items():
         members.sort()
@@ -447,28 +437,19 @@ def _cmd_probe_sweep(args) -> int:
     return 0
 
 
-def _probe_dataset(records, stack, window, span_tokens):
-    feats = []
-    labels = []
-    qids = []
-    for record in records:
-        if not record.emissions or record.qid not in stack:
-            continue
-        feats.append(
-            probe.build_features(stack[record.qid], record, window, span_tokens)
-        )
-        labels.append(0 if rewards.record_correct(record) else 1)
-        qids.append(record.qid)
-    return feats, np.asarray(labels, dtype=int), qids
+def _probe_examples(args, window: int, span_tokens: int):
+    """The probe's (features, wrong labels, qids) from `--preds` and the one
+    layer file `--hidden`."""
+    records = _load_preds(args.preds)
+    stack = _load_token_stack(args.hidden)
+    return probe.examples(records, rewards.score_predictions(records), stack,
+                          window, span_tokens)
 
 
 def _cmd_probe_fit(args) -> int:
     seed = _resolve_seed(args)
-    records = _load_preds(args.preds)
-    stack = _load_token_stack(args.hidden)
-    feats, labels, qids = _probe_dataset(records, stack, args.window, args.span_tokens)
+    x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
     train_idx, dev_idx = probe.split_by_qid(qids, seed)
-    x = np.stack([f.vector() for f in feats])
     model = probe.fit_probe(x[train_idx], labels[train_idx], l2=args.l2, layer=args.layer)
     model = probe.tune_threshold(model, x[dev_idx], labels[dev_idx])
     jsonio.write_report(
@@ -542,19 +523,15 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, list[int]]:
 
 def _cmd_probe_eval(args) -> int:
     model, (window, span_tokens) = _load_probe_model(args.model)
-    records = _load_preds(args.preds)
-    stack = _load_token_stack(args.hidden)
-    feats, labels, _ = _probe_dataset(records, stack, window, span_tokens)
-    x = np.stack([f.vector() for f in feats])
+    x, labels, _ = _probe_examples(args, window, span_tokens)
     scores = model.scores(x)
     precision, recall, f1 = probe.trigger_prf(scores, labels, model.threshold)
     payload = {
-        "schema": "uncal-probe-eval-v1",
+        "schema": "uncal-probe-eval-v2",
         "config": {
             "model": str(args.model),
             "hidden": str(args.hidden),
             "preds": str(args.preds),
-            "seed": _resolve_seed(args),
         },
         "n": int(len(labels)),
         "auroc": probe.auroc(scores, labels),
@@ -576,12 +553,11 @@ def _cmd_rag(args) -> int:
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
     payload = {
-        "schema": "uncal-rag-report-v2",
+        "schema": "uncal-rag-report-v3",
         "config": {
             "input": str(args.input),
             "policy": args.policy,
             "f1_threshold": args.f1_threshold,
-            "seed": _resolve_seed(args),
         },
         "overall": asdict(report),
         "per_dataset": {name: asdict(r) for name, r in per_dataset.items()},
@@ -604,8 +580,8 @@ def _cmd_repr_cka(args) -> int:
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
     payload = {
-        "schema": "uncal-repr-cka-v1",
-        "config": {"x": str(args.x), "y": str(args.y), "seed": _resolve_seed(args)},
+        "schema": "uncal-repr-cka-v2",
+        "config": {"x": str(args.x), "y": str(args.y)},
         "cka": reprgeo.linear_cka(x, y),
         "rows": int(x.shape[0]),
     }
@@ -628,12 +604,11 @@ def _cmd_repr_kl(args) -> int:
         for token_type, row in table.items()
     }
     payload = {
-        "schema": "uncal-repr-kl-v1",
+        "schema": "uncal-repr-kl-v2",
         "config": {
             "pairs": str(args.pairs),
             "annotations": str(args.annotations),
             "epsilon": args.epsilon,
-            "seed": _resolve_seed(args),
         },
         "by_type": rows,
     }
@@ -651,12 +626,11 @@ def _cmd_repr_kl(args) -> int:
 
 
 def _cmd_repr_pca(args) -> int:
-    seed = _resolve_seed(args)
     x = matio.read_matrix(args.input)
-    result = reprgeo.pca_project(x, args.k, seed=seed)
+    result = reprgeo.pca_project(x, args.k)
     payload = {
-        "schema": "uncal-repr-pca-v1",
-        "config": {"input": str(args.input), "k": args.k, "seed": seed},
+        "schema": "uncal-repr-pca-v2",
+        "config": {"input": str(args.input), "k": args.k},
         "explained_variance_ratio": [float(v) for v in result.explained_variance_ratio],
     }
     _emit(args, payload)
@@ -672,13 +646,12 @@ def _cmd_repr_drift(args) -> int:
     base = matio.read_matrix(args.base)
     cal = matio.read_matrix(args.cal)
     payload = {
-        "schema": "uncal-repr-drift-v1",
+        "schema": "uncal-repr-drift-v2",
         "config": {
             "base": str(args.base),
             "cal": str(args.cal),
             "interest": args.interest,
             "baseline": args.baseline,
-            "seed": _resolve_seed(args),
         },
         "relative_frobenius_drift": reprgeo.frobenius_drift(base, cal),
     }

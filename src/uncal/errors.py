@@ -56,7 +56,8 @@ class NotEmitted(UncalError):
 
 
 class AlignmentError(UncalError):
-    """Token-aligned hidden states are missing or inconsistent with the record."""
+    """Token-aligned hidden states are missing or inconsistent with the record,
+    or a sidecar row does not say which record and token it holds."""
 
 
 class UndefinedMetric(UncalError):
@@ -72,7 +73,7 @@ class UndefinedSimilarity(UncalError):
 
 
 class MissingField(UncalError):
-    """A model or sidecar file lacks a field the command needs."""
+    """A model file lacks a field the command needs."""
 
 
 class BadField(UncalError):

@@ -1,7 +1,8 @@
 """JSON Lines record streams and deterministic report serialization.
 
 Loading is strict: every line is read by the one table of its line kind
-(`PREDICTION`, `RAG_TRACE`, `SPACE`, `KL_PAIR`, `KL_ANNOTATION`), invalid
+(`PREDICTION`, `RAG_TRACE`, `SPACE`, `KL_PAIR`, `KL_ANNOTATION`, and
+`ROW_ID` for the matrix sidecars that `matio.read_row_ids` reads), invalid
 lines are returned with their line numbers (the messages carry no location;
 callers prefix `path:line:` once), and a file where more than half the lines
 fail is rejected outright. Report writing controls float formatting
@@ -361,6 +362,7 @@ KL_PAIR = {
     "calibrated_probs": (read_probabilities, REQUIRED),
 }
 KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenType), REQUIRED)}
+ROW_ID = {"qid": (read_string, REQUIRED), "token_index": (read_count, None)}  # sidecar rows
 
 
 def read_table(table: dict, obj, name: str = "line") -> dict:

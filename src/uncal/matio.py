@@ -2,8 +2,8 @@
 
 The header is a single ASCII line `UNCAL-MAT v1 rows=<n> dims=<d> dtype=f32le`
 followed by rows*dims little-endian 32-bit floats, all finite. Row identities
-live in a sidecar JSON Lines file, one object per row (for example
-{"qid": ...} or {"qid": ..., "token_index": ...}).
+live in a sidecar JSON Lines file, one object per row read by `jsonio.ROW_ID`:
+a string `qid` and an optional int `token_index` >= 0, nothing else.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError
+from . import jsonio
+from .errors import AlignmentError, IoError
 
 _HEADER_RE = re.compile(rb"^UNCAL-MAT v1 rows=(\d+) dims=(\d+) dtype=f32le\n$")
 
@@ -63,16 +64,23 @@ def write_row_ids(path, rows) -> None:
 
 
 def read_row_ids(path) -> list[dict]:
+    """The sidecar's rows as `{"qid": str, "token_index": int | None}`. Any
+    row the `jsonio.ROW_ID` table refuses fails the whole file, naming the
+    sidecar, the line and the field."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read sidecar {path}: {exc}") from exc
     rows = []
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise IoError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
+            raise IoError(f"{path}:{i}: invalid JSON: {exc}") from exc
+        try:
+            rows.append(jsonio.read_table(jsonio.ROW_ID, obj))
+        except ValueError as exc:
+            raise AlignmentError(f"{path}:{i}: {exc}") from None
     return rows

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import optim
 from .errors import AlignmentError, DegenerateFit, NotEmitted, UndefinedMetric
-from .rewards import (
-    DEFAULT_F1_THRESHOLD,
-    PredictionRecord,
-    first_emit_fraction,
-    record_correct,
-)
+from .rewards import PredictionRecord, ScoredBatch, first_emit_fraction, score_predictions
 
 DEFAULT_WINDOW = 4
 DEFAULT_SPAN_TOKENS = 1
@@ -83,6 +78,34 @@ def build_features(
             float(fraction if fraction is not None else 0.0),
         ),
     )
+
+
+def examples(
+    records: Sequence[PredictionRecord],
+    batch: ScoredBatch,
+    stack: Mapping[str, np.ndarray],
+    window: int = DEFAULT_WINDOW,
+    span_token_count: int = DEFAULT_SPAN_TOKENS,
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(features, wrong labels, qids) of the probe's examples, in record order.
+
+    `batch` is `rewards.score_predictions(records)`; `stack` maps qid ->
+    (tokens x dims) hidden matrix. An example is an emitted record with hidden
+    states in `stack`; its label is 1 where the batch scored it wrong.
+    """
+    rows = []
+    wrong = []
+    qids = []
+    for record, correct in zip(records, batch.correct, strict=True):
+        if not record.emissions or record.qid not in stack:
+            continue
+        features = build_features(stack[record.qid], record, window, span_token_count)
+        rows.append(features.vector())
+        wrong.append(0 if correct else 1)
+        qids.append(record.qid)
+    if not rows:
+        raise AlignmentError("no emitted record has hidden states")
+    return np.stack(rows), np.asarray(wrong, dtype=int), qids
 
 
 @dataclass(frozen=True)
@@ -258,9 +281,10 @@ def tune_threshold(
     return replace(model, threshold=best_threshold)
 
 
-def split_by_qid(qids: Sequence[str], seed: int = 0, train_fraction: float = TRAIN_FRACTION):
-    """Deterministic train/dev split by hashing qids (stable across runs)."""
-    cut = int(round(train_fraction * 100))
+def split_by_qid(qids: Sequence[str], seed: int = 0):
+    """Deterministic train/dev split by hashing qids (stable across runs):
+    about `TRAIN_FRACTION` of them train. The only consumer of `--seed`."""
+    cut = int(round(TRAIN_FRACTION * 100))
     train_idx = []
     dev_idx = []
     for i, qid in enumerate(qids):
@@ -292,31 +316,18 @@ def layer_sweep(
     span_token_count: int = DEFAULT_SPAN_TOKENS,
     l2: float = DEFAULT_L2,
     seed: int = 0,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
 ) -> list[LayerSweepRow]:
     """Full fit + threshold tuning per layer on a fixed qid-hash split.
 
-    `stacks` maps layer -> qid -> (tokens x dims) hidden matrix. Only emitted
-    records with hidden states for the layer participate. Rows come back
-    sorted by layer index.
+    `stacks` maps layer -> qid -> (tokens x dims) hidden matrix. The records
+    are scored once for every layer; see `examples` for which take part. Rows
+    come back sorted by layer index.
     """
+    batch = score_predictions(records)
     rows = []
     for layer in sorted(layers):
-        per_qid = stacks[layer]
-        feats = []
-        labels = []
-        qids = []
-        for record in records:
-            if not record.emissions or record.qid not in per_qid:
-                continue
-            feats.append(
-                build_features(per_qid[record.qid], record, window, span_token_count)
-            )
-            labels.append(0 if record_correct(record, f1_threshold) else 1)
-            qids.append(record.qid)
+        x, y, qids = examples(records, batch, stacks[layer], window, span_token_count)
         train_idx, dev_idx = split_by_qid(qids, seed)
-        x = _as_matrix(feats)
-        y = np.asarray(labels, dtype=int)
         model = fit_probe(x[train_idx], y[train_idx], l2=l2, layer=layer)
         model = tune_threshold(model, x[dev_idx], y[dev_idx])
         dev_scores = model.scores(x[dev_idx])

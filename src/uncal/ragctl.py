@@ -6,9 +6,10 @@ was forced. A policy decides per record whether to retrieve; the simulator
 then scores the resulting final answers and the trigger decisions against the
 pre-retrieval failures.
 
-Scoring and deciding are separate passes. `score_traces` matches both answers
-of every trace once; `decide_all` turns a policy into one boolean per record.
-A `TriggerReport` is then a count over those two passes (`trigger_report`,
+Scoring and deciding are separate passes, and there is no one-call run that
+hides them. `score_traces` matches both answers of every trace once;
+`decide_all` turns a policy into one boolean per record. A `TriggerReport` is
+then a count over those two passes (`trigger_report`,
 `trigger_reports_by_dataset`), so one scoring serves the overall report,
 every dataset and every point of a threshold sweep. A with-retrieval answer
 equal to the no-retrieval one reuses that answer's match.
@@ -146,12 +147,12 @@ def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
 class TriggerReport:
     """Accounting of one policy over one batch.
 
-    Precision, recall, and coverage take the no-retrieval answer's wrongness
-    as reference (the pre-intervention failure set); `wrong_within_triggered`
-    instead looks at the final answers of triggered records, i.e. how much
-    failure survives retrieval. Undefined cells (zero denominators) are None.
-    `trigger_recall` is also the share of no-retrieval failures the policy
-    covers, hence its alias `global_wrong_coverage`.
+    Precision and recall take the no-retrieval answer's wrongness as
+    reference (the pre-intervention failure set), so `trigger_recall` is also
+    the share of no-retrieval failures the policy covers;
+    `wrong_within_triggered` instead looks at the final answers of triggered
+    records, i.e. how much failure survives retrieval. Undefined cells (zero
+    denominators) are None.
     """
 
     n: int
@@ -165,10 +166,6 @@ class TriggerReport:
     trigger_recall: float | None
     untouched_accuracy: float | None
     wrong_within_triggered: float | None
-
-    @property
-    def global_wrong_coverage(self) -> float | None:
-        return self.trigger_recall
 
 
 @dataclass(frozen=True)
@@ -264,17 +261,6 @@ def trigger_reports_by_dataset(
     for i, name in enumerate(scored.dataset):
         members.setdefault(name, []).append(i)
     return {name: _tally(scored, fires, members[name]) for name in sorted(members)}
-
-
-def simulate(
-    policy: ControllerPolicy,
-    records: Sequence[RagTraceRecord],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> TriggerReport:
-    """Run the one-shot retrieval protocol: answer, maybe retrieve, rescore."""
-    records = list(records)
-    fires = decide_all(policy, records)
-    return trigger_report(score_traces(records, f1_threshold), fires)
 
 
 _THRESHOLDED = {

@@ -1,9 +1,9 @@
 """Representation and distribution analytics over recorded matrices.
 
 Covers token-level KL divergence (optionally grouped by token type), linear
-centered kernel alignment between representation matrices, PCA by power
-iteration with deflation, and relative Frobenius drift between weight
-matrices.
+centered kernel alignment between representation matrices, exact PCA from
+one symmetric eigendecomposition of the covariance, and relative Frobenius
+drift between weight matrices. Nothing here draws random numbers.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ShapeError, UndefinedSimilarity
 
 KL_EPSILON = 1e-9
-PCA_ITERS = 1000
-PCA_TOL = 1e-10
 
 
 class TokenType(enum.Enum):
@@ -144,14 +142,18 @@ class PcaResult:
     components: np.ndarray  # k x dims, rows unit-norm
 
 
-def pca_project(x, k: int, seed: int = 0) -> PcaResult:
-    """Top-k principal components via power iteration with deflation.
+def pca_project(x, k: int) -> PcaResult:
+    """Top-k principal components: the eigenvectors of the (dims x dims)
+    sample covariance with the k largest eigenvalues, in descending order.
 
-    Deterministic: start vectors come from a seeded generator and each
-    component's largest-magnitude entry is flipped positive.
+    Exact up to floating point; each component's largest-magnitude entry is
+    made positive, so the output is unique wherever the top k eigenvalues are
+    distinct.
     """
     values = _as_2d(x)
     n, d = values.shape
+    if k < 1:
+        raise ShapeError(f"k={k} must be at least 1")
     if k > d:
         raise ShapeError(f"k={k} exceeds dims={d}")
     if n <= k:
@@ -161,32 +163,11 @@ def pca_project(x, k: int, seed: int = 0) -> PcaResult:
     total_var = float(np.trace(cov))
     if total_var == 0.0:
         raise UndefinedSimilarity("zero-variance matrix has no principal directions")
-    rng = np.random.default_rng(seed)
-    components = []
-    eigenvalues = []
-    work = cov.copy()
-    for _ in range(k):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        for _ in range(PCA_ITERS):
-            av = work @ v
-            norm = np.linalg.norm(av)
-            if norm < 1e-300:
-                break  # deflated to (numerical) zero; eigenvalue is 0
-            nxt = av / norm
-            if np.linalg.norm(nxt - v) < PCA_TOL:
-                v = nxt
-                break
-            v = nxt
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0.0:
-            v = -v
-        lam = float(v @ work @ v)
-        components.append(v)
-        eigenvalues.append(max(lam, 0.0))
-        work = work - lam * np.outer(v, v)
-    comp = np.stack(components)
-    ratios = np.array(eigenvalues) / total_var
+    eigenvalues, vectors = np.linalg.eigh(cov)  # ascending
+    comp = vectors[:, ::-1][:, :k].T
+    peaks = comp[np.arange(k), np.argmax(np.abs(comp), axis=1)]
+    comp = comp * np.sign(peaks)[:, None]
+    ratios = np.maximum(eigenvalues[::-1][:k], 0.0) / total_var
     return PcaResult(
         projection=centered @ comp.T,
         explained_variance_ratio=ratios,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from uncal import ragctl
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import PredictionRecord, scan_emissions
 
@@ -68,6 +69,12 @@ def random_rag_batch(rng: np.random.Generator, n: int):
             )
         )
     return records
+
+
+def run_policy(policy, traces):
+    """One policy's trigger report over `traces`: one scoring pass, one
+    decision pass, as `uncal rag` runs it."""
+    return ragctl.trigger_report(ragctl.score_traces(traces), ragctl.decide_all(policy, traces))
 
 
 def planted_stack(

@@ -135,3 +135,16 @@ def oracle_logistic_gd(phi, y, l2, step=0.1, iters=2000):
         b = b - step * float(np.mean(p - y))
     z = phi @ w + b
     return float(np.mean(np.logaddexp(0.0, z) - y * z)) + l2 * float(w @ w)
+
+
+def oracle_pca(x, k):
+    """PCA from the SVD of the centred matrix, never forming a covariance:
+    the ratios s_i^2 / sum(s^2) and the projections on the top-k right
+    singular vectors (each column's sign is arbitrary)."""
+    import numpy as np
+
+    values = np.asarray(x, dtype=float)
+    centered = values - values.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    power = s**2
+    return power[:k] / power.sum(), centered @ vt[:k].T

@@ -18,9 +18,9 @@ from uncal import trajspace as ts
 from uncal.cli import main
 from uncal.errors import DegenerateRatio, HypothesisViolated
 from uncal.ragctl import ControllerPolicy, PolicyKind
-from uncal.rewards import match_answer
+from uncal.rewards import match_answer, score_predictions
 
-from conftest import make_record, planted_stack, random_batch, random_rag_batch
+from conftest import make_record, planted_stack, random_batch, random_rag_batch, run_policy
 from oracles import (
     oracle_auprc,
     oracle_auroc,
@@ -148,10 +148,11 @@ def test_metric_oracle_equivalence():
     for trial in range(100):
         records, rows = random_batch(rng, int(rng.integers(3, 40)), with_ties=trial % 3 == 0)
         pairs = [(c, y) for c, y, _ in rows]
-        assert abs(calib.ece(records, 10) - oracle_ece(pairs, 10)) < 1e-12
-        assert abs(calib.brier(records) - oracle_brier(pairs)) < 1e-12
-        assert abs(calib.nll(records) - oracle_nll(pairs, 1e-6)) < 1e-12
-        assert abs(calib.ausc(records) - oracle_ausc(rows)) < 1e-12
+        metrics = calib.calibration_report(score_predictions(records), 10, 1e-6)
+        assert abs(metrics.ece - oracle_ece(pairs, 10)) < 1e-12
+        assert abs(metrics.brier - oracle_brier(pairs)) < 1e-12
+        assert abs(metrics.nll - oracle_nll(pairs, 1e-6)) < 1e-12
+        assert abs(metrics.ausc - oracle_ausc(rows)) < 1e-12
 
         scores = [c for c, _, _ in rows]
         labels = [0 if y else 1 for _, y, _ in rows]
@@ -161,7 +162,7 @@ def test_metric_oracle_equivalence():
 
         traces = random_rag_batch(rng, int(rng.integers(2, 25)))
         policy = ControllerPolicy.confidence_threshold(float(rng.uniform(0.0, 1.0)))
-        report = ragctl.simulate(policy, traces)
+        report = run_policy(policy, traces)
         decisions = [ragctl.decide(policy, r) for r in traces]
         noret_ok = [match_answer(r.noret_answer, r.gold_answers).correct for r in traces]
         final_ok = [
@@ -270,15 +271,15 @@ def test_controller_identities():
             f1_total += result.f1
         return em / n, f1_total / n, sum(decisions) / n
 
-    always = ragctl.simulate(ControllerPolicy.always(), fixture)
+    always = run_policy(ControllerPolicy.always(), fixture)
     em, f1, rate = accounting(fixture, [True] * 20)
     assert (always.final_em, always.final_f1, always.trigger_rate) == (em, f1, rate)
-    assert always.trigger_rate == 1.0 and always.global_wrong_coverage == 1.0
+    assert always.trigger_rate == 1.0 and always.trigger_recall == 1.0
 
-    never = ragctl.simulate(ControllerPolicy.never(), fixture)
+    never = run_policy(ControllerPolicy.never(), fixture)
     em, f1, rate = accounting(fixture, [False] * 20)
     assert (never.final_em, never.final_f1, never.trigger_rate) == (em, f1, rate)
-    assert never.trigger_rate == 0.0 and never.global_wrong_coverage == 0.0
+    assert never.trigger_rate == 0.0 and never.trigger_recall == 0.0
 
     rng = np.random.default_rng(SEED + 40)
     grid = [i / 20 for i in range(21)]

@@ -11,21 +11,26 @@ from conftest import count_calls, make_record, random_batch
 from oracles import oracle_ausc, oracle_brier, oracle_ece, oracle_nll
 
 
+def metrics(records, num_bins=10, epsilon=1e-6):
+    """Every calibration metric of `records`, scored once."""
+    return calib.calibration_report(score_predictions(records), num_bins, epsilon)
+
+
 class TestEce:
     def test_perfect_calibration(self):
         records = [make_record(f"q{i}", 1.0, True) for i in range(5)]
-        assert calib.ece(records, 10) == 0.0
+        assert metrics(records, 10).ece == 0.0
 
     def test_two_record_hand_value(self):
         records = [make_record("q1", 0.9, True), make_record("q2", 0.9, False)]
-        assert calib.ece(records, 10) == pytest.approx(0.4, abs=1e-15)
+        assert metrics(records, 10).ece == pytest.approx(0.4, abs=1e-15)
 
     def test_single_wrong_record(self):
-        assert calib.ece([make_record("q1", 0.9, False)], 10) == pytest.approx(0.9)
+        assert metrics([make_record("q1", 0.9, False)], 10).ece == pytest.approx(0.9)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            calib.ece([make_record("q1", None, True)], 10)
+            metrics([make_record("q1", None, True)], 10)
 
     def test_zero_when_bins_agree(self):
         # every bin's mean confidence equals its accuracy
@@ -34,19 +39,19 @@ class TestEce:
             records.append(make_record(f"a{i}", 0.8, i < 8))
         for i in range(10):
             records.append(make_record(f"b{i}", 0.3, i < 3))
-        assert calib.ece(records, 10) == pytest.approx(0.0, abs=1e-15)
+        assert metrics(records, 10).ece == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBrier:
     def test_confident_correct(self):
-        assert calib.brier([make_record("q", 1.0, True)]) == 0.0
+        assert metrics([make_record("q", 1.0, True)]).brier == 0.0
 
     def test_hand_value(self):
-        assert calib.brier([make_record("q", 0.7, False)]) == pytest.approx(0.49)
+        assert metrics([make_record("q", 0.7, False)]).brier == pytest.approx(0.49)
 
     def test_midpoint_constant(self):
         records = [make_record(f"q{i}", 0.5, i % 2 == 0) for i in range(6)]
-        assert calib.brier(records) == pytest.approx(0.25)
+        assert metrics(records).brier == pytest.approx(0.25)
 
     def test_constant_confidence_decomposition(self, rng):
         for _ in range(20):
@@ -57,39 +62,39 @@ class TestBrier:
             ]
             acc = float(np.mean(outcomes))
             expected = c**2 * (1 - acc) + (1 - c) ** 2 * acc
-            assert calib.brier(records) == pytest.approx(expected, abs=1e-12)
+            assert metrics(records).brier == pytest.approx(expected, abs=1e-12)
 
 
 class TestNll:
     def test_half_confidence(self):
         records = [make_record("q1", 0.5, True), make_record("q2", 0.5, False)]
-        assert calib.nll(records) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert metrics(records).nll == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct_near_zero(self):
-        value = calib.nll([make_record("q", 1.0, True)], epsilon=1e-6)
+        value = metrics([make_record("q", 1.0, True)], epsilon=1e-6).nll
         assert value == pytest.approx(1e-6, abs=1e-9)
 
     def test_confident_wrong_clamped(self):
-        value = calib.nll([make_record("q", 1.0, False)], epsilon=1e-6)
+        value = metrics([make_record("q", 1.0, False)], epsilon=1e-6).nll
         assert value == pytest.approx(-math.log(1e-6), rel=1e-9)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            calib.nll([make_record("q", 0.5, True)], epsilon=0.7)
+            metrics([make_record("q", 0.5, True)], epsilon=0.7)
 
 
 class TestAusc:
     def test_all_correct(self):
         records = [make_record(f"q{i}", 0.1 * i + 0.1, True) for i in range(5)]
-        assert calib.ausc(records) == 1.0
+        assert metrics(records).ausc == 1.0
 
     def test_all_wrong(self):
         records = [make_record(f"q{i}", 0.1 * i + 0.1, False) for i in range(5)]
-        assert calib.ausc(records) == 0.0
+        assert metrics(records).ausc == 0.0
 
     def test_two_record_hand_value(self):
         records = [make_record("q1", 0.9, True), make_record("q2", 0.1, False)]
-        assert calib.ausc(records) == pytest.approx(0.75, abs=1e-15)
+        assert metrics(records).ausc == pytest.approx(0.75, abs=1e-15)
 
     def test_duplication_invariance(self, rng):
         for trial in range(10):
@@ -104,7 +109,7 @@ class TestAusc:
                 )
                 for r in records
             ]
-            assert calib.ausc(doubled) == pytest.approx(calib.ausc(records), abs=1e-12)
+            assert metrics(doubled).ausc == pytest.approx(metrics(records).ausc, abs=1e-12)
 
 
 class TestMetricOracleAgreement:
@@ -112,14 +117,14 @@ class TestMetricOracleAgreement:
         for trial in range(30):
             records, rows = random_batch(rng, int(rng.integers(3, 40)), with_ties=trial % 3 == 0)
             pairs = [(c, y) for c, y, _ in rows]
-            assert calib.ece(records, 10) == pytest.approx(
+            assert metrics(records, 10).ece == pytest.approx(
                 oracle_ece(pairs, 10), abs=1e-12
             )
-            assert calib.brier(records) == pytest.approx(oracle_brier(pairs), abs=1e-12)
-            assert calib.nll(records) == pytest.approx(
+            assert metrics(records).brier == pytest.approx(oracle_brier(pairs), abs=1e-12)
+            assert metrics(records).nll == pytest.approx(
                 oracle_nll(pairs, 1e-6), abs=1e-12
             )
-            assert calib.ausc(records) == pytest.approx(oracle_ausc(rows), abs=1e-12)
+            assert metrics(records).ausc == pytest.approx(oracle_ausc(rows), abs=1e-12)
 
 
 class TestErrorTaxonomy:
@@ -188,15 +193,6 @@ def test_calibration_report_shape():
 
 
 class TestScoredBatch:
-    def test_batch_report_equals_record_functions_exactly(self, rng):
-        records, _ = random_batch(rng, 60, with_ties=True)
-        records.append(make_record("none", None, False))
-        report = calib.calibration_report(score_predictions(records), num_bins=7)
-        assert report.ece == calib.ece(records, num_bins=7)
-        assert report.brier == calib.brier(records)
-        assert report.nll == calib.nll(records)
-        assert report.ausc == calib.ausc(records)
-
     def test_report_matches_each_record_once(self, rng, monkeypatch):
         import uncal.rewards as rewards
 

@@ -1,5 +1,7 @@
 import json
 import shutil
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, matio, trajspace
+from uncal import calib, jsonio, matio, ragctl, rewards, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
-from uncal.errors import AlignmentError, BadField, CorruptInput, MissingField
+from uncal.errors import AlignmentError, BadField, CorruptInput, EmptyBatch
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
 
-from conftest import planted_stack
+from conftest import count_calls, planted_stack
 
 GOLDEN_CALIB = Path(__file__).parent / "data" / "golden_calib.json"
 PREDS_FIXTURE = Path(str(uncal.fixture_path("preds20.jsonl")))
@@ -146,6 +148,13 @@ class TestExitCodes:
                      "--interest", interest, "--baseline", "1"]) == 1
         assert f"row index {interest} outside 0..4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_pca_k_below_one_exits_one(self, tmp_path, capsys, k):
+        # unchecked, k=-1 would slice to every component but the smallest
+        matio.write_matrix(tmp_path / "x.mat", np.random.default_rng(4).normal(size=(6, 3)))
+        assert main(["repr", "pca", "--in", str(tmp_path / "x.mat"), "--k", k]) == 1
+        assert f"k={k} must be at least 1" in capsys.readouterr().err
+
     def test_non_finite_matrix_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "nan.mat"
         matio.write_matrix(bad, np.array([[1.0, 2.0], [np.nan, 0.5], [3.0, 1.0]]))
@@ -251,7 +260,7 @@ class TestFunctional:
         assert main(["rag", "--policy", "emit", "--in", str(RAG_FIXTURE),
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == "uncal-rag-report-v2"
+        assert report["schema"] == "uncal-rag-report-v3"
         for block in [report["overall"], *report["per_dataset"].values()]:
             assert "trigger_recall" in block and "global_wrong_coverage" not in block
 
@@ -263,7 +272,7 @@ class TestFunctional:
         assert main(["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
                      "--preds", str(preds), "--layer", "8",
                      "--out", str(tmp_path / "probe.json")]) == 0
-        for name, schema in (("ats.json", "uncal-ats-model-v2"),
+        for name, schema in (("ats.json", "uncal-ats-model-v3"),
                              ("probe.json", "uncal-probe-model-v2")):
             model = json.loads((tmp_path / name).read_text())
             assert model["schema"] == schema
@@ -400,16 +409,78 @@ class TestSeedHandling:
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        matio.write_matrix(
-            tmp_path / "x.mat", np.random.default_rng(0).normal(size=(20, 4))
-        )
-        main(["--seed", "3", "repr", "pca", "--in", str(tmp_path / "x.mat"),
-              "--k", "2", "--out", str(out1)])
+        preds = write_hidden_dir(tmp_path / "hidden")
+        fit = ["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+               "--preds", str(preds), "--layer", "8", "--out"]
+        main(["--seed", "3", *fit, str(out1)])
         monkeypatch.setenv("UNCAL_SEED", "3")
-        main(["--seed", "999", "repr", "pca", "--in", str(tmp_path / "x.mat"),
-              "--k", "2", "--out", str(out2)])
+        main(["--seed", "999", *fit, str(out2)])
         assert json.loads(out1.read_text())["config"]["seed"] == 3
         assert json.loads(out2.read_text())["config"]["seed"] == 3
+
+    @staticmethod
+    def invocations(tmp_path) -> dict[str, tuple[list[str], list[str]]]:
+        """name -> (argv with `{out}` for the output directory, output files)
+        for every subcommand that draws no random number."""
+        spaces = tmp_path / "spaces.jsonl"
+        write_spaces(spaces)
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = str(tmp_path / "hidden" / "layer_8.mat")
+        model = tmp_path / "probe.json"
+        assert main(["probe", "fit", "--hidden", layer, "--preds", str(preds),
+                     "--out", str(model)]) == 0
+        x, y = str(tmp_path / "hidden" / "layer_0.mat"), layer
+        pairs = _write_lines(tmp_path / "pairs.jsonl", [
+            {"position": i, "base_probs": [0.5, 0.5], "calibrated_probs": [0.2 * i, 1 - 0.2 * i]}
+            for i in range(3)])
+        notes = _write_lines(tmp_path / "ann.jsonl", [
+            {"position": i, "type": "ReasoningToken"} for i in range(3)])
+        fixture = str(PREDS_FIXTURE)
+        recal = ["--fit", fixture, "--apply", fixture, "--out", "{out}/o.jsonl",
+                 "--model-out", "{out}/m.json"]
+        return {
+            "theory verify": (["theory", "verify", "--in", str(spaces),
+                               "--out", "{out}/o.jsonl"], ["o.jsonl"]),
+            "theory iterate": (["theory", "iterate", "--in", str(spaces),
+                                "--out", "{out}/o.jsonl"], ["o.jsonl"]),
+            "match": (["match", "--in", fixture, "--out", "{out}/o.jsonl"], ["o.jsonl"]),
+            "calib": (["calib", "--in", fixture, "--out", "{out}/o.json",
+                       "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
+            "recal ts": (["recal", "ts", *recal], ["o.jsonl", "m.json"]),
+            "recal ats": (["recal", "ats", *recal], ["o.jsonl", "m.json"]),
+            "recal ptrue": (["recal", "ptrue", "--in", fixture, "--out", "{out}/o.jsonl"],
+                            ["o.jsonl"]),
+            "probe eval": (["probe", "eval", "--model", str(model), "--hidden", layer,
+                            "--preds", str(preds), "--out", "{out}/o.json"], ["o.json"]),
+            "rag": (["rag", "--policy", "conf:0.5", "--in", str(RAG_FIXTURE),
+                     "--out", "{out}/o.json", "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
+            "repr cka": (["repr", "cka", "--x", x, "--y", y, "--out", "{out}/o.json"],
+                         ["o.json"]),
+            "repr kl": (["repr", "kl", "--pairs", str(pairs), "--annotations", str(notes),
+                         "--out", "{out}/o.json", "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
+            "repr pca": (["repr", "pca", "--in", layer, "--k", "2", "--out", "{out}/o.json",
+                          "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
+            "repr drift": (["repr", "drift", "--base", x, "--cal", y, "--interest", "0,1",
+                            "--baseline", "2,3", "--out", "{out}/o.json"], ["o.json"]),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "theory verify", "theory iterate", "match", "calib", "recal ts", "recal ats",
+        "recal ptrue", "probe eval", "rag", "repr cka", "repr kl", "repr pca", "repr drift",
+    ])
+    def test_seed_changes_no_byte_outside_the_probe_split(self, tmp_path, monkeypatch, name):
+        argv, outputs = self.invocations(tmp_path)[name]
+        blobs = []
+        for run, seed, env in (("a", "0", None), ("b", "999", None), ("c", "0", "999")):
+            if env is None:
+                monkeypatch.delenv("UNCAL_SEED", raising=False)
+            else:
+                monkeypatch.setenv("UNCAL_SEED", env)
+            run_dir = tmp_path / run
+            run_dir.mkdir()
+            assert main(["--seed", seed, *[a.replace("{out}", str(run_dir)) for a in argv]]) == 0
+            blobs.append([(run_dir / o).read_bytes() for o in outputs])
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_float_serialization_round_trips():
@@ -702,6 +773,89 @@ def test_rag_writer_loader_round_trip(record):
     assert jsonio.dumps_canonical(jsonio.rag_to_dict(again)) == line
 
 
+# answers and confidences from small pools, so that ties, every match rule,
+# unparsed confidences and empty bins all occur
+_ANSWERS = st.sampled_from(["alpha", "Alpha.", "omega", "beta gamma", "gamma", "yes", ""])
+_CONFIDENCES = st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.9, 1.0]) | _PROB
+
+
+@st.composite
+def _scored_predictions(draw) -> list[PredictionRecord]:
+    records = []
+    for i in range(draw(st.integers(1, 25))):
+        conf = draw(st.none() | _CONFIDENCES)
+        in_text = conf is not None and draw(st.booleans())
+        text = ("hmm <uncertain>\n" if draw(st.booleans()) else "") + f"Answer: {draw(_ANSWERS)}"
+        records.append(PredictionRecord(
+            qid=f"q{i}", gold_answers=("alpha", "beta gamma"),
+            response_text=text + (f"\nConfidence: {conf}" if in_text else ""),
+            verbal_confidence=None if in_text else conf,
+        ))
+    return records
+
+
+def _as_json(obj):
+    """`obj` as a report reader sees it (tuples become lists)."""
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scored_predictions(), st.integers(1, 12))
+def test_calib_cli_equals_api(records, bins):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "calib.json"
+        jsonio.write_jsonl(path, [prediction_to_dict(r) for r in records])
+        argv = ["calib", "--in", str(path), "--bins", str(bins), "--out", str(out)]
+        batch = rewards.score_predictions(load_predictions(path).records)
+        try:
+            report = calib.calibration_report(batch, bins)
+        except EmptyBatch:
+            assert main(argv) == 1
+            return
+        assert main(argv) == 0
+        got = json.loads(out.read_text())
+    want = _as_json({**asdict(report), "error_taxonomy": asdict(calib.error_taxonomy(batch))})
+    assert {key: got[key] for key in want} == want
+
+
+_POLICIES = st.sampled_from(["always", "never", "emit", "external", "conf:0", "conf:0.5",
+                             "emit+probe:0.5", "flare:0.3"])
+_FULL_TRACES = st.lists(st.builds(
+    RagTraceRecord,
+    qid=st.uuids().map(str), gold_answers=st.just(("alpha", "beta gamma")),
+    noret_answer=_ANSWERS, ret_answer=_ANSWERS, dataset=st.sampled_from(["", "d1", "d2"]),
+    noret_confidence=_CONFIDENCES, noret_emissions=st.integers(0, 3),
+    noret_probe_score=_PROB, noret_token_probs=_TOKEN_PROBS, external_trigger=st.booleans(),
+), min_size=1, max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FULL_TRACES, _POLICIES)
+def test_rag_cli_equals_api(records, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "traces.jsonl", Path(tmp) / "rag.json"
+        jsonio.write_jsonl(path, [jsonio.rag_to_dict(r) for r in records])
+        assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        loaded = load_rag_traces(path).records
+    scored = ragctl.score_traces(loaded)
+    fires = ragctl.decide_all(ragctl.parse_policy_spec(policy), loaded)
+    assert got["overall"] == _as_json(asdict(ragctl.trigger_report(scored, fires)))
+    assert got["per_dataset"] == _as_json(
+        {name: asdict(r) for name, r in ragctl.trigger_reports_by_dataset(scored, fires).items()}
+    )
+
+
+class TestProbeScoring:
+    def test_sweep_scores_each_record_once(self, tmp_path, monkeypatch):
+        preds = write_hidden_dir(tmp_path / "hidden", layers=(0, 4, 8))
+        calls = count_calls(monkeypatch, rewards, "record_correct")
+        assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
+                     "--preds", str(preds), "--layers", "0,4,8",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert [args[0].qid for args in calls] == [r.qid for r in load_predictions(preds).records]
+
+
 class TestMissingFields:
     def test_ats_model_passed_to_probe_eval(self, tmp_path, capsys):
         preds = write_hidden_dir(tmp_path / "hidden")
@@ -751,12 +905,32 @@ class TestMissingFields:
         rows = sidecar.read_text().splitlines()
         rows[3] = json.dumps({"token_index": 3})
         sidecar.write_text("\n".join(rows) + "\n")
-        with pytest.raises(MissingField):
+        with pytest.raises(AlignmentError):
             _load_token_stack(layer)
         assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
                      "--out", str(tmp_path / "m.json")]) == 1
         err = capsys.readouterr().err
-        assert str(sidecar) in err and "row 4" in err and "'qid'" in err
+        assert f"{sidecar}:4:" in err and "'qid'" in err
+
+    @pytest.mark.parametrize("row, field", [
+        ({"qid": 7, "token_index": 3}, "qid"),
+        ({"qid": True, "token_index": 3}, "qid"),
+        ({"qid": "p0000", "token_index": -1}, "token_index"),
+        ({"qid": "p0000", "token_index": 3.0}, "token_index"),
+        ({"qid": "p0000", "token_index": 3, "layer": 8}, "layer"),
+    ])
+    def test_sidecar_row_read_by_its_table(self, tmp_path, capsys, row, field):
+        # read with str(), a qid 7 would align with the record whose qid is "7"
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = tmp_path / "hidden" / "layer_8.mat"
+        sidecar = Path(str(layer) + ".ids.jsonl")
+        rows = sidecar.read_text().splitlines()
+        rows[3] = json.dumps(row)
+        sidecar.write_text("\n".join(rows) + "\n")
+        assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{sidecar}:4:" in err and (f"'{field}'" in err or f"{field} must" in err)
 
 
 class TestAtomicInPlaceMatch:

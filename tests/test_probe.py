@@ -9,7 +9,7 @@ from uncal.errors import (
     NotEmitted,
     UndefinedMetric,
 )
-from uncal.rewards import EmissionEvent, PredictionRecord
+from uncal.rewards import EmissionEvent, PredictionRecord, score_predictions
 
 from conftest import planted_stack
 from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd
@@ -245,6 +245,27 @@ class TestTuneThreshold:
         model, x, _ = self.fitted_model()
         with pytest.raises(UndefinedMetric):
             probe.tune_threshold(model, x, np.ones(len(x), dtype=int))
+
+
+class TestExamples:
+    def test_emitted_records_with_hidden_states_in_record_order(self, rng):
+        records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=30)
+        silent = PredictionRecord(qid="silent", gold_answers=("a",), response_text="Answer: b")
+        records = [records[0], silent, *records[1:]]
+        stack = {qid: m for qid, m in stacks[0].items() if qid != records[2].qid}
+        batch = score_predictions(records)
+        x, wrong, qids = probe.examples(records, batch, stack)
+        kept = [(r, ok) for r, ok in zip(records, batch.correct)
+                if r.emissions and r.qid in stack]
+        assert qids == [r.qid for r, _ in kept] and len(qids) == 29
+        assert wrong.tolist() == [0 if ok else 1 for _, ok in kept]
+        np.testing.assert_array_equal(
+            x, np.stack([probe.build_features(stack[r.qid], r).vector() for r, _ in kept]))
+
+    def test_no_example_rejected(self):
+        records = [PredictionRecord(qid="q", gold_answers=("a",), response_text="Answer: a")]
+        with pytest.raises(AlignmentError):
+            probe.examples(records, score_predictions(records), {"q": np.ones((3, 2))})
 
 
 class TestLayerSweep:

@@ -4,7 +4,7 @@ from uncal import ragctl
 from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
-from conftest import count_calls, random_rag_batch
+from conftest import count_calls, random_rag_batch, run_policy
 from oracles import oracle_trigger_counts
 
 
@@ -78,29 +78,28 @@ class TestDecide:
 
 class TestSimulate:
     def test_always_reproduces_retrieve_all(self):
-        report = ragctl.simulate(ControllerPolicy.always(), HAND_FIXTURE)
+        report = run_policy(ControllerPolicy.always(), HAND_FIXTURE)
         assert report.trigger_rate == 1.0
         # final answers are the retrieval answers: r1, r3 correct
         assert report.final_em == pytest.approx(0.5)
         assert report.untouched_accuracy is None
-        assert report.global_wrong_coverage == 1.0
+        assert report.trigger_recall == 1.0
 
     def test_never_reproduces_no_retrieval(self):
-        report = ragctl.simulate(ControllerPolicy.never(), HAND_FIXTURE)
+        report = run_policy(ControllerPolicy.never(), HAND_FIXTURE)
         assert report.trigger_rate == 0.0
         assert report.final_em == pytest.approx(0.5)
         assert report.untouched_accuracy == pytest.approx(0.5)
         assert report.trigger_precision is None
-        assert report.global_wrong_coverage == 0.0
+        assert report.trigger_recall == 0.0
 
     def test_hand_fixture_counts(self):
-        report = ragctl.simulate(
+        report = run_policy(
             ControllerPolicy.confidence_threshold(0.5), HAND_FIXTURE
         )
         assert report.trigger_rate == pytest.approx(0.5)
         assert report.trigger_precision == pytest.approx(0.5)
         assert report.trigger_recall == pytest.approx(0.5)
-        assert report.global_wrong_coverage == pytest.approx(0.5)
         assert report.untouched_accuracy == pytest.approx(0.5)
         # both triggered records end correct after retrieval
         assert report.wrong_within_triggered == 0.0
@@ -110,7 +109,7 @@ class TestSimulate:
         for _ in range(20):
             records = random_rag_batch(rng, int(rng.integers(2, 30)))
             policy = ControllerPolicy.confidence_threshold(float(rng.uniform(0, 1)))
-            report = ragctl.simulate(policy, records)
+            report = run_policy(policy, records)
             untouched = report.n - report.triggered
             assert untouched >= 0
             if report.trigger_precision is not None:
@@ -118,14 +117,14 @@ class TestSimulate:
                     report.triggered_and_wrong
                 )
             if report.noret_wrong:
-                assert ragctl.simulate(ControllerPolicy.always(), records).global_wrong_coverage == 1.0
+                assert run_policy(ControllerPolicy.always(), records).trigger_recall == 1.0
 
     def test_agrees_with_recount_oracle(self, rng):
         for _ in range(20):
             records = random_rag_batch(rng, int(rng.integers(3, 25)))
             tau = float(rng.uniform(0.0, 1.0))
             policy = ControllerPolicy.confidence_threshold(tau)
-            report = ragctl.simulate(policy, records)
+            report = run_policy(policy, records)
             decisions = [ragctl.decide(policy, r) for r in records]
             noret_ok = [r.noret_answer == "alpha" for r in records]
             final_ok = [
@@ -139,7 +138,7 @@ class TestSimulate:
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            ragctl.simulate(ControllerPolicy.always(), [])
+            run_policy(ControllerPolicy.always(), [])
 
 
 class TestSweepThreshold:
@@ -148,8 +147,8 @@ class TestSweepThreshold:
         reports = ragctl.sweep_threshold(
             PolicyKind.CONFIDENCE_THRESHOLD, HAND_FIXTURE, [0.0, 1.0]
         )
-        never = ragctl.simulate(ControllerPolicy.never(), HAND_FIXTURE)
-        always = ragctl.simulate(ControllerPolicy.always(), HAND_FIXTURE)
+        never = run_policy(ControllerPolicy.never(), HAND_FIXTURE)
+        always = run_policy(ControllerPolicy.always(), HAND_FIXTURE)
         assert reports[0][1] == never
         assert reports[1][1] == always
 
@@ -167,7 +166,7 @@ class TestSweepThreshold:
             PolicyKind.CONFIDENCE_THRESHOLD, records, [0.4]
         )
         assert value == 0.4
-        assert report == ragctl.simulate(ControllerPolicy.confidence_threshold(0.4), records)
+        assert report == run_policy(ControllerPolicy.confidence_threshold(0.4), records)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -228,12 +227,12 @@ class TestScoredTraces:
         for policy in (ControllerPolicy.confidence_threshold(0.4),
                        ControllerPolicy.emission_only(), ControllerPolicy.always()):
             fires = ragctl.decide_all(policy, records)
-            assert ragctl.trigger_report(scored, fires) == ragctl.simulate(policy, records)
+            assert ragctl.trigger_report(scored, fires) == run_policy(policy, records)
             by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
             assert list(by_dataset) == sorted({r.dataset for r in records})
             for name, report in by_dataset.items():
                 members = [r for r in records if r.dataset == name]
-                assert report == ragctl.simulate(policy, members)
+                assert report == run_policy(policy, members)
 
     def test_empty_batch(self):
         scored = ragctl.score_traces([])

@@ -26,11 +26,6 @@ ROOTS = {
 
 ALLOWED = {
     ("__init__", "fixture_path"): "path of a bundled fixture file",
-    ("calib", "ece"): "single-metric API, checked against the oracles",
-    ("calib", "brier"): "single-metric API, checked against the oracles",
-    ("calib", "nll"): "single-metric API, checked against the oracles",
-    ("calib", "ausc"): "single-metric API, checked against the oracles",
-    ("ragctl", "simulate"): "one-call controller run, checked against the oracles",
     ("ragctl", "sweep_threshold"): "threshold curve behind the monotonicity criterion",
     ("recal", "ts_nll"): "NLL of a fixed temperature, the baseline of the TS criterion",
     ("recal", "ats_temperature"): "per-record temperature, which the floor test reads",
