@@ -23,6 +23,10 @@ from .rewards import ScoredBatch
 DEFAULT_ECE_BINS = 10
 DEFAULT_NLL_EPSILON = 1e-6
 
+# a wrong answer is epistemic above this confidence, strictly so above the next
+EPISTEMIC_THRESHOLD = 0.5
+STRICT_THRESHOLD = 0.7
+
 # fixed confidence bands for wrong answers, highest first: (lo, hi] except
 # the last band which includes 0
 ERROR_BANDS = (
@@ -83,19 +87,6 @@ def _fill_bins(rows, num_bins):
     return bins
 
 
-def _ece(rows, num_bins):
-    """Expected calibration error over equal-width confidence bins."""
-    n = len(rows)
-    total = 0.0
-    for members in _fill_bins(rows, num_bins):
-        if not members:
-            continue
-        mean_conf = math.fsum(c for c, _ in members) / len(members)
-        acc = sum(1 for _, y in members if y) / len(members)
-        total += (len(members) / n) * abs(acc - mean_conf)
-    return total
-
-
 def _calib_bins(rows, num_bins):
     out = []
     for i, members in enumerate(_fill_bins(rows, num_bins)):
@@ -109,6 +100,11 @@ def _calib_bins(rows, num_bins):
             acc = 0.0
         out.append(CalibBin(lo=lo, hi=hi, count=len(members), mean_conf=mean_conf, accuracy=acc))
     return tuple(out)
+
+
+def _ece(bins, n):
+    """Expected calibration error over the `_calib_bins` of `n` rows."""
+    return sum((b.count / n) * abs(b.accuracy - b.mean_conf) for b in bins)
 
 
 def _brier(rows):
@@ -173,17 +169,18 @@ def calibration_report(
     _check_epsilon(nll_epsilon)
     accuracy = sum(1 for ok in batch.correct if ok) / n
     mean_conf = math.fsum(c for c, _, _ in rows) / len(rows)
+    bins = _calib_bins(rows, num_bins)
     return CalibrationReport(
         n=n,
         accuracy=accuracy,
         mean_confidence=mean_conf,
         overconfidence_gap=mean_conf - accuracy,
-        ece=_ece(rows, num_bins),
+        ece=_ece(bins, len(rows)),
         brier=_brier(rows),
         nll=_nll(rows, nll_epsilon),
         parse_rate=len(rows) / n,
         ausc=_ausc(rows),
-        bins=_calib_bins(rows, num_bins),
+        bins=bins,
     )
 
 
@@ -205,22 +202,15 @@ class ErrorTaxonomy:
     epistemic_without_emit: int
 
 
-def error_taxonomy(
-    batch: ScoredBatch,
-    epistemic_threshold: float = 0.5,
-    strict_threshold: float = 0.7,
-) -> ErrorTaxonomy:
+def error_taxonomy(batch: ScoredBatch) -> ErrorTaxonomy:
     """Decompose wrong answers by stated confidence.
 
-    Epistemic errors are wrong answers above the confidence threshold;
-    aleatoric ones sit at or below it. Only records with a parseable
-    confidence participate. The emission split uses whether the response
-    text contains the uncertainty marker, not the record's emission events.
+    Epistemic errors are wrong answers above `EPISTEMIC_THRESHOLD`; aleatoric
+    ones sit at or below it. Strict epistemic errors sit above
+    `STRICT_THRESHOLD`. Only records with a parseable confidence
+    participate. The emission split uses whether the response text contains
+    the uncertainty marker, not the record's emission events.
     """
-    if not 0.0 < epistemic_threshold < 1.0 or not 0.0 < strict_threshold < 1.0:
-        raise ValueError("thresholds must lie in (0,1)")
-    if strict_threshold < epistemic_threshold:
-        raise ValueError("strict threshold must be >= epistemic threshold")
     if not len(batch):
         raise EmptyBatch("no records")
     wrong = [
@@ -229,8 +219,8 @@ def error_taxonomy(
         if c is not None and not ok
     ]
     total_wrong = len(wrong)
-    epistemic = sum(1 for c, _ in wrong if c > epistemic_threshold)
-    strict = sum(1 for c, _ in wrong if c > strict_threshold)
+    epistemic = sum(1 for c, _ in wrong if c > EPISTEMIC_THRESHOLD)
+    strict = sum(1 for c, _ in wrong if c > STRICT_THRESHOLD)
     bands = []
     for label, lo, hi in ERROR_BANDS:
         if lo == 0.0:
@@ -239,7 +229,7 @@ def error_taxonomy(
             count = sum(1 for c, _ in wrong if lo < c <= hi)
         fraction = count / total_wrong if total_wrong else 0.0
         bands.append(ErrorBand(label=label, count=count, fraction=fraction))
-    with_emit = sum(1 for c, e in wrong if c > epistemic_threshold and e)
+    with_emit = sum(1 for c, e in wrong if c > EPISTEMIC_THRESHOLD and e)
     return ErrorTaxonomy(
         total_wrong=total_wrong,
         epistemic=epistemic,

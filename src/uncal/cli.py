@@ -212,8 +212,7 @@ def _cmd_theory_verify(args) -> int:
         line["competing"] = competing
         try:
             check = trajspace.verify_mass_ratio_bound(
-                space, trajspace.RewardSpec.verbal(), args.eta,
-                space.gold_answer, competing,
+                space, args.eta, space.gold_answer, competing
             )
         except HypothesisViolated:
             line["status"] = "hypothesis_violated"
@@ -230,9 +229,7 @@ def _cmd_theory_iterate(args) -> int:
     spaces = _load_spaces(args.input)
     lines = []
     for index, space in enumerate(spaces):
-        steps = trajspace.iterate_tilt(
-            space, trajspace.RewardSpec.verbal(), args.eta, args.steps
-        )
+        steps = trajspace.iterate_tilt(space, args.eta, args.steps)
         lines.append(
             {
                 "index": index,

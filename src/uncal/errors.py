@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the toolkit.
 
 Every error raised by library code derives from UncalError so callers (and
-the CLI) can distinguish validation failures from genuine bugs.
+the CLI) can distinguish validation failures from genuine bugs. The theory
+layer (`trajspace`) raises InvalidStep, NumericOverflow, HypothesisViolated
+and DegenerateRatio.
 """
 
 from __future__ import annotations
@@ -11,24 +13,12 @@ class UncalError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MissingReward(UncalError):
-    """A custom reward table has no entry for a trajectory id."""
-
-
-class UnknownTrajectory(UncalError):
-    """A trajectory id was requested that the space does not contain."""
-
-
 class InvalidStep(UncalError):
     """A tilt step size eta must be strictly positive."""
 
 
 class NumericOverflow(UncalError):
     """eta * reward is too large to expose linear probabilities safely."""
-
-
-class UndefinedLogOdds(UncalError):
-    """Log-odds are undefined when a trajectory has zero base probability."""
 
 
 class HypothesisViolated(UncalError):

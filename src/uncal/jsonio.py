@@ -3,11 +3,13 @@
 Loading is strict: every line is read by the one table of its line kind
 (`PREDICTION`, `RAG_TRACE`, `SPACE`, `KL_PAIR`, `KL_ANNOTATION`, and
 `ROW_ID` for the matrix sidecars that `matio.read_row_ids` reads), invalid
-lines are returned with their line numbers (the messages carry no location;
-callers prefix `path:line:` once), and a file where more than half the lines
-fail is rejected outright. Report writing controls float formatting
-(17 significant digits, round-trip exact) and key order so that identical
-configurations produce byte-identical files.
+lines are returned with their line numbers (the messages carry no file or
+line; callers prefix `path:line:` once), and a file where more than half the
+lines fail is rejected outright. A rejection inside a nested object starts
+with where it sits in the line: `emissions[0]: unknown fields ['x']`.
+Report writing controls float formatting (17 significant digits, round-trip
+exact) and key order so that identical configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -294,18 +296,32 @@ def read_enum(kind: type[enum.Enum]):
     return read
 
 
+def _nested_fields(table: dict, name: str, value) -> dict:
+    """The fields of the nested object `value` read by `table`. Each rejection
+    starts with `name`, where the object sits: `match: missing field 'f1'`."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be a JSON object")
+    try:
+        return read_table(table, value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def read_object(table: dict, build):
     """Reader of a nested object: `build(**fields)` of its fields read by `table`."""
-    return lambda name, value: build(**read_table(table, value, name))
+    return lambda name, value: build(**_nested_fields(table, name, value))
 
 
 def read_objects(table: dict, build):
-    """Reader of a list of objects, each read as by `read_object(table, build)`."""
+    """Reader of a list of objects, each read as by `read_object(table, build)`
+    under the name `name[i]`."""
 
     def read(name: str, value):
         if type(value) is not list:
             raise ValueError(f"{name} must be a list of JSON objects")
-        return tuple(build(**read_table(table, v, name)) for v in value)
+        return tuple(
+            build(**_nested_fields(table, f"{name}[{i}]", v)) for i, v in enumerate(value)
+        )
 
     return read
 
@@ -365,13 +381,13 @@ KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenTyp
 ROW_ID = {"qid": (read_string, REQUIRED), "token_index": (read_count, None)}  # sidecar rows
 
 
-def read_table(table: dict, obj, name: str = "line") -> dict:
+def read_table(table: dict, obj) -> dict:
     """The fields of the JSON object `obj` read by `table`. An absent field
     takes its default, and so does a null where the default is None. Rejects
     a non-object, unknown fields, a missing required field and any value its
     reader refuses."""
     if type(obj) is not dict:
-        raise ValueError(f"{name} must be a JSON object")
+        raise ValueError("line must be a JSON object")
     out = {}
     absent = 0
     for key, (read, default) in table.items():

@@ -8,7 +8,8 @@ penalty, so no d x d matrix is formed. Row curvature is clipped at 0,
 which keeps the CG operator positive semi-definite for a non-convex row loss
 (ATS) too; Armijo backtracking never lets the objective go up. CG starts from
 zero, so identical columns of `phi` get identical steps and an all-zero
-column keeps a weight of exactly 0.
+column keeps a weight of exactly 0. A negative or non-finite `l2` is
+refused before the first step, for every fit that uses this minimizer.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def _cg_step(x, row_h, penalty, grad):
 def minimize(row_fn, phi: np.ndarray, theta: np.ndarray, l2: float):
     """Minimize the mean row loss of u = [phi, 1] @ theta plus
     l2 * ||theta[:-1]||^2 from `theta`. Returns the final parameters and a
-    `Fit`."""
+    `Fit`. `l2` must be finite and >= 0: a negative penalty rewards large
+    weights, and the objective has no minimum."""
+    if not 0.0 <= l2 < math.inf:
+        raise ValueError(f"l2={l2} must be a finite number >= 0")
     n = phi.shape[0]
     x = np.hstack([phi, np.ones((n, 1))])
     penalty = np.full(x.shape[1], 2.0 * l2)

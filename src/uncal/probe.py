@@ -1,10 +1,13 @@
 """Span-aware linear wrongness probe over hidden states at emission points.
 
 Features pool the hidden vectors around the first emitted uncertainty span
-and append three scalar response features. The probe itself is L2-regularized
-logistic regression fit by the shared Newton-CG minimizer (`optim`), with the
-decision threshold tuned for trigger F1 on held-out data. The positive class
-is "final answer is wrong", i.e. "trigger retrieval".
+and append three scalar response features; `build_features` refuses a window
+below 0 and a span below 1 token. The probe itself is L2-regularized logistic
+regression fit by the shared Newton-CG minimizer (`optim`, which refuses a
+negative or non-finite penalty), with the decision threshold tuned for trigger
+F1 on held-out data. Every fit and score takes a feature matrix, one row per
+example. The positive class is "final answer is wrong", i.e. "trigger
+retrieval".
 """
 
 from __future__ import annotations
@@ -30,29 +33,25 @@ def _sigmoid(x):
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-@dataclass(frozen=True)
-class ProbeFeatures:
-    """Mean-pooled span vector plus (token count, emission count, first-emit
-    fraction)."""
-
-    span_mean: np.ndarray
-    scalars: tuple[float, float, float]
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.span_mean, dtype=float), self.scalars])
-
-
 def build_features(
     token_hidden: np.ndarray,
     record: PredictionRecord,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
-) -> ProbeFeatures:
-    """Pool hidden vectors over [first_emit - window, first_emit + span + window).
+) -> np.ndarray:
+    """Feature vector of one emitted record: the mean of its hidden vectors
+    over [first_emit - window, first_emit + span + window), then its token
+    count, emission count and first-emit fraction.
 
     `token_hidden` is the (tokens x dims) matrix for this record's response;
-    the range is clipped to the sequence bounds.
+    the range is clipped to the sequence bounds. `window` must be at least 0
+    and `span_token_count` at least 1, so the range always holds the first
+    emitted token.
     """
+    if window < 0:
+        raise ValueError(f"window={window} must be at least 0")
+    if span_token_count < 1:
+        raise ValueError(f"span_tokens={span_token_count} must be at least 1")
     if not record.emissions:
         raise NotEmitted(f"record {record.qid!r} has no emission")
     hidden = np.asarray(token_hidden, dtype=float)
@@ -70,14 +69,12 @@ def build_features(
     hi = min(n_tokens, first + span_token_count + window)
     span_mean = hidden[lo:hi].mean(axis=0)
     fraction = first_emit_fraction(record)
-    return ProbeFeatures(
-        span_mean=span_mean,
-        scalars=(
-            float(record.response_token_count),
-            float(len(record.emissions)),
-            float(fraction if fraction is not None else 0.0),
-        ),
+    scalars = (
+        float(record.response_token_count),
+        float(len(record.emissions)),
+        float(fraction if fraction is not None else 0.0),
     )
+    return np.concatenate([span_mean, scalars])
 
 
 def examples(
@@ -99,8 +96,7 @@ def examples(
     for record, correct in zip(records, batch.correct, strict=True):
         if not record.emissions or record.qid not in stack:
             continue
-        features = build_features(stack[record.qid], record, window, span_token_count)
-        rows.append(features.vector())
+        rows.append(build_features(stack[record.qid], record, window, span_token_count))
         wrong.append(0 if correct else 1)
         qids.append(record.qid)
     if not rows:
@@ -118,32 +114,24 @@ class ProbeModel:
     feature_stds: np.ndarray
     fit: optim.Fit | None = None
 
-    def scores(self, features: Sequence[ProbeFeatures] | np.ndarray) -> np.ndarray:
-        """Predicted probability that each example is wrong."""
-        x = _as_matrix(features)
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        """Predicted probability that each example (row of `x`) is wrong."""
         phi = (x - self.feature_means) / self.feature_stds
         return _sigmoid(phi @ self.weights + self.bias)
 
 
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        return features if features.ndim == 2 else features.reshape(1, -1)
-    return np.stack([f.vector() for f in features])
-
-
 def fit_probe(
-    features: Sequence[ProbeFeatures] | np.ndarray,
+    x: np.ndarray,
     labels: Sequence[int],
     l2: float = DEFAULT_L2,
     layer: int = -1,
 ) -> ProbeModel:
-    """L2-regularized logistic regression from zero, features standardized on
-    the fit set, minimized by `optim.minimize` (Newton-CG).
+    """L2-regularized logistic regression from zero on the feature rows `x`,
+    standardized on the fit set, minimized by `optim.minimize` (Newton-CG).
 
     The threshold is left at 0.5 until tuned. `fit` records the objective per
     iteration, which never increases, and whether the fit converged.
     """
-    x = _as_matrix(features)
     y = np.asarray(labels, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must align")
@@ -254,7 +242,7 @@ def trigger_prf(
 
 def tune_threshold(
     model: ProbeModel,
-    dev_features: Sequence[ProbeFeatures] | np.ndarray,
+    dev_x: np.ndarray,
     dev_labels: Sequence[int],
 ) -> ProbeModel:
     """Pick the threshold maximizing trigger F1 on the dev set.
@@ -266,7 +254,7 @@ def tune_threshold(
     y = np.asarray(dev_labels, dtype=int)
     if len(set(y.tolist())) < 2:
         raise UndefinedMetric("threshold tuning needs both classes on dev")
-    scores = model.scores(dev_features)
+    scores = model.scores(dev_x)
     distinct = np.unique(scores)
     candidates = [0.0] + [
         float((a + b) / 2.0) for a, b in zip(distinct, distinct[1:])

@@ -1,11 +1,13 @@
-"""Answer extraction, normalization, correctness matching, and rewards.
+"""Answer extraction, normalization, correctness matching, and batch scoring.
 
 Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
 agreement, then a token-F1 fallback against the best gold answer.
 `score_predictions` turns a batch into one verdict per record (confidence,
 correctness, marker flag), so each record is matched at most once however
-many metrics read the batch.
+many metrics read the batch. No command computes a training reward from a
+record: the one reward the toolkit models, the signed verbal confidence, is
+applied to trajectories by `trajspace`.
 """
 
 from __future__ import annotations
@@ -17,20 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import MissingSignal
-
 UNCERTAIN_MARKER = "<uncertain>"
 
-# Base rewards for the emission interface, ordered so that a silent failure
-# costs more than an admitted one: correct+silent > correct+emit >
-# wrong+emit > wrong+silent.
-EMISSION_REWARD_TABLE = {
-    (True, False): 5.0,
-    (True, True): 3.5,
-    (False, True): 0.0,
-    (False, False): -2.0,
-}
-DEFAULT_REPETITION_PENALTY = 1.0
 DEFAULT_F1_THRESHOLD = 0.3
 
 _ANSWER_LINE_RE = re.compile(r"^[ \t]*answer[ \t]*:(.*)$", re.IGNORECASE | re.MULTILINE)
@@ -140,25 +130,16 @@ def extract_answer_line(response_text: str) -> str | None:
     return payload.strip()
 
 
-def extract_confidence_flagged(response_text: str) -> tuple[float | None, bool]:
-    """Parse the last `Confidence:` value; clamp out-of-range values.
+def extract_confidence(response_text: str) -> float | None:
+    """The last `Confidence:` value, clamped to [0,1].
 
-    Returns (value, clamped). Absence of a parseable value is (None, False);
-    that absence is what the parse-rate metric counts.
+    Absence of a parseable value is None; that absence is what the
+    parse-rate metric counts.
     """
     matches = _CONFIDENCE_RE.findall(response_text)
     if not matches:
-        return None, False
-    value = float(matches[-1])
-    if value < 0.0:
-        return 0.0, True
-    if value > 1.0:
-        return 1.0, True
-    return value, False
-
-
-def extract_confidence(response_text: str) -> float | None:
-    return extract_confidence_flagged(response_text)[0]
+        return None
+    return min(max(float(matches[-1]), 0.0), 1.0)
 
 
 def normalize_answer(text: str) -> str:
@@ -320,31 +301,6 @@ def annotate_record(
         extracted_answer=answer,
         match=match_record(record, f1_threshold),
     )
-
-
-def verbal_reward(
-    record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> float:
-    """Signed-confidence reward: +p when the answer is correct, -p when not."""
-    conf = record_confidence(record)
-    if conf is None:
-        raise MissingSignal(f"record {record.qid!r} has no parseable confidence")
-    value = conf if record_correct(record, f1_threshold) else -conf
-    return value + 0.0
-
-
-def emission_reward(
-    record: PredictionRecord,
-    penalty_per_extra: float = DEFAULT_REPETITION_PENALTY,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> float:
-    """Emission-interface reward from the (correct, emitted) table, minus a
-    repetition penalty for each marker beyond the second."""
-    correct = record_correct(record, f1_threshold)
-    emitted = len(record.emissions) >= 1
-    base = EMISSION_REWARD_TABLE[(correct, emitted)]
-    extra = max(0, len(record.emissions) - 2)
-    return base - penalty_per_extra * extra
 
 
 def scan_emissions(response_text: str) -> list[EmissionEvent]:

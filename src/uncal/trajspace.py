@@ -3,7 +3,9 @@
 A TrajectorySpace is a finite distribution over reasoning trajectories for a
 single input, each trajectory carrying a final answer, a stated confidence,
 and a base probability. Tilting reweights the distribution by
-exp(eta * reward) and renormalizes; every derived quantity here (log-odds
+exp(eta * reward) and renormalizes. The reward is the one calibration
+training optimizes, the signed verbal confidence: +confidence for a correct
+trajectory, -confidence for a wrong one. Every derived quantity here (log-odds
 shifts, answer masses, mass-ratio bounds, confidence-weighted margins) can be
 computed exactly on these finite spaces, which is what makes brute-force
 verification possible.
@@ -14,22 +16,13 @@ spaces, so concurrent use over distinct spaces is safe.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRatio,
-    HypothesisViolated,
-    InvalidStep,
-    MissingReward,
-    NumericOverflow,
-    UndefinedLogOdds,
-    UnknownTrajectory,
-)
+from .errors import DegenerateRatio, HypothesisViolated, InvalidStep, NumericOverflow
 
 # exp() overflows float64 a little above 709; linear exposure of the tilted
 # probabilities additionally requires the reward spread to stay representable.
@@ -86,12 +79,6 @@ class TrajectorySpace:
     def __len__(self) -> int:
         return len(self.trajectories)
 
-    def by_id(self, traj_id: str) -> Trajectory:
-        for t in self.trajectories:
-            if t.id == traj_id:
-                return t
-        raise UnknownTrajectory(f"no trajectory with id {traj_id!r}")
-
     def probs(self) -> np.ndarray:
         return np.array([t.base_prob for t in self.trajectories], dtype=float)
 
@@ -106,43 +93,17 @@ class TrajectorySpace:
         return TrajectorySpace(new, self.gold_answer)
 
 
-class RewardKind(enum.Enum):
-    VERBAL_CONFIDENCE = "VerbalConfidence"
-    CUSTOM = "Custom"
+def reward(traj: Trajectory) -> float:
+    """The signed verbal confidence: +confidence if correct, -confidence if not."""
+    value = traj.confidence if traj.correct else -traj.confidence
+    return value + 0.0  # canonicalize -0.0
 
 
-@dataclass(frozen=True)
-class RewardSpec:
-    """Which reward drives the tilt: signed confidence, or an explicit table."""
-
-    kind: RewardKind
-    custom_values: Mapping[str, float] | None = None
-
-    @staticmethod
-    def verbal() -> "RewardSpec":
-        return RewardSpec(RewardKind.VERBAL_CONFIDENCE)
-
-    @staticmethod
-    def custom(values: Mapping[str, float]) -> "RewardSpec":
-        return RewardSpec(RewardKind.CUSTOM, dict(values))
+def space_rewards(space: TrajectorySpace) -> np.ndarray:
+    return np.array([reward(t) for t in space.trajectories], dtype=float)
 
 
-def reward(traj: Trajectory, spec: RewardSpec) -> float:
-    """Reward of one trajectory: +confidence if correct, -confidence if not,
-    or the custom table entry."""
-    if spec.kind is RewardKind.VERBAL_CONFIDENCE:
-        value = traj.confidence if traj.correct else -traj.confidence
-        return value + 0.0  # canonicalize -0.0
-    if spec.custom_values is None or traj.id not in spec.custom_values:
-        raise MissingReward(f"custom reward table has no entry for {traj.id!r}")
-    return float(spec.custom_values[traj.id])
-
-
-def space_rewards(space: TrajectorySpace, spec: RewardSpec) -> np.ndarray:
-    return np.array([reward(t, spec) for t in space.trajectories], dtype=float)
-
-
-def tilt(space: TrajectorySpace, spec: RewardSpec, eta: float) -> TrajectorySpace:
+def tilt(space: TrajectorySpace, eta: float) -> TrajectorySpace:
     """Reweight the space by exp(eta * reward) and renormalize.
 
     Computed in log space so that large eta * reward values do not overflow
@@ -152,7 +113,7 @@ def tilt(space: TrajectorySpace, spec: RewardSpec, eta: float) -> TrajectorySpac
     """
     if eta <= 0.0:
         raise InvalidStep(f"eta must be strictly positive, got {eta}")
-    r = space_rewards(space, spec)
+    r = space_rewards(space)
     scaled = eta * r
     if np.max(np.abs(scaled)) > _EXP_LIMIT:
         raise NumericOverflow(
@@ -174,26 +135,6 @@ def tilt(space: TrajectorySpace, spec: RewardSpec, eta: float) -> TrajectorySpac
     out[positive] = np.exp(logw[positive] - lse)
     out /= math.fsum(out)
     return space.with_probs(out)
-
-
-def log_odds_delta(
-    space: TrajectorySpace,
-    spec: RewardSpec,
-    eta: float,
-    z1: str,
-    z2: str,
-) -> float:
-    """Change in log(p(z1)/p(z2)) induced by one tilt step: eta * (r1 - r2).
-
-    This closed form equals the measured log-odds change under `tilt` for any
-    pair of positive-probability trajectories, because the partition function
-    cancels in the ratio.
-    """
-    t1 = space.by_id(z1)
-    t2 = space.by_id(z2)
-    if t1.base_prob <= 0.0 or t2.base_prob <= 0.0:
-        raise UndefinedLogOdds("log-odds need both base probabilities positive")
-    return eta * (reward(t1, spec) - reward(t2, spec))
 
 
 def answer_mass(space: TrajectorySpace, answer: str) -> float:
@@ -219,21 +160,42 @@ class BoundCheck:
     support_preserved: bool
 
 
-def _mass_ratio_check(
+def verify_mass_ratio_bound(
     space: TrajectorySpace,
-    spec: RewardSpec,
     eta: float,
-    correct_label: str,
-    competing_label: str,
-    a: float,
-    b: float,
+    correct: str,
+    competing: str,
 ) -> BoundCheck:
-    m_correct = answer_mass(space, correct_label)
-    m_competing = answer_mass(space, competing_label)
-    if m_competing <= 0.0 or m_correct <= 0.0:
+    """Check that tilting amplifies M(correct)/M(competing) by >= exp(eta*(a-b)).
+
+    a is the minimum reward among (positive-probability) trajectories that
+    produce `correct`; b is the maximum among those producing `competing`.
+    For the gold answer against a wrong one, a is the lowest gold confidence
+    and b minus the lowest competing confidence, so a > b fails only when
+    both are 0. The bound applies only when a > b; otherwise
+    HypothesisViolated is raised.
+    """
+    correct_rewards = [
+        reward(t)
+        for t in space.trajectories
+        if t.answer == correct and t.base_prob > 0.0
+    ]
+    competing_rewards = [
+        reward(t)
+        for t in space.trajectories
+        if t.answer == competing and t.base_prob > 0.0
+    ]
+    if not correct_rewards or not competing_rewards:
         raise DegenerateRatio("both answers need positive mass for a ratio bound")
-    tilted = tilt(space, spec, eta)
-    lhs = answer_mass(tilted, correct_label) / answer_mass(tilted, competing_label)
+    a, b = min(correct_rewards), max(competing_rewards)
+    if a <= b:
+        raise HypothesisViolated(
+            f"need min correct reward > max competing reward, got a={a} <= b={b}"
+        )
+    m_correct = answer_mass(space, correct)
+    m_competing = answer_mass(space, competing)
+    tilted = tilt(space, eta)
+    lhs = answer_mass(tilted, correct) / answer_mass(tilted, competing)
     rhs = math.exp(eta * (a - b)) * m_correct / m_competing
     support_before = {t.id for t in space.trajectories if t.base_prob > 0.0}
     support_after = {t.id for t in tilted.trajectories if t.base_prob > 0.0}
@@ -245,73 +207,6 @@ def _mass_ratio_check(
         holds=lhs >= rhs - 1e-10,
         support_preserved=support_before == support_after,
     )
-
-
-def verify_mass_ratio_bound(
-    space: TrajectorySpace,
-    spec: RewardSpec,
-    eta: float,
-    correct: str,
-    competing: str,
-) -> BoundCheck:
-    """Check that tilting amplifies M(correct)/M(competing) by >= exp(eta*(a-b)).
-
-    a is the minimum reward among (positive-probability) trajectories that
-    produce `correct`; b is the maximum among those producing `competing`.
-    The bound only applies when a > b; otherwise HypothesisViolated is raised.
-    """
-    a, b = _reward_envelope(space, spec, correct, competing)
-    if a <= b:
-        raise HypothesisViolated(
-            f"need min correct reward > max competing reward, got a={a} <= b={b}"
-        )
-    return _mass_ratio_check(space, spec, eta, correct, competing, a, b)
-
-
-def verbal_specialized_bound(
-    space: TrajectorySpace,
-    eta: float,
-    correct: str,
-    competing: str,
-) -> BoundCheck:
-    """Mass-ratio bound specialized to the signed-confidence reward.
-
-    With alpha the minimum confidence on correct-answer trajectories and beta
-    the minimum confidence on competing-answer trajectories, the envelope is
-    a = alpha and b = -beta, so the guaranteed factor is exp(eta*(alpha+beta)).
-    alpha = beta = 0 degenerates to plain ratio non-decrease and is allowed.
-    """
-    spec = RewardSpec.verbal()
-    alpha = _confidence_floor(space, correct)
-    beta = _confidence_floor(space, competing)
-    return _mass_ratio_check(space, spec, eta, correct, competing, alpha, -beta)
-
-
-def _reward_envelope(space, spec, correct_label, competing_label):
-    correct_rewards = [
-        reward(t, spec)
-        for t in space.trajectories
-        if t.answer == correct_label and t.base_prob > 0.0
-    ]
-    competing_rewards = [
-        reward(t, spec)
-        for t in space.trajectories
-        if t.answer == competing_label and t.base_prob > 0.0
-    ]
-    if not correct_rewards or not competing_rewards:
-        raise DegenerateRatio("both answers need positive mass for a ratio bound")
-    return min(correct_rewards), max(competing_rewards)
-
-
-def _confidence_floor(space, answer):
-    confs = [
-        t.confidence
-        for t in space.trajectories
-        if t.answer == answer and t.base_prob > 0.0
-    ]
-    if not confs:
-        raise DegenerateRatio(f"answer {answer!r} has no positive-probability mass")
-    return min(confs)
 
 
 def confidence_weighted_score(space: TrajectorySpace, answer: str) -> float:
@@ -366,12 +261,7 @@ def summarize(space: TrajectorySpace) -> TiltStepSummary:
     )
 
 
-def iterate_tilt(
-    space: TrajectorySpace,
-    spec: RewardSpec,
-    eta: float,
-    steps: int,
-) -> list[TiltStep]:
+def iterate_tilt(space: TrajectorySpace, eta: float, steps: int) -> list[TiltStep]:
     """Apply `tilt` repeatedly, recording a summary after every step.
 
     Because exponential tilts compose additively in eta, k steps at eta equal
@@ -383,7 +273,7 @@ def iterate_tilt(
     out = []
     current = space
     for k in range(1, steps + 1):
-        current = tilt(current, spec, eta)
+        current = tilt(current, eta)
         out.append(TiltStep(step=k, space=current, summary=summarize(current)))
     return out
 

@@ -57,15 +57,14 @@ def criterion(number, description):
 def test_theory_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    spec = ts.RewardSpec.verbal()
     eta = 1.0
     bound_checked = 0
     for _ in range(1000):
         space = ts.random_space(rng)
-        tilted = ts.tilt(space, spec, eta)
+        tilted = ts.tilt(space, eta)
         p0 = space.probs()
         p1 = tilted.probs()
-        rewards = ts.space_rewards(space, spec)
+        rewards = ts.space_rewards(space)
 
         # one-step log-odds law, all pairs, 1e-10
         log0 = np.log(p0)
@@ -97,7 +96,7 @@ def test_theory_suite():
             competing = max(competitors, key=lambda y: (ts.answer_mass(space, y), y))
             try:
                 check = ts.verify_mass_ratio_bound(
-                    space, spec, eta, space.gold_answer, competing
+                    space, eta, space.gold_answer, competing
                 )
             except (HypothesisViolated, DegenerateRatio):
                 continue
@@ -120,7 +119,7 @@ def test_margin_flip_fixture():
     pre = ts.answer_margin(space)
     assert pre <= 0.0
     assert pre == -0.2899999999999999  # frozen: 0.3*0.9 - 0.7*0.8
-    post = ts.answer_margin(ts.tilt(space, ts.RewardSpec.verbal(), 2.0))
+    post = ts.answer_margin(ts.tilt(space, 2.0))
     assert post > 0.0
     w1 = 0.3 * math.exp(1.8)
     w2 = 0.7 * math.exp(-1.6)
@@ -131,13 +130,12 @@ def test_margin_flip_fixture():
 @criterion(3, "k sequential tilts equal one tilt at k*eta within 1e-10")
 def test_tilt_composition():
     rng = np.random.default_rng(SEED + 1)
-    spec = ts.RewardSpec.verbal()
     for _ in range(100):
         space = ts.random_space(rng)
         k = int(rng.integers(2, 6))
         eta = float(rng.uniform(0.05, 1.5))
-        stepped = ts.iterate_tilt(space, spec, eta, k)[-1].space
-        direct = ts.tilt(space, spec, k * eta)
+        stepped = ts.iterate_tilt(space, eta, k)[-1].space
+        direct = ts.tilt(space, k * eta)
         assert np.max(np.abs(stepped.probs() - direct.probs())) < 1e-10
 
 

@@ -718,6 +718,113 @@ class TestTableRejections:
         assert named in self.rejected(capsys, ann)
 
 
+class TestNestedRejections:
+    """A rejection inside a nested object says where in the line it is."""
+
+    PRED = {"qid": "g", "gold_answers": ["a"], "response_text": "Answer: a <uncertain>",
+            "verbal_confidence": 0.5}
+
+    @staticmethod
+    def space(**changes):
+        trajectories = [{"id": f"t{i}", "answer": "AB"[i % 2], "confidence": 0.5,
+                         "base_prob": 0.25} for i in range(4)]
+        for i, fields in changes.items():
+            trajectories[int(i[1:])] = fields
+        return {"gold_answer": "A", "trajectories": trajectories}
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"emissions": [{"char_position": 0, "x": 1}]}, "emissions[0]: unknown fields ['x']"),
+        ({"emissions": [{"char_position": 0}, 5]}, "emissions[1] must be a JSON object"),
+        ({"emissions": [{"char_position": 0}, {"token_index": 2}]},
+         "emissions[1]: missing field 'char_position'"),
+        ({"match": {"correct": True, "rule": "TokenF1"}}, "match: missing field 'f1'"),
+        ({"match": {"correct": "yes", "rule": "TokenF1", "f1": 1.0}},
+         "match: correct must be true or false"),
+        ({"match": [1]}, "match must be a JSON object"),
+    ])
+    def test_calib(self, tmp_path, capsys, fields, message):
+        path = _write_lines(tmp_path / "p.jsonl", [self.PRED, self.PRED | fields, self.PRED])
+        assert main(["calib", "--in", str(path), "--out", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().err == f"{path}:2: {message}\n"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"t2": {"id": "t2", "answer": "A", "confidence": 1.5, "base_prob": 0.25}},
+         "trajectories[2]: confidence outside [0,1]"),
+        ({"t1": {"answer": "B", "confidence": 0.5, "base_prob": 0.25}},
+         "trajectories[1]: missing field 'id'"),
+        ({"t3": {"id": "t3", "answer": "B", "confidence": 0.5, "base_prob": 0.25, "p": 1}},
+         "trajectories[3]: unknown fields ['p']"),
+        ({"t0": "t0"}, "trajectories[0] must be a JSON object"),
+    ])
+    def test_theory_verify(self, tmp_path, capsys, changes, message):
+        path = _write_lines(tmp_path / "s.jsonl",
+                            [self.space(), self.space(**changes), self.space()])
+        out = tmp_path / "v.jsonl"
+        assert main(["theory", "verify", "--in", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"{path}:2: {message}\n"
+        assert len(out.read_text().splitlines()) == 2
+
+
+class TestFitFlagRanges:
+    """Fit settings that used to produce garbage are refused with exit 1 and a
+    message naming the setting; no output is written."""
+
+    @pytest.fixture()
+    def probe_inputs(self, tmp_path):
+        preds = write_hidden_dir(tmp_path / "hidden", n=60)
+        return tmp_path / "hidden", preds
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--l2", "-1"], "l2=-1.0 must be a finite number >= 0"),
+        (["--l2", "nan"], "l2=nan must be a finite number >= 0"),
+        (["--l2", "inf"], "l2=inf must be a finite number >= 0"),
+        (["--window", "-1"], "window=-1 must be at least 0"),
+        (["--window", "-1", "--span-tokens", "3"], "window=-1 must be at least 0"),
+        (["--span-tokens", "0"], "span_tokens=0 must be at least 1"),
+    ])
+    @pytest.mark.parametrize("command", ["sweep", "fit"])
+    def test_probe(self, tmp_path, capsys, probe_inputs, command, flags, message):
+        hidden, preds = probe_inputs
+        out = tmp_path / "out.json"
+        where = (["--hidden", str(hidden), "--layers", "0,8"] if command == "sweep"
+                 else ["--hidden", str(hidden / "layer_8.mat")])
+        assert main(["probe", command, *where, "--preds", str(preds),
+                     *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--l2", "-1"], "l2=-1.0 must be a finite number >= 0"),
+        (["--l2", "nan"], "l2=nan must be a finite number >= 0"),
+        (["--l2", "inf"], "l2=inf must be a finite number >= 0"),
+    ])
+    def test_recal_ats(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o.jsonl"
+        assert main(["recal", "ats", "--fit", str(PREDS_FIXTURE),
+                     "--apply", str(PREDS_FIXTURE), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"window": -1}, "window=-1 must be at least 0"),
+        ({"span_tokens": 0}, "span_tokens=0 must be at least 1"),
+    ])
+    def test_probe_eval_reads_the_ranges_from_the_model(
+        self, tmp_path, capsys, probe_inputs, config, message
+    ):
+        hidden, preds = probe_inputs
+        layer = hidden / "layer_8.mat"
+        model = tmp_path / "model.json"
+        assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
+                     "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj["config"].update(config)
+        model.write_text(json.dumps(obj))
+        assert main(["probe", "eval", "--model", str(model), "--hidden", str(layer),
+                     "--preds", str(preds), "--out", str(tmp_path / "e.json")]) == 1
+        assert capsys.readouterr().err == f"uncal: {message}\n"
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _PROB = st.floats(0.0, 1.0)
 _TOKEN_PROBS = st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4).map(tuple)

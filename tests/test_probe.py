@@ -29,12 +29,12 @@ class TestBuildFeatures:
     def test_window_zero_single_token(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
         features = probe.build_features(hidden, emitted_record(3), window=0)
-        np.testing.assert_array_equal(features.span_mean, hidden[3])
+        np.testing.assert_array_equal(features[:-3], hidden[3])
 
     def test_left_clip_at_sequence_start(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
         features = probe.build_features(hidden, emitted_record(0), window=3)
-        np.testing.assert_allclose(features.span_mean, hidden[0:4].mean(axis=0))
+        np.testing.assert_allclose(features[:-3], hidden[0:4].mean(axis=0))
 
     def test_hand_mean_two_token_span(self):
         hidden = np.zeros((8, 2))
@@ -43,19 +43,27 @@ class TestBuildFeatures:
         hidden[4] = (2.0, 2.0)
         hidden[5] = (1.0, 3.0)
         features = probe.build_features(
-            emitted_record(3), hidden, window=1, span_token_count=2
-        ) if False else probe.build_features(
             hidden, emitted_record(3), window=1, span_token_count=2
         )
-        np.testing.assert_allclose(features.span_mean, hidden[2:6].mean(axis=0))
+        np.testing.assert_allclose(features[:-3], hidden[2:6].mean(axis=0))
 
     def test_scalars(self):
         hidden = np.ones((10, 3))
         record = emitted_record(4)
         features = probe.build_features(hidden, record, window=1)
-        count, emissions, fraction = features.scalars
+        assert features.shape == (6,)
+        count, emissions, fraction = features[-3:]
         assert count == 10.0 and emissions == 1.0
         assert fraction == pytest.approx(5 / len(record.response_text))
+
+    @pytest.mark.parametrize("window, span, message", [
+        (-1, 1, "window=-1 must be at least 0"),
+        (0, 0, "span_tokens=0 must be at least 1"),
+        (2, -3, "span_tokens=-3 must be at least 1"),
+    ])
+    def test_window_and_span_ranges(self, window, span, message):
+        with pytest.raises(ValueError, match=message):
+            probe.build_features(np.ones((10, 2)), emitted_record(3), window, span)
 
     def test_not_emitted(self):
         record = PredictionRecord(
@@ -260,7 +268,7 @@ class TestExamples:
         assert qids == [r.qid for r, _ in kept] and len(qids) == 29
         assert wrong.tolist() == [0 if ok else 1 for _, ok in kept]
         np.testing.assert_array_equal(
-            x, np.stack([probe.build_features(stack[r.qid], r).vector() for r, _ in kept]))
+            x, np.stack([probe.build_features(stack[r.qid], r) for r, _ in kept]))
 
     def test_no_example_rejected(self):
         records = [PredictionRecord(qid="q", gold_answers=("a",), response_text="Answer: a")]

@@ -2,16 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncal.errors import MissingSignal
 from uncal.rewards import (
     EmissionEvent,
     MatchRule,
     PredictionRecord,
     annotate_record,
-    emission_reward,
     extract_answer_line,
     extract_confidence,
-    extract_confidence_flagged,
     first_emit_fraction,
     match_answer,
     match_record,
@@ -22,7 +19,6 @@ from uncal.rewards import (
     scan_emissions,
     score_predictions,
     token_f1,
-    verbal_reward,
 )
 
 from conftest import count_calls
@@ -53,9 +49,8 @@ class TestExtractConfidence:
     def test_plain(self):
         assert extract_confidence("Answer: X\nConfidence: 0.9") == 0.9
 
-    def test_clamped_with_flag(self):
-        value, clamped = extract_confidence_flagged("Confidence: 1.7")
-        assert value == 1.0 and clamped
+    def test_clamped_above(self):
+        assert extract_confidence("Confidence: 1.7") == 1.0
 
     def test_absent(self):
         assert extract_confidence("no confidence here") is None
@@ -64,8 +59,7 @@ class TestExtractConfidence:
         assert extract_confidence("Confidence: 0.1\nConfidence: 0.6") == 0.6
 
     def test_negative_clamps_to_zero(self):
-        value, clamped = extract_confidence_flagged("Confidence: -0.2")
-        assert value == 0.0 and clamped
+        assert extract_confidence("Confidence: -0.2") == 0.0
 
 
 class TestNormalizeAnswer:
@@ -148,63 +142,6 @@ class TestMatchAnswer:
     def test_reflexive_on_nonempty(self, gold):
         result = match_answer(gold, [gold])
         assert result.correct
-
-
-class TestRecordRewards:
-    def test_verbal_reward_small_correct(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("paris",),
-            response_text="Answer: Paris", verbal_confidence=0.05,
-        )
-        assert verbal_reward(record) == 0.05
-
-    def test_verbal_reward_confident_wrong(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("london",),
-            response_text="Answer: Paris", verbal_confidence=0.9,
-        )
-        assert verbal_reward(record) == -0.9
-
-    def test_verbal_reward_zero_boundary(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("london",),
-            response_text="Answer: Paris", verbal_confidence=0.0,
-        )
-        assert verbal_reward(record) == 0.0
-
-    def test_verbal_reward_missing_confidence(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("paris",), response_text="Answer: Paris",
-        )
-        with pytest.raises(MissingSignal):
-            verbal_reward(record)
-
-    def make_emission_record(self, correct, count):
-        marker = " ".join(["<uncertain>"] * count)
-        text = (marker + "\n" if count else "") + (
-            "Answer: alpha" if correct else "Answer: omega"
-        )
-        return PredictionRecord(
-            qid="q", gold_answers=("alpha",), response_text=text,
-            emissions=tuple(scan_emissions(text)),
-        )
-
-    def test_emission_reward_table(self):
-        assert emission_reward(self.make_emission_record(True, 0)) == 5.0
-        assert emission_reward(self.make_emission_record(True, 1)) == 3.5
-        assert emission_reward(self.make_emission_record(False, 1)) == 0.0
-        assert emission_reward(self.make_emission_record(False, 0)) == -2.0
-
-    def test_emission_reward_repetition_penalty(self):
-        assert emission_reward(self.make_emission_record(False, 4), 1.0) == -2.0
-
-    def test_reward_ordering_preserved_up_to_two_emissions(self):
-        for penalty in (0.0, 1.0, 5.0):
-            values = [
-                emission_reward(self.make_emission_record(correct, count), penalty)
-                for correct, count in [(True, 0), (True, 2), (False, 2), (False, 0)]
-            ]
-            assert values[0] > values[1] > values[2] > values[3]
 
 
 class TestScanEmissions:

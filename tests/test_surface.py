@@ -1,13 +1,15 @@
-"""Static check that every top-level function and class in `src/uncal` is
-reachable from the `uncal` command.
+"""Static checks that every top-level function and class in `src/uncal` is
+reachable from the `uncal` command, and that every parameter with a default
+in what the command reaches is set by some call.
 
-The check parses the package with `ast` and follows references from the
+The checks parse the package with `ast` and follow references from the
 command's entry points (`cli.main`, `cli.entry`) through the package: a bare
 name inside its own module, `from .m import name`, and `m.name` after
 `from . import m`. Module-level statements that are not definitions run on
 import, so their references count too. A definition reached from nowhere but
 its own body is dead code, unless `ALLOWED` names it with the reason it is
-kept.
+kept. A default that no call in the package overrides is a constant in
+disguise: a parameter that does nothing.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ ALLOWED = {
     ("matio", "write_matrix"): "writes the hidden-state files that `probe` and `repr` read",
     ("matio", "write_row_ids"): "writes the sidecars that `probe` reads",
     ("jsonio", "rag_to_dict"): "writes the traces that `rag` reads",
-    ("rewards", "verbal_reward"): "theory helper: the verbal-confidence reward",
-    ("rewards", "emission_reward"): "theory helper: the emission-interface reward",
-    ("trajspace", "log_odds_delta"): "theory helper: log-odds shift under one tilt",
-    ("trajspace", "verbal_specialized_bound"): "theory helper: the verbal-reward bound",
 }
 
 
@@ -53,8 +51,9 @@ def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
 
 
 def _resolver(module: str, tree: ast.Module):
-    """Function giving the (module, name) pairs of the package definitions
-    that a node of `module` refers to."""
+    """Functions giving, for a node of `module`, the (module, name) pairs of
+    the package definitions it refers to, and the one definition a name or
+    attribute expression denotes (None if it denotes none)."""
     names = {name: (module, name) for name in _definitions(tree)}
     submodules = {}
     for stmt in ast.walk(tree):
@@ -66,22 +65,23 @@ def _resolver(module: str, tree: ast.Module):
                 else:
                     names[local] = (stmt.module, alias.name)
 
+    def denotes(expr: ast.AST) -> tuple[str, str] | None:
+        if isinstance(expr, ast.Name) and isinstance(expr.ctx, ast.Load):
+            return names.get(expr.id)
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+            if expr.value.id in submodules:
+                return submodules[expr.value.id], expr.attr
+        return None
+
     def references(node: ast.AST) -> set[tuple[str, str]]:
-        refs = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                if sub.id in names:
-                    refs.add(names[sub.id])
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                if sub.value.id in submodules:
-                    refs.add((submodules[sub.value.id], sub.attr))
-        return refs
+        return {ref for sub in ast.walk(node) if (ref := denotes(sub)) is not None}
 
-    return references
+    return references, denotes
 
 
-def _unreachable(allowed) -> list[tuple[str, str]]:
-    """Definitions reached neither from `ROOTS` nor from `allowed`."""
+def _package():
+    """The parsed modules, each module's resolver pair, and every top-level
+    definition by (module, name)."""
     modules = _modules()
     resolvers = {module: _resolver(module, tree) for module, tree in modules.items()}
     definitions = {
@@ -89,7 +89,14 @@ def _unreachable(allowed) -> list[tuple[str, str]]:
         for module, tree in modules.items()
         for name, node in _definitions(tree).items()
     }
-    reached = set(ROOTS) | set(allowed)
+    return modules, resolvers, definitions
+
+
+def _reached(roots) -> set[tuple[str, str]]:
+    """Definitions reached from `roots` and from module-level statements."""
+    modules, resolvers, definitions = _package()
+    resolvers = {module: references for module, (references, _) in resolvers.items()}
+    reached = set(roots)
     for module, tree in modules.items():
         for stmt in tree.body:
             if not isinstance(stmt, _DEFS):
@@ -102,11 +109,63 @@ def _unreachable(allowed) -> list[tuple[str, str]]:
         for ref in resolvers[module](definitions[module, name]) - reached:
             reached.add(ref)
             frontier.append(ref)
-    return sorted(set(definitions) - reached)
+    return reached
+
+
+def _unreachable(allowed) -> list[tuple[str, str]]:
+    """Definitions reached neither from `ROOTS` nor from `allowed`."""
+    return sorted(set(_package()[2]) - _reached(set(ROOTS) | set(allowed)))
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default; keyword-only
+    parameters have position None."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    out += [
+        (None, arg.arg)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _unset_defaults() -> list[tuple[str, str, str]]:
+    """(module, function, parameter) of each defaulted parameter of a
+    function the command reaches (outside `ALLOWED`) that no call in the
+    package passes, by keyword or by position."""
+    modules, resolvers, definitions = _package()
+    passed: dict[tuple[str, str], set] = {}
+    for module, tree in modules.items():
+        denotes = resolvers[module][1]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and (callee := denotes(call.func)):
+                given = passed.setdefault(callee, set())
+                # a keyword's arg is None for **kwargs, which may pass any name
+                given.update(k.arg or "**" for k in call.keywords)
+                given.update(range(len(call.args)))
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    given.add("*")
+    unset = []
+    for key in sorted(_reached(ROOTS) - set(ALLOWED)):
+        fn = definitions.get(key)
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        given = passed.get(key, set())
+        for position, name in _defaulted(fn):
+            ways = {name, "**"} if position is None else {name, "**", position, "*"}
+            if not ways & given:
+                unset.append((*key, name))
+    return unset
 
 
 def test_every_definition_is_reachable_from_the_command():
     assert _unreachable(ALLOWED) == []
+
+
+def test_every_default_is_overridden_by_some_call():
+    assert _unset_defaults() == []
 
 
 def test_allowlist_names_existing_definitions():

@@ -11,10 +11,7 @@ from uncal.errors import (
     DegenerateRatio,
     HypothesisViolated,
     InvalidStep,
-    MissingReward,
     NumericOverflow,
-    UndefinedLogOdds,
-    UnknownTrajectory,
 )
 
 
@@ -80,67 +77,59 @@ class TestSpaceValidation:
 class TestReward:
     def test_correct_returns_plus_confidence(self):
         traj = ts.Trajectory("z", "A", 0.9, 1.0, True)
-        assert ts.reward(traj, ts.RewardSpec.verbal()) == 0.9
+        assert ts.reward(traj) == 0.9
 
     def test_zero_confidence_boundary(self):
         traj = ts.Trajectory("z", "A", 0.0, 1.0, False)
-        assert ts.reward(traj, ts.RewardSpec.verbal()) == 0.0
+        assert ts.reward(traj) == 0.0
+        assert math.copysign(1.0, ts.reward(traj)) == 1.0  # not -0.0
 
     def test_wrong_returns_minus_confidence(self):
         traj = ts.Trajectory("z", "A", 0.7, 1.0, False)
-        assert ts.reward(traj, ts.RewardSpec.verbal()) == -0.7
-
-    def test_custom_table(self):
-        traj = ts.Trajectory("z", "A", 0.7, 1.0, False)
-        assert ts.reward(traj, ts.RewardSpec.custom({"z": 2.5})) == 2.5
-
-    def test_missing_custom_entry(self):
-        traj = ts.Trajectory("z", "A", 0.7, 1.0, False)
-        with pytest.raises(MissingReward):
-            ts.reward(traj, ts.RewardSpec.custom({"other": 1.0}))
+        assert ts.reward(traj) == -0.7
 
 
 class TestTilt:
     def test_constant_reward_is_identity(self):
-        space = two_space()
-        spec = ts.RewardSpec.custom({"z1": 3.0, "z2": 3.0})
-        out = ts.tilt(space, spec, 1.7)
+        space = two_space(conf1=0.6, conf2=0.6, answers=("A", "A"))
+        out = ts.tilt(space, 1.7)
         np.testing.assert_allclose(out.probs(), space.probs(), atol=1e-12)
 
     def test_vanishing_eta_is_identity(self):
         space = two_space(conf1=0.9, conf2=0.2)
-        out = ts.tilt(space, ts.RewardSpec.verbal(), 1e-300)
+        out = ts.tilt(space, 1e-300)
         np.testing.assert_allclose(out.probs(), space.probs(), atol=1e-12)
 
     def test_two_trajectory_hand_value(self):
-        space = two_space()
-        spec = ts.RewardSpec.custom({"z1": 1.0, "z2": -1.0})
-        out = ts.tilt(space, spec, math.log(2.0))
+        # rewards +1 and -1
+        space = two_space(conf1=1.0, conf2=1.0)
+        out = ts.tilt(space, math.log(2.0))
         np.testing.assert_allclose(out.probs(), [0.8, 0.2], atol=1e-12)
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(InvalidStep):
-            ts.tilt(two_space(), ts.RewardSpec.verbal(), 0.0)
+            ts.tilt(two_space(), 0.0)
 
     def test_overflow_guard(self):
-        spec = ts.RewardSpec.custom({"z1": 800.0, "z2": 0.0})
+        # eta * reward: 800 and 0
         with pytest.raises(NumericOverflow):
-            ts.tilt(two_space(), spec, 1.0)
+            ts.tilt(two_space(conf1=1.0, conf2=0.0), 800.0)
 
     def test_spread_guard(self):
-        spec = ts.RewardSpec.custom({"z1": 650.0, "z2": -650.0})
+        # eta * reward: 400 and -400, each representable, the spread not
         with pytest.raises(NumericOverflow):
-            ts.tilt(two_space(), spec, 1.0)
+            ts.tilt(two_space(conf1=1.0, conf2=1.0), 400.0)
 
     def test_large_but_safe_rewards_stay_finite(self):
-        spec = ts.RewardSpec.custom({"z1": 690.0, "z2": 350.0})
-        out = ts.tilt(two_space(), spec, 1.0)
+        # eta * reward: 690 and 345
+        space = two_space(conf1=1.0, conf2=0.5, answers=("A", "A"))
+        out = ts.tilt(space, 690.0)
         assert np.all(np.isfinite(out.probs()))
         assert abs(math.fsum(out.probs()) - 1.0) <= 1e-12
 
     def test_metadata_untouched(self):
         space = two_space(conf1=0.9, conf2=0.2)
-        out = ts.tilt(space, ts.RewardSpec.verbal(), 1.0)
+        out = ts.tilt(space, 1.0)
         assert out.gold_answer == space.gold_answer
         for before, after in zip(space.trajectories, out.trajectories):
             assert (before.id, before.answer, before.confidence, before.correct) == (
@@ -148,42 +137,25 @@ class TestTilt:
             )
 
 
+def log_odds_change(space, eta, i, j):
+    """Measured change of log(p_i / p_j) under one tilt at eta."""
+    before, after = space.probs(), ts.tilt(space, eta).probs()
+    return math.log(after[i] / after[j]) - math.log(before[i] / before[j])
+
+
 class TestLogOddsDelta:
     def test_equal_rewards_give_zero(self):
         space = two_space(conf1=0.4, conf2=0.4, answers=("B", "C"))
-        assert ts.log_odds_delta(space, ts.RewardSpec.verbal(), 2.0, "z1", "z2") == 0.0
+        assert log_odds_change(space, 2.0, 0, 1) == 0.0
 
     def test_hand_value_and_tilt_crosscheck(self):
-        space = two_space()
-        spec = ts.RewardSpec.custom({"z1": 1.0, "z2": -1.0})
-        delta = ts.log_odds_delta(space, spec, 0.5, "z1", "z2")
-        assert delta == 1.0
-        tilted = ts.tilt(space, spec, 0.5)
-        measured = (
-            math.log(tilted.by_id("z1").base_prob / tilted.by_id("z2").base_prob)
-            - math.log(space.by_id("z1").base_prob / space.by_id("z2").base_prob)
-        )
-        assert abs(measured - delta) < 1e-10
+        # rewards +1 and -1: eta * (r1 - r2) = 1
+        space = two_space(conf1=1.0, conf2=1.0)
+        assert abs(log_odds_change(space, 0.5, 0, 1) - 1.0) < 1e-10
 
     def test_overconfident_wrong_pair_is_negative(self):
         space = two_space(conf1=0.9, conf2=0.1, answers=("B", "C"), gold="A")
-        delta = ts.log_odds_delta(space, ts.RewardSpec.verbal(), 1.0, "z1", "z2")
-        assert abs(delta - (-0.8)) < 1e-12
-
-    def test_zero_probability_rejected(self):
-        space = ts.TrajectorySpace(
-            (
-                ts.Trajectory("z1", "A", 0.5, 1.0, True),
-                ts.Trajectory("z2", "B", 0.5, 0.0, False),
-            ),
-            "A",
-        )
-        with pytest.raises(UndefinedLogOdds):
-            ts.log_odds_delta(space, ts.RewardSpec.verbal(), 1.0, "z1", "z2")
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(UnknownTrajectory):
-            ts.log_odds_delta(two_space(), ts.RewardSpec.verbal(), 1.0, "z1", "nope")
+        assert abs(log_odds_change(space, 1.0, 0, 1) - (-0.8)) < 1e-12
 
 
 class TestAnswerMass:
@@ -208,14 +180,19 @@ class TestAnswerMass:
 
 class TestMassRatioBound:
     def test_hypothesis_gate(self):
-        space = two_space()
-        spec = ts.RewardSpec.custom({"z1": 0.5, "z2": 0.7})
+        # zero confidence on both sides: a = b = 0
+        space = two_space(conf1=0.0, conf2=0.0)
         with pytest.raises(HypothesisViolated):
-            ts.verify_mass_ratio_bound(space, spec, 1.0, "A", "B")
+            ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
+
+    def test_hypothesis_gate_with_the_wrong_answer_favoured(self):
+        space = two_space(conf1=0.5, conf2=0.7)
+        with pytest.raises(HypothesisViolated):
+            ts.verify_mass_ratio_bound(space, 1.0, "B", "A")
 
     def test_two_trajectory_saturation(self):
         space = two_space(conf1=0.8, conf2=0.6)
-        check = ts.verify_mass_ratio_bound(space, ts.RewardSpec.verbal(), 1.0, "A", "B")
+        check = ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
         assert check.a == 0.8 and check.b == -0.6
         assert check.rhs == pytest.approx(math.exp(1.4), rel=1e-12)
         assert abs(check.lhs - check.rhs) < 1e-10
@@ -224,28 +201,25 @@ class TestMassRatioBound:
     def test_zero_competing_mass(self):
         space = two_space(answers=("A", "A"))
         with pytest.raises(DegenerateRatio):
-            ts.verify_mass_ratio_bound(space, ts.RewardSpec.verbal(), 1.0, "A", "B")
+            ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
+
+    def test_zero_probability_competitor_is_degenerate(self):
+        space = two_space(p1=1.0)
+        with pytest.raises(DegenerateRatio):
+            ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
 
     def test_random_spaces_with_separated_rewards(self):
+        # the gold answer's rewards are >= 0 and a competitor's <= 0
         rng = np.random.default_rng(11)
         done = 0
         while done < 10:
             space = ts.random_space(rng)
             answers = {t.answer for t in space.trajectories}
-            if space.gold_answer not in answers or len(answers) < 2:
+            if len(answers) < 2:
                 continue
             competing = sorted(answers - {space.gold_answer})[0]
-            # separated custom rewards guarantee the hypothesis holds
-            values = {
-                t.id: (
-                    float(rng.uniform(0.5, 1.0))
-                    if t.answer == space.gold_answer
-                    else float(rng.uniform(-1.0, 0.0))
-                )
-                for t in space.trajectories
-            }
-            spec = ts.RewardSpec.custom(values)
-            check = ts.verify_mass_ratio_bound(space, spec, 0.9, space.gold_answer, competing)
+            check = ts.verify_mass_ratio_bound(space, 0.9, space.gold_answer, competing)
+            assert check.a > 0.0 > check.b
             assert check.holds and check.support_preserved
             done += 1
 
@@ -287,7 +261,7 @@ class TestAnswerMargin:
         pre = ts.answer_margin(MARGIN_FLIP_SPACE)
         assert pre <= 0.0
         assert pre == pytest.approx(0.3 * 0.9 - 0.7 * 0.8, abs=1e-15)
-        tilted = ts.tilt(MARGIN_FLIP_SPACE, ts.RewardSpec.verbal(), MARGIN_FLIP_ETA)
+        tilted = ts.tilt(MARGIN_FLIP_SPACE, MARGIN_FLIP_ETA)
         post = ts.answer_margin(tilted)
         assert post > 0.0
         # independent arithmetic: weights 0.3 e^{1.8} and 0.7 e^{-1.6}
@@ -298,22 +272,29 @@ class TestAnswerMargin:
 
 
 class TestVerbalSpecializedBound:
+    """With the signed-confidence reward the envelope is a = alpha and
+    b = -beta (alpha, beta the lowest confidence on each side), so the bound
+    factor is exp(eta * (alpha + beta))."""
+
     def test_zero_floors_degenerate_to_nondecrease(self):
         space = ts.TrajectorySpace(
             (
-                ts.Trajectory("z1", "A", 0.0, 0.4, True),
-                ts.Trajectory("z2", "B", 0.0, 0.6, False),
+                ts.Trajectory("z1", "A", 0.0, 0.3, True),
+                ts.Trajectory("z2", "A", 0.8, 0.1, True),
+                ts.Trajectory("z3", "B", 0.0, 0.6, False),
             ),
             "A",
         )
-        check = ts.verbal_specialized_bound(space, 1.0, "A", "B")
-        assert check.a == 0.0 and check.b == 0.0
-        assert check.rhs == pytest.approx(0.4 / 0.6, rel=1e-12)
-        assert check.holds
+        # alpha = beta = 0 guarantees no amplification, so the check refuses
+        with pytest.raises(HypothesisViolated):
+            ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
+        # but the ratio still does not decrease
+        tilted = ts.tilt(space, 1.0)
+        assert ts.answer_mass(tilted, "A") / ts.answer_mass(tilted, "B") >= 0.4 / 0.6
 
     def test_two_trajectory_equality(self):
         space = two_space(conf1=0.8, conf2=0.6)
-        check = ts.verbal_specialized_bound(space, 1.0, "A", "B")
+        check = ts.verify_mass_ratio_bound(space, 1.0, "A", "B")
         assert abs(check.lhs - check.rhs) < 1e-10
 
     def test_random_spaces_hold(self):
@@ -322,10 +303,14 @@ class TestVerbalSpecializedBound:
         while done < 10:
             space = ts.random_space(rng)
             answers = {t.answer for t in space.trajectories}
-            if space.gold_answer not in answers or len(answers) < 2:
+            if len(answers) < 2:
                 continue
             competing = sorted(answers - {space.gold_answer})[0]
-            check = ts.verbal_specialized_bound(space, 1.3, space.gold_answer, competing)
+            check = ts.verify_mass_ratio_bound(space, 1.3, space.gold_answer, competing)
+            alpha = min(t.confidence for t in space.trajectories
+                        if t.answer == space.gold_answer)
+            beta = min(t.confidence for t in space.trajectories if t.answer == competing)
+            assert (check.a, check.b) == (alpha, -beta)
             assert check.holds and check.support_preserved
             done += 1
 
@@ -333,38 +318,35 @@ class TestVerbalSpecializedBound:
 class TestIterateTilt:
     def test_single_step_equals_tilt(self):
         space = two_space(conf1=0.9, conf2=0.3)
-        spec = ts.RewardSpec.verbal()
-        steps = ts.iterate_tilt(space, spec, 0.8, 1)
+        steps = ts.iterate_tilt(space, 0.8, 1)
         assert len(steps) == 1 and steps[0].step == 1
         np.testing.assert_allclose(
-            steps[0].space.probs(), ts.tilt(space, spec, 0.8).probs(), atol=0
+            steps[0].space.probs(), ts.tilt(space, 0.8).probs(), atol=0
         )
 
     def test_constant_reward_fixed_point(self):
-        space = two_space()
-        spec = ts.RewardSpec.custom({"z1": 1.0, "z2": 1.0})
-        for step in ts.iterate_tilt(space, spec, 1.0, 4):
+        space = two_space(conf1=1.0, conf2=1.0, answers=("A", "A"))
+        for step in ts.iterate_tilt(space, 1.0, 4):
             np.testing.assert_allclose(step.space.probs(), space.probs(), atol=1e-12)
 
     def test_k_steps_compose(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             space = ts.random_space(rng)
-            spec = ts.RewardSpec.verbal()
             k, eta = 4, 0.35
-            stepped = ts.iterate_tilt(space, spec, eta, k)[-1].space
-            direct = ts.tilt(space, spec, k * eta)
+            stepped = ts.iterate_tilt(space, eta, k)[-1].space
+            direct = ts.tilt(space, k * eta)
             np.testing.assert_allclose(stepped.probs(), direct.probs(), atol=1e-10)
 
     def test_summary_fields(self):
-        steps = ts.iterate_tilt(MARGIN_FLIP_SPACE, ts.RewardSpec.verbal(), 1.0, 2)
+        steps = ts.iterate_tilt(MARGIN_FLIP_SPACE, 1.0, 2)
         for step in steps:
             assert 0.0 <= step.summary.gold_mass <= 1.0
             assert step.summary.mean_wrong_confidence == pytest.approx(0.8, abs=1e-12)
 
     def test_invalid_steps(self):
         with pytest.raises(InvalidStep):
-            ts.iterate_tilt(two_space(), ts.RewardSpec.verbal(), 1.0, 0)
+            ts.iterate_tilt(two_space(), 1.0, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,8 +354,7 @@ class TestIterateTilt:
 def test_tilt_invariants_random(seed, eta):
     rng = np.random.default_rng(seed)
     space = ts.random_space(rng)
-    spec = ts.RewardSpec.verbal()
-    out = ts.tilt(space, spec, eta)
+    out = ts.tilt(space, eta)
     # normalization
     assert abs(math.fsum(out.probs()) - 1.0) <= 1e-12
     # support preservation
@@ -382,7 +363,7 @@ def test_tilt_invariants_random(seed, eta):
     # log-odds law, all pairs
     logp_before = np.log(space.probs())
     logp_after = np.log(out.probs())
-    r = ts.space_rewards(space, spec)
+    r = ts.space_rewards(space)
     measured = (logp_after[:, None] - logp_after[None, :]) - (
         logp_before[:, None] - logp_before[None, :]
     )
@@ -395,7 +376,7 @@ def test_tilt_invariants_random(seed, eta):
 def test_compression_ordering_random(seed):
     rng = np.random.default_rng(seed)
     space = ts.random_space(rng)
-    out = ts.tilt(space, ts.RewardSpec.verbal(), 1.0)
+    out = ts.tilt(space, 1.0)
     ratios = out.probs() / space.probs()
     wrong = [(t.confidence, ratios[i]) for i, t in enumerate(space.trajectories) if not t.correct]
     for c1, r1 in wrong:
