@@ -1,17 +1,17 @@
 """`uncal` command line: deterministic orchestration over trace files.
 
-Every subcommand reads files, writes files, and embeds its fully resolved
-configuration in the report it emits. Identical configurations produce
-byte-identical outputs. `--seed` (or `UNCAL_SEED`) is read only by the probe's
-train/dev split, so only `probe sweep` and `probe fit` record it. Exit codes:
-0 success, 1 validation or usage failure, 2 I/O failure.
+Every subcommand reads files, writes files, and records in its report's
+`config` every parsed flag of the command except its outputs and `--apply`,
+so a flag added to the parser is recorded without further edits. Identical
+configurations produce byte-identical outputs. `--seed` is read only by the
+probe's train/dev split, so only `probe sweep` and `probe fit` record it.
+Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,15 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calib, jsonio, matio, probe, ragctl, recal, reprgeo, rewards, trajspace
-from .errors import (
-    AlignmentError,
-    BadField,
-    DegenerateRatio,
-    HypothesisViolated,
-    IoError,
-    MissingField,
-    UncalError,
-)
+from .errors import AlignmentError, DegenerateRatio, HypothesisViolated, IoError, UncalError
 
 
 class UsageError(Exception):
@@ -39,10 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_ints(flag: str, text: str) -> list[int]:
+    """The distinct integers of a comma-separated flag value such as
+    `--layers 0,8`; an empty list or a repeated index is a usage error."""
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise UsageError(f"bad {flag} value {text!r}") from None
+    if len(set(values)) < len(values):
+        raise UsageError(f"bad {flag} value {text!r}: an index is repeated")
+    return values
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the probe's qid split (UNCAL_SEED overrides)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the probe's qid split")
     sub = parser.add_subparsers()
 
     theory = sub.add_parser("theory", help="tilted-policy verification").add_subparsers()
@@ -94,7 +97,8 @@ def _build_parser() -> _Parser:
     sweep.set_defaults(handler=_cmd_probe_sweep)
     sweep.add_argument("--hidden", required=True, help="directory of layer_<k>.mat files")
     sweep.add_argument("--preds", required=True)
-    sweep.add_argument("--layers", required=True, help="comma-separated layer indices")
+    sweep.add_argument("--layers", required=True, type=lambda text: _parse_ints("--layers", text),
+                       help="comma-separated layer indices")
     sweep.add_argument("--window", type=int, default=probe.DEFAULT_WINDOW)
     sweep.add_argument("--span-tokens", type=int, default=probe.DEFAULT_SPAN_TOKENS)
     sweep.add_argument("--l2", type=float, default=probe.DEFAULT_L2)
@@ -154,9 +158,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("UNCAL_SEED")
-    return int(env) if env is not None else args.seed
+# parsed flags that are not part of a run's configuration: where its outputs
+# go, the file a fitted model is applied to, the dispatch target, and the seed,
+# which only the probe's split reads
+_NOT_CONFIG = frozenset({"out", "csv", "model_out", "apply_path", "handler", "seed"})
+
+
+def _config(args) -> dict:
+    """The report's `config` block: every parsed flag not in `_NOT_CONFIG`."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
 
 
 def _emit(args, payload: dict) -> None:
@@ -226,25 +236,11 @@ def _cmd_theory_verify(args) -> int:
 
 
 def _cmd_theory_iterate(args) -> int:
-    spaces = _load_spaces(args.input)
     lines = []
-    for index, space in enumerate(spaces):
+    for index, space in enumerate(_load_spaces(args.input)):
         steps = trajspace.iterate_tilt(space, args.eta, args.steps)
-        lines.append(
-            {
-                "index": index,
-                "eta": args.eta,
-                "steps": [
-                    {
-                        "step": s.step,
-                        "gold_mass": s.summary.gold_mass,
-                        "margin": s.summary.margin,
-                        "mean_wrong_confidence": s.summary.mean_wrong_confidence,
-                    }
-                    for s in steps
-                ],
-            }
-        )
+        steps = [{"step": s.step, **asdict(s.summary)} for s in steps]
+        lines.append({"index": index, "eta": args.eta, "steps": steps})
     _emit_lines(args, lines)
     return 0
 
@@ -265,18 +261,12 @@ def _cmd_match(args) -> int:
 def _cmd_calib(args) -> int:
     batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
-    payload = {
+    _emit(args, {
         "schema": "uncal-calib-report-v2",
-        "config": {
-            "input": str(args.input),
-            "bins": args.bins,
-            "nll_epsilon": args.nll_epsilon,
-            "f1_threshold": args.f1_threshold,
-        },
+        "config": _config(args),
         **asdict(report),
         "error_taxonomy": asdict(calib.error_taxonomy(batch)),
-    }
-    _emit(args, payload)
+    })
     if args.csv:
         jsonio.write_csv(
             args.csv,
@@ -320,7 +310,7 @@ def _cmd_recal_ts(args) -> int:
                 "schema": "uncal-ts-model-v2",
                 "temperature": model.temperature,
                 "fit_nll": model.fit_nll,
-                "config": {"fit": str(args.fit), "f1_threshold": args.f1_threshold},
+                "config": _config(args),
             },
         )
     return 0
@@ -346,11 +336,7 @@ def _cmd_recal_ats(args) -> int:
                 "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
                 "fit_nll": model.fit_nll,
                 "fit": model.fit.summary(),
-                "config": {
-                    "fit": str(args.fit),
-                    "l2": args.l2,
-                    "f1_threshold": args.f1_threshold,
-                },
+                "config": _config(args),
             },
         )
     return 0
@@ -360,14 +346,6 @@ def _cmd_recal_ptrue(args) -> int:
     _write_recalibrated(args, _load_preds(args.input), lambda r: r.p_affirmative,
                         "p_affirmative")
     return 0
-
-
-def _parse_ints(flag: str, text: str) -> list[int]:
-    """The integers of a comma-separated flag value such as `--layers 0,8`."""
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} value {text!r}") from exc
 
 
 def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
@@ -399,32 +377,18 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
 
 
 def _cmd_probe_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    layers = _parse_ints("--layers", args.layers)
     records = _load_preds(args.preds)
-    stacks = {}
-    for layer in layers:
-        mat_path = Path(args.hidden) / f"layer_{layer}.mat"
-        stacks[layer] = _load_token_stack(mat_path)
+    stacks = {k: _load_token_stack(Path(args.hidden) / f"layer_{k}.mat") for k in args.layers}
     rows = probe.layer_sweep(
-        stacks, records, layers,
+        stacks, records, args.layers,
         window=args.window, span_token_count=args.span_tokens,
-        l2=args.l2, seed=seed,
+        l2=args.l2, seed=args.seed,
     )
-    payload = {
+    _emit(args, {
         "schema": "uncal-probe-sweep-v1",
-        "config": {
-            "hidden": str(args.hidden),
-            "preds": str(args.preds),
-            "layers": layers,
-            "window": args.window,
-            "span_tokens": args.span_tokens,
-            "l2": args.l2,
-            "seed": seed,
-        },
+        "config": {**_config(args), "seed": args.seed},
         "rows": [asdict(r) for r in rows],
-    }
-    _emit(args, payload)
+    })
     if args.csv:
         jsonio.write_csv(
             args.csv,
@@ -444,9 +408,8 @@ def _probe_examples(args, window: int, span_tokens: int):
 
 
 def _cmd_probe_fit(args) -> int:
-    seed = _resolve_seed(args)
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
-    train_idx, dev_idx = probe.split_by_qid(qids, seed)
+    train_idx, dev_idx = probe.split_by_qid(qids, args.seed)
     model = probe.fit_probe(x[train_idx], labels[train_idx], l2=args.l2, layer=args.layer)
     model = probe.tune_threshold(model, x[dev_idx], labels[dev_idx])
     jsonio.write_report(
@@ -460,62 +423,31 @@ def _cmd_probe_fit(args) -> int:
             "feature_means": [float(v) for v in model.feature_means],
             "feature_stds": [float(v) for v in model.feature_stds],
             "fit": model.fit.summary(),
-            "config": {
-                "hidden": str(args.hidden),
-                "preds": str(args.preds),
-                "layer": args.layer,
-                "window": args.window,
-                "span_tokens": args.span_tokens,
-                "l2": args.l2,
-                "seed": seed,
-            },
+            "config": {**_config(args), "seed": args.seed},
         },
     )
     return 0
 
 
-_PROBE_MODEL_FIELDS = {
-    "layer": jsonio.read_int,
-    "weights": jsonio.read_numbers,
-    "bias": jsonio.read_number,
-    "threshold": jsonio.read_number,
-    "feature_means": jsonio.read_numbers,
-    "feature_stds": jsonio.read_numbers,
-}
-
-
-def _probe_model_field(path, name: str, read, value):
+def _load_probe_model(path) -> tuple[probe.ProbeModel, tuple[int, int]]:
+    """The model in a `probe fit` output, read by `jsonio.PROBE_MODEL`, and
+    the (window, span tokens) it was fitted with (the defaults where its
+    config does not say)."""
     try:
-        return read(f"field {name!r}", value)
-    except ValueError as exc:
-        raise BadField(f"{path}: probe model {exc}") from None
-
-
-def _load_probe_model(path) -> tuple[probe.ProbeModel, list[int]]:
-    """The model in a `probe fit` output, and the [window, span tokens] it was
-    fitted with (the defaults where its config does not say)."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read model {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MissingField(f"{path}: not a probe model (expected a JSON object)")
-    fields = {}
-    for key, read in _PROBE_MODEL_FIELDS.items():
-        if key not in obj:
-            raise MissingField(f"{path}: probe model has no {key!r} field")
-        fields[key] = _probe_model_field(path, key, read, obj[key])
-    config = obj.get("config", {})
-    if not isinstance(config, dict):
-        raise BadField(f"{path}: probe model field 'config' must be an object")
-    sizes = [
-        _probe_model_field(path, f"config.{key}", jsonio.read_int, config.get(key, default))
-        for key, default in (("window", probe.DEFAULT_WINDOW),
-                             ("span_tokens", probe.DEFAULT_SPAN_TOKENS))
-    ]
+    try:
+        fields = jsonio.read_table(jsonio.PROBE_MODEL, json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: probe model is not JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: probe model {exc}") from None
+    config = fields.pop("config") or jsonio.read_table(jsonio.PROBE_MODEL_CONFIG, {})
+    del fields["fit"], fields["schema"]
     for key in ("weights", "feature_means", "feature_stds"):
         fields[key] = np.array(fields[key], dtype=float)
-    return probe.ProbeModel(**fields), sizes
+    return probe.ProbeModel(**fields), (config["window"], config["span_tokens"])
 
 
 def _cmd_probe_eval(args) -> int:
@@ -523,13 +455,9 @@ def _cmd_probe_eval(args) -> int:
     x, labels, _ = _probe_examples(args, window, span_tokens)
     scores = model.scores(x)
     precision, recall, f1 = probe.trigger_prf(scores, labels, model.threshold)
-    payload = {
+    _emit(args, {
         "schema": "uncal-probe-eval-v2",
-        "config": {
-            "model": str(args.model),
-            "hidden": str(args.hidden),
-            "preds": str(args.preds),
-        },
+        "config": _config(args),
         "n": int(len(labels)),
         "auroc": probe.auroc(scores, labels),
         "auprc": probe.auprc(scores, labels),
@@ -537,8 +465,7 @@ def _cmd_probe_eval(args) -> int:
         "recall": recall,
         "f1": f1,
         "threshold": model.threshold,
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -549,17 +476,12 @@ def _cmd_rag(args) -> int:
     scored = ragctl.score_traces(records, args.f1_threshold)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
-    payload = {
+    _emit(args, {
         "schema": "uncal-rag-report-v3",
-        "config": {
-            "input": str(args.input),
-            "policy": args.policy,
-            "f1_threshold": args.f1_threshold,
-        },
+        "config": _config(args),
         "overall": asdict(report),
         "per_dataset": {name: asdict(r) for name, r in per_dataset.items()},
-    }
-    _emit(args, payload)
+    })
     if args.csv:
         jsonio.write_csv(
             args.csv,
@@ -576,13 +498,12 @@ def _cmd_rag(args) -> int:
 def _cmd_repr_cka(args) -> int:
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
-    payload = {
+    _emit(args, {
         "schema": "uncal-repr-cka-v2",
-        "config": {"x": str(args.x), "y": str(args.y)},
+        "config": _config(args),
         "cka": reprgeo.linear_cka(x, y),
         "rows": int(x.shape[0]),
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -592,24 +513,8 @@ def _cmd_repr_kl(args) -> int:
         args.annotations, jsonio.kl_annotation_from_dict
     ))
     table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
-    rows = {
-        token_type.value: {
-            "count": row.count,
-            "mean_kl": row.mean_kl,
-            "mass_fraction": row.mass_fraction,
-        }
-        for token_type, row in table.items()
-    }
-    payload = {
-        "schema": "uncal-repr-kl-v2",
-        "config": {
-            "pairs": str(args.pairs),
-            "annotations": str(args.annotations),
-            "epsilon": args.epsilon,
-        },
-        "by_type": rows,
-    }
-    _emit(args, payload)
+    rows = {token_type.value: asdict(row) for token_type, row in table.items()}
+    _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})
     if args.csv:
         jsonio.write_csv(
             args.csv,
@@ -625,12 +530,11 @@ def _cmd_repr_kl(args) -> int:
 def _cmd_repr_pca(args) -> int:
     x = matio.read_matrix(args.input)
     result = reprgeo.pca_project(x, args.k)
-    payload = {
+    _emit(args, {
         "schema": "uncal-repr-pca-v2",
-        "config": {"input": str(args.input), "k": args.k},
+        "config": _config(args),
         "explained_variance_ratio": [float(v) for v in result.explained_variance_ratio],
-    }
-    _emit(args, payload)
+    })
     if args.csv:
         header = [f"pc{i + 1}" for i in range(args.k)]
         jsonio.write_csv(
@@ -640,30 +544,26 @@ def _cmd_repr_pca(args) -> int:
 
 
 def _cmd_repr_drift(args) -> int:
+    if args.baseline is None and args.interest is not None:
+        raise UsageError("--interest needs --baseline")
+    if args.interest is None and args.baseline is not None:
+        raise UsageError("--baseline needs --interest")
     base = matio.read_matrix(args.base)
     cal = matio.read_matrix(args.cal)
     payload = {
         "schema": "uncal-repr-drift-v2",
-        "config": {
-            "base": str(args.base),
-            "cal": str(args.cal),
-            "interest": args.interest,
-            "baseline": args.baseline,
-        },
+        "config": _config(args),
         "relative_frobenius_drift": reprgeo.frobenius_drift(base, cal),
     }
-    if args.interest and args.baseline:
+    if args.interest is not None:
         report = reprgeo.embedding_drift_report(
             _parse_ints("--interest", args.interest),
             _parse_ints("--baseline", args.baseline),
             base,
             cal,
         )
-        payload["embedding_drift"] = {
-            "interest_mean_drift": report.interest_mean_drift,
-            "baseline_mean_drift": report.baseline_mean_drift,
-            "ratio": ("inf" if report.ratio == float("inf") else report.ratio),
-        }
+        ratio = "inf" if report.ratio == float("inf") else report.ratio
+        payload["embedding_drift"] = {**asdict(report), "ratio": ratio}
     _emit(args, payload)
     return 0
 

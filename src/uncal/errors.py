@@ -3,7 +3,9 @@
 Every error raised by library code derives from UncalError so callers (and
 the CLI) can distinguish validation failures from genuine bugs. The theory
 layer (`trajspace`) raises InvalidStep, NumericOverflow, HypothesisViolated
-and DegenerateRatio.
+and DegenerateRatio. A JSON input value that its `jsonio` table refuses, a
+probe model's included, raises ValueError naming the field instead; the CLI
+exits 1 on both.
 """
 
 from __future__ import annotations
@@ -60,14 +62,6 @@ class ShapeError(UncalError):
 
 class UndefinedSimilarity(UncalError):
     """A similarity or drift ratio is undefined (zero variance or zero norm)."""
-
-
-class MissingField(UncalError):
-    """A model file lacks a field the command needs."""
-
-
-class BadField(UncalError):
-    """A model file holds a field of the wrong type."""
 
 
 class CorruptInput(UncalError):

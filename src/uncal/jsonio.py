@@ -5,8 +5,10 @@ Loading is strict: every line is read by the one table of its line kind
 `ROW_ID` for the matrix sidecars that `matio.read_row_ids` reads), invalid
 lines are returned with their line numbers (the messages carry no file or
 line; callers prefix `path:line:` once), and a file where more than half the
-lines fail is rejected outright. A rejection inside a nested object starts
-with where it sits in the line: `emissions[0]: unknown fields ['x']`.
+lines fail is rejected outright. The one JSON input that is not a line
+stream, a `probe fit` model, is read by `PROBE_MODEL` the same way. A
+rejection inside a nested object starts with where it sits in the line:
+`emissions[0]: unknown fields ['x']`.
 Report writing controls float formatting (17 significant digits, round-trip
 exact) and key order so that identical configurations produce byte-identical
 files.
@@ -26,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import CorruptInput, IoError, ShapeError
+from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
 from .ragctl import RagTraceRecord
 from .reprgeo import TokenAnnotation, TokenDistPair, TokenType
 from .rewards import (
@@ -273,6 +276,10 @@ read_token_probs = _reader(
     and all(type(p) in _NUMBER_TYPES and 0.0 < p <= 1.0 for p in v),
     "numbers in (0,1]",
 )
+read_positive_numbers = _reader(
+    lambda v: type(v) is list and all(_finite(s) and s > 0 for s in v),
+    "a list of finite numbers > 0",
+)
 read_count = _reader(lambda v: type(v) is int and v >= 0, "a nonnegative int")
 
 
@@ -379,6 +386,33 @@ KL_PAIR = {
 }
 KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenType), REQUIRED)}
 ROW_ID = {"qid": (read_string, REQUIRED), "token_index": (read_count, None)}  # sidecar rows
+# a `probe fit` model: every field it writes; `config` and `fit` say how it was
+# fitted, and only the window and span sizes in `config` are read back
+FIT = {
+    "converged": (read_bool, REQUIRED),
+    "grad_norm": (read_number, REQUIRED),
+    "iterations": (read_count, REQUIRED),
+}
+PROBE_MODEL_CONFIG = {
+    "hidden": (read_string, None),
+    "preds": (read_string, None),
+    "layer": (read_int, None),
+    "window": (read_int, DEFAULT_WINDOW),
+    "span_tokens": (read_int, DEFAULT_SPAN_TOKENS),
+    "l2": (read_number, None),
+    "seed": (read_int, None),
+}
+PROBE_MODEL = {
+    "layer": (read_int, REQUIRED),
+    "weights": (read_numbers, REQUIRED),
+    "bias": (read_number, REQUIRED),
+    "threshold": (read_number, REQUIRED),
+    "feature_means": (read_numbers, REQUIRED),
+    "feature_stds": (read_positive_numbers, REQUIRED),  # a fit never writes one <= 0
+    "fit": (read_object(FIT, dict), None),
+    "config": (read_object(PROBE_MODEL_CONFIG, dict), None),  # None: the defaults
+    "schema": (_reader(lambda v: v == "uncal-probe-model-v2", "'uncal-probe-model-v2'"), None),
+}
 
 
 def read_table(table: dict, obj) -> dict:

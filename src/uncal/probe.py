@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import optim
-from .errors import AlignmentError, DegenerateFit, NotEmitted, UndefinedMetric
+from .errors import AlignmentError, DegenerateFit, NotEmitted, ShapeError, UndefinedMetric
 from .rewards import PredictionRecord, ScoredBatch, first_emit_fraction, score_predictions
 
 DEFAULT_WINDOW = 4
@@ -115,7 +115,15 @@ class ProbeModel:
     fit: optim.Fit | None = None
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Predicted probability that each example (row of `x`) is wrong."""
+        """Predicted probability that each example (row of `x`) is wrong.
+        The weights, means and stds must each have one entry per feature, or
+        numpy would broadcast a short one into a plausible score."""
+        sizes = (len(self.weights), len(self.feature_means), len(self.feature_stds))
+        if sizes != (x.shape[1],) * 3:
+            raise ShapeError(
+                "probe model has {} weights, {} feature means and {} feature stds "
+                "for {} features".format(*sizes, x.shape[1])
+            )
         phi = (x - self.feature_means) / self.feature_stds
         return _sigmoid(phi @ self.weights + self.bias)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import tempfile
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import calib, jsonio, matio, ragctl, rewards, trajspace
+from uncal import calib, cli, jsonio, matio, ragctl, rewards, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
-from uncal.errors import AlignmentError, BadField, CorruptInput, EmptyBatch
+from uncal.errors import AlignmentError, CorruptInput, EmptyBatch
 from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
@@ -131,6 +132,33 @@ class TestExitCodes:
     def test_unsupported_policy_spec_exits_one(self, policy, capsys):
         assert main(["rag", "--policy", policy, "--in", str(RAG_FIXTURE)]) == 1
         assert repr(policy) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, given, missing", [
+        (["--interest", "0,1"], "--interest", "--baseline"),
+        (["--baseline", "2,3"], "--baseline", "--interest"),
+    ])
+    def test_drift_row_set_without_its_pair_is_a_usage_error(
+        self, tmp_path, capsys, flags, given, missing
+    ):
+        # unrefused, the report recorded the flag but held no `embedding_drift`
+        matio.write_matrix(tmp_path / "x.mat", np.arange(1.0, 16.0).reshape(5, 3))
+        out = tmp_path / "d.json"
+        assert main(["repr", "drift", "--base", str(tmp_path / "x.mat"),
+                     "--cal", str(tmp_path / "x.mat"), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"uncal: {given} needs {missing}" in err and "usage: uncal" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layers", [",", "0,0", "8,0,8"])
+    def test_empty_or_repeated_layer_list_is_a_usage_error(self, tmp_path, capsys, layers):
+        # unrefused, `0,0` fitted layer 0 twice and `,` gave an empty sweep
+        preds = write_hidden_dir(tmp_path / "hidden", n=40)
+        out = tmp_path / "s.json"
+        assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
+                     "--preds", str(preds), "--layers", layers, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad --layers value {layers!r}" in err and "usage: uncal" in err
+        assert not out.exists()
 
     def test_bad_row_list_is_a_usage_error(self, tmp_path, capsys):
         matio.write_matrix(tmp_path / "x.mat", np.eye(3))
@@ -406,22 +434,22 @@ class TestDeterminism:
 
 
 class TestSeedHandling:
-    def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
+    def test_uncal_seed_environment_variable_changes_nothing(self, tmp_path, monkeypatch):
+        # it once overrode `--seed`; now `--seed` is the only way to set the seed
         preds = write_hidden_dir(tmp_path / "hidden")
-        fit = ["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+        fit = ["--seed", "3", "probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
                "--preds", str(preds), "--layer", "8", "--out"]
-        main(["--seed", "3", *fit, str(out1)])
-        monkeypatch.setenv("UNCAL_SEED", "3")
-        main(["--seed", "999", *fit, str(out2)])
-        assert json.loads(out1.read_text())["config"]["seed"] == 3
-        assert json.loads(out2.read_text())["config"]["seed"] == 3
+        assert main([*fit, str(tmp_path / "a.json")]) == 0
+        monkeypatch.setenv("UNCAL_SEED", "999")
+        assert main([*fit, str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert json.loads((tmp_path / "a.json").read_text())["config"]["seed"] == 3
 
     @staticmethod
     def invocations(tmp_path) -> dict[str, tuple[list[str], list[str]]]:
         """name -> (argv with `{out}` for the output directory, output files)
-        for every subcommand that draws no random number."""
+        for every subcommand that draws no random number, and for the two
+        that split qids by the seed (`probe sweep`, `probe fit`)."""
         spaces = tmp_path / "spaces.jsonl"
         write_spaces(spaces)
         preds = write_hidden_dir(tmp_path / "hidden")
@@ -462,25 +490,52 @@ class TestSeedHandling:
                           "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
             "repr drift": (["repr", "drift", "--base", x, "--cal", y, "--interest", "0,1",
                             "--baseline", "2,3", "--out", "{out}/o.json"], ["o.json"]),
+            "probe sweep": (["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
+                             "--preds", str(preds), "--layers", "0,8", "--out", "{out}/o.json",
+                             "--csv", "{out}/o.csv"], ["o.json", "o.csv"]),
+            "probe fit": (["probe", "fit", "--hidden", layer, "--preds", str(preds),
+                           "--out", "{out}/o.json"], ["o.json"]),
         }
 
     @pytest.mark.parametrize("name", [
         "theory verify", "theory iterate", "match", "calib", "recal ts", "recal ats",
         "recal ptrue", "probe eval", "rag", "repr cka", "repr kl", "repr pca", "repr drift",
     ])
-    def test_seed_changes_no_byte_outside_the_probe_split(self, tmp_path, monkeypatch, name):
+    def test_seed_changes_no_byte_outside_the_probe_split(self, tmp_path, name):
         argv, outputs = self.invocations(tmp_path)[name]
         blobs = []
-        for run, seed, env in (("a", "0", None), ("b", "999", None), ("c", "0", "999")):
-            if env is None:
-                monkeypatch.delenv("UNCAL_SEED", raising=False)
-            else:
-                monkeypatch.setenv("UNCAL_SEED", env)
+        for run, seed in (("a", "0"), ("b", "999")):
             run_dir = tmp_path / run
             run_dir.mkdir()
             assert main(["--seed", seed, *[a.replace("{out}", str(run_dir)) for a in argv]]) == 0
             blobs.append([(run_dir / o).read_bytes() for o in outputs])
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]
+
+    @staticmethod
+    def flag_dests(command: str) -> set[str]:
+        """The dests of the flags of `command` (such as "repr kl"), read
+        from the parser that `main` uses."""
+        parser = cli._build_parser()
+        for word in command.split():
+            [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = sub.choices[word]
+        return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+    # the commands whose outputs carry a `config` block, and the file that holds it
+    CONFIG_FILES = {"calib": "o.json", "recal ts": "m.json", "recal ats": "m.json",
+                    "probe eval": "o.json", "rag": "o.json", "repr cka": "o.json",
+                    "repr kl": "o.json", "repr pca": "o.json", "repr drift": "o.json",
+                    "probe sweep": "o.json", "probe fit": "o.json"}
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_FILES))
+    def test_config_records_every_flag_but_the_outputs(self, tmp_path, name):
+        argv, _ = self.invocations(tmp_path)[name]
+        assert main([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
+        config = json.loads((tmp_path / self.CONFIG_FILES[name]).read_text())["config"]
+        expected = self.flag_dests(name) - {"out", "csv", "model_out", "apply_path"}
+        if name.startswith("probe ") and name != "probe eval":
+            expected.add("seed")
+        assert expected and set(config) == expected
 
 
 def test_float_serialization_round_trips():
@@ -976,22 +1031,64 @@ class TestMissingFields:
         err = capsys.readouterr().err
         assert str(model) in err and "'layer'" in err
 
-    @pytest.mark.parametrize("field, value", [("bias", None), ("layer", [1]),
-                                              ("weights", "0.5"), ("threshold", True),
-                                              ("config", {"window": None})])
-    def test_wrongly_typed_probe_model_field(self, tmp_path, capsys, field, value):
+    @staticmethod
+    def eval_edited_model(tmp_path, edit) -> int:
+        """Exit code of `probe eval` on a fitted probe model changed by
+        `edit(model dict)`."""
         preds = write_hidden_dir(tmp_path / "hidden")
         layer = tmp_path / "hidden" / "layer_8.mat"
         model = tmp_path / "model.json"
         assert main(["probe", "fit", "--hidden", str(layer), "--preds", str(preds),
                      "--layer", "8", "--out", str(model)]) == 0
         obj = json.loads(model.read_text())
-        obj[field] = value
+        edit(obj)
         model.write_text(json.dumps(obj))
-        assert main(["probe", "eval", "--model", str(model), "--hidden", str(layer),
-                     "--preds", str(preds)]) == 1
+        return main(["probe", "eval", "--model", str(model), "--hidden", str(layer),
+                     "--preds", str(preds), "--out", str(tmp_path / "e.json")])
+
+    @pytest.mark.parametrize("field, value", [("bias", None), ("layer", [1]),
+                                              ("weights", "0.5"), ("threshold", True),
+                                              ("config", {"window": None})])
+    def test_wrongly_typed_probe_model_field(self, tmp_path, capsys, field, value):
+        assert self.eval_edited_model(tmp_path, lambda obj: obj.update({field: value})) == 1
         err = capsys.readouterr().err
-        assert str(model) in err and f"'{field}" in err
+        assert str(tmp_path / "model.json") in err and f"probe model {field}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["config"].update(window=None),
+         "probe model config: window must be an integer"),
+        (lambda obj: obj["fit"].pop("converged"), "probe model fit: missing field 'converged'"),
+        (lambda obj: obj.update(note="x"), "probe model unknown fields ['note']"),
+        (lambda obj: obj.update(schema="uncal-ats-model-v3"),
+         "probe model schema must be 'uncal-probe-model-v2'"),
+    ])
+    def test_probe_model_read_by_its_table(self, tmp_path, capsys, edit, message):
+        assert self.eval_edited_model(tmp_path, edit) == 1
+        assert capsys.readouterr().err == f"uncal: {tmp_path / 'model.json'}: {message}\n"
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("field", ["weights", "feature_means", "feature_stds"])
+    def test_mis_sized_probe_model(self, tmp_path, capsys, field):
+        # numpy broadcast a one-entry mean or std into a plausible report, and
+        # a short weight list failed with its own `matmul` message
+        assert self.eval_edited_model(
+            tmp_path, lambda obj: obj.update({field: obj[field][:1]})) == 1
+        obj = json.loads((tmp_path / "model.json").read_text())
+        sizes = [len(obj[key]) for key in ("weights", "feature_means", "feature_stds")]
+        assert sorted(sizes)[:2] == [1, 15]  # 12 hidden dims and 3 scalars
+        assert capsys.readouterr().err == (
+            "uncal: probe model has {} weights, {} feature means and {} feature stds "
+            "for 15 features\n".format(*sizes)
+        )
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_non_positive_feature_std(self, tmp_path, capsys, std):
+        # a negative std flips its feature's sign; a fit never writes one <= 0
+        assert self.eval_edited_model(
+            tmp_path, lambda obj: obj["feature_stds"].__setitem__(0, std)) == 1
+        assert "probe model feature_stds must be a list of finite numbers > 0" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value", [("bias", float("nan")),
                                               ("weights", [0.0, float("inf")])])
@@ -1002,8 +1099,15 @@ class TestMissingFields:
                "feature_means": [0.0, 0.0], "feature_stds": [1.0, 1.0]}
         obj[field] = value
         model.write_text(json.dumps(obj))
-        with pytest.raises(BadField, match=field):
+        with pytest.raises(ValueError, match=field):
             _load_probe_model(model)
+
+    def test_probe_model_that_is_not_json_names_the_file(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"layer": 8')
+        with pytest.raises(ValueError) as refused:
+            _load_probe_model(model)
+        assert str(refused.value).startswith(f"{model}: probe model is not JSON: ")
 
     def test_sidecar_row_without_qid(self, tmp_path, capsys):
         preds = write_hidden_dir(tmp_path / "hidden")

@@ -59,6 +59,13 @@ class TestGlobalTs:
         model = recal.fit_global_ts(calibrated_batch(rng, 2.0, n=10000))
         assert abs(model.temperature - 2.0) / 2.0 < 0.1
 
+    def test_underconfident_logits_reach_below_the_ats_floor(self, rng):
+        # a fit through `optim.minimize` in the ATS form without features
+        # stalls at the 0.05 floor here (NLL 0.562 against 0.542)
+        model = recal.fit_global_ts(calibrated_batch(rng, 0.03, n=10000))
+        assert model.temperature < recal.ATS_TEMPERATURE_FLOOR
+        assert abs(model.temperature - 0.03) / 0.03 < 0.1
+
     def test_identity_application(self):
         model = recal.TsModel(1.0)
         for c in (0.1, 0.4, 0.5, 0.77):
