@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyBatch
+from .probe import ranked
 from .rewards import ScoredBatch
 
 DEFAULT_ECE_BINS = 10
@@ -125,34 +126,23 @@ def _nll(rows, epsilon):
 def _ausc(rows):
     """Area under the selective accuracy vs. coverage curve.
 
-    Records are ranked by confidence descending (ties broken by qid for a
-    stable order, then grouped: tied confidences enter coverage together, so
-    the curve has one point per distinct confidence). The trapezoidal area
-    between the first point and full coverage is normalized by that coverage
-    span; a batch with a single distinct confidence degenerates to its
-    accuracy. Grouping ties makes the value invariant to duplicating every
-    record.
+    Records enter coverage by confidence descending, tied confidences
+    together (`probe.ranked`), so the curve has one point per distinct
+    confidence. The trapezoidal area between the first point and full
+    coverage is normalized by that coverage span; a batch with a single
+    distinct confidence degenerates to its accuracy. Grouping ties makes the
+    value invariant to duplicating every record.
     """
-    rows = sorted(rows, key=lambda t: (-t[0], t[2]))
-    n = len(rows)
-    points = []  # (coverage, selective accuracy) at each distinct confidence
-    seen = 0
-    correct = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and rows[j][0] == rows[i][0]:
-            correct += 1 if rows[j][1] else 0
-            seen += 1
-            j += 1
-        points.append((seen / n, correct / seen))
-        i = j
-    if len(points) == 1:
-        return points[0][1]
+    _, count, correct = ranked([c for c, _, _ in rows], [ok for _, ok, _ in rows])
+    seen = count[::-1].cumsum()
+    coverage = (seen / len(rows)).tolist()
+    accuracy = (correct[::-1].cumsum() / seen).tolist()
+    if len(coverage) == 1:
+        return accuracy[0]
     area = 0.0
-    for (c0, a0), (c1, a1) in zip(points, points[1:]):
+    for c0, c1, a0, a1 in zip(coverage, coverage[1:], accuracy, accuracy[1:]):
         area += (c1 - c0) * (a0 + a1) / 2.0
-    return area / (points[-1][0] - points[0][0])
+    return area / (coverage[-1] - coverage[0])
 
 
 def calibration_report(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -43,6 +44,14 @@ def _parse_ints(flag: str, text: str) -> list[int]:
     return values
 
 
+def _parse_eta(text: str) -> float:
+    """`--eta`: a finite number > 0 (argparse refuses text `float` cannot read)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise UsageError(f"bad --eta value {text!r}: must be a finite number > 0")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed of the probe's qid split")
@@ -52,12 +61,12 @@ def _build_parser() -> _Parser:
     verify = theory.add_parser("verify", help="mass-ratio bound check per space")
     verify.set_defaults(handler=_cmd_theory_verify)
     verify.add_argument("--in", dest="input", required=True)
-    verify.add_argument("--eta", type=float, default=1.0)
+    verify.add_argument("--eta", type=_parse_eta, default=1.0)
     verify.add_argument("--out", default=None)
     iterate = theory.add_parser("iterate", help="repeated tilt trace per space")
     iterate.set_defaults(handler=_cmd_theory_iterate)
     iterate.add_argument("--in", dest="input", required=True)
-    iterate.add_argument("--eta", type=float, default=1.0)
+    iterate.add_argument("--eta", type=_parse_eta, default=1.0)
     iterate.add_argument("--steps", type=int, default=5)
     iterate.add_argument("--out", default=None)
 
@@ -206,10 +215,9 @@ def _load_preds(path) -> list[rewards.PredictionRecord]:
 
 
 def _cmd_theory_verify(args) -> int:
-    spaces = _load_spaces(args.input)
     lines = []
-    for index, space in enumerate(spaces):
-        line = {"index": index, "eta": args.eta, "gold_answer": space.gold_answer}
+    for index, space in enumerate(_load_spaces(args.input)):
+        line = {"index": index, "config": _config(args), "gold_answer": space.gold_answer}
         competitors = sorted(
             {t.answer for t in space.trajectories if t.answer != space.gold_answer},
             key=lambda y: (-trajspace.answer_mass(space, y), y),
@@ -240,7 +248,7 @@ def _cmd_theory_iterate(args) -> int:
     for index, space in enumerate(_load_spaces(args.input)):
         steps = trajspace.iterate_tilt(space, args.eta, args.steps)
         steps = [{"step": s.step, **asdict(s.summary)} for s in steps]
-        lines.append({"index": index, "eta": args.eta, "steps": steps})
+        lines.append({"index": index, "config": _config(args), "steps": steps})
     _emit_lines(args, lines)
     return 0
 
@@ -251,10 +259,7 @@ def _cmd_match(args) -> int:
         jsonio.prediction_to_dict(rewards.annotate_record(r, args.f1_threshold))
         for r in records
     ]
-    if args.out:
-        jsonio.write_jsonl(args.out, rows)
-    else:
-        jsonio.rewrite_jsonl(args.input, rows)
+    jsonio.write_jsonl(args.out or args.input, rows)
     return 0
 
 
@@ -438,7 +443,10 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, tuple[int, int]]:
     except OSError as exc:
         raise IoError(f"cannot read model {path}: {exc}") from exc
     try:
-        fields = jsonio.read_table(jsonio.PROBE_MODEL, json.loads(text))
+        obj = json.loads(text)
+        if type(obj) is not dict:  # `read_table` would call it a line
+            raise ValueError("must be a JSON object")
+        fields = jsonio.read_table(jsonio.PROBE_MODEL, obj)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: probe model is not JSON: {exc.msg}") from None
     except ValueError as exc:
@@ -456,8 +464,9 @@ def _cmd_probe_eval(args) -> int:
     scores = model.scores(x)
     precision, recall, f1 = probe.trigger_prf(scores, labels, model.threshold)
     _emit(args, {
-        "schema": "uncal-probe-eval-v2",
+        "schema": "uncal-probe-eval-v3",
         "config": _config(args),
+        "layer": model.layer,
         "n": int(len(labels)),
         "auroc": probe.auroc(scores, labels),
         "auprc": probe.auprc(scores, labels),

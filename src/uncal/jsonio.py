@@ -105,25 +105,21 @@ def write_report(path, obj) -> None:
 
 
 def write_jsonl(path, objs: Sequence[dict]) -> None:
+    """Write one canonical line per object, atomically: the lines go to a
+    temporary file in the same directory, which then takes the path's place.
+    If writing fails (an I/O error, or a value a report may not hold), no
+    partial file is left and an existing file is untouched. The file keeps
+    the mode of the one it replaces, or takes the mode `open` would give; a
+    symlinked path is written through to its target."""
+    target = Path(os.path.realpath(path))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_lines(fh, objs)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def rewrite_jsonl(path, objs: Sequence[dict]) -> None:
-    """Replace an existing file atomically: the lines go to a temporary file
-    in the same directory, which then takes the file's place (and mode).
-    If writing fails, the original file is left untouched."""
-    path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                _write_lines(fh, objs)
-            os.chmod(tmp, path.stat().st_mode & 0o7777)
-            os.replace(tmp, path)
+                for obj in objs:
+                    fh.write(dumps_canonical(obj) + "\n")
+            os.chmod(tmp, _mode(target))
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -131,9 +127,13 @@ def rewrite_jsonl(path, objs: Sequence[dict]) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_lines(fh, objs) -> None:
-    for obj in objs:
-        fh.write(dumps_canonical(obj) + "\n")
+def _mode(path: Path) -> int:
+    """The mode of the file at `path`, or the one `open` gives a new file."""
+    if path.exists():
+        return path.stat().st_mode & 0o7777
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

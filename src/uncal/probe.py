@@ -171,81 +171,72 @@ def fit_probe(
     )
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Area under the ROC curve via the rank-sum statistic with midranks for
-    ties."""
+def ranked(scores, flags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of `scores` ascending, with the number of rows and
+    of flagged rows (`flags` 1 or true) at each. Every metric and threshold
+    over a score reads this one sort, so tied scores always move together.
+    A non-finite score is refused: it has no place in the order."""
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    if not np.all(np.isfinite(s)):
+        raise UndefinedMetric("scores must be finite")
+    distinct, group = np.unique(s, return_inverse=True)
+    rows = np.bincount(group, minlength=len(distinct))
+    flagged = np.bincount(group, weights=flags, minlength=len(distinct)).astype(int)
+    return distinct, rows, flagged
+
+
+def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Area under the ROC curve: the Mann-Whitney U of the positives (a
+    negative with the same score counts one half) over n_pos * n_neg."""
+    _, rows, pos = ranked(scores, labels)
+    neg = rows - pos
+    n_pos = int(pos.sum())
+    n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("AUROC needs both classes")
-    if not np.all(np.isfinite(s)):
-        # the tie loop below never advances past a NaN (NaN != NaN)
-        raise UndefinedMetric("AUROC needs finite scores")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=float)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        # midrank for the tie block [i, j)
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
-    rank_sum = float(np.sum(ranks[y == 1]))
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    # 2U: each positive scores 2 per negative below it and 1 per negative tied
+    twice_u = int(pos @ (2 * np.cumsum(neg) - neg))
+    return twice_u / 2.0 / (n_pos * n_neg)
 
 
 def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Area under the precision-recall curve by step integration over
     distinct score thresholds (descending)."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    n_pos = int(np.sum(y == 1))
-    if n_pos == 0 or int(np.sum(y == 0)) == 0:
+    _, rows, pos = ranked(scores, labels)
+    n_pos = int(pos.sum())
+    if n_pos == 0 or n_pos == int(rows.sum()):
         raise UndefinedMetric("AUPRC needs both classes")
-    if not np.all(np.isfinite(s)):
-        raise UndefinedMetric("AUPRC needs finite scores")
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
+    tp = np.cumsum(pos[::-1])
+    recall = tp / n_pos
     area = 0.0
-    prev_recall = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            tp += int(y_sorted[j])
-            seen += 1
-            j += 1
-        recall = tp / n_pos
-        precision = tp / seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
+    # one term per threshold, added in curve order (the float sum depends on it)
+    for step, precision in zip(np.diff(recall, prepend=0.0).tolist(),
+                               (tp / np.cumsum(rows[::-1])).tolist()):
+        area += step * precision
     return area
+
+
+def _trigger_curve(distinct, rows, wrong, thresholds):
+    """Precision, recall and F1 arrays of `score >= t` against the wrong
+    labels, one entry per threshold t, from the counts `ranked` returns. A
+    threshold equal to a score fires that score's rows."""
+    below = np.searchsorted(distinct, thresholds, "left")  # distinct scores < t
+    n_wrong = wrong.sum()
+    tp = n_wrong - np.concatenate(([0], np.cumsum(wrong)))[below]
+    fired = rows.sum() - np.concatenate(([0], np.cumsum(rows)))[below]
+    precision = np.divide(tp, fired, out=np.zeros(len(tp)), where=fired > 0)
+    recall = np.divide(tp, n_wrong, out=np.zeros(len(tp)), where=n_wrong > 0)
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros(len(tp)), where=tp > 0)
+    return precision, recall, f1
 
 
 def trigger_prf(
     scores: Sequence[float], labels: Sequence[int], threshold: float
 ) -> tuple[float, float, float]:
     """Precision, recall, F1 of `score >= threshold` against wrong labels."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    predicted = s >= threshold
-    tp = int(np.sum(predicted & (y == 1)))
-    fp = int(np.sum(predicted & (y == 0)))
-    fn = int(np.sum(~predicted & (y == 1)))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    curve = _trigger_curve(*ranked(scores, labels), [threshold])
+    return tuple(float(values[0]) for values in curve)
 
 
 def tune_threshold(
@@ -259,22 +250,13 @@ def tune_threshold(
     the all-trigger boundary at 0. Ties break toward the lower threshold
     (higher recall).
     """
-    y = np.asarray(dev_labels, dtype=int)
-    if len(set(y.tolist())) < 2:
+    distinct, rows, wrong = ranked(model.scores(dev_x), dev_labels)
+    if not 0 < wrong.sum() < rows.sum():
         raise UndefinedMetric("threshold tuning needs both classes on dev")
-    scores = model.scores(dev_x)
-    distinct = np.unique(scores)
-    candidates = [0.0] + [
-        float((a + b) / 2.0) for a, b in zip(distinct, distinct[1:])
-    ]
-    best_threshold = 0.0
-    best_f1 = -1.0
-    for theta in candidates:
-        _, _, f1 = trigger_prf(scores, y, theta)
-        if f1 > best_f1 or (f1 == best_f1 and theta < best_threshold):
-            best_f1 = f1
-            best_threshold = theta
-    return replace(model, threshold=best_threshold)
+    candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0))
+    _, _, f1 = _trigger_curve(distinct, rows, wrong, candidates)
+    # candidates ascend, so the first best F1 is the lowest threshold
+    return replace(model, threshold=float(candidates[np.argmax(f1)]))
 
 
 def split_by_qid(qids: Sequence[str], seed: int = 0):

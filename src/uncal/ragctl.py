@@ -18,9 +18,9 @@ Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
 token probability below T, after FLARE) and external (a recorded trigger).
 
-Boundary semantics: confidence triggering is strict (confidence < tau), so
-tau = 0 reproduces Never and tau just above the highest confidence reproduces
-Always.
+Every thresholded policy is `ControllerPolicy(kind, threshold)`. Boundary
+semantics: confidence triggering is strict (confidence < T), so T = 0
+reproduces Never and T just above the highest confidence reproduces Always.
 """
 
 from __future__ import annotations
@@ -71,46 +71,29 @@ class PolicyKind(enum.Enum):
     EXTERNAL = "external"
 
 
+# the kinds that trigger on a score compared with a threshold
+_THRESHOLDED = frozenset({
+    PolicyKind.CONFIDENCE_THRESHOLD,
+    PolicyKind.EMISSION_PLUS_PROBE,
+    PolicyKind.TOKEN_PROB_WINDOW,
+})
+
+
 @dataclass(frozen=True)
 class ControllerPolicy:
+    """A policy kind, with a threshold in [0,1] exactly when the kind has one."""
+
     kind: PolicyKind
-    tau: float | None = None
-    theta: float | None = None
-    tau_p: float | None = None
+    threshold: float | None = None
 
     def __post_init__(self):
-        for name in ("tau", "theta", "tau_p"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0,1]")
-
-    @staticmethod
-    def always() -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.ALWAYS)
-
-    @staticmethod
-    def never() -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.NEVER)
-
-    @staticmethod
-    def confidence_threshold(tau: float) -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, tau=tau)
-
-    @staticmethod
-    def emission_only() -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.EMISSION_ONLY)
-
-    @staticmethod
-    def emission_plus_probe(theta: float) -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.EMISSION_PLUS_PROBE, theta=theta)
-
-    @staticmethod
-    def token_prob_window(tau_p: float) -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, tau_p=tau_p)
-
-    @staticmethod
-    def external() -> "ControllerPolicy":
-        return ControllerPolicy(PolicyKind.EXTERNAL)
+        thresholded = self.kind in _THRESHOLDED
+        if (self.threshold is None) == thresholded:
+            raise ValueError(
+                f"policy {self.kind.value!r} {'needs a' if thresholded else 'takes no'} threshold"
+            )
+        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0,1]")
 
 
 def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
@@ -123,7 +106,7 @@ def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
     if kind is PolicyKind.CONFIDENCE_THRESHOLD:
         if record.noret_confidence is None:
             raise MissingSignal(f"record {record.qid!r} has no confidence")
-        return record.noret_confidence < policy.tau
+        return record.noret_confidence < policy.threshold
     if kind is PolicyKind.EMISSION_ONLY:
         return record.noret_emissions >= 1
     if kind is PolicyKind.EMISSION_PLUS_PROBE:
@@ -131,11 +114,11 @@ def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
             return False
         if record.noret_probe_score is None:
             raise MissingSignal(f"record {record.qid!r} has no probe score")
-        return record.noret_probe_score >= policy.theta
+        return record.noret_probe_score >= policy.threshold
     if kind is PolicyKind.TOKEN_PROB_WINDOW:
         if record.noret_token_probs is None:
             raise MissingSignal(f"record {record.qid!r} has no token probabilities")
-        return any(p < policy.tau_p for p in record.noret_token_probs)
+        return any(p < policy.threshold for p in record.noret_token_probs)
     if kind is PolicyKind.EXTERNAL:
         if record.external_trigger is None:
             raise MissingSignal(f"record {record.qid!r} has no external trigger column")
@@ -263,13 +246,6 @@ def trigger_reports_by_dataset(
     return {name: _tally(scored, fires, members[name]) for name in sorted(members)}
 
 
-_THRESHOLDED = {
-    PolicyKind.CONFIDENCE_THRESHOLD: ControllerPolicy.confidence_threshold,
-    PolicyKind.EMISSION_PLUS_PROBE: ControllerPolicy.emission_plus_probe,
-    PolicyKind.TOKEN_PROB_WINDOW: ControllerPolicy.token_prob_window,
-}
-
-
 def sweep_threshold(
     kind: PolicyKind,
     records: Sequence[RagTraceRecord],
@@ -278,31 +254,20 @@ def sweep_threshold(
 ) -> list[tuple[float, TriggerReport]]:
     """One report per grid point for a thresholded policy family; the records
     are scored once for the whole grid."""
-    grid = list(grid)
-    if not grid:
+    policies = [ControllerPolicy(kind, value) for value in grid]
+    if not policies:
         raise ValueError("grid must be non-empty")
-    if kind not in _THRESHOLDED:
-        raise ValueError(f"policy family {kind} has no threshold to sweep")
-    policies = [_THRESHOLDED[kind](value) for value in grid]
     records = list(records)
     scored = score_traces(records, f1_threshold)
-    return [
-        (value, trigger_report(scored, decide_all(policy, records)))
-        for value, policy in zip(grid, policies)
-    ]
+    return [(policy.threshold, trigger_report(scored, decide_all(policy, records)))
+            for policy in policies]
 
 
 def parse_policy_spec(spec: str) -> ControllerPolicy:
     """Parse CLI policy strings: always | never | emit | external | conf:T |
     emit+probe:T | flare:T."""
     head, sep, rest = spec.strip().lower().partition(":")
-    kind = next((k for k in PolicyKind if k.value == head), None)
-    if kind is None or bool(sep) != (kind in _THRESHOLDED):
-        raise ValueError(f"unrecognized policy spec {spec!r}")
-    if not sep:
-        return ControllerPolicy(kind)
     try:
-        value = float(rest)
-    except ValueError:
-        raise ValueError(f"policy spec {spec!r}: {rest!r} is not a number") from None
-    return _THRESHOLDED[kind](value)
+        return ControllerPolicy(PolicyKind(head), float(rest) if sep else None)
+    except ValueError as exc:
+        raise ValueError(f"policy spec {spec!r}: {exc}") from None

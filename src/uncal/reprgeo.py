@@ -84,10 +84,15 @@ def kl_by_type(
 ) -> dict[TokenType, TypeKlRow]:
     """Per-type mean KL and each type's share of the total KL mass.
 
-    Every pair position must be annotated. Types with no positions are
-    absent from the result; mass fractions are None when the total KL is 0.
+    Every pair position must be annotated, and no position twice. Types with
+    no positions are absent from the result; mass fractions are None when the
+    total KL is 0.
     """
-    type_of = {a.position: a.type for a in annotations}
+    type_of = {}
+    for a in annotations:
+        if a.position in type_of:
+            raise ValueError(f"position {a.position} is annotated twice")
+        type_of[a.position] = a.type
     groups: dict[TokenType, list[float]] = {}
     for pair in pairs:
         if pair.position not in type_of:

@@ -24,7 +24,11 @@ UNCERTAIN_MARKER = "<uncertain>"
 DEFAULT_F1_THRESHOLD = 0.3
 
 _ANSWER_LINE_RE = re.compile(r"^[ \t]*answer[ \t]*:(.*)$", re.IGNORECASE | re.MULTILINE)
-_CONFIDENCE_RE = re.compile(r"confidence[ \t]*:[ \t]*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE)
+# a stated confidence's label, where an answer line's answer ends
+_CONFIDENCE_LABEL_RE = re.compile(r"confidence[ \t]*:", re.IGNORECASE)
+_CONFIDENCE_RE = re.compile(
+    _CONFIDENCE_LABEL_RE.pattern + r"[ \t]*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE
+)
 _ARTICLES = ("a", "an", "the")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -114,20 +118,14 @@ class PredictionRecord:
 def extract_answer_line(response_text: str) -> str | None:
     """Payload of the last `Answer:` line, or None if no such line exists.
 
-    A trailing `Confidence: x` on the same physical line is not part of the
-    answer and is stripped.
+    A trailing `Confidence: x` on the same physical line, with any spaces or
+    tabs before its colon (as `extract_confidence` reads it), is not part of
+    the answer and is stripped.
     """
     matches = _ANSWER_LINE_RE.findall(response_text)
     if not matches:
         return None
-    payload = matches[-1]
-    lowered = payload.lower()
-    cut = lowered.find("confidence:")
-    if cut == -1:
-        cut = lowered.find("confidence :")
-    if cut != -1:
-        payload = payload[:cut]
-    return payload.strip()
+    return _CONFIDENCE_LABEL_RE.split(matches[-1], maxsplit=1)[0].strip()
 
 
 def extract_confidence(response_text: str) -> float | None:

@@ -111,7 +111,7 @@ def tilt(space: TrajectorySpace, eta: float) -> TrajectorySpace:
     preserves the support of the input exactly (zero stays zero, positive
     stays positive).
     """
-    if eta <= 0.0:
+    if not eta > 0.0:  # NaN too
         raise InvalidStep(f"eta must be strictly positive, got {eta}")
     r = space_rewards(space)
     scaled = eta * r

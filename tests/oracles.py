@@ -148,3 +148,24 @@ def oracle_pca(x, k):
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     power = s**2
     return power[:k] / power.sum(), centered @ vt[:k].T
+
+
+def oracle_tune_threshold(scores, labels):
+    """The first candidate with the best trigger F1 of `score >= theta`, the
+    candidates being 0 and the midpoints of consecutive distinct scores in
+    ascending order, each recounted over every row."""
+    distinct = sorted(set(scores))
+    candidates = [0.0] + [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+    best_theta = None
+    best_f1 = -1.0
+    for theta in candidates:
+        tp = sum(1 for s, y in zip(scores, labels) if s >= theta and y == 1)
+        fp = sum(1 for s, y in zip(scores, labels) if s >= theta and y == 0)
+        fn = sum(1 for s, y in zip(scores, labels) if s < theta and y == 1)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 > best_f1:
+            best_theta = theta
+            best_f1 = f1
+    return best_theta

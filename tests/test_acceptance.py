@@ -159,7 +159,7 @@ def test_metric_oracle_equivalence():
             assert abs(probe.auprc(scores, labels) - oracle_auprc(scores, labels)) < 1e-12
 
         traces = random_rag_batch(rng, int(rng.integers(2, 25)))
-        policy = ControllerPolicy.confidence_threshold(float(rng.uniform(0.0, 1.0)))
+        policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0.0, 1.0)))
         report = run_policy(policy, traces)
         decisions = [ragctl.decide(policy, r) for r in traces]
         noret_ok = [match_answer(r.noret_answer, r.gold_answers).correct for r in traces]
@@ -269,12 +269,12 @@ def test_controller_identities():
             f1_total += result.f1
         return em / n, f1_total / n, sum(decisions) / n
 
-    always = run_policy(ControllerPolicy.always(), fixture)
+    always = run_policy(ControllerPolicy(PolicyKind.ALWAYS), fixture)
     em, f1, rate = accounting(fixture, [True] * 20)
     assert (always.final_em, always.final_f1, always.trigger_rate) == (em, f1, rate)
     assert always.trigger_rate == 1.0 and always.trigger_recall == 1.0
 
-    never = run_policy(ControllerPolicy.never(), fixture)
+    never = run_policy(ControllerPolicy(PolicyKind.NEVER), fixture)
     em, f1, rate = accounting(fixture, [False] * 20)
     assert (never.final_em, never.final_f1, never.trigger_rate) == (em, f1, rate)
     assert never.trigger_rate == 0.0 and never.trigger_recall == 0.0

@@ -267,6 +267,31 @@ class TestFunctional:
             if line["status"] == "ok":
                 assert line["holds"] and line["support_preserved"]
 
+    @pytest.mark.parametrize("command", ["verify", "iterate"])
+    @pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf", "x"])
+    def test_theory_eta_refused_before_any_output(self, tmp_path, capsys, command, eta):
+        # a space without a competing answer, on which `verify --eta -1` once
+        # exited 0; `--eta nan` once left an empty output file
+        spaces = _write_lines(tmp_path / "s.jsonl", [{"gold_answer": "A", "trajectories": [
+            {"id": "t0", "answer": "A", "confidence": 0.5, "base_prob": 1.0}]}])
+        out = tmp_path / "o.jsonl"
+        assert main(["theory", command, "--in", str(spaces), "--eta", eta,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--eta" in err and "usage:" in err
+        assert not out.exists()
+
+    def test_probe_eval_records_the_model_layer(self, tmp_path):
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = str(tmp_path / "hidden" / "layer_8.mat")
+        model, out = tmp_path / "probe.json", tmp_path / "eval.json"
+        assert main(["probe", "fit", "--hidden", layer, "--preds", str(preds),
+                     "--layer", "8", "--out", str(model)]) == 0
+        assert main(["probe", "eval", "--model", str(model), "--hidden", layer,
+                     "--preds", str(preds), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == "uncal-probe-eval-v3" and report["layer"] == 8
+
     def test_ptrue_replaces_confidence(self, tmp_path):
         records = [
             {"qid": "a", "gold_answers": ["x"], "response_text": "Answer: x",
@@ -522,7 +547,8 @@ class TestSeedHandling:
         return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
 
     # the commands whose outputs carry a `config` block, and the file that holds it
-    CONFIG_FILES = {"calib": "o.json", "recal ts": "m.json", "recal ats": "m.json",
+    CONFIG_FILES = {"theory verify": "o.jsonl", "theory iterate": "o.jsonl",
+                    "calib": "o.json", "recal ts": "m.json", "recal ats": "m.json",
                     "probe eval": "o.json", "rag": "o.json", "repr cka": "o.json",
                     "repr kl": "o.json", "repr pca": "o.json", "repr drift": "o.json",
                     "probe sweep": "o.json", "probe fit": "o.json"}
@@ -531,11 +557,13 @@ class TestSeedHandling:
     def test_config_records_every_flag_but_the_outputs(self, tmp_path, name):
         argv, _ = self.invocations(tmp_path)[name]
         assert main([a.replace("{out}", str(tmp_path)) for a in argv]) == 0
-        config = json.loads((tmp_path / self.CONFIG_FILES[name]).read_text())["config"]
+        # a JSON Lines output carries the block on every line
+        text = (tmp_path / self.CONFIG_FILES[name]).read_text()
+        configs = [json.loads(line)["config"] for line in text.splitlines()]
         expected = self.flag_dests(name) - {"out", "csv", "model_out", "apply_path"}
         if name.startswith("probe ") and name != "probe eval":
             expected.add("seed")
-        assert expected and set(config) == expected
+        assert expected and configs and all(set(c) == expected for c in configs)
 
 
 def test_float_serialization_round_trips():
@@ -545,6 +573,29 @@ def test_float_serialization_round_trips():
         assert float(text) == (0.0 if v == 0.0 else v)
     with pytest.raises(ValueError):
         jsonio.format_float(float("nan"))
+
+
+def test_write_jsonl_leaves_no_partial_file_and_keeps_modes(tmp_path):
+    # a value no report may hold once left the lines before it on disk
+    out = tmp_path / "o.jsonl"
+    with pytest.raises(ValueError):
+        jsonio.write_jsonl(out, [{"a": 1.0}, {"a": float("nan")}])
+    assert list(tmp_path.iterdir()) == []
+    jsonio.write_jsonl(out, [{"a": 1.0}])
+    reference = tmp_path / "ref"
+    reference.write_text("")
+    assert out.stat().st_mode == reference.stat().st_mode  # as `open` makes a file
+    out.chmod(0o640)
+    with pytest.raises(ValueError):
+        jsonio.write_jsonl(out, [{"a": 2.0}, {"a": float("inf")}])
+    assert out.read_text() == '{"a":1}\n'
+    jsonio.write_jsonl(out, [{"a": 2.0}])
+    assert out.read_text() == '{"a":2}\n' and out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.jsonl", "ref"]
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(out)
+    jsonio.write_jsonl(link, [{"a": 3.0}])
+    assert link.is_symlink() and out.read_text() == '{"a":3}\n'
 
 
 def _write_lines(path, objs):
@@ -771,6 +822,19 @@ class TestTableRejections:
         assert main(["repr", "kl", "--pairs", str(pairs), "--annotations", str(ann),
                      "--out", str(tmp_path / "kl.json")]) == 0
         assert named in self.rejected(capsys, ann)
+
+
+def test_kl_repeated_annotation_position_refused(tmp_path, capsys):
+    # the second annotation of position 0 once silently replaced the first
+    pairs = _write_lines(tmp_path / "pairs.jsonl", [
+        {"position": 0, "base_probs": [0.5, 0.5], "calibrated_probs": [0.4, 0.6]}])
+    ann = _write_lines(tmp_path / "ann.jsonl", [{"position": 0, "type": "ReasoningToken"},
+                                                {"position": 0, "type": "Other"}])
+    out = tmp_path / "kl.json"
+    assert main(["repr", "kl", "--pairs", str(pairs), "--annotations", str(ann),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "uncal: position 0 is annotated twice\n"
+    assert not out.exists()
 
 
 class TestNestedRejections:
@@ -1108,6 +1172,14 @@ class TestMissingFields:
         with pytest.raises(ValueError) as refused:
             _load_probe_model(model)
         assert str(refused.value).startswith(f"{model}: probe model is not JSON: ")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"model"'])
+    def test_probe_model_that_is_not_an_object(self, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        with pytest.raises(ValueError) as refused:
+            _load_probe_model(model)
+        assert str(refused.value) == f"{model}: probe model must be a JSON object"
 
     def test_sidecar_row_without_qid(self, tmp_path, capsys):
         preds = write_hidden_dir(tmp_path / "hidden")

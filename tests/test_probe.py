@@ -12,7 +12,7 @@ from uncal.errors import (
 from uncal.rewards import EmissionEvent, PredictionRecord, score_predictions
 
 from conftest import planted_stack
-from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd
+from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd, oracle_tune_threshold
 
 
 def emitted_record(token_index, tokens=10, text_pos=5):
@@ -253,6 +253,46 @@ class TestTuneThreshold:
         model, x, _ = self.fitted_model()
         with pytest.raises(UndefinedMetric):
             probe.tune_threshold(model, x, np.ones(len(x), dtype=int))
+
+
+class FixedScores(probe.ProbeModel):
+    """A probe whose score of each example is the example's first feature."""
+
+    def scores(self, x):
+        return np.asarray(x, dtype=float)[:, 0]
+
+
+class TestTuneThresholdOracle:
+    """`tune_threshold` equals a full recount at every candidate, exactly."""
+
+    MODEL = FixedScores(layer=0, weights=np.zeros(1), bias=0.0, threshold=0.5,
+                        feature_means=np.zeros(1), feature_stds=np.ones(1))
+
+    def check(self, scores, labels):
+        if 0 < sum(labels) < len(labels):
+            tuned = probe.tune_threshold(self.MODEL, np.asarray(scores)[:, None], labels)
+            assert tuned.threshold == oracle_tune_threshold(list(scores), list(labels))
+
+    def test_tie_heavy_scores(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            if trial % 2:
+                scores = np.round(rng.uniform(0.0, 1.0, n), 1)
+            else:
+                scores = rng.choice([0.2, 0.5, 0.9], n)
+            self.check(scores.tolist(), (rng.random(n) < 0.5).astype(int).tolist())
+
+    def test_adjacent_float_scores(self):
+        # the midpoint of two adjacent floats rounds onto one of them
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a = float(rng.uniform(0.05, 0.95))
+            up = float(np.nextafter(a, 1.0))
+            values = [float(np.nextafter(a, 0.0)), a, up, float(np.nextafter(up, 1.0))]
+            n = int(rng.integers(2, 30))
+            scores = [values[i] for i in rng.integers(0, len(values), n)]
+            self.check(scores, (rng.random(n) < 0.5).astype(int).tolist())
 
 
 class TestExamples:

@@ -34,27 +34,27 @@ HAND_FIXTURE = [
 class TestDecide:
     def test_never_and_always(self):
         record = HAND_FIXTURE[0]
-        assert ragctl.decide(ControllerPolicy.never(), record) is False
-        assert ragctl.decide(ControllerPolicy.always(), record) is True
+        assert ragctl.decide(ControllerPolicy(PolicyKind.NEVER), record) is False
+        assert ragctl.decide(ControllerPolicy(PolicyKind.ALWAYS), record) is True
 
     def test_confidence_threshold_is_strict(self):
         record = trace("r", True, True, conf=0.5)
-        policy = ControllerPolicy.confidence_threshold(0.5)
+        policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5)
         assert ragctl.decide(policy, record) is False
-        assert ragctl.decide(ControllerPolicy.confidence_threshold(0.51), record) is True
+        assert ragctl.decide(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.51), record) is True
 
     def test_flare_threshold(self):
         record = trace("r", True, True, token_probs=(0.4, 0.6, 0.9))
-        assert ragctl.decide(ControllerPolicy.token_prob_window(0.4), record) is False
+        assert ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record) is False
         low = trace("r", True, True, token_probs=(0.39, 0.6))
-        assert ragctl.decide(ControllerPolicy.token_prob_window(0.4), low) is True
+        assert ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), low) is True
 
     def test_emission_only(self):
-        assert ragctl.decide(ControllerPolicy.emission_only(), trace("r", True, True, emissions=1))
-        assert not ragctl.decide(ControllerPolicy.emission_only(), trace("r", True, True))
+        assert ragctl.decide(ControllerPolicy(PolicyKind.EMISSION_ONLY), trace("r", True, True, emissions=1))
+        assert not ragctl.decide(ControllerPolicy(PolicyKind.EMISSION_ONLY), trace("r", True, True))
 
     def test_emission_plus_probe(self):
-        policy = ControllerPolicy.emission_plus_probe(0.6)
+        policy = ControllerPolicy(PolicyKind.EMISSION_PLUS_PROBE, 0.6)
         assert ragctl.decide(policy, trace("r", True, True, emissions=1, probe_score=0.7))
         assert not ragctl.decide(policy, trace("r", True, True, emissions=1, probe_score=0.5))
         # no emission short-circuits without needing the probe score
@@ -65,20 +65,20 @@ class TestDecide:
             qid="r", gold_answers=("a",), noret_answer="a", ret_answer="a"
         )
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy.confidence_threshold(0.5), record)
+            ragctl.decide(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), record)
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy.token_prob_window(0.4), record)
+            ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record)
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy.external(), record)
+            ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), record)
 
     def test_external_column(self):
-        assert ragctl.decide(ControllerPolicy.external(), trace("r", True, True, external=True))
-        assert not ragctl.decide(ControllerPolicy.external(), trace("r", True, True, external=False))
+        assert ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), trace("r", True, True, external=True))
+        assert not ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), trace("r", True, True, external=False))
 
 
 class TestSimulate:
     def test_always_reproduces_retrieve_all(self):
-        report = run_policy(ControllerPolicy.always(), HAND_FIXTURE)
+        report = run_policy(ControllerPolicy(PolicyKind.ALWAYS), HAND_FIXTURE)
         assert report.trigger_rate == 1.0
         # final answers are the retrieval answers: r1, r3 correct
         assert report.final_em == pytest.approx(0.5)
@@ -86,7 +86,7 @@ class TestSimulate:
         assert report.trigger_recall == 1.0
 
     def test_never_reproduces_no_retrieval(self):
-        report = run_policy(ControllerPolicy.never(), HAND_FIXTURE)
+        report = run_policy(ControllerPolicy(PolicyKind.NEVER), HAND_FIXTURE)
         assert report.trigger_rate == 0.0
         assert report.final_em == pytest.approx(0.5)
         assert report.untouched_accuracy == pytest.approx(0.5)
@@ -95,7 +95,7 @@ class TestSimulate:
 
     def test_hand_fixture_counts(self):
         report = run_policy(
-            ControllerPolicy.confidence_threshold(0.5), HAND_FIXTURE
+            ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), HAND_FIXTURE
         )
         assert report.trigger_rate == pytest.approx(0.5)
         assert report.trigger_precision == pytest.approx(0.5)
@@ -108,7 +108,7 @@ class TestSimulate:
     def test_counts_partition_and_identities(self, rng):
         for _ in range(20):
             records = random_rag_batch(rng, int(rng.integers(2, 30)))
-            policy = ControllerPolicy.confidence_threshold(float(rng.uniform(0, 1)))
+            policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0, 1)))
             report = run_policy(policy, records)
             untouched = report.n - report.triggered
             assert untouched >= 0
@@ -117,13 +117,13 @@ class TestSimulate:
                     report.triggered_and_wrong
                 )
             if report.noret_wrong:
-                assert run_policy(ControllerPolicy.always(), records).trigger_recall == 1.0
+                assert run_policy(ControllerPolicy(PolicyKind.ALWAYS), records).trigger_recall == 1.0
 
     def test_agrees_with_recount_oracle(self, rng):
         for _ in range(20):
             records = random_rag_batch(rng, int(rng.integers(3, 25)))
             tau = float(rng.uniform(0.0, 1.0))
-            policy = ControllerPolicy.confidence_threshold(tau)
+            policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, tau)
             report = run_policy(policy, records)
             decisions = [ragctl.decide(policy, r) for r in records]
             noret_ok = [r.noret_answer == "alpha" for r in records]
@@ -138,7 +138,7 @@ class TestSimulate:
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            run_policy(ControllerPolicy.always(), [])
+            run_policy(ControllerPolicy(PolicyKind.ALWAYS), [])
 
 
 class TestSweepThreshold:
@@ -147,8 +147,8 @@ class TestSweepThreshold:
         reports = ragctl.sweep_threshold(
             PolicyKind.CONFIDENCE_THRESHOLD, HAND_FIXTURE, [0.0, 1.0]
         )
-        never = run_policy(ControllerPolicy.never(), HAND_FIXTURE)
-        always = run_policy(ControllerPolicy.always(), HAND_FIXTURE)
+        never = run_policy(ControllerPolicy(PolicyKind.NEVER), HAND_FIXTURE)
+        always = run_policy(ControllerPolicy(PolicyKind.ALWAYS), HAND_FIXTURE)
         assert reports[0][1] == never
         assert reports[1][1] == always
 
@@ -166,7 +166,7 @@ class TestSweepThreshold:
             PolicyKind.CONFIDENCE_THRESHOLD, records, [0.4]
         )
         assert value == 0.4
-        assert report == run_policy(ControllerPolicy.confidence_threshold(0.4), records)
+        assert report == run_policy(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.4), records)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -179,11 +179,11 @@ class TestPolicySpec:
         assert ragctl.parse_policy_spec("never").kind is PolicyKind.NEVER
         assert ragctl.parse_policy_spec("emit").kind is PolicyKind.EMISSION_ONLY
         policy = ragctl.parse_policy_spec("conf:0.5")
-        assert policy.kind is PolicyKind.CONFIDENCE_THRESHOLD and policy.tau == 0.5
+        assert policy.kind is PolicyKind.CONFIDENCE_THRESHOLD and policy.threshold == 0.5
         policy = ragctl.parse_policy_spec("emit+probe:0.6")
-        assert policy.kind is PolicyKind.EMISSION_PLUS_PROBE and policy.theta == 0.6
+        assert policy.kind is PolicyKind.EMISSION_PLUS_PROBE and policy.threshold == 0.6
         policy = ragctl.parse_policy_spec("flare:0.4")
-        assert policy.kind is PolicyKind.TOKEN_PROB_WINDOW and policy.tau_p == 0.4
+        assert policy.kind is PolicyKind.TOKEN_PROB_WINDOW and policy.threshold == 0.4
         assert ragctl.parse_policy_spec(" External ").kind is PolicyKind.EXTERNAL
 
     def test_rejects_garbage(self):
@@ -193,16 +193,30 @@ class TestPolicySpec:
 
     def test_parameter_ranges_validated(self):
         with pytest.raises(ValueError):
-            ControllerPolicy.confidence_threshold(1.5)
+            ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 1.5)
         with pytest.raises(ValueError):
-            ControllerPolicy.token_prob_window(-0.1)
+            ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, -0.1)
         with pytest.raises(ValueError):
             ragctl.parse_policy_spec("emit+probe:2")
+
+    def test_threshold_only_on_thresholded_kinds(self):
+        for kind in (PolicyKind.CONFIDENCE_THRESHOLD, PolicyKind.EMISSION_PLUS_PROBE,
+                     PolicyKind.TOKEN_PROB_WINDOW):
+            assert ControllerPolicy(kind, 0.5).threshold == 0.5
+            with pytest.raises(ValueError, match="needs a threshold"):
+                ControllerPolicy(kind)
+            with pytest.raises(ValueError, match="threshold must lie in"):
+                ControllerPolicy(kind, float("nan"))
+        for kind in (PolicyKind.ALWAYS, PolicyKind.NEVER, PolicyKind.EMISSION_ONLY,
+                     PolicyKind.EXTERNAL):
+            assert ControllerPolicy(kind).threshold is None
+            with pytest.raises(ValueError, match="takes no threshold"):
+                ControllerPolicy(kind, 0.5)
 
 
 def test_per_dataset_reports(rng):
     records = random_rag_batch(rng, 40)
-    policy = ControllerPolicy.always()
+    policy = ControllerPolicy(PolicyKind.ALWAYS)
     by_dataset = ragctl.trigger_reports_by_dataset(
         ragctl.score_traces(records), ragctl.decide_all(policy, records)
     )
@@ -224,8 +238,8 @@ class TestScoredTraces:
         scored = ragctl.score_traces(records)
         assert [m.correct for m in scored.noret] == [r.noret_answer == "alpha" for r in records]
         assert [m.correct for m in scored.ret] == [r.ret_answer == "alpha" for r in records]
-        for policy in (ControllerPolicy.confidence_threshold(0.4),
-                       ControllerPolicy.emission_only(), ControllerPolicy.always()):
+        for policy in (ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.4),
+                       ControllerPolicy(PolicyKind.EMISSION_ONLY), ControllerPolicy(PolicyKind.ALWAYS)):
             fires = ragctl.decide_all(policy, records)
             assert ragctl.trigger_report(scored, fires) == run_policy(policy, records)
             by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)

@@ -41,6 +41,15 @@ class TestExtractAnswerLine:
         text = "step 1\nAnswer: Randy Newman Confidence: 0.9"
         assert extract_answer_line(text) == "Randy Newman"
 
+    def test_confidence_cut_where_extract_confidence_reads_it(self):
+        # spaces or a tab before the colon still label the confidence
+        for text in ("Answer: Paris Confidence  : 0.9", "Answer: Paris confidence\t:0.9"):
+            assert extract_confidence(text) == 0.9
+            assert extract_answer_line(text) == "Paris"
+            record = PredictionRecord(qid="q", gold_answers=("Paris",), response_text=text)
+            assert match_record(record) == match_answer("Paris", ("Paris",))
+            assert match_record(record).rule is MatchRule.EXACT_MATCH
+
     def test_empty_payload_is_present(self):
         assert extract_answer_line("Answer:") == ""
 

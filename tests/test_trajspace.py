@@ -107,8 +107,9 @@ class TestTilt:
         np.testing.assert_allclose(out.probs(), [0.8, 0.2], atol=1e-12)
 
     def test_nonpositive_eta_rejected(self):
-        with pytest.raises(InvalidStep):
-            ts.tilt(two_space(), 0.0)
+        for eta in (0.0, float("nan")):
+            with pytest.raises(InvalidStep):
+                ts.tilt(two_space(), eta)
 
     def test_overflow_guard(self):
         # eta * reward: 800 and 0
