@@ -62,14 +62,6 @@ class CalibrationReport:
     bins: tuple[CalibBin, ...]
 
 
-def _usable(batch: ScoredBatch) -> list[tuple[float, bool, str]]:
-    """(confidence, correct, qid) rows of the records with a confidence."""
-    rows = batch.usable()
-    if not rows:
-        raise EmptyBatch("no records with parseable confidence")
-    return rows
-
-
 def _check_bins(num_bins: int) -> None:
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
@@ -82,7 +74,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 def _fill_bins(rows, num_bins):
     bins = [[] for _ in range(num_bins)]
-    for conf, correct, _ in rows:
+    for conf, correct in rows:
         idx = min(int(conf * num_bins), num_bins - 1)
         bins[idx].append((conf, correct))
     return bins
@@ -110,14 +102,14 @@ def _ece(bins, n):
 
 def _brier(rows):
     """Mean squared gap between confidence and the 0/1 outcome."""
-    return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y, _ in rows) / len(rows)
+    return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in rows) / len(rows)
 
 
 def _nll(rows, epsilon):
     """Mean negative log-likelihood of the outcome under the stated confidence,
     with confidences clamped to [epsilon, 1 - epsilon] to stay finite."""
     total = 0.0
-    for conf, correct, _ in rows:
+    for conf, correct in rows:
         p = conf if correct else 1.0 - conf
         total += -math.log(min(max(p, epsilon), 1.0 - epsilon))
     return total / len(rows)
@@ -133,7 +125,7 @@ def _ausc(rows):
     distinct confidence degenerates to its accuracy. Grouping ties makes the
     value invariant to duplicating every record.
     """
-    _, count, correct = ranked([c for c, _, _ in rows], [ok for _, ok, _ in rows])
+    _, count, correct = ranked([c for c, _ in rows], [ok for _, ok in rows])
     seen = count[::-1].cumsum()
     coverage = (seen / len(rows)).tolist()
     accuracy = (correct[::-1].cumsum() / seen).tolist()
@@ -154,11 +146,13 @@ def calibration_report(
     n = len(batch)
     if not n:
         raise EmptyBatch("no records")
-    rows = _usable(batch)
+    rows = batch.usable()
+    if not rows:
+        raise EmptyBatch("no records with parseable confidence")
     _check_bins(num_bins)
     _check_epsilon(nll_epsilon)
     accuracy = sum(1 for ok in batch.correct if ok) / n
-    mean_conf = math.fsum(c for c, _, _ in rows) / len(rows)
+    mean_conf = math.fsum(c for c, _ in rows) / len(rows)
     bins = _calib_bins(rows, num_bins)
     return CalibrationReport(
         n=n,

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +256,7 @@ def _cmd_theory_iterate(args) -> int:
 def _cmd_match(args) -> int:
     records = _load_preds(args.input)
     rows = [
-        jsonio.prediction_to_dict(rewards.annotate_record(r, args.f1_threshold))
+        jsonio.to_dict(jsonio.PREDICTION, rewards.annotate_record(r, args.f1_threshold))
         for r in records
     ]
     jsonio.write_jsonl(args.out or args.input, rows)
@@ -284,16 +284,19 @@ def _cmd_calib(args) -> int:
 def _write_recalibrated(args, records, new_confidence, missing: str) -> None:
     """Write `records` to `--out`, each with `verbal_confidence` replaced by
     `new_confidence(record)`; a record for which that is None is written
-    unchanged and counted on stderr as lacking `missing`."""
+    unchanged and counted on stderr as lacking `missing`. A confidence
+    outside [0,1], NaN included, is refused before anything is written."""
     rows = []
     skipped = 0
     for record in records:
         conf = new_confidence(record)
         if conf is None:
             skipped += 1
+            rows.append(jsonio.to_dict(jsonio.PREDICTION, record))
+        elif not 0.0 <= conf <= 1.0:
+            raise ValueError("verbal_confidence must lie in [0,1]")
         else:
-            record = replace(record, verbal_confidence=conf)
-        rows.append(jsonio.prediction_to_dict(record))
+            rows.append(jsonio.to_dict(jsonio.PREDICTION, record, verbal_confidence=conf))
     jsonio.write_jsonl(args.out, rows)
     if skipped:
         print(f"skipped {skipped} records without {missing}", file=sys.stderr)
@@ -340,7 +343,7 @@ def _cmd_recal_ats(args) -> int:
                 "feature_stds": list(model.feature_stds),
                 "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
                 "fit_nll": model.fit_nll,
-                "fit": model.fit.summary(),
+                "fit": jsonio.to_dict(jsonio.FIT, model.fit),
                 "config": _config(args),
             },
         )
@@ -414,23 +417,11 @@ def _probe_examples(args, window: int, span_tokens: int):
 
 def _cmd_probe_fit(args) -> int:
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
-    train_idx, dev_idx = probe.split_by_qid(qids, args.seed)
-    model = probe.fit_probe(x[train_idx], labels[train_idx], l2=args.l2, layer=args.layer)
-    model = probe.tune_threshold(model, x[dev_idx], labels[dev_idx])
-    jsonio.write_report(
-        args.out,
-        {
-            "schema": "uncal-probe-model-v2",
-            "layer": model.layer,
-            "weights": [float(v) for v in model.weights],
-            "bias": model.bias,
-            "threshold": model.threshold,
-            "feature_means": [float(v) for v in model.feature_means],
-            "feature_stds": [float(v) for v in model.feature_stds],
-            "fit": model.fit.summary(),
-            "config": {**_config(args), "seed": args.seed},
-        },
-    )
+    model, _, _ = probe.fit_on_split(x, labels, qids, args.l2, args.layer, args.seed)
+    jsonio.write_report(args.out, jsonio.to_dict(
+        jsonio.PROBE_MODEL, model,
+        schema="uncal-probe-model-v2", config={**_config(args), "seed": args.seed},
+    ))
     return 0
 
 
@@ -461,18 +452,12 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, tuple[int, int]]:
 def _cmd_probe_eval(args) -> int:
     model, (window, span_tokens) = _load_probe_model(args.model)
     x, labels, _ = _probe_examples(args, window, span_tokens)
-    scores = model.scores(x)
-    precision, recall, f1 = probe.trigger_prf(scores, labels, model.threshold)
     _emit(args, {
         "schema": "uncal-probe-eval-v3",
         "config": _config(args),
         "layer": model.layer,
         "n": int(len(labels)),
-        "auroc": probe.auroc(scores, labels),
-        "auprc": probe.auprc(scores, labels),
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
+        **asdict(probe.evaluate(model, x, labels)),
         "threshold": model.threshold,
     })
     return 0

@@ -1,22 +1,22 @@
 """JSON Lines record streams and deterministic report serialization.
 
-Loading is strict: every line is read by the one table of its line kind
-(`PREDICTION`, `RAG_TRACE`, `SPACE`, `KL_PAIR`, `KL_ANNOTATION`, and
-`ROW_ID` for the matrix sidecars that `matio.read_row_ids` reads), invalid
-lines are returned with their line numbers (the messages carry no file or
-line; callers prefix `path:line:` once), and a file where more than half the
-lines fail is rejected outright. The one JSON input that is not a line
-stream, a `probe fit` model, is read by `PROBE_MODEL` the same way. A
-rejection inside a nested object starts with where it sits in the line:
-`emissions[0]: unknown fields ['x']`.
+Each line kind has one field table (`PREDICTION`, `RAG_TRACE`, `SPACE`,
+`KL_PAIR`, `KL_ANNOTATION`, `ROW_ID` for matrix sidecars, and `PROBE_MODEL`
+for the one JSON input that is not a line stream), which both reads its lines
+(`read_table`) and writes them (`to_dict`). Loading is strict: invalid lines
+are returned with their line numbers (the messages carry no file or line;
+callers prefix `path:line:` once), and a file where more than half the lines
+fail is rejected outright. A rejection inside a nested object starts with
+where it sits in the line: `emissions[0]: unknown fields ['x']`.
 Report writing controls float formatting (17 significant digits, round-trip
 exact) and key order so that identical configurations produce byte-identical
-files.
+files. Every output file is written atomically.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import os
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import CorruptInput, IoError, ShapeError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
@@ -97,27 +99,20 @@ def _write_canonical(obj, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def write_report(path, obj) -> None:
-    try:
-        Path(path).write_text(dumps_canonical(obj) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write report {path}: {exc}") from exc
-
-
-def write_jsonl(path, objs: Sequence[dict]) -> None:
-    """Write one canonical line per object, atomically: the lines go to a
-    temporary file in the same directory, which then takes the path's place.
-    If writing fails (an I/O error, or a value a report may not hold), no
-    partial file is left and an existing file is untouched. The file keeps
-    the mode of the one it replaces, or takes the mode `open` would give; a
-    symlinked path is written through to its target."""
+def _write_atomic(path, chunks) -> None:
+    """Write the text `chunks` to `path` atomically: they go to a temporary
+    file in the same directory, which then takes the path's place. If writing
+    fails (an I/O error, or a value a report may not hold), no partial file is
+    left and an existing file is untouched. The file keeps the mode of the one
+    it replaces, or takes the mode `open` would give; a symlinked path is
+    written through to its target."""
     target = Path(os.path.realpath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for obj in objs:
-                    fh.write(dumps_canonical(obj) + "\n")
+                for chunk in chunks:
+                    fh.write(chunk)
             os.chmod(tmp, _mode(target))
             os.replace(tmp, target)
         except BaseException:
@@ -136,6 +131,15 @@ def _mode(path: Path) -> int:
     return 0o666 & ~umask
 
 
+def write_report(path, obj) -> None:
+    _write_atomic(path, [dumps_canonical(obj) + "\n"])
+
+
+def write_jsonl(path, objs: Sequence[dict]) -> None:
+    """One canonical line per object; the lines are streamed, not built in memory."""
+    _write_atomic(path, (dumps_canonical(obj) + "\n" for obj in objs))
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Plot-ready CSV with the same float discipline as the JSON reports."""
 
@@ -148,71 +152,8 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
             return format_float(value)
         return str(value)
 
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(cell(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Writing records
-# ---------------------------------------------------------------------------
-
-
-def prediction_to_dict(record: PredictionRecord) -> dict:
-    out = {
-        "qid": record.qid,
-        "dataset": record.dataset,
-        "question": record.question,
-        "gold_answers": list(record.gold_answers),
-        "response_text": record.response_text,
-        "response_token_count": record.response_token_count,
-        "emissions": [
-            {"char_position": e.char_position}
-            | ({"token_index": e.token_index} if e.token_index is not None else {})
-            for e in record.emissions
-        ],
-    }
-    if record.extracted_answer is not None:
-        out["extracted_answer"] = record.extracted_answer
-    if record.verbal_confidence is not None:
-        out["verbal_confidence"] = record.verbal_confidence
-    if record.token_probs is not None:
-        out["token_probs"] = list(record.token_probs)
-    if record.p_affirmative is not None:
-        out["p_affirmative"] = record.p_affirmative
-    if record.match is not None:
-        out["match"] = {
-            "correct": record.match.correct,
-            "rule": record.match.rule.value,
-            "f1": record.match.f1,
-        }
-    return out
-
-
-def rag_to_dict(record: RagTraceRecord) -> dict:
-    out = {
-        "qid": record.qid,
-        "dataset": record.dataset,
-        "gold_answers": list(record.gold_answers),
-        "noret_answer": record.noret_answer,
-        "ret_answer": record.ret_answer,
-        "noret_emissions": record.noret_emissions,
-    }
-    if record.noret_confidence is not None:
-        out["noret_confidence"] = record.noret_confidence
-    if record.noret_probe_score is not None:
-        out["noret_probe_score"] = record.noret_probe_score
-    if record.noret_token_probs is not None:
-        out["noret_token_probs"] = list(record.noret_token_probs)
-    if record.noret_response_text is not None:
-        out["noret_response_text"] = record.noret_response_text
-    if record.external_trigger is not None:
-        out["external_trigger"] = record.external_trigger
-    return out
+    lines = (",".join(cell(v) for v in row) + "\n" for row in rows)
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +256,19 @@ def _nested_fields(table: dict, name: str, value) -> dict:
 
 
 def read_object(table: dict, build):
-    """Reader of a nested object: `build(**fields)` of its fields read by `table`."""
-    return lambda name, value: build(**_nested_fields(table, name, value))
+    """Reader of a nested object: `build(**fields)` of its fields read by
+    `table`. Its `table` attribute is that table, by which `to_dict` writes."""
+
+    def read(name: str, value):
+        return build(**_nested_fields(table, name, value))
+
+    read.table = table
+    return read
 
 
 def read_objects(table: dict, build):
     """Reader of a list of objects, each read as by `read_object(table, build)`
-    under the name `name[i]`."""
+    under the name `name[i]`; its `table` is exposed the same way."""
 
     def read(name: str, value):
         if type(value) is not list:
@@ -330,6 +277,7 @@ def read_objects(table: dict, build):
             build(**_nested_fields(table, f"{name}[{i}]", v)) for i, v in enumerate(value)
         )
 
+    read.table = table
     return read
 
 
@@ -437,6 +385,47 @@ def read_table(table: dict, obj) -> dict:
     if len(obj) > len(table) - absent:
         raise ValueError(f"unknown fields {sorted(obj.keys() - table.keys())}")
     return out
+
+
+def to_dict(table: dict, record, **given) -> dict:
+    """The line that `read_table(table, ...)` reads back as `record`.
+
+    Each table field takes `given[key]`, a value already in line form, if
+    given, else `getattr(record, key)`; a field the record lacks raises
+    AttributeError rather than being dropped, and so does a given key the
+    table lacks. None values are left out. A nested object is written by the
+    table its reader exposes, an enum member by its value, a numpy array by
+    `tolist()` and a tuple as a list.
+    """
+    if given and not given.keys() <= table.keys():
+        raise AttributeError(f"no table fields {sorted(given.keys() - table.keys())}")
+    out = {}
+    for key, (read, _) in table.items():
+        if key in given:
+            value = given[key]
+        else:
+            value = getattr(record, key)
+            if type(value) not in (str, int, float, bool) and value is not None:
+                value = _line_value(read, value)
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def _line_value(read, value):
+    """`value`, a field of a record that is not a plain JSON value, in line form."""
+    nested = getattr(read, "table", None)
+    if nested is not None:
+        if isinstance(value, tuple):
+            return [to_dict(nested, item) for item in value]
+        return to_dict(nested, value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def _parser(table: dict, build):

@@ -55,12 +55,8 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_row_ids(path, rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write sidecar {path}: {exc}") from exc
+    """Write a sidecar, one canonical line per row, as `jsonio.write_jsonl` does."""
+    jsonio.write_jsonl(path, rows)
 
 
 def read_row_ids(path) -> list[dict]:

@@ -29,15 +29,12 @@ STEP_SIZES = 0.5 ** np.arange(40)  # backtracking: 1, 1/2, ..., 2**-39
 class Fit:
     """How a fit ended: the objective at the start and after each iteration,
     the iteration count, the final max |gradient|, and whether that reached
-    GRAD_TOL within MAX_ITERS."""
+    GRAD_TOL within MAX_ITERS. `jsonio.FIT` writes all but the trace."""
 
     loss_trace: tuple[float, ...]
     iterations: int
     grad_norm: float
     converged: bool
-
-    def summary(self) -> dict:
-        return {k: getattr(self, k) for k in ("iterations", "grad_norm", "converged")}
 
 
 def _cg_step(x, row_h, penalty, grad):

@@ -13,7 +13,7 @@ retrieval".
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -274,14 +274,40 @@ def split_by_qid(qids: Sequence[str], seed: int = 0):
     return train_idx, dev_idx
 
 
+def fit_on_split(x: np.ndarray, labels: np.ndarray, qids: Sequence[str],
+                 l2: float, layer: int, seed: int):
+    """Fit on the train rows of the qid split (`split_by_qid(qids, seed)`) and
+    tune the threshold on its dev rows. Returns the model and the train and
+    dev row indices."""
+    train_idx, dev_idx = split_by_qid(qids, seed)
+    model = fit_probe(x[train_idx], labels[train_idx], l2=l2, layer=layer)
+    return tune_threshold(model, x[dev_idx], labels[dev_idx]), train_idx, dev_idx
+
+
 @dataclass(frozen=True)
-class LayerSweepRow:
-    layer: int
+class Evaluation:
+    """How a model's scores rank the wrong rows, and how its threshold triggers."""
+
     auroc: float
     auprc: float
     precision: float
     recall: float
     f1: float
+
+
+def evaluate(model: ProbeModel, x: np.ndarray, labels: np.ndarray) -> Evaluation:
+    """AUROC and AUPRC of the model's scores of the rows `x`, and the trigger
+    precision, recall and F1 of its threshold, against the wrong labels."""
+    scores = model.scores(x)
+    precision, recall, f1 = trigger_prf(scores, labels, model.threshold)
+    return Evaluation(auroc(scores, labels), auprc(scores, labels), precision, recall, f1)
+
+
+@dataclass(frozen=True)
+class LayerSweepRow(Evaluation):
+    """The dev-row evaluation of one layer's model, and the split's sizes."""
+
+    layer: int
     n_train: int
     n_dev: int
 
@@ -305,21 +331,9 @@ def layer_sweep(
     rows = []
     for layer in sorted(layers):
         x, y, qids = examples(records, batch, stacks[layer], window, span_token_count)
-        train_idx, dev_idx = split_by_qid(qids, seed)
-        model = fit_probe(x[train_idx], y[train_idx], l2=l2, layer=layer)
-        model = tune_threshold(model, x[dev_idx], y[dev_idx])
-        dev_scores = model.scores(x[dev_idx])
-        precision, recall, f1 = trigger_prf(dev_scores, y[dev_idx], model.threshold)
-        rows.append(
-            LayerSweepRow(
-                layer=layer,
-                auroc=auroc(dev_scores, y[dev_idx]),
-                auprc=auprc(dev_scores, y[dev_idx]),
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                n_train=len(train_idx),
-                n_dev=len(dev_idx),
-            )
-        )
+        model, train_idx, dev_idx = fit_on_split(x, y, qids, l2, layer, seed)
+        rows.append(LayerSweepRow(
+            layer=layer, **asdict(evaluate(model, x[dev_idx], y[dev_idx])),
+            n_train=len(train_idx), n_dev=len(dev_idx),
+        ))
     return rows

@@ -67,13 +67,13 @@ def _fit_rows(batch: ScoredBatch):
     rows = batch.usable()
     if len(rows) < 2:
         raise DegenerateFit("need at least two records with parseable confidence")
-    if len({ok for _, ok, _ in rows}) < 2:
+    if len({ok for _, ok in rows}) < 2:
         raise DegenerateFit("both outcome classes must be present")
-    if all(c in (0.0, 1.0) for c, _, _ in rows):
+    if all(c in (0.0, 1.0) for c, _ in rows):
         raise DegenerateFit("all confidences sit at 0 or 1; no usable spread")
     return (
-        np.array([_logit(c) for c, _, _ in rows]),
-        np.array([1.0 if ok else 0.0 for _, ok, _ in rows]),
+        np.array([_logit(c) for c, _ in rows]),
+        np.array([1.0 if ok else 0.0 for _, ok in rows]),
     )
 
 

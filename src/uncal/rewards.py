@@ -339,19 +339,14 @@ class ScoredBatch:
 
     confidence: tuple[float | None, ...]
     correct: tuple[bool, ...]
-    qid: tuple[str, ...]
     marked: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.correct)
 
-    def usable(self) -> list[tuple[float, bool, str]]:
-        """(confidence, correct, qid) for the records with a confidence."""
-        return [
-            (c, ok, q)
-            for c, ok, q in zip(self.confidence, self.correct, self.qid)
-            if c is not None
-        ]
+    def usable(self) -> list[tuple[float, bool]]:
+        """(confidence, correct) for the records with a confidence."""
+        return [(c, ok) for c, ok in zip(self.confidence, self.correct) if c is not None]
 
 
 def score_predictions(
@@ -363,7 +358,6 @@ def score_predictions(
     return ScoredBatch(
         confidence=tuple(record_confidence(r) for r in records),
         correct=tuple(record_correct(r, f1_threshold) for r in records),
-        qid=tuple(r.qid for r in records),
         marked=tuple(UNCERTAIN_MARKER in r.response_text for r in records),
     )
 

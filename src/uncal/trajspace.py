@@ -279,24 +279,8 @@ def iterate_tilt(space: TrajectorySpace, eta: float, steps: int) -> list[TiltSte
 
 
 # ---------------------------------------------------------------------------
-# Writing (one JSON object per space; `jsonio.space_from_dict` reads it) and
-# the random-space generator used by the verification sweeps.
+# The random-space generator used by the verification sweeps
 # ---------------------------------------------------------------------------
-
-
-def space_to_dict(space: TrajectorySpace) -> dict:
-    return {
-        "gold_answer": space.gold_answer,
-        "trajectories": [
-            {
-                "id": t.id,
-                "answer": t.answer,
-                "confidence": t.confidence,
-                "base_prob": t.base_prob,
-            }
-            for t in space.trajectories
-        ],
-    }
 
 
 _ALPHABET = ("A", "B", "C")

@@ -323,7 +323,8 @@ def test_cli_determinism(tmp_path):
     rng = np.random.default_rng(SEED)
     with open(spaces, "w") as fh:
         for _ in range(5):
-            fh.write(jsonio.dumps_canonical(ts.space_to_dict(ts.random_space(rng))) + "\n")
+            space = ts.random_space(rng)
+            fh.write(jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space)) + "\n")
 
     records, stacks = planted_stack(
         np.random.default_rng(SEED + 60), layers=(0, 8), signal_layer=8, n=120
@@ -338,7 +339,7 @@ def test_cli_determinism(tmp_path):
         matio.write_matrix(hidden / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(hidden / f"layer_{layer}.mat.ids.jsonl", ids)
     probe_preds = tmp_path / "probe_preds.jsonl"
-    jsonio.write_jsonl(probe_preds, [jsonio.prediction_to_dict(r) for r in records])
+    jsonio.write_jsonl(probe_preds, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
 
     x = np.random.default_rng(SEED + 61).normal(size=(30, 5))
     matio.write_matrix(tmp_path / "x.mat", x)

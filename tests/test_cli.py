@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -11,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import calib, cli, jsonio, matio, ragctl, rewards, trajspace
+from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, reprgeo, rewards, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, CorruptInput, EmptyBatch
-from uncal.jsonio import load_predictions, load_rag_traces, prediction_to_dict
+from uncal.jsonio import load_predictions, load_rag_traces
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
 
@@ -30,7 +31,7 @@ def write_spaces(path, count=6, seed=1):
     with open(path, "w") as fh:
         for _ in range(count):
             space = trajspace.random_space(rng)
-            fh.write(jsonio.dumps_canonical(trajspace.space_to_dict(space)) + "\n")
+            fh.write(jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space)) + "\n")
 
 
 def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120):
@@ -47,7 +48,7 @@ def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120):
         matio.write_matrix(directory / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(directory / f"layer_{layer}.mat.ids.jsonl", ids)
     preds = directory / "preds.jsonl"
-    jsonio.write_jsonl(preds, [prediction_to_dict(r) for r in records])
+    jsonio.write_jsonl(preds, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
     return preds
 
 
@@ -94,7 +95,7 @@ class TestLoadPredictions:
         result = load_predictions(PREDS_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "again.jsonl"
-        jsonio.write_jsonl(out, [prediction_to_dict(r) for r in result.records])
+        jsonio.write_jsonl(out, [jsonio.to_dict(jsonio.PREDICTION, r) for r in result.records])
         again = load_predictions(out)
         assert again.records == result.records
 
@@ -102,7 +103,7 @@ class TestLoadPredictions:
         result = load_rag_traces(RAG_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "rag.jsonl"
-        jsonio.write_jsonl(out, [jsonio.rag_to_dict(r) for r in result.records])
+        jsonio.write_jsonl(out, [jsonio.to_dict(jsonio.RAG_TRACE, r) for r in result.records])
         assert load_rag_traces(out).records == result.records
 
     def test_match_output_reloads_with_annotations(self, tmp_path):
@@ -598,6 +599,32 @@ def test_write_jsonl_leaves_no_partial_file_and_keeps_modes(tmp_path):
     assert link.is_symlink() and out.read_text() == '{"a":3}\n'
 
 
+_WRITERS = {
+    "csv": lambda path, value: jsonio.write_csv(path, ["a"], [[1.0], [value]]),
+    "report": lambda path, value: jsonio.write_report(path, {"a": [1.0, value]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_report_and_csv_writers_replace_their_file_atomically(tmp_path, kind):
+    # as `write_jsonl` does (test above); a CSV row no report may hold once left
+    # the header and the rows before it
+    write = _WRITERS[kind]
+    out = tmp_path / "out"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    with pytest.raises(ValueError):
+        write(out, float("nan"))
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    link = tmp_path / "link"
+    link.symlink_to(out)
+    write(link, 2.0)
+    assert link.is_symlink() and out.read_bytes() != b"old\n"
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out"]
+
+
 def _write_lines(path, objs):
     # json.dumps keeps 2.0 a float; the canonical writer would print it as 2
     path.write_text("".join(json.dumps(o) + "\n" for o in objs))
@@ -984,19 +1011,83 @@ _RAG_TRACES = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_predictions())
 def test_prediction_writer_loader_round_trip(record):
-    line = jsonio.dumps_canonical(prediction_to_dict(record))
+    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.PREDICTION, record))
     again = jsonio.prediction_from_dict(json.loads(line))
     assert again == record
-    assert jsonio.dumps_canonical(prediction_to_dict(again)) == line
+    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.PREDICTION, again)) == line
 
 
 @settings(max_examples=200, deadline=None)
 @given(_RAG_TRACES)
 def test_rag_writer_loader_round_trip(record):
-    line = jsonio.dumps_canonical(jsonio.rag_to_dict(record))
+    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.RAG_TRACE, record))
     again = jsonio.rag_from_dict(json.loads(line))
     assert again == record
-    assert jsonio.dumps_canonical(jsonio.rag_to_dict(again)) == line
+    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.RAG_TRACE, again)) == line
+
+
+_SPACES = st.integers(0, 2**32 - 1).map(
+    lambda seed: trajspace.random_space(np.random.default_rng(seed))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPACES)
+def test_space_writer_loader_round_trip(space):
+    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space))
+    again = jsonio.space_from_dict(json.loads(line))
+    assert again == space
+    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, again)) == line
+
+
+def test_probe_model_writer_loader_round_trip(tmp_path):
+    preds = write_hidden_dir(tmp_path / "hidden")
+    out = tmp_path / "probe.json"
+    assert main(["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+                 "--preds", str(preds), "--layer", "8", "--out", str(out)]) == 0
+    text = out.read_text()
+    model, _ = _load_probe_model(out)
+    # the loader keeps the model; what it does not keep is given back in line form
+    fields = jsonio.read_table(jsonio.PROBE_MODEL, json.loads(text))
+    given = {key: fields[key] for key in ("schema", "config", "fit")}
+    again = jsonio.to_dict(jsonio.PROBE_MODEL, model, **given)
+    assert jsonio.dumps_canonical(again) + "\n" == text
+
+
+# each table with the class its lines build: the table holds the class's
+# fields, less those derived on reading, plus those given on writing
+_TABLE_CLASSES = {
+    "PREDICTION": PredictionRecord,
+    "EMISSION": EmissionEvent,
+    "MATCH": MatchResult,
+    "RAG_TRACE": RagTraceRecord,
+    "SPACE": trajspace.TrajectorySpace,
+    "TRAJECTORY": trajspace.Trajectory,
+    "KL_PAIR": reprgeo.TokenDistPair,
+    "KL_ANNOTATION": reprgeo.TokenAnnotation,
+    "PROBE_MODEL": probe.ProbeModel,
+    "FIT": optim.Fit,
+}
+_DERIVED = {"TRAJECTORY": {"correct"}, "FIT": {"loss_trace"}}
+_GIVEN = {"PROBE_MODEL": {"schema", "config"}}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_CLASSES))
+def test_table_fields_are_the_class_fields(table):
+    fields = {f.name for f in dataclasses.fields(_TABLE_CLASSES[table])}
+    want = fields - _DERIVED.get(table, set()) | _GIVEN.get(table, set())
+    assert set(getattr(jsonio, table)) == want
+
+
+def test_to_dict_refuses_a_field_the_record_or_the_table_lacks():
+    model = probe.ProbeModel(0, np.zeros(1), 0.0, 0.5, np.zeros(1), np.ones(1))
+    with pytest.raises(AttributeError, match="schema"):
+        jsonio.to_dict(jsonio.PROBE_MODEL, model, config=None)
+    with pytest.raises(AttributeError, match="scheme"):
+        jsonio.to_dict(jsonio.PROBE_MODEL, model, schema=None, config=None, scheme="x")
+    line = jsonio.to_dict(jsonio.PROBE_MODEL, model, schema=None, config=None)
+    assert line == {"layer": 0, "weights": [0.0], "bias": 0.0, "threshold": 0.5,
+                    "feature_means": [0.0], "feature_stds": [1.0]}
 
 
 # answers and confidences from small pools, so that ties, every match rule,
@@ -1030,7 +1121,7 @@ def _as_json(obj):
 def test_calib_cli_equals_api(records, bins):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "calib.json"
-        jsonio.write_jsonl(path, [prediction_to_dict(r) for r in records])
+        jsonio.write_jsonl(path, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
         argv = ["calib", "--in", str(path), "--bins", str(bins), "--out", str(out)]
         batch = rewards.score_predictions(load_predictions(path).records)
         try:
@@ -1060,7 +1151,7 @@ _FULL_TRACES = st.lists(st.builds(
 def test_rag_cli_equals_api(records, policy):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "traces.jsonl", Path(tmp) / "rag.json"
-        jsonio.write_jsonl(path, [jsonio.rag_to_dict(r) for r in records])
+        jsonio.write_jsonl(path, [jsonio.to_dict(jsonio.RAG_TRACE, r) for r in records])
         assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
         got = json.loads(out.read_text())
         loaded = load_rag_traces(path).records

@@ -163,9 +163,20 @@ def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
     """The records after `uncal recal ptrue`."""
     src = tmp_path / "in.jsonl"
     out = tmp_path / "out.jsonl"
-    jsonio.write_jsonl(src, [jsonio.prediction_to_dict(r) for r in records])
+    jsonio.write_jsonl(src, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
     assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
     return jsonio.load_predictions(out).records
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_recalibrated_confidence_outside_unit_interval_refused(tmp_path, monkeypatch, bad):
+    # a new confidence is range-checked before any line is written
+    monkeypatch.setattr(recal, "apply_ts", lambda model, conf: bad)
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n")
+    fixture = str(uncal.fixture_path("preds20.jsonl"))
+    assert main(["recal", "ts", "--fit", fixture, "--apply", fixture, "--out", str(out)]) == 1
+    assert out.read_text() == "old\n"
 
 
 class TestPtrue:

@@ -226,10 +226,9 @@ class TestScorePredictions:
         assert len(batch) == 3
         assert batch.confidence == (0.8, 0.3, None)
         assert batch.correct == (True, False, False)
-        assert batch.qid == ("a", "b", "c")
         # `marked` reads the text, not the record's emission events
         assert batch.marked == (True, False, False)
-        assert batch.usable() == [(0.8, True, "a"), (0.3, False, "b")]
+        assert batch.usable() == [(0.8, True), (0.3, False)]
 
     def test_each_record_matched_and_read_once(self, monkeypatch):
         import uncal.rewards as rewards

@@ -32,10 +32,8 @@ ALLOWED = {
     ("recal", "ts_nll"): "NLL of a fixed temperature, the baseline of the TS criterion",
     ("recal", "ats_temperature"): "per-record temperature, which the floor test reads",
     ("trajspace", "random_space"): "seeded spaces for the theory criteria and inputs",
-    ("trajspace", "space_to_dict"): "writes the spaces that `theory` reads",
     ("matio", "write_matrix"): "writes the hidden-state files that `probe` and `repr` read",
     ("matio", "write_row_ids"): "writes the sidecars that `probe` reads",
-    ("jsonio", "rag_to_dict"): "writes the traces that `rag` reads",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncal import trajspace as ts
+from uncal import jsonio, trajspace as ts
 from uncal.jsonio import space_from_dict
 from uncal.errors import (
     DegenerateRatio,
@@ -394,7 +394,7 @@ def test_compression_ordering_random(seed):
 def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     space = ts.random_space(rng)
-    again = space_from_dict(ts.space_to_dict(space))
+    again = space_from_dict(jsonio.to_dict(jsonio.SPACE, space))
     assert again.gold_answer == space.gold_answer
     np.testing.assert_allclose(again.probs(), space.probs(), atol=0)
     assert [t.id for t in again.trajectories] == [t.id for t in space.trajectories]
