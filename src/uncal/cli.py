@@ -254,12 +254,9 @@ def _cmd_theory_iterate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    records = _load_preds(args.input)
-    rows = [
-        jsonio.to_dict(jsonio.PREDICTION, rewards.annotate_record(r, args.f1_threshold))
-        for r in records
-    ]
-    jsonio.write_jsonl(args.out or args.input, rows)
+    records = [rewards.annotate_record(r, args.f1_threshold) for r in _load_preds(args.input)]
+    jsonio.write_jsonl(args.out or args.input,
+                       (jsonio.encode(jsonio.PREDICTION, r) for r in records))
     return 0
 
 
@@ -292,11 +289,11 @@ def _write_recalibrated(args, records, new_confidence, missing: str) -> None:
         conf = new_confidence(record)
         if conf is None:
             skipped += 1
-            rows.append(jsonio.to_dict(jsonio.PREDICTION, record))
+            rows.append(jsonio.encode(jsonio.PREDICTION, record))
         elif not 0.0 <= conf <= 1.0:
             raise ValueError("verbal_confidence must lie in [0,1]")
         else:
-            rows.append(jsonio.to_dict(jsonio.PREDICTION, record, verbal_confidence=conf))
+            rows.append(jsonio.encode(jsonio.PREDICTION, record, verbal_confidence=conf))
     jsonio.write_jsonl(args.out, rows)
     if skipped:
         print(f"skipped {skipped} records without {missing}", file=sys.stderr)
@@ -343,7 +340,7 @@ def _cmd_recal_ats(args) -> int:
                 "feature_stds": list(model.feature_stds),
                 "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
                 "fit_nll": model.fit_nll,
-                "fit": jsonio.to_dict(jsonio.FIT, model.fit),
+                "fit": jsonio.encode(jsonio.FIT, model.fit),
                 "config": _config(args),
             },
         )
@@ -417,8 +414,8 @@ def _probe_examples(args, window: int, span_tokens: int):
 
 def _cmd_probe_fit(args) -> int:
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
-    model, _, _ = probe.fit_on_split(x, labels, qids, args.l2, args.layer, args.seed)
-    jsonio.write_report(args.out, jsonio.to_dict(
+    model = probe.fit_on_split(x, labels, qids, args.l2, args.layer, args.seed)[0]
+    jsonio.write_report(args.out, jsonio.encode(
         jsonio.PROBE_MODEL, model,
         schema="uncal-probe-model-v2", config={**_config(args), "seed": args.seed},
     ))
@@ -457,7 +454,7 @@ def _cmd_probe_eval(args) -> int:
         "config": _config(args),
         "layer": model.layer,
         "n": int(len(labels)),
-        **asdict(probe.evaluate(model, x, labels)),
+        **asdict(probe.evaluate(probe.ranked(model.scores(x), labels), model.threshold)),
         "threshold": model.threshold,
     })
     return 0

@@ -68,13 +68,9 @@ def read_row_ids(path) -> list[dict]:
     except OSError as exc:
         raise IoError(f"cannot read sidecar {path}: {exc}") from exc
     rows = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IoError(f"{path}:{i}: invalid JSON: {exc}") from exc
+    for i, obj in jsonio.decode_lines(text):
+        if isinstance(obj, json.JSONDecodeError):
+            raise IoError(f"{path}:{i}: invalid JSON: {obj}") from obj
         try:
             rows.append(jsonio.read_table(jsonio.ROW_ID, obj))
         except ValueError as exc:

@@ -171,11 +171,14 @@ def fit_probe(
     )
 
 
-def ranked(scores, flags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+Ranking = tuple[np.ndarray, np.ndarray, np.ndarray]  # what `ranked` returns
+
+
+def ranked(scores, flags) -> Ranking:
     """The distinct values of `scores` ascending, with the number of rows and
     of flagged rows (`flags` 1 or true) at each. Every metric and threshold
-    over a score reads this one sort, so tied scores always move together.
-    A non-finite score is refused: it has no place in the order."""
+    over a score vector reads its one ranking, so tied scores always move
+    together. A non-finite score is refused: it has no place in the order."""
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise UndefinedMetric("scores must be finite")
@@ -185,10 +188,10 @@ def ranked(scores, flags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return distinct, rows, flagged
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def auroc(ranking: Ranking) -> float:
     """Area under the ROC curve: the Mann-Whitney U of the positives (a
     negative with the same score counts one half) over n_pos * n_neg."""
-    _, rows, pos = ranked(scores, labels)
+    _, rows, pos = ranking
     neg = rows - pos
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
@@ -199,10 +202,10 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return twice_u / 2.0 / (n_pos * n_neg)
 
 
-def auprc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def auprc(ranking: Ranking) -> float:
     """Area under the precision-recall curve by step integration over
     distinct score thresholds (descending)."""
-    _, rows, pos = ranked(scores, labels)
+    _, rows, pos = ranking
     n_pos = int(pos.sum())
     if n_pos == 0 or n_pos == int(rows.sum()):
         raise UndefinedMetric("AUPRC needs both classes")
@@ -231,26 +234,21 @@ def _trigger_curve(distinct, rows, wrong, thresholds):
     return precision, recall, f1
 
 
-def trigger_prf(
-    scores: Sequence[float], labels: Sequence[int], threshold: float
-) -> tuple[float, float, float]:
+def trigger_prf(ranking: Ranking, threshold: float) -> tuple[float, float, float]:
     """Precision, recall, F1 of `score >= threshold` against wrong labels."""
-    curve = _trigger_curve(*ranked(scores, labels), [threshold])
+    curve = _trigger_curve(*ranking, [threshold])
     return tuple(float(values[0]) for values in curve)
 
 
-def tune_threshold(
-    model: ProbeModel,
-    dev_x: np.ndarray,
-    dev_labels: Sequence[int],
-) -> ProbeModel:
-    """Pick the threshold maximizing trigger F1 on the dev set.
+def tune_threshold(model: ProbeModel, dev: Ranking) -> ProbeModel:
+    """Pick the threshold maximizing trigger F1 on the dev set: the model's
+    scores of the dev rows, ranked with their wrong labels.
 
     Candidates are the midpoints between consecutive distinct dev scores plus
     the all-trigger boundary at 0. Ties break toward the lower threshold
     (higher recall).
     """
-    distinct, rows, wrong = ranked(model.scores(dev_x), dev_labels)
+    distinct, rows, wrong = dev
     if not 0 < wrong.sum() < rows.sum():
         raise UndefinedMetric("threshold tuning needs both classes on dev")
     candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0))
@@ -277,11 +275,12 @@ def split_by_qid(qids: Sequence[str], seed: int = 0):
 def fit_on_split(x: np.ndarray, labels: np.ndarray, qids: Sequence[str],
                  l2: float, layer: int, seed: int):
     """Fit on the train rows of the qid split (`split_by_qid(qids, seed)`) and
-    tune the threshold on its dev rows. Returns the model and the train and
-    dev row indices."""
+    tune the threshold on its dev rows. Returns the model, the ranking of its
+    dev scores, and the numbers of train and dev rows."""
     train_idx, dev_idx = split_by_qid(qids, seed)
     model = fit_probe(x[train_idx], labels[train_idx], l2=l2, layer=layer)
-    return tune_threshold(model, x[dev_idx], labels[dev_idx]), train_idx, dev_idx
+    dev = ranked(model.scores(x[dev_idx]), labels[dev_idx])
+    return tune_threshold(model, dev), dev, len(train_idx), len(dev_idx)
 
 
 @dataclass(frozen=True)
@@ -295,12 +294,11 @@ class Evaluation:
     f1: float
 
 
-def evaluate(model: ProbeModel, x: np.ndarray, labels: np.ndarray) -> Evaluation:
-    """AUROC and AUPRC of the model's scores of the rows `x`, and the trigger
-    precision, recall and F1 of its threshold, against the wrong labels."""
-    scores = model.scores(x)
-    precision, recall, f1 = trigger_prf(scores, labels, model.threshold)
-    return Evaluation(auroc(scores, labels), auprc(scores, labels), precision, recall, f1)
+def evaluate(ranking: Ranking, threshold: float) -> Evaluation:
+    """AUROC and AUPRC of a model's ranked scores, and the trigger precision,
+    recall and F1 of its `threshold`, against the wrong labels."""
+    precision, recall, f1 = trigger_prf(ranking, threshold)
+    return Evaluation(auroc(ranking), auprc(ranking), precision, recall, f1)
 
 
 @dataclass(frozen=True)
@@ -331,9 +329,9 @@ def layer_sweep(
     rows = []
     for layer in sorted(layers):
         x, y, qids = examples(records, batch, stacks[layer], window, span_token_count)
-        model, train_idx, dev_idx = fit_on_split(x, y, qids, l2, layer, seed)
+        model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
         rows.append(LayerSweepRow(
-            layer=layer, **asdict(evaluate(model, x[dev_idx], y[dev_idx])),
-            n_train=len(train_idx), n_dev=len(dev_idx),
+            layer=layer, **asdict(evaluate(dev, model.threshold)),
+            n_train=n_train, n_dev=n_dev,
         ))
     return rows

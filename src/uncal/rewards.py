@@ -32,8 +32,8 @@ _CONFIDENCE_RE = re.compile(
 _ARTICLES = ("a", "an", "the")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
-_YES_WORDS = {"yes", "true", "correct"}
-_NO_WORDS = {"no", "false", "incorrect"}
+_YES_NO = {**dict.fromkeys(("yes", "true", "correct"), "yes"),
+           **dict.fromkeys(("no", "false", "incorrect"), "no")}
 
 _MONTHS = {
     name: i + 1
@@ -149,33 +149,19 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def token_f1(pred: str, gold: str) -> float:
-    """Whitespace-token multiset F1 on normalized text.
-
-    Both sides empty after normalization counts as 1.0; exactly one side
-    empty counts as 0.0.
-    """
-    pred_tokens = normalize_answer(pred).split()
-    gold_tokens = normalize_answer(gold).split()
-    if not pred_tokens and not gold_tokens:
+def token_f1(pred: Counter, gold: Counter) -> float:
+    """Multiset F1 of two bags of tokens, each `Counter(normalize_answer(text).split())`.
+    Both bags empty counts as 1.0; exactly one empty counts as 0.0."""
+    if not pred and not gold:
         return 1.0
-    if not pred_tokens or not gold_tokens:
+    if not pred or not gold:
         return 0.0
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    overlap = sum((pred & gold).values())
     if overlap == 0:
         return 0.0
-    precision = overlap / len(pred_tokens)
-    recall = overlap / len(gold_tokens)
+    precision = overlap / pred.total()
+    recall = overlap / gold.total()
     return 2.0 * precision * recall / (precision + recall)
-
-
-def _canonical_yesno(text: str) -> str | None:
-    norm = normalize_answer(text)
-    if norm in _YES_WORDS:
-        return "yes"
-    if norm in _NO_WORDS:
-        return "no"
-    return None
 
 
 def parse_date(text: str) -> tuple[int, int | None, int | None] | None:
@@ -233,20 +219,19 @@ def match_answer(
         raise ValueError("golds must be non-empty")
     _check_threshold(f1_threshold)
     norm_pred = normalize_answer(pred)
-    if any(norm_pred == normalize_answer(g) for g in golds):
+    norm_golds = [normalize_answer(g) for g in golds]
+    if norm_pred in norm_golds:
         return MatchResult(True, MatchRule.EXACT_MATCH, 1.0)
-    pred_yn = _canonical_yesno(pred)
-    if pred_yn is not None:
-        for g in golds:
-            if _canonical_yesno(g) == pred_yn:
-                return MatchResult(True, MatchRule.YES_NO, 1.0)
+    pred_yn = _YES_NO.get(norm_pred)
+    if pred_yn is not None and any(_YES_NO.get(g) == pred_yn for g in norm_golds):
+        return MatchResult(True, MatchRule.YES_NO, 1.0)
     pred_date = parse_date(pred)
-    if pred_date is not None:
-        for g in golds:
-            gold_date = parse_date(g)
-            if gold_date is not None and _dates_agree(pred_date, gold_date):
-                return MatchResult(True, MatchRule.DATE, 1.0)
-    best_f1 = max(token_f1(pred, g) for g in golds)
+    if pred_date is not None and any(
+        d is not None and _dates_agree(pred_date, d) for d in map(parse_date, golds)
+    ):
+        return MatchResult(True, MatchRule.DATE, 1.0)
+    pred_tokens = Counter(norm_pred.split())
+    best_f1 = max(token_f1(pred_tokens, Counter(g.split())) for g in norm_golds)
     return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)
 
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's code paths (no shared helpers, no
 cumulative-sum tricks): plain loops and recounts, so that agreement with the
-package is evidence rather than tautology.
+package is evidence rather than tautology. The last section keeps former
+implementations that faster ones replaced, which the new ones must match
+exactly.
 """
 
 from __future__ import annotations
@@ -169,3 +171,110 @@ def oracle_tune_threshold(scores, labels):
             best_theta = theta
             best_f1 = f1
     return best_theta
+
+
+# ---------------------------------------------------------------------------
+# Former implementations, kept as references for the faster ones that
+# replaced them: each must give the same result, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def oracle_to_dict(table: dict, record, **given) -> dict:
+    """The line object of `record` as the field-by-field dict writer built
+    it, before lines were encoded straight to text: `dumps_canonical` of it
+    is the line. Each table field takes `given[key]` if given, else
+    `getattr(record, key)`; None values are left out; a nested object is
+    written by the table its reader exposes, an enum member by its value, a
+    numpy array by `tolist()` and a tuple as a list."""
+    import enum
+
+    import numpy as np
+
+    def line_value(read, value):
+        nested = getattr(read, "table", None)
+        if nested is not None:
+            if isinstance(value, tuple):
+                return [oracle_to_dict(nested, item) for item in value]
+            return oracle_to_dict(nested, value)
+        if isinstance(value, enum.Enum):
+            return value.value
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, tuple):
+            return list(value)
+        return value
+
+    if given and not given.keys() <= table.keys():
+        raise AttributeError(f"no table fields {sorted(given.keys() - table.keys())}")
+    out = {}
+    for key, (read, _) in table.items():
+        if key in given:
+            value = given[key]
+        else:
+            value = getattr(record, key)
+            if type(value) not in (str, int, float, bool) and value is not None:
+                value = line_value(read, value)
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def oracle_match_answer(pred, golds, f1_threshold=0.3):
+    """`rewards.match_answer` as it was when it normalized each answer once
+    per rule that read it, with its token F1 and yes/no helpers. The
+    normalization, date parsing and result types are the library's own."""
+    from collections import Counter
+
+    from uncal.rewards import (
+        MatchResult,
+        MatchRule,
+        _check_threshold,
+        _dates_agree,
+        normalize_answer,
+        parse_date,
+    )
+
+    def token_f1(pred: str, gold: str) -> float:
+        pred_tokens = normalize_answer(pred).split()
+        gold_tokens = normalize_answer(gold).split()
+        if not pred_tokens and not gold_tokens:
+            return 1.0
+        if not pred_tokens or not gold_tokens:
+            return 0.0
+        overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+        if overlap == 0:
+            return 0.0
+        precision = overlap / len(pred_tokens)
+        recall = overlap / len(gold_tokens)
+        return 2.0 * precision * recall / (precision + recall)
+
+    _YES_WORDS = {"yes", "true", "correct"}
+    _NO_WORDS = {"no", "false", "incorrect"}
+
+    def _canonical_yesno(text: str):
+        norm = normalize_answer(text)
+        if norm in _YES_WORDS:
+            return "yes"
+        if norm in _NO_WORDS:
+            return "no"
+        return None
+
+    if not golds:
+        raise ValueError("golds must be non-empty")
+    _check_threshold(f1_threshold)
+    norm_pred = normalize_answer(pred)
+    if any(norm_pred == normalize_answer(g) for g in golds):
+        return MatchResult(True, MatchRule.EXACT_MATCH, 1.0)
+    pred_yn = _canonical_yesno(pred)
+    if pred_yn is not None:
+        for g in golds:
+            if _canonical_yesno(g) == pred_yn:
+                return MatchResult(True, MatchRule.YES_NO, 1.0)
+    pred_date = parse_date(pred)
+    if pred_date is not None:
+        for g in golds:
+            gold_date = parse_date(g)
+            if gold_date is not None and _dates_agree(pred_date, gold_date):
+                return MatchResult(True, MatchRule.DATE, 1.0)
+    best_f1 = max(token_f1(pred, g) for g in golds)
+    return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)

@@ -155,8 +155,9 @@ def test_metric_oracle_equivalence():
         scores = [c for c, _, _ in rows]
         labels = [0 if y else 1 for _, y, _ in rows]
         if 0 < sum(labels) < len(labels):
-            assert abs(probe.auroc(scores, labels) - oracle_auroc(scores, labels)) < 1e-12
-            assert abs(probe.auprc(scores, labels) - oracle_auprc(scores, labels)) < 1e-12
+            ranking = probe.ranked(scores, labels)
+            assert abs(probe.auroc(ranking) - oracle_auroc(scores, labels)) < 1e-12
+            assert abs(probe.auprc(ranking) - oracle_auprc(scores, labels)) < 1e-12
 
         traces = random_rag_batch(rng, int(rng.integers(2, 25)))
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0.0, 1.0)))
@@ -324,7 +325,7 @@ def test_cli_determinism(tmp_path):
     with open(spaces, "w") as fh:
         for _ in range(5):
             space = ts.random_space(rng)
-            fh.write(jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space)) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, space) + "\n")
 
     records, stacks = planted_stack(
         np.random.default_rng(SEED + 60), layers=(0, 8), signal_layer=8, n=120
@@ -339,7 +340,7 @@ def test_cli_determinism(tmp_path):
         matio.write_matrix(hidden / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(hidden / f"layer_{layer}.mat.ids.jsonl", ids)
     probe_preds = tmp_path / "probe_preds.jsonl"
-    jsonio.write_jsonl(probe_preds, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(probe_preds, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
 
     x = np.random.default_rng(SEED + 61).normal(size=(30, 5))
     matio.write_matrix(tmp_path / "x.mat", x)

@@ -31,7 +31,7 @@ def write_spaces(path, count=6, seed=1):
     with open(path, "w") as fh:
         for _ in range(count):
             space = trajspace.random_space(rng)
-            fh.write(jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space)) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, space) + "\n")
 
 
 def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120):
@@ -48,7 +48,7 @@ def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120):
         matio.write_matrix(directory / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(directory / f"layer_{layer}.mat.ids.jsonl", ids)
     preds = directory / "preds.jsonl"
-    jsonio.write_jsonl(preds, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(preds, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
     return preds
 
 
@@ -95,7 +95,7 @@ class TestLoadPredictions:
         result = load_predictions(PREDS_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "again.jsonl"
-        jsonio.write_jsonl(out, [jsonio.to_dict(jsonio.PREDICTION, r) for r in result.records])
+        jsonio.write_jsonl(out, [jsonio.encode(jsonio.PREDICTION, r) for r in result.records])
         again = load_predictions(out)
         assert again.records == result.records
 
@@ -103,7 +103,7 @@ class TestLoadPredictions:
         result = load_rag_traces(RAG_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "rag.jsonl"
-        jsonio.write_jsonl(out, [jsonio.to_dict(jsonio.RAG_TRACE, r) for r in result.records])
+        jsonio.write_jsonl(out, [jsonio.encode(jsonio.RAG_TRACE, r) for r in result.records])
         assert load_rag_traces(out).records == result.records
 
     def test_match_output_reloads_with_annotations(self, tmp_path):
@@ -1011,19 +1011,19 @@ _RAG_TRACES = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_predictions())
 def test_prediction_writer_loader_round_trip(record):
-    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.PREDICTION, record))
+    line = jsonio.encode(jsonio.PREDICTION, record)
     again = jsonio.prediction_from_dict(json.loads(line))
     assert again == record
-    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.PREDICTION, again)) == line
+    assert jsonio.encode(jsonio.PREDICTION, again) == line
 
 
 @settings(max_examples=200, deadline=None)
 @given(_RAG_TRACES)
 def test_rag_writer_loader_round_trip(record):
-    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.RAG_TRACE, record))
+    line = jsonio.encode(jsonio.RAG_TRACE, record)
     again = jsonio.rag_from_dict(json.loads(line))
     assert again == record
-    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.RAG_TRACE, again)) == line
+    assert jsonio.encode(jsonio.RAG_TRACE, again) == line
 
 
 _SPACES = st.integers(0, 2**32 - 1).map(
@@ -1034,10 +1034,10 @@ _SPACES = st.integers(0, 2**32 - 1).map(
 @settings(max_examples=100, deadline=None)
 @given(_SPACES)
 def test_space_writer_loader_round_trip(space):
-    line = jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, space))
+    line = jsonio.encode(jsonio.SPACE, space)
     again = jsonio.space_from_dict(json.loads(line))
     assert again == space
-    assert jsonio.dumps_canonical(jsonio.to_dict(jsonio.SPACE, again)) == line
+    assert jsonio.encode(jsonio.SPACE, again) == line
 
 
 def test_probe_model_writer_loader_round_trip(tmp_path):
@@ -1050,8 +1050,7 @@ def test_probe_model_writer_loader_round_trip(tmp_path):
     # the loader keeps the model; what it does not keep is given back in line form
     fields = jsonio.read_table(jsonio.PROBE_MODEL, json.loads(text))
     given = {key: fields[key] for key in ("schema", "config", "fit")}
-    again = jsonio.to_dict(jsonio.PROBE_MODEL, model, **given)
-    assert jsonio.dumps_canonical(again) + "\n" == text
+    assert jsonio.encode(jsonio.PROBE_MODEL, model, **given) + "\n" == text
 
 
 # each table with the class its lines build: the table holds the class's
@@ -1079,14 +1078,14 @@ def test_table_fields_are_the_class_fields(table):
     assert set(getattr(jsonio, table)) == want
 
 
-def test_to_dict_refuses_a_field_the_record_or_the_table_lacks():
+def test_encoder_refuses_a_field_the_record_or_the_table_lacks():
     model = probe.ProbeModel(0, np.zeros(1), 0.0, 0.5, np.zeros(1), np.ones(1))
     with pytest.raises(AttributeError, match="schema"):
-        jsonio.to_dict(jsonio.PROBE_MODEL, model, config=None)
+        jsonio.encode(jsonio.PROBE_MODEL, model, config=None)
     with pytest.raises(AttributeError, match="scheme"):
-        jsonio.to_dict(jsonio.PROBE_MODEL, model, schema=None, config=None, scheme="x")
-    line = jsonio.to_dict(jsonio.PROBE_MODEL, model, schema=None, config=None)
-    assert line == {"layer": 0, "weights": [0.0], "bias": 0.0, "threshold": 0.5,
+        jsonio.encode(jsonio.PROBE_MODEL, model, schema=None, config=None, scheme="x")
+    line = jsonio.encode(jsonio.PROBE_MODEL, model, schema=None, config=None)
+    assert json.loads(line) == {"layer": 0, "weights": [0.0], "bias": 0.0, "threshold": 0.5,
                     "feature_means": [0.0], "feature_stds": [1.0]}
 
 
@@ -1121,7 +1120,7 @@ def _as_json(obj):
 def test_calib_cli_equals_api(records, bins):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "calib.json"
-        jsonio.write_jsonl(path, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
+        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
         argv = ["calib", "--in", str(path), "--bins", str(bins), "--out", str(out)]
         batch = rewards.score_predictions(load_predictions(path).records)
         try:
@@ -1151,7 +1150,7 @@ _FULL_TRACES = st.lists(st.builds(
 def test_rag_cli_equals_api(records, policy):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "traces.jsonl", Path(tmp) / "rag.json"
-        jsonio.write_jsonl(path, [jsonio.to_dict(jsonio.RAG_TRACE, r) for r in records])
+        jsonio.write_jsonl(path, [jsonio.encode(jsonio.RAG_TRACE, r) for r in records])
         assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
         got = json.loads(out.read_text())
         loaded = load_rag_traces(path).records
@@ -1322,15 +1321,15 @@ class TestAtomicInPlaceMatch:
         shutil.copy(PREDS_FIXTURE, path)
         before = path.read_bytes()
         calls = []
-        original = jsonio.dumps_canonical
+        original = jsonio.encode
 
-        def failing(obj):
-            calls.append(obj)
+        def failing(table, record, **given):
+            calls.append(record)
             if len(calls) == 5:
                 raise OSError("disk full")
-            return original(obj)
+            return original(table, record, **given)
 
-        monkeypatch.setattr(jsonio, "dumps_canonical", failing)
+        monkeypatch.setattr(jsonio, "encode", failing)
         assert main(["match", "--in", str(path)]) == 2
         assert len(calls) == 5
         assert path.read_bytes() == before

@@ -1,0 +1,215 @@
+"""The compiled line encoders, the line decoder and the list readers of
+`uncal.jsonio`, each against the definition it replaced."""
+
+import json
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uncal import jsonio, optim, probe, trajspace
+from uncal.ragctl import RagTraceRecord
+from uncal.reprgeo import TokenAnnotation, TokenDistPair, TokenType
+from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
+
+from oracles import oracle_to_dict
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_PROB = st.floats(0.0, 1.0)
+# a float as a record may hold it: a Python float, or numpy's float64 subclass
+_PROB_ANY = _PROB | _PROB.map(np.float64)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_ANY = _FINITE | _FINITE.map(np.float64)
+# an array element, which a float32 array holds exactly too
+_FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+def _check(table, record, **given):
+    """The encoder writes what the field-dict writer wrote, and its line
+    reads back through the table."""
+    line = jsonio.encode(table, record, **given)
+    assert line == jsonio.dumps_canonical(oracle_to_dict(table, record, **given))
+    jsonio.read_table(table, json.loads(line))
+
+
+@st.composite
+def _predictions(draw) -> PredictionRecord:
+    text = draw(_TEXT)
+    positions = sorted(draw(st.sets(st.integers(0, max(len(text) - 1, 0)), max_size=3)))
+    return PredictionRecord(
+        qid=draw(_TEXT), gold_answers=tuple(draw(st.lists(_TEXT, min_size=1, max_size=3))),
+        response_text=text, dataset=draw(_TEXT), question=draw(_TEXT),
+        extracted_answer=draw(st.none() | _TEXT),
+        verbal_confidence=draw(st.none() | _PROB_ANY),
+        emissions=tuple(EmissionEvent(p, draw(st.none() | st.integers(0, 99)))
+                        for p in positions),
+        response_token_count=draw(st.integers(0, 10**6)),
+        token_probs=draw(st.none() | st.lists(_PROB.filter(bool), max_size=4)),
+        p_affirmative=draw(st.none() | _PROB_ANY),
+        match=draw(st.none() | st.builds(MatchResult, st.booleans(),
+                                         st.sampled_from(MatchRule), _PROB_ANY)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predictions(), st.none() | _PROB_ANY)
+def test_prediction_encoder(record, confidence):
+    _check(jsonio.PREDICTION, record)
+    _check(jsonio.PREDICTION, record, verbal_confidence=confidence)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(
+    RagTraceRecord,
+    qid=_TEXT, gold_answers=st.lists(_TEXT, min_size=1, max_size=3), noret_answer=_TEXT,
+    ret_answer=_TEXT, dataset=_TEXT, noret_confidence=st.none() | _PROB_ANY,
+    noret_emissions=st.integers(0, 99), noret_probe_score=st.none() | _FINITE_ANY,
+    noret_token_probs=st.none() | st.lists(_PROB.filter(bool), max_size=4),
+    noret_response_text=st.none() | _TEXT, external_trigger=st.none() | st.booleans(),
+))
+def test_rag_trace_encoder(record):
+    _check(jsonio.RAG_TRACE, record)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_space_encoder(seed):
+    _check(jsonio.SPACE, trajspace.random_space(np.random.default_rng(seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(TokenType))
+def test_kl_encoders(position, size, seed, kind):
+    rng = np.random.default_rng(seed)
+    pair = TokenDistPair(position, rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)))
+    _check(jsonio.KL_PAIR, pair)
+    _check(jsonio.KL_ANNOTATION, TokenAnnotation(position, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEXT, st.none() | st.integers(0, 10**6))
+def test_row_id_encoder(qid, token):
+    _check(jsonio.ROW_ID, SimpleNamespace(qid=qid, token_index=token))
+
+
+_FITS = st.builds(optim.Fit, st.lists(_FINITE).map(tuple), st.integers(0, 200),
+                  _FINITE_ANY, st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(lambda n: st.tuples(*[
+        st.lists(strategy, min_size=n, max_size=n).map(np.array)
+        for strategy in (_FINITE32, _FINITE32, st.floats(2.0**-20, 2.0**20, width=32))
+    ])),
+    st.integers(-1, 40), _FINITE_ANY, _PROB_ANY, st.none() | _FITS,
+    st.none() | st.fixed_dictionaries({"window": st.integers(0, 9), "l2": _FINITE,
+                                       "hidden": st.none() | _TEXT}),
+    st.booleans(),
+)
+def test_probe_model_and_fit_encoders(arrays, layer, bias, threshold, fit, config, float32):
+    weights, means, stds = (a.astype(np.float32) if float32 else a for a in arrays)
+    model = probe.ProbeModel(layer, weights, bias, threshold, means, stds, fit)
+    _check(jsonio.PROBE_MODEL, model, schema="uncal-probe-model-v2", config=config)
+    _check(jsonio.PROBE_MODEL, model, schema=None, config=None)
+    if fit is not None:
+        _check(jsonio.FIT, fit)
+        # an encoded line inside a larger value is written as it is
+        report = {"fit": jsonio.encode(jsonio.FIT, fit), "n": [1, 2.5]}
+        assert jsonio.dumps_canonical(report) == jsonio.dumps_canonical(
+            {"fit": oracle_to_dict(jsonio.FIT, fit), "n": [1, 2.5]})
+
+
+_MODEL = vars(probe.ProbeModel(0, np.zeros(2), 0.0, 0.5, np.zeros(2), np.ones(2)))
+_RECORD = vars(PredictionRecord("q", ("a",), "t"))
+_MODEL_GIVEN = {"schema": None, "config": None}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_encoder_refuses_nan_and_infinity(bad):
+    cases = [
+        (jsonio.PROBE_MODEL, {**_MODEL, "bias": bad}, _MODEL_GIVEN),
+        (jsonio.PROBE_MODEL, {**_MODEL, "threshold": np.float64(bad)}, _MODEL_GIVEN),
+        (jsonio.PROBE_MODEL, {**_MODEL, "weights": np.array([0.0, bad])}, _MODEL_GIVEN),
+        (jsonio.PROBE_MODEL, {**_MODEL, "fit": optim.Fit((), 1, bad, True)}, _MODEL_GIVEN),
+        (jsonio.FIT, vars(optim.Fit((), 1, bad, True)), {}),
+        (jsonio.PREDICTION, _RECORD, {"verbal_confidence": bad}),
+        (jsonio.PREDICTION, {**_RECORD, "token_probs": (0.5, bad)}, {}),
+        (jsonio.PREDICTION, {**_RECORD, "match": MatchResult(False, MatchRule.TOKEN_F1, bad)}, {}),
+    ]
+    for table, fields, given in cases:
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            jsonio.encode(table, SimpleNamespace(**fields), **given)
+
+
+def test_encoder_refuses_a_missing_field_and_an_unknown_given_key():
+    with pytest.raises(AttributeError, match="token_index"):
+        jsonio.encode(jsonio.ROW_ID, SimpleNamespace(qid="q"))
+    nested = SimpleNamespace(**{**_RECORD, "emissions": (SimpleNamespace(token_index=1),)})
+    with pytest.raises(AttributeError, match="char_position"):
+        jsonio.encode(jsonio.PREDICTION, nested)
+    with pytest.raises(AttributeError, match=r"no table fields \['tokens'\]"):
+        jsonio.encode(jsonio.ROW_ID, SimpleNamespace(qid="q", token_index=0), tokens=1)
+
+
+# list elements on either side of every bound: bools, NaN, signed zeros,
+# ints too large for a float, and values that are no numbers
+_ELEMENTS = st.sampled_from([
+    True, False, math.nan, -math.nan, 0.0, -0.0, 0, 1, 1.0, -1, 0.5, 5e-324,
+    1.0000000000000002, math.inf, -math.inf, 10**400, -(10**400), "0.5", None, [0.5], {},
+]) | st.floats() | st.integers(-3, 3)
+
+
+def _probabilities(v) -> bool:
+    return type(v) is list and all(type(p) in (int, float) and 0.0 <= p <= 1.0 for p in v)
+
+
+def _token_probs(v) -> bool:
+    return type(v) is list and all(type(p) in (int, float) and 0.0 < p <= 1.0 for p in v)
+
+
+def _accepts(read, value) -> bool:
+    try:
+        read("x", value)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ELEMENTS, max_size=5) | st.sampled_from([(0.5,), {"a": 1}, "0.5", 0.5, None]))
+def test_list_readers_equal_their_element_wise_definitions(value):
+    assert _accepts(jsonio.read_probabilities, value) == _probabilities(value)
+    assert _accepts(jsonio.read_token_probs, value) == _token_probs(value)
+
+
+def _outcome(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg, exc.pos, exc.lineno, exc.colno
+    except ValueError as exc:
+        return "value error", str(exc)
+
+
+_BODIES = [
+    '{"a":1}', '{"a": [1, 2.5, null, true]}', "[]", '"x"', "1e999", "NaN", "-Infinity",
+    '"bad \\q escape"', '"\\u12"', '"\\ud800"', '{"a" 1}', '{"a":', "nul", "", "{}{}",
+    '{"a":1} x', "1" * 5000,
+]
+_PADS = ["", " ", "\t", "\r", "﻿", "x", "]", " 1"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_PADS), st.sampled_from(_BODIES) | st.text(max_size=12),
+       st.sampled_from(_PADS))
+@example("﻿", '{"a":1}', "")
+@example("", '{"a":1}', " ")
+@example("", '"\\x"', "")
+def test_decode_equals_json_loads(before, body, after):
+    line = before + body + after
+    assert _outcome(jsonio._decode, line) == _outcome(json.loads, line)

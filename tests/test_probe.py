@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,14 @@ class TestFitProbe:
         )
         y = np.array([0] * 40 + [1] * 40)
         model = probe.fit_probe(x, y, l2=1e-2)
-        assert probe.auroc(model.scores(x), y) == 1.0
+        assert probe.auroc(probe.ranked(model.scores(x), y)) == 1.0
 
     def test_permutation_null_dev_auroc(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 1.0, size=(400, 6))
         y = (rng.random(400) < 0.5).astype(int)
         model = probe.fit_probe(x[:200], y[:200], l2=1e-2)
-        dev_auroc = probe.auroc(model.scores(x[200:]), y[200:])
+        dev_auroc = probe.auroc(probe.ranked(model.scores(x[200:]), y[200:]))
         assert 0.4 <= dev_auroc <= 0.6
 
     def test_duplicated_column_same_predictions(self):
@@ -160,42 +162,43 @@ class TestFitProbe:
 
 class TestRankMetrics:
     def test_perfect_ranking(self):
-        assert probe.auroc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
+        assert probe.auroc(probe.ranked([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])) == 1.0
 
     def test_all_tied_scores(self):
-        assert probe.auroc([0.5] * 6, [1, 0, 1, 0, 1, 0]) == 0.5
+        assert probe.auroc(probe.ranked([0.5] * 6, [1, 0, 1, 0, 1, 0])) == 0.5
 
     def test_hand_rank_fixture(self):
-        assert probe.auroc([0.9, 0.8, 0.4, 0.2], [1, 0, 1, 0]) == 0.75
+        assert probe.auroc(probe.ranked([0.9, 0.8, 0.4, 0.2], [1, 0, 1, 0])) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetric):
-            probe.auroc([0.4, 0.6], [1, 1])
+            probe.auroc(probe.ranked([0.4, 0.6], [1, 1]))
         with pytest.raises(UndefinedMetric):
-            probe.auprc([0.4, 0.6], [0, 0])
+            probe.auprc(probe.ranked([0.4, 0.6], [0, 0]))
 
     def test_auroc_rejects_nan_score(self):
         # NaN != NaN, so the tie loop would never advance past it
         with pytest.raises(UndefinedMetric, match="finite"):
-            probe.auroc([0.1, float("nan"), 0.3], [0, 1, 1])
+            probe.auroc(probe.ranked([0.1, float("nan"), 0.3], [0, 1, 1]))
 
     def test_auprc_rejects_nan_score(self):
         with pytest.raises(UndefinedMetric, match="finite"):
-            probe.auprc([0.1, float("nan"), 0.3], [0, 1, 1])
+            probe.auprc(probe.ranked([0.1, float("nan"), 0.3], [0, 1, 1]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.0, 1.0, 60)
         labels = (rng.random(60) < 0.4).astype(int)
-        before = probe.auroc(scores, labels)
-        after = probe.auroc(np.exp(5.0 * scores), labels)
+        before = probe.auroc(probe.ranked(scores, labels))
+        after = probe.auroc(probe.ranked(np.exp(5.0 * scores), labels))
         assert before == pytest.approx(after, abs=1e-12)
 
     def test_complement_identity_with_ties(self):
         rng = np.random.default_rng(4)
         scores = np.round(rng.uniform(0.0, 1.0, 80), 1)
         labels = (rng.random(80) < 0.5).astype(int)
-        total = probe.auroc(scores, labels) + probe.auroc(-scores, labels)
+        total = (probe.auroc(probe.ranked(scores, labels))
+                 + probe.auroc(probe.ranked(-scores, labels)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_against_pairwise_oracle(self):
@@ -208,10 +211,10 @@ class TestRankMetrics:
             labels = (rng.random(n) < 0.5).astype(int)
             if labels.min() == labels.max():
                 continue
-            assert probe.auroc(scores, labels) == pytest.approx(
+            assert probe.auroc(probe.ranked(scores, labels)) == pytest.approx(
                 oracle_auroc(list(scores), list(labels)), abs=1e-12
             )
-            assert probe.auprc(scores, labels) == pytest.approx(
+            assert probe.auprc(probe.ranked(scores, labels)) == pytest.approx(
                 oracle_auprc(list(scores), list(labels)), abs=1e-12
             )
 
@@ -225,13 +228,13 @@ class TestTuneThreshold:
 
     def test_separable_dev_reaches_perfect_f1(self):
         model, x, y = self.fitted_model()
-        tuned = probe.tune_threshold(model, x, y)
-        _, _, f1 = probe.trigger_prf(tuned.scores(x), y, tuned.threshold)
+        tuned = probe.tune_threshold(model, probe.ranked(model.scores(x), y))
+        _, _, f1 = probe.trigger_prf(probe.ranked(tuned.scores(x), y), tuned.threshold)
         assert f1 == 1.0
 
     def test_zero_threshold_triggers_everything(self):
         model, x, y = self.fitted_model()
-        precision, recall, _ = probe.trigger_prf(model.scores(x), y, 0.0)
+        precision, recall, _ = probe.trigger_prf(probe.ranked(model.scores(x), y), 0.0)
         assert recall == 1.0
         assert precision == pytest.approx(np.mean(y))
 
@@ -240,37 +243,30 @@ class TestTuneThreshold:
         x = rng.normal(0.0, 1.0, size=(100, 3))
         y = ((x[:, 0] + rng.normal(0, 1.2, 100)) > 0).astype(int)
         model = probe.fit_probe(x[:60], y[:60], l2=1e-2)
-        tuned = probe.tune_threshold(model, x[60:], y[60:])
+        tuned = probe.tune_threshold(model, probe.ranked(model.scores(x[60:]), y[60:]))
         scores = tuned.scores(x[60:])
         best = max(
-            probe.trigger_prf(scores, y[60:], t)[2]
+            probe.trigger_prf(probe.ranked(scores, y[60:]), t)[2]
             for t in np.concatenate([[0.0], scores, [1.0]])
         )
-        achieved = probe.trigger_prf(scores, y[60:], tuned.threshold)[2]
+        achieved = probe.trigger_prf(probe.ranked(scores, y[60:]), tuned.threshold)[2]
         assert achieved == pytest.approx(best, abs=1e-12)
 
     def test_needs_both_classes(self):
         model, x, _ = self.fitted_model()
         with pytest.raises(UndefinedMetric):
-            probe.tune_threshold(model, x, np.ones(len(x), dtype=int))
-
-
-class FixedScores(probe.ProbeModel):
-    """A probe whose score of each example is the example's first feature."""
-
-    def scores(self, x):
-        return np.asarray(x, dtype=float)[:, 0]
+            probe.tune_threshold(model, probe.ranked(model.scores(x), np.ones(len(x), dtype=int)))
 
 
 class TestTuneThresholdOracle:
     """`tune_threshold` equals a full recount at every candidate, exactly."""
 
-    MODEL = FixedScores(layer=0, weights=np.zeros(1), bias=0.0, threshold=0.5,
-                        feature_means=np.zeros(1), feature_stds=np.ones(1))
+    MODEL = probe.ProbeModel(layer=0, weights=np.zeros(1), bias=0.0, threshold=0.5,
+                             feature_means=np.zeros(1), feature_stds=np.ones(1))
 
     def check(self, scores, labels):
         if 0 < sum(labels) < len(labels):
-            tuned = probe.tune_threshold(self.MODEL, np.asarray(scores)[:, None], labels)
+            tuned = probe.tune_threshold(self.MODEL, probe.ranked(scores, labels))
             assert tuned.threshold == oracle_tune_threshold(list(scores), list(labels))
 
     def test_tie_heavy_scores(self):
@@ -364,6 +360,16 @@ class TestHiddenMatrixAndMatio:
         path = tmp_path / "layer_0.mat.ids.jsonl"
         matio.write_row_ids(path, rows)
         assert matio.read_row_ids(path) == rows
+
+    @pytest.mark.parametrize("bad", ['{"qid": "a",}', '{"qid": "a"} x', ' \ufeff{"qid": "a"}'])
+    def test_sidecar_invalid_json_names_line_and_position(self, tmp_path, bad):
+        path = tmp_path / "layer_0.mat.ids.jsonl"
+        path.write_text('{"qid": "a"}\n\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(bad)
+        with pytest.raises(IoError) as got:
+            matio.read_row_ids(path)
+        assert str(got.value) == f"{path}:3: invalid JSON: {want.value}"
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.mat"

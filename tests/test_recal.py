@@ -163,7 +163,7 @@ def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
     """The records after `uncal recal ptrue`."""
     src = tmp_path / "in.jsonl"
     out = tmp_path / "out.jsonl"
-    jsonio.write_jsonl(src, [jsonio.to_dict(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(src, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
     assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
     return jsonio.load_predictions(out).records
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from uncal.rewards import (
 )
 
 from conftest import count_calls
+from oracles import oracle_match_answer
 
 
 class TestExtractAnswerLine:
@@ -85,25 +88,31 @@ class TestNormalizeAnswer:
         assert normalize_answer("war of the worlds") == "war of the worlds"
 
 
+def f1(pred: str, gold: str) -> float:
+    """`token_f1` of the token bags of two answers, as `match_answer` builds them."""
+    return token_f1(Counter(normalize_answer(pred).split()),
+                    Counter(normalize_answer(gold).split()))
+
+
 class TestTokenF1:
     def test_identical(self):
-        assert token_f1("red car", "red car") == 1.0
+        assert f1("red car", "red car") == 1.0
 
     def test_disjoint(self):
-        assert token_f1("blue bike", "red car") == 0.0
+        assert f1("blue bike", "red car") == 0.0
 
     def test_hand_value(self):
-        assert token_f1("red car fast", "red car") == pytest.approx(0.8)
+        assert f1("red car fast", "red car") == pytest.approx(0.8)
 
     def test_both_empty(self):
-        assert token_f1("", "") == 1.0
+        assert f1("", "") == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.text("abc xyz", max_size=20), b=st.text("abc xyz", max_size=20))
     def test_symmetric_and_bounded(self, a, b):
-        forward = token_f1(a, b)
+        forward = f1(a, b)
         assert 0.0 <= forward <= 1.0
-        assert forward == token_f1(b, a)
+        assert forward == f1(b, a)
 
 
 class TestDates:
@@ -120,6 +129,19 @@ class TestDates:
     def test_rejects_garbage(self):
         assert parse_date("Paris") is None
         assert parse_date("1920-13") is None
+
+
+# answers from pieces that reach every rule: articles (twice over, since
+# only a leading one is dropped) and punctuation that normalize away,
+# yes/no words, date forms, and repeated plain words for partial F1
+_ANSWER_PIECES = st.sampled_from([
+    "the", "The", "a", "AN", "red", "car", "red", "fast", "yes", "True", "no",
+    "Incorrect", "correct", "FALSE", ",", ".", "!", "'s", "-", "  ", "\t", "1920",
+    "1920-03", "1920-03-05", "1920-13-40", "March", "mar", "5th", "5,", "31", "Dec",
+    "2001", "", "\u0130", "\u00e9",
+])
+_ANSWER_TEXTS = (st.lists(_ANSWER_PIECES, max_size=6).map(" ".join)
+                 | st.lists(_ANSWER_PIECES, max_size=4).map("".join))
 
 
 class TestMatchAnswer:
@@ -151,6 +173,14 @@ class TestMatchAnswer:
     def test_reflexive_on_nonempty(self, gold):
         result = match_answer(gold, [gold])
         assert result.correct
+
+    @settings(max_examples=1000, deadline=None)
+    @given(pred=_ANSWER_TEXTS, golds=st.lists(_ANSWER_TEXTS, min_size=1, max_size=3),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 2.0 / 3.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_equals_the_former_matcher(self, pred, golds, threshold):
+        new = match_answer(pred, golds, threshold)
+        old = oracle_match_answer(pred, golds, threshold)
+        assert (new.correct, new.rule, repr(new.f1)) == (old.correct, old.rule, repr(old.f1))
 
 
 class TestScanEmissions:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -394,7 +395,7 @@ def test_compression_ordering_random(seed):
 def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     space = ts.random_space(rng)
-    again = space_from_dict(jsonio.to_dict(jsonio.SPACE, space))
+    again = space_from_dict(json.loads(jsonio.encode(jsonio.SPACE, space)))
     assert again.gold_answer == space.gold_answer
     np.testing.assert_allclose(again.probs(), space.probs(), atol=0)
     assert [t.id for t in again.trajectories] == [t.id for t in space.trajectories]
