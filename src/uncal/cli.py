@@ -353,37 +353,52 @@ def _cmd_recal_ptrue(args) -> int:
     return 0
 
 
-def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
-    """qid -> (tokens x dims) matrix from a layer file plus its sidecar.
-
-    Row t of a qid's matrix is the hidden state of its token t: the qid's
-    sidecar `token_index` values must be exactly 0..k-1, in any order. A row
-    without `token_index` takes its position among the qid's rows.
-    """
-    values = matio.read_matrix(mat_path)
-    sidecar = str(mat_path) + ".ids.jsonl"
+def _token_rows(sidecar) -> tuple[int, dict[str, list[int]], str | None]:
+    """A sidecar's row count, each qid's rows in token order (a row without
+    `token_index` takes its position among the qid's rows), and the fault of
+    the first qid whose token indices are not 0..k-1, or None."""
     rows = matio.read_row_ids(sidecar)
-    if len(rows) != values.shape[0]:
-        raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
         members = grouped.setdefault(row["qid"], [])
         token = row["token_index"]
         members.append((len(members) if token is None else token, i))
-    out = {}
+    order, fault = {}, None
     for qid, members in grouped.items():
         members.sort()
-        if [token for token, _ in members] != list(range(len(members))):
-            raise AlignmentError(
-                f"{mat_path}: token indices of qid {qid!r} are not 0..{len(members) - 1}"
-            )
-        out[qid] = values[[i for _, i in members]]
-    return out
+        if fault is None and [token for token, _ in members] != list(range(len(members))):
+            fault = f"token indices of qid {qid!r} are not 0..{len(members) - 1}"
+        order[qid] = [i for _, i in members]
+    return len(rows), order, fault
+
+
+def _load_token_stack(mat_path, last: list | None = None) -> dict[str, np.ndarray]:
+    """qid -> (tokens x dims) matrix from a layer file plus its sidecar: row t
+    of a qid's matrix is the hidden state of its token t. `last`, the previous
+    layer's `[sidecar bytes, _token_rows]` (updated in place), spares parsing
+    a byte-identical sidecar again."""
+    values = matio.read_matrix(mat_path)
+    sidecar = str(mat_path) + ".ids.jsonl"
+    last = [None, None] if last is None else last
+    try:
+        data = Path(sidecar).read_bytes()
+    except OSError:
+        data = None  # `read_row_ids` names the fault
+    if data is None or data != last[0]:
+        last[:] = data, _token_rows(sidecar)
+    count, order, fault = last[1]
+    if count != values.shape[0]:
+        raise IoError(f"{mat_path}: sidecar row count does not match matrix")
+    if fault is not None:
+        raise AlignmentError(f"{mat_path}: {fault}")
+    return {qid: values[rows] for qid, rows in order.items()}
 
 
 def _cmd_probe_sweep(args) -> int:
     records = _load_preds(args.preds)
-    stacks = {k: _load_token_stack(Path(args.hidden) / f"layer_{k}.mat") for k in args.layers}
+    last = [None, None]
+    stacks = {k: _load_token_stack(Path(args.hidden) / f"layer_{k}.mat", last)
+              for k in args.layers}
     rows = probe.layer_sweep(
         stacks, records, args.layers,
         window=args.window, span_token_count=args.span_tokens,

@@ -206,16 +206,17 @@ read_numbers = _reader(
 )
 
 
-def _numbers(v) -> bool:
-    """Whether `v` is a list of JSON numbers, by types checked at C speed
-    before any bound: no bool or string is compared, and NaN fails a bound."""
-    return type(v) is list and set(map(type, v)) <= _NUMBER_TYPES
+def _unit_numbers(low_ok: Callable[[float], bool]) -> Callable[[object], bool]:
+    """A check, at C speed, that a value is a list of JSON numbers (no bool)
+    at most 1 that pass `low_ok`. A leading NaN makes `min` and `max` NaN and
+    fails a bound; otherwise they are the extremes of the other values, so
+    once both bounds hold the sum is NaN exactly when some value is NaN."""
+    return lambda v: type(v) is list and set(map(type, v)) <= _NUMBER_TYPES and (
+        not v or (low_ok(min(v)) and max(v) <= 1.0 and not math.isnan(sum(v))))
 
 
-read_probabilities = _reader(lambda v: _numbers(v) and all(0.0 <= p <= 1.0 for p in v),
-                             "numbers in [0,1]")
-read_token_probs = _reader(lambda v: _numbers(v) and all(0.0 < p <= 1.0 for p in v),
-                           "numbers in (0,1]")
+read_probabilities = _reader(_unit_numbers((0.0).__le__), "numbers in [0,1]")
+read_token_probs = _reader(_unit_numbers((0.0).__lt__), "numbers in (0,1]")
 read_positive_numbers = _reader(
     lambda v: type(v) is list and all(_finite(s) and s > 0 for s in v),
     "a list of finite numbers > 0",

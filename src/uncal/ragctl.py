@@ -11,8 +11,8 @@ hides them. `score_traces` matches both answers of every trace once;
 `decide_all` turns a policy into one boolean per record. A `TriggerReport` is
 then a count over those two passes (`trigger_report`,
 `trigger_reports_by_dataset`), so one scoring serves the overall report,
-every dataset and every point of a threshold sweep. A with-retrieval answer
-equal to the no-retrieval one reuses that answer's match.
+every dataset and every point of a threshold sweep. Both answers of a trace
+are matched against its gold answers as one `rewards.GoldSet`, prepared once.
 
 Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyBatch, MissingSignal
-from .rewards import DEFAULT_F1_THRESHOLD, MatchResult, MatchRule, match_answer
+from .rewards import DEFAULT_F1_THRESHOLD, GoldSet, MatchResult, MatchRule, match_answer
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,17 @@ class ScoredTraces:
 def score_traces(
     records: Sequence[RagTraceRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> ScoredTraces:
-    """Match each trace's no-retrieval and with-retrieval answers once; an
-    unchanged answer reuses the no-retrieval match."""
+    """Match each trace's no-retrieval and with-retrieval answers once against
+    its gold set, all built first; an unchanged answer reuses the no-retrieval match."""
     records = list(records)
-    noret = tuple(match_answer(r.noret_answer, r.gold_answers, f1_threshold)
-                  for r in records)
+    golds = [GoldSet(r.gold_answers) for r in records]
+    noret = tuple(match_answer(r.noret_answer, g, f1_threshold)
+                  for r, g in zip(records, golds))
     return ScoredTraces(
         noret=noret,
         ret=tuple(m if r.ret_answer == r.noret_answer
-                  else match_answer(r.ret_answer, r.gold_answers, f1_threshold)
-                  for r, m in zip(records, noret)),
+                  else match_answer(r.ret_answer, g, f1_threshold)
+                  for r, g, m in zip(records, golds, noret)),
         dataset=tuple(r.dataset for r in records),
     )
 

@@ -2,12 +2,12 @@
 
 Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
-agreement, then a token-F1 fallback against the best gold answer.
-`score_predictions` turns a batch into one verdict per record (confidence,
-correctness, marker flag), so each record is matched at most once however
-many metrics read the batch. No command computes a training reward from a
-record: the one reward the toolkit models, the signed verbal confidence, is
-applied to trajectories by `trajspace`.
+agreement, then a token-F1 fallback against the best of a record's gold
+answers, prepared once per record (`GoldSet`). `score_predictions` turns a
+batch into one verdict per record (confidence, correctness, marker flag), so
+each record is matched at most once however many metrics read the batch. No
+command computes a training reward from a record: the one reward the toolkit
+models, the signed verbal confidence, is applied to trajectories by `trajspace`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ _MONTHS = {
 }
 _MONTHS.update({name[:3]: num for name, num in _MONTHS.items()})
 
+_DIGIT_RE = re.compile(r"\d")
 _ISO_DATE_RE = re.compile(r"^(\d{4})(?:-(\d{1,2})(?:-(\d{1,2}))?)?$")
 _MDY_RE = re.compile(r"^([a-z]+)\s+(?:(\d{1,2})(?:st|nd|rd|th)?\s*,?\s+)?(\d{4})$")
 _DMY_RE = re.compile(r"^(\d{1,2})(?:st|nd|rd|th)?\s+([a-z]+),?\s+(\d{4})$")
@@ -149,24 +150,33 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def token_f1(pred: Counter, gold: Counter) -> float:
-    """Multiset F1 of two bags of tokens, each `Counter(normalize_answer(text).split())`.
-    Both bags empty counts as 1.0; exactly one empty counts as 0.0."""
-    if not pred and not gold:
-        return 1.0
-    if not pred or not gold:
-        return 0.0
-    overlap = sum((pred & gold).values())
+def token_bag(normalized: str) -> tuple[int, set[str], Counter | None]:
+    """(token count, token set, Counter only if some token repeats) of an answer."""
+    tokens = normalized.split()
+    distinct = set(tokens)
+    return len(tokens), distinct, Counter(tokens) if len(distinct) < len(tokens) else None
+
+
+def token_f1(pred: tuple, gold: tuple) -> float:
+    """Multiset F1 of two `token_bag`s; both empty counts as 1.0, exactly one
+    empty as 0.0. Where one side repeats no token, the sets' overlap is exact."""
+    (pred_n, pred_set, pred_counts), (gold_n, gold_set, gold_counts) = pred, gold
+    if not pred_n or not gold_n:
+        return 1.0 if pred_n == gold_n else 0.0
+    overlap = (len(pred_set & gold_set) if pred_counts is None or gold_counts is None
+               else sum((pred_counts & gold_counts).values()))
     if overlap == 0:
         return 0.0
-    precision = overlap / pred.total()
-    recall = overlap / gold.total()
+    precision = overlap / pred_n
+    recall = overlap / gold_n
     return 2.0 * precision * recall / (precision + recall)
 
 
 def parse_date(text: str) -> tuple[int, int | None, int | None] | None:
     """Parse YYYY / YYYY-MM / YYYY-MM-DD / month-name forms to (y, m, d)."""
     cleaned = text.strip().strip(".").strip().lower()
+    if not _DIGIT_RE.search(cleaned):  # every form holds a four-digit year
+        return None
     m = _ISO_DATE_RE.match(cleaned)
     if m:
         year = int(m.group(1))
@@ -194,11 +204,8 @@ def parse_date(text: str) -> tuple[int, int | None, int | None] | None:
 
 
 def _dates_agree(a: tuple[int, int | None, int | None], b) -> bool:
-    # all components present on both sides must agree
-    for x, y in zip(a, b):
-        if x is not None and y is not None and x != y:
-            return False
-    return True
+    """Do all components present on both sides agree?"""
+    return all(x is None or y is None or x == y for x, y in zip(a, b))
 
 
 def _check_threshold(f1_threshold: float) -> None:
@@ -206,32 +213,48 @@ def _check_threshold(f1_threshold: float) -> None:
         raise ValueError("f1_threshold must lie in [0,1]")
 
 
+class GoldSet:
+    """A record's gold answers prepared once for matching: the normalized
+    strings, the yes/no values among them and each one's token bag."""
+
+    __slots__ = ("answers", "normalized", "yes_no", "bags")
+
+    def __init__(self, golds: Sequence[str]):
+        if not golds:
+            raise ValueError("golds must be non-empty")
+        self.answers = tuple(golds)
+        self.normalized = tuple(map(normalize_answer, golds))
+        self.yes_no = {_YES_NO[g] for g in self.normalized if g in _YES_NO}
+        self.bags = tuple(map(token_bag, self.normalized))
+
+
+# the verdicts of the rules that fire only on a match, shared by every call
+_EXACT_MATCH, _YES_NO_MATCH, _DATE_MATCH = (MatchResult(True, MatchRule(rule), 1.0)
+                                            for rule in ("ExactMatch", "YesNo", "Date"))
+
+
 def match_answer(
-    pred: str, golds: Sequence[str], f1_threshold: float = DEFAULT_F1_THRESHOLD
+    pred: str, golds: GoldSet, f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> MatchResult:
-    """Match a predicted answer against gold answers.
+    """Match a predicted answer against a record's gold answers.
 
     Rules fire in order: normalized exact match, yes/no canonicalization,
     calendar-date agreement, token-F1 >= threshold. The first rule that fires
     wins; if none fires the result is incorrect with the best token F1.
     """
-    if not golds:
-        raise ValueError("golds must be non-empty")
     _check_threshold(f1_threshold)
     norm_pred = normalize_answer(pred)
-    norm_golds = [normalize_answer(g) for g in golds]
-    if norm_pred in norm_golds:
-        return MatchResult(True, MatchRule.EXACT_MATCH, 1.0)
-    pred_yn = _YES_NO.get(norm_pred)
-    if pred_yn is not None and any(_YES_NO.get(g) == pred_yn for g in norm_golds):
-        return MatchResult(True, MatchRule.YES_NO, 1.0)
+    if norm_pred in golds.normalized:
+        return _EXACT_MATCH
+    if _YES_NO.get(norm_pred) in golds.yes_no:
+        return _YES_NO_MATCH
     pred_date = parse_date(pred)
     if pred_date is not None and any(
-        d is not None and _dates_agree(pred_date, d) for d in map(parse_date, golds)
+        d is not None and _dates_agree(pred_date, d) for d in map(parse_date, golds.answers)
     ):
-        return MatchResult(True, MatchRule.DATE, 1.0)
-    pred_tokens = Counter(norm_pred.split())
-    best_f1 = max(token_f1(pred_tokens, Counter(g.split())) for g in norm_golds)
+        return _DATE_MATCH
+    pred_bag = token_bag(norm_pred)
+    best_f1 = max(token_f1(pred_bag, g) for g in golds.bags)
     return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)
 
 
@@ -245,7 +268,7 @@ def match_record(
         answer = extract_answer_line(record.response_text)
     if answer is None:
         return MatchResult(False, MatchRule.TOKEN_F1, 0.0)
-    return match_answer(answer, record.gold_answers, f1_threshold)
+    return match_answer(answer, GoldSet(record.gold_answers), f1_threshold)
 
 
 def record_correct(

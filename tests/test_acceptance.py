@@ -18,7 +18,7 @@ from uncal import trajspace as ts
 from uncal.cli import main
 from uncal.errors import DegenerateRatio, HypothesisViolated
 from uncal.ragctl import ControllerPolicy, PolicyKind
-from uncal.rewards import match_answer, score_predictions
+from uncal.rewards import GoldSet, match_answer, score_predictions
 
 from conftest import make_record, planted_stack, random_batch, random_rag_batch, run_policy
 from oracles import (
@@ -163,9 +163,9 @@ def test_metric_oracle_equivalence():
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0.0, 1.0)))
         report = run_policy(policy, traces)
         decisions = [ragctl.decide(policy, r) for r in traces]
-        noret_ok = [match_answer(r.noret_answer, r.gold_answers).correct for r in traces]
+        noret_ok = [match_answer(r.noret_answer, GoldSet(r.gold_answers)).correct for r in traces]
         final_ok = [
-            match_answer(r.ret_answer if d else r.noret_answer, r.gold_answers).correct
+            match_answer(r.ret_answer if d else r.noret_answer, GoldSet(r.gold_answers)).correct
             for d, r in zip(decisions, traces)
         ]
         counts = oracle_trigger_counts(decisions, noret_ok, final_ok)
@@ -265,7 +265,7 @@ def test_controller_identities():
         f1_total = 0.0
         for decide, record in zip(decisions, records):
             answer = record.ret_answer if decide else record.noret_answer
-            result = match_answer(answer, record.gold_answers)
+            result = match_answer(answer, GoldSet(record.gold_answers))
             em += 1 if (result.correct and result.rule.value == "ExactMatch") else 0
             f1_total += result.f1
         return em / n, f1_total / n, sum(decisions) / n

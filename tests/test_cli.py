@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import uncal
 from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, reprgeo, rewards, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
-from uncal.errors import AlignmentError, CorruptInput, EmptyBatch
+from uncal.errors import AlignmentError, CorruptInput, EmptyBatch, IoError
 from uncal.jsonio import load_predictions, load_rag_traces
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
@@ -252,6 +252,48 @@ class TestTokenStack:
         stack = _load_token_stack(path)
         np.testing.assert_array_equal(stack["a"], values[[0, 2]])
         np.testing.assert_array_equal(stack["b"], values[[1, 3, 4]])
+
+    def test_sweep_aligns_each_layer_by_its_own_sidecar(self, tmp_path, monkeypatch):
+        # layers 0, 1 and 3 share one sidecar byte for byte; layer 2 lists the
+        # same rows in another order, with its matrix rows permuted to match
+        ids = [{"qid": q, "token_index": t} for q in ("a", "b", "c") for t in range(3)]
+        order = [4, 0, 8, 2, 6, 1, 3, 7, 5]
+        values = np.random.default_rng(0).normal(size=(4, 9, 2))
+        values[2] = values[0][order]
+        for k in range(4):
+            path = tmp_path / f"layer_{k}.mat"
+            matio.write_matrix(path, values[k])
+            matio.write_row_ids(str(path) + ".ids.jsonl",
+                                [ids[i] for i in order] if k == 2 else ids)
+        alone = [_load_token_stack(tmp_path / f"layer_{k}.mat") for k in range(4)]
+        reads = count_calls(monkeypatch, matio, "read_row_ids")
+        last = [None, None]
+        swept = [_load_token_stack(tmp_path / f"layer_{k}.mat", last) for k in range(4)]
+        assert len(reads) == 3  # layer 1 reuses layer 0's rows; layer 3 follows layer 2
+        for stack, single in zip(swept, alone):
+            assert list(stack) == list(single)
+            for qid in single:
+                np.testing.assert_array_equal(stack[qid], single[qid])
+        for qid in ("a", "b", "c"):
+            np.testing.assert_array_equal(swept[2][qid], swept[0][qid])
+
+    def test_reused_sidecar_still_checked_against_each_layer(self, tmp_path):
+        ids = [{"qid": "a", "token_index": t} for t in (1, 0)]
+        for k in (0, 1):
+            self.write_layer(tmp_path / f"layer_{k}.mat", ids)
+        matio.write_matrix(tmp_path / "layer_1.mat", np.zeros((3, 2), dtype=np.float32))
+        last = [None, None]
+        _load_token_stack(tmp_path / "layer_0.mat", last)
+        with pytest.raises(IoError, match=r"layer_1\.mat: sidecar row count does not match"):
+            _load_token_stack(tmp_path / "layer_1.mat", last)
+        gap = [{"qid": "a", "token_index": t} for t in (0, 2)]
+        for k in (0, 2):
+            self.write_layer(tmp_path / f"layer_{k}.mat", gap)
+        for k in (0, 2):
+            with pytest.raises(AlignmentError) as refused:
+                _load_token_stack(tmp_path / f"layer_{k}.mat", last)
+            assert str(refused.value) == (f"{tmp_path / f'layer_{k}.mat'}: "
+                                          "token indices of qid 'a' are not 0..1")
 
 
 class TestFunctional:

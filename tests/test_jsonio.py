@@ -182,6 +182,13 @@ def _accepts(read, value) -> bool:
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_ELEMENTS, max_size=5) | st.sampled_from([(0.5,), {"a": 1}, "0.5", 0.5, None]))
+@example([])
+@example([math.nan])
+@example([math.nan, 0.5, 1])
+@example([math.nan, 10**400])
+@example([0.5, math.nan, 10**400])
+@example([0.5, 1, math.nan])
+@example([1, 0])
 def test_list_readers_equal_their_element_wise_definitions(value):
     assert _accepts(jsonio.read_probabilities, value) == _probabilities(value)
     assert _accepts(jsonio.read_token_probs, value) == _token_probs(value)

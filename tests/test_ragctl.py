@@ -1,11 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uncal import ragctl
+import uncal
+from uncal import jsonio, ragctl
 from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
 from conftest import count_calls, random_rag_batch, run_policy
-from oracles import oracle_trigger_counts
+from oracles import oracle_match_answer, oracle_trigger_counts
+
+# answers with repeated tokens, articles, punctuation, yes/no words and dates
+_ANSWERS = st.lists(st.sampled_from([
+    "new", "new", "York", "the", "a", ",", "yes", "True", "no", "1920", "March", "5",
+    "1920-03-05", "city", "",
+]), max_size=5).map(" ".join)
 
 
 def trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
@@ -232,6 +241,31 @@ class TestScoredTraces:
                                [i / 10 for i in range(11)])
         # one match per no-retrieval answer, one per changed with-retrieval answer
         assert len(calls) == 48 == 30 + sum(r.ret_answer != r.noret_answer for r in records)
+
+    @staticmethod
+    def assert_oracle_scores(records, f1_threshold):
+        scored = ragctl.score_traces(records, f1_threshold)
+        for r, noret, ret in zip(records, scored.noret, scored.ret, strict=True):
+            for answer, got in ((r.noret_answer, noret), (r.ret_answer, ret)):
+                want = oracle_match_answer(answer, r.gold_answers, f1_threshold)
+                assert (got.correct, got.rule, repr(got.f1)) == (
+                    want.correct, want.rule, repr(want.f1))
+
+    def test_fixture_scores_equal_per_answer_oracle_matching(self):
+        records = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
+        assert len(records) == 20
+        for f1_threshold in (0.0, 0.3, 1.0):
+            self.assert_oracle_scores(records, f1_threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_ANSWERS, min_size=1, max_size=4), _ANSWERS, _ANSWERS,
+                              st.booleans()), max_size=8),
+           st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    def test_random_scores_equal_per_answer_oracle_matching(self, rows, f1_threshold):
+        records = [RagTraceRecord(qid=f"r{i}", gold_answers=tuple(golds), noret_answer=noret,
+                                  ret_answer=noret if same else ret)
+                   for i, (golds, noret, ret, same) in enumerate(rows)]
+        self.assert_oracle_scores(records, f1_threshold)
 
     def test_reports_are_counts_over_one_scoring(self, rng):
         records = random_rag_batch(rng, 50)

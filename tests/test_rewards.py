@@ -1,11 +1,10 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncal.rewards import (
     EmissionEvent,
+    GoldSet,
     MatchRule,
     PredictionRecord,
     annotate_record,
@@ -20,6 +19,7 @@ from uncal.rewards import (
     record_correct,
     scan_emissions,
     score_predictions,
+    token_bag,
     token_f1,
 )
 
@@ -50,7 +50,7 @@ class TestExtractAnswerLine:
             assert extract_confidence(text) == 0.9
             assert extract_answer_line(text) == "Paris"
             record = PredictionRecord(qid="q", gold_answers=("Paris",), response_text=text)
-            assert match_record(record) == match_answer("Paris", ("Paris",))
+            assert match_record(record) == match_answer("Paris", GoldSet(("Paris",)))
             assert match_record(record).rule is MatchRule.EXACT_MATCH
 
     def test_empty_payload_is_present(self):
@@ -90,8 +90,7 @@ class TestNormalizeAnswer:
 
 def f1(pred: str, gold: str) -> float:
     """`token_f1` of the token bags of two answers, as `match_answer` builds them."""
-    return token_f1(Counter(normalize_answer(pred).split()),
-                    Counter(normalize_answer(gold).split()))
+    return token_f1(token_bag(normalize_answer(pred)), token_bag(normalize_answer(gold)))
 
 
 class TestTokenF1:
@@ -130,6 +129,12 @@ class TestDates:
         assert parse_date("Paris") is None
         assert parse_date("1920-13") is None
 
+    def test_unicode_digits_still_parse(self):
+        # `\d` reads any Unicode decimal digit, as the date patterns do
+        assert parse_date("\u0661\u0669\u0662\u0660") == (1920, None, None)
+        assert parse_date("March \uff11\uff19\uff12\uff10") == (1920, 3, None)
+        assert parse_date("March fifth") is None
+
 
 # answers from pieces that reach every rule: articles (twice over, since
 # only a leading one is dropped) and punctuation that normalize away,
@@ -140,47 +145,65 @@ _ANSWER_PIECES = st.sampled_from([
     "1920-03", "1920-03-05", "1920-13-40", "March", "mar", "5th", "5,", "31", "Dec",
     "2001", "", "\u0130", "\u00e9",
 ])
+# answers with repeated tokens, so token overlap takes both the set and the
+# multiset path, with digits (Unicode ones too) and date forms
+_REPEATS = st.lists(st.sampled_from([
+    "new", "new", "york", "York", "the", "city", "1920", "March", "5", "2001-12",
+    "\u0661\u0669\u0662\u0660", "yes", "no", ",",
+]), max_size=6).map(" ".join)
 _ANSWER_TEXTS = (st.lists(_ANSWER_PIECES, max_size=6).map(" ".join)
-                 | st.lists(_ANSWER_PIECES, max_size=4).map("".join))
+                 | st.lists(_ANSWER_PIECES, max_size=4).map("".join) | _REPEATS)
 
 
 class TestMatchAnswer:
     def test_article_stripping_exact_match(self):
-        result = match_answer("the red car", ["red car"], 0.3)
+        result = match_answer("the red car", GoldSet(["red car"]), 0.3)
         assert result.correct and result.rule is MatchRule.EXACT_MATCH and result.f1 == 1.0
 
     def test_disjoint_prediction_fails(self):
-        result = match_answer("Taylor Swift", ["Big Machine Records"], 0.3)
+        result = match_answer("Taylor Swift", GoldSet(["Big Machine Records"]), 0.3)
         assert not result.correct and result.f1 == 0.0
 
     def test_token_f1_fallback_fires(self):
-        result = match_answer("born in Mount Laurel", ["Mount Laurel Township"], 0.3)
+        result = match_answer("born in Mount Laurel", GoldSet(["Mount Laurel Township"]), 0.3)
         assert result.correct and result.rule is MatchRule.TOKEN_F1
         assert result.f1 == pytest.approx(4.0 / 7.0)
 
     def test_yes_no_canonicalization(self):
-        assert match_answer("True", ["yes"], 0.3).rule is MatchRule.YES_NO
-        assert match_answer("incorrect", ["no"], 0.3).correct
-        assert not match_answer("yes", ["no"], 0.3).correct
+        assert match_answer("True", GoldSet(["yes"]), 0.3).rule is MatchRule.YES_NO
+        assert match_answer("incorrect", GoldSet(["no"]), 0.3).correct
+        assert not match_answer("yes", GoldSet(["no"]), 0.3).correct
 
     def test_date_component_agreement(self):
-        assert match_answer("March 5, 1920", ["1920-03-05"], 0.3).rule is MatchRule.DATE
-        assert match_answer("1920", ["March 1920"], 0.3).correct
-        assert not match_answer("1704", ["1534"], 0.3).correct
+        assert match_answer("March 5, 1920", GoldSet(["1920-03-05"]), 0.3).rule is MatchRule.DATE
+        assert match_answer("1920", GoldSet(["March 1920"]), 0.3).correct
+        assert not match_answer("1704", GoldSet(["1534"]), 0.3).correct
 
     @settings(max_examples=50, deadline=None)
     @given(gold=st.text("abcd ef", min_size=1, max_size=15))
     def test_reflexive_on_nonempty(self, gold):
-        result = match_answer(gold, [gold])
+        result = match_answer(gold, GoldSet([gold]))
         assert result.correct
 
+    def test_repeated_tokens_count_as_a_multiset(self):
+        result = match_answer("new new york", GoldSet(["new york city"]), 0.0)
+        assert result.rule is MatchRule.TOKEN_F1 and result.f1 == 2.0 / 3.0
+        assert match_answer("new new", GoldSet(["new new new"]), 0.0).f1 == 0.8
+
+    def test_empty_gold_set_refused(self):
+        with pytest.raises(ValueError, match="golds must be non-empty"):
+            GoldSet(())
+
     @settings(max_examples=1000, deadline=None)
-    @given(pred=_ANSWER_TEXTS, golds=st.lists(_ANSWER_TEXTS, min_size=1, max_size=3),
+    @given(preds=st.lists(_ANSWER_TEXTS, min_size=1, max_size=3),
+           golds=st.lists(_ANSWER_TEXTS, min_size=1, max_size=4),
            threshold=st.sampled_from([0.0, 0.3, 0.5, 2.0 / 3.0, 1.0]) | st.floats(0.0, 1.0))
-    def test_equals_the_former_matcher(self, pred, golds, threshold):
-        new = match_answer(pred, golds, threshold)
-        old = oracle_match_answer(pred, golds, threshold)
-        assert (new.correct, new.rule, repr(new.f1)) == (old.correct, old.rule, repr(old.f1))
+    def test_equals_the_former_matcher(self, preds, golds, threshold):
+        gold_set = GoldSet(golds)  # one set serves every answer matched against it
+        for pred in preds:
+            new = match_answer(pred, gold_set, threshold)
+            old = oracle_match_answer(pred, golds, threshold)
+            assert (new.correct, new.rule, repr(new.f1)) == (old.correct, old.rule, repr(old.f1))
 
 
 class TestScanEmissions:
