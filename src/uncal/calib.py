@@ -4,18 +4,22 @@ Every metric reads one `ScoredBatch` (`rewards.score_predictions`): each
 record's confidence and correctness are computed once, however many metrics a
 report holds. `calibration_report` computes every metric of a batch and
 `error_taxonomy` splits its wrong answers; there is no single-metric entry
-point.
+point. Bins, bands and the taxonomy's classes are masks over the batch's
+columns, counted; sums of confidences stay Python arithmetic (`math.fsum`
+over `tolist()`), so every float is the one a per-record loop would give.
 
-Records without a parseable confidence are excluded from confidence metrics
-but still count toward accuracy and the parse rate. All aggregations are pure
-and deterministic; per-dataset partitions can be computed independently and
-merged.
+Records without a parseable confidence (NaN) are excluded from confidence
+metrics but still count toward accuracy and the parse rate. All aggregations
+are pure and deterministic; per-dataset partitions can be computed
+independently and merged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyBatch
 from .probe import ranked
@@ -72,26 +76,24 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must lie in (0, 0.5)")
 
 
-def _fill_bins(rows, num_bins):
-    bins = [[] for _ in range(num_bins)]
-    for conf, correct in rows:
-        idx = min(int(conf * num_bins), num_bins - 1)
-        bins[idx].append((conf, correct))
-    return bins
+def _count(mask) -> int:
+    return int(np.count_nonzero(mask))
 
 
-def _calib_bins(rows, num_bins):
+def _calib_bins(conf, correct, num_bins):
+    index = np.minimum((conf * num_bins).astype(int), num_bins - 1)
     out = []
-    for i, members in enumerate(_fill_bins(rows, num_bins)):
-        lo = i / num_bins
-        hi = (i + 1) / num_bins
-        if members:
-            mean_conf = math.fsum(c for c, _ in members) / len(members)
-            acc = sum(1 for _, y in members if y) / len(members)
+    for i in range(num_bins):
+        members = index == i
+        count = _count(members)
+        if count:
+            mean_conf = math.fsum(conf[members].tolist()) / count
+            acc = _count(correct[members]) / count
         else:
             mean_conf = 0.0
             acc = 0.0
-        out.append(CalibBin(lo=lo, hi=hi, count=len(members), mean_conf=mean_conf, accuracy=acc))
+        out.append(CalibBin(lo=i / num_bins, hi=(i + 1) / num_bins, count=count,
+                            mean_conf=mean_conf, accuracy=acc))
     return tuple(out)
 
 
@@ -100,22 +102,22 @@ def _ece(bins, n):
     return sum((b.count / n) * abs(b.accuracy - b.mean_conf) for b in bins)
 
 
-def _brier(rows):
+def _brier(confs, oks):
     """Mean squared gap between confidence and the 0/1 outcome."""
-    return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in rows) / len(rows)
+    return math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in zip(confs, oks)) / len(confs)
 
 
-def _nll(rows, epsilon):
+def _nll(confs, oks, epsilon):
     """Mean negative log-likelihood of the outcome under the stated confidence,
     with confidences clamped to [epsilon, 1 - epsilon] to stay finite."""
     total = 0.0
-    for conf, correct in rows:
+    for conf, correct in zip(confs, oks):
         p = conf if correct else 1.0 - conf
         total += -math.log(min(max(p, epsilon), 1.0 - epsilon))
-    return total / len(rows)
+    return total / len(confs)
 
 
-def _ausc(rows):
+def _ausc(conf, correct):
     """Area under the selective accuracy vs. coverage curve.
 
     Records enter coverage by confidence descending, tied confidences
@@ -125,10 +127,10 @@ def _ausc(rows):
     distinct confidence degenerates to its accuracy. Grouping ties makes the
     value invariant to duplicating every record.
     """
-    _, count, correct = ranked([c for c, _ in rows], [ok for _, ok in rows])
+    _, count, hits = ranked(conf, correct)
     seen = count[::-1].cumsum()
-    coverage = (seen / len(rows)).tolist()
-    accuracy = (correct[::-1].cumsum() / seen).tolist()
+    coverage = (seen / len(conf)).tolist()
+    accuracy = (hits[::-1].cumsum() / seen).tolist()
     if len(coverage) == 1:
         return accuracy[0]
     area = 0.0
@@ -146,24 +148,26 @@ def calibration_report(
     n = len(batch)
     if not n:
         raise EmptyBatch("no records")
-    rows = batch.usable()
-    if not rows:
+    usable = ~np.isnan(batch.confidence)
+    conf, correct = batch.confidence[usable], batch.correct[usable]
+    if not len(conf):
         raise EmptyBatch("no records with parseable confidence")
     _check_bins(num_bins)
     _check_epsilon(nll_epsilon)
-    accuracy = sum(1 for ok in batch.correct if ok) / n
-    mean_conf = math.fsum(c for c, _ in rows) / len(rows)
-    bins = _calib_bins(rows, num_bins)
+    accuracy = _count(batch.correct) / n
+    confs, oks = conf.tolist(), correct.tolist()
+    mean_conf = math.fsum(confs) / len(confs)
+    bins = _calib_bins(conf, correct, num_bins)
     return CalibrationReport(
         n=n,
         accuracy=accuracy,
         mean_confidence=mean_conf,
         overconfidence_gap=mean_conf - accuracy,
-        ece=_ece(bins, len(rows)),
-        brier=_brier(rows),
-        nll=_nll(rows, nll_epsilon),
-        parse_rate=len(rows) / n,
-        ausc=_ausc(rows),
+        ece=_ece(bins, len(confs)),
+        brier=_brier(confs, oks),
+        nll=_nll(confs, oks, nll_epsilon),
+        parse_rate=len(confs) / n,
+        ausc=_ausc(conf, correct),
         bins=bins,
     )
 
@@ -197,28 +201,22 @@ def error_taxonomy(batch: ScoredBatch) -> ErrorTaxonomy:
     """
     if not len(batch):
         raise EmptyBatch("no records")
-    wrong = [
-        (c, marked)
-        for c, ok, marked in zip(batch.confidence, batch.correct, batch.marked)
-        if c is not None and not ok
-    ]
-    total_wrong = len(wrong)
-    epistemic = sum(1 for c, _ in wrong if c > EPISTEMIC_THRESHOLD)
-    strict = sum(1 for c, _ in wrong if c > STRICT_THRESHOLD)
+    wrong = ~np.isnan(batch.confidence) & ~batch.correct
+    conf, marked = batch.confidence[wrong], batch.marked[wrong]
+    total_wrong = len(conf)
+    above = conf > EPISTEMIC_THRESHOLD
+    epistemic = _count(above)
     bands = []
     for label, lo, hi in ERROR_BANDS:
-        if lo == 0.0:
-            count = sum(1 for c, _ in wrong if c <= hi)
-        else:
-            count = sum(1 for c, _ in wrong if lo < c <= hi)
+        count = _count(conf <= hi if lo == 0.0 else (lo < conf) & (conf <= hi))
         fraction = count / total_wrong if total_wrong else 0.0
         bands.append(ErrorBand(label=label, count=count, fraction=fraction))
-    with_emit = sum(1 for c, e in wrong if c > EPISTEMIC_THRESHOLD and e)
+    with_emit = _count(above & marked)
     return ErrorTaxonomy(
         total_wrong=total_wrong,
         epistemic=epistemic,
         aleatoric=total_wrong - epistemic,
-        strict_epistemic=strict,
+        strict_epistemic=_count(conf > STRICT_THRESHOLD),
         bands=tuple(bands),
         epistemic_with_emit=with_emit,
         epistemic_without_emit=epistemic - with_emit,

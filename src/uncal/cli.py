@@ -478,8 +478,8 @@ def _cmd_probe_eval(args) -> int:
 def _cmd_rag(args) -> int:
     records = _accepted(args.input, jsonio.load_rag_traces(args.input))
     policy = ragctl.parse_policy_spec(args.policy)
-    fires = ragctl.decide_all(policy, records)
     scored = ragctl.score_traces(records, args.f1_threshold)
+    fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
     _emit(args, {

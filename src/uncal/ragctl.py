@@ -7,16 +7,18 @@ then scores the resulting final answers and the trigger decisions against the
 pre-retrieval failures.
 
 Scoring and deciding are separate passes, and there is no one-call run that
-hides them. `score_traces` matches both answers of every trace once;
-`decide_all` turns a policy into one boolean per record. A `TriggerReport` is
-then a count over those two passes (`trigger_report`,
+hides them. `score_traces` matches both answers of every trace once (against
+one `rewards.GoldSet`) and reads the batch into numpy columns: per answer its
+verdict, rule and F1, and one float column per controller signal. `decide`
+compares one signal column with a threshold, giving one bool per record. A
+`TriggerReport` counts masks over those columns (`trigger_report`,
 `trigger_reports_by_dataset`), so one scoring serves the overall report,
-every dataset and every point of a threshold sweep. Both answers of a trace
-are matched against its gold answers as one `rewards.GoldSet`, prepared once.
+every dataset and every point of a threshold sweep.
 
 Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
 token probability below T, after FLARE) and external (a recorded trigger).
+A record lacking the signal of the policy fails the batch.
 
 Every thresholded policy is `ControllerPolicy(kind, threshold)`. Boundary
 semantics: confidence triggering is strict (confidence < T), so T = 0
@@ -26,8 +28,11 @@ reproduces Never and T just above the highest confidence reproduces Always.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyBatch, MissingSignal
 from .rewards import DEFAULT_F1_THRESHOLD, GoldSet, MatchResult, MatchRule, match_answer
@@ -71,12 +76,20 @@ class PolicyKind(enum.Enum):
     EXTERNAL = "external"
 
 
-# the kinds that trigger on a score compared with a threshold
-_THRESHOLDED = frozenset({
-    PolicyKind.CONFIDENCE_THRESHOLD,
-    PolicyKind.EMISSION_PLUS_PROBE,
-    PolicyKind.TOKEN_PROB_WINDOW,
-})
+# each signalled kind: the name of its signal, whether it fires strictly
+# below the threshold (else at or above it), its fixed threshold (None: the
+# policy's own) and the signal of a trace (None where the trace lacks it)
+_SIGNALS = {
+    PolicyKind.CONFIDENCE_THRESHOLD: ("confidence", True, None, lambda r: r.noret_confidence),
+    PolicyKind.EMISSION_ONLY: ("emission count", False, 1.0, lambda r: r.noret_emissions),
+    # a trace without an emission reads -inf: it never fires, needs no probe score
+    PolicyKind.EMISSION_PLUS_PROBE: ("probe score", False, None, lambda r: (
+        r.noret_probe_score if r.noret_emissions >= 1 else -math.inf)),
+    # some token probability below T is the lowest one below T; none reads +inf
+    PolicyKind.TOKEN_PROB_WINDOW: ("token probabilities", True, None, lambda r: (
+        None if r.noret_token_probs is None else min(r.noret_token_probs, default=math.inf))),
+    PolicyKind.EXTERNAL: ("external trigger column", False, 1.0, lambda r: r.external_trigger),
+}
 
 
 @dataclass(frozen=True)
@@ -87,43 +100,13 @@ class ControllerPolicy:
     threshold: float | None = None
 
     def __post_init__(self):
-        thresholded = self.kind in _THRESHOLDED
+        thresholded = self.kind in _SIGNALS and _SIGNALS[self.kind][2] is None
         if (self.threshold is None) == thresholded:
             raise ValueError(
                 f"policy {self.kind.value!r} {'needs a' if thresholded else 'takes no'} threshold"
             )
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0,1]")
-
-
-def decide(policy: ControllerPolicy, record: RagTraceRecord) -> bool:
-    """Does this policy trigger retrieval for this record?"""
-    kind = policy.kind
-    if kind is PolicyKind.ALWAYS:
-        return True
-    if kind is PolicyKind.NEVER:
-        return False
-    if kind is PolicyKind.CONFIDENCE_THRESHOLD:
-        if record.noret_confidence is None:
-            raise MissingSignal(f"record {record.qid!r} has no confidence")
-        return record.noret_confidence < policy.threshold
-    if kind is PolicyKind.EMISSION_ONLY:
-        return record.noret_emissions >= 1
-    if kind is PolicyKind.EMISSION_PLUS_PROBE:
-        if record.noret_emissions < 1:
-            return False
-        if record.noret_probe_score is None:
-            raise MissingSignal(f"record {record.qid!r} has no probe score")
-        return record.noret_probe_score >= policy.threshold
-    if kind is PolicyKind.TOKEN_PROB_WINDOW:
-        if record.noret_token_probs is None:
-            raise MissingSignal(f"record {record.qid!r} has no token probabilities")
-        return any(p < policy.threshold for p in record.noret_token_probs)
-    if kind is PolicyKind.EXTERNAL:
-        if record.external_trigger is None:
-            raise MissingSignal(f"record {record.qid!r} has no external trigger column")
-        return record.external_trigger
-    raise ValueError(f"unhandled policy kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -151,71 +134,93 @@ class TriggerReport:
     wrong_within_triggered: float | None
 
 
-@dataclass(frozen=True)
-class ScoredTraces:
-    """Both answers of every trace matched once, in record order."""
+@dataclass(frozen=True, eq=False)
+class MatchColumns:
+    """One answer of every trace as matched: verdict (bool), deciding rule
+    (`MatchRule` objects) and token F1 (float64), in record order."""
 
-    noret: tuple[MatchResult, ...]
-    ret: tuple[MatchResult, ...]
-    dataset: tuple[str, ...]
+    correct: np.ndarray
+    rule: np.ndarray
+    f1: np.ndarray
+
+    @classmethod
+    def of(cls, matches: Sequence[MatchResult]) -> MatchColumns:
+        return cls(np.array([m.correct for m in matches], dtype=bool),
+                   np.array([m.rule for m in matches], dtype=object),
+                   np.array([m.f1 for m in matches], dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredTraces:
+    """Both answers of every trace matched once, and one float64 column per
+    signalled kind (NaN where a trace lacks the signal), in record order."""
+
+    qid: np.ndarray
+    dataset: np.ndarray
+    noret: MatchColumns
+    ret: MatchColumns
+    signals: dict[PolicyKind, np.ndarray]
 
 
 def score_traces(
     records: Sequence[RagTraceRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> ScoredTraces:
     """Match each trace's no-retrieval and with-retrieval answers once against
-    its gold set, all built first; an unchanged answer reuses the no-retrieval match."""
+    its gold set, all built first (an unchanged answer reuses the no-retrieval
+    match), and read each controller signal into its column."""
     records = list(records)
     golds = [GoldSet(r.gold_answers) for r in records]
-    noret = tuple(match_answer(r.noret_answer, g, f1_threshold)
-                  for r, g in zip(records, golds))
+    noret = [match_answer(r.noret_answer, g, f1_threshold) for r, g in zip(records, golds)]
+    ret = [m if r.ret_answer == r.noret_answer else match_answer(r.ret_answer, g, f1_threshold)
+           for r, g, m in zip(records, golds, noret)]
     return ScoredTraces(
-        noret=noret,
-        ret=tuple(m if r.ret_answer == r.noret_answer
-                  else match_answer(r.ret_answer, g, f1_threshold)
-                  for r, g, m in zip(records, golds, noret)),
-        dataset=tuple(r.dataset for r in records),
+        qid=np.array([r.qid for r in records], dtype=object),
+        dataset=np.array([r.dataset for r in records], dtype=object),
+        noret=MatchColumns.of(noret),
+        ret=MatchColumns.of(ret),
+        signals={kind: np.array([signal(r) for r in records], dtype=float)
+                 for kind, (_, _, _, signal) in _SIGNALS.items()},
     )
 
 
-def decide_all(policy: ControllerPolicy, records: Sequence[RagTraceRecord]) -> list[bool]:
-    """The policy's retrieval decision for every record, in record order."""
-    return [decide(policy, r) for r in records]
+def decide(policy: ControllerPolicy, scored: ScoredTraces) -> np.ndarray:
+    """The policy's retrieval decision for every scored record, as one bool
+    column: the kind's signal column compared with its threshold. A record
+    lacking that signal fails the batch, naming the first such record."""
+    if policy.kind not in _SIGNALS:  # always, never
+        return np.full(len(scored.qid), policy.kind is PolicyKind.ALWAYS)
+    name, below, fixed, _ = _SIGNALS[policy.kind]
+    signal = scored.signals[policy.kind]
+    missing = np.isnan(signal)
+    if missing.any():
+        raise MissingSignal(f"record {scored.qid[np.argmax(missing)]!r} has no {name}")
+    threshold = policy.threshold if fixed is None else fixed
+    return signal < threshold if below else signal >= threshold
 
 
-def _tally(
-    scored: ScoredTraces, fires: Sequence[bool], members: Sequence[int]
-) -> TriggerReport:
-    """Report over the records `members` (indices in record order)."""
-    if len(fires) != len(scored.noret):
+def _count(mask) -> int:
+    return int(np.count_nonzero(mask))
+
+
+def _tally(scored: ScoredTraces, fires, members) -> TriggerReport:
+    """Report over the records `members` selects (a slice or a mask)."""
+    fires = np.asarray(fires, dtype=bool)
+    if len(fires) != len(scored.qid):
         raise ValueError("need exactly one decision per scored record")
-    n = len(members)
+    fire = fires[members]
+    n = len(fire)
     if not n:
         raise EmptyBatch("no trace records")
-    triggered = 0
-    noret_wrong = 0
-    triggered_and_wrong = 0
-    final_wrong_in_triggered = 0
-    untouched_correct = 0
-    em_sum = 0
+    noret, ret = scored.noret, scored.ret
+    noret_ok, ret_ok = noret.correct[members], ret.correct[members]
+    final_ok = np.where(fire, ret_ok, noret_ok)
+    final_rule = np.where(fire, ret.rule[members], noret.rule[members])
     f1_sum = 0.0
-    for i in members:
-        fire = fires[i]
-        noret_match = scored.noret[i]
-        final_match = scored.ret[i] if fire else noret_match
-        em_sum += 1 if (final_match.correct and final_match.rule is MatchRule.EXACT_MATCH) else 0
-        f1_sum += final_match.f1
-        if fire:
-            triggered += 1
-            if not final_match.correct:
-                final_wrong_in_triggered += 1
-        else:
-            if noret_match.correct:
-                untouched_correct += 1
-        if not noret_match.correct:
-            noret_wrong += 1
-            if fire:
-                triggered_and_wrong += 1
+    for f1 in np.where(fire, ret.f1[members], noret.f1[members]).tolist():
+        f1_sum += f1  # left to right in record order, not pairwise
+    triggered = _count(fire)
+    noret_wrong = _count(~noret_ok)
+    triggered_and_wrong = _count(fire & ~noret_ok)
     untouched = n - triggered
     return TriggerReport(
         n=n,
@@ -223,28 +228,24 @@ def _tally(
         noret_wrong=noret_wrong,
         triggered_and_wrong=triggered_and_wrong,
         trigger_rate=triggered / n,
-        final_em=em_sum / n,
+        final_em=_count(final_ok & (final_rule == MatchRule.EXACT_MATCH)) / n,
         final_f1=f1_sum / n,
         trigger_precision=triggered_and_wrong / triggered if triggered else None,
         trigger_recall=triggered_and_wrong / noret_wrong if noret_wrong else None,
-        untouched_accuracy=untouched_correct / untouched if untouched else None,
-        wrong_within_triggered=final_wrong_in_triggered / triggered if triggered else None,
+        untouched_accuracy=_count(~fire & noret_ok) / untouched if untouched else None,
+        wrong_within_triggered=_count(fire & ~ret_ok) / triggered if triggered else None,
     )
 
 
-def trigger_report(scored: ScoredTraces, fires: Sequence[bool]) -> TriggerReport:
+def trigger_report(scored: ScoredTraces, fires) -> TriggerReport:
     """Accounting of one set of decisions over the whole scored batch."""
-    return _tally(scored, fires, range(len(fires)))
+    return _tally(scored, fires, slice(None))
 
 
-def trigger_reports_by_dataset(
-    scored: ScoredTraces, fires: Sequence[bool]
-) -> dict[str, TriggerReport]:
+def trigger_reports_by_dataset(scored: ScoredTraces, fires) -> dict[str, TriggerReport]:
     """Per-dataset reports (sorted by dataset name), for table-shaped output."""
-    members: dict[str, list[int]] = {}
-    for i, name in enumerate(scored.dataset):
-        members.setdefault(name, []).append(i)
-    return {name: _tally(scored, fires, members[name]) for name in sorted(members)}
+    names, code = np.unique(scored.dataset, return_inverse=True)
+    return {name: _tally(scored, fires, code == k) for k, name in enumerate(names)}
 
 
 def sweep_threshold(
@@ -258,9 +259,8 @@ def sweep_threshold(
     policies = [ControllerPolicy(kind, value) for value in grid]
     if not policies:
         raise ValueError("grid must be non-empty")
-    records = list(records)
     scored = score_traces(records, f1_threshold)
-    return [(policy.threshold, trigger_report(scored, decide_all(policy, records)))
+    return [(policy.threshold, trigger_report(scored, decide(policy, scored)))
             for policy in policies]
 
 

@@ -4,7 +4,8 @@ Confidences are clamped away from {0, 1} before the logit transform so that
 grid-valued traces (0.05, 0.9, ...) and the occasional hard 0/1 survive the
 mapping. Both fitters are deterministic: global scaling uses golden-section
 search over log-temperature, adaptive scaling uses the shared Newton-CG
-minimizer (`optim`) from a fixed initialization.
+minimizer (`optim`) from a fixed initialization. Both fit the records of one
+`rewards.ScoredBatch` whose confidence column is not NaN.
 
 Global scaling does not go through `optim`: fitting one temperature there
 means the ATS form without features, whose softplus keeps the temperature
@@ -63,18 +64,17 @@ def _softplus_inv(y: float) -> float:
 
 
 def _fit_rows(batch: ScoredBatch):
-    """(logits, outcomes) arrays of the records usable in a temperature fit."""
-    rows = batch.usable()
-    if len(rows) < 2:
+    """(logits, outcomes) arrays of the records usable in a temperature fit:
+    those whose confidence is not NaN."""
+    usable = ~np.isnan(batch.confidence)
+    conf, correct = batch.confidence[usable], batch.correct[usable]
+    if len(conf) < 2:
         raise DegenerateFit("need at least two records with parseable confidence")
-    if len({ok for _, ok in rows}) < 2:
+    if correct.all() or not correct.any():
         raise DegenerateFit("both outcome classes must be present")
-    if all(c in (0.0, 1.0) for c, _ in rows):
+    if ((conf == 0.0) | (conf == 1.0)).all():
         raise DegenerateFit("all confidences sit at 0 or 1; no usable spread")
-    return (
-        np.array([_logit(c) for c, _ in rows]),
-        np.array([1.0 if ok else 0.0 for _, ok in rows]),
-    )
+    return np.array([_logit(c) for c in conf.tolist()]), correct.astype(float)
 
 
 def _bernoulli_nll(probs: np.ndarray, outcomes: np.ndarray) -> float:
@@ -201,9 +201,8 @@ def _ats_design(records, batch: ScoredBatch):
     """(features, logits, outcomes) of the records usable in the fit; the
     batch is `score_predictions(records)`."""
     logits, outcomes = _fit_rows(batch)
-    features = [
-        _ats_row(r, c) for r, c in zip(records, batch.confidence) if c is not None
-    ]
+    features = [_ats_row(r, c) for r, c in zip(records, batch.confidence.tolist())
+                if not math.isnan(c)]
     return np.array(features), logits, outcomes
 
 

@@ -4,10 +4,11 @@ Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
 agreement, then a token-F1 fallback against the best of a record's gold
 answers, prepared once per record (`GoldSet`). `score_predictions` turns a
-batch into one verdict per record (confidence, correctness, marker flag), so
-each record is matched at most once however many metrics read the batch. No
-command computes a training reward from a record: the one reward the toolkit
-models, the signed verbal confidence, is applied to trajectories by `trajspace`.
+batch into three numpy columns (confidence, NaN where none parses;
+correctness; marker flag), so each record is matched at most once however
+many metrics read the batch. No command computes a training reward from a
+record: the one reward the toolkit models, the signed verbal confidence, is
+applied to trajectories by `trajspace`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import string
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 UNCERTAIN_MARKER = "<uncertain>"
 
@@ -336,25 +339,21 @@ def record_confidence(record: PredictionRecord) -> float | None:
     return extract_confidence(record.response_text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredBatch:
-    """One verdict per record of a batch, in record order.
+    """One verdict per record of a batch, as columns in record order.
 
-    `confidence` is None where no confidence parses; `marked` says whether
-    the response text contains the uncertainty marker (what a rescan with
-    `scan_emissions` would find).
+    `confidence` (float64) is NaN where no confidence parses; `correct` and
+    `marked` are bool, and `marked` says whether the response text contains
+    the uncertainty marker (what a rescan with `scan_emissions` would find).
     """
 
-    confidence: tuple[float | None, ...]
-    correct: tuple[bool, ...]
-    marked: tuple[bool, ...]
+    confidence: np.ndarray
+    correct: np.ndarray
+    marked: np.ndarray
 
     def __len__(self) -> int:
         return len(self.correct)
-
-    def usable(self) -> list[tuple[float, bool]]:
-        """(confidence, correct) for the records with a confidence."""
-        return [(c, ok) for c, ok in zip(self.confidence, self.correct) if c is not None]
 
 
 def score_predictions(
@@ -364,9 +363,9 @@ def score_predictions(
     verdict (`record_correct`) per record."""
     records = list(records)
     return ScoredBatch(
-        confidence=tuple(record_confidence(r) for r in records),
-        correct=tuple(record_correct(r, f1_threshold) for r in records),
-        marked=tuple(UNCERTAIN_MARKER in r.response_text for r in records),
+        confidence=np.array([record_confidence(r) for r in records], dtype=float),
+        correct=np.array([record_correct(r, f1_threshold) for r in records], dtype=bool),
+        marked=np.array([UNCERTAIN_MARKER in r.response_text for r in records], dtype=bool),
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uncal import ragctl
+from uncal.errors import UncalError
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import PredictionRecord, scan_emissions
 
@@ -74,7 +75,8 @@ def random_rag_batch(rng: np.random.Generator, n: int):
 def run_policy(policy, traces):
     """One policy's trigger report over `traces`: one scoring pass, one
     decision pass, as `uncal rag` runs it."""
-    return ragctl.trigger_report(ragctl.score_traces(traces), ragctl.decide_all(policy, traces))
+    scored = ragctl.score_traces(traces)
+    return ragctl.trigger_report(scored, ragctl.decide(policy, scored))
 
 
 def planted_stack(
@@ -119,6 +121,15 @@ def planted_stack(
                 mat[lo:hi, 0] += separation
             stacks[layer][qid] = mat
     return records, stacks
+
+
+def outcome(run):
+    """What `run()` returns, or the type and message of the `UncalError` it
+    raises."""
+    try:
+        return run()
+    except UncalError as exc:
+        return type(exc), str(exc)
 
 
 def count_calls(monkeypatch, module, name) -> list:

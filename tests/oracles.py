@@ -3,8 +3,8 @@
 These deliberately avoid the library's code paths (no shared helpers, no
 cumulative-sum tricks): plain loops and recounts, so that agreement with the
 package is evidence rather than tautology. The last section keeps former
-implementations that faster ones replaced, which the new ones must match
-exactly.
+implementations that faster or simpler ones replaced, which the new ones
+must match exactly.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def oracle_tune_threshold(scores, labels):
 
 
 # ---------------------------------------------------------------------------
-# Former implementations, kept as references for the faster ones that
-# replaced them: each must give the same result, bit for bit.
+# Former implementations, kept as references for the ones that replaced
+# them: each must give the same result, bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -278,3 +278,207 @@ def oracle_match_answer(pred, golds, f1_threshold=0.3):
                 return MatchResult(True, MatchRule.DATE, 1.0)
     best_f1 = max(token_f1(pred, g) for g in golds)
     return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)
+
+
+def oracle_decide(policy, record) -> bool:
+    """`ragctl.decide` as it was when it decided one record at a time."""
+    from uncal.errors import MissingSignal
+    from uncal.ragctl import PolicyKind
+
+    kind = policy.kind
+    if kind is PolicyKind.ALWAYS:
+        return True
+    if kind is PolicyKind.NEVER:
+        return False
+    if kind is PolicyKind.CONFIDENCE_THRESHOLD:
+        if record.noret_confidence is None:
+            raise MissingSignal(f"record {record.qid!r} has no confidence")
+        return record.noret_confidence < policy.threshold
+    if kind is PolicyKind.EMISSION_ONLY:
+        return record.noret_emissions >= 1
+    if kind is PolicyKind.EMISSION_PLUS_PROBE:
+        if record.noret_emissions < 1:
+            return False
+        if record.noret_probe_score is None:
+            raise MissingSignal(f"record {record.qid!r} has no probe score")
+        return record.noret_probe_score >= policy.threshold
+    if kind is PolicyKind.TOKEN_PROB_WINDOW:
+        if record.noret_token_probs is None:
+            raise MissingSignal(f"record {record.qid!r} has no token probabilities")
+        return any(p < policy.threshold for p in record.noret_token_probs)
+    if kind is PolicyKind.EXTERNAL:
+        if record.external_trigger is None:
+            raise MissingSignal(f"record {record.qid!r} has no external trigger column")
+        return record.external_trigger
+    raise ValueError(f"unhandled policy kind {kind}")
+
+
+def oracle_trigger_reports(records, policy, f1_threshold=0.3):
+    """(overall report, per-dataset reports) of `policy` over `records` as
+    `uncal rag` built them when each record was decided by `oracle_decide`,
+    each answer matched into a `MatchResult` and the reports tallied by a
+    per-record loop over the members of each dataset."""
+    from uncal.errors import EmptyBatch
+    from uncal.ragctl import TriggerReport
+    from uncal.rewards import GoldSet, MatchRule, match_answer
+
+    fires = [oracle_decide(policy, r) for r in records]
+    noret = [match_answer(r.noret_answer, GoldSet(r.gold_answers), f1_threshold)
+             for r in records]
+    ret = [match_answer(r.ret_answer, GoldSet(r.gold_answers), f1_threshold)
+           for r in records]
+
+    def tally(members):
+        n = len(members)
+        if not n:
+            raise EmptyBatch("no trace records")
+        triggered = 0
+        noret_wrong = 0
+        triggered_and_wrong = 0
+        final_wrong_in_triggered = 0
+        untouched_correct = 0
+        em_sum = 0
+        f1_sum = 0.0
+        for i in members:
+            fire = fires[i]
+            noret_match = noret[i]
+            final_match = ret[i] if fire else noret_match
+            em_sum += 1 if (final_match.correct
+                            and final_match.rule is MatchRule.EXACT_MATCH) else 0
+            f1_sum += final_match.f1
+            if fire:
+                triggered += 1
+                if not final_match.correct:
+                    final_wrong_in_triggered += 1
+            else:
+                if noret_match.correct:
+                    untouched_correct += 1
+            if not noret_match.correct:
+                noret_wrong += 1
+                if fire:
+                    triggered_and_wrong += 1
+        untouched = n - triggered
+        return TriggerReport(
+            n=n,
+            triggered=triggered,
+            noret_wrong=noret_wrong,
+            triggered_and_wrong=triggered_and_wrong,
+            trigger_rate=triggered / n,
+            final_em=em_sum / n,
+            final_f1=f1_sum / n,
+            trigger_precision=triggered_and_wrong / triggered if triggered else None,
+            trigger_recall=triggered_and_wrong / noret_wrong if noret_wrong else None,
+            untouched_accuracy=untouched_correct / untouched if untouched else None,
+            wrong_within_triggered=(final_wrong_in_triggered / triggered
+                                    if triggered else None),
+        )
+
+    overall = tally(range(len(records)))
+    members: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        members.setdefault(r.dataset, []).append(i)
+    return overall, {name: tally(members[name]) for name in sorted(members)}
+
+
+def oracle_calibration_report(confidence, correct, num_bins, nll_epsilon):
+    """`calib.calibration_report` as it was over per-record tuples
+    (`confidence` None where none parsed), with list-filled bins."""
+    from uncal.calib import CalibBin, CalibrationReport
+    from uncal.errors import EmptyBatch
+    from uncal.probe import ranked
+
+    n = len(correct)
+    if not n:
+        raise EmptyBatch("no records")
+    rows = [(c, ok) for c, ok in zip(confidence, correct) if c is not None]
+    if not rows:
+        raise EmptyBatch("no records with parseable confidence")
+
+    def fill_bins():
+        bins = [[] for _ in range(num_bins)]
+        for conf, ok in rows:
+            idx = min(int(conf * num_bins), num_bins - 1)
+            bins[idx].append((conf, ok))
+        return bins
+
+    calib_bins = []
+    for i, members in enumerate(fill_bins()):
+        if members:
+            mean_conf = math.fsum(c for c, _ in members) / len(members)
+            acc = sum(1 for _, y in members if y) / len(members)
+        else:
+            mean_conf = 0.0
+            acc = 0.0
+        calib_bins.append(CalibBin(lo=i / num_bins, hi=(i + 1) / num_bins,
+                                   count=len(members), mean_conf=mean_conf, accuracy=acc))
+
+    nll = 0.0
+    for conf, ok in rows:
+        p = conf if ok else 1.0 - conf
+        nll += -math.log(min(max(p, nll_epsilon), 1.0 - nll_epsilon))
+
+    _, count, hits = ranked([c for c, _ in rows], [ok for _, ok in rows])
+    seen = count[::-1].cumsum()
+    coverage = (seen / len(rows)).tolist()
+    accuracy_at = (hits[::-1].cumsum() / seen).tolist()
+    if len(coverage) == 1:
+        ausc = accuracy_at[0]
+    else:
+        area = 0.0
+        for c0, c1, a0, a1 in zip(coverage, coverage[1:], accuracy_at, accuracy_at[1:]):
+            area += (c1 - c0) * (a0 + a1) / 2.0
+        ausc = area / (coverage[-1] - coverage[0])
+
+    accuracy = sum(1 for ok in correct if ok) / n
+    mean_conf = math.fsum(c for c, _ in rows) / len(rows)
+    return CalibrationReport(
+        n=n,
+        accuracy=accuracy,
+        mean_confidence=mean_conf,
+        overconfidence_gap=mean_conf - accuracy,
+        ece=sum((b.count / len(rows)) * abs(b.accuracy - b.mean_conf) for b in calib_bins),
+        brier=math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in rows) / len(rows),
+        nll=nll / len(rows),
+        parse_rate=len(rows) / n,
+        ausc=ausc,
+        bins=tuple(calib_bins),
+    )
+
+
+def oracle_error_taxonomy(confidence, correct, marked):
+    """`calib.error_taxonomy` as it was over per-record tuples, counting
+    each class with its own pass over the wrong answers."""
+    from uncal.calib import (
+        EPISTEMIC_THRESHOLD,
+        ERROR_BANDS,
+        STRICT_THRESHOLD,
+        ErrorBand,
+        ErrorTaxonomy,
+    )
+    from uncal.errors import EmptyBatch
+
+    if not len(correct):
+        raise EmptyBatch("no records")
+    wrong = [(c, m) for c, ok, m in zip(confidence, correct, marked)
+             if c is not None and not ok]
+    total_wrong = len(wrong)
+    epistemic = sum(1 for c, _ in wrong if c > EPISTEMIC_THRESHOLD)
+    strict = sum(1 for c, _ in wrong if c > STRICT_THRESHOLD)
+    bands = []
+    for label, lo, hi in ERROR_BANDS:
+        if lo == 0.0:
+            count = sum(1 for c, _ in wrong if c <= hi)
+        else:
+            count = sum(1 for c, _ in wrong if lo < c <= hi)
+        fraction = count / total_wrong if total_wrong else 0.0
+        bands.append(ErrorBand(label=label, count=count, fraction=fraction))
+    with_emit = sum(1 for c, e in wrong if c > EPISTEMIC_THRESHOLD and e)
+    return ErrorTaxonomy(
+        total_wrong=total_wrong,
+        epistemic=epistemic,
+        aleatoric=total_wrong - epistemic,
+        strict_epistemic=strict,
+        bands=tuple(bands),
+        epistemic_with_emit=with_emit,
+        epistemic_without_emit=epistemic - with_emit,
+    )

@@ -162,7 +162,7 @@ def test_metric_oracle_equivalence():
         traces = random_rag_batch(rng, int(rng.integers(2, 25)))
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0.0, 1.0)))
         report = run_policy(policy, traces)
-        decisions = [ragctl.decide(policy, r) for r in traces]
+        decisions = ragctl.decide(policy, ragctl.score_traces(traces)).tolist()
         noret_ok = [match_answer(r.noret_answer, GoldSet(r.gold_answers)).correct for r in traces]
         final_ok = [
             match_answer(r.ret_answer if d else r.noret_answer, GoldSet(r.gold_answers)).correct

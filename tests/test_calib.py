@@ -2,13 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncal import calib
 from uncal.errors import EmptyBatch
-from uncal.rewards import PredictionRecord, score_predictions
+from uncal.rewards import PredictionRecord, ScoredBatch, score_predictions
 
-from conftest import count_calls, make_record, random_batch
-from oracles import oracle_ausc, oracle_brier, oracle_ece, oracle_nll
+from conftest import count_calls, make_record, outcome, random_batch
+from oracles import (
+    oracle_ausc,
+    oracle_brier,
+    oracle_calibration_report,
+    oracle_ece,
+    oracle_error_taxonomy,
+    oracle_nll,
+)
 
 
 def metrics(records, num_bins=10, epsilon=1e-6):
@@ -216,3 +225,34 @@ class TestScoredBatch:
             calib.calibration_report(
                 score_predictions([make_record("q", 0.5, True)]), num_bins=0
             )
+
+
+@st.composite
+def _bins_and_rows(draw):
+    """A bin count in [1, 50] and (confidence, correct, marked) rows whose
+    confidences are missing, at the taxonomy's edges, on the bin edges
+    k/bins, or anywhere in [0,1]."""
+    bins = draw(st.integers(1, 50))
+    confidence = (st.none() | st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+                  | st.integers(0, bins).map(lambda k: k / bins) | st.floats(0.0, 1.0))
+    return bins, draw(st.lists(st.tuples(confidence, st.booleans(), st.booleans()),
+                               max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bins_and_rows(), st.sampled_from([1e-6, 0.1, 0.49]))
+def test_reports_equal_the_former_list_implementations(bins_and_rows, epsilon):
+    bins, rows = bins_and_rows
+    confidence = [c for c, _, _ in rows]
+    correct = [ok for _, ok, _ in rows]
+    marked = [m for _, _, m in rows]
+    batch = ScoredBatch(np.array(confidence, dtype=float), np.array(correct, dtype=bool),
+                        np.array(marked, dtype=bool))
+    for got, want in (
+        (outcome(lambda: calib.calibration_report(batch, bins, epsilon)),
+         outcome(lambda: oracle_calibration_report(confidence, correct, bins, epsilon))),
+        (outcome(lambda: calib.error_taxonomy(batch)),
+         outcome(lambda: oracle_error_taxonomy(confidence, correct, marked))),
+    ):
+        # repr also tells a numpy scalar from the Python number the loop gave
+        assert got == want and repr(got) == repr(want)

@@ -1197,7 +1197,7 @@ def test_rag_cli_equals_api(records, policy):
         got = json.loads(out.read_text())
         loaded = load_rag_traces(path).records
     scored = ragctl.score_traces(loaded)
-    fires = ragctl.decide_all(ragctl.parse_policy_spec(policy), loaded)
+    fires = ragctl.decide(ragctl.parse_policy_spec(policy), scored)
     assert got["overall"] == _as_json(asdict(ragctl.trigger_report(scored, fires)))
     assert got["per_dataset"] == _as_json(
         {name: asdict(r) for name, r in ragctl.trigger_reports_by_dataset(scored, fires).items()}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,8 @@ from uncal import jsonio, ragctl
 from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
-from conftest import count_calls, random_rag_batch, run_policy
-from oracles import oracle_match_answer, oracle_trigger_counts
+from conftest import count_calls, outcome, random_rag_batch, run_policy
+from oracles import oracle_match_answer, oracle_trigger_counts, oracle_trigger_reports
 
 # answers with repeated tokens, articles, punctuation, yes/no words and dates
 _ANSWERS = st.lists(st.sampled_from([
@@ -40,49 +42,56 @@ HAND_FIXTURE = [
 ]
 
 
+def decided(policy, *records):
+    """The policy's decisions over `records` as a list of bools."""
+    return ragctl.decide(policy, ragctl.score_traces(records)).tolist()
+
+
 class TestDecide:
     def test_never_and_always(self):
         record = HAND_FIXTURE[0]
-        assert ragctl.decide(ControllerPolicy(PolicyKind.NEVER), record) is False
-        assert ragctl.decide(ControllerPolicy(PolicyKind.ALWAYS), record) is True
+        assert decided(ControllerPolicy(PolicyKind.NEVER), record) == [False]
+        assert decided(ControllerPolicy(PolicyKind.ALWAYS), record) == [True]
 
     def test_confidence_threshold_is_strict(self):
         record = trace("r", True, True, conf=0.5)
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5)
-        assert ragctl.decide(policy, record) is False
-        assert ragctl.decide(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.51), record) is True
+        assert decided(policy, record) == [False]
+        assert decided(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.51), record) == [True]
 
     def test_flare_threshold(self):
         record = trace("r", True, True, token_probs=(0.4, 0.6, 0.9))
-        assert ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record) is False
+        assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record) == [False]
         low = trace("r", True, True, token_probs=(0.39, 0.6))
-        assert ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), low) is True
+        assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), low) == [True]
 
     def test_emission_only(self):
-        assert ragctl.decide(ControllerPolicy(PolicyKind.EMISSION_ONLY), trace("r", True, True, emissions=1))
-        assert not ragctl.decide(ControllerPolicy(PolicyKind.EMISSION_ONLY), trace("r", True, True))
+        policy = ControllerPolicy(PolicyKind.EMISSION_ONLY)
+        assert decided(policy, trace("r", True, True, emissions=1)) == [True]
+        assert decided(policy, trace("r", True, True)) == [False]
 
     def test_emission_plus_probe(self):
         policy = ControllerPolicy(PolicyKind.EMISSION_PLUS_PROBE, 0.6)
-        assert ragctl.decide(policy, trace("r", True, True, emissions=1, probe_score=0.7))
-        assert not ragctl.decide(policy, trace("r", True, True, emissions=1, probe_score=0.5))
+        assert decided(policy, trace("r", True, True, emissions=1, probe_score=0.7)) == [True]
+        assert decided(policy, trace("r", True, True, emissions=1, probe_score=0.5)) == [False]
         # no emission short-circuits without needing the probe score
-        assert not ragctl.decide(policy, trace("r", True, True, emissions=0))
+        assert decided(policy, trace("r", True, True, emissions=0)) == [False]
 
     def test_missing_signals(self):
         record = RagTraceRecord(
             qid="r", gold_answers=("a",), noret_answer="a", ret_answer="a"
         )
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), record)
+            decided(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), record)
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record)
+            decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record)
         with pytest.raises(MissingSignal):
-            ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), record)
+            decided(ControllerPolicy(PolicyKind.EXTERNAL), record)
 
     def test_external_column(self):
-        assert ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), trace("r", True, True, external=True))
-        assert not ragctl.decide(ControllerPolicy(PolicyKind.EXTERNAL), trace("r", True, True, external=False))
+        policy = ControllerPolicy(PolicyKind.EXTERNAL)
+        assert decided(policy, trace("r", True, True, external=True)) == [True]
+        assert decided(policy, trace("r", True, True, external=False)) == [False]
 
 
 class TestSimulate:
@@ -134,7 +143,7 @@ class TestSimulate:
             tau = float(rng.uniform(0.0, 1.0))
             policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, tau)
             report = run_policy(policy, records)
-            decisions = [ragctl.decide(policy, r) for r in records]
+            decisions = decided(policy, *records)
             noret_ok = [r.noret_answer == "alpha" for r in records]
             final_ok = [
                 (r.ret_answer if d else r.noret_answer) == "alpha"
@@ -226,9 +235,8 @@ class TestPolicySpec:
 def test_per_dataset_reports(rng):
     records = random_rag_batch(rng, 40)
     policy = ControllerPolicy(PolicyKind.ALWAYS)
-    by_dataset = ragctl.trigger_reports_by_dataset(
-        ragctl.score_traces(records), ragctl.decide_all(policy, records)
-    )
+    scored = ragctl.score_traces(records)
+    by_dataset = ragctl.trigger_reports_by_dataset(scored, ragctl.decide(policy, scored))
     assert set(by_dataset) == {r.dataset for r in records}
     assert sum(r.n for r in by_dataset.values()) == 40
 
@@ -245,11 +253,13 @@ class TestScoredTraces:
     @staticmethod
     def assert_oracle_scores(records, f1_threshold):
         scored = ragctl.score_traces(records, f1_threshold)
-        for r, noret, ret in zip(records, scored.noret, scored.ret, strict=True):
-            for answer, got in ((r.noret_answer, noret), (r.ret_answer, ret)):
+        for columns, answers in ((scored.noret, [r.noret_answer for r in records]),
+                                 (scored.ret, [r.ret_answer for r in records])):
+            got = zip(columns.correct.tolist(), columns.rule.tolist(), columns.f1.tolist(),
+                      strict=True)
+            for (correct, rule, f1), answer, r in zip(got, answers, records, strict=True):
                 want = oracle_match_answer(answer, r.gold_answers, f1_threshold)
-                assert (got.correct, got.rule, repr(got.f1)) == (
-                    want.correct, want.rule, repr(want.f1))
+                assert (correct, rule, repr(f1)) == (want.correct, want.rule, repr(want.f1))
 
     def test_fixture_scores_equal_per_answer_oracle_matching(self):
         records = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
@@ -270,11 +280,11 @@ class TestScoredTraces:
     def test_reports_are_counts_over_one_scoring(self, rng):
         records = random_rag_batch(rng, 50)
         scored = ragctl.score_traces(records)
-        assert [m.correct for m in scored.noret] == [r.noret_answer == "alpha" for r in records]
-        assert [m.correct for m in scored.ret] == [r.ret_answer == "alpha" for r in records]
+        assert scored.noret.correct.tolist() == [r.noret_answer == "alpha" for r in records]
+        assert scored.ret.correct.tolist() == [r.ret_answer == "alpha" for r in records]
         for policy in (ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.4),
                        ControllerPolicy(PolicyKind.EMISSION_ONLY), ControllerPolicy(PolicyKind.ALWAYS)):
-            fires = ragctl.decide_all(policy, records)
+            fires = ragctl.decide(policy, scored)
             assert ragctl.trigger_report(scored, fires) == run_policy(policy, records)
             by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
             assert list(by_dataset) == sorted({r.dataset for r in records})
@@ -287,3 +297,78 @@ class TestScoredTraces:
         with pytest.raises(EmptyBatch):
             ragctl.trigger_report(scored, [])
         assert ragctl.trigger_reports_by_dataset(scored, []) == {}
+
+
+# answers that exact-match, yes/no-match or date-match some gold, or share
+# some of its tokens (token F1 of 0.4, 0.5, 2/3, 0.8, ...)
+_SHORT = st.sampled_from(["alpha", "Alpha.", "omega", "beta gamma", "gamma", "yes", "true",
+                          "1920", "March 1920", "", "beta gamma delta", "gamma delta epsilon"])
+# tied values, the ends of [0,1], and any value in it
+_UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_THRESHOLDED = (PolicyKind.CONFIDENCE_THRESHOLD, PolicyKind.EMISSION_PLUS_PROBE,
+                PolicyKind.TOKEN_PROB_WINDOW)
+_ANY_POLICY = st.sampled_from(PolicyKind).flatmap(
+    lambda kind: st.builds(ControllerPolicy, st.just(kind),
+                           _UNIT if kind in _THRESHOLDED else st.none()))
+
+
+@st.composite
+def _signal_traces(draw):
+    """Up to 30 traces with qids r0, r1, ...; in half the batches any trace
+    may lack any signal, in the others none does."""
+    lacking = draw(st.booleans())
+
+    def signal(values):
+        return st.none() | values if lacking else values
+
+    records = draw(st.lists(st.integers(0, 2).flatmap(lambda emissions: st.builds(
+        RagTraceRecord, qid=st.just(""), gold_answers=st.lists(_SHORT, min_size=1, max_size=2),
+        noret_answer=_SHORT, ret_answer=_SHORT, dataset=st.sampled_from(["", "d1", "d2"]),
+        noret_confidence=signal(_UNIT), noret_emissions=st.just(emissions),
+        # a trace without an emission may lack a probe score in any batch
+        noret_probe_score=signal(_UNIT) if emissions else st.none() | _UNIT,
+        noret_token_probs=signal(st.lists(
+            st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+            max_size=3)),
+        external_trigger=signal(st.booleans()),
+    )), max_size=30))
+    return [dataclasses.replace(r, qid=f"r{i}") for i, r in enumerate(records)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signal_traces(), _ANY_POLICY, st.sampled_from([0.0, 0.3, 1.0]))
+def test_reports_equal_the_former_per_record_loop(records, policy, f1_threshold):
+    def columnar():
+        scored = ragctl.score_traces(records, f1_threshold)
+        fires = ragctl.decide(policy, scored)
+        return (ragctl.trigger_report(scored, fires),
+                ragctl.trigger_reports_by_dataset(scored, fires))
+
+    got = outcome(columnar)
+    want = outcome(lambda: oracle_trigger_reports(records, policy, f1_threshold))
+    # repr also tells a numpy scalar from the Python number the loop gave
+    assert got == want and repr(got) == repr(want)
+
+
+class TestMissingSignalOrder:
+    @pytest.mark.parametrize("spec, lacking, words", [
+        ("conf:0.5", {"noret_confidence": None}, "confidence"),
+        ("emit+probe:0.5", {"noret_probe_score": None}, "probe score"),
+        ("flare:0.5", {"noret_token_probs": None}, "token probabilities"),
+        ("external", {"external_trigger": None}, "external trigger column"),
+    ])
+    def test_names_the_first_record_lacking_the_signal(self, spec, lacking, words):
+        full = trace("", True, True, conf=0.5, emissions=1, probe_score=0.5,
+                     token_probs=(0.5,), external=True)
+        records = [dataclasses.replace(full, qid=f"r{i}", **(lacking if i >= 2 else {}))
+                   for i in range(4)]
+        with pytest.raises(MissingSignal, match=f"^record 'r2' has no {words}$"):
+            ragctl.decide(ragctl.parse_policy_spec(spec), ragctl.score_traces(records))
+
+    def test_emit_probe_passes_over_a_record_without_emission(self):
+        # the first record lacks a probe score but does not emit, so it needs none
+        records = [trace("r0", True, True), trace("r1", True, True, emissions=1, probe_score=0.5),
+                   trace("r2", True, True, emissions=2), trace("r3", True, True, emissions=1)]
+        with pytest.raises(MissingSignal, match="^record 'r2' has no probe score$"):
+            ragctl.decide(ragctl.parse_policy_spec("emit+probe:0.5"),
+                          ragctl.score_traces(records))

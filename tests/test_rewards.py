@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,11 +279,11 @@ class TestScorePredictions:
         ]
         batch = score_predictions(records)
         assert len(batch) == 3
-        assert batch.confidence == (0.8, 0.3, None)
-        assert batch.correct == (True, False, False)
+        assert batch.confidence[:2].tolist() == [0.8, 0.3]
+        assert math.isnan(batch.confidence[2])
+        assert batch.correct.tolist() == [True, False, False]
         # `marked` reads the text, not the record's emission events
-        assert batch.marked == (True, False, False)
-        assert batch.usable() == [(0.8, True), (0.3, False)]
+        assert batch.marked.tolist() == [True, False, False]
 
     def test_each_record_matched_and_read_once(self, monkeypatch):
         import uncal.rewards as rewards

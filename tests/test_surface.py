@@ -9,7 +9,8 @@ name inside its own module, `from .m import name`, and `m.name` after
 import, so their references count too. A definition reached from nowhere but
 its own body is dead code, unless `ALLOWED` names it with the reason it is
 kept. A default that no call in the package overrides is a constant in
-disguise: a parameter that does nothing.
+disguise: a parameter that does nothing. The functions the benchmark's
+tracer names in `EXTRA_SPANS` must exist, since it looks them up by name.
 """
 
 from __future__ import annotations
@@ -170,6 +171,32 @@ def test_allowlist_names_existing_definitions():
     modules = _modules()
     for module, name in [*ROOTS, *ALLOWED]:
         assert name in _definitions(modules[module]), f"{module}.{name} no longer exists"
+
+
+def _tracer_extra_spans() -> tuple:
+    """`EXTRA_SPANS` of the benchmark's tracer, read from its source."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    for stmt in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "EXTRA_SPANS" for t in stmt.targets
+        ):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"{source} assigns no EXTRA_SPANS")
+
+
+def test_tracer_extra_spans_name_package_functions():
+    # the tracer looks each one up without a default, so a missing name
+    # breaks every traced benchmark run
+    modules = _modules()
+    spans = _tracer_extra_spans()
+    assert spans
+    for qualified, name in spans:
+        package, _, module = qualified.partition(".")
+        assert package == "uncal" and module in modules, f"{qualified} is no uncal module"
+        node = _definitions(modules[module]).get(name)
+        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)), (
+            f"{qualified}.{name} is no function"
+        )
 
 
 def test_allowlist_holds_only_what_the_command_does_not_reach():
