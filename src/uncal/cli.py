@@ -254,9 +254,11 @@ def _cmd_theory_iterate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    records = [rewards.annotate_record(r, args.f1_threshold) for r in _load_preds(args.input)]
-    jsonio.write_jsonl(args.out or args.input,
-                       (jsonio.encode(jsonio.PREDICTION, r) for r in records))
+    threshold = args.f1_threshold
+    jsonio.write_jsonl(args.out or args.input, (
+        jsonio.encode(jsonio.PREDICTION, r, extracted_answer=rewards.record_answer(r),
+                      match=jsonio.encode(jsonio.MATCH, rewards.match_record(r, threshold)))
+        for r in _load_preds(args.input)))
     return 0
 
 
@@ -278,35 +280,29 @@ def _cmd_calib(args) -> int:
     return 0
 
 
-def _write_recalibrated(args, records, new_confidence, missing: str) -> None:
+def _write_recalibrated(args, records, original, new, missing: str) -> None:
     """Write `records` to `--out`, each with `verbal_confidence` replaced by
-    `new_confidence(record)`; a record for which that is None is written
-    unchanged and counted on stderr as lacking `missing`. A confidence
-    outside [0,1], NaN included, is refused before anything is written."""
-    rows = []
-    skipped = 0
-    for record in records:
-        conf = new_confidence(record)
-        if conf is None:
-            skipped += 1
-            rows.append(jsonio.encode(jsonio.PREDICTION, record))
-        elif not 0.0 <= conf <= 1.0:
-            raise ValueError("verbal_confidence must lie in [0,1]")
-        else:
-            rows.append(jsonio.encode(jsonio.PREDICTION, record, verbal_confidence=conf))
-    jsonio.write_jsonl(args.out, rows)
-    if skipped:
-        print(f"skipped {skipped} records without {missing}", file=sys.stderr)
+    its value in the column `new`. A record whose value in the input column
+    `original` is NaN is written unchanged and counted on stderr as lacking
+    `missing`. A new value outside [0,1], NaN included, for any other record
+    is refused before anything is written."""
+    skipped = np.isnan(original)
+    if not (skipped | ((new >= 0.0) & (new <= 1.0))).all():
+        raise ValueError("verbal_confidence must lie in [0,1]")
+    jsonio.write_jsonl(args.out, (
+        jsonio.encode(jsonio.PREDICTION, r) if skip
+        else jsonio.encode(jsonio.PREDICTION, r, verbal_confidence=conf)
+        for r, skip, conf in zip(records, skipped.tolist(), new.tolist())))
+    count = int(skipped.sum())
+    if count:
+        print(f"skipped {count} records without {missing}", file=sys.stderr)
 
 
 def _cmd_recal_ts(args) -> int:
     model = recal.fit_global_ts(_load_preds(args.fit), args.f1_threshold)
-
-    def calibrated(record):
-        conf = rewards.record_confidence(record)
-        return None if conf is None else recal.apply_ts(model, conf)
-
-    _write_recalibrated(args, _load_preds(args.apply_path), calibrated,
+    records = _load_preds(args.apply_path)
+    confidence = rewards.confidences(records)
+    _write_recalibrated(args, records, confidence, recal.apply_ts(model, confidence),
                         "parseable confidence")
     if args.model_out:
         jsonio.write_report(
@@ -323,11 +319,10 @@ def _cmd_recal_ts(args) -> int:
 
 def _cmd_recal_ats(args) -> int:
     model = recal.fit_ats(_load_preds(args.fit), args.l2, args.f1_threshold)
-    _write_recalibrated(
-        args, _load_preds(args.apply_path),
-        lambda r: None if rewards.record_confidence(r) is None else recal.apply_ats(model, r),
-        "parseable confidence",
-    )
+    records = _load_preds(args.apply_path)
+    confidence = rewards.confidences(records)
+    _write_recalibrated(args, records, confidence, recal.apply_ats(model, records, confidence),
+                        "parseable confidence")
     if args.model_out:
         jsonio.write_report(
             args.model_out,
@@ -348,8 +343,9 @@ def _cmd_recal_ats(args) -> int:
 
 
 def _cmd_recal_ptrue(args) -> int:
-    _write_recalibrated(args, _load_preds(args.input), lambda r: r.p_affirmative,
-                        "p_affirmative")
+    records = _load_preds(args.input)
+    p_affirmative = np.array([r.p_affirmative for r in records], dtype=float)
+    _write_recalibrated(args, records, p_affirmative, p_affirmative, "p_affirmative")
     return 0
 
 
@@ -400,7 +396,7 @@ def _cmd_probe_sweep(args) -> int:
     stacks = {k: _load_token_stack(Path(args.hidden) / f"layer_{k}.mat", last)
               for k in args.layers}
     rows = probe.layer_sweep(
-        stacks, records, args.layers,
+        stacks, records,
         window=args.window, span_token_count=args.span_tokens,
         l2=args.l2, seed=args.seed,
     )

@@ -421,8 +421,8 @@ def _compile(table: dict):
     return encode
 
 
-_ENCODERS = {id(t): _compile(t) for t in (PREDICTION, RAG_TRACE, SPACE, KL_PAIR, KL_ANNOTATION,
-                                          ROW_ID, PROBE_MODEL, FIT)}
+_ENCODERS = {id(t): _compile(t) for t in (PREDICTION, MATCH, RAG_TRACE, SPACE, KL_PAIR,
+                                          KL_ANNOTATION, ROW_ID, PROBE_MODEL, FIT)}
 
 
 def encode(table: dict, record, **given) -> Line:
@@ -489,8 +489,10 @@ def _decode(line: str):
 
 
 def decode_lines(text: str):
-    """(line number, `json.loads` value or its JSONDecodeError) per nonblank line of `text`."""
-    for i, line in enumerate(text.splitlines(), start=1):
+    """(line number, `json.loads` value or its JSONDecodeError) per nonblank line of `text`.
+    Lines end at "\n" alone: a JSON string may hold U+0085, U+2028 or U+2029
+    unescaped, and `str.splitlines` would break the line there."""
+    for i, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             try:
                 yield i, _decode(line)

@@ -313,7 +313,6 @@ class LayerSweepRow(Evaluation):
 def layer_sweep(
     stacks: Mapping[int, Mapping[str, np.ndarray]],
     records: Sequence[PredictionRecord],
-    layers: Sequence[int],
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
     l2: float = DEFAULT_L2,
@@ -321,13 +320,13 @@ def layer_sweep(
 ) -> list[LayerSweepRow]:
     """Full fit + threshold tuning per layer on a fixed qid-hash split.
 
-    `stacks` maps layer -> qid -> (tokens x dims) hidden matrix. The records
-    are scored once for every layer; see `examples` for which take part. Rows
-    come back sorted by layer index.
+    `stacks` maps layer -> qid -> (tokens x dims) hidden matrix; every layer
+    in it is swept. The records are scored once for every layer; see
+    `examples` for which take part. Rows come back sorted by layer index.
     """
     batch = score_predictions(records)
     rows = []
-    for layer in sorted(layers):
+    for layer in sorted(stacks):
         x, y, qids = examples(records, batch, stacks[layer], window, span_token_count)
         model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
         rows.append(LayerSweepRow(

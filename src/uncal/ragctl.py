@@ -64,6 +64,11 @@ class RagTraceRecord:
             raise ValueError("noret_confidence must lie in [0,1]")
         if self.noret_emissions < 0:
             raise ValueError("noret_emissions must be nonnegative")
+        if self.noret_probe_score is not None and not math.isfinite(self.noret_probe_score):
+            raise ValueError("noret_probe_score must be finite")
+        if self.noret_token_probs is not None and not all(
+                0.0 < p <= 1.0 for p in self.noret_token_probs):
+            raise ValueError("noret_token_probs must lie in (0,1]")
 
 
 class PolicyKind(enum.Enum):

@@ -7,6 +7,11 @@ search over log-temperature, adaptive scaling uses the shared Newton-CG
 minimizer (`optim`) from a fixed initialization. Both fit the records of one
 `rewards.ScoredBatch` whose confidence column is not NaN.
 
+Applying a model maps a confidence column (`rewards.confidences`) to a new
+one and matches nothing: `apply_ts` reads the column alone, `apply_ats` also
+the features of the records whose confidence is not NaN. A NaN confidence
+maps to NaN.
+
 Global scaling does not go through `optim`: fitting one temperature there
 means the ATS form without features, whose softplus keeps the temperature
 above the 0.05 floor. Golden-section search over log T in [-5, 5] reaches
@@ -17,7 +22,7 @@ below it: on the 10k records that `test_recal.py` draws at T = 0.03 it finds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +33,8 @@ from .rewards import (
     DEFAULT_F1_THRESHOLD,
     PredictionRecord,
     ScoredBatch,
-    extract_answer_line,
     reasoning_depth,
-    record_confidence,
+    record_answer,
     score_predictions,
 )
 
@@ -41,13 +45,10 @@ ATS_TEMPERATURE_FLOOR = 0.05
 DEFAULT_ATS_L2 = 1e-3
 
 
-def _clamp_conf(c: float) -> float:
-    return min(max(c, CONF_CLAMP), 1.0 - CONF_CLAMP)
-
-
-def _logit(c: float) -> float:
-    c = _clamp_conf(c)
-    return math.log(c / (1.0 - c))
+def _logits(confidence: np.ndarray) -> np.ndarray:
+    """The logit of each confidence clamped to [CONF_CLAMP, 1 - CONF_CLAMP]."""
+    clamped = np.clip(confidence, CONF_CLAMP, 1.0 - CONF_CLAMP)
+    return np.array([math.log(c / (1.0 - c)) for c in clamped.tolist()])
 
 
 def _sigmoid(x):
@@ -64,8 +65,9 @@ def _softplus_inv(y: float) -> float:
 
 
 def _fit_rows(batch: ScoredBatch):
-    """(logits, outcomes) arrays of the records usable in a temperature fit:
-    those whose confidence is not NaN."""
+    """(usable, logits, outcomes): the mask of the records usable in a
+    temperature fit (those whose confidence is not NaN), with their logits
+    and outcomes."""
     usable = ~np.isnan(batch.confidence)
     conf, correct = batch.confidence[usable], batch.correct[usable]
     if len(conf) < 2:
@@ -74,7 +76,7 @@ def _fit_rows(batch: ScoredBatch):
         raise DegenerateFit("both outcome classes must be present")
     if ((conf == 0.0) | (conf == 1.0)).all():
         raise DegenerateFit("all confidences sit at 0 or 1; no usable spread")
-    return np.array([_logit(c) for c in conf.tolist()]), correct.astype(float)
+    return usable, _logits(conf), correct.astype(float)
 
 
 def _bernoulli_nll(probs: np.ndarray, outcomes: np.ndarray) -> float:
@@ -104,7 +106,7 @@ def fit_global_ts(
     is not at least as good as T = 1 (possible only by the search tolerance),
     T = 1 is returned.
     """
-    logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
+    _, logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
 
     def objective(log_t):
         return _bernoulli_nll(_sigmoid(logits / math.exp(log_t)), outcomes)
@@ -131,18 +133,13 @@ def fit_global_ts(
     return TsModel(temperature=math.exp(log_t), fit_nll=best)
 
 
-def apply_ts(model: TsModel, confidence: float) -> float:
-    """sigmoid(logit(c)/T); strictly monotone in c, so rank order survives."""
-    return float(_sigmoid(np.array(_logit(confidence) / model.temperature)))
-
-
-def ts_nll(
-    model: TsModel,
-    records: Sequence[PredictionRecord],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> float:
-    logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
-    return _bernoulli_nll(_sigmoid(logits / model.temperature), outcomes)
+def apply_ts(model: TsModel, confidence: np.ndarray) -> np.ndarray:
+    """sigmoid(logit(c)/T) of each confidence c, NaN where c is NaN; strictly
+    monotone in c, so rank order survives."""
+    usable = ~np.isnan(confidence)
+    out = np.full(len(confidence), np.nan)
+    out[usable] = _sigmoid(_logits(confidence[usable]) / model.temperature)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,45 +162,25 @@ class AtsModel:
     fit: optim.Fit | None = None
 
 
-def ats_features(record: PredictionRecord) -> tuple[float, float, float, float]:
-    """Raw (unstandardized) feature vector for one record.
-
-    Response length counts tokens (the record's token count, or whitespace
-    tokens when absent); answer length counts characters of the extracted
-    answer; reasoning depth counts nonempty lines before the answer line.
-    """
-    return _ats_row(record, _confidence(record))
-
-
-def _confidence(record: PredictionRecord) -> float:
-    conf = record_confidence(record)
-    if conf is None:
-        raise DegenerateFit(f"record {record.qid!r} has no parseable confidence")
-    return conf
-
-
-def _ats_row(record: PredictionRecord, conf: float) -> tuple[float, float, float, float]:
+def _ats_row(record: PredictionRecord) -> tuple[float, float, float]:
     length = record.response_token_count
     if length <= 0:
         length = len(record.response_text.split())
-    answer = record.extracted_answer
-    if answer is None:
-        answer = extract_answer_line(record.response_text) or ""
     return (
-        _logit(conf),
         float(length),
-        float(len(answer)),
+        float(len(record_answer(record) or "")),
         float(reasoning_depth(record.response_text)),
     )
 
 
-def _ats_design(records, batch: ScoredBatch):
-    """(features, logits, outcomes) of the records usable in the fit; the
-    batch is `score_predictions(records)`."""
-    logits, outcomes = _fit_rows(batch)
-    features = [_ats_row(r, c) for r, c in zip(records, batch.confidence.tolist())
-                if not math.isnan(c)]
-    return np.array(features), logits, outcomes
+def _feature_rows(records, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Raw (unstandardized) feature rows of the `usable` records, whose
+    confidence logits are `logits`: the logit; response length in tokens
+    (the record's token count, or whitespace tokens when absent); answer
+    length in characters of `rewards.record_answer`; and reasoning depth,
+    the nonempty lines before the answer line."""
+    rows = [_ats_row(r) for r, ok in zip(records, usable.tolist()) if ok]
+    return np.column_stack([logits, np.reshape(rows, (-1, 3))])
 
 
 def _standardize(features):
@@ -226,10 +203,8 @@ def fit_ats(
     result, computed as for global scaling.
     """
     records = list(records)
-    features, logits, outcomes = _ats_design(
-        records, score_predictions(records, f1_threshold)
-    )
-    phi, means, stds = _standardize(features)
+    usable, logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
+    phi, means, stds = _standardize(_feature_rows(records, usable, logits))
 
     def nll(u):
         s = _sigmoid(u)  # dT/du
@@ -244,31 +219,33 @@ def fit_ats(
     start = np.zeros(phi.shape[1] + 1)
     start[-1] = _softplus_inv(1.0 - ATS_TEMPERATURE_FLOOR)
     theta, fit = optim.minimize(nll, phi, start, l2)
-    t = _softplus(phi @ theta[:-1] + theta[-1]) + ATS_TEMPERATURE_FLOOR
-    return AtsModel(
+    model = AtsModel(
         weights=tuple(float(v) for v in theta[:-1]),
         bias=float(theta[-1]),
         l2=l2,
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
-        fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes),
         fit=fit,
     )
+    t = _temperatures(model, phi)
+    return replace(model, fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes))
 
 
-def ats_temperature(model: AtsModel, record: PredictionRecord) -> float:
-    return _temperature(model, ats_features(record))
+def _temperatures(model: AtsModel, phi: np.ndarray) -> np.ndarray:
+    """The temperature softplus(phi @ w + b) + floor of each standardized
+    feature row of `phi`."""
+    return _softplus(phi @ np.array(model.weights) + model.bias) + ATS_TEMPERATURE_FLOOR
 
 
-def _temperature(model: AtsModel, features) -> float:
-    raw = np.array(features)
-    phi = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
-    u = float(phi @ np.array(model.weights)) + model.bias
-    return float(_softplus(np.array(u))) + ATS_TEMPERATURE_FLOOR
-
-
-def apply_ats(model: AtsModel, record: PredictionRecord) -> float:
-    """Recalibrated confidence sigmoid(logit(c)/T_record)."""
-    conf = _confidence(record)
-    t = _temperature(model, _ats_row(record, conf))
-    return float(_sigmoid(np.array(_logit(conf) / t)))
+def apply_ats(
+    model: AtsModel, records: Sequence[PredictionRecord], confidence: np.ndarray
+) -> np.ndarray:
+    """sigmoid(logit(c)/T) of each record's confidence c, T being the
+    record's own temperature, NaN where c is NaN; `confidence` is
+    `rewards.confidences(records)`."""
+    usable = ~np.isnan(confidence)
+    logits = _logits(confidence[usable])
+    phi = (_feature_rows(records, usable, logits) - model.feature_means) / model.feature_stds
+    out = np.full(len(confidence), np.nan)
+    out[usable] = _sigmoid(logits / _temperatures(model, phi))
+    return out

@@ -124,14 +124,15 @@ def linear_cka(x, y) -> float:
     Invariant to orthogonal right-multiplication and isotropic scaling of
     either argument; 1.0 means geometrically identical representations.
     """
-    xm = _as_2d(x)
-    ym = _as_2d(y)
-    if xm.shape[0] != ym.shape[0]:
+    # one float64 copy of each input, centred in place below
+    xc = _as_2d(np.array(x, dtype=float))
+    yc = _as_2d(np.array(y, dtype=float))
+    if xc.shape[0] != yc.shape[0]:
         raise ShapeError("matrices must have the same number of rows")
-    if xm.shape[0] < 2:
+    if xc.shape[0] < 2:
         raise ShapeError("need at least two rows")
-    xc = xm - xm.mean(axis=0)
-    yc = ym - ym.mean(axis=0)
+    xc -= xc.mean(axis=0)
+    yc -= yc.mean(axis=0)
     cross = float(np.linalg.norm(yc.T @ xc, "fro") ** 2)
     norm_x = float(np.linalg.norm(xc.T @ xc, "fro"))
     norm_y = float(np.linalg.norm(yc.T @ yc, "fro"))

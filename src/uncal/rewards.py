@@ -3,12 +3,15 @@
 Operates on recorded model responses. Matching follows the usual QA recipe:
 normalized exact match first, then yes/no canonicalization, then calendar-date
 agreement, then a token-F1 fallback against the best of a record's gold
-answers, prepared once per record (`GoldSet`). `score_predictions` turns a
-batch into three numpy columns (confidence, NaN where none parses;
-correctness; marker flag), so each record is matched at most once however
-many metrics read the batch. No command computes a training reward from a
-record: the one reward the toolkit models, the signed verbal confidence, is
-applied to trajectories by `trajspace`.
+answers, prepared once per record (`GoldSet`). Each fact of a record has one
+rule: its answer is `record_answer` (the explicit field, else the last
+`Answer:` line) and its confidence `record_confidence`, whose column over a
+batch is `confidences`. `score_predictions` turns a batch into three numpy
+columns (confidence, NaN where none parses; correctness; marker flag), so
+each record is matched at most once however many metrics read the batch.
+Applying a recalibration reads that column and matches nothing. No command
+computes a training reward from a record: the one reward the toolkit models,
+the signed verbal confidence, is applied to trajectories by `trajspace`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import enum
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -261,14 +264,19 @@ def match_answer(
     return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)
 
 
+def record_answer(record: PredictionRecord) -> str | None:
+    """The record's answer: the explicit `extracted_answer` when present,
+    otherwise the last `Answer:` line of the response (None if neither)."""
+    answer = record.extracted_answer
+    return extract_answer_line(record.response_text) if answer is None else answer
+
+
 def match_record(
     record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> MatchResult:
     """Correctness of a record's answer; a record without any extractable
     answer is incorrect with F1 = 0."""
-    answer = record.extracted_answer
-    if answer is None:
-        answer = extract_answer_line(record.response_text)
+    answer = record_answer(record)
     if answer is None:
         return MatchResult(False, MatchRule.TOKEN_F1, 0.0)
     return match_answer(answer, GoldSet(record.gold_answers), f1_threshold)
@@ -292,24 +300,7 @@ def record_correct(
         return cached.correct
     if cached.f1 < f1_threshold:
         return False
-    return (
-        record.extracted_answer is not None
-        or extract_answer_line(record.response_text) is not None
-    )
-
-
-def annotate_record(
-    record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> PredictionRecord:
-    """Copy of the record with `extracted_answer` and `match` filled in."""
-    answer = record.extracted_answer
-    if answer is None:
-        answer = extract_answer_line(record.response_text)
-    return replace(
-        record,
-        extracted_answer=answer,
-        match=match_record(record, f1_threshold),
-    )
+    return record_answer(record) is not None
 
 
 def scan_emissions(response_text: str) -> list[EmissionEvent]:
@@ -339,6 +330,12 @@ def record_confidence(record: PredictionRecord) -> float | None:
     return extract_confidence(record.response_text)
 
 
+def confidences(records: Sequence[PredictionRecord]) -> np.ndarray:
+    """`record_confidence` of each record as a float64 column, NaN where
+    none parses."""
+    return np.array([record_confidence(r) for r in records], dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class ScoredBatch:
     """One verdict per record of a batch, as columns in record order.
@@ -363,7 +360,7 @@ def score_predictions(
     verdict (`record_correct`) per record."""
     records = list(records)
     return ScoredBatch(
-        confidence=np.array([record_confidence(r) for r in records], dtype=float),
+        confidence=confidences(records),
         correct=np.array([record_correct(r, f1_threshold) for r in records], dtype=bool),
         marked=np.array([UNCERTAIN_MARKER in r.response_text for r in records], dtype=bool),
     )

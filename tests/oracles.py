@@ -482,3 +482,75 @@ def oracle_error_taxonomy(confidence, correct, marked):
         epistemic_with_emit=with_emit,
         epistemic_without_emit=epistemic - with_emit,
     )
+
+
+def _former_logit(c: float) -> float:
+    """`recal._logit`: the logit of one confidence clamped away from 0 and 1."""
+    from uncal.recal import CONF_CLAMP
+
+    c = min(max(c, CONF_CLAMP), 1.0 - CONF_CLAMP)
+    return math.log(c / (1.0 - c))
+
+
+def oracle_apply_ts(model, confidence: float) -> float:
+    """`recal.apply_ts` as it was when it mapped one confidence."""
+    import numpy as np
+
+    from uncal.recal import _sigmoid
+
+    return float(_sigmoid(np.array(_former_logit(confidence) / model.temperature)))
+
+
+def oracle_ts_nll(model, records, f1_threshold=0.3) -> float:
+    """`recal.ts_nll`: the Bernoulli NLL of a fixed temperature on the records
+    a fit reads (those whose confidence is not NaN)."""
+    import numpy as np
+
+    from uncal.recal import _bernoulli_nll, _sigmoid
+    from uncal.rewards import score_predictions
+
+    batch = score_predictions(records, f1_threshold)
+    usable = ~np.isnan(batch.confidence)
+    logits = np.array([_former_logit(c) for c in batch.confidence[usable].tolist()])
+    outcomes = batch.correct[usable].astype(float)
+    return _bernoulli_nll(_sigmoid(logits / model.temperature), outcomes)
+
+
+def oracle_apply_ats(model, record) -> float:
+    """`recal.apply_ats` as it was when it mapped one record, whose
+    confidence parses: its features as one tuple, its temperature by a
+    4-term dot product. The column form sums that product in another order,
+    so it matches this one only up to the rounding of the order (not bit for
+    bit; see `test_recal._ats_tolerance`)."""
+    import numpy as np
+
+    from uncal.recal import ATS_TEMPERATURE_FLOOR, _sigmoid, _softplus
+    from uncal.rewards import extract_answer_line, reasoning_depth, record_confidence
+
+    conf = record_confidence(record)
+    length = record.response_token_count
+    if length <= 0:
+        length = len(record.response_text.split())
+    answer = record.extracted_answer
+    if answer is None:
+        answer = extract_answer_line(record.response_text) or ""
+    features = (_former_logit(conf), float(length), float(len(answer)),
+                float(reasoning_depth(record.response_text)))
+    raw = np.array(features)
+    phi = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
+    u = float(phi @ np.array(model.weights)) + model.bias
+    t = float(_softplus(np.array(u))) + ATS_TEMPERATURE_FLOOR
+    return float(_sigmoid(np.array(_former_logit(conf) / t)))
+
+
+def oracle_annotate_record(record, f1_threshold=0.3):
+    """`rewards.annotate_record`: a copy of the record with `extracted_answer`
+    and `match` filled in, built by `dataclasses.replace`."""
+    from dataclasses import replace
+
+    from uncal.rewards import extract_answer_line, match_record
+
+    answer = record.extracted_answer
+    if answer is None:
+        answer = extract_answer_line(record.response_text)
+    return replace(record, extracted_answer=answer, match=match_record(record, f1_threshold))

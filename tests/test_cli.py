@@ -20,6 +20,7 @@ from uncal.ragctl import RagTraceRecord
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
 
 from conftest import count_calls, planted_stack
+from oracles import oracle_annotate_record
 
 GOLDEN_CALIB = Path(__file__).parent / "data" / "golden_calib.json"
 PREDS_FIXTURE = Path(str(uncal.fixture_path("preds20.jsonl")))
@@ -1057,6 +1058,32 @@ def test_prediction_writer_loader_round_trip(record):
     again = jsonio.prediction_from_dict(json.loads(line))
     assert again == record
     assert jsonio.encode(jsonio.PREDICTION, again) == line
+
+
+@st.composite
+def _answered_predictions(draw) -> PredictionRecord:
+    """A `_predictions` record whose text may end in an answer line."""
+    record = draw(_predictions())
+    answer = draw(st.none() | st.sampled_from(["alpha", "Alpha.", "yes", "1920", ""]) | _TEXT)
+    if answer is None:
+        return record
+    return dataclasses.replace(record, response_text=f"{record.response_text}\nAnswer: {answer}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_answered_predictions(), min_size=1, max_size=5),
+       st.sampled_from([0.0, 0.3, 1.0]))
+def test_match_lines_equal_the_former_annotation(records, threshold):
+    # each line as `match` wrote it from a copy of the record with
+    # `extracted_answer` and `match` filled in
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "matched.jsonl"
+        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+        assert main(["match", "--in", str(path), "--f1-threshold", str(threshold),
+                     "--out", str(out)]) == 0
+        want = [jsonio.encode(jsonio.PREDICTION, oracle_annotate_record(r, threshold)) + "\n"
+                for r in load_predictions(path).records]
+        assert out.read_text(encoding="utf-8") == "".join(want)
 
 
 @settings(max_examples=200, deadline=None)

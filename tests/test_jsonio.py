@@ -220,3 +220,17 @@ _PADS = ["", " ", "\t", "\r", "﻿", "x", "]", " 1"]
 def test_decode_equals_json_loads(before, body, after):
     line = before + body + after
     assert _outcome(jsonio._decode, line) == _outcome(json.loads, line)
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_line_breaking_characters_stay_inside_their_line(tmp_path, char):
+    # `str.splitlines` breaks at these, though JSON writes them unescaped
+    record = PredictionRecord(qid=f"q{char}", gold_answers=(char,),
+                              response_text=f"a{char}b\nAnswer: {char}")
+    path = tmp_path / "preds.jsonl"
+    line = jsonio.encode(jsonio.PREDICTION, record)
+    assert char in line
+    path.write_text(line + "\n" + line + "\r\n", encoding="utf-8")
+    result = jsonio.load_predictions(path)
+    assert not result.errors and result.total_lines == 2
+    assert [r.qid for r in result.records] == [record.qid] * 2

@@ -315,7 +315,7 @@ class TestExamples:
 class TestLayerSweep:
     def test_planted_signal_peaks_at_its_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=320)
-        rows = probe.layer_sweep(stacks, records, [0, 8, 16], seed=0)
+        rows = probe.layer_sweep(stacks, records, seed=0)
         by_layer = {r.layer: r for r in rows}
         assert max(by_layer, key=lambda k: by_layer[k].auroc) == 8
         assert by_layer[8].auroc >= 0.95
@@ -323,7 +323,7 @@ class TestLayerSweep:
     def test_identical_stacks_give_identical_metrics(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=200)
         cloned = {0: stacks[0], 4: stacks[0], 9: stacks[0]}
-        rows = probe.layer_sweep(cloned, records, [0, 4, 9], seed=0)
+        rows = probe.layer_sweep(cloned, records, seed=0)
         first = rows[0]
         for row in rows[1:]:
             assert (row.auroc, row.auprc, row.precision, row.recall, row.f1) == (
@@ -332,7 +332,7 @@ class TestLayerSweep:
 
     def test_rows_sorted_by_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8), signal_layer=8, n=200)
-        rows = probe.layer_sweep(stacks, records, [8, 0], seed=0)
+        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}, records, seed=0)
         assert [r.layer for r in rows] == [0, 8]
 
 

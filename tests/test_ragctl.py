@@ -232,6 +232,34 @@ class TestPolicySpec:
                 ControllerPolicy(kind, 0.5)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestRecordRanges:
+    """A record built through the API refuses the signal values the trace
+    loader's table refuses, so no NaN reaches `decide` as a missing signal."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("noret_probe_score", _NAN), ("noret_probe_score", _INF),
+        ("noret_probe_score", -_INF),
+        ("noret_token_probs", (_NAN,)), ("noret_token_probs", (0.5, _NAN)),
+        ("noret_token_probs", (0.0,)), ("noret_token_probs", (0.9, 1.5)),
+        ("noret_token_probs", (-0.1,)),
+    ])
+    def test_table_and_record_refuse_the_same_values(self, field, bad):
+        fields = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "a"}
+        with pytest.raises(ValueError, match=field):
+            jsonio.read_table(jsonio.RAG_TRACE, {**fields, field: list(bad)
+                                                 if isinstance(bad, tuple) else bad})
+        with pytest.raises(ValueError, match=field):
+            RagTraceRecord(**fields, **{field: bad})
+
+    def test_edges_accepted(self):
+        for probe_score, token_probs in ((-3.0, (1.0,)), (1e300, (5e-324, 1.0)), (0.0, ())):
+            record = trace("r", True, True, probe_score=probe_score, token_probs=token_probs)
+            assert record.noret_token_probs == token_probs
+
+
 def test_per_dataset_reports(rng):
     records = random_rag_batch(rng, 40)
     policy = ControllerPolicy(PolicyKind.ALWAYS)

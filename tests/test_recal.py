@@ -1,16 +1,21 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, recal
+from uncal import jsonio, recal, rewards
 from uncal.cli import main
 from uncal.errors import DegenerateFit
 from uncal.rewards import PredictionRecord
 
 from conftest import count_calls, make_record
+from oracles import oracle_apply_ats, oracle_apply_ts, oracle_ts_nll
 
 
 def calibrated_batch(rng, t_star, n=4000):
@@ -67,26 +72,28 @@ class TestGlobalTs:
         assert abs(model.temperature - 0.03) / 0.03 < 0.1
 
     def test_identity_application(self):
-        model = recal.TsModel(1.0)
-        for c in (0.1, 0.4, 0.5, 0.77):
-            assert recal.apply_ts(model, c) == pytest.approx(c, abs=1e-12)
+        confs = [0.1, 0.4, 0.5, 0.77]
+        for c, mapped in zip(confs, recal.apply_ts(recal.TsModel(1.0), np.array(confs))):
+            assert mapped == pytest.approx(c, abs=1e-12)
 
     def test_fixed_point_at_half(self):
         for t in (0.3, 1.0, 5.0):
-            assert recal.apply_ts(recal.TsModel(t), 0.5) == pytest.approx(0.5, abs=1e-12)
+            [mapped] = recal.apply_ts(recal.TsModel(t), np.array([0.5]))
+            assert mapped == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_value(self):
-        assert recal.apply_ts(recal.TsModel(2.0), 0.9) == pytest.approx(
+        assert recal.apply_ts(recal.TsModel(2.0), np.array([0.9]))[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-math.log(9.0) / 2.0)), abs=1e-12
         )
 
     def test_large_temperature_flattens(self):
-        assert recal.apply_ts(recal.TsModel(140.0), 0.9) == pytest.approx(0.5, abs=0.01)
+        [mapped] = recal.apply_ts(recal.TsModel(140.0), np.array([0.9]))
+        assert mapped == pytest.approx(0.5, abs=0.01)
 
     def test_monotone_in_confidence(self):
         model = recal.TsModel(2.7)
         grid = np.linspace(0.01, 0.99, 50)
-        mapped = [recal.apply_ts(model, c) for c in grid]
+        mapped = recal.apply_ts(model, grid).tolist()
         assert all(a < b for a, b in zip(mapped, mapped[1:]))
 
     def test_temperature_stays_in_search_range(self, rng):
@@ -99,7 +106,7 @@ class TestGlobalTs:
         for t_star in (0.5, 1.0, 2.0, 4.0):
             batch = calibrated_batch(rng, t_star, n=800)
             model = recal.fit_global_ts(batch)
-            assert model.fit_nll <= recal.ts_nll(recal.TsModel(1.0), batch)
+            assert model.fit_nll <= oracle_ts_nll(recal.TsModel(1.0), batch)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateFit):
@@ -155,8 +162,11 @@ class TestAts:
     def test_temperature_floor_respected(self, rng):
         batch = calibrated_batch(rng, 0.5, n=300)
         model = recal.fit_ats(batch, l2=0.0)
-        for record in batch[:50]:
-            assert recal.ats_temperature(model, record) >= recal.ATS_TEMPERATURE_FLOOR
+        # the temperatures whose NLL the fit reports as `fit_nll`
+        usable, logits, _ = recal._fit_rows(rewards.score_predictions(batch))
+        phi, _, _ = recal._standardize(recal._feature_rows(batch, usable, logits))
+        for t in recal._temperatures(model, phi)[:50]:
+            assert t >= recal.ATS_TEMPERATURE_FLOOR
 
 
 def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
@@ -171,7 +181,7 @@ def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
 @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
 def test_recalibrated_confidence_outside_unit_interval_refused(tmp_path, monkeypatch, bad):
     # a new confidence is range-checked before any line is written
-    monkeypatch.setattr(recal, "apply_ts", lambda model, conf: bad)
+    monkeypatch.setattr(recal, "apply_ts", lambda model, conf: np.full(len(conf), bad))
     out = tmp_path / "out.jsonl"
     out.write_text("old\n")
     fixture = str(uncal.fixture_path("preds20.jsonl"))
@@ -227,13 +237,11 @@ def test_rank_order_preserved_under_ts(rng):
     batch = calibrated_batch(rng, 2.0, n=200)
     model = recal.fit_global_ts(batch)
     confs = [r.verbal_confidence for r in batch]
-    mapped = [recal.apply_ts(model, c) for c in confs]
+    mapped = recal.apply_ts(model, np.array(confs))
     assert np.array_equal(np.argsort(confs, kind="stable"), np.argsort(mapped, kind="stable"))
 
 
 def test_fits_score_each_record_once(rng, monkeypatch):
-    import uncal.rewards as rewards
-
     records = calibrated_batch(rng, 1.5, n=200)
     records.append(make_record("unparsed", None, True))
     matches = count_calls(monkeypatch, rewards, "match_record")
@@ -253,3 +261,130 @@ def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):
     report = json.loads(model.read_text())
     assert report["l2"] == recal.DEFAULT_ATS_L2
     assert max(abs(w) for w in report["weights"]) < 10
+
+
+# apply records: confidences from a pool with 0 and 1 in it, stated in the
+# field or in the text or not at all; answers explicit, on an answer line or
+# absent; token counts of 0 (whitespace tokens are counted) or given
+_POOL = st.sampled_from([0.0, 1.0, 0.05, 0.5, 0.9]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _apply_records(draw) -> list[PredictionRecord]:
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        conf = draw(st.none() | _POOL)
+        in_text = conf is not None and draw(st.booleans())
+        lines = ["step"] * draw(st.integers(0, 3))
+        if draw(st.booleans()):
+            lines.append(f"Answer: {draw(st.sampled_from(['alpha', 'omega', 'a b c', '']))}")
+        if in_text:
+            lines.append(f"Confidence: {conf!r}")
+        records.append(PredictionRecord(
+            qid=f"q{i}", gold_answers=("alpha",), response_text="\n".join(lines),
+            extracted_answer=draw(st.none() | st.sampled_from(["alpha", "xyz", ""])),
+            verbal_confidence=None if in_text else conf,
+            response_token_count=draw(st.sampled_from([0, 3, 250])),
+            p_affirmative=draw(st.none() | _POOL),
+        ))
+    return records
+
+
+FIT_FILE = str(uncal.fixture_path("preds20.jsonl"))
+FIT_RECORDS = jsonio.load_predictions(FIT_FILE).records
+
+
+def _recal_lines(records, kind: str) -> tuple[list[PredictionRecord], list[str]]:
+    """The apply file's records as loaded, and the lines `uncal recal <kind>`
+    writes for them, fitted on the bundled fixture."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "apply.jsonl", Path(tmp) / "out.jsonl"
+        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+        argv = (["recal", "ptrue", "--in", str(path)] if kind == "ptrue"
+                else ["recal", kind, "--fit", FIT_FILE, "--apply", str(path)])
+        assert main(argv + ["--out", str(out)]) == 0
+        return jsonio.load_predictions(path).records, out.read_text().splitlines()
+
+
+def _former_line(record, conf) -> str:
+    """A line as the per-record writer wrote it: unchanged without a new
+    confidence, else with `verbal_confidence` replaced."""
+    if conf is None:
+        return jsonio.encode(jsonio.PREDICTION, record)
+    return jsonio.encode(jsonio.PREDICTION, record, verbal_confidence=conf)
+
+
+def _ats_tolerance(model, record) -> float:
+    """How far the applied ATS confidence of `record` may move when only the
+    summation order of its temperature's dot product u = phi . w + b does.
+    Either order is within gamma_5 * (sum |phi_k w_k| + |b|) of the exact
+    value (4 products and 5 terms, gamma_5 = 5 eps / (1 - 5 eps)), so the
+    two differ by at most twice that; T = softplus(u) + floor moves by at most
+    sigmoid(u) times that, and sigmoid(L/T) by p (1 - p) |L| / T^2 times T's
+    move. 4 ulp of T and 4 ulp of the result cover the remaining roundings."""
+    conf = np.array([rewards.record_confidence(record)])
+    logit = recal._logits(conf)
+    raw = recal._feature_rows([record], np.array([True]), logit)[0]
+    terms = (raw - model.feature_means) / model.feature_stds * model.weights
+    eps = np.finfo(float).eps / 2
+    du = 2 * 5 * eps / (1 - 5 * eps) * (np.abs(terms).sum() + abs(model.bias))
+    u = terms.sum() + model.bias
+    t = float(recal._softplus(u)) + recal.ATS_TEMPERATURE_FLOOR
+    dt = float(recal._sigmoid(u)) * du + 4 * np.spacing(t)
+    p = float(recal._sigmoid(logit[0] / t))
+    return p * (1 - p) * abs(logit[0]) / t**2 * dt + 4 * np.spacing(p)
+
+
+class TestColumnsEqualFormerPerRecordValues:
+    TS_MODEL = recal.fit_global_ts(FIT_RECORDS)
+    ATS_MODEL = recal.fit_ats(FIT_RECORDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.none() | _POOL | st.just(float("nan")), max_size=20))
+    def test_apply_ts_column(self, confs):
+        column = np.array(confs, dtype=float)
+        got = recal.apply_ts(self.TS_MODEL, column)
+        for c, mapped in zip(column.tolist(), got.tolist()):
+            if math.isnan(c):
+                assert math.isnan(mapped)
+            else:
+                assert mapped == oracle_apply_ts(self.TS_MODEL, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_apply_records())
+    def test_ts_lines(self, records):
+        loaded, lines = _recal_lines(records, "ts")
+        assert lines == [
+            _former_line(r, None if c is None else oracle_apply_ts(self.TS_MODEL, c))
+            for r, c in zip(loaded, map(rewards.record_confidence, loaded))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_apply_records())
+    def test_ptrue_lines(self, records):
+        loaded, lines = _recal_lines(records, "ptrue")
+        assert lines == [_former_line(r, r.p_affirmative) for r in loaded]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_apply_records())
+    def test_ats_lines_within_the_dot_product_rounding(self, records):
+        loaded, lines = _recal_lines(records, "ats")
+        assert len(lines) == len(loaded)
+        for record, line in zip(loaded, lines):
+            if rewards.record_confidence(record) is None:
+                assert line == _former_line(record, None)
+                continue
+            got = json.loads(line)["verbal_confidence"]
+            former = oracle_apply_ats(self.ATS_MODEL, record)
+            assert abs(got - former) <= _ats_tolerance(self.ATS_MODEL, record)
+            assert line == _former_line(record, got)
+
+    @pytest.mark.parametrize("kind", ["ts", "ats", "ptrue"])
+    def test_no_usable_confidence_writes_every_line_unchanged(self, kind, capsys):
+        records = [PredictionRecord(qid=f"q{i}", gold_answers=("alpha",),
+                                    response_text="Answer: alpha") for i in range(3)]
+        loaded, lines = _recal_lines(records, kind)
+        assert lines == [_former_line(r, None) for r in loaded]
+        missing = "p_affirmative" if kind == "ptrue" else "parseable confidence"
+        assert capsys.readouterr().err == f"skipped 3 records without {missing}\n"
+        column = rewards.confidences(loaded)
+        assert np.isnan(recal.apply_ats(self.ATS_MODEL, loaded, column)).all()

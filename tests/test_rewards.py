@@ -9,7 +9,6 @@ from uncal.rewards import (
     GoldSet,
     MatchRule,
     PredictionRecord,
-    annotate_record,
     extract_answer_line,
     extract_confidence,
     first_emit_fraction,
@@ -26,7 +25,7 @@ from uncal.rewards import (
 )
 
 from conftest import count_calls
-from oracles import oracle_match_answer
+from oracles import oracle_annotate_record, oracle_match_answer
 
 
 class TestExtractAnswerLine:
@@ -306,7 +305,7 @@ class TestCachedMatchHonoursThreshold:
                                response_text="Answer: big machine")
 
     def test_token_f1_cache_rejudged_at_threshold(self):
-        cached = annotate_record(self.PARTIAL, 0.3)
+        cached = oracle_annotate_record(self.PARTIAL, 0.3)
         assert cached.match.correct and cached.match.rule is MatchRule.TOKEN_F1
         assert record_correct(cached, 0.3) is True
         assert record_correct(cached, 0.9) is False
@@ -314,18 +313,18 @@ class TestCachedMatchHonoursThreshold:
 
     def test_threshold_free_rules_trust_the_cache(self):
         record = PredictionRecord(qid="e", gold_answers=("yes",), response_text="Answer: True")
-        cached = annotate_record(record, 0.3)
+        cached = oracle_annotate_record(record, 0.3)
         assert cached.match.rule is MatchRule.YES_NO
         assert record_correct(cached, 1.0) is True
 
     def test_no_answer_stays_wrong_at_zero_threshold(self):
         record = PredictionRecord(qid="n", gold_answers=("x",), response_text="no answer")
         assert record_correct(record, 0.0) is False
-        assert record_correct(annotate_record(record, 0.3), 0.0) is False
+        assert record_correct(oracle_annotate_record(record, 0.3), 0.0) is False
 
     def test_threshold_validated_on_cached_records(self):
         with pytest.raises(ValueError):
-            record_correct(annotate_record(self.PARTIAL, 0.3), 1.5)
+            record_correct(oracle_annotate_record(self.PARTIAL, 0.3), 1.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -339,6 +338,5 @@ class TestCachedMatchHonoursThreshold:
     def test_cache_never_changes_the_verdict(self, answer, gold, cached_at, judged_at):
         record = PredictionRecord(qid="h", gold_answers=(" ".join(gold),),
                                   response_text="Answer: " + " ".join(answer))
-        assert record_correct(annotate_record(record, cached_at), judged_at) == record_correct(
-            record, judged_at
-        )
+        cached = oracle_annotate_record(record, cached_at)
+        assert record_correct(cached, judged_at) == record_correct(record, judged_at)
