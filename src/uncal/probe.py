@@ -1,13 +1,13 @@
 """Span-aware linear wrongness probe over hidden states at emission points.
 
 Features pool the hidden vectors around the first emitted uncertainty span
-and append three scalar response features; `build_features` refuses a window
-below 0 and a span below 1 token. The probe itself is L2-regularized logistic
-regression fit by the shared Newton-CG minimizer (`optim`, which refuses a
-negative or non-finite penalty), with the decision threshold tuned for trigger
-F1 on held-out data. Every fit and score takes a feature matrix, one row per
-example. The positive class is "final answer is wrong", i.e. "trigger
-retrieval".
+and append three scalar response features; `examples` refuses a window below
+0 and a span below 1 token once per call, before it builds any feature. The
+probe itself is L2-regularized logistic regression fit by the shared
+Newton-CG minimizer (`optim`, which refuses a negative or non-finite
+penalty), with the decision threshold tuned for trigger F1 on held-out data.
+Every fit and score takes a feature matrix, one row per example. The
+positive class is "final answer is wrong", i.e. "trigger retrieval".
 """
 
 from __future__ import annotations
@@ -44,14 +44,10 @@ def build_features(
     count, emission count and first-emit fraction.
 
     `token_hidden` is the (tokens x dims) matrix for this record's response;
-    the range is clipped to the sequence bounds. `window` must be at least 0
-    and `span_token_count` at least 1, so the range always holds the first
-    emitted token.
+    the range is clipped to the sequence bounds. `examples` has checked that
+    `window` is at least 0 and `span_token_count` at least 1, so the range
+    always holds the first emitted token.
     """
-    if window < 0:
-        raise ValueError(f"window={window} must be at least 0")
-    if span_token_count < 1:
-        raise ValueError(f"span_tokens={span_token_count} must be at least 1")
     if not record.emissions:
         raise NotEmitted(f"record {record.qid!r} has no emission")
     hidden = np.asarray(token_hidden, dtype=float)
@@ -88,8 +84,13 @@ def examples(
 
     `batch` is `rewards.score_predictions(records)`; `stack` maps qid ->
     (tokens x dims) hidden matrix. An example is an emitted record with hidden
-    states in `stack`; its label is 1 where the batch scored it wrong.
+    states in `stack`; its label is 1 where the batch scored it wrong. A
+    `window` below 0 or a `span_token_count` below 1 is refused first.
     """
+    if window < 0:
+        raise ValueError(f"window={window} must be at least 0")
+    if span_token_count < 1:
+        raise ValueError(f"span_tokens={span_token_count} must be at least 1")
     rows = []
     wrong = []
     qids = []

@@ -18,7 +18,10 @@ every dataset and every point of a threshold sweep.
 Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
 token probability below T, after FLARE) and external (a recorded trigger).
-A record lacking the signal of the policy fails the batch.
+A record lacking the signal of the policy fails the batch. A signal's value
+is checked once, on load, by `jsonio.RAG_TRACE` (a confidence in [0,1], a
+finite probe score, token probabilities in (0,1]); `RagTraceRecord` takes
+its fields as they come.
 
 Every thresholded policy is `ControllerPolicy(kind, threshold)`. Boundary
 semantics: confidence triggering is strict (confidence < T), so T = 0
@@ -40,7 +43,8 @@ from .rewards import DEFAULT_F1_THRESHOLD, GoldSet, MatchResult, MatchRule, matc
 
 @dataclass(frozen=True)
 class RagTraceRecord:
-    """Paired no-retrieval / with-retrieval outcomes plus trigger signals."""
+    """Paired no-retrieval / with-retrieval outcomes plus trigger signals,
+    with values as `jsonio.RAG_TRACE` reads them."""
 
     qid: str
     gold_answers: tuple[str, ...]
@@ -55,20 +59,9 @@ class RagTraceRecord:
     external_trigger: bool | None = None
 
     def __post_init__(self):
-        if not self.gold_answers:
-            raise ValueError("gold_answers must be non-empty")
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         if self.noret_token_probs is not None:
             object.__setattr__(self, "noret_token_probs", tuple(self.noret_token_probs))
-        if self.noret_confidence is not None and not 0.0 <= self.noret_confidence <= 1.0:
-            raise ValueError("noret_confidence must lie in [0,1]")
-        if self.noret_emissions < 0:
-            raise ValueError("noret_emissions must be nonnegative")
-        if self.noret_probe_score is not None and not math.isfinite(self.noret_probe_score):
-            raise ValueError("noret_probe_score must be finite")
-        if self.noret_token_probs is not None and not all(
-                0.0 < p <= 1.0 for p in self.noret_token_probs):
-            raise ValueError("noret_token_probs must lie in (0,1]")
 
 
 class PolicyKind(enum.Enum):
@@ -251,22 +244,6 @@ def trigger_reports_by_dataset(scored: ScoredTraces, fires) -> dict[str, Trigger
     """Per-dataset reports (sorted by dataset name), for table-shaped output."""
     names, code = np.unique(scored.dataset, return_inverse=True)
     return {name: _tally(scored, fires, code == k) for k, name in enumerate(names)}
-
-
-def sweep_threshold(
-    kind: PolicyKind,
-    records: Sequence[RagTraceRecord],
-    grid: Sequence[float],
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
-) -> list[tuple[float, TriggerReport]]:
-    """One report per grid point for a thresholded policy family; the records
-    are scored once for the whole grid."""
-    policies = [ControllerPolicy(kind, value) for value in grid]
-    if not policies:
-        raise ValueError("grid must be non-empty")
-    scored = score_traces(records, f1_threshold)
-    return [(policy.threshold, trigger_report(scored, decide(policy, scored)))
-            for policy in policies]
 
 
 def parse_policy_spec(spec: str) -> ControllerPolicy:

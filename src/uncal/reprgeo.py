@@ -4,6 +4,8 @@ Covers token-level KL divergence (optionally grouped by token type), linear
 centered kernel alignment between representation matrices, exact PCA from
 one symmetric eigendecomposition of the covariance, and relative Frobenius
 drift between weight matrices. Nothing here draws random numbers.
+`jsonio.KL_PAIR` checks that every probability lies in [0,1] on load;
+`TokenDistPair` checks what no table states, equal lengths and unit sums.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class TokenAnnotation:
 
 @dataclass(frozen=True)
 class TokenDistPair:
-    """Base and calibrated next-token distributions at one position."""
+    """Base and calibrated next-token distributions at one position: two
+    equal-length vectors, each summing to 1 within 1e-6."""
 
     position: int
     base_probs: np.ndarray
@@ -49,8 +52,6 @@ class TokenDistPair:
         if base.shape != cal.shape or base.ndim != 1:
             raise ShapeError("distribution pair must be two equal-length vectors")
         for name, v in (("base", base), ("calibrated", cal)):
-            if np.any(v < 0.0):
-                raise ValueError(f"{name} distribution has negative entries")
             if abs(float(np.sum(v)) - 1.0) > 1e-6:
                 raise ValueError(f"{name} distribution does not sum to 1")
         object.__setattr__(self, "base_probs", base)

@@ -12,6 +12,10 @@ each record is matched at most once however many metrics read the batch.
 Applying a recalibration reads that column and matches nothing. No command
 computes a training reward from a record: the one reward the toolkit models,
 the signed verbal confidence, is applied to trajectories by `trajspace`.
+
+`jsonio.PREDICTION` is the one check of each field's value (non-empty
+`gold_answers`, confidences in [0,1]); `PredictionRecord` checks only what
+that table cannot state, that its emissions are sorted and inside the text.
 """
 
 from __future__ import annotations
@@ -104,16 +108,10 @@ class PredictionRecord:
     match: MatchResult | None = None
 
     def __post_init__(self):
-        if not self.gold_answers:
-            raise ValueError("gold_answers must be non-empty")
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         object.__setattr__(self, "emissions", tuple(self.emissions))
         if self.token_probs is not None:
             object.__setattr__(self, "token_probs", tuple(self.token_probs))
-        if self.verbal_confidence is not None and not 0.0 <= self.verbal_confidence <= 1.0:
-            raise ValueError("verbal_confidence must lie in [0,1]")
-        if self.p_affirmative is not None and not 0.0 <= self.p_affirmative <= 1.0:
-            raise ValueError("p_affirmative must lie in [0,1]")
         positions = [e.char_position for e in self.emissions]
         if positions != sorted(positions):
             raise ValueError("emissions must be sorted by char_position")
@@ -221,13 +219,13 @@ def _check_threshold(f1_threshold: float) -> None:
 
 class GoldSet:
     """A record's gold answers prepared once for matching: the normalized
-    strings, the yes/no values among them and each one's token bag."""
+    strings, the yes/no values among them and each one's token bag. It is
+    built from a record's `gold_answers`, which the loader has checked are
+    non-empty."""
 
     __slots__ = ("answers", "normalized", "yes_no", "bags")
 
     def __init__(self, golds: Sequence[str]):
-        if not golds:
-            raise ValueError("golds must be non-empty")
         self.answers = tuple(golds)
         self.normalized = tuple(map(normalize_answer, golds))
         self.yes_no = {_YES_NO[g] for g in self.normalized if g in _YES_NO}

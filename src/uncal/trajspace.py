@@ -11,7 +11,9 @@ computed exactly on these finite spaces, which is what makes brute-force
 verification possible.
 
 All operations are pure: they never mutate their inputs and return fresh
-spaces, so concurrent use over distinct spaces is safe.
+spaces, so concurrent use over distinct spaces is safe. `jsonio.TRAJECTORY`
+checks each trajectory's confidence and base probability on load;
+`TrajectorySpace` checks the invariants across trajectories.
 """
 
 from __future__ import annotations
@@ -33,19 +35,14 @@ _PROB_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One reasoning trajectory: answer, stated confidence, base probability."""
+    """One reasoning trajectory: answer, stated confidence, base probability,
+    each in [0,1] as `jsonio.TRAJECTORY` reads them."""
 
     id: str
     answer: str
     confidence: float
     base_prob: float
     correct: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0,1], got {self.confidence}")
-        if self.base_prob < 0.0:
-            raise ValueError(f"base_prob must be nonnegative, got {self.base_prob}")
 
 
 @dataclass(frozen=True)

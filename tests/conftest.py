@@ -79,6 +79,17 @@ def run_policy(policy, traces):
     return ragctl.trigger_report(scored, ragctl.decide(policy, scored))
 
 
+def sweep_threshold(kind, records, grid):
+    """One report per grid point for a thresholded policy family; the records
+    are scored once for the whole grid."""
+    policies = [ragctl.ControllerPolicy(kind, value) for value in grid]
+    if not policies:
+        raise ValueError("grid must be non-empty")
+    scored = ragctl.score_traces(records)
+    return [(policy.threshold, ragctl.trigger_report(scored, ragctl.decide(policy, scored)))
+            for policy in policies]
+
+
 def planted_stack(
     rng: np.random.Generator,
     layers=(0, 8, 16),

@@ -20,7 +20,14 @@ from uncal.errors import DegenerateRatio, HypothesisViolated
 from uncal.ragctl import ControllerPolicy, PolicyKind
 from uncal.rewards import GoldSet, match_answer, score_predictions
 
-from conftest import make_record, planted_stack, random_batch, random_rag_batch, run_policy
+from conftest import (
+    make_record,
+    planted_stack,
+    random_batch,
+    random_rag_batch,
+    run_policy,
+    sweep_threshold,
+)
 from oracles import (
     oracle_auprc,
     oracle_auroc,
@@ -285,7 +292,7 @@ def test_controller_identities():
     grid = [i / 20 for i in range(21)]
     for _ in range(50):
         records = random_rag_batch(rng, int(rng.integers(5, 40)))
-        reports = ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
+        reports = sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
         rates = [r.trigger_rate for _, r in reports]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 

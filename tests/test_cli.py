@@ -809,6 +809,27 @@ class TestPredictionLoaderChecks:
         assert line == 2 and named in message
 
 
+class TestEmissionRules:
+    """The two emission rules no table can state, which `PredictionRecord`
+    keeps, reported through the loader like any table rejection."""
+
+    GOOD = {"qid": "g", "gold_answers": ["a"], "response_text": "Answer: a <uncertain>",
+            "verbal_confidence": 0.5}
+
+    @pytest.mark.parametrize("emissions, message", [
+        ([{"char_position": 10}, {"char_position": 0}],
+         "emissions must be sorted by char_position"),
+        ([{"char_position": len(GOOD["response_text"])}],
+         "emission position outside response text"),
+    ])
+    def test_reported_with_path_and_line(self, tmp_path, capsys, emissions, message):
+        path = _write_lines(tmp_path / "p.jsonl",
+                            [self.GOOD, self.GOOD | {"emissions": emissions}, self.GOOD])
+        assert main(["calib", "--in", str(path), "--out", str(tmp_path / "c.json")]) == 0
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith(f"{path}:")] == [f"{path}:2: {message}"]
+
+
 class TestTableRejections:
     """Values the loaders once coerced into plausible ones (a dataset named
     "None", a position 2.7 read as 2, booleans read as 1.0 and 0.0). Each line
@@ -981,6 +1002,16 @@ class TestFitFlagRanges:
                      *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"uncal: {message}\n"
         assert not out.exists()
+
+    def test_window_refused_when_no_record_has_hidden_states(self, tmp_path, capsys,
+                                                             probe_inputs):
+        # the fixture's records share no qid with the layer file
+        argv = ["probe", "fit", "--hidden", str(probe_inputs[0] / "layer_8.mat"),
+                "--preds", str(PREDS_FIXTURE), "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "uncal: no emitted record has hidden states\n"
+        assert main([*argv, "--window", "-1"]) == 1
+        assert capsys.readouterr().err == "uncal: window=-1 must be at least 0\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--l2", "-1"], "l2=-1.0 must be a finite number >= 0"),

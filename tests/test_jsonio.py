@@ -1,8 +1,10 @@
 """The compiled line encoders, the line decoder and the list readers of
-`uncal.jsonio`, each against the definition it replaced."""
+`uncal.jsonio`, each against the definition it replaced, and a guard that a
+record class accepts every line its table accepts."""
 
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,3 +236,69 @@ def test_line_breaking_characters_stay_inside_their_line(tmp_path, char):
     result = jsonio.load_predictions(path)
     assert not result.errors and result.total_lines == 2
     assert [r.qid for r in result.records] == [record.qid] * 2
+
+
+# field values at the edges of what the tables accept
+_UNIT = st.sampled_from([0, 1, 0.0, 1.0]) | _PROB
+_TOKEN_PROB_LIST = st.lists(st.sampled_from([1, 1.0, 5e-324]) | st.floats(5e-324, 1.0),
+                            max_size=4)
+_BIG = sys.float_info.max
+_SCORE = st.sampled_from([1e308, -1e308, _BIG, -_BIG, 0]) | _FINITE
+_COUNT = st.just(0) | st.integers(0, 2**40)
+_MARKED_TEXT = st.lists(_TEXT | st.just("<uncertain>"), max_size=4).map("".join)
+_GOLD_LIST = st.lists(_TEXT, min_size=1, max_size=3)
+
+
+def _lines(table, values):
+    """JSON objects holding every required field of `table` and any of the
+    others; a field whose default is None may also be null."""
+    required = {k: values[k] for k, (_, default) in table.items() if default is jsonio.REQUIRED}
+    optional = {k: values[k] | st.none() if table[k][1] is None else values[k]
+                for k in values.keys() - required.keys()}
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_RAG_LINES = _lines(jsonio.RAG_TRACE, {
+    "qid": _TEXT, "dataset": _TEXT, "gold_answers": _GOLD_LIST, "noret_answer": _TEXT,
+    "ret_answer": _TEXT, "noret_confidence": _UNIT, "noret_emissions": _COUNT,
+    "noret_probe_score": _SCORE, "noret_token_probs": _TOKEN_PROB_LIST,
+    "noret_response_text": _TEXT, "external_trigger": st.booleans(),
+})
+_MATCH_BLOCK = st.fixed_dictionaries({
+    "correct": st.booleans(), "rule": st.sampled_from([r.value for r in MatchRule]),
+    "f1": _UNIT,
+})
+# no `emissions`: the loader scans them from the text
+_PREDICTION_LINES = _lines(jsonio.PREDICTION, {
+    "qid": _TEXT, "dataset": _TEXT, "question": _TEXT, "gold_answers": _GOLD_LIST,
+    "response_text": _MARKED_TEXT, "extracted_answer": _TEXT, "verbal_confidence": _UNIT,
+    "response_token_count": _COUNT, "token_probs": _TOKEN_PROB_LIST, "p_affirmative": _UNIT,
+    "match": _MATCH_BLOCK,
+})
+_RAG_EDGE = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "b"}
+_PREDICTION_EDGE = {"qid": "q", "gold_answers": ["a"], "response_text": "<uncertain>"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAG_LINES)
+@example(_RAG_EDGE | {"noret_confidence": 0, "noret_emissions": 0, "noret_probe_score": -1e308,
+                      "noret_token_probs": [1.0, 5e-324]})
+@example(_RAG_EDGE | {"noret_confidence": 1.0, "noret_probe_score": 1e308,
+                      "noret_token_probs": []})
+def test_every_rag_line_the_table_accepts_builds_its_record(obj):
+    # the table is the one check of a field's value; the record adds none
+    fields = jsonio.read_table(jsonio.RAG_TRACE, obj)
+    record = RagTraceRecord(**fields)
+    assert record.noret_probe_score == fields["noret_probe_score"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PREDICTION_LINES)
+@example(_PREDICTION_EDGE | {"verbal_confidence": 0, "p_affirmative": 1.0,
+                             "token_probs": [1, 5e-324]})
+@example(_PREDICTION_EDGE | {"verbal_confidence": 1.0, "p_affirmative": 0.0, "token_probs": [],
+                             "match": {"correct": True, "rule": "TokenF1", "f1": 0}})
+def test_every_prediction_line_the_table_accepts_builds_its_record(obj):
+    jsonio.read_table(jsonio.PREDICTION, obj)
+    record = jsonio.prediction_from_dict(obj)
+    assert len(record.emissions) == record.response_text.count("<uncertain>")

@@ -64,8 +64,10 @@ class TestBuildFeatures:
         (2, -3, "span_tokens=-3 must be at least 1"),
     ])
     def test_window_and_span_ranges(self, window, span, message):
+        records = [emitted_record(3)]
         with pytest.raises(ValueError, match=message):
-            probe.build_features(np.ones((10, 2)), emitted_record(3), window, span)
+            probe.examples(records, score_predictions(records), {"q": np.ones((10, 2))},
+                           window, span)
 
     def test_not_emitted(self):
         record = PredictionRecord(

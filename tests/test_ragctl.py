@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from uncal import jsonio, ragctl
 from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
 
-from conftest import count_calls, outcome, random_rag_batch, run_policy
+from conftest import count_calls, outcome, random_rag_batch, run_policy, sweep_threshold
 from oracles import oracle_match_answer, oracle_trigger_counts, oracle_trigger_reports
 
 # answers with repeated tokens, articles, punctuation, yes/no words and dates
@@ -162,7 +163,7 @@ class TestSimulate:
 class TestSweepThreshold:
     def test_endpoints_reproduce_never_and_always(self):
         # all fixture confidences sit strictly inside (0, 1)
-        reports = ragctl.sweep_threshold(
+        reports = sweep_threshold(
             PolicyKind.CONFIDENCE_THRESHOLD, HAND_FIXTURE, [0.0, 1.0]
         )
         never = run_policy(ControllerPolicy(PolicyKind.NEVER), HAND_FIXTURE)
@@ -174,13 +175,13 @@ class TestSweepThreshold:
         grid = [i / 20 for i in range(21)]
         for _ in range(10):
             records = random_rag_batch(rng, 30)
-            reports = ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
+            reports = sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
             rates = [r.trigger_rate for _, r in reports]
             assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_single_point_grid_equals_simulate(self, rng):
         records = random_rag_batch(rng, 12)
-        [(value, report)] = ragctl.sweep_threshold(
+        [(value, report)] = sweep_threshold(
             PolicyKind.CONFIDENCE_THRESHOLD, records, [0.4]
         )
         assert value == 0.4
@@ -188,7 +189,7 @@ class TestSweepThreshold:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, HAND_FIXTURE, [])
+            sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, HAND_FIXTURE, [])
 
 
 class TestPolicySpec:
@@ -236,8 +237,9 @@ _NAN, _INF = float("nan"), float("inf")
 
 
 class TestRecordRanges:
-    """A record built through the API refuses the signal values the trace
-    loader's table refuses, so no NaN reaches `decide` as a missing signal."""
+    """The trace table is the one check of a signal's value: the loader
+    refuses the lines whose signal the record must not hold, naming the field
+    and the line, so no NaN reaches `decide` as a missing signal."""
 
     @pytest.mark.parametrize("field, bad", [
         ("noret_probe_score", _NAN), ("noret_probe_score", _INF),
@@ -246,13 +248,16 @@ class TestRecordRanges:
         ("noret_token_probs", (0.0,)), ("noret_token_probs", (0.9, 1.5)),
         ("noret_token_probs", (-0.1,)),
     ])
-    def test_table_and_record_refuse_the_same_values(self, field, bad):
+    def test_table_and_record_refuse_the_same_values(self, tmp_path, field, bad):
         fields = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "a"}
-        with pytest.raises(ValueError, match=field):
-            jsonio.read_table(jsonio.RAG_TRACE, {**fields, field: list(bad)
-                                                 if isinstance(bad, tuple) else bad})
-        with pytest.raises(ValueError, match=field):
-            RagTraceRecord(**fields, **{field: bad})
+        value = list(bad) if isinstance(bad, tuple) else bad
+        path = tmp_path / "traces.jsonl"
+        # `json.dumps` writes the literals NaN, Infinity and -Infinity
+        path.write_text(json.dumps(fields) + "\n" + json.dumps({**fields, field: value}) + "\n")
+        loaded = jsonio.load_rag_traces(path)
+        [(line, message)] = loaded.errors
+        assert line == 2 and message.startswith(f"{field} must be ")
+        assert [r.qid for r in loaded.records] == ["r"]
 
     def test_edges_accepted(self):
         for probe_score, token_probs in ((-3.0, (1.0,)), (1e300, (5e-324, 1.0)), (0.0, ())):
@@ -273,8 +278,8 @@ class TestScoredTraces:
     def test_each_answer_matched_once_for_the_whole_sweep(self, rng, monkeypatch):
         calls = count_calls(monkeypatch, ragctl, "match_answer")
         records = random_rag_batch(rng, 30)
-        ragctl.sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records,
-                               [i / 10 for i in range(11)])
+        sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records,
+                        [i / 10 for i in range(11)])
         # one match per no-retrieval answer, one per changed with-retrieval answer
         assert len(calls) == 48 == 30 + sum(r.ret_answer != r.noret_answer for r in records)
 

@@ -199,10 +199,12 @@ class TestPtrue:
         out = recal_ptrue(tmp_path, records)
         assert [r.verbal_confidence for r in out] == [1.0, 0.397, 0.0]
 
-    def test_range_validated(self):
-        with pytest.raises(ValueError):
-            PredictionRecord(qid="q", gold_answers=("x",), response_text="Answer: x",
-                             p_affirmative=1.2)
+    def test_range_validated(self, tmp_path):
+        # the loader's table is the check `recal ptrue` relies on
+        good = {"qid": "q", "gold_answers": ["x"], "response_text": "Answer: x"}
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"p_affirmative": 1.2}) + "\n")
+        assert jsonio.load_predictions(path).errors == [(2, "p_affirmative outside [0,1]")]
 
     def test_batch_replacement_reduces_overconfident_wrong(self, tmp_path):
         # wrong answers carry low affirmative probability in this fixture

@@ -1,9 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncal import jsonio
 from uncal.rewards import (
     EmissionEvent,
     GoldSet,
@@ -191,9 +193,13 @@ class TestMatchAnswer:
         assert result.rule is MatchRule.TOKEN_F1 and result.f1 == 2.0 / 3.0
         assert match_answer("new new", GoldSet(["new new new"]), 0.0).f1 == 0.8
 
-    def test_empty_gold_set_refused(self):
-        with pytest.raises(ValueError, match="golds must be non-empty"):
-            GoldSet(())
+    def test_empty_gold_set_refused(self, tmp_path):
+        # a GoldSet is built from a record's gold answers, which the loader checks
+        good = {"qid": "q", "gold_answers": ["x"], "response_text": "Answer: x"}
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"gold_answers": []}) + "\n")
+        assert jsonio.load_predictions(path).errors == [
+            (2, "gold_answers must be a non-empty list of strings")]
 
     @settings(max_examples=1000, deadline=None)
     @given(preds=st.lists(_ANSWER_TEXTS, min_size=1, max_size=3),

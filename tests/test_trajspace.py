@@ -71,8 +71,11 @@ class TestSpaceValidation:
             ts.TrajectorySpace((), "A")
 
     def test_confidence_range_enforced(self):
-        with pytest.raises(ValueError):
-            ts.Trajectory("z", "A", 1.2, 1.0, True)
+        line = {"gold_answer": "A",
+                "trajectories": [{"id": "z", "answer": "A", "confidence": 1.2, "base_prob": 1.0}]}
+        with pytest.raises(ValueError) as refused:
+            space_from_dict(line)
+        assert str(refused.value) == "trajectories[0]: confidence outside [0,1]"
 
 
 class TestReward:
