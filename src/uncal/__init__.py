@@ -11,7 +11,14 @@ from which every report is produced).
 
 __version__ = "0.1.0"
 
+import os as _os
 from importlib import resources as _resources
+
+# One BLAS thread, set before any submodule imports numpy: a float64 product
+# split over more threads sums in another order and changes the last bits of
+# `repr` outputs. A process that imported numpy before `uncal` keeps its own
+# thread count.
+_os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def fixture_path(name: str):

@@ -349,10 +349,12 @@ def _cmd_recal_ptrue(args) -> int:
     return 0
 
 
-def _token_rows(sidecar) -> tuple[int, dict[str, list[int]], str | None]:
+def _token_rows(sidecar) -> tuple[int, dict[str, slice | list[int]], str | None]:
     """A sidecar's row count, each qid's rows in token order (a row without
     `token_index` takes its position among the qid's rows), and the fault of
-    the first qid whose token indices are not 0..k-1, or None."""
+    the first qid whose token indices are not 0..k-1, or None. A qid whose
+    rows are contiguous and already in token order gets a slice, so that
+    indexing a matrix with it gives a view rather than a copy."""
     rows = matio.read_row_ids(sidecar)
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
@@ -364,13 +366,18 @@ def _token_rows(sidecar) -> tuple[int, dict[str, list[int]], str | None]:
         members.sort()
         if fault is None and [token for token, _ in members] != list(range(len(members))):
             fault = f"token indices of qid {qid!r} are not 0..{len(members) - 1}"
-        order[qid] = [i for _, i in members]
+        indices = [i for _, i in members]
+        start = indices[0]
+        contiguous = indices == list(range(start, start + len(indices)))
+        order[qid] = slice(start, start + len(indices)) if contiguous else indices
     return len(rows), order, fault
 
 
 def _load_token_stack(mat_path, last: list | None = None) -> dict[str, np.ndarray]:
     """qid -> (tokens x dims) matrix from a layer file plus its sidecar: row t
-    of a qid's matrix is the hidden state of its token t. `last`, the previous
+    of a qid's matrix is the hidden state of its token t. Each is a view of
+    the layer's matrix where the qid's rows are contiguous and in token
+    order, and a copy of its rows otherwise. `last`, the previous
     layer's `[sidecar bytes, _token_rows]` (updated in place), spares parsing
     a byte-identical sidecar again."""
     values = matio.read_matrix(mat_path)
@@ -393,8 +400,9 @@ def _load_token_stack(mat_path, last: list | None = None) -> dict[str, np.ndarra
 def _cmd_probe_sweep(args) -> int:
     records = _load_preds(args.preds)
     last = [None, None]
-    stacks = {k: _load_token_stack(Path(args.hidden) / f"layer_{k}.mat", last)
-              for k in args.layers}
+    # a generator: each layer is loaded only once the one before it is fitted
+    stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat", last))
+              for k in args.layers)
     rows = probe.layer_sweep(
         stacks, records,
         window=args.window, span_token_count=args.span_tokens,

@@ -1,15 +1,19 @@
 """Binary matrix container: `UNCAL-MAT v1` header plus row-major f32 payload.
 
 The header is a single ASCII line `UNCAL-MAT v1 rows=<n> dims=<d> dtype=f32le`
-followed by rows*dims little-endian 32-bit floats, all finite. Row identities
-live in a sidecar JSON Lines file, one object per row read by `jsonio.ROW_ID`:
-a string `qid` and an optional int `token_index` >= 0, nothing else.
+followed by rows*dims little-endian 32-bit floats, all finite. A read checks
+the payload's size before it allocates and then reads the payload into the
+one float32 array it returns. Row identities live in a sidecar JSON Lines
+file, one object per row read by `jsonio.ROW_ID`: a string `qid` and an
+optional int `token_index` >= 0, nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -35,23 +39,32 @@ def write_matrix(path, values) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
+    """The matrix in an UNCAL-MAT v1 file, as native float32. A file that is
+    not a regular file (a pipe) is refused: it has no size to check first."""
     try:
         with open(path, "rb") as fh:
-            header = fh.readline()
+            header = fh.readline(256)  # bounded: a file without a newline is not read whole
             m = _HEADER_RE.match(header)
             if not m:
                 raise IoError(f"{path}: not an UNCAL-MAT v1 file")
             rows, dims = int(m.group(1)), int(m.group(2))
-            payload = fh.read()
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise IoError(f"{path}: not a regular file")
+            expected = rows * dims * 4
+            size = st.st_size - fh.tell()
+            if size != expected:
+                raise IoError(f"{path}: expected {expected} payload bytes, got {size}")
+            values = np.empty((rows, dims), dtype="<f4")
+            # a uint8 view: `memoryview.cast` would refuse a zero in the shape
+            got = fh.readinto(values.view(np.uint8))
     except OSError as exc:
         raise IoError(f"cannot read matrix file {path}: {exc}") from exc
-    expected = rows * dims * 4
-    if len(payload) != expected:
-        raise IoError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(rows, dims).astype(np.float32)
+    if got != expected:  # the file shrank after its size was checked
+        raise IoError(f"{path}: expected {expected} payload bytes, got {got}")
     if not np.isfinite(values).all():
         raise IoError(f"{path}: payload holds a NaN or infinite value")
-    return values
+    return values.astype(np.float32, copy=False)
 
 
 def write_row_ids(path, rows) -> None:

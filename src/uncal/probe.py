@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -312,7 +312,7 @@ class LayerSweepRow(Evaluation):
 
 
 def layer_sweep(
-    stacks: Mapping[int, Mapping[str, np.ndarray]],
+    stacks: Iterable[tuple[int, Mapping[str, np.ndarray]]],
     records: Sequence[PredictionRecord],
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
@@ -321,17 +321,21 @@ def layer_sweep(
 ) -> list[LayerSweepRow]:
     """Full fit + threshold tuning per layer on a fixed qid-hash split.
 
-    `stacks` maps layer -> qid -> (tokens x dims) hidden matrix; every layer
-    in it is swept. The records are scored once for every layer; see
-    `examples` for which take part. Rows come back sorted by layer index.
+    `stacks` yields (layer, qid -> (tokens x dims) hidden matrix) pairs, such
+    as a dict's `items()`. Each layer is fitted before the next pair is
+    drawn, so a generator that loads its layers lazily holds about two at a
+    time; a layer that fails to load or fit then fails after the layers
+    before it have been fitted. The records are scored once for every layer;
+    see `examples` for which take part. Rows come back sorted by layer index.
     """
     batch = score_predictions(records)
     rows = []
-    for layer in sorted(stacks):
-        x, y, qids = examples(records, batch, stacks[layer], window, span_token_count)
+    for layer, stack in stacks:
+        x, y, qids = examples(records, batch, stack, window, span_token_count)
         model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
         rows.append(LayerSweepRow(
             layer=layer, **asdict(evaluate(dev, model.threshold)),
             n_train=n_train, n_dev=n_dev,
         ))
-    return rows
+        del stack  # free this layer before `stacks` loads the next
+    return sorted(rows, key=lambda row: row.layer)

@@ -3,7 +3,11 @@
 Covers token-level KL divergence (optionally grouped by token type), linear
 centered kernel alignment between representation matrices, exact PCA from
 one symmetric eigendecomposition of the covariance, and relative Frobenius
-drift between weight matrices. Nothing here draws random numbers.
+drift between weight matrices. Nothing here draws random numbers. Each
+matrix function computes in float64 and holds only the float64 copies its
+formula needs beside its inputs, which may stay float32: CKA one centred
+copy per input, PCA one, Frobenius drift one at a time, and the embedding
+drift report only the rows it names.
 `jsonio.KL_PAIR` checks that every probability lies in [0,1] on load;
 `TokenDistPair` checks what no table states, equal lengths and unit sums.
 """
@@ -157,15 +161,16 @@ def pca_project(x, k: int) -> PcaResult:
     made positive, so the output is unique wherever the top k eigenvalues are
     distinct.
     """
-    values = _as_2d(x)
-    n, d = values.shape
+    # one float64 copy of the input, centred in place below
+    centered = _as_2d(np.array(x, dtype=float))
+    n, d = centered.shape
     if k < 1:
         raise ShapeError(f"k={k} must be at least 1")
     if k > d:
         raise ShapeError(f"k={k} exceeds dims={d}")
     if n <= k:
         raise ShapeError(f"need more rows than components, got rows={n}, k={k}")
-    centered = values - values.mean(axis=0)
+    centered -= centered.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     total_var = float(np.trace(cov))
     if total_var == 0.0:
@@ -183,15 +188,19 @@ def pca_project(x, k: int) -> PcaResult:
 
 
 def frobenius_drift(w_base, w_cal) -> float:
-    """Relative Frobenius drift ||cal - base||_F / ||base||_F."""
-    base = np.asarray(w_base, dtype=float)
-    cal = np.asarray(w_cal, dtype=float)
+    """Relative Frobenius drift ||cal - base||_F / ||base||_F, in float64
+    whatever the inputs' dtype. At most one float64 matrix is held at a time:
+    the base's, for its norm, and then the difference."""
+    base = np.asarray(w_base)
+    cal = np.asarray(w_cal)
     if base.shape != cal.shape:
         raise ShapeError("weight matrices must have the same shape")
-    base_norm = float(np.linalg.norm(base))
+    base_norm = float(np.linalg.norm(np.asarray(base, dtype=float)))
     if base_norm == 0.0:
         raise UndefinedSimilarity("zero base norm makes relative drift undefined")
-    return float(np.linalg.norm(cal - base)) / base_norm
+    diff = cal.astype(float)
+    diff -= base
+    return float(np.linalg.norm(diff)) / base_norm
 
 
 @dataclass(frozen=True)
@@ -207,9 +216,10 @@ def embedding_drift_report(
     w_base,
     w_cal,
 ) -> EmbeddingDriftReport:
-    """Mean per-row relative drift of interest rows vs. a baseline row set."""
-    base = np.asarray(w_base, dtype=float)
-    cal = np.asarray(w_cal, dtype=float)
+    """Mean per-row relative drift of interest rows vs. a baseline row set,
+    in float64; only the named rows are converted."""
+    base = np.asarray(w_base)
+    cal = np.asarray(w_cal)
     if base.shape != cal.shape:
         raise ShapeError("weight matrices must have the same shape")
     interest = list(rows_of_interest)
@@ -224,11 +234,13 @@ def embedding_drift_report(
 
     def row_drift(indices):
         drifts = []
-        for i in indices:
-            norm = float(np.linalg.norm(base[i]))
+        rows = zip(indices, np.asarray(base[indices], dtype=float),
+                   np.asarray(cal[indices], dtype=float))
+        for i, base_row, cal_row in rows:
+            norm = float(np.linalg.norm(base_row))
             if norm == 0.0:
                 raise UndefinedSimilarity(f"row {i} of the base matrix has zero norm")
-            drifts.append(float(np.linalg.norm(cal[i] - base[i])) / norm)
+            drifts.append(float(np.linalg.norm(cal_row - base_row)) / norm)
         return float(np.mean(drifts))
 
     interest_mean = row_drift(interest)

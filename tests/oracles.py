@@ -554,3 +554,99 @@ def oracle_annotate_record(record, f1_threshold=0.3):
     if answer is None:
         answer = extract_answer_line(record.response_text)
     return replace(record, extracted_answer=answer, match=match_record(record, f1_threshold))
+
+
+def oracle_pca_project(x, k: int):
+    """`reprgeo.pca_project` as it was when it centred a second float64 copy
+    of the input instead of the first one in place."""
+    import numpy as np
+
+    from uncal.errors import ShapeError, UndefinedSimilarity
+    from uncal.reprgeo import PcaResult, _as_2d
+
+    values = _as_2d(x)
+    n, d = values.shape
+    if k < 1:
+        raise ShapeError(f"k={k} must be at least 1")
+    if k > d:
+        raise ShapeError(f"k={k} exceeds dims={d}")
+    if n <= k:
+        raise ShapeError(f"need more rows than components, got rows={n}, k={k}")
+    centered = values - values.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    total_var = float(np.trace(cov))
+    if total_var == 0.0:
+        raise UndefinedSimilarity("zero-variance matrix has no principal directions")
+    eigenvalues, vectors = np.linalg.eigh(cov)  # ascending
+    comp = vectors[:, ::-1][:, :k].T
+    peaks = comp[np.arange(k), np.argmax(np.abs(comp), axis=1)]
+    comp = comp * np.sign(peaks)[:, None]
+    ratios = np.maximum(eigenvalues[::-1][:k], 0.0) / total_var
+    return PcaResult(
+        projection=centered @ comp.T,
+        explained_variance_ratio=ratios,
+        components=comp,
+    )
+
+
+def oracle_frobenius_drift(w_base, w_cal) -> float:
+    """`reprgeo.frobenius_drift` as it was when it converted both matrices
+    whole to float64 and subtracted them into a third."""
+    import numpy as np
+
+    from uncal.errors import ShapeError, UndefinedSimilarity
+
+    base = np.asarray(w_base, dtype=float)
+    cal = np.asarray(w_cal, dtype=float)
+    if base.shape != cal.shape:
+        raise ShapeError("weight matrices must have the same shape")
+    base_norm = float(np.linalg.norm(base))
+    if base_norm == 0.0:
+        raise UndefinedSimilarity("zero base norm makes relative drift undefined")
+    return float(np.linalg.norm(cal - base)) / base_norm
+
+
+def oracle_embedding_drift_report(rows_of_interest, baseline_rows, w_base, w_cal):
+    """`reprgeo.embedding_drift_report` as it was when it converted both
+    matrices whole to float64, not just the rows it names."""
+    import numpy as np
+
+    from uncal.errors import ShapeError, UndefinedSimilarity
+    from uncal.reprgeo import EmbeddingDriftReport
+
+    base = np.asarray(w_base, dtype=float)
+    cal = np.asarray(w_cal, dtype=float)
+    if base.shape != cal.shape:
+        raise ShapeError("weight matrices must have the same shape")
+    interest = list(rows_of_interest)
+    baseline = list(baseline_rows)
+    if not interest or not baseline:
+        raise ValueError("row sets must be non-empty")
+    if set(interest) & set(baseline):
+        raise ValueError("row sets must be disjoint")
+    for i in interest + baseline:
+        if not 0 <= i < base.shape[0]:
+            raise ValueError(f"row index {i} outside 0..{base.shape[0] - 1}")
+
+    def row_drift(indices):
+        drifts = []
+        for i in indices:
+            norm = float(np.linalg.norm(base[i]))
+            if norm == 0.0:
+                raise UndefinedSimilarity(f"row {i} of the base matrix has zero norm")
+            drifts.append(float(np.linalg.norm(cal[i] - base[i])) / norm)
+        return float(np.mean(drifts))
+
+    interest_mean = row_drift(interest)
+    baseline_mean = row_drift(baseline)
+    if baseline_mean > 0.0:
+        ratio = interest_mean / baseline_mean
+    elif interest_mean > 0.0:
+        ratio = math.inf
+    else:
+        ratio = None
+    return EmbeddingDriftReport(
+        interest_mean_drift=interest_mean,
+        baseline_mean_drift=baseline_mean,
+        ratio=ratio,
+    )

@@ -1,8 +1,12 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -35,9 +39,9 @@ def write_spaces(path, count=6, seed=1):
             fh.write(jsonio.encode(jsonio.SPACE, space) + "\n")
 
 
-def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120):
+def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120, dims=12):
     records, stacks = planted_stack(
-        np.random.default_rng(seed), layers=layers, signal_layer=layers[-1], n=n
+        np.random.default_rng(seed), layers=layers, signal_layer=layers[-1], n=n, dims=dims
     )
     directory.mkdir(exist_ok=True)
     for layer, per_qid in stacks.items():
@@ -278,6 +282,23 @@ class TestTokenStack:
         for qid in ("a", "b", "c"):
             np.testing.assert_array_equal(swept[2][qid], swept[0][qid])
 
+    def test_in_order_and_shuffled_sidecars_give_equal_stacks(self, tmp_path):
+        # rows listed qid by qid in token order become views of the layer's
+        # matrix; the same rows shuffled are gathered into copies
+        ids = [{"qid": q, "token_index": t} for q in ("a", "b", "c") for t in range(3)]
+        order = [4, 0, 8, 2, 6, 1, 3, 7, 5]
+        values = np.random.default_rng(1).normal(size=(9, 2)).astype(np.float32)
+        for name, rows in (("in_order", list(range(9))), ("shuffled", order)):
+            matio.write_matrix(tmp_path / f"{name}.mat", values[rows])
+            matio.write_row_ids(tmp_path / f"{name}.mat.ids.jsonl", [ids[i] for i in rows])
+        in_order = _load_token_stack(tmp_path / "in_order.mat")
+        shuffled = _load_token_stack(tmp_path / "shuffled.mat")
+        assert sorted(in_order) == sorted(shuffled) == ["a", "b", "c"]
+        for qid in in_order:
+            np.testing.assert_array_equal(in_order[qid], shuffled[qid])
+            assert not in_order[qid].flags.owndata
+            assert shuffled[qid].flags.owndata
+
     def test_reused_sidecar_still_checked_against_each_layer(self, tmp_path):
         ids = [{"qid": "a", "token_index": t} for t in (1, 0)]
         for k in (0, 1):
@@ -500,6 +521,102 @@ class TestDeterminism:
              "--cal", str(tmp_path / "y.mat"), "--out", "{out}/d.json"],
             tmp_path, ["d.json"],
         )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the three matrix commands in one fresh interpreter, writing into argv[1]
+_REPR_SCRIPT = """
+import sys
+from uncal.cli import main
+out = sys.argv[1]
+assert main(["repr", "cka", "--x", "x.mat", "--y", "y.mat", "--out", out + "/cka.json"]) == 0
+assert main(["repr", "pca", "--in", "x.mat", "--k", "2",
+             "--out", out + "/pca.json", "--csv", out + "/pca.csv"]) == 0
+assert main(["repr", "drift", "--base", "x.mat", "--cal", "y.mat", "--out", out + "/drift.json"]) == 0
+"""
+
+
+def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 4800 x 256 a float64 product split over two BLAS threads changes
+    # the last bits of all three outputs unless `uncal` pins one thread
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4800, 256))
+    matio.write_matrix(tmp_path / "x.mat", x)
+    matio.write_matrix(tmp_path / "y.mat", x @ rng.normal(size=(256, 256)) * 0.05
+                       + rng.normal(size=(4800, 256)))
+    src = str(Path(uncal.__file__).parents[1])
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", _REPR_SCRIPT, str(out)], cwd=tmp_path,
+                       env=env, check=True, timeout=300)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs["1"]) == ["cka.json", "drift.json", "pca.csv", "pca.json"]
+    assert outputs[None] == outputs["1"] == outputs["2"]
+
+
+class TestMatrixMemory:
+    """Peak memory of the matrix commands as `tracemalloc` sees it (numpy
+    reports its buffers), in units of one float32 input matrix. Each bound
+    is what the command's formula needs: the float32 inputs plus its float64
+    working copies (8 bytes, so 2 units, each), with a little room."""
+
+    ROWS, DIMS = 2000, 128
+
+    @staticmethod
+    def peak(argv) -> int:
+        assert main(argv) == 0  # warm: lazy imports and caches are not the command's
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def matrices(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("matrices")
+        rng = np.random.default_rng(6)
+        for name in ("x", "y"):
+            matio.write_matrix(work / f"{name}.mat", rng.normal(size=(self.ROWS, self.DIMS)))
+        return work
+
+    def units(self, argv) -> float:
+        return self.peak(argv) / (self.ROWS * self.DIMS * 4)
+
+    def test_drift_holds_one_float64_copy_at_a_time(self, matrices):
+        # two inputs, then the base's float64 copy or the difference
+        assert self.units(["repr", "drift", "--base", str(matrices / "x.mat"),
+                           "--cal", str(matrices / "y.mat"), "--interest", "0,1,2,3",
+                           "--baseline", "10,11,12,13",
+                           "--out", str(matrices / "drift.json")]) <= 4.6
+
+    def test_pca_centres_its_one_float64_copy(self, matrices):
+        assert self.units(["repr", "pca", "--in", str(matrices / "x.mat"), "--k", "2",
+                           "--out", str(matrices / "pca.json"),
+                           "--csv", str(matrices / "pca.csv")]) <= 3.6
+
+    def test_cka_holds_one_centred_copy_per_input(self, matrices):
+        assert self.units(["repr", "cka", "--x", str(matrices / "x.mat"),
+                           "--y", str(matrices / "y.mat"),
+                           "--out", str(matrices / "cka.json")]) <= 6.3
+
+    def test_sweep_holds_at_most_two_layers(self, tmp_path):
+        # before one layer was fitted at a time, all four were held at once
+        n, tokens, dims = 200, 18, 256  # `planted_stack` writes 18 tokens a record
+        preds = write_hidden_dir(tmp_path / "hidden", layers=(0, 1, 2, 3), n=n, dims=dims)
+        layer = n * tokens * dims * 4
+        features = n * (dims + 3) * 8
+        assert self.peak(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
+                          "--preds", str(preds), "--layers", "0,1,2,3",
+                          "--out", str(tmp_path / "s.json"),
+                          "--csv", str(tmp_path / "s.csv")]) <= 2 * layer + features
 
 
 class TestSeedHandling:
@@ -1263,6 +1380,32 @@ def test_rag_cli_equals_api(records, policy):
 
 
 class TestProbeScoring:
+    @pytest.mark.parametrize("fault", ["truncated", "sidecar"])
+    def test_sweep_fails_at_a_broken_last_layer_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, fault
+    ):
+        # layers are loaded one at a time, so layer 0 is fitted before layer
+        # 8's fault is found; the report is still all or nothing
+        preds = write_hidden_dir(tmp_path / "hidden")
+        layer = tmp_path / "hidden" / "layer_8.mat"
+        if fault == "truncated":
+            data = layer.read_bytes()
+            layer.write_bytes(data[:-6])
+            expected = len(data) - len(data.split(b"\n", 1)[0]) - 1
+            message = f"{layer}: expected {expected} payload bytes, got {expected - 6}"
+        else:
+            sidecar = Path(str(layer) + ".ids.jsonl")
+            sidecar.write_text("".join(sidecar.read_text().splitlines(True)[:-1]))
+            message = f"{layer}: sidecar row count does not match matrix"
+        fits = count_calls(monkeypatch, probe, "fit_probe")
+        out, csv = tmp_path / "s.json", tmp_path / "s.csv"
+        assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
+                     "--preds", str(preds), "--layers", "0,8",
+                     "--out", str(out), "--csv", str(csv)]) == 2
+        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert len(fits) == 1
+        assert not out.exists() and not csv.exists()
+
     def test_sweep_scores_each_record_once(self, tmp_path, monkeypatch):
         preds = write_hidden_dir(tmp_path / "hidden", layers=(0, 4, 8))
         calls = count_calls(monkeypatch, rewards, "record_correct")

@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,7 +320,7 @@ class TestExamples:
 class TestLayerSweep:
     def test_planted_signal_peaks_at_its_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=320)
-        rows = probe.layer_sweep(stacks, records, seed=0)
+        rows = probe.layer_sweep(stacks.items(), records, seed=0)
         by_layer = {r.layer: r for r in rows}
         assert max(by_layer, key=lambda k: by_layer[k].auroc) == 8
         assert by_layer[8].auroc >= 0.95
@@ -325,7 +328,7 @@ class TestLayerSweep:
     def test_identical_stacks_give_identical_metrics(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=200)
         cloned = {0: stacks[0], 4: stacks[0], 9: stacks[0]}
-        rows = probe.layer_sweep(cloned, records, seed=0)
+        rows = probe.layer_sweep(cloned.items(), records, seed=0)
         first = rows[0]
         for row in rows[1:]:
             assert (row.auroc, row.auprc, row.precision, row.recall, row.f1) == (
@@ -334,7 +337,7 @@ class TestLayerSweep:
 
     def test_rows_sorted_by_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8), signal_layer=8, n=200)
-        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}, records, seed=0)
+        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}.items(), records, seed=0)
         assert [r.layer for r in rows] == [0, 8]
 
 
@@ -378,6 +381,63 @@ class TestHiddenMatrixAndMatio:
         path.write_bytes(b"UNCAL-MAT v1 rows=2 dims=2 dtype=f32le\n\x00\x00")
         with pytest.raises(IoError):
             matio.read_matrix(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"UNCAL-MAT v1 rows=1000000000000 dims=1 dtype=f32le\n" + bytes(16),
+         "expected 4000000000000 payload bytes, got 16"),
+        (b"UNCAL-MAT v1 rows=1 dims=1 dtype=f32le" + bytes(1 << 20),
+         "not an UNCAL-MAT v1 file"),
+    ], ids=["huge-row-count", "no-newline"])
+    def test_refused_before_allocating(self, tmp_path, data, message):
+        path = tmp_path / "huge.mat"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IoError) as refused:
+                matio.read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"{path}: {message}"
+        assert peak < 64 * 1024
+
+    def test_trailing_bytes_refused_with_their_count(self, tmp_path):
+        path = tmp_path / "long.mat"
+        matio.write_matrix(path, np.ones((2, 2)))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 3)
+        with pytest.raises(IoError) as refused:
+            matio.read_matrix(path)
+        assert str(refused.value) == f"{path}: expected 16 payload bytes, got 19"
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_shapes_read(self, tmp_path, shape):
+        path = tmp_path / "empty.mat"
+        matio.write_matrix(path, np.zeros(shape))
+        values = matio.read_matrix(path)
+        assert values.shape == shape and values.dtype == np.float32
+
+    def test_pipe_refused(self, tmp_path):
+        # a pipe has no size to check against the header before reading
+        path = tmp_path / "pipe.mat"
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "wb") as fh:
+                    fh.write(b"UNCAL-MAT v1 rows=1 dims=1 dtype=f32le\n" + bytes(4))
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(IoError) as refused:
+                matio.read_matrix(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(refused.value) == f"{path}: not a regular file"
 
 
 def test_split_by_qid_is_deterministic_and_roughly_80_20():

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uncal import reprgeo
 from uncal.errors import ShapeError, UndefinedSimilarity
 from uncal.reprgeo import TokenAnnotation, TokenDistPair, TokenType
 
-from oracles import oracle_pca
+from oracles import (
+    oracle_embedding_drift_report,
+    oracle_frobenius_drift,
+    oracle_pca,
+    oracle_pca_project,
+)
 
 
 class TestKl:
@@ -264,3 +272,59 @@ class TestEmbeddingDrift:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):
             reprgeo.embedding_drift_report([0, 1], [1, 2], np.eye(3), np.eye(3))
+
+
+# The matrix functions hold fewer float64 copies than they did; every value
+# they compute must still equal, bit for bit, the former code's in
+# `oracles.py`, whatever the inputs' dtype and whether rows exceed dims.
+
+
+def _outcome(function, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return function(*args)
+    except (ShapeError, UndefinedSimilarity, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _matrix_pairs(draw, min_rows=1):
+    rows = draw(st.integers(min_rows, 12))
+    dims = draw(st.integers(1, 12))
+
+    def matrix():
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        width = 32 if dtype is np.float32 else 64
+        return draw(hnp.arrays(dtype, (rows, dims), elements=st.floats(-1e3, 1e3, width=width)))
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs())
+def test_frobenius_drift_equals_the_former_code(pair):
+    assert _outcome(reprgeo.frobenius_drift, *pair) == _outcome(oracle_frobenius_drift, *pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs(min_rows=2), st.data())
+def test_embedding_drift_report_equals_the_former_code(pair, data):
+    order = data.draw(st.permutations(range(pair[0].shape[0])))
+    cut = data.draw(st.integers(1, len(order) - 1))
+    args = (order[:cut], order[cut:], *pair)
+    assert (_outcome(reprgeo.embedding_drift_report, *args)
+            == _outcome(oracle_embedding_drift_report, *args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs(), st.data())
+def test_pca_project_equals_the_former_code(pair, data):
+    x = pair[0]
+    k = data.draw(st.integers(1, x.shape[1]))
+    new = _outcome(reprgeo.pca_project, x, k)
+    old = _outcome(oracle_pca_project, x, k)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        for field in ("projection", "explained_variance_ratio", "components"):
+            assert getattr(new, field).tobytes() == getattr(old, field).tobytes()
