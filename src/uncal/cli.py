@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,6 +53,7 @@ def _parse_eta(text: str) -> float:
     return value
 
 
+@functools.cache  # built by the first `main` call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed of the probe's qid split")
@@ -202,7 +204,7 @@ def _accepted(path, result: jsonio.LoadResult) -> list:
 
 
 def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
-    return _accepted(path, jsonio.load_lines(path, jsonio.space_from_dict))
+    return _accepted(path, jsonio.load_lines(path, jsonio.SPACES))
 
 
 def _load_preds(path) -> list[rewards.PredictionRecord]:
@@ -254,11 +256,11 @@ def _cmd_theory_iterate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    threshold = args.f1_threshold
-    jsonio.write_jsonl(args.out or args.input, (
-        jsonio.encode(jsonio.PREDICTION, r, extracted_answer=rewards.record_answer(r),
-                      match=jsonio.encode(jsonio.MATCH, rewards.match_record(r, threshold)))
-        for r in _load_preds(args.input)))
+    records = _load_preds(args.input)
+    matches = [rewards.match_record(r, args.f1_threshold) for r in records]
+    jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(
+        jsonio.PREDICTION, records, extracted_answer=list(map(rewards.record_answer, records)),
+        match=list(jsonio.encode_lines(jsonio.MATCH, matches))))
     return 0
 
 
@@ -289,10 +291,10 @@ def _write_recalibrated(args, records, original, new, missing: str) -> None:
     skipped = np.isnan(original)
     if not (skipped | ((new >= 0.0) & (new <= 1.0))).all():
         raise ValueError("verbal_confidence must lie in [0,1]")
-    jsonio.write_jsonl(args.out, (
-        jsonio.encode(jsonio.PREDICTION, r) if skip
-        else jsonio.encode(jsonio.PREDICTION, r, verbal_confidence=conf)
-        for r, skip, conf in zip(records, skipped.tolist(), new.tolist())))
+    given = [r.verbal_confidence if skip else conf
+             for r, skip, conf in zip(records, skipped.tolist(), new.tolist())]
+    jsonio.write_jsonl(args.out, jsonio.encode_lines(jsonio.PREDICTION, records,
+                                                     verbal_confidence=given))
     count = int(skipped.sum())
     if count:
         print(f"skipped {count} records without {missing}", file=sys.stderr)
@@ -518,10 +520,9 @@ def _cmd_repr_cka(args) -> int:
 
 
 def _cmd_repr_kl(args) -> int:
-    pairs = _accepted(args.pairs, jsonio.load_lines(args.pairs, jsonio.kl_pair_from_dict))
-    annotations = _accepted(args.annotations, jsonio.load_lines(
-        args.annotations, jsonio.kl_annotation_from_dict
-    ))
+    pairs = _accepted(args.pairs, jsonio.load_lines(args.pairs, jsonio.KL_PAIRS))
+    annotations = _accepted(args.annotations,
+                            jsonio.load_lines(args.annotations, jsonio.KL_ANNOTATIONS))
     table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
     rows = {token_type.value: asdict(row) for token_type, row in table.items()}
     _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})

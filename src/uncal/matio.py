@@ -5,7 +5,9 @@ followed by rows*dims little-endian 32-bit floats, all finite. A read checks
 the payload's size before it allocates and then reads the payload into the
 one float32 array it returns. Row identities live in a sidecar JSON Lines
 file, one object per row read by `jsonio.ROW_ID`: a string `qid` and an
-optional int `token_index` >= 0, nothing else.
+optional int `token_index` >= 0, nothing else. A sidecar is read as every
+JSON Lines file is (`jsonio.read_lines`: a block of lines at a time, one
+check per field column), and its first refused row fails it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import re
 import stat
-from pathlib import Path
 
 import numpy as np
 
@@ -73,19 +74,18 @@ def write_row_ids(path, rows) -> None:
 
 
 def read_row_ids(path) -> list[dict]:
-    """The sidecar's rows as `{"qid": str, "token_index": int | None}`. Any
-    row the `jsonio.ROW_ID` table refuses fails the whole file, naming the
-    sidecar, the line and the field."""
+    """The sidecar's rows as `{"qid": str, "token_index": int | None}`. The
+    first row the `jsonio.ROW_ID` table refuses fails the whole file, naming
+    the sidecar, the line and the field; a line that is not JSON is an I/O
+    fault."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            rows, errors, _ = jsonio.read_lines(fh, jsonio.ROW_IDS)
     except OSError as exc:
         raise IoError(f"cannot read sidecar {path}: {exc}") from exc
-    rows = []
-    for i, obj in jsonio.decode_lines(text):
-        if isinstance(obj, json.JSONDecodeError):
-            raise IoError(f"{path}:{i}: invalid JSON: {obj}") from obj
-        try:
-            rows.append(jsonio.read_table(jsonio.ROW_ID, obj))
-        except ValueError as exc:
-            raise AlignmentError(f"{path}:{i}: {exc}") from None
+    if errors:
+        i, exc = errors[0]
+        if isinstance(exc, json.JSONDecodeError):
+            raise IoError(f"{path}:{i}: invalid JSON: {exc}") from exc
+        raise AlignmentError(f"{path}:{i}: {exc}") from None
     return rows

@@ -62,6 +62,17 @@ def _cg_step(x, row_h, penalty, grad):
     return p if p.any() else -grad
 
 
+def linear(phi: np.ndarray, weights, bias: float) -> np.ndarray:
+    """`phi @ weights + bias` of each row of `phi`, summed column by column
+    from the left, so that each row's value depends on that row alone. A
+    matrix product may sum in another order for another number of rows
+    (numpy takes a dot product for one row and `gemv` for more)."""
+    out = np.zeros(phi.shape[0])
+    for column, weight in zip(phi.T, weights):
+        out += column * weight
+    return out + bias
+
+
 def minimize(row_fn, phi: np.ndarray, theta: np.ndarray, l2: float):
     """Minimize the mean row loss of u = [phi, 1] @ theta plus
     l2 * ||theta[:-1]||^2 from `theta`. Returns the final parameters and a

@@ -50,7 +50,7 @@ def build_features(
     """
     if not record.emissions:
         raise NotEmitted(f"record {record.qid!r} has no emission")
-    hidden = np.asarray(token_hidden, dtype=float)
+    hidden = np.asarray(token_hidden)  # only the window's rows become float64
     if hidden.ndim != 2 or hidden.shape[0] == 0:
         raise AlignmentError(f"record {record.qid!r}: empty or malformed hidden states")
     first = record.emissions[0].token_index
@@ -63,7 +63,7 @@ def build_features(
         )
     lo = max(0, first - window)
     hi = min(n_tokens, first + span_token_count + window)
-    span_mean = hidden[lo:hi].mean(axis=0)
+    span_mean = np.asarray(hidden[lo:hi], dtype=float).mean(axis=0)
     fraction = first_emit_fraction(record)
     scalars = (
         float(record.response_token_count),
@@ -116,9 +116,10 @@ class ProbeModel:
     fit: optim.Fit | None = None
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Predicted probability that each example (row of `x`) is wrong.
-        The weights, means and stds must each have one entry per feature, or
-        numpy would broadcast a short one into a plausible score."""
+        """Predicted probability that each example (row of `x`) is wrong,
+        from that row alone (`optim.linear`). The weights, means and stds
+        must each have one entry per feature, or numpy would broadcast a
+        short one into a plausible score."""
         sizes = (len(self.weights), len(self.feature_means), len(self.feature_stds))
         if sizes != (x.shape[1],) * 3:
             raise ShapeError(
@@ -126,7 +127,7 @@ class ProbeModel:
                 "for {} features".format(*sizes, x.shape[1])
             )
         phi = (x - self.feature_means) / self.feature_stds
-        return _sigmoid(phi @ self.weights + self.bias)
+        return _sigmoid(optim.linear(phi, self.weights, self.bias))
 
 
 def fit_probe(

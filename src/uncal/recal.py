@@ -233,8 +233,8 @@ def fit_ats(
 
 def _temperatures(model: AtsModel, phi: np.ndarray) -> np.ndarray:
     """The temperature softplus(phi @ w + b) + floor of each standardized
-    feature row of `phi`."""
-    return _softplus(phi @ np.array(model.weights) + model.bias) + ATS_TEMPERATURE_FLOOR
+    feature row of `phi`, by row (`optim.linear`)."""
+    return _softplus(optim.linear(phi, model.weights, model.bias)) + ATS_TEMPERATURE_FLOOR
 
 
 def apply_ats(

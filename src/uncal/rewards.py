@@ -108,10 +108,14 @@ class PredictionRecord:
     match: MatchResult | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
-        object.__setattr__(self, "emissions", tuple(self.emissions))
-        if self.token_probs is not None:
+        if type(self.gold_answers) is not tuple:
+            object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
+        if type(self.emissions) is not tuple:
+            object.__setattr__(self, "emissions", tuple(self.emissions))
+        if self.token_probs is not None and type(self.token_probs) is not tuple:
             object.__setattr__(self, "token_probs", tuple(self.token_probs))
+        if not self.emissions:
+            return
         positions = [e.char_position for e in self.emissions]
         if positions != sorted(positions):
             raise ValueError("emissions must be sorted by char_position")
@@ -219,17 +223,25 @@ def _check_threshold(f1_threshold: float) -> None:
 
 class GoldSet:
     """A record's gold answers prepared once for matching: the normalized
-    strings, the yes/no values among them and each one's token bag. It is
-    built from a record's `gold_answers`, which the loader has checked are
-    non-empty."""
+    strings, the yes/no values among them and, once the token-F1 rule first
+    asks, each one's token bag. It is built from a record's `gold_answers`,
+    which the loader has checked are non-empty."""
 
-    __slots__ = ("answers", "normalized", "yes_no", "bags")
+    __slots__ = ("answers", "normalized", "yes_no", "_bags")
 
     def __init__(self, golds: Sequence[str]):
         self.answers = tuple(golds)
         self.normalized = tuple(map(normalize_answer, golds))
         self.yes_no = {_YES_NO[g] for g in self.normalized if g in _YES_NO}
-        self.bags = tuple(map(token_bag, self.normalized))
+        self._bags = None
+
+    @property
+    def bags(self) -> tuple:
+        """Each normalized gold's `token_bag`, built on first use: exact
+        match, yes/no and dates decide many records without one."""
+        if self._bags is None:
+            self._bags = tuple(map(token_bag, self.normalized))
+        return self._bags
 
 
 # the verdicts of the rules that fire only on a match, shared by every call

@@ -129,6 +129,10 @@ class TestExitCodes:
     def test_no_subcommand_exits_one(self, capsys):
         assert main([]) == 1
 
+    def test_the_parser_is_built_once_per_process(self, capsys):
+        assert main([]) == 1 and main(["frobnicate"]) == 1
+        assert cli._build_parser.cache_info().misses == 1
+
     @pytest.mark.parametrize("group", ["theory", "recal", "probe", "repr"])
     def test_group_without_subcommand_prints_usage(self, group, capsys):
         assert main([group]) == 1
@@ -534,12 +538,16 @@ assert main(["repr", "cka", "--x", "x.mat", "--y", "y.mat", "--out", out + "/cka
 assert main(["repr", "pca", "--in", "x.mat", "--k", "2",
              "--out", out + "/pca.json", "--csv", out + "/pca.csv"]) == 0
 assert main(["repr", "drift", "--base", "x.mat", "--cal", "y.mat", "--out", out + "/drift.json"]) == 0
+assert main(["probe", "sweep", "--hidden", "hidden", "--preds", "hidden/preds.jsonl",
+             "--layers", "0,8", "--out", out + "/sweep.json"]) == 0
 """
 
 
 def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 4800 x 256 a float64 product split over two BLAS threads changes
-    # the last bits of all three outputs unless `uncal` pins one thread
+    # the last bits of all three outputs unless `uncal` pins one thread;
+    # `probe sweep` scores each row alone, and fits through the same pin
+    write_hidden_dir(tmp_path / "hidden", n=400, dims=64)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4800, 256))
     matio.write_matrix(tmp_path / "x.mat", x)
@@ -557,7 +565,7 @@ def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-c", _REPR_SCRIPT, str(out)], cwd=tmp_path,
                        env=env, check=True, timeout=300)
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(outputs["1"]) == ["cka.json", "drift.json", "pca.csv", "pca.json"]
+    assert sorted(outputs["1"]) == ["cka.json", "drift.json", "pca.csv", "pca.json", "sweep.json"]
     assert outputs[None] == outputs["1"] == outputs["2"]
 
 
@@ -1203,7 +1211,7 @@ _RAG_TRACES = st.builds(
 @given(_predictions())
 def test_prediction_writer_loader_round_trip(record):
     line = jsonio.encode(jsonio.PREDICTION, record)
-    again = jsonio.prediction_from_dict(json.loads(line))
+    again = jsonio.PREDICTIONS.parse(json.loads(line))
     assert again == record
     assert jsonio.encode(jsonio.PREDICTION, again) == line
 
@@ -1238,7 +1246,7 @@ def test_match_lines_equal_the_former_annotation(records, threshold):
 @given(_RAG_TRACES)
 def test_rag_writer_loader_round_trip(record):
     line = jsonio.encode(jsonio.RAG_TRACE, record)
-    again = jsonio.rag_from_dict(json.loads(line))
+    again = jsonio.RAG_TRACES.parse(json.loads(line))
     assert again == record
     assert jsonio.encode(jsonio.RAG_TRACE, again) == line
 
@@ -1252,7 +1260,7 @@ _SPACES = st.integers(0, 2**32 - 1).map(
 @given(_SPACES)
 def test_space_writer_loader_round_trip(space):
     line = jsonio.encode(jsonio.SPACE, space)
-    again = jsonio.space_from_dict(json.loads(line))
+    again = jsonio.SPACES.parse(json.loads(line))
     assert again == space
     assert jsonio.encode(jsonio.SPACE, again) == line
 
@@ -1563,18 +1571,21 @@ class TestAtomicInPlaceMatch:
         path = tmp_path / "preds.jsonl"
         shutil.copy(PREDS_FIXTURE, path)
         before = path.read_bytes()
-        calls = []
-        original = jsonio.encode
+        lines = []
+        original = jsonio.encode_lines
 
-        def failing(table, record, **given):
-            calls.append(record)
-            if len(calls) == 5:
-                raise OSError("disk full")
-            return original(table, record, **given)
+        def failing(table, records, **given):
+            # the output's fifth line fails, once four are written
+            for line in original(table, records, **given):
+                if table is jsonio.PREDICTION:
+                    if len(lines) == 4:
+                        raise OSError("disk full")
+                    lines.append(line)
+                yield line
 
-        monkeypatch.setattr(jsonio, "encode", failing)
+        monkeypatch.setattr(jsonio, "encode_lines", failing)
         assert main(["match", "--in", str(path)]) == 2
-        assert len(calls) == 5
+        assert len(lines) == 4
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
 

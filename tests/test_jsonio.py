@@ -1,4 +1,4 @@
-"""The compiled line encoders, the line decoder and the list readers of
+"""The line encoder, the line decoder and the list readers of
 `uncal.jsonio`, each against the definition it replaced, and a guard that a
 record class accepts every line its table accepts."""
 
@@ -61,6 +61,28 @@ def _predictions(draw) -> PredictionRecord:
 def test_prediction_encoder(record, confidence):
     _check(jsonio.PREDICTION, record)
     _check(jsonio.PREDICTION, record, verbal_confidence=confidence)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_predictions(), st.none() | _PROB_ANY), max_size=7),
+       st.sampled_from([1, 2, 3, jsonio.BLOCK_LINES]))
+def test_column_encoder_equals_the_record_oracle(rows, block):
+    # each block's field columns are formatted together; every line must be
+    # the one the record alone was written as
+    records = [record for record, _ in rows]
+    confidence = [c for _, c in rows]
+    saved, jsonio.BLOCK_LINES = jsonio.BLOCK_LINES, block
+    try:
+        lines = list(jsonio.encode_lines(jsonio.PREDICTION, records))
+        given_lines = list(jsonio.encode_lines(jsonio.PREDICTION, records,
+                                               verbal_confidence=confidence))
+    finally:
+        jsonio.BLOCK_LINES = saved
+    assert lines == [jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, r))
+                     for r in records]
+    assert given_lines == [
+        jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, r, verbal_confidence=c))
+        for r, c in rows]
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,5 +322,5 @@ def test_every_rag_line_the_table_accepts_builds_its_record(obj):
                              "match": {"correct": True, "rule": "TokenF1", "f1": 0}})
 def test_every_prediction_line_the_table_accepts_builds_its_record(obj):
     jsonio.read_table(jsonio.PREDICTION, obj)
-    record = jsonio.prediction_from_dict(obj)
+    record = jsonio.PREDICTIONS.parse(obj)
     assert len(record.emissions) == record.response_text.count("<uncertain>")

@@ -177,6 +177,14 @@ class TestMatchAnswer:
         assert match_answer("incorrect", GoldSet(["no"]), 0.3).correct
         assert not match_answer("yes", GoldSet(["no"]), 0.3).correct
 
+    def test_token_bags_are_built_only_for_the_token_f1_rule(self):
+        golds = GoldSet(["yes", "1920-03-05"])
+        assert match_answer("True", golds).rule is MatchRule.YES_NO
+        assert match_answer("March 5, 1920", golds).rule is MatchRule.DATE
+        assert golds._bags is None
+        assert match_answer("maybe", golds).rule is MatchRule.TOKEN_F1
+        assert golds.bags == ((1, {"yes"}, None), (1, {"19200305"}, None))
+
     def test_date_component_agreement(self):
         assert match_answer("March 5, 1920", GoldSet(["1920-03-05"]), 0.3).rule is MatchRule.DATE
         assert match_answer("1920", GoldSet(["March 1920"]), 0.3).correct

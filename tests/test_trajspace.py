@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncal import jsonio, trajspace as ts
-from uncal.jsonio import space_from_dict
 from uncal.errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -74,7 +73,7 @@ class TestSpaceValidation:
         line = {"gold_answer": "A",
                 "trajectories": [{"id": "z", "answer": "A", "confidence": 1.2, "base_prob": 1.0}]}
         with pytest.raises(ValueError) as refused:
-            space_from_dict(line)
+            jsonio.SPACES.parse(line)
         assert str(refused.value) == "trajectories[0]: confidence outside [0,1]"
 
 
@@ -398,7 +397,7 @@ def test_compression_ordering_random(seed):
 def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     space = ts.random_space(rng)
-    again = space_from_dict(json.loads(jsonio.encode(jsonio.SPACE, space)))
+    again = jsonio.SPACES.parse(json.loads(jsonio.encode(jsonio.SPACE, space)))
     assert again.gold_answer == space.gold_answer
     np.testing.assert_allclose(again.probs(), space.probs(), atol=0)
     assert [t.id for t in again.trajectories] == [t.id for t in space.trajectories]
