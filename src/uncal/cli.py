@@ -6,14 +6,26 @@ so a flag added to the parser is recorded without further edits. Identical
 configurations produce byte-identical outputs. `--seed` is read only by the
 probe's train/dev split, so only `probe sweep` and `probe fit` record it.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
+
+What a command derives from an input file (the scored columns of `rag` and
+`calib`, a sidecar's row order) is kept per process under the sha256 of the
+file's bytes, so `uncal run --plan` steps, or repeated `main` calls, that
+read the same bytes load and score them once. The cache never holds records
+or matrices, and each `main` call drops the entries it did not read.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
+import hashlib
+import io
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -53,6 +65,22 @@ def _parse_eta(text: str) -> float:
     return value
 
 
+def _parse_f1_threshold(text: str) -> float:
+    """`--f1-threshold`: a number in [0,1] (`nan` and text `float` cannot read are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise UsageError(f"bad --f1-threshold value {text!r}: must be a number in [0,1]")
+    return value
+
+
+def _add_f1_threshold(parser: _Parser) -> None:
+    parser.add_argument("--f1-threshold", type=_parse_f1_threshold,
+                        default=rewards.DEFAULT_F1_THRESHOLD)
+
+
 @functools.cache  # built by the first `main` call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
@@ -75,7 +103,7 @@ def _build_parser() -> _Parser:
     match = sub.add_parser("match", help="annotate records with match results")
     match.set_defaults(handler=_cmd_match)
     match.add_argument("--in", dest="input", required=True)
-    match.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
+    _add_f1_threshold(match)
     match.add_argument("--out", default=None, help="default: rewrite in place")
 
     cal = sub.add_parser("calib", help="calibration report over a record batch")
@@ -83,7 +111,7 @@ def _build_parser() -> _Parser:
     cal.add_argument("--in", dest="input", required=True)
     cal.add_argument("--bins", type=int, default=calib.DEFAULT_ECE_BINS)
     cal.add_argument("--nll-epsilon", type=float, default=calib.DEFAULT_NLL_EPSILON)
-    cal.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
+    _add_f1_threshold(cal)
     cal.add_argument("--out", default=None)
     cal.add_argument("--csv", default=None, help="reliability-diagram bins as CSV")
 
@@ -95,7 +123,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--apply", dest="apply_path", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--model-out", default=None)
-        p.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
+        _add_f1_threshold(p)
         if name == "ats":
             p.add_argument("--l2", type=float, default=recal.DEFAULT_ATS_L2)
     ptrue = rec.add_parser("ptrue")
@@ -136,7 +164,7 @@ def _build_parser() -> _Parser:
     rag.add_argument("--policy", required=True,
                      help="always|never|emit|conf:T|emit+probe:T|flare:T|external")
     rag.add_argument("--in", dest="input", required=True)
-    rag.add_argument("--f1-threshold", type=float, default=rewards.DEFAULT_F1_THRESHOLD)
+    _add_f1_threshold(rag)
     rag.add_argument("--out", default=None)
     rag.add_argument("--csv", default=None, help="per-dataset EM/F1/T table")
 
@@ -166,6 +194,10 @@ def _build_parser() -> _Parser:
     drift.add_argument("--interest", default=None, help="comma-separated row indices")
     drift.add_argument("--baseline", default=None, help="comma-separated row indices")
     drift.add_argument("--out", default=None)
+
+    run = sub.add_parser("run", help="run a plan of commands in one process")
+    run.set_defaults(handler=_cmd_run)
+    run.add_argument("--plan", required=True, help='JSON Lines, one {"argv": [...]} per step')
     return parser
 
 
@@ -195,12 +227,91 @@ def _emit_lines(args, lines: list[dict]) -> None:
             print(jsonio.dumps_canonical(line))
 
 
-def _accepted(path, result: jsonio.LoadResult) -> list:
-    """The loaded records; each rejected line is reported once on stderr as
-    `path:line: message`."""
-    for line_no, message in result.errors:
+def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
+    """Report each rejected line on stderr as `path:line: message`."""
+    for line_no, message in errors:
         print(f"{path}:{line_no}: {message}", file=sys.stderr)
+
+
+def _accepted(path, result: jsonio.LoadResult) -> list:
+    """The loaded records; each rejected line is reported once on stderr."""
+    _report_rejected(path, result.errors)
     return result.records
+
+
+# ---------------------------------------------------------------------------
+# Derived inputs: computed once per file content and process
+# ---------------------------------------------------------------------------
+
+# (what was derived and with which flags, sha256 of the file's bytes) -> (the
+# derived columns, read-only, and the load's rejected lines); never records or
+# matrices
+_CACHE: dict[tuple, tuple] = {}
+_READ: set[tuple] = set()  # the keys the running command has read
+
+
+def _regular(path) -> bool:
+    """Is `path` a regular file? A pipe is not: a read to hash it would consume it."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
+def _sha256(path) -> str | None:
+    """The sha256 of the regular file `path`, read in chunks, or None where
+    it is not a regular file or cannot be read (its load then names the fault)."""
+    if not _regular(path):
+        return None
+    try:
+        # one small buffer, reused: a fresh 1 MiB chunk per read raised the
+        # process's peak RSS by about 1 MiB
+        digest, buffer = hashlib.sha256(), memoryview(bytearray(1 << 16))
+        with open(path, "rb", buffering=0) as fh:
+            while count := fh.readinto(buffer):
+                digest.update(buffer[:count])
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _read_only(value):
+    """`value`, with each numpy array in it (through dataclasses, dicts and
+    tuples) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _read_only(getattr(value, field.name))
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _read_only(item)
+    return value
+
+
+def _derived(what, path, load, derive):
+    """`derive(records)` of the records `load(path)` accepts, made read-only;
+    each call reports the load's rejected lines as a lone load would. The
+    value is kept under `what` (a name, and every flag `derive` reads) and
+    the sha256 of the bytes the load parsed (`LoadResult.sha256`), so a
+    later call for the same `what` on a file with the same bytes neither
+    loads nor derives again. A file that is not regular is loaded every
+    time and never kept."""
+    # a lookup hashes the file, a read of its own: with no entry for `what`
+    # kept, none can hit, and the load alone hashes the file
+    digest = _sha256(path) if any(key[0] == what for key in _CACHE) else None
+    entry = _CACHE.get((what, digest))
+    if entry is None:
+        result = load(path)
+        entry = _read_only(derive(_accepted(path, result))), result.errors
+        if not _regular(path):
+            return entry[0]
+        digest = result.sha256
+        _CACHE[what, digest] = entry
+    else:
+        _report_rejected(path, entry[1])
+    _READ.add((what, digest))
+    return entry[0]
 
 
 def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
@@ -265,7 +376,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_calib(args) -> int:
-    batch = rewards.score_predictions(_load_preds(args.input), args.f1_threshold)
+    batch = _derived(("calib", args.f1_threshold), args.input, jsonio.load_predictions,
+                     lambda records: rewards.score_predictions(records, args.f1_threshold))
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     _emit(args, {
         "schema": "uncal-calib-report-v2",
@@ -351,13 +463,13 @@ def _cmd_recal_ptrue(args) -> int:
     return 0
 
 
-def _token_rows(sidecar) -> tuple[int, dict[str, slice | list[int]], str | None]:
+def _token_rows(rows: list[dict]) -> tuple[int, dict[str, slice | np.ndarray], str | None]:
     """A sidecar's row count, each qid's rows in token order (a row without
     `token_index` takes its position among the qid's rows), and the fault of
     the first qid whose token indices are not 0..k-1, or None. A qid whose
     rows are contiguous and already in token order gets a slice, so that
-    indexing a matrix with it gives a view rather than a copy."""
-    rows = matio.read_row_ids(sidecar)
+    indexing a matrix with it gives a view rather than a copy; any other qid
+    gets an array of its row indices."""
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
         members = grouped.setdefault(row["qid"], [])
@@ -371,27 +483,20 @@ def _token_rows(sidecar) -> tuple[int, dict[str, slice | list[int]], str | None]
         indices = [i for _, i in members]
         start = indices[0]
         contiguous = indices == list(range(start, start + len(indices)))
-        order[qid] = slice(start, start + len(indices)) if contiguous else indices
+        order[qid] = (slice(start, start + len(indices)) if contiguous
+                      else np.array(indices, dtype=np.intp))
     return len(rows), order, fault
 
 
-def _load_token_stack(mat_path, last: list | None = None) -> dict[str, np.ndarray]:
+def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
     """qid -> (tokens x dims) matrix from a layer file plus its sidecar: row t
     of a qid's matrix is the hidden state of its token t. Each is a view of
     the layer's matrix where the qid's rows are contiguous and in token
-    order, and a copy of its rows otherwise. `last`, the previous
-    layer's `[sidecar bytes, _token_rows]` (updated in place), spares parsing
-    a byte-identical sidecar again."""
+    order, and a copy of its rows otherwise. Sidecars with the same bytes,
+    such as those of a model's layers, share one parse."""
     values = matio.read_matrix(mat_path)
-    sidecar = str(mat_path) + ".ids.jsonl"
-    last = [None, None] if last is None else last
-    try:
-        data = Path(sidecar).read_bytes()
-    except OSError:
-        data = None  # `read_row_ids` names the fault
-    if data is None or data != last[0]:
-        last[:] = data, _token_rows(sidecar)
-    count, order, fault = last[1]
+    count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", matio.read_row_ids,
+                                   _token_rows)
     if count != values.shape[0]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     if fault is not None:
@@ -401,10 +506,8 @@ def _load_token_stack(mat_path, last: list | None = None) -> dict[str, np.ndarra
 
 def _cmd_probe_sweep(args) -> int:
     records = _load_preds(args.preds)
-    last = [None, None]
     # a generator: each layer is loaded only once the one before it is fitted
-    stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat", last))
-              for k in args.layers)
+    stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat")) for k in args.layers)
     rows = probe.layer_sweep(
         stacks, records,
         window=args.window, span_token_count=args.span_tokens,
@@ -482,9 +585,9 @@ def _cmd_probe_eval(args) -> int:
 
 
 def _cmd_rag(args) -> int:
-    records = _accepted(args.input, jsonio.load_rag_traces(args.input))
+    scored = _derived(("rag", args.f1_threshold), args.input, jsonio.load_rag_traces,
+                      lambda records: ragctl.score_traces(records, args.f1_threshold))
     policy = ragctl.parse_policy_spec(args.policy)
-    scored = ragctl.score_traces(records, args.f1_threshold)
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
@@ -579,7 +682,56 @@ def _cmd_repr_drift(args) -> int:
     return 0
 
 
+def _plan_step(argv: list[str]) -> list[str]:
+    """`argv` if it parses as one command other than `run`; else ValueError."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # a help request prints help
+            handler = getattr(_build_parser().parse_args(argv), "handler", None)
+    except UsageError as exc:
+        raise ValueError(str(exc)) from None
+    except SystemExit:
+        raise ValueError("a help request is not a plan step") from None
+    if handler is None:
+        raise ValueError("argv names no command")
+    if handler is _cmd_run:
+        raise ValueError("a plan step may not run a plan")
+    return argv
+
+
+# a plan's lines: each step's argv, refused unless it parses as a command
+_PLAN = jsonio.LineKind(jsonio.PLAN_STEP,
+                        lambda fields: [_plan_step(argv) for argv in fields["argv"]])
+
+
+def _cmd_run(args) -> int:
+    """Each step of the plan, as `main` runs it alone, in order; the first
+    step that exits non-zero stops the plan with its code. The whole plan is
+    read and checked first: a refused line runs no step."""
+    if args.seed:
+        raise UsageError("--seed is given in each plan step, not to run")
+    plan = jsonio.read_file(args.plan, _PLAN)
+    if plan.errors:
+        _report_rejected(args.plan, plan.errors)
+        raise ValueError(f"{args.plan}: {len(plan.errors)} of {plan.total_lines} plan lines "
+                         "refused; no step was run")
+    for argv in plan.records:
+        code = main(argv)
+        if code:
+            return code
+    return 0
+
+
 def main(argv=None) -> int:
+    """Run one command; then drop each cached input the command did not read."""
+    _READ.clear()
+    try:
+        return _main(argv)
+    finally:
+        for key in _CACHE.keys() - _READ:
+            del _CACHE[key]
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

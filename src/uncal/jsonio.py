@@ -1,9 +1,10 @@
 """JSON Lines record streams and deterministic report serialization.
 
 Each line kind has one field table (`PREDICTION`, `RAG_TRACE`, `SPACE`,
-`KL_PAIR`, `KL_ANNOTATION`, `ROW_ID` for matrix sidecars, and `PROBE_MODEL` for
-the one JSON input that is not a line stream), which both reads its lines
-(`read_table`) and writes them (`encode_lines`).
+`KL_PAIR`, `KL_ANNOTATION`, `ROW_ID` for matrix sidecars, `PLAN_STEP` for the
+steps of `uncal run`, and `PROBE_MODEL` for the one JSON input that is not a
+line stream), which both reads its lines (`read_table`) and writes them
+(`encode_lines`).
 
 Lines are read a block of `BLOCK_LINES` at a time, one field column at a
 time: each field's reader tests the block's column of values in a few
@@ -17,7 +18,9 @@ columns, and the records accepted so far. Loading is strict: invalid lines
 are returned with their line numbers (the messages carry no file or line;
 callers prefix `path:line:` once), and a file where more than half the lines
 fail is rejected outright. A rejection inside a nested object starts with
-where it sits in the line: `emissions[0]: unknown fields ['x']`.
+where it sits in the line: `emissions[0]: unknown fields ['x']`. A file's
+bytes are hashed as they are read (`open_hashed`), so a load's `sha256` names
+exactly the bytes it parsed.
 
 Writing is the same in reverse: each field column of a block of records is
 formatted by one formatter (`encode_basestring`, 17-digit floats, a nested
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import io
 import json
 import math
 import os
@@ -382,6 +387,7 @@ KL_PAIR = {
 }
 KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenType), REQUIRED)}
 ROW_ID = {"qid": (read_string, REQUIRED), "token_index": (read_count, None)}  # sidecar rows
+PLAN_STEP = {"argv": (read_strings, REQUIRED)}  # one `uncal` command of a plan
 # a `probe fit` model: every field it writes; `config` and `fit` say how it was
 # fitted, and only the window and span sizes in `config` are read back
 FIT = {
@@ -661,6 +667,37 @@ class LoadResult:
     records: list
     errors: list[tuple[int, str]]  # (line number, message)
     total_lines: int
+    sha256: str  # hex digest of the bytes read
+
+
+class _Sha256Reader(io.RawIOBase):
+    """The unbuffered binary file `raw`, read through a sha256 (`sha256`)
+    that every byte read updates."""
+
+    def __init__(self, raw):
+        super().__init__()
+        self.raw, self.sha256 = raw, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
+
+
+def open_hashed(path):
+    """(text file, sha256): the file `path` opened for reading as UTF-8 text,
+    as `open(path, encoding="utf-8")` opens it, and the sha256 that each
+    byte read from it updates. Once the text is read to its end, the digest
+    is that of the bytes the reader parsed, however the file changes meanwhile."""
+    raw = _Sha256Reader(open(path, "rb", buffering=0))
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8"), raw.sha256
 
 
 _scan = json.JSONDecoder().scan_once
@@ -737,22 +774,31 @@ def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list, list, int]:
     return records, errors, total
 
 
-def load_lines(path, kind: LineKind) -> LoadResult:
+def read_file(path, kind: LineKind) -> LoadResult:
     """The records of the nonblank lines of the file `path` that `kind`
-    accepts. A line that is not JSON, or that `kind` rejects, becomes an
-    error entry (line number, message) instead of a record."""
+    accepts, and the sha256 of the bytes read. A line that is not JSON, or
+    that `kind` rejects, becomes an error entry (line number, message)
+    instead of a record."""
     try:
-        with open(path, encoding="utf-8") as fh:  # line by line: the text is never whole
+        fh, sha256 = open_hashed(path)
+        with fh:  # line by line: the text is never whole
             records, refused, total = _read_lines(fh, kind)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
                else str(exc)) for i, exc in refused]
-    if total and len(errors) > total / 2:
+    return LoadResult(records=records, errors=errors, total_lines=total,
+                      sha256=sha256.hexdigest())
+
+
+def load_lines(path, kind: LineKind) -> LoadResult:
+    """`read_file`, refusing a file where more than half the lines fail."""
+    result = read_file(path, kind)
+    if result.total_lines and len(result.errors) > result.total_lines / 2:
         raise CorruptInput(
-            f"{path}: {len(errors)} of {total} lines failed validation"
+            f"{path}: {len(result.errors)} of {result.total_lines} lines failed validation"
         )
-    return LoadResult(records=records, errors=errors, total_lines=total)
+    return result
 
 
 def load_predictions(path) -> LoadResult:

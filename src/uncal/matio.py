@@ -73,14 +73,15 @@ def write_row_ids(path, rows) -> None:
     jsonio.write_jsonl(path, rows)
 
 
-def read_row_ids(path) -> list[dict]:
-    """The sidecar's rows as `{"qid": str, "token_index": int | None}`. The
-    first row the `jsonio.ROW_ID` table refuses fails the whole file, naming
-    the sidecar, the line and the field; a line that is not JSON is an I/O
-    fault."""
+def read_row_ids(path) -> jsonio.LoadResult:
+    """The sidecar's rows as `{"qid": str, "token_index": int | None}`, with
+    the sha256 of its bytes (its `errors` are always empty). The first row
+    the `jsonio.ROW_ID` table refuses fails the whole file, naming the
+    sidecar, the line and the field; a line that is not JSON is an I/O fault."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            rows, errors, _ = jsonio.read_lines(fh, jsonio.ROW_IDS)
+        fh, sha256 = jsonio.open_hashed(path)
+        with fh:
+            rows, errors, total = jsonio.read_lines(fh, jsonio.ROW_IDS)
     except OSError as exc:
         raise IoError(f"cannot read sidecar {path}: {exc}") from exc
     if errors:
@@ -88,4 +89,5 @@ def read_row_ids(path) -> list[dict]:
         if isinstance(exc, json.JSONDecodeError):
             raise IoError(f"{path}:{i}: invalid JSON: {exc}") from exc
         raise AlignmentError(f"{path}:{i}: {exc}") from None
-    return rows
+    return jsonio.LoadResult(records=rows, errors=[], total_lines=total,
+                             sha256=sha256.hexdigest())

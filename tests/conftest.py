@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from uncal import ragctl
+from uncal import cli, ragctl
 from uncal.errors import UncalError
 from uncal.ragctl import RagTraceRecord
 from uncal.rewards import PredictionRecord, scan_emissions
@@ -155,6 +155,12 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def fresh_input_cache():
+    """Each test starts, as a fresh process does, with no cached inputs."""
+    cli._CACHE.clear()
 
 
 @pytest.fixture

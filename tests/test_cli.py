@@ -274,11 +274,13 @@ class TestTokenStack:
             matio.write_matrix(path, values[k])
             matio.write_row_ids(str(path) + ".ids.jsonl",
                                 [ids[i] for i in order] if k == 2 else ids)
-        alone = [_load_token_stack(tmp_path / f"layer_{k}.mat") for k in range(4)]
         reads = count_calls(monkeypatch, matio, "read_row_ids")
-        last = [None, None]
-        swept = [_load_token_stack(tmp_path / f"layer_{k}.mat", last) for k in range(4)]
-        assert len(reads) == 3  # layer 1 reuses layer 0's rows; layer 3 follows layer 2
+        swept = [_load_token_stack(tmp_path / f"layer_{k}.mat") for k in range(4)]
+        assert len(reads) == 2  # layers 1 and 3 reuse layer 0's rows by content
+        alone = []
+        for k in range(4):
+            cli._CACHE.clear()
+            alone.append(_load_token_stack(tmp_path / f"layer_{k}.mat"))
         for stack, single in zip(swept, alone):
             assert list(stack) == list(single)
             for qid in single:
@@ -308,16 +310,15 @@ class TestTokenStack:
         for k in (0, 1):
             self.write_layer(tmp_path / f"layer_{k}.mat", ids)
         matio.write_matrix(tmp_path / "layer_1.mat", np.zeros((3, 2), dtype=np.float32))
-        last = [None, None]
-        _load_token_stack(tmp_path / "layer_0.mat", last)
+        _load_token_stack(tmp_path / "layer_0.mat")
         with pytest.raises(IoError, match=r"layer_1\.mat: sidecar row count does not match"):
-            _load_token_stack(tmp_path / "layer_1.mat", last)
+            _load_token_stack(tmp_path / "layer_1.mat")
         gap = [{"qid": "a", "token_index": t} for t in (0, 2)]
         for k in (0, 2):
             self.write_layer(tmp_path / f"layer_{k}.mat", gap)
         for k in (0, 2):
             with pytest.raises(AlignmentError) as refused:
-                _load_token_stack(tmp_path / f"layer_{k}.mat", last)
+                _load_token_stack(tmp_path / f"layer_{k}.mat")
             assert str(refused.value) == (f"{tmp_path / f'layer_{k}.mat'}: "
                                           "token indices of qid 'a' are not 0..1")
 
