@@ -1,12 +1,14 @@
 """Toolkit for executable uncertainty interfaces over recorded model traces.
 
 Modules by concern: `trajspace` (exact tilted-policy simulation), `rewards`
-(answer matching and both reward functions), `calib` (calibration metrics
-and the error taxonomy), `recal` (temperature scaling), `probe`
-(hidden-state wrongness probe), `ragctl` (retrieval-trigger simulation),
-`reprgeo` (representation analytics), `optim` (the minimizer both fits
-share), `jsonio` and `matio` (file formats), and `cli` (the `uncal` command,
-from which every report is produced).
+(answer matching and the scoring of a batch into columns), `calib`
+(calibration metrics and the error taxonomy), `recal` (temperature
+scaling), `probe` (hidden-state wrongness probe), `ragctl`
+(retrieval-trigger simulation), `reprgeo` (representation analytics),
+`optim` (the minimizer every fit shares: global and adaptive temperature
+scaling and the probe), `jsonio` and `matio` (file formats), and `cli` (the
+`uncal` command, from which every report is produced; it scores each input
+once and hands the fits its columns).
 """
 
 __version__ = "0.1.0"

@@ -322,6 +322,13 @@ def _load_preds(path) -> list[rewards.PredictionRecord]:
     return _accepted(path, jsonio.load_predictions(path))
 
 
+def _scored_preds(path, f1_threshold: float):
+    """The records of the prediction file `path`, and their scores at
+    `f1_threshold`: what every fit reads."""
+    records = _load_preds(path)
+    return records, rewards.score_predictions(records, f1_threshold)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -413,7 +420,7 @@ def _write_recalibrated(args, records, original, new, missing: str) -> None:
 
 
 def _cmd_recal_ts(args) -> int:
-    model = recal.fit_global_ts(_load_preds(args.fit), args.f1_threshold)
+    model = recal.fit_global_ts(_scored_preds(args.fit, args.f1_threshold)[1])
     records = _load_preds(args.apply_path)
     confidence = rewards.confidences(records)
     _write_recalibrated(args, records, confidence, recal.apply_ts(model, confidence),
@@ -422,9 +429,10 @@ def _cmd_recal_ts(args) -> int:
         jsonio.write_report(
             args.model_out,
             {
-                "schema": "uncal-ts-model-v2",
+                "schema": "uncal-ts-model-v3",
                 "temperature": model.temperature,
                 "fit_nll": model.fit_nll,
+                "fit": jsonio.encode(jsonio.FIT, model.fit),
                 "config": _config(args),
             },
         )
@@ -432,7 +440,7 @@ def _cmd_recal_ts(args) -> int:
 
 
 def _cmd_recal_ats(args) -> int:
-    model = recal.fit_ats(_load_preds(args.fit), args.l2, args.f1_threshold)
+    model = recal.fit_ats(*_scored_preds(args.fit, args.f1_threshold), args.l2)
     records = _load_preds(args.apply_path)
     confidence = rewards.confidences(records)
     _write_recalibrated(args, records, confidence, recal.apply_ats(model, records, confidence),
@@ -505,11 +513,11 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
 
 
 def _cmd_probe_sweep(args) -> int:
-    records = _load_preds(args.preds)
+    records, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
     # a generator: each layer is loaded only once the one before it is fitted
     stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat")) for k in args.layers)
     rows = probe.layer_sweep(
-        stacks, records,
+        stacks, records, batch,
         window=args.window, span_token_count=args.span_tokens,
         l2=args.l2, seed=args.seed,
     )
@@ -530,10 +538,8 @@ def _cmd_probe_sweep(args) -> int:
 def _probe_examples(args, window: int, span_tokens: int):
     """The probe's (features, wrong labels, qids) from `--preds` and the one
     layer file `--hidden`."""
-    records = _load_preds(args.preds)
-    stack = _load_token_stack(args.hidden)
-    return probe.examples(records, rewards.score_predictions(records), stack,
-                          window, span_tokens)
+    records, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
+    return probe.examples(records, batch, _load_token_stack(args.hidden), window, span_tokens)
 
 
 def _cmd_probe_fit(args) -> int:
@@ -585,9 +591,9 @@ def _cmd_probe_eval(args) -> int:
 
 
 def _cmd_rag(args) -> int:
+    policy = ragctl.parse_policy_spec(args.policy)
     scored = _derived(("rag", args.f1_threshold), args.input, jsonio.load_rag_traces,
                       lambda records: ragctl.score_traces(records, args.f1_threshold))
-    policy = ragctl.parse_policy_spec(args.policy)
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
@@ -662,6 +668,9 @@ def _cmd_repr_drift(args) -> int:
         raise UsageError("--interest needs --baseline")
     if args.interest is None and args.baseline is not None:
         raise UsageError("--baseline needs --interest")
+    if args.interest is not None:
+        interest = _parse_ints("--interest", args.interest)
+        baseline = _parse_ints("--baseline", args.baseline)
     base = matio.read_matrix(args.base)
     cal = matio.read_matrix(args.cal)
     payload = {
@@ -670,12 +679,7 @@ def _cmd_repr_drift(args) -> int:
         "relative_frobenius_drift": reprgeo.frobenius_drift(base, cal),
     }
     if args.interest is not None:
-        report = reprgeo.embedding_drift_report(
-            _parse_ints("--interest", args.interest),
-            _parse_ints("--baseline", args.baseline),
-            base,
-            cal,
-        )
+        report = reprgeo.embedding_drift_report(interest, baseline, base, cal)
         ratio = "inf" if report.ratio == float("inf") else report.ratio
         payload["embedding_drift"] = {**asdict(report), "ratio": ratio}
     _emit(args, payload)

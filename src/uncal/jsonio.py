@@ -692,25 +692,27 @@ class _Sha256Reader(io.RawIOBase):
 
 
 def open_hashed(path):
-    """(text file, sha256): the file `path` opened for reading as UTF-8 text,
-    as `open(path, encoding="utf-8")` opens it, and the sha256 that each
-    byte read from it updates. Once the text is read to its end, the digest
-    is that of the bytes the reader parsed, however the file changes meanwhile."""
+    """(text file, sha256): the file `path` opened for reading as UTF-8 text
+    whose lines end at "\n" alone, with no newline translated (a "\r"
+    stays in its line as JSON whitespace), and the sha256 that each byte
+    read from it updates. Once the text is read to its end, the digest is
+    that of the bytes the reader parsed, however the file changes meanwhile."""
     raw = _Sha256Reader(open(path, "rb", buffering=0))
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8"), raw.sha256
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="\n"), raw.sha256
 
 
 _scan = json.JSONDecoder().scan_once
+_LINE_ENDS = frozenset({"", "\n", "\r\n"})
 
 
 def _decode(line: str):
     """`json.loads` of `line` without its final "\n", in one scan when the
-    line is exactly one JSON value."""
+    line is one JSON value followed by no more than its "\r\n" or "\n"."""
     try:
         obj, end = _scan(line, 0)
     except (StopIteration, ValueError):
         return json.loads(line.removesuffix("\n"))
-    return obj if end == len(line) or line[end:] == "\n" else json.loads(line.removesuffix("\n"))
+    return obj if line[end:] in _LINE_ENDS else json.loads(line.removesuffix("\n"))
 
 
 def decode_lines(lines: Iterable[str]):

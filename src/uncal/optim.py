@@ -1,15 +1,19 @@
-"""Truncated Newton-CG minimizer shared by the probe and ATS fits.
+"""Truncated Newton-CG minimizer shared by every fit: global and adaptive
+temperature scaling (`recal`) and the probe.
 
-Both fits minimize  mean_i loss_i(u_i) + l2 * ||w||^2  over theta = [w, b],
-where u = [phi, 1] @ theta, so the bias is not penalized. `row_fn(u)` returns
+Each fit minimizes  mean_i loss_i(u_i) + l2 * ||w||^2  over theta = [w, b],
+where u = [phi, 1] @ theta, so the bias is not penalized; global scaling has
+no feature columns, so its one parameter is the bias. `row_fn(u)` returns
 the mean row loss and, per row, its first and second derivatives in u. With
 x = [phi, 1], Hessian-vector products are x.T @ (h * (x @ v)) / n plus the
 penalty, so no d x d matrix is formed. Row curvature is clipped at 0,
-which keeps the CG operator positive semi-definite for a non-convex row loss
-(ATS) too; Armijo backtracking never lets the objective go up. CG starts from
-zero, so identical columns of `phi` get identical steps and an all-zero
-column keeps a weight of exactly 0. A negative or non-finite `l2` is
-refused before the first step, for every fit that uses this minimizer.
+which keeps the CG operator positive semi-definite for a non-convex row
+loss (both temperature fits) too; Armijo backtracking never lets the
+objective go up. CG starts from zero, so identical columns of `phi` get
+identical steps and an all-zero column keeps a weight of exactly 0
+(`standardize` gives a column with no spread one). A negative or
+non-finite `l2` is refused before the first step, for every fit that uses
+this minimizer.
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ def _cg_step(x, row_h, penalty, grad):
         d = r + (rr / rr_old) * d
     # with no curvature along -grad at all, fall back to steepest descent
     return p if p.any() else -grad
+
+
+def standardize(x: np.ndarray):
+    """(phi, means, stds): the columns of `x` centred on their means and
+    divided by their standard deviations. A column of equal values keeps
+    that value as its mean (their float mean may round away from it) and a
+    std of 1, so its `phi` column is all 0 and its weight stays 0."""
+    flat = (x == x[:1]).all(axis=0)
+    stds = x.std(axis=0)
+    means = np.where(flat, x[0], x.mean(axis=0))
+    stds = np.where(flat | (stds == 0.0), 1.0, stds)
+    return (x - means) / stds, means, stds
 
 
 def linear(phi: np.ndarray, weights, bias: float) -> np.ndarray:

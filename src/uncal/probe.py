@@ -7,7 +7,8 @@ probe itself is L2-regularized logistic regression fit by the shared
 Newton-CG minimizer (`optim`, which refuses a negative or non-finite
 penalty), with the decision threshold tuned for trigger F1 on held-out data.
 Every fit and score takes a feature matrix, one row per example. The
-positive class is "final answer is wrong", i.e. "trigger retrieval".
+positive class is "final answer is wrong", i.e. "trigger retrieval"; the
+labels come from a `rewards.ScoredBatch` the caller has scored.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import optim
 from .errors import AlignmentError, DegenerateFit, NotEmitted, ShapeError, UndefinedMetric
-from .rewards import PredictionRecord, ScoredBatch, first_emit_fraction, score_predictions
+from .rewards import PredictionRecord, ScoredBatch, first_emit_fraction
 
 DEFAULT_WINDOW = 4
 DEFAULT_SPAN_TOKENS = 1
@@ -82,10 +83,10 @@ def examples(
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(features, wrong labels, qids) of the probe's examples, in record order.
 
-    `batch` is `rewards.score_predictions(records)`; `stack` maps qid ->
-    (tokens x dims) hidden matrix. An example is an emitted record with hidden
-    states in `stack`; its label is 1 where the batch scored it wrong. A
-    `window` below 0 or a `span_token_count` below 1 is refused first.
+    `batch` holds the records' scores; `stack` maps qid -> (tokens x dims)
+    hidden matrix. An example is an emitted record with hidden states in
+    `stack`; its label is 1 where the batch scored it wrong. A `window`
+    below 0 or a `span_token_count` below 1 is refused first.
     """
     if window < 0:
         raise ValueError(f"window={window} must be at least 0")
@@ -137,7 +138,8 @@ def fit_probe(
     layer: int = -1,
 ) -> ProbeModel:
     """L2-regularized logistic regression from zero on the feature rows `x`,
-    standardized on the fit set, minimized by `optim.minimize` (Newton-CG).
+    standardized on the fit set (`optim.standardize`), minimized by
+    `optim.minimize` (Newton-CG).
 
     The threshold is left at 0.5 until tuned. `fit` records the objective per
     iteration, which never increases, and whether the fit converged.
@@ -149,12 +151,9 @@ def fit_probe(
         raise DegenerateFit(f"need at least {MIN_FIT_EXAMPLES} examples")
     if len(set(y.tolist())) < 2:
         raise DegenerateFit("both classes must be present")
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)
-    if np.all(stds == 0.0):
+    phi, means, stds = optim.standardize(x)
+    if not phi.any():
         raise DegenerateFit("every feature is constant; nothing to fit")
-    stds = np.where(stds == 0.0, 1.0, stds)
-    phi = (x - means) / stds
 
     def logistic(u):
         p = _sigmoid(u)
@@ -315,6 +314,7 @@ class LayerSweepRow(Evaluation):
 def layer_sweep(
     stacks: Iterable[tuple[int, Mapping[str, np.ndarray]]],
     records: Sequence[PredictionRecord],
+    batch: ScoredBatch,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
     l2: float = DEFAULT_L2,
@@ -326,10 +326,10 @@ def layer_sweep(
     as a dict's `items()`. Each layer is fitted before the next pair is
     drawn, so a generator that loads its layers lazily holds about two at a
     time; a layer that fails to load or fit then fails after the layers
-    before it have been fitted. The records are scored once for every layer;
-    see `examples` for which take part. Rows come back sorted by layer index.
+    before it have been fitted. `batch` holds the records' scores, which
+    every layer reads; see `examples` for which records take part. Rows come
+    back sorted by layer index.
     """
-    batch = score_predictions(records)
     rows = []
     for layer, stack in stacks:
         x, y, qids = examples(records, batch, stack, window, span_token_count)

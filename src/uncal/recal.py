@@ -2,21 +2,16 @@
 
 Confidences are clamped away from {0, 1} before the logit transform so that
 grid-valued traces (0.05, 0.9, ...) and the occasional hard 0/1 survive the
-mapping. Both fitters are deterministic: global scaling uses golden-section
-search over log-temperature, adaptive scaling uses the shared Newton-CG
-minimizer (`optim`) from a fixed initialization. Both fit the records of one
-`rewards.ScoredBatch` whose confidence column is not NaN.
+mapping. Both fitters are deterministic and share the Newton-CG minimizer
+(`optim`), each from the identity mapping (T = 1): global scaling over
+u = log(1/T), adaptive scaling over the weights of its features. Each fits
+the records of one `rewards.ScoredBatch` (the caller scores them) whose
+confidence column is not NaN.
 
 Applying a model maps a confidence column (`rewards.confidences`) to a new
 one and matches nothing: `apply_ts` reads the column alone, `apply_ats` also
 the features of the records whose confidence is not NaN. A NaN confidence
 maps to NaN.
-
-Global scaling does not go through `optim`: fitting one temperature there
-means the ATS form without features, whose softplus keeps the temperature
-above the 0.05 floor. Golden-section search over log T in [-5, 5] reaches
-below it: on the 10k records that `test_recal.py` draws at T = 0.03 it finds
-0.0297 (NLL 0.542), where the floored fit stops at 0.050 (NLL 0.562).
 """
 
 from __future__ import annotations
@@ -29,18 +24,9 @@ import numpy as np
 
 from . import optim
 from .errors import DegenerateFit
-from .rewards import (
-    DEFAULT_F1_THRESHOLD,
-    PredictionRecord,
-    ScoredBatch,
-    reasoning_depth,
-    record_answer,
-    score_predictions,
-)
+from .rewards import PredictionRecord, ScoredBatch, reasoning_depth, record_answer
 
 CONF_CLAMP = 1e-4
-LOG_T_RANGE = (-5.0, 5.0)
-GOLDEN_TOL = 1e-6
 ATS_TEMPERATURE_FLOOR = 0.05
 DEFAULT_ATS_L2 = 1e-3
 
@@ -90,47 +76,42 @@ class TsModel:
 
     temperature: float
     fit_nll: float = float("nan")
+    fit: optim.Fit | None = None
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
 
 
-def fit_global_ts(
-    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> TsModel:
-    """Fit the temperature minimizing Bernoulli NLL of sigmoid(logit(c)/T).
+def fit_global_ts(batch: ScoredBatch) -> TsModel:
+    """Fit the temperature minimizing Bernoulli NLL of sigmoid(logit(c)/T)
+    with `optim.minimize` over u = log(1/T), from u = 0 (T = 1).
 
-    Golden-section search over log T in [-5, 5] to 1e-6; the NLL is convex in
-    1/T, so the search is over a unimodal function. If the numerical optimum
-    is not at least as good as T = 1 (possible only by the search tolerance),
-    T = 1 is returned.
+    Each row's loss is softplus(a) - y a with a = logit * e^u. The line
+    search never lets the NLL rise above that of T = 1. A batch whose
+    correct records all have logits above 0 and wrong ones below has no
+    finite best T: the NLL falls toward 0 as T does. There the fit stops,
+    converged, at the small positive T where the gradient first falls below
+    `optim.GRAD_TOL`, with an NLL below that of T = 1.
     """
-    _, logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
+    _, logits, outcomes = _fit_rows(batch)
 
-    def objective(log_t):
-        return _bernoulli_nll(_sigmoid(logits / math.exp(log_t)), outcomes)
+    def nll(u):
+        a = logits * np.exp(u)
+        p = _sigmoid(a)
+        loss = float(np.mean(_softplus(a) - outcomes * a))
+        h = p * (1.0 - p) * a**2 + (p - outcomes) * a
+        # every row shares u, so a step reads only the rows' mean curvature;
+        # where it is positive each row gets the mean, which the minimizer's
+        # clip at 0 per row would inflate (at T = 103 on the bundled fixture
+        # the fit then crept on for 100 iterations without converging)
+        curvature = float(h.mean())
+        return loss, (p - outcomes) * a, np.full(len(a), curvature) if curvature > 0.0 else h
 
-    lo, hi = LOG_T_RANGE
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1 = objective(x1)
-    f2 = objective(x2)
-    while hi - lo > GOLDEN_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = objective(x2)
-    log_t = (lo + hi) / 2.0
-    best = objective(log_t)
-    if objective(0.0) < best:
-        log_t, best = 0.0, objective(0.0)
-    return TsModel(temperature=math.exp(log_t), fit_nll=best)
+    theta, fit = optim.minimize(nll, np.empty((len(logits), 0)), np.zeros(1), 0.0)
+    t = math.exp(-theta[0])
+    return TsModel(temperature=t, fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes),
+                   fit=fit)
 
 
 def apply_ts(model: TsModel, confidence: np.ndarray) -> np.ndarray:
@@ -179,32 +160,24 @@ def _feature_rows(records, usable: np.ndarray, logits: np.ndarray) -> np.ndarray
     (the record's token count, or whitespace tokens when absent); answer
     length in characters of `rewards.record_answer`; and reasoning depth,
     the nonempty lines before the answer line."""
-    rows = [_ats_row(r) for r, ok in zip(records, usable.tolist()) if ok]
+    rows = [_ats_row(r) for r, ok in zip(records, usable.tolist(), strict=True) if ok]
     return np.column_stack([logits, np.reshape(rows, (-1, 3))])
 
 
-def _standardize(features):
-    means = features.mean(axis=0)
-    stds = features.std(axis=0)
-    stds = np.where(stds == 0.0, 1.0, stds)
-    return (features - means) / stds, means, stds
-
-
 def fit_ats(
-    records: Sequence[PredictionRecord],
-    l2: float = DEFAULT_ATS_L2,
-    f1_threshold: float = DEFAULT_F1_THRESHOLD,
+    records: Sequence[PredictionRecord], batch: ScoredBatch, l2: float = DEFAULT_ATS_L2
 ) -> AtsModel:
-    """Fit adaptive temperature scaling with `optim.minimize` (Newton-CG).
+    """Fit adaptive temperature scaling of `records`, whose scores are
+    `batch`, with `optim.minimize` (Newton-CG) over features standardized
+    on the fit set (`optim.standardize`).
 
     The fit starts from w = 0 and the bias that makes the initial temperature
     exactly 1 (the identity mapping); the line search never lets the
     objective rise above that start. `fit_nll` is the unpenalized NLL at the
     result, computed as for global scaling.
     """
-    records = list(records)
-    usable, logits, outcomes = _fit_rows(score_predictions(records, f1_threshold))
-    phi, means, stds = _standardize(_feature_rows(records, usable, logits))
+    usable, logits, outcomes = _fit_rows(batch)
+    phi, means, stds = optim.standardize(_feature_rows(records, usable, logits))
 
     def nll(u):
         s = _sigmoid(u)  # dT/du

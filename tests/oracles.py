@@ -516,6 +516,41 @@ def oracle_ts_nll(model, records, f1_threshold=0.3) -> float:
     return _bernoulli_nll(_sigmoid(logits / model.temperature), outcomes)
 
 
+def oracle_fit_global_ts(batch):
+    """`recal.fit_global_ts` as it was before it used `optim.minimize`:
+    golden-section search over log T in [-5, 5] to 1e-6, on the records of
+    `batch` whose confidence is not NaN (the NLL is convex in 1/T, so
+    unimodal in log T), falling back to T = 1 where that is no worse."""
+    import numpy as np
+
+    from uncal.recal import TsModel, _bernoulli_nll, _sigmoid
+
+    usable = ~np.isnan(batch.confidence)
+    logits = np.array([_former_logit(c) for c in batch.confidence[usable].tolist()])
+    outcomes = batch.correct[usable].astype(float)
+
+    def objective(log_t):
+        return _bernoulli_nll(_sigmoid(logits / math.exp(log_t)), outcomes)
+
+    lo, hi = -5.0, 5.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > 1e-6:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = objective(x2)
+    log_t = (lo + hi) / 2.0
+    if objective(0.0) < objective(log_t):
+        log_t = 0.0
+    return TsModel(temperature=math.exp(log_t), fit_nll=objective(log_t))
+
+
 def oracle_apply_ats(model, record) -> float:
     """`recal.apply_ats` as it was when it mapped one record, whose
     confidence parses: its features as one tuple, its temperature by a

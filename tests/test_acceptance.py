@@ -206,7 +206,7 @@ def test_temperature_recovery():
             logit = math.log(q / (1.0 - q))
             conf = 1.0 / (1.0 + math.exp(-logit * t_star))
             records.append(make_record(f"q{i}", conf, outcome))
-        model = recal.fit_global_ts(records)
+        model = recal.fit_global_ts(score_predictions(records))
         assert abs(model.temperature - t_star) / t_star < 0.10
         assert model.fit_nll <= oracle_ts_nll(recal.TsModel(1.0), records)
 
@@ -222,8 +222,8 @@ def test_ats_dominance():
             logit = math.log(q / (1.0 - q))
             conf = 1.0 / (1.0 + math.exp(-logit * float(rng.choice([0.7, 1.0, 2.0]))))
             records.append(make_record(f"q{i}", conf, outcome))
-        ts_model = recal.fit_global_ts(records)
-        ats_model = recal.fit_ats(records, l2=0.0)
+        ts_model = recal.fit_global_ts(score_predictions(records))
+        ats_model = recal.fit_ats(records, score_predictions(records), l2=0.0)
         assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
 
     rng = np.random.default_rng(SEED + 30)
@@ -244,8 +244,8 @@ def test_ats_dominance():
                 verbal_confidence=conf, response_token_count=len(text.split()),
             )
         )
-    ts_model = recal.fit_global_ts(planted)
-    ats_model = recal.fit_ats(planted, l2=0.0)
+    ts_model = recal.fit_global_ts(score_predictions(planted))
+    ats_model = recal.fit_ats(planted, score_predictions(planted), l2=0.0)
     assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
     assert ts_model.fit_nll - ats_model.fit_nll >= 0.01
 
@@ -254,7 +254,7 @@ def test_ats_dominance():
 def test_probe_planted_signal_sweep():
     rng = np.random.default_rng(SEED)
     records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=600)
-    rows = probe.layer_sweep(stacks.items(), records, seed=0)
+    rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
     by_layer = {r.layer: r.auroc for r in rows}
     assert max(by_layer, key=by_layer.get) == 8
     assert by_layer[8] >= 0.95

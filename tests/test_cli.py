@@ -178,6 +178,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad --interest value '0,x'" in err and "usage: uncal" in err
 
+    @pytest.mark.parametrize("policy", ["nope", "conf:2", "flare:0.3:4"])
+    def test_bad_policy_is_refused_before_the_traces_are_read(
+        self, monkeypatch, capsys, policy
+    ):
+        loads = count_calls(monkeypatch, jsonio, "load_rag_traces")
+        assert main(["rag", "--policy", policy, "--in", str(RAG_FIXTURE)]) == 1
+        assert loads == [] and repr(policy) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--interest", "0,x", "--baseline", "1"],
+        ["--interest", "0", "--baseline", "1,1"],
+        ["--interest", "0"],
+    ])
+    def test_bad_row_lists_are_refused_before_the_matrices_are_read(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        matio.write_matrix(tmp_path / "x.mat", np.eye(3))
+        reads = count_calls(monkeypatch, matio, "read_matrix")
+        assert main(["repr", "drift", "--base", str(tmp_path / "x.mat"),
+                     "--cal", str(tmp_path / "x.mat"), *flags]) == 1
+        assert reads == [] and "usage: uncal" in capsys.readouterr().err
+
     @pytest.mark.parametrize("interest", ["100", "-1"])
     def test_drift_row_outside_the_matrix_exits_one(self, tmp_path, capsys, interest):
         matio.write_matrix(tmp_path / "x.mat", np.arange(1.0, 16.0).reshape(5, 3))
@@ -402,6 +424,18 @@ class TestFunctional:
             assert sorted(model["fit"]) == ["converged", "grad_norm", "iterations"]
             assert model["fit"]["converged"] is True
 
+    def test_ts_model_reports_its_fit(self, tmp_path):
+        model_out = tmp_path / "ts.json"
+        assert main(["recal", "ts", "--fit", str(PREDS_FIXTURE),
+                     "--apply", str(PREDS_FIXTURE), "--out", str(tmp_path / "o.jsonl"),
+                     "--model-out", str(model_out)]) == 0
+        model = json.loads(model_out.read_text())
+        assert model["schema"] == "uncal-ts-model-v3"
+        assert sorted(model) == ["config", "fit", "fit_nll", "schema", "temperature"]
+        assert sorted(model["fit"]) == ["converged", "grad_norm", "iterations"]
+        assert model["fit"]["converged"] is True and model["fit"]["iterations"] >= 1
+        assert 0.0 <= model["fit"]["grad_norm"] <= optim.GRAD_TOL
+
 
 class TestGoldenReport:
     def test_calib_matches_frozen_golden(self, tmp_path, monkeypatch):
@@ -410,6 +444,20 @@ class TestGoldenReport:
         assert main(["calib", "--in", "preds20.jsonl", "--bins", "10",
                      "--out", "report.json"]) == 0
         assert Path("report.json").read_bytes() == GOLDEN_CALIB.read_bytes()
+
+    def test_a_crlf_copy_gives_the_same_report(self, tmp_path, monkeypatch):
+        # the config names the input, so both runs read `preds20.jsonl` by that name
+        for name, ending in (("lf", b"\n"), ("crlf", b"\r\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "preds20.jsonl").write_bytes(
+                PREDS_FIXTURE.read_bytes().replace(b"\n", ending))
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["calib", "--in", "preds20.jsonl", "--bins", "10",
+                         "--out", "report.json"]) == 0
+        assert b"\r\n" in (tmp_path / "crlf" / "preds20.jsonl").read_bytes()
+        report = (tmp_path / "crlf" / "report.json").read_bytes()
+        assert report == (tmp_path / "lf" / "report.json").read_bytes()
+        assert report == GOLDEN_CALIB.read_bytes()
 
 
 def _run_twice(argv_template, tmp_path, outputs):

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uncal import jsonio, optim, probe, trajspace
+from uncal import jsonio, matio, optim, probe, trajspace
 from uncal.ragctl import RagTraceRecord
 from uncal.reprgeo import TokenAnnotation, TokenDistPair, TokenType
 from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
 
+from conftest import count_calls
 from oracles import oracle_to_dict
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -258,6 +259,40 @@ def test_line_breaking_characters_stay_inside_their_line(tmp_path, char):
     result = jsonio.load_predictions(path)
     assert not result.errors and result.total_lines == 2
     assert [r.qid for r in result.records] == [record.qid] * 2
+
+
+@pytest.mark.parametrize("end", ["", "\n", "\r\n", "\r", "\r\r\n", " \r\n", "\n\r\n"])
+@pytest.mark.parametrize("body", _BODIES)
+def test_decode_equals_json_loads_of_the_line_without_its_newline(body, end):
+    line = body + end
+    assert _outcome(jsonio._decode, line) == _outcome(json.loads, line.removesuffix("\n"))
+
+
+@pytest.mark.parametrize("body", ['{"a": 1}', '[1, 2.5]', '"x"', "1"])
+def test_a_crlf_line_is_decoded_in_one_scan(monkeypatch, body):
+    want = json.loads(body)
+    loads = count_calls(monkeypatch, json, "loads")
+    assert jsonio._decode(body + "\r\n") == want
+    assert loads == []
+
+
+def test_a_carriage_return_inside_a_line_does_not_end_it(tmp_path):
+    # universal newlines split this line at its "\r" into two invalid ones
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b'{"qid": "a",\r"gold_answers": ["x"], "response_text": "Answer: x"}')
+    result = jsonio.load_predictions(path)
+    assert (result.errors, result.total_lines) == ([], 1)
+    assert [(r.qid, r.gold_answers) for r in result.records] == [("a", ("x",))]
+
+
+def test_a_crlf_sidecar_reads_as_its_lf_copy(tmp_path):
+    rows = [{"qid": "a", "token_index": 0}, {"qid": "a", "token_index": None},
+            {"qid": "b\r", "token_index": 0}]
+    lf, crlf = tmp_path / "lf.ids.jsonl", tmp_path / "crlf.ids.jsonl"
+    matio.write_row_ids(lf, rows)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert matio.read_row_ids(crlf).records == matio.read_row_ids(lf).records == rows
 
 
 # field values at the edges of what the tables accept

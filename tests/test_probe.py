@@ -160,6 +160,19 @@ class TestFitProbe:
         with pytest.raises(DegenerateFit):
             probe.fit_probe(np.ones((12, 2)), [1] * 12)
 
+    @pytest.mark.parametrize("value", [0.0, 12.0, 0.7])
+    def test_constant_features_rejected(self, value):
+        # the mean of twelve 0.7s rounds to another float: the features must
+        # still read as constant
+        with pytest.raises(DegenerateFit, match="every feature is constant"):
+            probe.fit_probe(np.full((12, 3), value), [0, 1] * 6)
+
+    def test_standardize_gives_a_column_of_equal_values_zeros(self):
+        x = np.column_stack([np.full(7, 0.7), np.arange(7.0)])
+        phi, means, stds = optim.standardize(x)
+        assert not phi[:, 0].any() and (means[0], stds[0]) == (0.7, 1.0)
+        np.testing.assert_array_equal(phi[:, 1], (x[:, 1] - 3.0) / 2.0)
+
     def test_too_few_examples_rejected(self):
         with pytest.raises(DegenerateFit):
             probe.fit_probe(np.ones((4, 2)), [0, 1, 0, 1])
@@ -320,7 +333,7 @@ class TestExamples:
 class TestLayerSweep:
     def test_planted_signal_peaks_at_its_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=320)
-        rows = probe.layer_sweep(stacks.items(), records, seed=0)
+        rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
         by_layer = {r.layer: r for r in rows}
         assert max(by_layer, key=lambda k: by_layer[k].auroc) == 8
         assert by_layer[8].auroc >= 0.95
@@ -328,7 +341,7 @@ class TestLayerSweep:
     def test_identical_stacks_give_identical_metrics(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=200)
         cloned = {0: stacks[0], 4: stacks[0], 9: stacks[0]}
-        rows = probe.layer_sweep(cloned.items(), records, seed=0)
+        rows = probe.layer_sweep(cloned.items(), records, score_predictions(records), seed=0)
         first = rows[0]
         for row in rows[1:]:
             assert (row.auroc, row.auprc, row.precision, row.recall, row.f1) == (
@@ -337,7 +350,8 @@ class TestLayerSweep:
 
     def test_rows_sorted_by_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8), signal_layer=8, n=200)
-        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}.items(), records, seed=0)
+        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}.items(), records,
+                                 score_predictions(records), seed=0)
         assert [r.layer for r in rows] == [0, 8]
 
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, recal, rewards
+from uncal import jsonio, optim, recal, rewards
 from uncal.cli import main
 from uncal.errors import DegenerateFit
-from uncal.rewards import PredictionRecord
+from uncal.rewards import PredictionRecord, score_predictions
 
 from conftest import count_calls, make_record
-from oracles import oracle_apply_ats, oracle_apply_ts, oracle_ts_nll
+from oracles import oracle_apply_ats, oracle_apply_ts, oracle_fit_global_ts, oracle_ts_nll
 
 
 def calibrated_batch(rng, t_star, n=4000):
@@ -57,17 +57,17 @@ def length_overconfident_batch(rng, n=3000):
 
 class TestGlobalTs:
     def test_calibrated_batch_recovers_unit_temperature(self, rng):
-        model = recal.fit_global_ts(calibrated_batch(rng, 1.0, n=10000))
+        model = recal.fit_global_ts(score_predictions(calibrated_batch(rng, 1.0, n=10000)))
         assert 0.95 <= model.temperature <= 1.05
 
     def test_inflated_logits_recover_doubling(self, rng):
-        model = recal.fit_global_ts(calibrated_batch(rng, 2.0, n=10000))
+        model = recal.fit_global_ts(score_predictions(calibrated_batch(rng, 2.0, n=10000)))
         assert abs(model.temperature - 2.0) / 2.0 < 0.1
 
     def test_underconfident_logits_reach_below_the_ats_floor(self, rng):
-        # a fit through `optim.minimize` in the ATS form without features
-        # stalls at the 0.05 floor here (NLL 0.562 against 0.542)
-        model = recal.fit_global_ts(calibrated_batch(rng, 0.03, n=10000))
+        # the ATS form without features stalls at its 0.05 floor here (NLL
+        # 0.562 against 0.542); global scaling over log(1/T) has no floor
+        model = recal.fit_global_ts(score_predictions(calibrated_batch(rng, 0.03, n=10000)))
         assert model.temperature < recal.ATS_TEMPERATURE_FLOOR
         assert abs(model.temperature - 0.03) / 0.03 < 0.1
 
@@ -99,33 +99,69 @@ class TestGlobalTs:
     def test_temperature_stays_in_search_range(self, rng):
         for seed in range(5):
             batch = calibrated_batch(np.random.default_rng(seed), 1.0, n=60)
-            model = recal.fit_global_ts(batch)
+            model = recal.fit_global_ts(score_predictions(batch))
             assert math.exp(-5.0) <= model.temperature <= math.exp(5.0)
 
     def test_fitted_nll_never_worse_than_identity(self, rng):
         for t_star in (0.5, 1.0, 2.0, 4.0):
             batch = calibrated_batch(rng, t_star, n=800)
-            model = recal.fit_global_ts(batch)
+            model = recal.fit_global_ts(score_predictions(batch))
             assert model.fit_nll <= oracle_ts_nll(recal.TsModel(1.0), batch)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateFit):
-            recal.fit_global_ts([make_record("a", 0.5, True), make_record("b", 0.6, True)])
+            recal.fit_global_ts(score_predictions(
+                [make_record("a", 0.5, True), make_record("b", 0.6, True)]))
 
     def test_saturated_confidences_rejected(self):
         with pytest.raises(DegenerateFit):
-            recal.fit_global_ts(
+            recal.fit_global_ts(score_predictions(
                 [make_record("a", 0.0, False), make_record("b", 1.0, True)]
-            )
+            ))
+
+
+class TestGlobalTsAgainstGoldenSection:
+    """The fit through `optim.minimize` against the golden-section search it
+    replaced (`oracles.oracle_fit_global_ts`), on seeded planted batches."""
+
+    @pytest.mark.parametrize("n", [20, 100, 1000, 5000])
+    @pytest.mark.parametrize("t_star", [0.03, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_temperature_and_nll_match_the_oracle(self, n, t_star):
+        rng = np.random.default_rng([n, round(100 * t_star)])
+        batch = score_predictions(calibrated_batch(rng, t_star, n=n))
+        model = recal.fit_global_ts(batch)
+        oracle = oracle_fit_global_ts(batch)
+        assert abs(model.temperature - oracle.temperature) <= 1e-4 * oracle.temperature
+        assert model.fit_nll <= oracle.fit_nll + 1e-9
+        assert model.fit.converged
+
+    @pytest.mark.parametrize("n", [20, 2000])
+    @pytest.mark.parametrize("correct_above", [True, False])
+    def test_separable_batch_stops_at_a_finite_temperature(self, n, correct_above):
+        # every correct record is more (or less) confident than every wrong
+        # one, on the other side of 0.5: no finite T maximizes the likelihood,
+        # and the NLL falls as T goes to 0 (or to infinity)
+        rng = np.random.default_rng(n)
+        records = []
+        for i in range(n):
+            correct = i % 2 == 0
+            high = float(rng.uniform(0.55, 0.99))
+            conf = high if correct == correct_above else 1.0 - high
+            records.append(make_record(f"q{i}", conf, correct))
+        model = recal.fit_global_ts(score_predictions(records))
+        assert 0.0 < model.temperature < math.inf
+        assert (model.temperature < 1.0) == correct_above
+        assert model.fit_nll <= oracle_ts_nll(recal.TsModel(1.0), records)
+        assert model.fit.converged
 
 
 class TestAts:
     def test_large_l2_degenerates_to_global_ts(self, rng):
         # l2 high enough to pin the weights, up to an extreme value
         batch = calibrated_batch(rng, 2.0, n=1500)
-        ts_model = recal.fit_global_ts(batch)
+        ts_model = recal.fit_global_ts(score_predictions(batch))
         for l2 in (8.0, 1e3):
-            ats_model = recal.fit_ats(batch, l2=l2)
+            ats_model = recal.fit_ats(batch, score_predictions(batch), l2=l2)
             assert max(abs(w) for w in ats_model.weights) < 1e-2
             assert abs(ats_model.fit_nll - ts_model.fit_nll) < 1e-3
 
@@ -140,7 +176,7 @@ class TestAts:
             )
             for i in range(40)
         ]
-        model = recal.fit_ats(records, l2=0.0)
+        model = recal.fit_ats(records, score_predictions(records), l2=0.0)
         # length, answer length, and depth are constant across the batch
         assert model.weights[1] == 0.0
         assert model.weights[2] == 0.0
@@ -148,23 +184,29 @@ class TestAts:
 
     def test_planted_length_overconfidence_beats_global_ts(self, rng):
         batch = length_overconfident_batch(rng)
-        ts_model = recal.fit_global_ts(batch)
-        ats_model = recal.fit_ats(batch, l2=0.0)
+        ts_model = recal.fit_global_ts(score_predictions(batch))
+        ats_model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
         assert ats_model.fit_nll < ts_model.fit_nll - 0.01
 
     def test_dominates_global_ts_with_no_regularization(self):
         for seed in (1, 2, 3, 4):
             batch = calibrated_batch(np.random.default_rng(seed), 2.0, n=600)
-            ts_model = recal.fit_global_ts(batch)
-            ats_model = recal.fit_ats(batch, l2=0.0)
+            ts_model = recal.fit_global_ts(score_predictions(batch))
+            ats_model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
             assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
+
+    def test_records_and_scores_must_align(self, rng):
+        # one record more than the batch scored: its features would be dropped
+        records = calibrated_batch(rng, 2.0, n=50)
+        with pytest.raises(ValueError):
+            recal.fit_ats([*records, make_record("extra", 0.5, True)], score_predictions(records))
 
     def test_temperature_floor_respected(self, rng):
         batch = calibrated_batch(rng, 0.5, n=300)
-        model = recal.fit_ats(batch, l2=0.0)
+        model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
         # the temperatures whose NLL the fit reports as `fit_nll`
-        usable, logits, _ = recal._fit_rows(rewards.score_predictions(batch))
-        phi, _, _ = recal._standardize(recal._feature_rows(batch, usable, logits))
+        usable, logits, _ = recal._fit_rows(score_predictions(batch))
+        phi, _, _ = optim.standardize(recal._feature_rows(batch, usable, logits))
         for t in recal._temperatures(model, phi)[:50]:
             assert t >= recal.ATS_TEMPERATURE_FLOOR
 
@@ -237,20 +279,32 @@ class TestPtrue:
 
 def test_rank_order_preserved_under_ts(rng):
     batch = calibrated_batch(rng, 2.0, n=200)
-    model = recal.fit_global_ts(batch)
+    model = recal.fit_global_ts(score_predictions(batch))
     confs = [r.verbal_confidence for r in batch]
     mapped = recal.apply_ts(model, np.array(confs))
     assert np.array_equal(np.argsort(confs, kind="stable"), np.argsort(mapped, kind="stable"))
 
 
-def test_fits_score_each_record_once(rng, monkeypatch):
+def test_fits_score_each_record_once(rng, monkeypatch, tmp_path):
+    # the command scores its fit file once; the fits read those columns and
+    # score nothing themselves
     records = calibrated_batch(rng, 1.5, n=200)
     records.append(make_record("unparsed", None, True))
+    batch = score_predictions(records)
     matches = count_calls(monkeypatch, rewards, "match_record")
     confidences = count_calls(monkeypatch, rewards, "record_confidence")
-    recal.fit_global_ts(records)
-    recal.fit_ats(records, l2=0.01)
-    assert len(matches) == len(confidences) == 2 * len(records)
+    recal.fit_global_ts(batch)
+    recal.fit_ats(records, batch, l2=0.01)
+    assert len(matches) == len(confidences) == 0
+    fit, apply = tmp_path / "fit.jsonl", tmp_path / "apply.jsonl"
+    jsonio.write_jsonl(fit, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(apply, [jsonio.encode(jsonio.PREDICTION, records[0])])
+    for kind in ("ts", "ats"):
+        assert main(["recal", kind, "--fit", str(fit), "--apply", str(apply),
+                     "--out", str(tmp_path / "out.jsonl")]) == 0
+    # each fit record once per command; the apply record's confidence once too
+    assert len(matches) == 2 * len(records)
+    assert len(confidences) == 2 * (len(records) + 1)
 
 
 def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):
@@ -338,8 +392,8 @@ def _ats_tolerance(model, record) -> float:
 
 
 class TestColumnsEqualFormerPerRecordValues:
-    TS_MODEL = recal.fit_global_ts(FIT_RECORDS)
-    ATS_MODEL = recal.fit_ats(FIT_RECORDS)
+    TS_MODEL = recal.fit_global_ts(score_predictions(FIT_RECORDS))
+    ATS_MODEL = recal.fit_ats(FIT_RECORDS, score_predictions(FIT_RECORDS))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.none() | _POOL | st.just(float("nan")), max_size=20))

@@ -200,3 +200,15 @@ def test_allowlist_holds_only_what_the_command_does_not_reach():
     unreached = _unreachable({})
     for module, name in ALLOWED:
         assert (module, name) in unreached, f"{module}.{name} is reachable; drop it"
+
+
+def test_only_the_command_scores_predictions():
+    # fits and the probe read the scored columns the command hands them, so
+    # a file is scored once, at the command's --f1-threshold
+    modules, resolvers, _ = _package()
+    scorers = {
+        module
+        for module, tree in modules.items()
+        if ("rewards", "score_predictions") in resolvers[module][0](tree)
+    }
+    assert scorers == {"cli"}
