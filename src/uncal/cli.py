@@ -57,23 +57,27 @@ def _parse_ints(flag: str, text: str) -> list[int]:
     return values
 
 
-def _parse_eta(text: str) -> float:
-    """`--eta`: a finite number > 0 (argparse refuses text `float` cannot read)."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise UsageError(f"bad --eta value {text!r}: must be a finite number > 0")
-    return value
+def _number_flag(flag: str, ok, what: str):
+    """Parser of the values of `flag`: a number that `ok` accepts (`nan` and
+    text `float` cannot read are refused before any input is read)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise UsageError(f"bad {flag} value {text!r}: must be {what}")
+        return value
+
+    return parse
 
 
-def _parse_f1_threshold(text: str) -> float:
-    """`--f1-threshold`: a number in [0,1] (`nan` and text `float` cannot read are refused)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"bad --f1-threshold value {text!r}: must be a number in [0,1]")
-    return value
+_parse_eta = _number_flag("--eta", lambda v: 0.0 < v < math.inf, "a finite number > 0")
+# the floor of a calibrated probability in `repr kl`
+_parse_kl_epsilon = _number_flag("--epsilon", lambda v: 0.0 < v < 1.0, "a number in (0,1)")
+_parse_f1_threshold = _number_flag("--f1-threshold", lambda v: 0.0 <= v <= 1.0,
+                                   "a number in [0,1]")
 
 
 def _add_f1_threshold(parser: _Parser) -> None:
@@ -178,7 +182,7 @@ def _build_parser() -> _Parser:
     klp.set_defaults(handler=_cmd_repr_kl)
     klp.add_argument("--pairs", required=True)
     klp.add_argument("--annotations", required=True)
-    klp.add_argument("--epsilon", type=float, default=reprgeo.KL_EPSILON)
+    klp.add_argument("--epsilon", type=_parse_kl_epsilon, default=reprgeo.KL_EPSILON)
     klp.add_argument("--out", default=None)
     klp.add_argument("--csv", default=None)
     pca = rep.add_parser("pca")

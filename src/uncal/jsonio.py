@@ -7,20 +7,21 @@ line stream), which both reads its lines (`read_table`) and writes them
 (`encode_lines`).
 
 Lines are read a block of `BLOCK_LINES` at a time, one field column at a
-time: each field's reader tests the block's column of values in a few
-C-level passes (type sets, `min`/`max`, enum key sets; nested objects as one
-flattened block of their own), and the records are built positionally from
-the columns. A line any column check refuses is read again alone by
-`read_table`, the one source of rejection messages, so a line is accepted or
-refused, with the same message, whatever block it falls in. A file is read
-line by line: a load holds one block of lines, their decoded objects and
-columns, and the records accepted so far. Loading is strict: invalid lines
-are returned with their line numbers (the messages carry no file or line;
-callers prefix `path:line:` once), and a file where more than half the lines
-fail is rejected outright. A rejection inside a nested object starts with
-where it sits in the line: `emissions[0]: unknown fields ['x']`. A file's
-bytes are hashed as they are read (`open_hashed`), so a load's `sha256` names
-exactly the bytes it parsed.
+time: each field's `Reader.check` tests the block's column of values in a
+few C-level passes (type sets, `min`/`max`, enum key sets; nested objects as
+one flattened block of their own), and the records are built positionally
+from the columns. `check` is the only rule that accepts a value. A line any
+column check refuses is read again alone by `read_table`, where `_refusal`
+words its rejection from the first field `check` refuses (its
+`Reader.refusal`), so a line is accepted or refused, with the same message,
+whatever block it falls in. A file is read line by line: a load holds one
+block of lines, their decoded objects and columns, and the records accepted
+so far. Loading is strict: invalid lines are returned with their line
+numbers (the messages carry no file or line; callers prefix `path:line:`
+once), and a file where more than half the lines fail is rejected outright.
+A rejection inside a nested object starts with where it sits in the line:
+`emissions[0]: unknown fields ['x']`. A file's bytes are hashed as they are
+read (`open_hashed`), so a load's `sha256` names exactly the bytes it parsed.
 
 Writing is the same in reverse: each field column of a block of records is
 formatted by one formatter (`encode_basestring`, 17-digit floats, a nested
@@ -47,7 +48,7 @@ from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, is_, is_not, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,20 +163,23 @@ def write_jsonl(path, objs: Iterable) -> None:
     _write_atomic(path, (_canonical(obj) + "\n" for obj in objs))
 
 
+_CSV_QUOTED = frozenset(',"\r\n')  # a cell holding one of these is quoted (RFC 4180)
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Plot-ready CSV with the same float discipline as the JSON reports."""
 
-    def cell(value):
+    def cell(value) -> str:
         if value is None:
             return ""
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, float):
+        if isinstance(value, float):  # digits, sign, point and exponent only
             return format_float(value)
-        return str(value)
+        text = str(value)
+        return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
-    lines = (",".join(cell(v) for v in row) + "\n" for row in rows)
-    _write_atomic(path, chain([",".join(header) + "\n"], lines))
+    _write_atomic(path, (",".join(map(cell, row)) + "\n" for row in chain([header], rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,24 @@ _STR = frozenset((str,))
 _FLOAT_MAX = sys.float_info.max
 
 
-# Column checks: `check(values)` is true exactly when every value of the
-# list `values` is accepted, tested in a few passes at C speed rather than
-# one call per value. A reader is its check applied to a column of one value.
+class Reader(NamedTuple):
+    """How a field's values are read. `check(values)` is true exactly when
+    every value of the list `values` is accepted, tested in a few passes at C
+    speed rather than one call per value; it is the only rule that accepts a
+    value. `refusal(name, value)` words why `check` refuses `value`, for the
+    field `name`. `convert`, if any, maps a column of accepted values to the
+    fields; `table`, if any, is the table of a nested object, by which
+    `encode_lines` writes it."""
+
+    check: Callable[[list], bool]
+    refusal: Callable[[str, object], str]
+    convert: Callable[[list], list] | None = None
+    table: dict | None = None
+
+
+def _must_be(what: str):
+    """The refusal `{name} must be {what}`."""
+    return lambda name, value: f"{name} must be {what}"
 
 
 def _typed_column(values, kinds: frozenset) -> bool:
@@ -218,120 +237,81 @@ _finite_column = _numbers_column((-_FLOAT_MAX).__le__, _FLOAT_MAX)
 _probabilities = _numbers_column((0.0).__le__, 1.0)
 
 
-def _reader(check, what: str):
-    """Reader of the values the column check `check` accepts. A reader takes
-    the field name for its message and a decoded JSON value, and returns the
-    value or raises ValueError naming the field; `read.check` is `check`."""
-
-    def read(name: str, value):
-        if not check([value]):
-            raise ValueError(f"{name} must be {what}")
-        return value
-
-    read.check = check
-    return read
-
-
-def _typed(kind: type, what: str):
+def _typed(kind: type, what: str) -> Reader:
     """Reader of the values of exactly type `kind` (so a bool is no int)."""
-    return _reader(partial(_typed_column, kinds=frozenset((kind,))), what)
+    return Reader(partial(_typed_column, kinds=frozenset((kind,))), _must_be(what))
 
 
 read_string = _typed(str, "a string")
 read_int = _typed(int, "an integer")
 read_bool = _typed(bool, "true or false")
-read_strings = _reader(
+read_strings = Reader(
     lambda values: (_typed_column(values, _LIST) and all(values)
                     and _typed_column(chain.from_iterable(values), _STR)),
-    "a non-empty list of strings",
+    _must_be("a non-empty list of strings"),
 )
-read_number = _reader(_finite_column, "a finite number")
-read_numbers = _reader(_lists_column(_finite_column), "a list of finite numbers")
-read_probabilities = _reader(_lists_column(_probabilities), "numbers in [0,1]")
-read_token_probs = _reader(_lists_column(_numbers_column((0.0).__lt__, 1.0)),
-                           "numbers in (0,1]")
-read_positive_numbers = _reader(_lists_column(_numbers_column((0.0).__lt__, _FLOAT_MAX)),
-                                "a list of finite numbers > 0")
-read_count = _reader(
+read_number = Reader(_finite_column, _must_be("a finite number"))
+read_numbers = Reader(_lists_column(_finite_column), _must_be("a list of finite numbers"))
+read_probabilities = Reader(_lists_column(_probabilities), _must_be("numbers in [0,1]"))
+read_token_probs = Reader(_lists_column(_numbers_column((0.0).__lt__, 1.0)),
+                          _must_be("numbers in (0,1]"))
+read_positive_numbers = Reader(_lists_column(_numbers_column((0.0).__lt__, _FLOAT_MAX)),
+                               _must_be("a list of finite numbers > 0"))
+# a count is used as a float too, so it may not exceed the largest one
+read_count = Reader(
     lambda values: (_typed_column(values, frozenset((int,)))
-                    and (not values or min(values) >= 0)),
-    "a nonnegative int",
+                    and (not values or 0 <= min(values) and max(values) <= _FLOAT_MAX)),
+    lambda name, value: (f"{name} exceeds {_FLOAT_MAX!r}"
+                         if type(value) is int and value > _FLOAT_MAX
+                         else f"{name} must be a nonnegative int"),
+)
+read_probability = Reader(
+    _probabilities,
+    lambda name, value: (f"{name} outside [0,1]" if type(value) in _NUMBER_TYPES
+                         else f"{name} must be a number"),
 )
 
 
-def read_probability(name: str, value) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{name} must be a number")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} outside [0,1]")
-    return value
-
-
-read_probability.check = _probabilities
-
-
-def read_enum(kind: type[enum.Enum]):
-    """Reader of the value string of one member of `kind`; its `convert`
-    maps a column of accepted values to their members."""
+def read_enum(kind: type[enum.Enum]) -> Reader:
+    """Reader of the value string of one member of `kind`, converted to that member."""
     members = {member.value: member for member in kind}
-
-    def read(name: str, value):
-        if type(value) is not str or value not in members:
-            raise ValueError(f"{name} must be one of {sorted(members)}, got {value!r}")
-        return members[value]
-
-    read.check = lambda values: _typed_column(values, _STR) and set(values) <= members.keys()
-    read.convert = lambda values: list(map(members.__getitem__, values))
-    return read
+    return Reader(lambda values: _typed_column(values, _STR) and set(values) <= members.keys(),
+                  lambda name, value: f"{name} must be one of {sorted(members)}, got {value!r}",
+                  lambda values: list(map(members.__getitem__, values)))
 
 
-def _nested_fields(table: dict, name: str, value) -> dict:
-    """The fields of the nested object `value` read by `table`. Each rejection
-    starts with `name`, where the object sits: `match: missing field 'f1'`."""
+def _located(table: dict, name: str, value) -> str | None:
+    """The refusal of the nested object `value` by `table`, starting with
+    `name`, where it sits: `match: missing field 'f1'`; None if accepted."""
     if type(value) is not dict:
-        raise ValueError(f"{name} must be a JSON object")
-    try:
-        return read_table(table, value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        return f"{name} must be a JSON object"
+    refusal = _refusal(table, value)
+    return refusal and f"{name}: {refusal}"
 
 
-def read_object(table: dict, build):
-    """Reader of a nested object: `build(**fields)` of its fields read by
-    `table`. Its `table` attribute is that table, by which `encode_lines`
-    writes; a column of such objects is checked as one block of its own."""
-
-    def read(name: str, value):
-        return build(**_nested_fields(table, name, value))
-
-    read.table = table
-    read.check = lambda values: (_typed_column(values, _DICT)
-                                 and not _refused(table, values, _columns(table, values)))
-    read.convert = lambda values: _build(build, _fields(table, _columns(table, values)))
-    return read
+def read_object(table: dict, build) -> Reader:
+    """Reader of a nested object, read by `table` into `build(**fields)`; a
+    column of them is checked and built as one block of its own."""
+    return Reader(lambda objs: (_typed_column(objs, _DICT)
+                                and not _refused(table, objs, _columns(table, objs))),
+                  partial(_located, table),
+                  lambda objs: _build(build, _fields(table, _columns(table, objs))), table)
 
 
-def read_objects(table: dict, build):
-    """Reader of a list of objects, each read as by `read_object(table, build)`
-    under the name `name[i]`; its `table` is exposed the same way. A column
-    of such lists is checked as the one block of all their objects."""
+def read_objects(table: dict, build) -> Reader:
+    """Reader of a list of objects, each read by `read_object(table, build)`
+    and located as `name[i]`; a column of such lists is read as the one
+    block of all their objects."""
+    each = read_object(table, build)
 
-    def read(name: str, value):
+    def refusal(name: str, value) -> str:
         if type(value) is not list:
-            raise ValueError(f"{name} must be a list of JSON objects")
-        return tuple(
-            build(**_nested_fields(table, f"{name}[{i}]", v)) for i, v in enumerate(value)
-        )
+            return f"{name} must be a list of JSON objects"
+        return next(filter(None, (_located(table, f"{name}[{i}]", v)
+                                  for i, v in enumerate(value))))
 
-    def convert(values):
-        objs = list(chain.from_iterable(values))
-        return list(map(tuple, _runs(_build(build, _fields(table, _columns(table, objs))), values)))
-
-    read.table = table
-    read.check = _lists_column(
-        lambda objs: _typed_column(objs, _DICT) and not _refused(table, objs, _columns(table, objs)))
-    read.convert = convert
-    return read
+    return Reader(_lists_column(each.check), refusal, lambda values: list(map(
+        tuple, _runs(each.convert(list(chain.from_iterable(values))), values))), table)
 
 
 REQUIRED = object()  # the default of a field every object must carry
@@ -413,33 +393,37 @@ PROBE_MODEL = {
     "feature_stds": (read_positive_numbers, REQUIRED),  # a fit never writes one <= 0
     "fit": (read_object(FIT, dict), None),
     "config": (read_object(PROBE_MODEL_CONFIG, dict), None),  # None: the defaults
-    "schema": (_reader(lambda values: values.count("uncal-probe-model-v2") == len(values),
-                       "'uncal-probe-model-v2'"), None),
+    "schema": (Reader(lambda values: values.count("uncal-probe-model-v2") == len(values),
+                      _must_be("'uncal-probe-model-v2'")), None),
 }
 
 
-def read_table(table: dict, obj) -> dict:
-    """The fields of the JSON object `obj` read by `table`. An absent field
-    takes its default, and so does a null where the default is None. Rejects
-    a non-object, unknown fields, a missing required field and any value its
-    reader refuses."""
+def _refusal(table: dict, obj) -> str | None:
+    """Why `table` refuses the JSON object `obj`, or None if it accepts it:
+    in table order, the first field missing where it is required or whose
+    `check` refuses its value, else the unknown fields. An absent field takes
+    its default, and so does a null where the default is None."""
     if type(obj) is not dict:
-        raise ValueError("line must be a JSON object")
-    out = {}
-    absent = 0
+        return "line must be a JSON object"
     for key, (read, default) in table.items():
         value = obj.get(key)
-        if value is not None or (default is not None and key in obj):
-            out[key] = read(key, value)
-        elif default is REQUIRED:
-            raise ValueError(f"missing field {key!r}")
-        else:
-            out[key] = default
-            absent += key not in obj
-    # the keys of `obj` beyond the table fields it holds are unknown
-    if len(obj) > len(table) - absent:
-        raise ValueError(f"unknown fields {sorted(obj.keys() - table.keys())}")
-    return out
+        if value is None and (default is None or key not in obj):
+            if default is REQUIRED:
+                return f"missing field {key!r}"
+        elif not read.check([value]):
+            return read.refusal(key, value)
+    if not obj.keys() <= table.keys():
+        return f"unknown fields {sorted(obj.keys() - table.keys())}"
+    return None
+
+
+def read_table(table: dict, obj) -> dict:
+    """The fields of the JSON object `obj` read by `table`, as a block of
+    that one line reads them; raises ValueError with its `_refusal`."""
+    refusal = _refusal(table, obj)
+    if refusal is not None:
+        raise ValueError(refusal)
+    return {key: column[0] for key, column in _fields(table, _columns(table, [obj])).items()}
 
 
 _present = partial(is_not, None)
@@ -458,9 +442,8 @@ def _failing(check, values: list, start: int, stop: int) -> list[int]:
 
 
 def _columns(table: dict, objs: list) -> dict[str, list]:
-    """Each field's column of the values of the JSON objects `objs` as
-    `read_table` passes them to its reader: the default where a field is
-    absent, and None where it has no value."""
+    """Each field's column of the values of the JSON objects `objs`: the
+    default where a field is absent, and None where it has no value."""
     return {key: list(map(dict.get, objs, repeat(key), repeat(None if default is REQUIRED
                                                                else default)))
             for key, (_, default) in table.items()}
@@ -486,18 +469,17 @@ def _refused(table: dict, objs: list, columns: dict[str, list]) -> set[int]:
 
 
 def _fields(table: dict, columns: dict[str, list]) -> dict[str, list]:
-    """The columns of accepted values `columns` as `read_table` reads them:
-    each reader with a `convert` maps its column."""
+    """The fields of the columns of accepted values `columns`: each reader
+    with a `convert` maps its column, unless every value is None."""
     for key, column in columns.items():
         read, default = table[key]
-        convert = getattr(read, "convert", None)
-        if convert is None:
+        if read.convert is None or not any(map(_present, column)):
             continue
         if default is None and any(map(_absent, column)):
-            converted = iter(convert(list(filter(_present, column))))
+            converted = iter(read.convert(list(filter(_present, column))))
             columns[key] = [None if v is None else next(converted) for v in column]
         else:
-            columns[key] = convert(column)
+            columns[key] = read.convert(column)
     return columns
 
 
@@ -631,7 +613,7 @@ def _encode_block(table: dict, records: list, given: dict[str, list]) -> Iterato
             parts.append(_field_parts(prefix, given[key], None))
         else:
             parts.append(_field_parts(prefix, list(map(attrgetter(key), records)),
-                                      getattr(read, "table", None)))
+                                      read.table))
     # each part leads with a comma; the first is dropped
     return (Line("{" + line[1:] + "}") for line in map("".join, zip(*parts)))
 

@@ -91,8 +91,11 @@ def kl_by_type(
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
-    total KL is 0.
+    total KL is 0. `epsilon`, the floor of a calibrated probability, must lie
+    in (0,1).
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be a number in (0,1), got {epsilon!r}")
     type_of = {}
     for a in annotations:
         if a.position in type_of:

@@ -10,6 +10,7 @@ must match exactly.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 
 def oracle_ece(pairs, num_bins):
@@ -685,3 +686,154 @@ def oracle_embedding_drift_report(rows_of_interest, baseline_rows, w_base, w_cal
         baseline_mean_drift=baseline_mean,
         ratio=ratio,
     )
+
+
+def oracle_read_table(name: str, obj) -> dict:
+    """`jsonio.read_table` of the table `jsonio.<name>` as it was when each
+    field had a per-value reader that returned the value or raised its
+    message, and `read_table` called them field by field. The readers test
+    their value element by element here, sharing no check with the library."""
+    return _former_read_table(_former_tables()[name], obj)
+
+
+def _former_read_table(table: dict, obj) -> dict:
+    from uncal.jsonio import REQUIRED
+
+    if type(obj) is not dict:
+        raise ValueError("line must be a JSON object")
+    out = {}
+    absent = 0
+    for key, (read, default) in table.items():
+        value = obj.get(key)
+        if value is not None or (default is not None and key in obj):
+            out[key] = read(key, value)
+        elif default is REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        else:
+            out[key] = default
+            absent += key not in obj
+    if len(obj) > len(table) - absent:
+        raise ValueError(f"unknown fields {sorted(obj.keys() - table.keys())}")
+    return out
+
+
+@cache
+def _former_tables() -> dict[str, dict]:
+    """The tables by their `jsonio` names, each field with its former reader."""
+    import sys
+
+    from uncal.jsonio import REQUIRED
+    from uncal.probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
+    from uncal.reprgeo import TokenType
+    from uncal.rewards import EmissionEvent, MatchResult, MatchRule
+
+    def reader(accepts, what):
+        def read(name, value):
+            if not accepts(value):
+                raise ValueError(f"{name} must be {what}")
+            return value
+        return read
+
+    def numbers(low_ok, high):
+        return lambda v: type(v) is list and all(
+            type(x) in (int, float) and low_ok(x) and x <= high for x in v)
+
+    big = sys.float_info.max
+
+    def read_probability(name, value):
+        if type(value) not in (int, float):
+            raise ValueError(f"{name} must be a number")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} outside [0,1]")
+        return value
+
+    def read_enum(kind):
+        members = {member.value: member for member in kind}
+
+        def read(name, value):
+            if type(value) is not str or value not in members:
+                raise ValueError(f"{name} must be one of {sorted(members)}, got {value!r}")
+            return members[value]
+        return read
+
+    def nested(table, name, value):
+        if type(value) is not dict:
+            raise ValueError(f"{name} must be a JSON object")
+        try:
+            return _former_read_table(table, value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+    def read_object(table, build):
+        return lambda name, value: build(**nested(table, name, value))
+
+    def read_objects(table, build):
+        def read(name, value):
+            if type(value) is not list:
+                raise ValueError(f"{name} must be a list of JSON objects")
+            return tuple(build(**nested(table, f"{name}[{i}]", v)) for i, v in enumerate(value))
+        return read
+
+    string = reader(lambda v: type(v) is str, "a string")
+    integer = reader(lambda v: type(v) is int, "an integer")
+    boolean = reader(lambda v: type(v) is bool, "true or false")
+    strings = reader(lambda v: type(v) is list and v and all(type(s) is str for s in v),
+                     "a non-empty list of strings")
+    number = reader(lambda v: type(v) in (int, float) and -big <= v <= big, "a finite number")
+    finite = reader(numbers(lambda x: -big <= x, big), "a list of finite numbers")
+    probabilities = reader(numbers(lambda x: 0.0 <= x, 1.0), "numbers in [0,1]")
+    token_probs = reader(numbers(lambda x: 0.0 < x, 1.0), "numbers in (0,1]")
+    positive = reader(numbers(lambda x: 0.0 < x, big), "a list of finite numbers > 0")
+
+    def count(name, value):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be a nonnegative int")
+        if value > big:  # the one change since: a count must convert to a float
+            raise ValueError(f"{name} exceeds {big!r}")
+        return value
+
+    t = {"EMISSION": {"char_position": (count, REQUIRED), "token_index": (count, None)}}
+    t["MATCH"] = {"correct": (boolean, REQUIRED), "rule": (read_enum(MatchRule), REQUIRED),
+                  "f1": (read_probability, REQUIRED)}
+    t["PREDICTION"] = {
+        "qid": (string, REQUIRED), "dataset": (string, ""), "question": (string, ""),
+        "gold_answers": (strings, REQUIRED), "response_text": (string, REQUIRED),
+        "extracted_answer": (string, None), "verbal_confidence": (read_probability, None),
+        "emissions": (read_objects(t["EMISSION"], EmissionEvent), None),
+        "response_token_count": (count, None), "token_probs": (token_probs, None),
+        "p_affirmative": (read_probability, None),
+        "match": (read_object(t["MATCH"], MatchResult), None),
+    }
+    t["RAG_TRACE"] = {
+        "qid": (string, REQUIRED), "dataset": (string, ""), "gold_answers": (strings, REQUIRED),
+        "noret_answer": (string, REQUIRED), "ret_answer": (string, REQUIRED),
+        "noret_confidence": (read_probability, None), "noret_emissions": (count, 0),
+        "noret_probe_score": (number, None), "noret_token_probs": (token_probs, None),
+        "noret_response_text": (string, None), "external_trigger": (boolean, None),
+    }
+    t["TRAJECTORY"] = {"id": (string, REQUIRED), "answer": (string, REQUIRED),
+                       "confidence": (read_probability, REQUIRED),
+                       "base_prob": (read_probability, REQUIRED)}
+    t["SPACE"] = {"gold_answer": (string, REQUIRED),
+                  "trajectories": (read_objects(t["TRAJECTORY"], dict), REQUIRED)}
+    t["KL_PAIR"] = {"position": (count, REQUIRED), "base_probs": (probabilities, REQUIRED),
+                    "calibrated_probs": (probabilities, REQUIRED)}
+    t["KL_ANNOTATION"] = {"position": (count, REQUIRED), "type": (read_enum(TokenType), REQUIRED)}
+    t["ROW_ID"] = {"qid": (string, REQUIRED), "token_index": (count, None)}
+    t["PLAN_STEP"] = {"argv": (strings, REQUIRED)}
+    t["FIT"] = {"converged": (boolean, REQUIRED), "grad_norm": (number, REQUIRED),
+                "iterations": (count, REQUIRED)}
+    t["PROBE_MODEL_CONFIG"] = {
+        "hidden": (string, None), "preds": (string, None), "layer": (integer, None),
+        "window": (integer, DEFAULT_WINDOW), "span_tokens": (integer, DEFAULT_SPAN_TOKENS),
+        "l2": (number, None), "seed": (integer, None),
+    }
+    t["PROBE_MODEL"] = {
+        "layer": (integer, REQUIRED), "weights": (finite, REQUIRED), "bias": (number, REQUIRED),
+        "threshold": (number, REQUIRED), "feature_means": (finite, REQUIRED),
+        "feature_stds": (positive, REQUIRED), "fit": (read_object(t["FIT"], dict), None),
+        "config": (read_object(t["PROBE_MODEL_CONFIG"], dict), None),
+        "schema": (reader(lambda v: v == "uncal-probe-model-v2", "'uncal-probe-model-v2'"),
+                   None),
+    }
+    return t

@@ -926,6 +926,46 @@ class TestRejectionsReportedOnce:
         assert self.rejections(err, ann) == [f"{ann}:3: missing field 'position'"]
 
 
+class TestCountsBeyondTheFloatRange:
+    """A count is used as a float (a trace's emissions, a record's token
+    count), so one too large for a float is refused on load; such a line
+    once ended `rag` and `recal ats` with an OverflowError traceback."""
+
+    HUGE = 10**400
+
+    @staticmethod
+    def with_line(fixture, path, change):
+        lines = fixture.read_text().splitlines()
+        path.write_text("\n".join(lines + [json.dumps(json.loads(lines[0]) | change)]) + "\n")
+        return path, len(lines) + 1
+
+    def test_rag_trace_emissions(self, tmp_path, capsys):
+        path, line = self.with_line(RAG_FIXTURE, tmp_path / "t.jsonl",
+                                    {"noret_emissions": self.HUGE})
+        out = tmp_path / "r.json"
+        assert main(["rag", "--policy", "always", "--in", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:{line}: noret_emissions exceeds 1.7976931348623157e+308"]
+        assert json.loads(out.read_text())["overall"]["n"] == line - 1
+
+    def test_prediction_token_count(self, tmp_path, capsys):
+        path, line = self.with_line(PREDS_FIXTURE, tmp_path / "p.jsonl",
+                                    {"response_token_count": self.HUGE})
+        out = tmp_path / "o.jsonl"
+        assert main(["recal", "ats", "--fit", str(path), "--apply", str(PREDS_FIXTURE),
+                     "--out", str(out)]) == 0
+        assert [text for text in capsys.readouterr().err.splitlines()
+                if text.startswith(f"{path}:")] == [
+            f"{path}:{line}: response_token_count exceeds 1.7976931348623157e+308"]
+
+    def test_the_largest_float_is_a_count(self):
+        largest = int(sys.float_info.max)
+        assert jsonio.read_table(jsonio.ROW_ID, {"qid": "q", "token_index": largest}) == {
+            "qid": "q", "token_index": largest}
+        with pytest.raises(ValueError, match="^token_index exceeds 1.7976931348623157e"):
+            jsonio.read_table(jsonio.ROW_ID, {"qid": "q", "token_index": largest + 1})
+
+
 class TestRagLoaderChecks:
     GOOD = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "b"}
 
@@ -1100,6 +1140,35 @@ def test_kl_repeated_annotation_position_refused(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == "uncal: position 0 is annotated twice\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["2", "1", "0", "-1", "nan", "inf", "x"])
+def test_kl_epsilon_outside_the_unit_interval_is_refused_before_any_input(
+        tmp_path, capsys, monkeypatch, epsilon):
+    # `--epsilon 2` floored every probability, so every type read a mean KL
+    # of 0; `--epsilon 0` ended in a NaN report once a calibrated prob was 0
+    loads = count_calls(monkeypatch, jsonio, "load_lines")
+    out = tmp_path / "kl.json"
+    assert main(["repr", "kl", "--pairs", str(tmp_path / "pairs.jsonl"), "--annotations",
+                 str(tmp_path / "ann.jsonl"), "--epsilon", epsilon, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "usage:" in err
+    assert loads == [] and not out.exists()
+
+
+def test_rag_csv_cells_read_back_through_the_csv_module(tmp_path):
+    import csv
+
+    names = ["x,y", 'say "no"\nthen', "cr\rhere", "plain"]
+    good = {"qid": "r", "gold_answers": ["a"], "noret_answer": "a", "ret_answer": "b"}
+    traces = _write_lines(tmp_path / "t.jsonl", [good | {"qid": f"r{i}", "dataset": name}
+                                                 for i, name in enumerate(names)])
+    table = tmp_path / "r.csv"
+    assert main(["rag", "--policy", "always", "--in", str(traces), "--csv", str(table)]) == 0
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len({len(row) for row in rows}) == 1
+    assert sorted(row[0] for row in rows[1:]) == sorted(names + ["overall"])
 
 
 class TestNestedRejections:

@@ -19,6 +19,8 @@ from uncal import jsonio, matio, probe, recal
 from uncal.errors import AlignmentError, IoError, ShapeError
 from uncal.rewards import EmissionEvent, MatchRule, PredictionRecord
 
+from oracles import oracle_read_table
+
 
 def _valid_predictions(n):
     return [json.dumps({"qid": f"v{i}", "gold_answers": ["a", f"b{i}"],
@@ -286,14 +288,15 @@ def test_a_sidecar_fails_at_its_first_rejected_row(tmp_path):
 # ---------------------------------------------------------------------------
 
 # values a field may be set to: every JSON type, on both sides of each bound
-_ODD = st.sampled_from([
+_ODD_VALUES = [
     None, True, False, 0, 1, -1, 2, 0.0, 0.5, 1.0, 1.5, -0.5, 5e-324, 1e308, 10**400, math.nan,
     math.inf, "", "x", "TokenF1", [], ["a"], ["a", 1], [0.5, 1], [0, 0.5], [1.5], [True], {},
     {"correct": True, "rule": "YesNo", "f1": 0.5}, {"correct": 1, "rule": "YesNo", "f1": 0.5},
     {"correct": True, "rule": "YesNo", "f1": 0.5, "x": 0}, [{"char_position": 0}],
     [{"char_position": 0}, {"char_position": 0, "token_index": 1}], [{"char_position": -1}],
     [{"token_index": 0}], [[0]],
-])
+]
+_ODD = st.sampled_from(_ODD_VALUES)
 _GOOD = {
     "PREDICTIONS": st.fixed_dictionaries(
         {"qid": st.text(max_size=3), "gold_answers": st.lists(st.text(max_size=3), min_size=1,
@@ -371,19 +374,19 @@ def test_block_reader_equals_the_per_line_reader(mix, block):
     assert total == sum(1 for line in lines if line.strip())
 
 
+# every table by its name in `jsonio`, nested ones included
+_TABLES = ["PREDICTION", "EMISSION", "MATCH", "RAG_TRACE", "SPACE", "TRAJECTORY", "KL_PAIR",
+           "KL_ANNOTATION", "ROW_ID", "PLAN_STEP", "PROBE_MODEL", "FIT", "PROBE_MODEL_CONFIG"]
+
+
 def _readers():
-    """(name, reader) of every field of every table, nested tables too."""
+    """(name, reader) of each distinct reader of the fields of `_TABLES`."""
     seen, out = set(), []
-    tables = [jsonio.PREDICTION, jsonio.RAG_TRACE, jsonio.SPACE, jsonio.KL_PAIR,
-              jsonio.KL_ANNOTATION, jsonio.ROW_ID, jsonio.PROBE_MODEL]
-    while tables:
-        table = tables.pop()
-        for key, (read, _) in table.items():
+    for name in _TABLES:
+        for key, (read, _) in getattr(jsonio, name).items():
             if id(read) not in seen:
                 seen.add(id(read))
                 out.append((key, read))
-            if hasattr(read, "table"):
-                tables.append(read.table)
     return out
 
 
@@ -399,21 +402,76 @@ _JSON = st.recursive(
 )
 
 
-def _accepts(read, value) -> bool:
-    try:
-        read("x", value)
-    except ValueError:
-        return False
-    return True
+def test_every_field_of_every_table_is_read_by_a_reader():
+    tables = [getattr(jsonio, name) for name in _TABLES]
+    for name, table in zip(_TABLES, tables):
+        for key, (read, _) in table.items():
+            assert isinstance(read, jsonio.Reader), (name, key)
+            # a nested table is one of `_TABLES`, so every table is named there
+            assert read.table is None or any(read.table is t for t in tables), (name, key)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(range(len(_READERS))), st.lists(_JSON, max_size=4))
 def test_a_column_check_accepts_what_the_reader_accepts_value_by_value(index, values):
     name, read = _READERS[index]
-    accepted = [_accepts(read, v) for v in values]
-    assert [read.check([v]) for v in values] == accepted, name
-    assert read.check(values) == all(accepted), name
+    assert read.check(values) == all(read.check([v]) for v in values), name
+
+
+# field values for the oracle: `_ODD`, and an accepted value of each field it has none for
+_FIELD_VALUES = _ODD_VALUES + [
+    "uncal-probe-model-v2", "Other", [{"id": "a", "answer": "A", "confidence": 0.5,
+                                       "base_prob": 1.0}],
+    {"converged": True, "grad_norm": 0.5, "iterations": 3}, {"window": 2, "l2": 0.5},
+]
+
+
+@st.composite
+def _objects(draw, table):
+    """An object of the table's keys, each absent, or a value its field
+    accepts, or, at a rate drawn per object, any of `_FIELD_VALUES`; and
+    maybe an unknown key."""
+    obj = {}
+    choices = ["absent"] + ["good"] * 4 + ["any"] * draw(st.sampled_from([0, 1, 4]))
+    for key, (read, _) in table.items():
+        good = [v for v in _FIELD_VALUES if read.check([v])]
+        choice = draw(st.sampled_from(choices if good else ["absent", "any"]))
+        if choice != "absent":
+            obj[key] = draw(st.sampled_from(good if choice == "good" else _FIELD_VALUES))
+    if draw(st.integers(0, 3)) == 0:
+        obj["extra"] = draw(st.sampled_from(_FIELD_VALUES))
+    return obj
+
+
+def _outcome(read, *args):
+    try:
+        return "fields", read(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("name", _TABLES)
+def test_read_table_equals_the_per_value_readers_on_every_value_of_every_field(name):
+    table = getattr(jsonio, name)
+    # an object the table accepts: each field's first accepted value
+    base = {}
+    for key, (read, _) in table.items():
+        base.update([(key, v) for v in _FIELD_VALUES if read.check([v])][:1])
+    assert _outcome(jsonio.read_table, table, base)[0] == "fields"
+    for key in [*table, "extra"]:
+        for obj in [{k: v for k, v in base.items() if k != key},
+                    *(base | {key: value} for value in _FIELD_VALUES)]:
+            assert (_outcome(jsonio.read_table, table, obj)
+                    == _outcome(oracle_read_table, name, obj)), obj
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(_TABLES).flatmap(lambda name: st.tuples(
+    st.just(name), _objects(getattr(jsonio, name)) | _ODD)))
+def test_read_table_equals_the_per_value_readers(case):
+    name, obj = case
+    assert (_outcome(jsonio.read_table, getattr(jsonio, name), obj)
+            == _outcome(oracle_read_table, name, obj))
 
 
 # ---------------------------------------------------------------------------

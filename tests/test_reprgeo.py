@@ -46,6 +46,22 @@ class TestKlByType:
     def pair(self, position, p, q):
         return TokenDistPair(position, np.array(p), np.array(q))
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+    def test_epsilon_outside_the_unit_interval_refused_before_any_pair(self, epsilon):
+        scored = []
+
+        class Pair:  # a pair that records that it was scored
+            position = 0
+
+            @property
+            def base_probs(self):
+                scored.append(self)
+                return np.array([1.0])
+
+        with pytest.raises(ValueError, match=r"epsilon must be a number in \(0,1\)"):
+            reprgeo.kl_by_type([Pair()], [TokenAnnotation(0, TokenType.OTHER)], epsilon)
+        assert scored == []
+
     def test_uniform_kl_gives_count_share(self):
         pairs = [self.pair(i, [1.0, 0.0], [0.5, 0.5]) for i in range(4)]
         annotations = [

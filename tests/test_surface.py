@@ -212,3 +212,14 @@ def test_only_the_command_scores_predictions():
         if ("rewards", "score_predictions") in resolvers[module][0](tree)
     }
     assert scorers == {"cli"}
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; a newer syntax (such
+    # as a `type` statement or an `except*` group) would fail there at import
+    root = Path(__file__).resolve().parent.parent
+    files = [path for part in ("src/uncal", "tests", "perfbench")
+             for path in sorted((root / part).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
