@@ -1,14 +1,16 @@
 """Toolkit for executable uncertainty interfaces over recorded model traces.
 
 Modules by concern: `trajspace` (exact tilted-policy simulation), `rewards`
-(answer matching and the scoring of a batch into columns), `calib`
-(calibration metrics and the error taxonomy), `recal` (temperature
+(answer matching and the scoring of a prediction table into columns),
+`calib` (calibration metrics and the error taxonomy), `recal` (temperature
 scaling), `probe` (hidden-state wrongness probe), `ragctl`
 (retrieval-trigger simulation), `reprgeo` (representation analytics),
 `optim` (the minimizer every fit shares: global and adaptive temperature
-scaling and the probe), `jsonio` and `matio` (file formats), and `cli` (the
-`uncal` command, from which every report is produced; it scores each input
-once and hands the fits its columns).
+scaling and the probe), `jsonio` and `matio` (file formats; a prediction or
+trace load yields one column table, a dict from field to list, and a
+rewrite replaces some of its columns), and `cli` (the `uncal` command, from
+which every report is produced; it scores each input once and hands the
+fits its columns).
 """
 
 __version__ = "0.1.0"

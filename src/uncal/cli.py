@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 What a command derives from an input file (the scored columns of `rag` and
 `calib`, a sidecar's row order) is kept per process under the sha256 of the
 file's bytes, so `uncal run --plan` steps, or repeated `main` calls, that
-read the same bytes load and score them once. The cache never holds records
-or matrices, and each `main` call drops the entries it did not read.
+read the same bytes load and score them once. The cache never holds a
+load's table or a matrix, and each `main` call drops the entries it did not
+read.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ def _parse_ints(flag: str, text: str) -> list[int]:
     return values
 
 
-def _number_flag(flag: str, ok, what: str):
-    """Parser of the values of `flag`: a number that `ok` accepts (`nan` and
-    text `float` cannot read are refused before any input is read)."""
+def _number_flag(flag: str, ok, what: str, kind: type = float):
+    """Parser of the values of `flag`: a number of type `kind` that `ok`
+    accepts (`nan`, and text `kind` cannot read, are refused before any input
+    is read)."""
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not ok(value):
@@ -73,16 +75,31 @@ def _number_flag(flag: str, ok, what: str):
     return parse
 
 
+def _int_flag(flag: str, low: int):
+    """Parser of the values of `flag`: an integer of at least `low`."""
+    return _number_flag(flag, lambda value: value >= low, f"an integer >= {low}", int)
+
+
 _parse_eta = _number_flag("--eta", lambda v: 0.0 < v < math.inf, "a finite number > 0")
 # the floor of a calibrated probability in `repr kl`
 _parse_kl_epsilon = _number_flag("--epsilon", lambda v: 0.0 < v < 1.0, "a number in (0,1)")
 _parse_f1_threshold = _number_flag("--f1-threshold", lambda v: 0.0 <= v <= 1.0,
                                    "a number in [0,1]")
+_parse_nll_epsilon = _number_flag("--nll-epsilon", lambda v: 0.0 < v < 0.5,
+                                  "a number in (0,0.5)")
+_parse_l2 = _number_flag("--l2", lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def _add_f1_threshold(parser: _Parser) -> None:
     parser.add_argument("--f1-threshold", type=_parse_f1_threshold,
                         default=rewards.DEFAULT_F1_THRESHOLD)
+
+
+def _add_probe_fit_flags(parser: _Parser) -> None:
+    parser.add_argument("--window", type=_int_flag("--window", 0), default=probe.DEFAULT_WINDOW)
+    parser.add_argument("--span-tokens", type=_int_flag("--span-tokens", 1),
+                        default=probe.DEFAULT_SPAN_TOKENS)
+    parser.add_argument("--l2", type=_parse_l2, default=probe.DEFAULT_L2)
 
 
 @functools.cache  # built by the first `main` call, then reused
@@ -101,7 +118,7 @@ def _build_parser() -> _Parser:
     iterate.set_defaults(handler=_cmd_theory_iterate)
     iterate.add_argument("--in", dest="input", required=True)
     iterate.add_argument("--eta", type=_parse_eta, default=1.0)
-    iterate.add_argument("--steps", type=int, default=5)
+    iterate.add_argument("--steps", type=_int_flag("--steps", 1), default=5)
     iterate.add_argument("--out", default=None)
 
     match = sub.add_parser("match", help="annotate records with match results")
@@ -113,8 +130,9 @@ def _build_parser() -> _Parser:
     cal = sub.add_parser("calib", help="calibration report over a record batch")
     cal.set_defaults(handler=_cmd_calib)
     cal.add_argument("--in", dest="input", required=True)
-    cal.add_argument("--bins", type=int, default=calib.DEFAULT_ECE_BINS)
-    cal.add_argument("--nll-epsilon", type=float, default=calib.DEFAULT_NLL_EPSILON)
+    cal.add_argument("--bins", type=_int_flag("--bins", 1), default=calib.DEFAULT_ECE_BINS)
+    cal.add_argument("--nll-epsilon", type=_parse_nll_epsilon,
+                     default=calib.DEFAULT_NLL_EPSILON)
     _add_f1_threshold(cal)
     cal.add_argument("--out", default=None)
     cal.add_argument("--csv", default=None, help="reliability-diagram bins as CSV")
@@ -129,7 +147,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--model-out", default=None)
         _add_f1_threshold(p)
         if name == "ats":
-            p.add_argument("--l2", type=float, default=recal.DEFAULT_ATS_L2)
+            p.add_argument("--l2", type=_parse_l2, default=recal.DEFAULT_ATS_L2)
     ptrue = rec.add_parser("ptrue")
     ptrue.set_defaults(handler=_cmd_recal_ptrue)
     ptrue.add_argument("--in", dest="input", required=True)
@@ -142,9 +160,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--preds", required=True)
     sweep.add_argument("--layers", required=True, type=lambda text: _parse_ints("--layers", text),
                        help="comma-separated layer indices")
-    sweep.add_argument("--window", type=int, default=probe.DEFAULT_WINDOW)
-    sweep.add_argument("--span-tokens", type=int, default=probe.DEFAULT_SPAN_TOKENS)
-    sweep.add_argument("--l2", type=float, default=probe.DEFAULT_L2)
+    _add_probe_fit_flags(sweep)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--csv", default=None)
     fitp = pr.add_parser("fit")
@@ -152,9 +168,7 @@ def _build_parser() -> _Parser:
     fitp.add_argument("--hidden", required=True, help="one layer_<k>.mat file")
     fitp.add_argument("--preds", required=True)
     fitp.add_argument("--layer", type=int, default=-1)
-    fitp.add_argument("--window", type=int, default=probe.DEFAULT_WINDOW)
-    fitp.add_argument("--span-tokens", type=int, default=probe.DEFAULT_SPAN_TOKENS)
-    fitp.add_argument("--l2", type=float, default=probe.DEFAULT_L2)
+    _add_probe_fit_flags(fitp)
     fitp.add_argument("--out", required=True)
     evalp = pr.add_parser("eval")
     evalp.set_defaults(handler=_cmd_probe_eval)
@@ -188,7 +202,7 @@ def _build_parser() -> _Parser:
     pca = rep.add_parser("pca")
     pca.set_defaults(handler=_cmd_repr_pca)
     pca.add_argument("--in", dest="input", required=True)
-    pca.add_argument("--k", type=int, required=True)
+    pca.add_argument("--k", type=_int_flag("--k", 1), required=True)
     pca.add_argument("--out", default=None)
     pca.add_argument("--csv", default=None, help="projected rows as CSV")
     drift = rep.add_parser("drift")
@@ -237,8 +251,8 @@ def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
         print(f"{path}:{line_no}: {message}", file=sys.stderr)
 
 
-def _accepted(path, result: jsonio.LoadResult) -> list:
-    """The loaded records; each rejected line is reported once on stderr."""
+def _accepted(path, result: jsonio.LoadResult):
+    """What the accepted lines yield; each rejected line is reported once on stderr."""
     _report_rejected(path, result.errors)
     return result.records
 
@@ -248,8 +262,8 @@ def _accepted(path, result: jsonio.LoadResult) -> list:
 # ---------------------------------------------------------------------------
 
 # (what was derived and with which flags, sha256 of the file's bytes) -> (the
-# derived columns, read-only, and the load's rejected lines); never records or
-# matrices
+# derived columns, read-only, and the load's rejected lines); never a load's
+# table or a matrix
 _CACHE: dict[tuple, tuple] = {}
 _READ: set[tuple] = set()  # the keys the running command has read
 
@@ -294,7 +308,7 @@ def _read_only(value):
 
 
 def _derived(what, path, load, derive):
-    """`derive(records)` of the records `load(path)` accepts, made read-only;
+    """`derive(accepted)` of what the lines `load(path)` accepts yield, made read-only;
     each call reports the load's rejected lines as a lone load would. The
     value is kept under `what` (a name, and every flag `derive` reads) and
     the sha256 of the bytes the load parsed (`LoadResult.sha256`), so a
@@ -322,15 +336,15 @@ def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
     return _accepted(path, jsonio.load_lines(path, jsonio.SPACES))
 
 
-def _load_preds(path) -> list[rewards.PredictionRecord]:
+def _load_preds(path) -> dict[str, list]:
     return _accepted(path, jsonio.load_predictions(path))
 
 
 def _scored_preds(path, f1_threshold: float):
-    """The records of the prediction file `path`, and their scores at
+    """The table of the prediction file `path`, and its scores at
     `f1_threshold`: what every fit reads."""
-    records = _load_preds(path)
-    return records, rewards.score_predictions(records, f1_threshold)
+    table = _load_preds(path)
+    return table, rewards.score_predictions(table, f1_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +392,25 @@ def _cmd_theory_iterate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    records = _load_preds(args.input)
-    matches = [rewards.match_record(r, args.f1_threshold) for r in records]
-    jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(
-        jsonio.PREDICTION, records, extracted_answer=list(map(rewards.record_answer, records)),
-        match=list(jsonio.encode_lines(jsonio.MATCH, matches))))
+    """Write the loaded table with its answers and their matches filled in:
+    to `--out`, or over the input, which is refused where a line of it was
+    rejected (rewriting it would drop that line)."""
+    result = jsonio.load_predictions(args.input)
+    table = _accepted(args.input, result)
+    if result.errors and not args.out:
+        raise ValueError(f"{args.input}: {len(result.errors)} of {result.total_lines} lines "
+                         "rejected; the file is left as it was (give --out to write the "
+                         "accepted lines)")
+    answers = rewards.answers(table, range(len(table["qid"])))
+    matches = rewards.match_answers(answers, table["gold_answers"], args.f1_threshold)
+    jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(jsonio.PREDICTION, {
+        **table, "extracted_answer": answers, "match": list(map(vars, matches))}))
     return 0
 
 
 def _cmd_calib(args) -> int:
     batch = _derived(("calib", args.f1_threshold), args.input, jsonio.load_predictions,
-                     lambda records: rewards.score_predictions(records, args.f1_threshold))
+                     lambda table: rewards.score_predictions(table, args.f1_threshold))
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     _emit(args, {
         "schema": "uncal-calib-report-v2",
@@ -405,19 +427,19 @@ def _cmd_calib(args) -> int:
     return 0
 
 
-def _write_recalibrated(args, records, original, new, missing: str) -> None:
-    """Write `records` to `--out`, each with `verbal_confidence` replaced by
-    its value in the column `new`. A record whose value in the input column
-    `original` is NaN is written unchanged and counted on stderr as lacking
-    `missing`. A new value outside [0,1], NaN included, for any other record
-    is refused before anything is written."""
+def _write_recalibrated(args, table, original, new, missing: str) -> None:
+    """Write the prediction table `table` to `--out` with its
+    `verbal_confidence` column replaced by the column `new`. A row whose
+    value in the input column `original` is NaN keeps its own and is counted
+    on stderr as lacking `missing`. A new value outside [0,1], NaN included,
+    for any other row is refused before anything is written."""
     skipped = np.isnan(original)
     if not (skipped | ((new >= 0.0) & (new <= 1.0))).all():
         raise ValueError("verbal_confidence must lie in [0,1]")
-    given = [r.verbal_confidence if skip else conf
-             for r, skip, conf in zip(records, skipped.tolist(), new.tolist())]
-    jsonio.write_jsonl(args.out, jsonio.encode_lines(jsonio.PREDICTION, records,
-                                                     verbal_confidence=given))
+    confidence = [kept if skip else conf for kept, skip, conf
+                  in zip(table["verbal_confidence"], skipped.tolist(), new.tolist())]
+    jsonio.write_jsonl(args.out, jsonio.encode_lines(
+        jsonio.PREDICTION, {**table, "verbal_confidence": confidence}))
     count = int(skipped.sum())
     if count:
         print(f"skipped {count} records without {missing}", file=sys.stderr)
@@ -425,9 +447,9 @@ def _write_recalibrated(args, records, original, new, missing: str) -> None:
 
 def _cmd_recal_ts(args) -> int:
     model = recal.fit_global_ts(_scored_preds(args.fit, args.f1_threshold)[1])
-    records = _load_preds(args.apply_path)
-    confidence = rewards.confidences(records)
-    _write_recalibrated(args, records, confidence, recal.apply_ts(model, confidence),
+    table = _load_preds(args.apply_path)
+    confidence = rewards.confidences(table)
+    _write_recalibrated(args, table, confidence, recal.apply_ts(model, confidence),
                         "parseable confidence")
     if args.model_out:
         jsonio.write_report(
@@ -436,7 +458,7 @@ def _cmd_recal_ts(args) -> int:
                 "schema": "uncal-ts-model-v3",
                 "temperature": model.temperature,
                 "fit_nll": model.fit_nll,
-                "fit": jsonio.encode(jsonio.FIT, model.fit),
+                "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
                 "config": _config(args),
             },
         )
@@ -445,9 +467,9 @@ def _cmd_recal_ts(args) -> int:
 
 def _cmd_recal_ats(args) -> int:
     model = recal.fit_ats(*_scored_preds(args.fit, args.f1_threshold), args.l2)
-    records = _load_preds(args.apply_path)
-    confidence = rewards.confidences(records)
-    _write_recalibrated(args, records, confidence, recal.apply_ats(model, records, confidence),
+    table = _load_preds(args.apply_path)
+    confidence = rewards.confidences(table)
+    _write_recalibrated(args, table, confidence, recal.apply_ats(model, table, confidence),
                         "parseable confidence")
     if args.model_out:
         jsonio.write_report(
@@ -461,7 +483,7 @@ def _cmd_recal_ats(args) -> int:
                 "feature_stds": list(model.feature_stds),
                 "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
                 "fit_nll": model.fit_nll,
-                "fit": jsonio.encode(jsonio.FIT, model.fit),
+                "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
                 "config": _config(args),
             },
         )
@@ -469,9 +491,9 @@ def _cmd_recal_ats(args) -> int:
 
 
 def _cmd_recal_ptrue(args) -> int:
-    records = _load_preds(args.input)
-    p_affirmative = np.array([r.p_affirmative for r in records], dtype=float)
-    _write_recalibrated(args, records, p_affirmative, p_affirmative, "p_affirmative")
+    table = _load_preds(args.input)
+    p_affirmative = np.array(table["p_affirmative"], dtype=float)
+    _write_recalibrated(args, table, p_affirmative, p_affirmative, "p_affirmative")
     return 0
 
 
@@ -517,11 +539,11 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
 
 
 def _cmd_probe_sweep(args) -> int:
-    records, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
+    table, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
     # a generator: each layer is loaded only once the one before it is fitted
     stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat")) for k in args.layers)
     rows = probe.layer_sweep(
-        stacks, records, batch,
+        stacks, table, batch,
         window=args.window, span_token_count=args.span_tokens,
         l2=args.l2, seed=args.seed,
     )
@@ -542,17 +564,17 @@ def _cmd_probe_sweep(args) -> int:
 def _probe_examples(args, window: int, span_tokens: int):
     """The probe's (features, wrong labels, qids) from `--preds` and the one
     layer file `--hidden`."""
-    records, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
-    return probe.examples(records, batch, _load_token_stack(args.hidden), window, span_tokens)
+    table, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
+    return probe.examples(table, batch, _load_token_stack(args.hidden), window, span_tokens)
 
 
 def _cmd_probe_fit(args) -> int:
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
     model = probe.fit_on_split(x, labels, qids, args.l2, args.layer, args.seed)[0]
-    jsonio.write_report(args.out, jsonio.encode(
-        jsonio.PROBE_MODEL, model,
-        schema="uncal-probe-model-v2", config={**_config(args), "seed": args.seed},
-    ))
+    jsonio.write_report(args.out, jsonio.encode(jsonio.PROBE_MODEL, {
+        **vars(model), "fit": vars(model.fit), "schema": "uncal-probe-model-v2",
+        "config": {**_config(args), "seed": args.seed},
+    }))
     return 0
 
 
@@ -597,7 +619,7 @@ def _cmd_probe_eval(args) -> int:
 def _cmd_rag(args) -> int:
     policy = ragctl.parse_policy_spec(args.policy)
     scored = _derived(("rag", args.f1_threshold), args.input, jsonio.load_rag_traces,
-                      lambda records: ragctl.score_traces(records, args.f1_threshold))
+                      lambda table: ragctl.score_traces(table, args.f1_threshold))
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
@@ -707,8 +729,7 @@ def _plan_step(argv: list[str]) -> list[str]:
 
 
 # a plan's lines: each step's argv, refused unless it parses as a command
-_PLAN = jsonio.LineKind(jsonio.PLAN_STEP,
-                        lambda fields: [_plan_step(argv) for argv in fields["argv"]])
+_PLAN = jsonio.LineKind(jsonio.PLAN_STEP, lambda fields: list(map(_plan_step, fields["argv"])))
 
 
 def _cmd_run(args) -> int:

@@ -1,4 +1,4 @@
-"""JSON Lines record streams and deterministic report serialization.
+"""JSON Lines streams and deterministic report serialization.
 
 Each line kind has one field table (`PREDICTION`, `RAG_TRACE`, `SPACE`,
 `KL_PAIR`, `KL_ANNOTATION`, `ROW_ID` for matrix sidecars, `PLAN_STEP` for the
@@ -9,26 +9,32 @@ line stream), which both reads its lines (`read_table`) and writes them
 Lines are read a block of `BLOCK_LINES` at a time, one field column at a
 time: each field's `Reader.check` tests the block's column of values in a
 few C-level passes (type sets, `min`/`max`, enum key sets; nested objects as
-one flattened block of their own), and the records are built positionally
-from the columns. `check` is the only rule that accepts a value. A line any
-column check refuses is read again alone by `read_table`, where `_refusal`
-words its rejection from the first field `check` refuses (its
-`Reader.refusal`), so a line is accepted or refused, with the same message,
-whatever block it falls in. A file is read line by line: a load holds one
-block of lines, their decoded objects and columns, and the records accepted
-so far. Loading is strict: invalid lines are returned with their line
-numbers (the messages carry no file or line; callers prefix `path:line:`
-once), and a file where more than half the lines fail is rejected outright.
-A rejection inside a nested object starts with where it sits in the line:
-`emissions[0]: unknown fields ['x']`. A file's bytes are hashed as they are
-read (`open_hashed`), so a load's `sha256` names exactly the bytes it parsed.
+one flattened block of their own). `check` is the only rule that accepts a
+value; a line kind's `rule`, if any, checks across the fields of the lines
+the checks accept (a prediction's emissions sorted and inside its text). A
+line a check refuses is refused with the message `_refusal` words from the
+first field `check` refuses (its `Reader.refusal`), and a line the rule
+refuses with the rule's, so a line is accepted or refused, with the same
+message, whatever block it falls in. Prediction and trace loads (`PREDICTIONS`, `RAG_TRACES`)
+yield the accepted lines as one column table: a plain dict from field to
+list, in line order, a nested object read as a dict of its fields. The other
+kinds build one object per line from the columns. A file is read line by
+line: a load holds one block of lines, their decoded objects and columns,
+and what the lines accepted so far yield. Loading is strict: invalid lines
+are returned with their line numbers (the messages carry no file or line;
+callers prefix `path:line:` once), and a file where more than half the lines
+fail is rejected outright. A rejection inside a nested object starts with
+where it sits in the line: `emissions[0]: unknown fields ['x']`. A file's
+bytes are hashed as they are read (`open_hashed`), so a load's `sha256` names
+exactly the bytes it parsed.
 
-Writing is the same in reverse: each field column of a block of records is
-formatted by one formatter (`encode_basestring`, 17-digit floats, a nested
-table's own lines), and each line joins its row. Report writing controls
-float formatting (17 significant digits, round-trip exact) and key order so
-that identical configurations produce byte-identical files. Every output file
-is written atomically.
+Writing is the same in reverse: lines are written from a column table, each
+field column of a block formatted by one formatter (`encode_basestring`,
+17-digit floats, a nested table's own lines), and each line joins its row;
+a command that rewrites a table replaces the columns it changed. Report
+writing controls float formatting (17 significant digits, round-trip exact)
+and key order so that identical configurations produce byte-identical files.
+Every output file is written atomically.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, is_, is_not, itemgetter
+from operator import is_, is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,18 +60,11 @@ import numpy as np
 
 from .errors import CorruptInput, IoError, ShapeError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
-from .ragctl import RagTraceRecord
 from .reprgeo import TokenAnnotation, TokenDistPair, TokenType
-from .rewards import (
-    EmissionEvent,
-    MatchResult,
-    MatchRule,
-    PredictionRecord,
-    scan_emissions,
-)
+from .rewards import MatchRule, scan_emissions
 from .trajspace import Trajectory, TrajectorySpace
 
-# lines read, or records written, together; bounds what one block holds alive
+# lines read, or rows written, together; bounds what one block holds alive
 BLOCK_LINES = 256
 
 # ---------------------------------------------------------------------------
@@ -310,8 +309,8 @@ def read_objects(table: dict, build) -> Reader:
         return next(filter(None, (_located(table, f"{name}[{i}]", v)
                                   for i, v in enumerate(value))))
 
-    return Reader(_lists_column(each.check), refusal, lambda values: list(map(
-        tuple, _runs(each.convert(list(chain.from_iterable(values))), values))), table)
+    return Reader(_lists_column(each.check), refusal, lambda values: list(
+        _runs(each.convert(list(chain.from_iterable(values))), values)), table)
 
 
 REQUIRED = object()  # the default of a field every object must carry
@@ -331,11 +330,11 @@ PREDICTION = {
     "response_text": (read_string, REQUIRED),
     "extracted_answer": (read_string, None),
     "verbal_confidence": (read_probability, None),
-    "emissions": (read_objects(EMISSION, EmissionEvent), None),  # None: scanned
+    "emissions": (read_objects(EMISSION, dict), None),  # None: scanned
     "response_token_count": (read_count, None),  # None: whitespace tokens
     "token_probs": (read_token_probs, None),
     "p_affirmative": (read_probability, None),
-    "match": (read_object(MATCH, MatchResult), None),
+    "match": (read_object(MATCH, dict), None),
 }
 RAG_TRACE = {
     "qid": (read_string, REQUIRED),
@@ -508,30 +507,44 @@ def _build(build, fields: dict[str, list]) -> list:
     return list(map(build, *(fields[f.name] for f in dataclasses.fields(build))))
 
 
-class LineKind:
-    """A line stream: its table, and `rows`, which builds the records from
-    the field columns of the lines the table accepts (raising ValueError or
-    ShapeError where a record refuses its fields)."""
+class LineKind(NamedTuple):
+    """A line stream. `table` reads its lines' fields. `rows` makes what a
+    block of lines yields from the field columns of the lines it accepts:
+    one object per line (raising ValueError or ShapeError where one refuses
+    its fields), or the column table itself. `rule`, if any, checks across
+    the fields of those lines first: it gives (row, refusal) of each row it
+    refuses."""
 
-    def __init__(self, table: dict, rows: Callable[[dict[str, list]], list]):
-        self.table, self.rows = table, rows
-
-    def parse(self, obj):
-        """The record of one decoded line alone, its fields read by `read_table`."""
-        return self.rows({key: [value] for key, value in read_table(self.table, obj).items()})[0]
+    table: dict
+    rows: Callable[[dict[str, list]], list | dict[str, list]]
+    rule: Callable[[dict[str, list]], list[tuple[int, str]]] | None = None
 
 
-def _prediction_rows(fields: dict[str, list]) -> list[PredictionRecord]:
-    """Records with the emissions scanned, and the whitespace tokens counted,
-    where a line does not give them."""
+def _emission_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
+    """(row, refusal) of each prediction whose emissions are not sorted by
+    `char_position`, or do not all lie inside its response text (position 0
+    of an empty text included)."""
+    refused = []
+    for row, (events, text) in enumerate(zip(fields["emissions"], fields["response_text"])):
+        if events:
+            positions = [event["char_position"] for event in events]
+            if positions != sorted(positions):
+                refused.append((row, "emissions must be sorted by char_position"))
+            elif positions[-1] >= max(len(text), 1):
+                refused.append((row, "emission position outside response text"))
+    return refused
+
+
+def _prediction_columns(fields: dict[str, list]) -> dict[str, list]:
+    """The fields, with the emissions scanned, and the whitespace tokens
+    counted, where a line does not give them."""
     texts = fields["response_text"]
-    fields["gold_answers"] = list(map(tuple, fields["gold_answers"]))
-    fields["emissions"] = [tuple(scan_emissions(text)) if found is None else found
+    fields["emissions"] = [scan_emissions(text) if found is None else found
                            for found, text in zip(fields["emissions"], texts)]
     fields["response_token_count"] = [len(text.split()) if count is None else count
                                       for count, text in zip(fields["response_token_count"],
                                                              texts)]
-    return _build(PredictionRecord, fields)
+    return fields
 
 
 def _space_rows(fields: dict[str, list]) -> list[TrajectorySpace]:
@@ -542,8 +555,8 @@ def _space_rows(fields: dict[str, list]) -> list[TrajectorySpace]:
     ]
 
 
-PREDICTIONS = LineKind(PREDICTION, _prediction_rows)
-RAG_TRACES = LineKind(RAG_TRACE, partial(_build, RagTraceRecord))
+PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
+RAG_TRACES = LineKind(RAG_TRACE, dict)  # the columns as read
 SPACES = LineKind(SPACE, _space_rows)
 KL_PAIRS = LineKind(KL_PAIR, partial(_build, TokenDistPair))
 KL_ANNOTATIONS = LineKind(KL_ANNOTATION, partial(_build, TokenAnnotation))
@@ -582,8 +595,9 @@ def _texts(values: list, table: dict | None = None) -> list[str]:
         texts = (list(map(_canonical, items)) if table is None and any(map(_absent, items))
                  else _texts(items, table))
         return list(map("[%s]".__mod__, map(",".join, _runs(texts, values))))
-    if table is not None:
-        return list(_encode_block(table, values, {}))
+    if table is not None:  # mappings of a nested table's fields
+        return list(_encode_block(table, {key: list(map(itemgetter(key), values))
+                                          for key in table}))
     if kind is np.ndarray:
         return _texts([v.tolist() for v in values])
     if kind is not None and issubclass(kind, enum.Enum):  # a member's text is its value's
@@ -603,40 +617,31 @@ def _field_parts(prefix: str, column: list, table: dict | None) -> list[str]:
     return ["" if v is None else next(texts) for v in column]
 
 
-def _encode_block(table: dict, records: list, given: dict[str, list]) -> Iterator[Line]:
-    """The lines of `records`, one field column at a time (see `encode_lines`);
-    each is joined only when it is drawn."""
-    parts = []
-    for key, (read, _) in sorted(table.items()):
-        prefix = "," + encode_basestring(key) + ":"
-        if key in given:
-            parts.append(_field_parts(prefix, given[key], None))
-        else:
-            parts.append(_field_parts(prefix, list(map(attrgetter(key), records)),
-                                      read.table))
+def _encode_block(table: dict, columns: dict[str, list]) -> Iterator[Line]:
+    """The lines of the rows of `columns`, one field column at a time (see
+    `encode_lines`); each is joined only when it is drawn."""
+    parts = [_field_parts("," + encode_basestring(key) + ":", columns[key], read.table)
+             for key, (read, _) in sorted(table.items())]
     # each part leads with a comma; the first is dropped
     return (Line("{" + line[1:] + "}") for line in map("".join, zip(*parts)))
 
 
-def encode_lines(table: dict, records: Sequence, **given: Sequence) -> Iterator[Line]:
-    """The canonical lines that `read_table(table, ...)` reads back as
-    `records`, one per record, made a block at a time. Each field, in sorted
-    key order, is `given[key][i]` (in line form) for record i if given, else
-    `getattr(record, key)`: a field a record lacks, or a given key the table
-    lacks, raises AttributeError. None values are left out; a nested object
-    is written by its table, an enum member by its value, a numpy array or a
-    tuple as a list."""
-    if not given.keys() <= table.keys():
-        raise AttributeError(f"no table fields {sorted(given.keys() - table.keys())}")
-    for start in range(0, len(records), BLOCK_LINES):
+def encode_lines(table: dict, columns: dict[str, Sequence]) -> Iterator[Line]:
+    """The canonical lines that `read_table(table, ...)` reads back as the
+    rows of the column table `columns` (field -> values, as a load yields
+    them), made a block at a time. Each line holds, in sorted key order, each
+    field of the table from its column: a field `columns` lacks raises
+    KeyError, and a column the table lacks is not written. None values are
+    left out; a nested object (a mapping of its fields) is written by its
+    table, an enum member by its value, a numpy array or a tuple as a list."""
+    for start in range(0, len(columns[next(iter(table))]), BLOCK_LINES):
         block = slice(start, start + BLOCK_LINES)
-        yield from _encode_block(table, records[block],
-                                 {key: column[block] for key, column in given.items()})
+        yield from _encode_block(table, {key: columns[key][block] for key in table})
 
 
-def encode(table: dict, record, **given) -> Line:
-    """The one line of `encode_lines` for `record` alone, each `given` value its field's."""
-    return next(encode_lines(table, [record], **{key: [v] for key, v in given.items()}))
+def encode(table: dict, fields) -> Line:
+    """The one line of `encode_lines` for the mapping `fields` of one row."""
+    return next(encode_lines(table, {key: [fields[key]] for key in table}))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +651,7 @@ def encode(table: dict, record, **given) -> Line:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: list
+    records: list | dict[str, list]  # what the accepted lines yield (`LineKind.rows`)
     errors: list[tuple[int, str]]  # (line number, message)
     total_lines: int
     sha256: str  # hex digest of the bytes read
@@ -710,59 +715,71 @@ def decode_lines(lines: Iterable[str]):
                 yield i, exc
 
 
-def _read_block(kind: LineKind, block: list, records: list, errors: list) -> None:
-    """Append the records of the decoded lines `block` to `records`, and
-    (line number, exception) of each line refused to `errors`."""
+def _read_block(kind: LineKind, block: list, errors: list) -> list | dict[str, list]:
+    """What `kind` makes of the decoded lines `block` that it accepts; (line
+    number, JSONDecodeError or refusal) of each other line is appended to
+    `errors`, in line order."""
     objs = list(map(itemgetter(1), block))
-    if set(map(type, objs)) <= _DICT:
-        refused, fields = _read_columns(kind.table, objs)
-    else:  # a line that is not JSON, or not an object, is read alone
-        rows = [i for i, obj in enumerate(objs) if type(obj) is dict]
-        inner, fields = _read_columns(kind.table, [objs[i] for i in rows])
-        refused = set(range(len(objs))) - set(rows) | {rows[i] for i in inner}
+    rows = [i for i, obj in enumerate(objs) if type(obj) is dict]  # a non-object is refused
+    inner, fields = _read_columns(kind.table, objs if len(rows) == len(objs)
+                                  else [objs[i] for i in rows])
+    accepted = [i for k, i in enumerate(rows) if k not in inner]
+    refusals = {}  # block index -> refusal, of the lines the checks accept
+    if kind.rule is not None and (ruled := kind.rule(fields)):
+        refusals = {accepted[k]: message for k, message in ruled}
+        kept = [k for k, i in enumerate(accepted) if i not in refusals]
+        fields = {key: list(map(column.__getitem__, kept)) for key, column in fields.items()}
+        accepted = list(map(accepted.__getitem__, kept))
     try:
         built = kind.rows(fields)
-    except (ValueError, ShapeError):  # a record refused its fields: read each line alone
-        refused, built = set(range(len(objs))), []
-    dropped = 0  # refused lines so far that have no record
-    for i in sorted(refused):
-        line_no, obj = block[i]
+    except (ValueError, ShapeError):  # an object refused its fields: build each line alone
+        built = []
+        for k, i in enumerate(accepted):
+            try:
+                built += kind.rows({key: column[k:k + 1] for key, column in fields.items()})
+            except (ValueError, ShapeError) as exc:
+                refusals[i] = str(exc)
+    accepted = set(accepted).difference(refusals)
+    for i, (line_no, obj) in enumerate(block):
+        if i in accepted:
+            continue
         if isinstance(obj, json.JSONDecodeError):
             errors.append((line_no, obj))
-            dropped += 1
-            continue
-        try:
-            built.insert(i - dropped, kind.parse(obj))
-        except (ValueError, ShapeError) as exc:
-            # without its traceback, whose frames would keep the block alive
-            errors.append((line_no, exc.with_traceback(None)))
-            dropped += 1
-    records.extend(built)
+        else:
+            errors.append((line_no, refusals[i] if i in refusals else _refusal(kind.table, obj)))
+    return built
 
 
-def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list, list, int]:
-    """(records, errors, count) of the nonblank lines of `lines` (see
-    `decode_lines`): the record of each line `kind` accepts, (line number,
-    JSONDecodeError or the rejection) of each other line, and the number of
-    lines, read a block of `BLOCK_LINES` at a time."""
+def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list | dict, list, int]:
+    """(accepted, errors, count) of the nonblank lines of `lines` (see
+    `decode_lines`): what the lines `kind` accepts yield (its column table,
+    or one object per line), (line number, JSONDecodeError or refusal) of
+    each other line, and the number of lines, read a block of `BLOCK_LINES`
+    at a time."""
     return _read_lines(lines, kind)
 
 
-def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list, list, int]:
+def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list | dict, list, int]:
     """`read_lines` for this module's own calls, which perfbench's tracer leaves unwrapped."""
-    records, errors, total = [], [], 0
+    accepted = kind.rows(_fields(kind.table, _columns(kind.table, [])))  # what no lines yield
+    errors, total = [], 0
     lines = decode_lines(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         total += len(block)
-        _read_block(kind, block, records, errors)
-    return records, errors, total
+        built = _read_block(kind, block, errors)
+        if type(accepted) is dict:
+            for key, column in built.items():
+                accepted[key] += column
+        else:
+            accepted += built
+    return accepted, errors, total
 
 
 def read_file(path, kind: LineKind) -> LoadResult:
-    """The records of the nonblank lines of the file `path` that `kind`
-    accepts, and the sha256 of the bytes read. A line that is not JSON, or
-    that `kind` rejects, becomes an error entry (line number, message)
-    instead of a record."""
+    """What the nonblank lines of the file `path` that `kind` accepts yield
+    (`read_lines`), and the sha256 of the bytes read. A line that is not
+    JSON, or that `kind` rejects, becomes an error entry (line number,
+    message) instead."""
     try:
         fh, sha256 = open_hashed(path)
         with fh:  # line by line: the text is never whole
@@ -786,9 +803,10 @@ def load_lines(path, kind: LineKind) -> LoadResult:
 
 
 def load_predictions(path) -> LoadResult:
-    """Strictly validated PredictionRecord stream."""
+    """The column table of a prediction file (`PREDICTIONS`), by `load_lines`."""
     return load_lines(path, PREDICTIONS)
 
 
 def load_rag_traces(path) -> LoadResult:
+    """The column table of a trace file (`RAG_TRACES`), by `load_lines`."""
     return load_lines(path, RAG_TRACES)

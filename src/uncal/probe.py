@@ -1,8 +1,9 @@
 """Span-aware linear wrongness probe over hidden states at emission points.
 
 Features pool the hidden vectors around the first emitted uncertainty span
-and append three scalar response features; `examples` refuses a window below
-0 and a span below 1 token once per call, before it builds any feature. The
+of a row of a prediction table (`jsonio.PREDICTIONS`) and append three
+scalar response features; `examples` refuses a window below 0 and a span
+below 1 token once per call, before it builds any feature. The
 probe itself is L2-regularized logistic regression fit by the shared
 Newton-CG minimizer (`optim`, which refuses a negative or non-finite
 penalty), with the decision threshold tuned for trigger F1 on held-out data.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import optim
 from .errors import AlignmentError, DegenerateFit, NotEmitted, ShapeError, UndefinedMetric
-from .rewards import PredictionRecord, ScoredBatch, first_emit_fraction
+from .rewards import ScoredBatch
 
 DEFAULT_WINDOW = 4
 DEFAULT_SPAN_TOKENS = 1
@@ -36,74 +37,75 @@ def _sigmoid(x):
 
 def build_features(
     token_hidden: np.ndarray,
-    record: PredictionRecord,
+    table: dict,
+    row: int,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
 ) -> np.ndarray:
-    """Feature vector of one emitted record: the mean of its hidden vectors
-    over [first_emit - window, first_emit + span + window), then its token
-    count, emission count and first-emit fraction.
+    """Feature vector of the emitted row `row` of a prediction table: the
+    mean of its hidden vectors over [first_emit - window, first_emit + span +
+    window), then its token count, emission count and first-emit fraction
+    (the first emission's character position over the response length, 0
+    for an empty response).
 
-    `token_hidden` is the (tokens x dims) matrix for this record's response;
+    `token_hidden` is the (tokens x dims) matrix for this row's response;
     the range is clipped to the sequence bounds. `examples` has checked that
     `window` is at least 0 and `span_token_count` at least 1, so the range
     always holds the first emitted token.
     """
-    if not record.emissions:
-        raise NotEmitted(f"record {record.qid!r} has no emission")
+    qid, emissions, text = table["qid"][row], table["emissions"][row], table["response_text"][row]
+    if not emissions:
+        raise NotEmitted(f"record {qid!r} has no emission")
     hidden = np.asarray(token_hidden)  # only the window's rows become float64
     if hidden.ndim != 2 or hidden.shape[0] == 0:
-        raise AlignmentError(f"record {record.qid!r}: empty or malformed hidden states")
-    first = record.emissions[0].token_index
+        raise AlignmentError(f"record {qid!r}: empty or malformed hidden states")
+    first = emissions[0]["token_index"]
     if first is None:
-        raise AlignmentError(f"record {record.qid!r}: first emission has no token index")
+        raise AlignmentError(f"record {qid!r}: first emission has no token index")
     n_tokens = hidden.shape[0]
     if not 0 <= first < n_tokens:
         raise AlignmentError(
-            f"record {record.qid!r}: emission token {first} outside 0..{n_tokens - 1}"
+            f"record {qid!r}: emission token {first} outside 0..{n_tokens - 1}"
         )
     lo = max(0, first - window)
     hi = min(n_tokens, first + span_token_count + window)
     span_mean = np.asarray(hidden[lo:hi], dtype=float).mean(axis=0)
-    fraction = first_emit_fraction(record)
     scalars = (
-        float(record.response_token_count),
-        float(len(record.emissions)),
-        float(fraction if fraction is not None else 0.0),
+        float(table["response_token_count"][row]),
+        float(len(emissions)),
+        float(emissions[0]["char_position"] / len(text) if text else 0.0),
     )
     return np.concatenate([span_mean, scalars])
 
 
 def examples(
-    records: Sequence[PredictionRecord],
+    table: dict,
     batch: ScoredBatch,
     stack: Mapping[str, np.ndarray],
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(features, wrong labels, qids) of the probe's examples, in record order.
+    """(features, wrong labels, qids) of the probe's examples, in row order.
 
-    `batch` holds the records' scores; `stack` maps qid -> (tokens x dims)
-    hidden matrix. An example is an emitted record with hidden states in
-    `stack`; its label is 1 where the batch scored it wrong. A `window`
-    below 0 or a `span_token_count` below 1 is refused first.
+    `batch` holds the scores of the rows of the prediction table `table`;
+    `stack` maps qid -> (tokens x dims) hidden matrix. An example is an
+    emitted row with hidden states in `stack`; its label is 1 where the batch
+    scored it wrong. A `window` below 0 or a `span_token_count` below 1 is
+    refused first.
     """
     if window < 0:
         raise ValueError(f"window={window} must be at least 0")
     if span_token_count < 1:
         raise ValueError(f"span_tokens={span_token_count} must be at least 1")
-    rows = []
-    wrong = []
-    qids = []
-    for record, correct in zip(records, batch.correct, strict=True):
-        if not record.emissions or record.qid not in stack:
-            continue
-        rows.append(build_features(stack[record.qid], record, window, span_token_count))
-        wrong.append(0 if correct else 1)
-        qids.append(record.qid)
+    rows = [i for i, (qid, emissions, _) in enumerate(
+                zip(table["qid"], table["emissions"], batch.correct, strict=True))
+            if emissions and qid in stack]
     if not rows:
         raise AlignmentError("no emitted record has hidden states")
-    return np.stack(rows), np.asarray(wrong, dtype=int), qids
+    qids = [table["qid"][i] for i in rows]
+    x = np.stack([build_features(stack[qid], table, i, window, span_token_count)
+                  for i, qid in zip(rows, qids)])
+    return x, (~batch.correct[rows]).astype(int), qids
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ class LayerSweepRow(Evaluation):
 
 def layer_sweep(
     stacks: Iterable[tuple[int, Mapping[str, np.ndarray]]],
-    records: Sequence[PredictionRecord],
+    table: dict,
     batch: ScoredBatch,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
@@ -326,13 +328,13 @@ def layer_sweep(
     as a dict's `items()`. Each layer is fitted before the next pair is
     drawn, so a generator that loads its layers lazily holds about two at a
     time; a layer that fails to load or fit then fails after the layers
-    before it have been fitted. `batch` holds the records' scores, which
-    every layer reads; see `examples` for which records take part. Rows come
-    back sorted by layer index.
+    before it have been fitted. `batch` holds the scores of the rows of the
+    prediction table `table`, which every layer reads; see `examples` for
+    which rows take part. Rows come back sorted by layer index.
     """
     rows = []
     for layer, stack in stacks:
-        x, y, qids = examples(records, batch, stack, window, span_token_count)
+        x, y, qids = examples(table, batch, stack, window, span_token_count)
         model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
         rows.append(LayerSweepRow(
             layer=layer, **asdict(evaluate(dev, model.threshold)),

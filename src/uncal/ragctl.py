@@ -1,16 +1,17 @@
 """Adaptive-retrieval controller simulation over paired-outcome traces.
 
-Each trace record carries a no-retrieval answer, the uncertainty signals a
+Each trace carries a no-retrieval answer, the uncertainty signals a
 controller might consume, and the answer the model produced when retrieval
-was forced. A policy decides per record whether to retrieve; the simulator
-then scores the resulting final answers and the trigger decisions against the
-pre-retrieval failures.
+was forced; a trace load yields them as one column table (`jsonio.RAG_TRACES`:
+a dict from field to list, in line order). A policy decides per trace whether
+to retrieve; the simulator then scores the resulting final answers and the
+trigger decisions against the pre-retrieval failures.
 
 Scoring and deciding are separate passes, and there is no one-call run that
 hides them. `score_traces` matches both answers of every trace once (against
-one `rewards.GoldSet`) and reads the batch into numpy columns: per answer its
+one `rewards.GoldSet`) and reads the table into numpy columns: per answer its
 verdict, rule and F1, and one float column per controller signal. `decide`
-compares one signal column with a threshold, giving one bool per record. A
+compares one signal column with a threshold, giving one bool per trace. A
 `TriggerReport` counts masks over those columns (`trigger_report`,
 `trigger_reports_by_dataset`), so one scoring serves the overall report,
 every dataset and every point of a threshold sweep.
@@ -18,10 +19,9 @@ every dataset and every point of a threshold sweep.
 Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
 token probability below T, after FLARE) and external (a recorded trigger).
-A record lacking the signal of the policy fails the batch. A signal's value
+A trace lacking the signal of the policy fails the batch. A signal's value
 is checked once, on load, by `jsonio.RAG_TRACE` (a confidence in [0,1], a
-finite probe score, token probabilities in (0,1]); `RagTraceRecord` takes
-its fields as they come.
+finite probe score, token probabilities in (0,1]).
 
 Every thresholded policy is `ControllerPolicy(kind, threshold)`. Boundary
 semantics: confidence triggering is strict (confidence < T), so T = 0
@@ -41,29 +41,6 @@ from .errors import EmptyBatch, MissingSignal
 from .rewards import DEFAULT_F1_THRESHOLD, GoldSet, MatchResult, MatchRule, match_answer
 
 
-@dataclass(frozen=True)
-class RagTraceRecord:
-    """Paired no-retrieval / with-retrieval outcomes plus trigger signals,
-    with values as `jsonio.RAG_TRACE` reads them."""
-
-    qid: str
-    gold_answers: tuple[str, ...]
-    noret_answer: str
-    ret_answer: str
-    dataset: str = ""
-    noret_confidence: float | None = None
-    noret_emissions: int = 0
-    noret_probe_score: float | None = None
-    noret_token_probs: tuple[float, ...] | None = None
-    noret_response_text: str | None = None
-    external_trigger: bool | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
-        if self.noret_token_probs is not None:
-            object.__setattr__(self, "noret_token_probs", tuple(self.noret_token_probs))
-
-
 class PolicyKind(enum.Enum):
     ALWAYS = "always"
     NEVER = "never"
@@ -76,17 +53,19 @@ class PolicyKind(enum.Enum):
 
 # each signalled kind: the name of its signal, whether it fires strictly
 # below the threshold (else at or above it), its fixed threshold (None: the
-# policy's own) and the signal of a trace (None where the trace lacks it)
+# policy's own) and its column of a trace table (None where a trace lacks it)
 _SIGNALS = {
-    PolicyKind.CONFIDENCE_THRESHOLD: ("confidence", True, None, lambda r: r.noret_confidence),
-    PolicyKind.EMISSION_ONLY: ("emission count", False, 1.0, lambda r: r.noret_emissions),
+    PolicyKind.CONFIDENCE_THRESHOLD: ("confidence", True, None, lambda t: t["noret_confidence"]),
+    PolicyKind.EMISSION_ONLY: ("emission count", False, 1.0, lambda t: t["noret_emissions"]),
     # a trace without an emission reads -inf: it never fires, needs no probe score
-    PolicyKind.EMISSION_PLUS_PROBE: ("probe score", False, None, lambda r: (
-        r.noret_probe_score if r.noret_emissions >= 1 else -math.inf)),
+    PolicyKind.EMISSION_PLUS_PROBE: ("probe score", False, None, lambda t: [
+        score if count >= 1 else -math.inf
+        for score, count in zip(t["noret_probe_score"], t["noret_emissions"])]),
     # some token probability below T is the lowest one below T; none reads +inf
-    PolicyKind.TOKEN_PROB_WINDOW: ("token probabilities", True, None, lambda r: (
-        None if r.noret_token_probs is None else min(r.noret_token_probs, default=math.inf))),
-    PolicyKind.EXTERNAL: ("external trigger column", False, 1.0, lambda r: r.external_trigger),
+    PolicyKind.TOKEN_PROB_WINDOW: ("token probabilities", True, None, lambda t: [
+        None if probs is None else min(probs, default=math.inf)
+        for probs in t["noret_token_probs"]]),
+    PolicyKind.EXTERNAL: ("external trigger column", False, 1.0, lambda t: t["external_trigger"]),
 }
 
 
@@ -160,23 +139,21 @@ class ScoredTraces:
     signals: dict[PolicyKind, np.ndarray]
 
 
-def score_traces(
-    records: Sequence[RagTraceRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> ScoredTraces:
+def score_traces(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -> ScoredTraces:
     """Match each trace's no-retrieval and with-retrieval answers once against
     its gold set, all built first (an unchanged answer reuses the no-retrieval
     match), and read each controller signal into its column."""
-    records = list(records)
-    golds = [GoldSet(r.gold_answers) for r in records]
-    noret = [match_answer(r.noret_answer, g, f1_threshold) for r, g in zip(records, golds)]
-    ret = [m if r.ret_answer == r.noret_answer else match_answer(r.ret_answer, g, f1_threshold)
-           for r, g, m in zip(records, golds, noret)]
+    golds = list(map(GoldSet, table["gold_answers"]))
+    noret_answers, ret_answers = table["noret_answer"], table["ret_answer"]
+    noret = [match_answer(a, g, f1_threshold) for a, g in zip(noret_answers, golds)]
+    ret = [m if r == a else match_answer(r, g, f1_threshold)
+           for r, a, g, m in zip(ret_answers, noret_answers, golds, noret)]
     return ScoredTraces(
-        qid=np.array([r.qid for r in records], dtype=object),
-        dataset=np.array([r.dataset for r in records], dtype=object),
+        qid=np.array(table["qid"], dtype=object),
+        dataset=np.array(table["dataset"], dtype=object),
         noret=MatchColumns.of(noret),
         ret=MatchColumns.of(ret),
-        signals={kind: np.array([signal(r) for r in records], dtype=float)
+        signals={kind: np.array(signal(table), dtype=float)
                  for kind, (_, _, _, signal) in _SIGNALS.items()},
     )
 

@@ -5,26 +5,25 @@ grid-valued traces (0.05, 0.9, ...) and the occasional hard 0/1 survive the
 mapping. Both fitters are deterministic and share the Newton-CG minimizer
 (`optim`), each from the identity mapping (T = 1): global scaling over
 u = log(1/T), adaptive scaling over the weights of its features. Each fits
-the records of one `rewards.ScoredBatch` (the caller scores them) whose
-confidence column is not NaN.
+the rows of one `rewards.ScoredBatch` (the caller scores them) whose
+confidence column is not NaN; adaptive scaling also reads their features
+from the prediction table (`jsonio.PREDICTIONS`) the batch scored.
 
 Applying a model maps a confidence column (`rewards.confidences`) to a new
 one and matches nothing: `apply_ts` reads the column alone, `apply_ats` also
-the features of the records whose confidence is not NaN. A NaN confidence
-maps to NaN.
+the features of the rows whose confidence is not NaN. A NaN confidence maps
+to NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
-
 import numpy as np
 
 from . import optim
 from .errors import DegenerateFit
-from .rewards import PredictionRecord, ScoredBatch, reasoning_depth, record_answer
+from .rewards import ScoredBatch, answers, reasoning_depth
 
 CONF_CLAMP = 1e-4
 ATS_TEMPERATURE_FLOOR = 0.05
@@ -143,32 +142,25 @@ class AtsModel:
     fit: optim.Fit | None = None
 
 
-def _ats_row(record: PredictionRecord) -> tuple[float, float, float]:
-    length = record.response_token_count
-    if length <= 0:
-        length = len(record.response_text.split())
-    return (
-        float(length),
-        float(len(record_answer(record) or "")),
-        float(reasoning_depth(record.response_text)),
-    )
-
-
-def _feature_rows(records, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Raw (unstandardized) feature rows of the `usable` records, whose
-    confidence logits are `logits`: the logit; response length in tokens
-    (the record's token count, or whitespace tokens when absent); answer
-    length in characters of `rewards.record_answer`; and reasoning depth,
+def _feature_rows(table: dict, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Raw (unstandardized) feature rows of the `usable` rows of a prediction
+    table, whose confidence logits are `logits`: the logit; response length
+    in tokens (the row's token count, or whitespace tokens where it is 0);
+    answer length in characters of `rewards.answers`; and reasoning depth,
     the nonempty lines before the answer line."""
-    rows = [_ats_row(r) for r, ok in zip(records, usable.tolist(), strict=True) if ok]
-    return np.column_stack([logits, np.reshape(rows, (-1, 3))])
+    texts, counts = table["response_text"], table["response_token_count"]
+    if len(usable) != len(texts):
+        raise ValueError("need exactly one confidence per row")
+    rows = np.flatnonzero(usable).tolist()
+    features = [(float(counts[i] if counts[i] > 0 else len(texts[i].split())),
+                 float(len(answer or "")), float(reasoning_depth(texts[i])))
+                for i, answer in zip(rows, answers(table, rows))]
+    return np.column_stack([logits, np.reshape(features, (-1, 3))])
 
 
-def fit_ats(
-    records: Sequence[PredictionRecord], batch: ScoredBatch, l2: float = DEFAULT_ATS_L2
-) -> AtsModel:
-    """Fit adaptive temperature scaling of `records`, whose scores are
-    `batch`, with `optim.minimize` (Newton-CG) over features standardized
+def fit_ats(table: dict, batch: ScoredBatch, l2: float = DEFAULT_ATS_L2) -> AtsModel:
+    """Fit adaptive temperature scaling of the rows of a prediction table,
+    whose scores are `batch`, with `optim.minimize` (Newton-CG) over features standardized
     on the fit set (`optim.standardize`).
 
     The fit starts from w = 0 and the bias that makes the initial temperature
@@ -177,7 +169,7 @@ def fit_ats(
     result, computed as for global scaling.
     """
     usable, logits, outcomes = _fit_rows(batch)
-    phi, means, stds = optim.standardize(_feature_rows(records, usable, logits))
+    phi, means, stds = optim.standardize(_feature_rows(table, usable, logits))
 
     def nll(u):
         s = _sigmoid(u)  # dT/du
@@ -210,15 +202,13 @@ def _temperatures(model: AtsModel, phi: np.ndarray) -> np.ndarray:
     return _softplus(optim.linear(phi, model.weights, model.bias)) + ATS_TEMPERATURE_FLOOR
 
 
-def apply_ats(
-    model: AtsModel, records: Sequence[PredictionRecord], confidence: np.ndarray
-) -> np.ndarray:
-    """sigmoid(logit(c)/T) of each record's confidence c, T being the
-    record's own temperature, NaN where c is NaN; `confidence` is
-    `rewards.confidences(records)`."""
+def apply_ats(model: AtsModel, table: dict, confidence: np.ndarray) -> np.ndarray:
+    """sigmoid(logit(c)/T) of each row's confidence c, T being the row's own
+    temperature, NaN where c is NaN; `confidence` is
+    `rewards.confidences(table)`."""
     usable = ~np.isnan(confidence)
     logits = _logits(confidence[usable])
-    phi = (_feature_rows(records, usable, logits) - model.feature_means) / model.feature_stds
+    phi = (_feature_rows(table, usable, logits) - model.feature_means) / model.feature_stds
     out = np.full(len(confidence), np.nan)
     out[usable] = _sigmoid(logits / _temperatures(model, phi))
     return out

@@ -1,21 +1,22 @@
 """Answer extraction, normalization, correctness matching, and batch scoring.
 
-Operates on recorded model responses. Matching follows the usual QA recipe:
-normalized exact match first, then yes/no canonicalization, then calendar-date
-agreement, then a token-F1 fallback against the best of a record's gold
-answers, prepared once per record (`GoldSet`). Each fact of a record has one
-rule: its answer is `record_answer` (the explicit field, else the last
-`Answer:` line) and its confidence `record_confidence`, whose column over a
-batch is `confidences`. `score_predictions` turns a batch into three numpy
-columns (confidence, NaN where none parses; correctness; marker flag), so
-each record is matched at most once however many metrics read the batch.
+Operates on recorded model responses, as the column table a prediction load
+yields (`jsonio.PREDICTIONS`: a dict from field to list, in line order).
+Matching follows the usual QA recipe: normalized exact match first, then
+yes/no canonicalization, then calendar-date agreement, then a token-F1
+fallback against the best of a row's gold answers, prepared once per row
+(`GoldSet`). Each fact of a row has one rule, read over a table's columns: its
+answer is `answers` (the explicit field, else the last `Answer:` line) and
+its confidence `confidences`. `score_predictions` turns a table into three
+numpy columns (confidence, NaN where none parses; correctness; marker flag),
+so each row is matched at most once however many metrics read the batch.
 Applying a recalibration reads that column and matches nothing. No command
-computes a training reward from a record: the one reward the toolkit models,
+computes a training reward from a row: the one reward the toolkit models,
 the signed verbal confidence, is applied to trajectories by `trajspace`.
 
 `jsonio.PREDICTION` is the one check of each field's value (non-empty
-`gold_answers`, confidences in [0,1]); `PredictionRecord` checks only what
-that table cannot state, that its emissions are sorted and inside the text.
+`gold_answers`, confidences in [0,1]), and the load's check across fields
+refuses emissions that are unsorted or outside the text.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,14 +63,6 @@ _MDY_RE = re.compile(r"^([a-z]+)\s+(?:(\d{1,2})(?:st|nd|rd|th)?\s*,?\s+)?(\d{4})
 _DMY_RE = re.compile(r"^(\d{1,2})(?:st|nd|rd|th)?\s+([a-z]+),?\s+(\d{4})$")
 
 
-@dataclass(frozen=True)
-class EmissionEvent:
-    """One occurrence of the uncertainty marker inside a response."""
-
-    char_position: int
-    token_index: int | None = None
-
-
 class MatchRule(enum.Enum):
     EXACT_MATCH = "ExactMatch"
     YES_NO = "YesNo"
@@ -82,46 +75,6 @@ class MatchResult:
     correct: bool
     rule: MatchRule
     f1: float
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One recorded model response plus the signals evaluation needs.
-
-    `emissions` must be sorted by character position and lie inside the
-    response text. `verbal_confidence`, `token_probs`, and `p_affirmative`
-    are optional per-trace signals; `match` caches a MatchResult once the
-    record has been annotated.
-    """
-
-    qid: str
-    gold_answers: tuple[str, ...]
-    response_text: str
-    dataset: str = ""
-    question: str = ""
-    extracted_answer: str | None = None
-    verbal_confidence: float | None = None
-    emissions: tuple[EmissionEvent, ...] = ()
-    response_token_count: int = 0
-    token_probs: tuple[float, ...] | None = None
-    p_affirmative: float | None = None
-    match: MatchResult | None = None
-
-    def __post_init__(self):
-        if type(self.gold_answers) is not tuple:
-            object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
-        if type(self.emissions) is not tuple:
-            object.__setattr__(self, "emissions", tuple(self.emissions))
-        if self.token_probs is not None and type(self.token_probs) is not tuple:
-            object.__setattr__(self, "token_probs", tuple(self.token_probs))
-        if not self.emissions:
-            return
-        positions = [e.char_position for e in self.emissions]
-        if positions != sorted(positions):
-            raise ValueError("emissions must be sorted by char_position")
-        for e in self.emissions:
-            if not 0 <= e.char_position < max(len(self.response_text), 1):
-                raise ValueError("emission position outside response text")
 
 
 def extract_answer_line(response_text: str) -> str | None:
@@ -222,9 +175,9 @@ def _check_threshold(f1_threshold: float) -> None:
 
 
 class GoldSet:
-    """A record's gold answers prepared once for matching: the normalized
+    """A row's gold answers prepared once for matching: the normalized
     strings, the yes/no values among them and, once the token-F1 rule first
-    asks, each one's token bag. It is built from a record's `gold_answers`,
+    asks, each one's token bag. It is built from a row's `gold_answers`,
     which the loader has checked are non-empty."""
 
     __slots__ = ("answers", "normalized", "yes_no", "_bags")
@@ -252,7 +205,7 @@ _EXACT_MATCH, _YES_NO_MATCH, _DATE_MATCH = (MatchResult(True, MatchRule(rule), 1
 def match_answer(
     pred: str, golds: GoldSet, f1_threshold: float = DEFAULT_F1_THRESHOLD
 ) -> MatchResult:
-    """Match a predicted answer against a record's gold answers.
+    """Match a predicted answer against a row's gold answers.
 
     Rules fire in order: normalized exact match, yes/no canonicalization,
     calendar-date agreement, token-F1 >= threshold. The first rule that fires
@@ -274,81 +227,66 @@ def match_answer(
     return MatchResult(best_f1 >= f1_threshold, MatchRule.TOKEN_F1, best_f1)
 
 
-def record_answer(record: PredictionRecord) -> str | None:
-    """The record's answer: the explicit `extracted_answer` when present,
-    otherwise the last `Answer:` line of the response (None if neither)."""
-    answer = record.extracted_answer
-    return extract_answer_line(record.response_text) if answer is None else answer
+# the verdict on a row with no answer to match
+_NO_ANSWER = MatchResult(False, MatchRule.TOKEN_F1, 0.0)
 
 
-def match_record(
-    record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> MatchResult:
-    """Correctness of a record's answer; a record without any extractable
-    answer is incorrect with F1 = 0."""
-    answer = record_answer(record)
-    if answer is None:
-        return MatchResult(False, MatchRule.TOKEN_F1, 0.0)
-    return match_answer(answer, GoldSet(record.gold_answers), f1_threshold)
+def answers(table: dict, rows: Iterable[int]) -> list[str | None]:
+    """The answer of each of the `rows` (indices) of a prediction table: the
+    row's `extracted_answer` where given, otherwise the last `Answer:` line
+    of its response (None if neither)."""
+    given, texts = table["extracted_answer"], table["response_text"]
+    return [extract_answer_line(texts[i]) if given[i] is None else given[i] for i in rows]
 
 
-def record_correct(
-    record: PredictionRecord, f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> bool:
-    """Is the record's answer correct under `f1_threshold`?
-
-    A cached `match` block decides without rematching, but never overrides
-    the threshold: ExactMatch, YesNo and Date verdicts do not depend on it,
-    and a cached TokenF1 result is correct exactly when its F1 reaches
-    `f1_threshold` (a record without an answer stays wrong).
-    """
-    cached = record.match
-    if cached is None:
-        return match_record(record, f1_threshold).correct
+def match_answers(
+    preds: Sequence[str | None], gold_answers: Sequence[Sequence[str]], f1_threshold: float
+) -> list[MatchResult]:
+    """`match_answer` of each answer against its row's gold answers, whose
+    `GoldSet`s are all built first; a row without an answer is incorrect
+    with F1 = 0."""
     _check_threshold(f1_threshold)
-    if cached.rule is not MatchRule.TOKEN_F1:
-        return cached.correct
-    if cached.f1 < f1_threshold:
-        return False
-    return record_answer(record) is not None
+    golds = list(map(GoldSet, gold_answers))
+    return [_NO_ANSWER if pred is None else match_answer(pred, gold, f1_threshold)
+            for pred, gold in zip(preds, golds)]
 
 
-def scan_emissions(response_text: str) -> list[EmissionEvent]:
-    """All non-overlapping occurrences of the uncertainty marker, left to right."""
+def _cached_correct(cached: dict, f1_threshold: float) -> bool | None:
+    """The verdict of a cached `match` block at `f1_threshold`, or None where
+    it holds only if the row has an answer. A cache never overrides the
+    threshold: ExactMatch, YesNo and Date verdicts do not depend on it, and
+    a cached TokenF1 result is correct exactly when its F1 reaches it (and
+    the row has an answer)."""
+    if cached["rule"] is not MatchRule.TOKEN_F1:
+        return cached["correct"]
+    return None if cached["f1"] >= f1_threshold else False
+
+
+def scan_emissions(response_text: str) -> list[dict]:
+    """All non-overlapping occurrences of the uncertainty marker, left to
+    right, as the emissions a prediction line gives (`jsonio.EMISSION`)."""
     events = []
     start = 0
     while True:
         idx = response_text.find(UNCERTAIN_MARKER, start)
         if idx == -1:
             return events
-        events.append(EmissionEvent(char_position=idx))
+        events.append({"char_position": idx, "token_index": None})
         start = idx + len(UNCERTAIN_MARKER)
 
 
-def first_emit_fraction(record: PredictionRecord) -> float | None:
-    """Position of the first emission as a fraction of response length."""
-    if not record.emissions or not record.response_text:
-        return None
-    return record.emissions[0].char_position / len(record.response_text)
-
-
-def record_confidence(record: PredictionRecord) -> float | None:
-    """The record's stated confidence: the explicit field when present,
-    otherwise parsed from the response text."""
-    if record.verbal_confidence is not None:
-        return record.verbal_confidence
-    return extract_confidence(record.response_text)
-
-
-def confidences(records: Sequence[PredictionRecord]) -> np.ndarray:
-    """`record_confidence` of each record as a float64 column, NaN where
-    none parses."""
-    return np.array([record_confidence(r) for r in records], dtype=float)
+def confidences(table: dict) -> np.ndarray:
+    """Each row's stated confidence as a float64 column: the explicit
+    `verbal_confidence` where given, otherwise parsed from the response
+    text, NaN where none parses."""
+    return np.array([extract_confidence(text) if conf is None else conf
+                     for conf, text in zip(table["verbal_confidence"], table["response_text"])],
+                    dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class ScoredBatch:
-    """One verdict per record of a batch, as columns in record order.
+    """One verdict per row of a prediction table, as columns in row order.
 
     `confidence` (float64) is NaN where no confidence parses; `correct` and
     `marked` are bool, and `marked` says whether the response text contains
@@ -363,16 +301,26 @@ class ScoredBatch:
         return len(self.correct)
 
 
-def score_predictions(
-    records: Sequence[PredictionRecord], f1_threshold: float = DEFAULT_F1_THRESHOLD
-) -> ScoredBatch:
-    """Score every record once: one confidence lookup and one correctness
-    verdict (`record_correct`) per record."""
-    records = list(records)
+def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -> ScoredBatch:
+    """Score every row once: one confidence and one correctness verdict per
+    row. A cached `match` block decides without rematching (`_cached_correct`);
+    a row without one has its answer matched against its gold answers."""
+    cached, golds = table["match"], table["gold_answers"]
+    unmatched = [i for i, block in enumerate(cached) if block is None]
+    verdicts = match_answers(answers(table, unmatched), [golds[i] for i in unmatched],
+                             f1_threshold)
+    correct = [None if block is None else _cached_correct(block, f1_threshold)
+               for block in cached]
+    for i, verdict in zip(unmatched, verdicts):
+        correct[i] = verdict.correct
+    pending = [i for i, verdict in enumerate(correct) if verdict is None]
+    for i, answer in zip(pending, answers(table, pending)):
+        correct[i] = answer is not None
     return ScoredBatch(
-        confidence=confidences(records),
-        correct=np.array([record_correct(r, f1_threshold) for r in records], dtype=bool),
-        marked=np.array([UNCERTAIN_MARKER in r.response_text for r in records], dtype=bool),
+        confidence=confidences(table),
+        correct=np.array(correct, dtype=bool),
+        marked=np.array([UNCERTAIN_MARKER in text for text in table["response_text"]],
+                        dtype=bool),
     )
 
 

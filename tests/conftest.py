@@ -1,12 +1,52 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from uncal import cli, ragctl
+from uncal import cli, jsonio, ragctl
 from uncal.errors import UncalError
-from uncal.ragctl import RagTraceRecord
-from uncal.rewards import PredictionRecord, scan_emissions
+
+
+def load(kind: jsonio.LineKind, lines) -> dict | list:
+    """What a load of the line objects `lines` yields (for predictions and
+    traces, their column table); a refused line fails the test."""
+    accepted, errors, _ = jsonio.read_lines(map(json.dumps, lines), kind)
+    assert errors == [], errors
+    return accepted
+
+
+def predictions(lines) -> dict:
+    """The column table a load of the prediction line objects `lines` yields."""
+    return load(jsonio.PREDICTIONS, lines)
+
+
+def traces(lines) -> dict:
+    """The column table a load of the trace line objects `lines` yields."""
+    return load(jsonio.RAG_TRACES, lines)
+
+
+def prediction(qid: str, gold_answers, response_text: str, **fields) -> dict:
+    """A prediction line object; `fields` gives its optional fields."""
+    return {"qid": qid, "gold_answers": list(gold_answers), "response_text": response_text,
+            **fields}
+
+
+def trace(qid: str, gold_answers, noret_answer: str, ret_answer: str, **fields) -> dict:
+    """A trace line object; `fields` gives its optional fields."""
+    return {"qid": qid, "gold_answers": list(gold_answers), "noret_answer": noret_answer,
+            "ret_answer": ret_answer, **fields}
+
+
+def emission(char_position: int, token_index: int | None = None) -> dict:
+    """An emission of a prediction line."""
+    return {"char_position": char_position, "token_index": token_index}
+
+
+def rows(table: dict) -> list[dict]:
+    """The rows of a column table, each a dict from field to value."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
 def make_record(
@@ -16,27 +56,19 @@ def make_record(
     dataset: str = "synth",
     emissions_text: str = "",
     token_probs=None,
-) -> PredictionRecord:
-    """Record whose correctness is controlled by whether the answer line
-    matches the gold answer."""
+) -> dict:
+    """Prediction line whose correctness is controlled by whether the answer
+    line matches the gold answer; `predictions` loads a list of them."""
     answer = "alpha" if correct else "omega"
     body = emissions_text + ("\n" if emissions_text else "")
     text = f"{body}Answer: {answer}"
-    return PredictionRecord(
-        qid=qid,
-        dataset=dataset,
-        gold_answers=("alpha",),
-        response_text=text,
-        verbal_confidence=confidence,
-        emissions=tuple(scan_emissions(text)),
-        response_token_count=len(text.split()),
-        token_probs=token_probs,
-    )
+    return prediction(qid, ("alpha",), text, dataset=dataset, verbal_confidence=confidence,
+                      token_probs=token_probs)
 
 
 def random_batch(rng: np.random.Generator, n: int, with_ties: bool = False):
-    """Random (records, (conf, correct, qid) rows) for metric cross-checks."""
-    records = []
+    """Random (table, (conf, correct, qid) rows) for metric cross-checks."""
+    lines = []
     rows = []
     for i in range(n):
         conf = float(rng.uniform(0.0, 1.0))
@@ -44,32 +76,26 @@ def random_batch(rng: np.random.Generator, n: int, with_ties: bool = False):
             conf = round(conf, 1)
         correct = bool(rng.random() < conf * 0.8 + 0.1)
         qid = f"q{i:04d}"
-        records.append(make_record(qid, conf, correct))
+        lines.append(make_record(qid, conf, correct))
         rows.append((conf, correct, qid))
-    return records, rows
+    return predictions(lines), rows
 
 
-def random_rag_batch(rng: np.random.Generator, n: int):
-    records = []
+def random_rag_batch(rng: np.random.Generator, n: int) -> dict:
+    lines = []
     for i in range(n):
         noret_ok = bool(rng.random() < 0.5)
         ret_ok = bool(rng.random() < 0.7)
-        records.append(
-            RagTraceRecord(
-                qid=f"r{i:04d}",
-                dataset=str(rng.choice(["d1", "d2"])),
-                gold_answers=("alpha",),
-                noret_answer="alpha" if noret_ok else "omega",
-                ret_answer="alpha" if ret_ok else "omega",
-                noret_confidence=float(rng.uniform(0.0, 0.999)),
-                noret_emissions=int(rng.integers(0, 3)),
-                noret_probe_score=float(rng.uniform(0.0, 1.0)),
-                noret_token_probs=tuple(
-                    float(p) for p in rng.uniform(0.05, 1.0, size=4)
-                ),
-            )
-        )
-    return records
+        lines.append(trace(
+            f"r{i:04d}", ("alpha",), "alpha" if noret_ok else "omega",
+            "alpha" if ret_ok else "omega",
+            dataset=str(rng.choice(["d1", "d2"])),
+            noret_confidence=float(rng.uniform(0.0, 0.999)),
+            noret_emissions=int(rng.integers(0, 3)),
+            noret_probe_score=float(rng.uniform(0.0, 1.0)),
+            noret_token_probs=[float(p) for p in rng.uniform(0.05, 1.0, size=4)],
+        ))
+    return traces(lines)
 
 
 def run_policy(policy, traces):
@@ -99,11 +125,10 @@ def planted_stack(
     tokens=18,
     separation=3.0,
 ):
-    """Per-layer token-aligned hidden states where exactly one layer carries
-    a label-separable direction on the tokens around the emission."""
-    from uncal.rewards import EmissionEvent
-
-    records = []
+    """(prediction table, per-layer token-aligned hidden states) where
+    exactly one layer carries a label-separable direction on the tokens
+    around the emission."""
+    lines = []
     stacks = {layer: {} for layer in layers}
     for i in range(n):
         wrong = bool(rng.random() < 0.5)
@@ -113,17 +138,9 @@ def planted_stack(
         text = (
             prefix + "<uncertain> more\nAnswer: " + ("omega" if wrong else "alpha")
         )
-        records.append(
-            PredictionRecord(
-                qid=qid,
-                gold_answers=("alpha",),
-                response_text=text,
-                emissions=(
-                    EmissionEvent(char_position=len(prefix), token_index=emit_tok),
-                ),
-                response_token_count=tokens,
-            )
-        )
+        lines.append(prediction(qid, ("alpha",), text,
+                                emissions=[emission(len(prefix), emit_tok)],
+                                response_token_count=tokens))
         for layer in layers:
             mat = rng.normal(0.0, 1.0, size=(tokens, dims))
             if layer == signal_layer and wrong:
@@ -131,7 +148,7 @@ def planted_stack(
                 hi = min(tokens, emit_tok + 2)
                 mat[lo:hi, 0] += separation
             stacks[layer][qid] = mat
-    return records, stacks
+    return predictions(lines), stacks
 
 
 def outcome(run):

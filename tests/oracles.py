@@ -10,6 +10,7 @@ must match exactly.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cache
 
 
@@ -180,13 +181,13 @@ def oracle_tune_threshold(scores, labels):
 # ---------------------------------------------------------------------------
 
 
-def oracle_to_dict(table: dict, record, **given) -> dict:
-    """The line object of `record` as the field-by-field dict writer built
-    it, before lines were encoded straight to text: `dumps_canonical` of it
-    is the line. Each table field takes `given[key]` if given, else
-    `getattr(record, key)`; None values are left out; a nested object is
-    written by the table its reader exposes, an enum member by its value, a
-    numpy array by `tolist()` and a tuple as a list."""
+def oracle_to_dict(table: dict, fields) -> dict:
+    """The line object of the mapping `fields` as the field-dict writer
+    built it, before lines were encoded straight to text: `dumps_canonical`
+    of it is the line. Each table field takes `fields[key]`; None values are
+    left out; a nested object (a mapping) is written by the table its reader
+    exposes, an enum member by its value, a numpy array by `tolist()` and a
+    tuple as a list."""
     import enum
 
     import numpy as np
@@ -194,7 +195,7 @@ def oracle_to_dict(table: dict, record, **given) -> dict:
     def line_value(read, value):
         nested = getattr(read, "table", None)
         if nested is not None:
-            if isinstance(value, tuple):
+            if isinstance(value, (tuple, list)):
                 return [oracle_to_dict(nested, item) for item in value]
             return oracle_to_dict(nested, value)
         if isinstance(value, enum.Enum):
@@ -205,16 +206,11 @@ def oracle_to_dict(table: dict, record, **given) -> dict:
             return list(value)
         return value
 
-    if given and not given.keys() <= table.keys():
-        raise AttributeError(f"no table fields {sorted(given.keys() - table.keys())}")
     out = {}
     for key, (read, _) in table.items():
-        if key in given:
-            value = given[key]
-        else:
-            value = getattr(record, key)
-            if type(value) not in (str, int, float, bool) and value is not None:
-                value = line_value(read, value)
+        value = fields[key]
+        if type(value) not in (str, int, float, bool) and value is not None:
+            value = line_value(read, value)
         if value is not None:
             out[key] = value
     return out
@@ -502,15 +498,15 @@ def oracle_apply_ts(model, confidence: float) -> float:
     return float(_sigmoid(np.array(_former_logit(confidence) / model.temperature)))
 
 
-def oracle_ts_nll(model, records, f1_threshold=0.3) -> float:
-    """`recal.ts_nll`: the Bernoulli NLL of a fixed temperature on the records
-    a fit reads (those whose confidence is not NaN)."""
+def oracle_ts_nll(model, table, f1_threshold=0.3) -> float:
+    """`recal.ts_nll`: the Bernoulli NLL of a fixed temperature on the rows of
+    a prediction table a fit reads (those whose confidence is not NaN)."""
     import numpy as np
 
     from uncal.recal import _bernoulli_nll, _sigmoid
     from uncal.rewards import score_predictions
 
-    batch = score_predictions(records, f1_threshold)
+    batch = score_predictions(table, f1_threshold)
     usable = ~np.isnan(batch.confidence)
     logits = np.array([_former_logit(c) for c in batch.confidence[usable].tolist()])
     outcomes = batch.correct[usable].astype(float)
@@ -561,9 +557,9 @@ def oracle_apply_ats(model, record) -> float:
     import numpy as np
 
     from uncal.recal import ATS_TEMPERATURE_FLOOR, _sigmoid, _softplus
-    from uncal.rewards import extract_answer_line, reasoning_depth, record_confidence
+    from uncal.rewards import extract_answer_line, reasoning_depth
 
-    conf = record_confidence(record)
+    conf = oracle_record_confidence(record)
     length = record.response_token_count
     if length <= 0:
         length = len(record.response_text.split())
@@ -584,12 +580,13 @@ def oracle_annotate_record(record, f1_threshold=0.3):
     and `match` filled in, built by `dataclasses.replace`."""
     from dataclasses import replace
 
-    from uncal.rewards import extract_answer_line, match_record
+    from uncal.rewards import extract_answer_line
 
     answer = record.extracted_answer
     if answer is None:
         answer = extract_answer_line(record.response_text)
-    return replace(record, extracted_answer=answer, match=match_record(record, f1_threshold))
+    return replace(record, extracted_answer=answer,
+                   match=oracle_match_record(record, f1_threshold))
 
 
 def oracle_pca_project(x, k: int):
@@ -725,7 +722,7 @@ def _former_tables() -> dict[str, dict]:
     from uncal.jsonio import REQUIRED
     from uncal.probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
     from uncal.reprgeo import TokenType
-    from uncal.rewards import EmissionEvent, MatchResult, MatchRule
+    from uncal.rewards import MatchRule
 
     def reader(accepts, what):
         def read(name, value):
@@ -771,7 +768,8 @@ def _former_tables() -> dict[str, dict]:
         def read(name, value):
             if type(value) is not list:
                 raise ValueError(f"{name} must be a list of JSON objects")
-            return tuple(build(**nested(table, f"{name}[{i}]", v)) for i, v in enumerate(value))
+            # a list since nested objects are read as dicts (they were a tuple of records)
+            return [build(**nested(table, f"{name}[{i}]", v)) for i, v in enumerate(value)]
         return read
 
     string = reader(lambda v: type(v) is str, "a string")
@@ -799,10 +797,10 @@ def _former_tables() -> dict[str, dict]:
         "qid": (string, REQUIRED), "dataset": (string, ""), "question": (string, ""),
         "gold_answers": (strings, REQUIRED), "response_text": (string, REQUIRED),
         "extracted_answer": (string, None), "verbal_confidence": (read_probability, None),
-        "emissions": (read_objects(t["EMISSION"], EmissionEvent), None),
+        "emissions": (read_objects(t["EMISSION"], dict), None),
         "response_token_count": (count, None), "token_probs": (token_probs, None),
         "p_affirmative": (read_probability, None),
-        "match": (read_object(t["MATCH"], MatchResult), None),
+        "match": (read_object(t["MATCH"], dict), None),
     }
     t["RAG_TRACE"] = {
         "qid": (string, REQUIRED), "dataset": (string, ""), "gold_answers": (strings, REQUIRED),
@@ -837,3 +835,231 @@ def _former_tables() -> dict[str, dict]:
                    None),
     }
     return t
+
+
+# ---------------------------------------------------------------------------
+# The record classes that prediction and trace loads built before they
+# yielded column tables, and the per-record rules that read them
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EmissionEvent:
+    """One occurrence of the uncertainty marker inside a response."""
+
+    char_position: int
+    token_index: int | None = None
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """`rewards.PredictionRecord`: one recorded model response plus the
+    signals evaluation needs. `emissions` must be sorted by character
+    position and lie inside the response text."""
+
+    qid: str
+    gold_answers: tuple[str, ...]
+    response_text: str
+    dataset: str = ""
+    question: str = ""
+    extracted_answer: str | None = None
+    verbal_confidence: float | None = None
+    emissions: tuple[EmissionEvent, ...] = ()
+    response_token_count: int = 0
+    token_probs: tuple[float, ...] | None = None
+    p_affirmative: float | None = None
+    match: object = None  # a `rewards.MatchResult`
+
+    def __post_init__(self):
+        object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
+        object.__setattr__(self, "emissions", tuple(self.emissions))
+        if self.token_probs is not None:
+            object.__setattr__(self, "token_probs", tuple(self.token_probs))
+        positions = [e.char_position for e in self.emissions]
+        if positions != sorted(positions):
+            raise ValueError("emissions must be sorted by char_position")
+        for e in self.emissions:
+            if not 0 <= e.char_position < max(len(self.response_text), 1):
+                raise ValueError("emission position outside response text")
+
+
+@dataclass(frozen=True)
+class RagTraceRecord:
+    """`ragctl.RagTraceRecord`: paired no-retrieval / with-retrieval outcomes
+    plus trigger signals."""
+
+    qid: str
+    gold_answers: tuple[str, ...]
+    noret_answer: str
+    ret_answer: str
+    dataset: str = ""
+    noret_confidence: float | None = None
+    noret_emissions: int = 0
+    noret_probe_score: float | None = None
+    noret_token_probs: tuple[float, ...] | None = None
+    noret_response_text: str | None = None
+    external_trigger: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
+        if self.noret_token_probs is not None:
+            object.__setattr__(self, "noret_token_probs", tuple(self.noret_token_probs))
+
+
+def _table_rows(table: dict) -> list[dict]:
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def prediction_records(table: dict) -> list[PredictionRecord]:
+    """The record of each row of a prediction table, as the loader built it."""
+    from uncal.rewards import MatchResult
+
+    records = []
+    for row in _table_rows(table):
+        match = row.pop("match")
+        records.append(PredictionRecord(
+            **row | {"emissions": tuple(EmissionEvent(**e) for e in row["emissions"])},
+            match=None if match is None else MatchResult(**match)))
+    return records
+
+
+def trace_records(table: dict) -> list[RagTraceRecord]:
+    """The record of each row of a trace table, as the loader built it."""
+    return [RagTraceRecord(**row) for row in _table_rows(table)]
+
+
+def oracle_record_answer(record):
+    """`rewards.record_answer`: the explicit `extracted_answer` when present,
+    otherwise the last `Answer:` line of the response (None if neither)."""
+    from uncal.rewards import extract_answer_line
+
+    answer = record.extracted_answer
+    return extract_answer_line(record.response_text) if answer is None else answer
+
+
+def oracle_match_record(record, f1_threshold=0.3):
+    """`rewards.match_record`: correctness of a record's answer; a record
+    without any extractable answer is incorrect with F1 = 0."""
+    from uncal.rewards import GoldSet, MatchResult, MatchRule, match_answer
+
+    answer = oracle_record_answer(record)
+    if answer is None:
+        return MatchResult(False, MatchRule.TOKEN_F1, 0.0)
+    return match_answer(answer, GoldSet(record.gold_answers), f1_threshold)
+
+
+def oracle_record_correct(record, f1_threshold=0.3) -> bool:
+    """`rewards.record_correct`: a cached `match` decides without rematching
+    but never overrides the threshold (a cached TokenF1 result is correct
+    exactly when its F1 reaches it and the record has an answer)."""
+    from uncal.rewards import MatchRule, _check_threshold
+
+    cached = record.match
+    if cached is None:
+        return oracle_match_record(record, f1_threshold).correct
+    _check_threshold(f1_threshold)
+    if cached.rule is not MatchRule.TOKEN_F1:
+        return cached.correct
+    if cached.f1 < f1_threshold:
+        return False
+    return oracle_record_answer(record) is not None
+
+
+def oracle_record_confidence(record):
+    """`rewards.record_confidence`: the explicit field when present,
+    otherwise parsed from the response text."""
+    from uncal.rewards import extract_confidence
+
+    if record.verbal_confidence is not None:
+        return record.verbal_confidence
+    return extract_confidence(record.response_text)
+
+
+def oracle_score_predictions(records, f1_threshold=0.3):
+    """`rewards.score_predictions` over records: (confidence, correct,
+    marked) columns, built one record at a time."""
+    import numpy as np
+
+    from uncal.rewards import UNCERTAIN_MARKER
+
+    return (np.array([oracle_record_confidence(r) for r in records], dtype=float),
+            np.array([oracle_record_correct(r, f1_threshold) for r in records], dtype=bool),
+            np.array([UNCERTAIN_MARKER in r.response_text for r in records], dtype=bool))
+
+
+def oracle_score_traces(records, f1_threshold=0.3):
+    """`ragctl.score_traces` over records: (noret matches, ret matches,
+    {kind: signal column}), each answer matched against a fresh gold set and
+    each signal read from the record's attributes."""
+    import numpy as np
+
+    from uncal.ragctl import PolicyKind
+    from uncal.rewards import GoldSet, match_answer
+
+    noret = [match_answer(r.noret_answer, GoldSet(r.gold_answers), f1_threshold)
+             for r in records]
+    ret = [match_answer(r.ret_answer, GoldSet(r.gold_answers), f1_threshold) for r in records]
+    signals = {
+        PolicyKind.CONFIDENCE_THRESHOLD: [r.noret_confidence for r in records],
+        PolicyKind.EMISSION_ONLY: [r.noret_emissions for r in records],
+        PolicyKind.EMISSION_PLUS_PROBE: [r.noret_probe_score if r.noret_emissions >= 1
+                                         else -math.inf for r in records],
+        PolicyKind.TOKEN_PROB_WINDOW: [None if r.noret_token_probs is None
+                                       else min(r.noret_token_probs, default=math.inf)
+                                       for r in records],
+        PolicyKind.EXTERNAL: [r.external_trigger for r in records],
+    }
+    return noret, ret, {kind: np.array(column, dtype=float) for kind, column in signals.items()}
+
+
+def oracle_ats_row(record) -> tuple[float, float, float]:
+    """`recal._ats_row`: a record's response length in tokens (its count, or
+    whitespace tokens when not positive), answer length and reasoning depth."""
+    from uncal.rewards import reasoning_depth
+
+    length = record.response_token_count
+    if length <= 0:
+        length = len(record.response_text.split())
+    return (float(length), float(len(oracle_record_answer(record) or "")),
+            float(reasoning_depth(record.response_text)))
+
+
+def oracle_build_features(token_hidden, record, window, span_token_count):
+    """`probe.build_features` of one record: the mean hidden vector over the
+    window around its first emitted token, then its token count, emission
+    count and first-emit fraction (None, read as 0, for an empty text)."""
+    import numpy as np
+
+    first = record.emissions[0].token_index
+    hidden = np.asarray(token_hidden)
+    lo = max(0, first - window)
+    hi = min(hidden.shape[0], first + span_token_count + window)
+    span_mean = np.asarray(hidden[lo:hi], dtype=float).mean(axis=0)
+    fraction = (record.emissions[0].char_position / len(record.response_text)
+                if record.response_text else None)
+    scalars = (float(record.response_token_count), float(len(record.emissions)),
+               float(fraction if fraction is not None else 0.0))
+    return np.concatenate([span_mean, scalars])
+
+
+def oracle_examples(records, correct, stack, window, span_token_count):
+    """`probe.examples` over records: (features, wrong labels, qids) of each
+    emitted record with hidden states in `stack`."""
+    import numpy as np
+
+    rows, wrong, qids = [], [], []
+    for record, ok in zip(records, correct):
+        if record.emissions and record.qid in stack:
+            rows.append(oracle_build_features(stack[record.qid], record, window,
+                                              span_token_count))
+            wrong.append(0 if ok else 1)
+            qids.append(record.qid)
+    return np.stack(rows), np.asarray(wrong, dtype=int), qids
+
+
+def record_row(record: PredictionRecord) -> dict:
+    """The row of a prediction table that holds `record`."""
+    return {**vars(record), "gold_answers": list(record.gold_answers),
+            "emissions": [vars(e) for e in record.emissions],
+            "token_probs": None if record.token_probs is None else list(record.token_probs),
+            "match": None if record.match is None else vars(record.match)}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,8 +24,11 @@ from uncal.rewards import GoldSet, match_answer, score_predictions
 from conftest import (
     make_record,
     planted_stack,
+    prediction,
+    predictions,
     random_batch,
     random_rag_batch,
+    rows as table_rows,
     run_policy,
     sweep_threshold,
 )
@@ -171,10 +175,13 @@ def test_metric_oracle_equivalence():
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0.0, 1.0)))
         report = run_policy(policy, traces)
         decisions = ragctl.decide(policy, ragctl.score_traces(traces)).tolist()
-        noret_ok = [match_answer(r.noret_answer, GoldSet(r.gold_answers)).correct for r in traces]
+        lines = table_rows(traces)
+        noret_ok = [match_answer(r["noret_answer"], GoldSet(r["gold_answers"])).correct
+                    for r in lines]
         final_ok = [
-            match_answer(r.ret_answer if d else r.noret_answer, GoldSet(r.gold_answers)).correct
-            for d, r in zip(decisions, traces)
+            match_answer(r["ret_answer"] if d else r["noret_answer"],
+                         GoldSet(r["gold_answers"])).correct
+            for d, r in zip(decisions, lines)
         ]
         counts = oracle_trigger_counts(decisions, noret_ok, final_ok)
         assert report.n == counts["n"]
@@ -206,6 +213,7 @@ def test_temperature_recovery():
             logit = math.log(q / (1.0 - q))
             conf = 1.0 / (1.0 + math.exp(-logit * t_star))
             records.append(make_record(f"q{i}", conf, outcome))
+        records = predictions(records)
         model = recal.fit_global_ts(score_predictions(records))
         assert abs(model.temperature - t_star) / t_star < 0.10
         assert model.fit_nll <= oracle_ts_nll(recal.TsModel(1.0), records)
@@ -222,13 +230,12 @@ def test_ats_dominance():
             logit = math.log(q / (1.0 - q))
             conf = 1.0 / (1.0 + math.exp(-logit * float(rng.choice([0.7, 1.0, 2.0]))))
             records.append(make_record(f"q{i}", conf, outcome))
+        records = predictions(records)
         ts_model = recal.fit_global_ts(score_predictions(records))
         ats_model = recal.fit_ats(records, score_predictions(records), l2=0.0)
         assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
 
     rng = np.random.default_rng(SEED + 30)
-    from uncal.rewards import PredictionRecord
-
     planted = []
     for i in range(3000):
         q = float(rng.uniform(0.1, 0.9))
@@ -238,12 +245,9 @@ def test_ats_dominance():
         conf = 1.0 / (1.0 + math.exp(-logit * t_gen))
         words = "pad " * (200 if i % 2 == 0 else 10)
         text = f"{words.strip()}\nAnswer: {'alpha' if outcome else 'omega'}"
-        planted.append(
-            PredictionRecord(
-                qid=f"q{i}", gold_answers=("alpha",), response_text=text,
-                verbal_confidence=conf, response_token_count=len(text.split()),
-            )
-        )
+        planted.append(prediction(f"q{i}", ("alpha",), text, verbal_confidence=conf,
+                                  response_token_count=len(text.split())))
+    planted = predictions(planted)
     ts_model = recal.fit_global_ts(score_predictions(planted))
     ats_model = recal.fit_ats(planted, score_predictions(planted), l2=0.0)
     assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
@@ -265,15 +269,15 @@ def test_probe_planted_signal_sweep():
 @criterion(8, "Always/Never reproduce Ret-All/No-Ret; trigger rate monotone in tau")
 def test_controller_identities():
     fixture = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
-    assert len(fixture) == 20
+    assert len(fixture["qid"]) == 20
 
-    def accounting(records, decisions):
-        n = len(records)
+    def accounting(table, decisions):
+        n = len(table["qid"])
         em = 0
         f1_total = 0.0
-        for decide, record in zip(decisions, records):
-            answer = record.ret_answer if decide else record.noret_answer
-            result = match_answer(answer, GoldSet(record.gold_answers))
+        for decide, record in zip(decisions, table_rows(table)):
+            answer = record["ret_answer"] if decide else record["noret_answer"]
+            result = match_answer(answer, GoldSet(record["gold_answers"]))
             em += 1 if (result.correct and result.rule.value == "ExactMatch") else 0
             f1_total += result.f1
         return em / n, f1_total / n, sum(decisions) / n
@@ -333,7 +337,7 @@ def test_cli_determinism(tmp_path):
     with open(spaces, "w") as fh:
         for _ in range(5):
             space = ts.random_space(rng)
-            fh.write(jsonio.encode(jsonio.SPACE, space) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, asdict(space)) + "\n")
 
     records, stacks = planted_stack(
         np.random.default_rng(SEED + 60), layers=(0, 8), signal_layer=8, n=120
@@ -348,7 +352,7 @@ def test_cli_determinism(tmp_path):
         matio.write_matrix(hidden / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(hidden / f"layer_{layer}.mat.ids.jsonl", ids)
     probe_preds = tmp_path / "probe_preds.jsonl"
-    jsonio.write_jsonl(probe_preds, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(probe_preds, jsonio.encode_lines(jsonio.PREDICTION, records))
 
     x = np.random.default_rng(SEED + 61).normal(size=(30, 5))
     matio.write_matrix(tmp_path / "x.mat", x)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from uncal import calib
 from uncal.errors import EmptyBatch
-from uncal.rewards import PredictionRecord, ScoredBatch, score_predictions
+from uncal.rewards import ScoredBatch, score_predictions
 
-from conftest import count_calls, make_record, outcome, random_batch
+from conftest import count_calls, make_record, outcome, predictions, random_batch, rows
 from oracles import (
     oracle_ausc,
     oracle_brier,
@@ -21,8 +21,10 @@ from oracles import (
 
 
 def metrics(records, num_bins=10, epsilon=1e-6):
-    """Every calibration metric of `records`, scored once."""
-    return calib.calibration_report(score_predictions(records), num_bins, epsilon)
+    """Every calibration metric of a prediction table, or of a list of
+    prediction lines, scored once."""
+    table = records if isinstance(records, dict) else predictions(records)
+    return calib.calibration_report(score_predictions(table), num_bins, epsilon)
 
 
 class TestEce:
@@ -108,16 +110,10 @@ class TestAusc:
     def test_duplication_invariance(self, rng):
         for trial in range(10):
             records, _ = random_batch(rng, 12, with_ties=trial % 2 == 0)
-            doubled = records + [
-                PredictionRecord(
-                    qid=r.qid + "-copy",
-                    gold_answers=r.gold_answers,
-                    response_text=r.response_text,
-                    verbal_confidence=r.verbal_confidence,
-                    dataset=r.dataset,
-                )
-                for r in records
-            ]
+            lines = [{key: r[key] for key in ("qid", "gold_answers", "response_text",
+                                              "verbal_confidence", "dataset")}
+                     for r in rows(records)]
+            doubled = lines + [{**line, "qid": line["qid"] + "-copy"} for line in lines]
             assert metrics(doubled).ausc == pytest.approx(metrics(records).ausc, abs=1e-12)
 
 
@@ -139,7 +135,7 @@ class TestMetricOracleAgreement:
 class TestErrorTaxonomy:
     def test_no_wrong_answers(self):
         records = [make_record(f"q{i}", 0.9, True) for i in range(4)]
-        taxonomy = calib.error_taxonomy(score_predictions(records))
+        taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
         assert taxonomy.total_wrong == 0 and taxonomy.epistemic == 0
         assert all(b.count == 0 for b in taxonomy.bands)
 
@@ -149,7 +145,7 @@ class TestErrorTaxonomy:
             make_record("q2", 0.6, False),
             make_record("q3", 0.2, False),
         ]
-        taxonomy = calib.error_taxonomy(score_predictions(records))
+        taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
         assert taxonomy.total_wrong == 3
         assert taxonomy.epistemic == 2 and taxonomy.aleatoric == 1
         assert taxonomy.strict_epistemic == 1
@@ -161,7 +157,7 @@ class TestErrorTaxonomy:
             make_record("q2", 0.71, False),  # lands in c > 0.7
             make_record("q3", 0.1, False),   # lands in c <= 0.1
         ]
-        taxonomy = calib.error_taxonomy(score_predictions(records))
+        taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
         by_label = {b.label: b.count for b in taxonomy.bands}
         assert by_label["c>0.7"] == 1
         assert by_label["0.5<c<=0.7"] == 1
@@ -172,7 +168,7 @@ class TestErrorTaxonomy:
             make_record("q1", 0.8, False, emissions_text="hmm <uncertain>"),
             make_record("q2", 0.8, False),
         ]
-        taxonomy = calib.error_taxonomy(score_predictions(records))
+        taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
         assert taxonomy.epistemic_with_emit == 1
         assert taxonomy.epistemic_without_emit == 1
 
@@ -191,7 +187,7 @@ def test_calibration_report_shape():
         make_record("q2", 0.4, False),
         make_record("q3", None, True),
     ]
-    report = calib.calibration_report(score_predictions(records), num_bins=5)
+    report = calib.calibration_report(score_predictions(predictions(records)), num_bins=5)
     assert report.n == 3
     assert report.parse_rate == pytest.approx(2.0 / 3.0)
     assert report.accuracy == pytest.approx(2.0 / 3.0)
@@ -205,7 +201,7 @@ class TestScoredBatch:
     def test_report_matches_each_record_once(self, rng, monkeypatch):
         import uncal.rewards as rewards
 
-        calls = count_calls(monkeypatch, rewards, "match_record")
+        calls = count_calls(monkeypatch, rewards, "match_answer")
         records, _ = random_batch(rng, 40)
         batch = score_predictions(records)
         calib.calibration_report(batch)
@@ -214,16 +210,16 @@ class TestScoredBatch:
 
     def test_empty_and_unparsed_batches_rejected(self):
         with pytest.raises(EmptyBatch):
-            calib.calibration_report(score_predictions([]))
+            calib.calibration_report(score_predictions(predictions([])))
         with pytest.raises(EmptyBatch):
-            calib.error_taxonomy(score_predictions([]))
+            calib.error_taxonomy(score_predictions(predictions([])))
         with pytest.raises(EmptyBatch):
-            calib.calibration_report(score_predictions([make_record("q", None, True)]))
+            calib.calibration_report(score_predictions(predictions([make_record("q", None, True)])))
 
     def test_bins_validated(self):
         with pytest.raises(ValueError):
             calib.calibration_report(
-                score_predictions([make_record("q", 0.5, True)]), num_bins=0
+                score_predictions(predictions([make_record("q", 0.5, True)])), num_bins=0
             )
 
 

@@ -20,11 +20,17 @@ from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, reprgeo, rewa
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, CorruptInput, EmptyBatch, IoError
 from uncal.jsonio import load_predictions, load_rag_traces
-from uncal.ragctl import RagTraceRecord
-from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
+from uncal.rewards import MatchResult, MatchRule
 
-from conftest import count_calls, planted_stack
-from oracles import oracle_annotate_record
+from conftest import count_calls, planted_stack, prediction, rows
+from oracles import (
+    EmissionEvent,
+    PredictionRecord,
+    RagTraceRecord,
+    oracle_annotate_record,
+    prediction_records,
+    record_row,
+)
 
 GOLDEN_CALIB = Path(__file__).parent / "data" / "golden_calib.json"
 PREDS_FIXTURE = Path(str(uncal.fixture_path("preds20.jsonl")))
@@ -36,7 +42,7 @@ def write_spaces(path, count=6, seed=1):
     with open(path, "w") as fh:
         for _ in range(count):
             space = trajspace.random_space(rng)
-            fh.write(jsonio.encode(jsonio.SPACE, space) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, asdict(space)) + "\n")
 
 
 def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120, dims=12):
@@ -53,7 +59,7 @@ def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120, dims=12):
         matio.write_matrix(directory / f"layer_{layer}.mat", np.vstack(mats))
         matio.write_row_ids(directory / f"layer_{layer}.mat.ids.jsonl", ids)
     preds = directory / "preds.jsonl"
-    jsonio.write_jsonl(preds, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(preds, jsonio.encode_lines(jsonio.PREDICTION, records))
     return preds
 
 
@@ -62,7 +68,8 @@ class TestLoadPredictions:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         result = load_predictions(path)
-        assert result.records == [] and result.errors == []
+        assert result.records == {key: [] for key in jsonio.PREDICTION}
+        assert result.errors == []
 
     def test_one_malformed_line_among_ten(self, tmp_path):
         lines = [
@@ -75,7 +82,7 @@ class TestLoadPredictions:
         path = tmp_path / "preds.jsonl"
         path.write_text("\n".join(lines) + "\n")
         result = load_predictions(path)
-        assert len(result.records) == 9
+        assert len(result.records["qid"]) == 9
         assert len(result.errors) == 1 and result.errors[0][0] == 5
 
     def test_majority_invalid_rejected(self, tmp_path):
@@ -93,14 +100,14 @@ class TestLoadPredictions:
             + good.replace('"g"', '"h"') + "\n"
         )
         result = load_predictions(path)
-        assert len(result.records) == 2 and len(result.errors) == 1
+        assert len(result.records["qid"]) == 2 and len(result.errors) == 1
         assert "bogus" in result.errors[0][1]
 
     def test_round_trip_fixture(self, tmp_path):
         result = load_predictions(PREDS_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "again.jsonl"
-        jsonio.write_jsonl(out, [jsonio.encode(jsonio.PREDICTION, r) for r in result.records])
+        jsonio.write_jsonl(out, jsonio.encode_lines(jsonio.PREDICTION, result.records))
         again = load_predictions(out)
         assert again.records == result.records
 
@@ -108,7 +115,7 @@ class TestLoadPredictions:
         result = load_rag_traces(RAG_FIXTURE)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "rag.jsonl"
-        jsonio.write_jsonl(out, [jsonio.encode(jsonio.RAG_TRACE, r) for r in result.records])
+        jsonio.write_jsonl(out, jsonio.encode_lines(jsonio.RAG_TRACE, result.records))
         assert load_rag_traces(out).records == result.records
 
     def test_match_output_reloads_with_annotations(self, tmp_path):
@@ -116,9 +123,10 @@ class TestLoadPredictions:
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", str(out)]) == 0
         result = load_predictions(out)
         assert not result.errors
-        assert all(r.match is not None for r in result.records)
-        assert all(r.extracted_answer is not None or r.match.correct is False
-                   for r in result.records)
+        table = result.records
+        assert all(match is not None for match in table["match"])
+        assert all(answer is not None or match["correct"] is False
+                   for answer, match in zip(table["extracted_answer"], table["match"]))
 
 
 class TestExitCodes:
@@ -213,7 +221,7 @@ class TestExitCodes:
         # unchecked, k=-1 would slice to every component but the smallest
         matio.write_matrix(tmp_path / "x.mat", np.random.default_rng(4).normal(size=(6, 3)))
         assert main(["repr", "pca", "--in", str(tmp_path / "x.mat"), "--k", k]) == 1
-        assert f"k={k} must be at least 1" in capsys.readouterr().err
+        assert f"bad --k value '{k}': must be an integer >= 1" in capsys.readouterr().err
 
     def test_non_finite_matrix_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "nan.mat"
@@ -396,8 +404,8 @@ class TestFunctional:
         out = tmp_path / "out.jsonl"
         assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
         loaded = load_predictions(out).records
-        assert loaded[0].verbal_confidence == 0.25   # replaced
-        assert loaded[1].verbal_confidence == 0.9    # no p_affirmative: untouched
+        assert loaded["verbal_confidence"][0] == 0.25   # replaced
+        assert loaded["verbal_confidence"][1] == 0.9    # no p_affirmative: untouched
 
 
     def test_rag_report_names_each_number_once(self, tmp_path):
@@ -1024,8 +1032,9 @@ class TestPredictionLoaderChecks:
 
 
 class TestEmissionRules:
-    """The two emission rules no table can state, which `PredictionRecord`
-    keeps, reported through the loader like any table rejection."""
+    """The two emission rules across a line's fields, which the prediction
+    load checks after the field checks (`jsonio.PREDICTIONS.rule`), reported
+    like any table rejection."""
 
     GOOD = {"qid": "g", "gold_answers": ["a"], "response_text": "Answer: a <uncertain>",
             "verbal_confidence": 0.5}
@@ -1218,6 +1227,38 @@ class TestNestedRejections:
         assert len(out.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["calib", "--in", "{missing}", "--bins", "0"],
+     "bad --bins value '0': must be an integer >= 1"),
+    (["calib", "--in", "{missing}", "--bins", "2.5"],
+     "bad --bins value '2.5': must be an integer >= 1"),
+    (["calib", "--in", "{missing}", "--nll-epsilon", "0.5"],
+     "bad --nll-epsilon value '0.5': must be a number in (0,0.5)"),
+    (["recal", "ats", "--fit", "{missing}", "--apply", "{missing}", "--out", "{missing}",
+      "--l2", "-1"], "bad --l2 value '-1': must be a finite number >= 0"),
+    (["probe", "sweep", "--hidden", "{missing}", "--preds", "{missing}", "--layers", "0",
+      "--l2", "inf"], "bad --l2 value 'inf': must be a finite number >= 0"),
+    (["probe", "fit", "--hidden", "{missing}", "--preds", "{missing}", "--out", "{missing}",
+      "--window", "-1"], "bad --window value '-1': must be an integer >= 0"),
+    (["probe", "fit", "--hidden", "{missing}", "--preds", "{missing}", "--out", "{missing}",
+      "--span-tokens", "0"], "bad --span-tokens value '0': must be an integer >= 1"),
+    (["theory", "iterate", "--in", "{missing}", "--steps", "0"],
+     "bad --steps value '0': must be an integer >= 1"),
+    (["repr", "pca", "--in", "{missing}", "--k", "0"],
+     "bad --k value '0': must be an integer >= 1"),
+])
+def test_a_bad_flag_value_is_refused_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, flags, message
+):
+    # given with a missing input, each exited 2 with `cannot read` once loaded
+    reads = count_calls(monkeypatch, jsonio, "read_file")
+    matrices = count_calls(monkeypatch, matio, "read_matrix")
+    argv = [flag.format(missing=tmp_path / "missing") for flag in flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"uncal: {message}\nusage: uncal")
+    assert reads == matrices == []
+
+
 class TestFitFlagRanges:
     """Fit settings that used to produce garbage are refused with exit 1 and a
     message naming the setting; no output is written."""
@@ -1228,12 +1269,13 @@ class TestFitFlagRanges:
         return tmp_path / "hidden", preds
 
     @pytest.mark.parametrize("flags, message", [
-        (["--l2", "-1"], "l2=-1.0 must be a finite number >= 0"),
-        (["--l2", "nan"], "l2=nan must be a finite number >= 0"),
-        (["--l2", "inf"], "l2=inf must be a finite number >= 0"),
-        (["--window", "-1"], "window=-1 must be at least 0"),
-        (["--window", "-1", "--span-tokens", "3"], "window=-1 must be at least 0"),
-        (["--span-tokens", "0"], "span_tokens=0 must be at least 1"),
+        (["--l2", "-1"], "bad --l2 value '-1': must be a finite number >= 0"),
+        (["--l2", "nan"], "bad --l2 value 'nan': must be a finite number >= 0"),
+        (["--l2", "inf"], "bad --l2 value 'inf': must be a finite number >= 0"),
+        (["--window", "-1"], "bad --window value '-1': must be an integer >= 0"),
+        (["--window", "-1", "--span-tokens", "3"],
+         "bad --window value '-1': must be an integer >= 0"),
+        (["--span-tokens", "0"], "bad --span-tokens value '0': must be an integer >= 1"),
     ])
     @pytest.mark.parametrize("command", ["sweep", "fit"])
     def test_probe(self, tmp_path, capsys, probe_inputs, command, flags, message):
@@ -1243,7 +1285,7 @@ class TestFitFlagRanges:
                  else ["--hidden", str(hidden / "layer_8.mat")])
         assert main(["probe", command, *where, "--preds", str(preds),
                      *flags, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert capsys.readouterr().err.startswith(f"uncal: {message}\nusage: uncal")
         assert not out.exists()
 
     def test_window_refused_when_no_record_has_hidden_states(self, tmp_path, capsys,
@@ -1254,18 +1296,19 @@ class TestFitFlagRanges:
         assert main(argv) == 1
         assert capsys.readouterr().err == "uncal: no emitted record has hidden states\n"
         assert main([*argv, "--window", "-1"]) == 1
-        assert capsys.readouterr().err == "uncal: window=-1 must be at least 0\n"
+        assert capsys.readouterr().err.startswith(
+            "uncal: bad --window value '-1': must be an integer >= 0\n")
 
     @pytest.mark.parametrize("flags, message", [
-        (["--l2", "-1"], "l2=-1.0 must be a finite number >= 0"),
-        (["--l2", "nan"], "l2=nan must be a finite number >= 0"),
-        (["--l2", "inf"], "l2=inf must be a finite number >= 0"),
+        (["--l2", "-1"], "bad --l2 value '-1': must be a finite number >= 0"),
+        (["--l2", "nan"], "bad --l2 value 'nan': must be a finite number >= 0"),
+        (["--l2", "inf"], "bad --l2 value 'inf': must be a finite number >= 0"),
     ])
     def test_recal_ats(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o.jsonl"
         assert main(["recal", "ats", "--fit", str(PREDS_FIXTURE),
                      "--apply", str(PREDS_FIXTURE), "--out", str(out), *flags]) == 1
-        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert capsys.readouterr().err.startswith(f"uncal: {message}\nusage: uncal")
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [
@@ -1290,82 +1333,90 @@ class TestFitFlagRanges:
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _PROB = st.floats(0.0, 1.0)
-_TOKEN_PROBS = st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4).map(tuple)
-_GOLDS = st.lists(_TEXT, min_size=1, max_size=3).map(tuple)
+_TOKEN_PROBS = st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=4)
+_GOLDS = st.lists(_TEXT, min_size=1, max_size=3)
 
 
 @st.composite
-def _predictions(draw) -> PredictionRecord:
+def _predictions(draw) -> dict:
+    """A row of a prediction table, its fields as a load reads them."""
     text = draw(_TEXT)
     positions = sorted(draw(st.sets(st.integers(0, max(len(text) - 1, 0)), max_size=3)))
-    return PredictionRecord(
-        qid=draw(_TEXT), gold_answers=draw(_GOLDS), response_text=text,
-        dataset=draw(_TEXT), question=draw(_TEXT),
-        extracted_answer=draw(st.none() | _TEXT),
-        verbal_confidence=draw(st.none() | _PROB),
-        emissions=tuple(EmissionEvent(p, draw(st.none() | st.integers(0, 99)))
-                        for p in positions),
-        response_token_count=draw(st.integers(0, 10**6)),
-        token_probs=draw(st.none() | _TOKEN_PROBS),
-        p_affirmative=draw(st.none() | _PROB),
-        match=draw(st.none() | st.builds(MatchResult, st.booleans(),
-                                         st.sampled_from(MatchRule), _PROB)),
-    )
+    return {
+        "qid": draw(_TEXT), "gold_answers": draw(_GOLDS), "response_text": text,
+        "dataset": draw(_TEXT), "question": draw(_TEXT),
+        "extracted_answer": draw(st.none() | _TEXT),
+        "verbal_confidence": draw(st.none() | _PROB),
+        "emissions": [{"char_position": p, "token_index": draw(st.none() | st.integers(0, 99))}
+                      for p in positions],
+        "response_token_count": draw(st.integers(0, 10**6)),
+        "token_probs": draw(st.none() | _TOKEN_PROBS),
+        "p_affirmative": draw(st.none() | _PROB),
+        "match": draw(st.none() | st.fixed_dictionaries({
+            "correct": st.booleans(), "rule": st.sampled_from(MatchRule), "f1": _PROB})),
+    }
 
 
-_RAG_TRACES = st.builds(
-    RagTraceRecord,
-    qid=_TEXT, gold_answers=_GOLDS, noret_answer=_TEXT, ret_answer=_TEXT, dataset=_TEXT,
-    noret_confidence=st.none() | _PROB,
-    noret_emissions=st.integers(0, 99),
-    noret_probe_score=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-    noret_token_probs=st.none() | _TOKEN_PROBS,
-    noret_response_text=st.none() | _TEXT,
-    external_trigger=st.none() | st.booleans(),
-)
+_RAG_TRACES = st.fixed_dictionaries({
+    "qid": _TEXT, "gold_answers": _GOLDS, "noret_answer": _TEXT, "ret_answer": _TEXT,
+    "dataset": _TEXT, "noret_confidence": st.none() | _PROB,
+    "noret_emissions": st.integers(0, 99),
+    "noret_probe_score": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    "noret_token_probs": st.none() | _TOKEN_PROBS,
+    "noret_response_text": st.none() | _TEXT,
+    "external_trigger": st.none() | st.booleans(),
+})
+
+
+def _reread(kind, line: str) -> dict:
+    """The one row a load of `line` yields."""
+    table, errors, _ = jsonio.read_lines([line], kind)
+    assert errors == []
+    return rows(table)[0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_predictions())
-def test_prediction_writer_loader_round_trip(record):
-    line = jsonio.encode(jsonio.PREDICTION, record)
-    again = jsonio.PREDICTIONS.parse(json.loads(line))
-    assert again == record
+def test_prediction_writer_loader_round_trip(row):
+    line = jsonio.encode(jsonio.PREDICTION, row)
+    again = _reread(jsonio.PREDICTIONS, line)
+    assert again == row
     assert jsonio.encode(jsonio.PREDICTION, again) == line
 
 
 @st.composite
-def _answered_predictions(draw) -> PredictionRecord:
-    """A `_predictions` record whose text may end in an answer line."""
-    record = draw(_predictions())
+def _answered_predictions(draw) -> dict:
+    """A `_predictions` row whose text may end in an answer line."""
+    row = draw(_predictions())
     answer = draw(st.none() | st.sampled_from(["alpha", "Alpha.", "yes", "1920", ""]) | _TEXT)
     if answer is None:
-        return record
-    return dataclasses.replace(record, response_text=f"{record.response_text}\nAnswer: {answer}")
+        return row
+    return {**row, "response_text": f"{row['response_text']}\nAnswer: {answer}"}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_answered_predictions(), min_size=1, max_size=5),
        st.sampled_from([0.0, 0.3, 1.0]))
-def test_match_lines_equal_the_former_annotation(records, threshold):
+def test_match_lines_equal_the_former_annotation(lines, threshold):
     # each line as `match` wrote it from a copy of the record with
     # `extracted_answer` and `match` filled in
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "matched.jsonl"
-        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, row) for row in lines])
         assert main(["match", "--in", str(path), "--f1-threshold", str(threshold),
                      "--out", str(out)]) == 0
-        want = [jsonio.encode(jsonio.PREDICTION, oracle_annotate_record(r, threshold)) + "\n"
-                for r in load_predictions(path).records]
+        want = [jsonio.encode(jsonio.PREDICTION,
+                              record_row(oracle_annotate_record(r, threshold))) + "\n"
+                for r in prediction_records(load_predictions(path).records)]
         assert out.read_text(encoding="utf-8") == "".join(want)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_RAG_TRACES)
-def test_rag_writer_loader_round_trip(record):
-    line = jsonio.encode(jsonio.RAG_TRACE, record)
-    again = jsonio.RAG_TRACES.parse(json.loads(line))
-    assert again == record
+def test_rag_writer_loader_round_trip(row):
+    line = jsonio.encode(jsonio.RAG_TRACE, row)
+    again = _reread(jsonio.RAG_TRACES, line)
+    assert again == row
     assert jsonio.encode(jsonio.RAG_TRACE, again) == line
 
 
@@ -1377,10 +1428,10 @@ _SPACES = st.integers(0, 2**32 - 1).map(
 @settings(max_examples=100, deadline=None)
 @given(_SPACES)
 def test_space_writer_loader_round_trip(space):
-    line = jsonio.encode(jsonio.SPACE, space)
-    again = jsonio.SPACES.parse(json.loads(line))
-    assert again == space
-    assert jsonio.encode(jsonio.SPACE, again) == line
+    line = jsonio.encode(jsonio.SPACE, asdict(space))
+    [again], errors, _ = jsonio.read_lines([line], jsonio.SPACES)
+    assert errors == [] and again == space
+    assert jsonio.encode(jsonio.SPACE, asdict(again)) == line
 
 
 def test_probe_model_writer_loader_round_trip(tmp_path):
@@ -1393,11 +1444,13 @@ def test_probe_model_writer_loader_round_trip(tmp_path):
     # the loader keeps the model; what it does not keep is given back in line form
     fields = jsonio.read_table(jsonio.PROBE_MODEL, json.loads(text))
     given = {key: fields[key] for key in ("schema", "config", "fit")}
-    assert jsonio.encode(jsonio.PROBE_MODEL, model, **given) + "\n" == text
+    assert jsonio.encode(jsonio.PROBE_MODEL, {**vars(model), **given}) + "\n" == text
 
 
-# each table with the class its lines build: the table holds the class's
-# fields, less those derived on reading, plus those given on writing
+# each table with the class its lines build (for predictions, traces and
+# emissions, the record class their loads built before they yielded column
+# tables): the table holds the class's fields, less those derived on reading,
+# plus those given on writing
 _TABLE_CLASSES = {
     "PREDICTION": PredictionRecord,
     "EMISSION": EmissionEvent,
@@ -1421,13 +1474,11 @@ def test_table_fields_are_the_class_fields(table):
     assert set(getattr(jsonio, table)) == want
 
 
-def test_encoder_refuses_a_field_the_record_or_the_table_lacks():
-    model = probe.ProbeModel(0, np.zeros(1), 0.0, 0.5, np.zeros(1), np.ones(1))
-    with pytest.raises(AttributeError, match="schema"):
-        jsonio.encode(jsonio.PROBE_MODEL, model, config=None)
-    with pytest.raises(AttributeError, match="scheme"):
-        jsonio.encode(jsonio.PROBE_MODEL, model, schema=None, config=None, scheme="x")
-    line = jsonio.encode(jsonio.PROBE_MODEL, model, schema=None, config=None)
+def test_encoder_refuses_a_field_the_mapping_lacks():
+    model = vars(probe.ProbeModel(0, np.zeros(1), 0.0, 0.5, np.zeros(1), np.ones(1)))
+    with pytest.raises(KeyError, match="schema"):
+        jsonio.encode(jsonio.PROBE_MODEL, {**model, "config": None})
+    line = jsonio.encode(jsonio.PROBE_MODEL, {**model, "schema": None, "config": None})
     assert json.loads(line) == {"layer": 0, "weights": [0.0], "bias": 0.0, "threshold": 0.5,
                     "feature_means": [0.0], "feature_stds": [1.0]}
 
@@ -1439,15 +1490,15 @@ _CONFIDENCES = st.sampled_from([0.0, 0.1, 0.5, 0.7, 0.9, 1.0]) | _PROB
 
 
 @st.composite
-def _scored_predictions(draw) -> list[PredictionRecord]:
+def _scored_predictions(draw) -> list[dict]:
     records = []
     for i in range(draw(st.integers(1, 25))):
         conf = draw(st.none() | _CONFIDENCES)
         in_text = conf is not None and draw(st.booleans())
         text = ("hmm <uncertain>\n" if draw(st.booleans()) else "") + f"Answer: {draw(_ANSWERS)}"
-        records.append(PredictionRecord(
-            qid=f"q{i}", gold_answers=("alpha", "beta gamma"),
-            response_text=text + (f"\nConfidence: {conf}" if in_text else ""),
+        records.append(prediction(
+            f"q{i}", ("alpha", "beta gamma"),
+            text + (f"\nConfidence: {conf}" if in_text else ""),
             verbal_confidence=None if in_text else conf,
         ))
     return records
@@ -1463,7 +1514,7 @@ def _as_json(obj):
 def test_calib_cli_equals_api(records, bins):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "calib.json"
-        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+        jsonio.write_jsonl(path, records)
         argv = ["calib", "--in", str(path), "--bins", str(bins), "--out", str(out)]
         batch = rewards.score_predictions(load_predictions(path).records)
         try:
@@ -1479,13 +1530,13 @@ def test_calib_cli_equals_api(records, bins):
 
 _POLICIES = st.sampled_from(["always", "never", "emit", "external", "conf:0", "conf:0.5",
                              "emit+probe:0.5", "flare:0.3"])
-_FULL_TRACES = st.lists(st.builds(
-    RagTraceRecord,
-    qid=st.uuids().map(str), gold_answers=st.just(("alpha", "beta gamma")),
-    noret_answer=_ANSWERS, ret_answer=_ANSWERS, dataset=st.sampled_from(["", "d1", "d2"]),
-    noret_confidence=_CONFIDENCES, noret_emissions=st.integers(0, 3),
-    noret_probe_score=_PROB, noret_token_probs=_TOKEN_PROBS, external_trigger=st.booleans(),
-), min_size=1, max_size=25)
+_FULL_TRACES = st.lists(st.fixed_dictionaries({
+    "qid": st.uuids().map(str), "gold_answers": st.just(["alpha", "beta gamma"]),
+    "noret_answer": _ANSWERS, "ret_answer": _ANSWERS,
+    "dataset": st.sampled_from(["", "d1", "d2"]), "noret_confidence": _CONFIDENCES,
+    "noret_emissions": st.integers(0, 3), "noret_probe_score": _PROB,
+    "noret_token_probs": _TOKEN_PROBS, "external_trigger": st.booleans(),
+}), min_size=1, max_size=25)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1493,7 +1544,7 @@ _FULL_TRACES = st.lists(st.builds(
 def test_rag_cli_equals_api(records, policy):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "traces.jsonl", Path(tmp) / "rag.json"
-        jsonio.write_jsonl(path, [jsonio.encode(jsonio.RAG_TRACE, r) for r in records])
+        jsonio.write_jsonl(path, records)
         assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
         got = json.loads(out.read_text())
         loaded = load_rag_traces(path).records
@@ -1534,11 +1585,13 @@ class TestProbeScoring:
 
     def test_sweep_scores_each_record_once(self, tmp_path, monkeypatch):
         preds = write_hidden_dir(tmp_path / "hidden", layers=(0, 4, 8))
-        calls = count_calls(monkeypatch, rewards, "record_correct")
+        scored = count_calls(monkeypatch, rewards, "score_predictions")
+        matches = count_calls(monkeypatch, rewards, "match_answer")
         assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
                      "--preds", str(preds), "--layers", "0,4,8",
                      "--out", str(tmp_path / "s.json")]) == 0
-        assert [args[0].qid for args in calls] == [r.qid for r in load_predictions(preds).records]
+        qids = load_predictions(preds).records["qid"]
+        assert [args[0]["qid"] for args in scored] == [qids] and len(matches) == len(qids)
 
 
 class TestMissingFields:
@@ -1681,9 +1734,27 @@ class TestAtomicInPlaceMatch:
         shutil.copy(PREDS_FIXTURE, path)
         path.chmod(0o640)
         assert main(["match", "--in", str(path)]) == 0
-        assert all(r.match is not None for r in load_predictions(path).records)
+        assert None not in load_predictions(path).records["match"]
         assert path.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+    def test_a_file_with_a_rejected_line_is_not_rewritten(self, tmp_path, capsys):
+        # rewriting it would drop the rejected line; `--out` writes the accepted ones
+        path = tmp_path / "ip.jsonl"
+        path.write_bytes(PREDS_FIXTURE.read_bytes() + b'{"qid": "bad", "gold_answers": ["a"], '
+                         b'"response_text": "x", "verbal_confidence": 3}\n')
+        before = path.read_bytes()
+        assert main(["match", "--in", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}:21: verbal_confidence outside [0,1]",
+            f"uncal: {path}: 1 of 21 lines rejected; the file is left as it was (give --out "
+            "to write the accepted lines)"]
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ip.jsonl"]
+        out = tmp_path / "out.jsonl"
+        assert main(["match", "--in", str(path), "--out", str(out)]) == 0
+        fixture = load_predictions(PREDS_FIXTURE).records
+        assert load_predictions(out).records["qid"] == fixture["qid"]
 
     def test_failing_writer_leaves_input_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "preds.jsonl"
@@ -1692,9 +1763,9 @@ class TestAtomicInPlaceMatch:
         lines = []
         original = jsonio.encode_lines
 
-        def failing(table, records, **given):
+        def failing(table, columns):
             # the output's fifth line fails, once four are written
-            for line in original(table, records, **given):
+            for line in original(table, columns):
                 if table is jsonio.PREDICTION:
                     if len(lines) == 4:
                         raise OSError("disk full")

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from uncal import jsonio, matio, probe, recal
 from uncal.errors import AlignmentError, IoError, ShapeError
-from uncal.rewards import EmissionEvent, MatchRule, PredictionRecord
+from uncal.rewards import MatchRule
 
+from conftest import count_calls, emission, prediction, predictions
 from oracles import oracle_read_table
 
 
@@ -255,6 +256,19 @@ EXPECTED = {'KL_ANNOTATIONS': [(3, "invalid JSON: Expecting ',' delimiter"),
             (39, 'gold_answer must be a string')]}
 
 
+def _count(accepted) -> int:
+    """The number of lines a load accepted: the rows of a column table, or
+    one object per line."""
+    return len(accepted["qid"]) if isinstance(accepted, dict) else len(accepted)
+
+
+def _joined(kind, blocks: list):
+    """What a load of the lines, each read alone into one of `blocks`, yields."""
+    if kind.rows({key: [] for key in kind.table}) == []:  # one object per line
+        return [obj for block in blocks for obj in block]
+    return {key: [value for block in blocks for value in block[key]] for key in kind.table}
+
+
 def _load(tmp_path, kind, lines):
     path = tmp_path / f"{kind}.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -269,7 +283,27 @@ def test_rejections_are_those_of_the_per_line_reader(tmp_path, monkeypatch, kind
     result = _load(tmp_path, kind, lines)
     assert result.errors == EXPECTED[kind]
     assert result.total_lines == len(lines) - 1
-    assert len(result.records) == result.total_lines - len(result.errors)
+    assert _count(result.records) == result.total_lines - len(result.errors)
+
+
+@pytest.mark.parametrize("emissions, message", [
+    ([{"char_position": 12}, {"char_position": 0}], "emissions must be sorted by char_position"),
+    ([{"char_position": 40}], "emission position outside response text"),
+])
+def test_an_emissions_fault_refuses_its_line_alone(monkeypatch, emissions, message):
+    # the rule across a line's fields refuses that line in its block: the
+    # block is not read again line by line, and the other lines load as
+    # each would alone
+    lines = _valid_predictions(jsonio.BLOCK_LINES)
+    lines[100] = json.dumps(json.loads(lines[100]) | {"emissions": emissions})
+    read = count_calls(monkeypatch, jsonio, "read_table")
+    refusals = count_calls(monkeypatch, jsonio, "_refusal")
+    table, errors, total = jsonio.read_lines(lines, jsonio.PREDICTIONS)
+    assert errors == [(101, message)] and total == jsonio.BLOCK_LINES
+    assert len(read) <= len(errors) and len(refusals) <= len(errors)
+    alone = [jsonio.read_lines([line], jsonio.PREDICTIONS) for line in lines]
+    assert alone[100][1] == [(1, message)]
+    assert table == _joined(jsonio.PREDICTIONS, [accepted for accepted, _, _ in alone])
 
 
 def test_a_sidecar_fails_at_its_first_rejected_row(tmp_path):
@@ -339,8 +373,9 @@ def _line_mixes(draw, kind):
 
 
 def _per_line(kind, lines):
-    """(records, (line, message) errors) of `lines`, each read alone."""
-    records, errors = [], []
+    """(accepted, (line, message) errors) of `lines`, each read alone: its
+    fields by `read_table`, then the kind's rule and rows over them."""
+    blocks, errors = [], []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -350,10 +385,13 @@ def _per_line(kind, lines):
             errors.append((i, f"invalid JSON: {exc.msg}"))
             continue
         try:
-            records.append(kind.parse(obj))
+            fields = {key: [value] for key, value in jsonio.read_table(kind.table, obj).items()}
+            for _, refusal in kind.rule(fields) if kind.rule else []:
+                raise ValueError(refusal)
+            blocks.append(kind.rows(fields))
         except (ValueError, ShapeError) as exc:
             errors.append((i, str(exc)))
-    return records, errors
+    return _joined(kind, blocks), errors
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,24 +542,24 @@ def test_loading_predictions_peaks_at_most_as_the_per_line_reader_did(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.records) == 5000
+    assert len(result.records["qid"]) == 5000
     assert peak <= 3.8 * size, peak / size
 
 
 def test_probe_features_convert_only_the_window(tmp_path):
     hidden = np.random.default_rng(0).normal(size=(2000, 256)).astype(np.float32)
-    record = PredictionRecord("q", ("a",), "x" * 3000,
-                              emissions=(EmissionEvent(1500, 1000),), response_token_count=2000)
+    record = predictions([prediction("q", ("a",), "x" * 3000, emissions=[emission(1500, 1000)],
+                                     response_token_count=2000)])
     want = np.concatenate([hidden[996:1005].astype(float).mean(axis=0), [2000.0, 1.0, 0.5]])
-    probe.build_features(hidden, record, 4, 1)  # warm
+    probe.build_features(hidden, record, 0, 4, 1)  # warm
     tracemalloc.start()
     try:
-        got = probe.build_features(hidden, record, 4, 1)
+        got = probe.build_features(hidden, record, 0, 4, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
-    # converting the whole record peaked at 4.1 MB; the 9 rows averaged take 18 kB
+    # converting the whole matrix peaked at 4.1 MB; the 9 rows averaged take 18 kB
     window = 9 * 256 * 8
     assert peak <= 2 * window, peak
 
@@ -550,12 +588,14 @@ def test_probe_scores_of_a_batch_are_those_of_its_rows_alone(rows, dims, seed):
                           st.sampled_from(["a", "bb", "the answer"])), min_size=1, max_size=12),
        st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, _WEIGHT), _WEIGHT)
 def test_ats_values_of_a_batch_are_those_of_its_records_alone(rows, weights, bias):
-    records = [PredictionRecord(f"q{i}", ("a",), "step\n" * (n % 4) + f"Answer: {answer}",
-                                verbal_confidence=c, response_token_count=n)
-               for i, (c, n, answer) in enumerate(rows)]
+    table = predictions([prediction(f"q{i}", ("a",), "step\n" * (n % 4) + f"Answer: {answer}",
+                                    verbal_confidence=c, response_token_count=n)
+                         for i, (c, n, answer) in enumerate(rows)])
     model = recal.AtsModel(weights, bias, 1e-3, (0.1, 20.0, 3.0, 1.0), (1.5, 9.0, 2.0, 0.7))
     confidence = np.array([np.nan if c is None else c for c, _, _ in rows])
-    batch = recal.apply_ats(model, records, confidence)
-    alone = np.concatenate([recal.apply_ats(model, [r], confidence[i:i + 1])
-                            for i, r in enumerate(records)])
+    batch = recal.apply_ats(model, table, confidence)
+    alone = np.concatenate([
+        recal.apply_ats(model, {key: column[i:i + 1] for key, column in table.items()},
+                        confidence[i:i + 1])
+        for i in range(len(rows))])
     assert batch.tobytes() == alone.tobytes()

@@ -426,7 +426,7 @@ class TestRun:
             f"{plan}:4: argv must be a non-empty list of strings",
             f"{plan}:5: argv must be a non-empty list of strings",
             f"{plan}:6: unknown fields ['cwd']",
-            f"{plan}:7: argument --bins: invalid int value: 'x'",
+            f"{plan}:7: bad --bins value 'x': must be an integer >= 1",
             f"{plan}:8: a plan step may not run a plan",
             f"{plan}:9: a help request is not a plan step",
             f"{plan}:10: argv names no command",

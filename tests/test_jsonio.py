@@ -1,11 +1,11 @@
 """The line encoder, the line decoder and the list readers of
 `uncal.jsonio`, each against the definition it replaced, and a guard that a
-record class accepts every line its table accepts."""
+load accepts every prediction and trace line their tables accept."""
 
 import json
 import math
 import sys
-from types import SimpleNamespace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uncal import jsonio, matio, optim, probe, trajspace
-from uncal.ragctl import RagTraceRecord
 from uncal.reprgeo import TokenAnnotation, TokenDistPair, TokenType
-from uncal.rewards import EmissionEvent, MatchResult, MatchRule, PredictionRecord
+from uncal.rewards import MatchRule
 
-from conftest import count_calls
+from conftest import count_calls, prediction, predictions, rows
 from oracles import oracle_to_dict
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -30,79 +29,80 @@ _FINITE_ANY = _FINITE | _FINITE.map(np.float64)
 _FINITE32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
-def _check(table, record, **given):
+def _check(table, fields):
     """The encoder writes what the field-dict writer wrote, and its line
     reads back through the table."""
-    line = jsonio.encode(table, record, **given)
-    assert line == jsonio.dumps_canonical(oracle_to_dict(table, record, **given))
+    line = jsonio.encode(table, fields)
+    assert line == jsonio.dumps_canonical(oracle_to_dict(table, fields))
     jsonio.read_table(table, json.loads(line))
 
 
 @st.composite
-def _predictions(draw) -> PredictionRecord:
+def _predictions(draw) -> dict:
+    """A row of a prediction table, its fields as a load reads them."""
     text = draw(_TEXT)
     positions = sorted(draw(st.sets(st.integers(0, max(len(text) - 1, 0)), max_size=3)))
-    return PredictionRecord(
-        qid=draw(_TEXT), gold_answers=tuple(draw(st.lists(_TEXT, min_size=1, max_size=3))),
-        response_text=text, dataset=draw(_TEXT), question=draw(_TEXT),
-        extracted_answer=draw(st.none() | _TEXT),
-        verbal_confidence=draw(st.none() | _PROB_ANY),
-        emissions=tuple(EmissionEvent(p, draw(st.none() | st.integers(0, 99)))
-                        for p in positions),
-        response_token_count=draw(st.integers(0, 10**6)),
-        token_probs=draw(st.none() | st.lists(_PROB.filter(bool), max_size=4)),
-        p_affirmative=draw(st.none() | _PROB_ANY),
-        match=draw(st.none() | st.builds(MatchResult, st.booleans(),
-                                         st.sampled_from(MatchRule), _PROB_ANY)),
-    )
+    return {
+        "qid": draw(_TEXT), "gold_answers": draw(st.lists(_TEXT, min_size=1, max_size=3)),
+        "response_text": text, "dataset": draw(_TEXT), "question": draw(_TEXT),
+        "extracted_answer": draw(st.none() | _TEXT),
+        "verbal_confidence": draw(st.none() | _PROB_ANY),
+        "emissions": [{"char_position": p, "token_index": draw(st.none() | st.integers(0, 99))}
+                      for p in positions],
+        "response_token_count": draw(st.integers(0, 10**6)),
+        "token_probs": draw(st.none() | st.lists(_PROB.filter(bool), max_size=4)),
+        "p_affirmative": draw(st.none() | _PROB_ANY),
+        "match": draw(st.none() | st.fixed_dictionaries({
+            "correct": st.booleans(), "rule": st.sampled_from(MatchRule), "f1": _PROB_ANY})),
+    }
 
 
 @settings(max_examples=200, deadline=None)
 @given(_predictions(), st.none() | _PROB_ANY)
-def test_prediction_encoder(record, confidence):
-    _check(jsonio.PREDICTION, record)
-    _check(jsonio.PREDICTION, record, verbal_confidence=confidence)
+def test_prediction_encoder(row, confidence):
+    _check(jsonio.PREDICTION, row)
+    _check(jsonio.PREDICTION, {**row, "verbal_confidence": confidence})
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_predictions(), st.none() | _PROB_ANY), max_size=7),
        st.sampled_from([1, 2, 3, jsonio.BLOCK_LINES]))
-def test_column_encoder_equals_the_record_oracle(rows, block):
+def test_column_encoder_equals_the_row_oracle(pairs, block):
     # each block's field columns are formatted together; every line must be
-    # the one the record alone was written as
-    records = [record for record, _ in rows]
-    confidence = [c for _, c in rows]
+    # the one the row alone was written as
+    table = {key: [row[key] for row, _ in pairs] for key in jsonio.PREDICTION}
+    confidence = [c for _, c in pairs]
     saved, jsonio.BLOCK_LINES = jsonio.BLOCK_LINES, block
     try:
-        lines = list(jsonio.encode_lines(jsonio.PREDICTION, records))
-        given_lines = list(jsonio.encode_lines(jsonio.PREDICTION, records,
-                                               verbal_confidence=confidence))
+        lines = list(jsonio.encode_lines(jsonio.PREDICTION, table))
+        replaced = list(jsonio.encode_lines(jsonio.PREDICTION,
+                                            {**table, "verbal_confidence": confidence}))
     finally:
         jsonio.BLOCK_LINES = saved
-    assert lines == [jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, r))
-                     for r in records]
-    assert given_lines == [
-        jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, r, verbal_confidence=c))
-        for r, c in rows]
+    assert lines == [jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, row))
+                     for row, _ in pairs]
+    assert replaced == [
+        jsonio.dumps_canonical(oracle_to_dict(jsonio.PREDICTION, {**row, "verbal_confidence": c}))
+        for row, c in pairs]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.builds(
-    RagTraceRecord,
-    qid=_TEXT, gold_answers=st.lists(_TEXT, min_size=1, max_size=3), noret_answer=_TEXT,
-    ret_answer=_TEXT, dataset=_TEXT, noret_confidence=st.none() | _PROB_ANY,
-    noret_emissions=st.integers(0, 99), noret_probe_score=st.none() | _FINITE_ANY,
-    noret_token_probs=st.none() | st.lists(_PROB.filter(bool), max_size=4),
-    noret_response_text=st.none() | _TEXT, external_trigger=st.none() | st.booleans(),
-))
-def test_rag_trace_encoder(record):
-    _check(jsonio.RAG_TRACE, record)
+@given(st.fixed_dictionaries({
+    "qid": _TEXT, "gold_answers": st.lists(_TEXT, min_size=1, max_size=3), "noret_answer": _TEXT,
+    "ret_answer": _TEXT, "dataset": _TEXT, "noret_confidence": st.none() | _PROB_ANY,
+    "noret_emissions": st.integers(0, 99), "noret_probe_score": st.none() | _FINITE_ANY,
+    "noret_token_probs": st.none() | st.lists(_PROB.filter(bool), max_size=4),
+    "noret_response_text": st.none() | _TEXT, "external_trigger": st.none() | st.booleans(),
+}))
+def test_rag_trace_encoder(row):
+    _check(jsonio.RAG_TRACE, row)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_space_encoder(seed):
-    _check(jsonio.SPACE, trajspace.random_space(np.random.default_rng(seed)))
+    # a trajectory's `correct` is no field of the table, and is not written
+    _check(jsonio.SPACE, asdict(trajspace.random_space(np.random.default_rng(seed))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,14 +111,14 @@ def test_space_encoder(seed):
 def test_kl_encoders(position, size, seed, kind):
     rng = np.random.default_rng(seed)
     pair = TokenDistPair(position, rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)))
-    _check(jsonio.KL_PAIR, pair)
-    _check(jsonio.KL_ANNOTATION, TokenAnnotation(position, kind))
+    _check(jsonio.KL_PAIR, asdict(pair))
+    _check(jsonio.KL_ANNOTATION, asdict(TokenAnnotation(position, kind)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_TEXT, st.none() | st.integers(0, 10**6))
 def test_row_id_encoder(qid, token):
-    _check(jsonio.ROW_ID, SimpleNamespace(qid=qid, token_index=token))
+    _check(jsonio.ROW_ID, {"qid": qid, "token_index": token})
 
 
 _FITS = st.builds(optim.Fit, st.lists(_FINITE).map(tuple), st.integers(0, 200),
@@ -132,53 +132,62 @@ _FITS = st.builds(optim.Fit, st.lists(_FINITE).map(tuple), st.integers(0, 200),
         for strategy in (_FINITE32, _FINITE32, st.floats(2.0**-20, 2.0**20, width=32))
     ])),
     st.integers(-1, 40), _FINITE_ANY, _PROB_ANY, st.none() | _FITS,
-    st.none() | st.fixed_dictionaries({"window": st.integers(0, 9), "l2": _FINITE,
-                                       "hidden": st.none() | _TEXT}),
+    st.none() | st.fixed_dictionaries({
+        "hidden": st.none() | _TEXT, "preds": st.none() | _TEXT, "layer": st.none() | st.integers(),
+        "window": st.integers(0, 9), "span_tokens": st.integers(1, 9), "l2": _FINITE,
+        "seed": st.none() | st.integers()}),
     st.booleans(),
 )
 def test_probe_model_and_fit_encoders(arrays, layer, bias, threshold, fit, config, float32):
+    # a model and its fit are written from mappings of their fields; a Fit's
+    # loss trace is no field of the table, and is not written
     weights, means, stds = (a.astype(np.float32) if float32 else a for a in arrays)
-    model = probe.ProbeModel(layer, weights, bias, threshold, means, stds, fit)
-    _check(jsonio.PROBE_MODEL, model, schema="uncal-probe-model-v2", config=config)
-    _check(jsonio.PROBE_MODEL, model, schema=None, config=None)
+    model = vars(probe.ProbeModel(layer, weights, bias, threshold, means, stds))
+    fit_fields = None if fit is None else vars(fit)
+    _check(jsonio.PROBE_MODEL, {**model, "fit": fit_fields, "schema": "uncal-probe-model-v2",
+                                "config": config})
+    _check(jsonio.PROBE_MODEL, {**model, "fit": fit_fields, "schema": None, "config": None})
     if fit is not None:
-        _check(jsonio.FIT, fit)
+        _check(jsonio.FIT, fit_fields)
         # an encoded line inside a larger value is written as it is
-        report = {"fit": jsonio.encode(jsonio.FIT, fit), "n": [1, 2.5]}
+        report = {"fit": jsonio.encode(jsonio.FIT, fit_fields), "n": [1, 2.5]}
         assert jsonio.dumps_canonical(report) == jsonio.dumps_canonical(
-            {"fit": oracle_to_dict(jsonio.FIT, fit), "n": [1, 2.5]})
+            {"fit": oracle_to_dict(jsonio.FIT, fit_fields), "n": [1, 2.5]})
 
 
-_MODEL = vars(probe.ProbeModel(0, np.zeros(2), 0.0, 0.5, np.zeros(2), np.ones(2)))
-_RECORD = vars(PredictionRecord("q", ("a",), "t"))
-_MODEL_GIVEN = {"schema": None, "config": None}
+_MODEL = {**vars(probe.ProbeModel(0, np.zeros(2), 0.0, 0.5, np.zeros(2), np.ones(2))),
+          "schema": None, "config": None}
+_RECORD = rows(predictions([prediction("q", ("a",), "t")]))[0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_encoder_refuses_nan_and_infinity(bad):
     cases = [
-        (jsonio.PROBE_MODEL, {**_MODEL, "bias": bad}, _MODEL_GIVEN),
-        (jsonio.PROBE_MODEL, {**_MODEL, "threshold": np.float64(bad)}, _MODEL_GIVEN),
-        (jsonio.PROBE_MODEL, {**_MODEL, "weights": np.array([0.0, bad])}, _MODEL_GIVEN),
-        (jsonio.PROBE_MODEL, {**_MODEL, "fit": optim.Fit((), 1, bad, True)}, _MODEL_GIVEN),
-        (jsonio.FIT, vars(optim.Fit((), 1, bad, True)), {}),
-        (jsonio.PREDICTION, _RECORD, {"verbal_confidence": bad}),
-        (jsonio.PREDICTION, {**_RECORD, "token_probs": (0.5, bad)}, {}),
-        (jsonio.PREDICTION, {**_RECORD, "match": MatchResult(False, MatchRule.TOKEN_F1, bad)}, {}),
+        (jsonio.PROBE_MODEL, {**_MODEL, "bias": bad}),
+        (jsonio.PROBE_MODEL, {**_MODEL, "threshold": np.float64(bad)}),
+        (jsonio.PROBE_MODEL, {**_MODEL, "weights": np.array([0.0, bad])}),
+        (jsonio.PROBE_MODEL, {**_MODEL, "fit": vars(optim.Fit((), 1, bad, True))}),
+        (jsonio.FIT, vars(optim.Fit((), 1, bad, True))),
+        (jsonio.PREDICTION, {**_RECORD, "verbal_confidence": bad}),
+        (jsonio.PREDICTION, {**_RECORD, "token_probs": (0.5, bad)}),
+        (jsonio.PREDICTION, {**_RECORD, "match": {"correct": False, "rule": MatchRule.TOKEN_F1,
+                                                  "f1": bad}}),
     ]
-    for table, fields, given in cases:
+    for table, fields in cases:
         with pytest.raises(ValueError, match="NaN or infinity"):
-            jsonio.encode(table, SimpleNamespace(**fields), **given)
+            jsonio.encode(table, fields)
 
 
-def test_encoder_refuses_a_missing_field_and_an_unknown_given_key():
-    with pytest.raises(AttributeError, match="token_index"):
-        jsonio.encode(jsonio.ROW_ID, SimpleNamespace(qid="q"))
-    nested = SimpleNamespace(**{**_RECORD, "emissions": (SimpleNamespace(token_index=1),)})
-    with pytest.raises(AttributeError, match="char_position"):
-        jsonio.encode(jsonio.PREDICTION, nested)
-    with pytest.raises(AttributeError, match=r"no table fields \['tokens'\]"):
-        jsonio.encode(jsonio.ROW_ID, SimpleNamespace(qid="q", token_index=0), tokens=1)
+def test_encoder_refuses_a_missing_field_and_leaves_out_other_keys():
+    with pytest.raises(KeyError, match="token_index"):
+        jsonio.encode(jsonio.ROW_ID, {"qid": "q"})
+    with pytest.raises(KeyError, match="char_position"):
+        jsonio.encode(jsonio.PREDICTION, {**_RECORD, "emissions": [{"token_index": 1}]})
+    with pytest.raises(KeyError, match="match"):
+        next(jsonio.encode_lines(jsonio.PREDICTION, {k: [v] for k, v in _RECORD.items()
+                                                     if k != "match"}))
+    assert (jsonio.encode(jsonio.ROW_ID, {"qid": "q", "token_index": 0, "tokens": 1})
+            == '{"qid":"q","token_index":0}')
 
 
 # list elements on either side of every bound: bools, NaN, signed zeros,
@@ -238,23 +247,25 @@ _PADS = ["", " ", "\t", "\r", "﻿", "x", "]", " 1"]
 @example("﻿", '{"a":1}', "")
 @example("", '{"a":1}', " ")
 @example("", '"\\x"', "")
+@example("", "{\n", "")
 def test_decode_equals_json_loads(before, body, after):
+    # `_decode` reads a line without its final "\n", as the next test checks:
+    # a drawn line may end in one, and an error at its end is then on line 1
     line = before + body + after
-    assert _outcome(jsonio._decode, line) == _outcome(json.loads, line)
+    assert _outcome(jsonio._decode, line) == _outcome(json.loads, line.removesuffix("\n"))
 
 
 @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
 def test_line_breaking_characters_stay_inside_their_line(tmp_path, char):
     # `str.splitlines` breaks at these, though JSON writes them unescaped
-    record = PredictionRecord(qid=f"q{char}", gold_answers=(char,),
-                              response_text=f"a{char}b\nAnswer: {char}")
+    row = rows(predictions([prediction(f"q{char}", (char,), f"a{char}b\nAnswer: {char}")]))[0]
     path = tmp_path / "preds.jsonl"
-    line = jsonio.encode(jsonio.PREDICTION, record)
+    line = jsonio.encode(jsonio.PREDICTION, row)
     assert char in line
     path.write_text(line + "\n" + line + "\r\n", encoding="utf-8")
     result = jsonio.load_predictions(path)
     assert not result.errors and result.total_lines == 2
-    assert [r.qid for r in result.records] == [record.qid] * 2
+    assert result.records["qid"] == [row["qid"]] * 2
 
 
 @pytest.mark.parametrize("end", ["", "\n", "\r\n", "\r", "\r\r\n", " \r\n", "\n\r\n"])
@@ -278,7 +289,7 @@ def test_a_carriage_return_inside_a_line_does_not_end_it(tmp_path):
     path.write_bytes(b'{"qid": "a",\r"gold_answers": ["x"], "response_text": "Answer: x"}')
     result = jsonio.load_predictions(path)
     assert (result.errors, result.total_lines) == ([], 1)
-    assert [(r.qid, r.gold_answers) for r in result.records] == [("a", ("x",))]
+    assert (result.records["qid"], result.records["gold_answers"]) == (["a"], [["x"]])
 
 
 def test_a_crlf_sidecar_reads_as_its_lf_copy(tmp_path):
@@ -338,11 +349,11 @@ _PREDICTION_EDGE = {"qid": "q", "gold_answers": ["a"], "response_text": "<uncert
                       "noret_token_probs": [1.0, 5e-324]})
 @example(_RAG_EDGE | {"noret_confidence": 1.0, "noret_probe_score": 1e308,
                       "noret_token_probs": []})
-def test_every_rag_line_the_table_accepts_builds_its_record(obj):
-    # the table is the one check of a field's value; the record adds none
+def test_every_rag_line_the_table_accepts_loads_as_it_reads(obj):
+    # the table is the one check of a field's value; a trace load adds none
     fields = jsonio.read_table(jsonio.RAG_TRACE, obj)
-    record = RagTraceRecord(**fields)
-    assert record.noret_probe_score == fields["noret_probe_score"]
+    table, errors, _ = jsonio.read_lines([json.dumps(obj)], jsonio.RAG_TRACES)
+    assert errors == [] and table == {key: [value] for key, value in fields.items()}
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,10 +362,11 @@ def test_every_rag_line_the_table_accepts_builds_its_record(obj):
                              "token_probs": [1, 5e-324]})
 @example(_PREDICTION_EDGE | {"verbal_confidence": 1.0, "p_affirmative": 0.0, "token_probs": [],
                              "match": {"correct": True, "rule": "TokenF1", "f1": 0}})
-def test_every_prediction_line_the_table_accepts_builds_its_record(obj):
+def test_every_prediction_line_the_table_accepts_loads(obj):
     jsonio.read_table(jsonio.PREDICTION, obj)
-    record = jsonio.PREDICTIONS.parse(obj)
-    assert len(record.emissions) == record.response_text.count("<uncertain>")
+    table, errors, _ = jsonio.read_lines([json.dumps(obj)], jsonio.PREDICTIONS)
+    assert errors == []
+    assert len(table["emissions"][0]) == table["response_text"][0].count("<uncertain>")
 
 
 @settings(max_examples=200, deadline=None)

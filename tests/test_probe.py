@@ -14,31 +14,30 @@ from uncal.errors import (
     NotEmitted,
     UndefinedMetric,
 )
-from uncal.rewards import EmissionEvent, PredictionRecord, score_predictions
+from uncal.rewards import score_predictions
 
-from conftest import planted_stack
+from conftest import emission, planted_stack, prediction, predictions, rows
 from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd, oracle_tune_threshold
 
 
-def emitted_record(token_index, tokens=10, text_pos=5):
-    return PredictionRecord(
-        qid="q",
-        gold_answers=("alpha",),
-        response_text="x" * text_pos + "<uncertain> rest\nAnswer: alpha",
-        emissions=(EmissionEvent(char_position=text_pos, token_index=token_index),),
-        response_token_count=tokens,
-    )
+def emitted_record(token_index, tokens=10, text_pos=5, text=None):
+    """A one-row prediction table whose first emission is at `text_pos`."""
+    if text is None:
+        text = "x" * text_pos + "<uncertain> rest\nAnswer: alpha"
+    return predictions([prediction("q", ("alpha",), text,
+                                   emissions=[emission(text_pos, token_index)],
+                                   response_token_count=tokens)])
 
 
 class TestBuildFeatures:
     def test_window_zero_single_token(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
-        features = probe.build_features(hidden, emitted_record(3), window=0)
+        features = probe.build_features(hidden, emitted_record(3), 0, window=0)
         np.testing.assert_array_equal(features[:-3], hidden[3])
 
     def test_left_clip_at_sequence_start(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
-        features = probe.build_features(hidden, emitted_record(0), window=3)
+        features = probe.build_features(hidden, emitted_record(0), 0, window=3)
         np.testing.assert_allclose(features[:-3], hidden[0:4].mean(axis=0))
 
     def test_hand_mean_two_token_span(self):
@@ -48,18 +47,27 @@ class TestBuildFeatures:
         hidden[4] = (2.0, 2.0)
         hidden[5] = (1.0, 3.0)
         features = probe.build_features(
-            hidden, emitted_record(3), window=1, span_token_count=2
+            hidden, emitted_record(3), 0, window=1, span_token_count=2
         )
         np.testing.assert_allclose(features[:-3], hidden[2:6].mean(axis=0))
 
     def test_scalars(self):
         hidden = np.ones((10, 3))
         record = emitted_record(4)
-        features = probe.build_features(hidden, record, window=1)
+        features = probe.build_features(hidden, record, 0, window=1)
         assert features.shape == (6,)
         count, emissions, fraction = features[-3:]
         assert count == 10.0 and emissions == 1.0
-        assert fraction == pytest.approx(5 / len(record.response_text))
+        assert fraction == pytest.approx(5 / len(record["response_text"][0]))
+
+    @pytest.mark.parametrize("text, position, fraction", [
+        ("<uncertain> then text", 0, 0.0), ("x" * 200, 50, 0.25), ("", 0, 0.0),
+    ])
+    def test_first_emit_fraction(self, text, position, fraction):
+        # the first emission's position over the response length; 0 for an
+        # empty response, where position 0 is the one an emission may take
+        record = emitted_record(0, text_pos=position, text=text)
+        assert probe.build_features(np.ones((2, 1)), record, 0)[-1] == fraction
 
     @pytest.mark.parametrize("window, span, message", [
         (-1, 1, "window=-1 must be at least 0"),
@@ -67,31 +75,25 @@ class TestBuildFeatures:
         (2, -3, "span_tokens=-3 must be at least 1"),
     ])
     def test_window_and_span_ranges(self, window, span, message):
-        records = [emitted_record(3)]
+        records = emitted_record(3)
         with pytest.raises(ValueError, match=message):
             probe.examples(records, score_predictions(records), {"q": np.ones((10, 2))},
                            window, span)
 
     def test_not_emitted(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("a",), response_text="Answer: a"
-        )
+        record = predictions([prediction("q", ("a",), "Answer: a")])
         with pytest.raises(NotEmitted):
-            probe.build_features(np.ones((4, 2)), record)
+            probe.build_features(np.ones((4, 2)), record, 0)
 
     def test_missing_token_index(self):
-        record = PredictionRecord(
-            qid="q",
-            gold_answers=("a",),
-            response_text="<uncertain>\nAnswer: a",
-            emissions=(EmissionEvent(0),),
-        )
+        record = predictions([prediction("q", ("a",), "<uncertain>\nAnswer: a",
+                                         emissions=[emission(0)])])
         with pytest.raises(AlignmentError):
-            probe.build_features(np.ones((4, 2)), record)
+            probe.build_features(np.ones((4, 2)), record, 0)
 
     def test_out_of_bounds_token_index(self):
         with pytest.raises(AlignmentError):
-            probe.build_features(np.ones((4, 2)), emitted_record(9, tokens=10))
+            probe.build_features(np.ones((4, 2)), emitted_record(9, tokens=10), 0)
 
 
 class TestFitProbe:
@@ -312,20 +314,21 @@ class TestTuneThresholdOracle:
 class TestExamples:
     def test_emitted_records_with_hidden_states_in_record_order(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=30)
-        silent = PredictionRecord(qid="silent", gold_answers=("a",), response_text="Answer: b")
-        records = [records[0], silent, *records[1:]]
-        stack = {qid: m for qid, m in stacks[0].items() if qid != records[2].qid}
+        lines = rows(records)
+        lines.insert(1, prediction("silent", ("a",), "Answer: b"))
+        records = predictions(lines)
+        stack = {qid: m for qid, m in stacks[0].items() if qid != records["qid"][2]}
         batch = score_predictions(records)
         x, wrong, qids = probe.examples(records, batch, stack)
-        kept = [(r, ok) for r, ok in zip(records, batch.correct)
-                if r.emissions and r.qid in stack]
-        assert qids == [r.qid for r, _ in kept] and len(qids) == 29
+        kept = [(i, ok) for i, (r, ok) in enumerate(zip(rows(records), batch.correct))
+                if r["emissions"] and r["qid"] in stack]
+        assert qids == [records["qid"][i] for i, _ in kept] and len(qids) == 29
         assert wrong.tolist() == [0 if ok else 1 for _, ok in kept]
-        np.testing.assert_array_equal(
-            x, np.stack([probe.build_features(stack[r.qid], r) for r, _ in kept]))
+        np.testing.assert_array_equal(x, np.stack([
+            probe.build_features(stack[records["qid"][i]], records, i) for i, _ in kept]))
 
     def test_no_example_rejected(self):
-        records = [PredictionRecord(qid="q", gold_answers=("a",), response_text="Answer: a")]
+        records = predictions([prediction("q", ("a",), "Answer: a")])
         with pytest.raises(AlignmentError):
             probe.examples(records, score_predictions(records), {"q": np.ones((3, 2))})
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -8,10 +7,25 @@ from hypothesis import strategies as st
 import uncal
 from uncal import jsonio, ragctl
 from uncal.errors import EmptyBatch, MissingSignal
-from uncal.ragctl import ControllerPolicy, PolicyKind, RagTraceRecord
+from uncal.ragctl import ControllerPolicy, PolicyKind
 
-from conftest import count_calls, outcome, random_rag_batch, run_policy, sweep_threshold
-from oracles import oracle_match_answer, oracle_trigger_counts, oracle_trigger_reports
+from conftest import (
+    count_calls,
+    outcome,
+    random_rag_batch,
+    rows,
+    run_policy,
+    sweep_threshold,
+    trace,
+    traces,
+)
+from oracles import (
+    RagTraceRecord,
+    oracle_match_answer,
+    oracle_trigger_counts,
+    oracle_trigger_reports,
+    trace_records,
+)
 
 # answers with repeated tokens, articles, punctuation, yes/no words and dates
 _ANSWERS = st.lists(st.sampled_from([
@@ -20,68 +34,60 @@ _ANSWERS = st.lists(st.sampled_from([
 ]), max_size=5).map(" ".join)
 
 
-def trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
-          token_probs=None, external=None):
-    return RagTraceRecord(
-        qid=qid,
-        gold_answers=("alpha",),
-        noret_answer="alpha" if noret_ok else "omega",
-        ret_answer="alpha" if ret_ok else "omega",
-        noret_confidence=conf,
-        noret_emissions=emissions,
-        noret_probe_score=probe_score,
-        noret_token_probs=token_probs,
-        external_trigger=external,
-    )
+def hand_trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
+               token_probs=None, external=None):
+    """A trace line whose answers are right or wrong as `noret_ok` and `ret_ok` say."""
+    return trace(qid, ("alpha",), "alpha" if noret_ok else "omega",
+                 "alpha" if ret_ok else "omega", noret_confidence=conf,
+                 noret_emissions=emissions, noret_probe_score=probe_score,
+                 noret_token_probs=token_probs, external_trigger=external)
 
 
-HAND_FIXTURE = [
-    trace("r1", noret_ok=False, ret_ok=True, conf=0.2),
-    trace("r2", noret_ok=False, ret_ok=False, conf=0.8),
-    trace("r3", noret_ok=True, ret_ok=True, conf=0.3),
-    trace("r4", noret_ok=True, ret_ok=False, conf=0.9),
-]
+HAND_FIXTURE = traces([
+    hand_trace("r1", noret_ok=False, ret_ok=True, conf=0.2),
+    hand_trace("r2", noret_ok=False, ret_ok=False, conf=0.8),
+    hand_trace("r3", noret_ok=True, ret_ok=True, conf=0.3),
+    hand_trace("r4", noret_ok=True, ret_ok=False, conf=0.9),
+])
 
 
-def decided(policy, *records):
-    """The policy's decisions over `records` as a list of bools."""
-    return ragctl.decide(policy, ragctl.score_traces(records)).tolist()
+def decided(policy, *lines):
+    """The policy's decisions over the trace lines `lines` as a list of bools."""
+    return ragctl.decide(policy, ragctl.score_traces(traces(lines))).tolist()
 
 
 class TestDecide:
     def test_never_and_always(self):
-        record = HAND_FIXTURE[0]
+        record = rows(HAND_FIXTURE)[0]
         assert decided(ControllerPolicy(PolicyKind.NEVER), record) == [False]
         assert decided(ControllerPolicy(PolicyKind.ALWAYS), record) == [True]
 
     def test_confidence_threshold_is_strict(self):
-        record = trace("r", True, True, conf=0.5)
+        record = hand_trace("r", True, True, conf=0.5)
         policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5)
         assert decided(policy, record) == [False]
         assert decided(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.51), record) == [True]
 
     def test_flare_threshold(self):
-        record = trace("r", True, True, token_probs=(0.4, 0.6, 0.9))
+        record = hand_trace("r", True, True, token_probs=(0.4, 0.6, 0.9))
         assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record) == [False]
-        low = trace("r", True, True, token_probs=(0.39, 0.6))
+        low = hand_trace("r", True, True, token_probs=(0.39, 0.6))
         assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), low) == [True]
 
     def test_emission_only(self):
         policy = ControllerPolicy(PolicyKind.EMISSION_ONLY)
-        assert decided(policy, trace("r", True, True, emissions=1)) == [True]
-        assert decided(policy, trace("r", True, True)) == [False]
+        assert decided(policy, hand_trace("r", True, True, emissions=1)) == [True]
+        assert decided(policy, hand_trace("r", True, True)) == [False]
 
     def test_emission_plus_probe(self):
         policy = ControllerPolicy(PolicyKind.EMISSION_PLUS_PROBE, 0.6)
-        assert decided(policy, trace("r", True, True, emissions=1, probe_score=0.7)) == [True]
-        assert decided(policy, trace("r", True, True, emissions=1, probe_score=0.5)) == [False]
+        assert decided(policy, hand_trace("r", True, True, emissions=1, probe_score=0.7)) == [True]
+        assert decided(policy, hand_trace("r", True, True, emissions=1, probe_score=0.5)) == [False]
         # no emission short-circuits without needing the probe score
-        assert decided(policy, trace("r", True, True, emissions=0)) == [False]
+        assert decided(policy, hand_trace("r", True, True, emissions=0)) == [False]
 
     def test_missing_signals(self):
-        record = RagTraceRecord(
-            qid="r", gold_answers=("a",), noret_answer="a", ret_answer="a"
-        )
+        record = trace("r", ("a",), "a", "a")
         with pytest.raises(MissingSignal):
             decided(ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), record)
         with pytest.raises(MissingSignal):
@@ -91,8 +97,8 @@ class TestDecide:
 
     def test_external_column(self):
         policy = ControllerPolicy(PolicyKind.EXTERNAL)
-        assert decided(policy, trace("r", True, True, external=True)) == [True]
-        assert decided(policy, trace("r", True, True, external=False)) == [False]
+        assert decided(policy, hand_trace("r", True, True, external=True)) == [True]
+        assert decided(policy, hand_trace("r", True, True, external=False)) == [False]
 
 
 class TestSimulate:
@@ -144,11 +150,11 @@ class TestSimulate:
             tau = float(rng.uniform(0.0, 1.0))
             policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, tau)
             report = run_policy(policy, records)
-            decisions = decided(policy, *records)
-            noret_ok = [r.noret_answer == "alpha" for r in records]
+            decisions = ragctl.decide(policy, ragctl.score_traces(records)).tolist()
+            noret_ok = [answer == "alpha" for answer in records["noret_answer"]]
             final_ok = [
-                (r.ret_answer if d else r.noret_answer) == "alpha"
-                for d, r in zip(decisions, records)
+                (r["ret_answer"] if d else r["noret_answer"]) == "alpha"
+                for d, r in zip(decisions, rows(records))
             ]
             counts = oracle_trigger_counts(decisions, noret_ok, final_ok)
             assert report.triggered == counts["triggered"]
@@ -157,7 +163,7 @@ class TestSimulate:
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            run_policy(ControllerPolicy(PolicyKind.ALWAYS), [])
+            run_policy(ControllerPolicy(PolicyKind.ALWAYS), traces([]))
 
 
 class TestSweepThreshold:
@@ -257,12 +263,14 @@ class TestRecordRanges:
         loaded = jsonio.load_rag_traces(path)
         [(line, message)] = loaded.errors
         assert line == 2 and message.startswith(f"{field} must be ")
-        assert [r.qid for r in loaded.records] == ["r"]
+        assert loaded.records["qid"] == ["r"]
 
     def test_edges_accepted(self):
-        for probe_score, token_probs in ((-3.0, (1.0,)), (1e300, (5e-324, 1.0)), (0.0, ())):
-            record = trace("r", True, True, probe_score=probe_score, token_probs=token_probs)
-            assert record.noret_token_probs == token_probs
+        for probe_score, token_probs in ((-3.0, [1.0]), (1e300, [5e-324, 1.0]), (0.0, [])):
+            table = traces([hand_trace("r", True, True, probe_score=probe_score,
+                                       token_probs=token_probs)])
+            assert table["noret_token_probs"] == [token_probs]
+            assert table["noret_probe_score"] == [probe_score]
 
 
 def test_per_dataset_reports(rng):
@@ -270,7 +278,7 @@ def test_per_dataset_reports(rng):
     policy = ControllerPolicy(PolicyKind.ALWAYS)
     scored = ragctl.score_traces(records)
     by_dataset = ragctl.trigger_reports_by_dataset(scored, ragctl.decide(policy, scored))
-    assert set(by_dataset) == {r.dataset for r in records}
+    assert set(by_dataset) == set(records["dataset"])
     assert sum(r.n for r in by_dataset.values()) == 40
 
 
@@ -281,22 +289,24 @@ class TestScoredTraces:
         sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records,
                         [i / 10 for i in range(11)])
         # one match per no-retrieval answer, one per changed with-retrieval answer
-        assert len(calls) == 48 == 30 + sum(r.ret_answer != r.noret_answer for r in records)
+        assert len(calls) == 48 == 30 + sum(
+            ret != noret for ret, noret in zip(records["ret_answer"], records["noret_answer"]))
 
     @staticmethod
-    def assert_oracle_scores(records, f1_threshold):
-        scored = ragctl.score_traces(records, f1_threshold)
-        for columns, answers in ((scored.noret, [r.noret_answer for r in records]),
-                                 (scored.ret, [r.ret_answer for r in records])):
+    def assert_oracle_scores(table, f1_threshold):
+        scored = ragctl.score_traces(table, f1_threshold)
+        for columns, answers in ((scored.noret, table["noret_answer"]),
+                                 (scored.ret, table["ret_answer"])):
             got = zip(columns.correct.tolist(), columns.rule.tolist(), columns.f1.tolist(),
                       strict=True)
-            for (correct, rule, f1), answer, r in zip(got, answers, records, strict=True):
-                want = oracle_match_answer(answer, r.gold_answers, f1_threshold)
+            for (correct, rule, f1), answer, golds in zip(got, answers, table["gold_answers"],
+                                                          strict=True):
+                want = oracle_match_answer(answer, golds, f1_threshold)
                 assert (correct, rule, repr(f1)) == (want.correct, want.rule, repr(want.f1))
 
     def test_fixture_scores_equal_per_answer_oracle_matching(self):
         records = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
-        assert len(records) == 20
+        assert len(records["qid"]) == 20
         for f1_threshold in (0.0, 0.3, 1.0):
             self.assert_oracle_scores(records, f1_threshold)
 
@@ -304,29 +314,28 @@ class TestScoredTraces:
     @given(st.lists(st.tuples(st.lists(_ANSWERS, min_size=1, max_size=4), _ANSWERS, _ANSWERS,
                               st.booleans()), max_size=8),
            st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
-    def test_random_scores_equal_per_answer_oracle_matching(self, rows, f1_threshold):
-        records = [RagTraceRecord(qid=f"r{i}", gold_answers=tuple(golds), noret_answer=noret,
-                                  ret_answer=noret if same else ret)
-                   for i, (golds, noret, ret, same) in enumerate(rows)]
-        self.assert_oracle_scores(records, f1_threshold)
+    def test_random_scores_equal_per_answer_oracle_matching(self, lines, f1_threshold):
+        table = traces([trace(f"r{i}", golds, noret, noret if same else ret)
+                        for i, (golds, noret, ret, same) in enumerate(lines)])
+        self.assert_oracle_scores(table, f1_threshold)
 
     def test_reports_are_counts_over_one_scoring(self, rng):
         records = random_rag_batch(rng, 50)
         scored = ragctl.score_traces(records)
-        assert scored.noret.correct.tolist() == [r.noret_answer == "alpha" for r in records]
-        assert scored.ret.correct.tolist() == [r.ret_answer == "alpha" for r in records]
+        assert scored.noret.correct.tolist() == [a == "alpha" for a in records["noret_answer"]]
+        assert scored.ret.correct.tolist() == [a == "alpha" for a in records["ret_answer"]]
         for policy in (ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.4),
                        ControllerPolicy(PolicyKind.EMISSION_ONLY), ControllerPolicy(PolicyKind.ALWAYS)):
             fires = ragctl.decide(policy, scored)
             assert ragctl.trigger_report(scored, fires) == run_policy(policy, records)
             by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
-            assert list(by_dataset) == sorted({r.dataset for r in records})
+            assert list(by_dataset) == sorted(set(records["dataset"]))
             for name, report in by_dataset.items():
-                members = [r for r in records if r.dataset == name]
+                members = traces([r for r in rows(records) if r["dataset"] == name])
                 assert report == run_policy(policy, members)
 
     def test_empty_batch(self):
-        scored = ragctl.score_traces([])
+        scored = ragctl.score_traces(traces([]))
         with pytest.raises(EmptyBatch):
             ragctl.trigger_report(scored, [])
         assert ragctl.trigger_reports_by_dataset(scored, []) == {}
@@ -365,14 +374,17 @@ def _signal_traces(draw):
             max_size=3)),
         external_trigger=signal(st.booleans()),
     )), max_size=30))
-    return [dataclasses.replace(r, qid=f"r{i}") for i, r in enumerate(records)]
+    return [RagTraceRecord(**{**vars(r), "qid": f"r{i}"}) for i, r in enumerate(records)]
 
 
 @settings(max_examples=400, deadline=None)
 @given(_signal_traces(), _ANY_POLICY, st.sampled_from([0.0, 0.3, 1.0]))
 def test_reports_equal_the_former_per_record_loop(records, policy, f1_threshold):
+    table = traces(list(map(vars, records)))
+    assert trace_records(table) == records
+
     def columnar():
-        scored = ragctl.score_traces(records, f1_threshold)
+        scored = ragctl.score_traces(table, f1_threshold)
         fires = ragctl.decide(policy, scored)
         return (ragctl.trigger_report(scored, fires),
                 ragctl.trigger_reports_by_dataset(scored, fires))
@@ -391,17 +403,17 @@ class TestMissingSignalOrder:
         ("external", {"external_trigger": None}, "external trigger column"),
     ])
     def test_names_the_first_record_lacking_the_signal(self, spec, lacking, words):
-        full = trace("", True, True, conf=0.5, emissions=1, probe_score=0.5,
-                     token_probs=(0.5,), external=True)
-        records = [dataclasses.replace(full, qid=f"r{i}", **(lacking if i >= 2 else {}))
-                   for i in range(4)]
+        full = hand_trace("", True, True, conf=0.5, emissions=1, probe_score=0.5,
+                          token_probs=(0.5,), external=True)
+        lines = [{**full, "qid": f"r{i}", **(lacking if i >= 2 else {})} for i in range(4)]
         with pytest.raises(MissingSignal, match=f"^record 'r2' has no {words}$"):
-            ragctl.decide(ragctl.parse_policy_spec(spec), ragctl.score_traces(records))
+            ragctl.decide(ragctl.parse_policy_spec(spec), ragctl.score_traces(traces(lines)))
 
     def test_emit_probe_passes_over_a_record_without_emission(self):
         # the first record lacks a probe score but does not emit, so it needs none
-        records = [trace("r0", True, True), trace("r1", True, True, emissions=1, probe_score=0.5),
-                   trace("r2", True, True, emissions=2), trace("r3", True, True, emissions=1)]
+        table = traces([hand_trace("r0", True, True),
+                        hand_trace("r1", True, True, emissions=1, probe_score=0.5),
+                        hand_trace("r2", True, True, emissions=2),
+                        hand_trace("r3", True, True, emissions=1)])
         with pytest.raises(MissingSignal, match="^record 'r2' has no probe score$"):
-            ragctl.decide(ragctl.parse_policy_spec("emit+probe:0.5"),
-                          ragctl.score_traces(records))
+            ragctl.decide(ragctl.parse_policy_spec("emit+probe:0.5"), ragctl.score_traces(table))

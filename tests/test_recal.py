@@ -12,13 +12,25 @@ import uncal
 from uncal import jsonio, optim, recal, rewards
 from uncal.cli import main
 from uncal.errors import DegenerateFit
-from uncal.rewards import PredictionRecord, score_predictions
+from uncal.rewards import score_predictions
 
-from conftest import count_calls, make_record
-from oracles import oracle_apply_ats, oracle_apply_ts, oracle_fit_global_ts, oracle_ts_nll
+from conftest import count_calls, make_record, prediction, predictions, rows
+from oracles import (
+    oracle_apply_ats,
+    oracle_apply_ts,
+    oracle_fit_global_ts,
+    oracle_record_confidence,
+    oracle_ts_nll,
+    prediction_records,
+)
 
 
 def calibrated_batch(rng, t_star, n=4000):
+    """The table of `calibrated_lines`."""
+    return predictions(calibrated_lines(rng, t_star, n))
+
+
+def calibrated_lines(rng, t_star, n):
     """Outcomes drawn as Bernoulli(q); stated confidence has its logit
     inflated by t_star, so a fitted temperature should recover t_star."""
     records = []
@@ -43,16 +55,9 @@ def length_overconfident_batch(rng, n=3000):
         conf = 1.0 / (1.0 + math.exp(-logit * t_gen))
         words = "pad " * (200 if long else 10)
         text = f"{words.strip()}\nAnswer: {'alpha' if outcome else 'omega'}"
-        records.append(
-            PredictionRecord(
-                qid=f"q{i}",
-                gold_answers=("alpha",),
-                response_text=text,
-                verbal_confidence=conf,
-                response_token_count=len(text.split()),
-            )
-        )
-    return records
+        records.append(prediction(f"q{i}", ("alpha",), text, verbal_confidence=conf,
+                                  response_token_count=len(text.split())))
+    return predictions(records)
 
 
 class TestGlobalTs:
@@ -110,14 +115,14 @@ class TestGlobalTs:
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateFit):
-            recal.fit_global_ts(score_predictions(
-                [make_record("a", 0.5, True), make_record("b", 0.6, True)]))
+            recal.fit_global_ts(score_predictions(predictions(
+                [make_record("a", 0.5, True), make_record("b", 0.6, True)])))
 
     def test_saturated_confidences_rejected(self):
         with pytest.raises(DegenerateFit):
-            recal.fit_global_ts(score_predictions(
+            recal.fit_global_ts(score_predictions(predictions(
                 [make_record("a", 0.0, False), make_record("b", 1.0, True)]
-            ))
+            )))
 
 
 class TestGlobalTsAgainstGoldenSection:
@@ -148,6 +153,7 @@ class TestGlobalTsAgainstGoldenSection:
             high = float(rng.uniform(0.55, 0.99))
             conf = high if correct == correct_above else 1.0 - high
             records.append(make_record(f"q{i}", conf, correct))
+        records = predictions(records)
         model = recal.fit_global_ts(score_predictions(records))
         assert 0.0 < model.temperature < math.inf
         assert (model.temperature < 1.0) == correct_above
@@ -166,16 +172,11 @@ class TestAts:
             assert abs(ats_model.fit_nll - ts_model.fit_nll) < 1e-3
 
     def test_zero_variance_feature_keeps_zero_weight(self, rng):
-        records = [
-            PredictionRecord(
-                qid=f"s{i}",
-                gold_answers=("alpha",),
-                response_text=f"one two\nAnswer: {'alpha' if i % 3 else 'omega'}",
-                verbal_confidence=float(rng.uniform(0.2, 0.8)),
-                response_token_count=5,
-            )
+        records = predictions([
+            prediction(f"s{i}", ("alpha",), f"one two\nAnswer: {'alpha' if i % 3 else 'omega'}",
+                       verbal_confidence=float(rng.uniform(0.2, 0.8)), response_token_count=5)
             for i in range(40)
-        ]
+        ])
         model = recal.fit_ats(records, score_predictions(records), l2=0.0)
         # length, answer length, and depth are constant across the batch
         assert model.weights[1] == 0.0
@@ -196,10 +197,11 @@ class TestAts:
             assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
 
     def test_records_and_scores_must_align(self, rng):
-        # one record more than the batch scored: its features would be dropped
+        # one row more than the batch scored: its features would be dropped
         records = calibrated_batch(rng, 2.0, n=50)
+        longer = {key: column + column[:1] for key, column in records.items()}
         with pytest.raises(ValueError):
-            recal.fit_ats([*records, make_record("extra", 0.5, True)], score_predictions(records))
+            recal.fit_ats(longer, score_predictions(records))
 
     def test_temperature_floor_respected(self, rng):
         batch = calibrated_batch(rng, 0.5, n=300)
@@ -211,11 +213,11 @@ class TestAts:
             assert t >= recal.ATS_TEMPERATURE_FLOOR
 
 
-def recal_ptrue(tmp_path, records) -> list[PredictionRecord]:
-    """The records after `uncal recal ptrue`."""
+def recal_ptrue(tmp_path, lines) -> dict:
+    """The table of the prediction lines `lines` after `uncal recal ptrue`."""
     src = tmp_path / "in.jsonl"
     out = tmp_path / "out.jsonl"
-    jsonio.write_jsonl(src, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+    jsonio.write_jsonl(src, lines)
     assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
     return jsonio.load_predictions(out).records
 
@@ -233,13 +235,10 @@ def test_recalibrated_confidence_outside_unit_interval_refused(tmp_path, monkeyp
 
 class TestPtrue:
     def test_pass_through_extremes(self, tmp_path):
-        records = [
-            PredictionRecord(qid=f"q{i}", gold_answers=("x",), response_text="Answer: x",
-                             verbal_confidence=0.5, p_affirmative=p)
-            for i, p in enumerate((1.0, 0.397, 0.0))
-        ]
+        records = [prediction(f"q{i}", ("x",), "Answer: x", verbal_confidence=0.5, p_affirmative=p)
+                   for i, p in enumerate((1.0, 0.397, 0.0))]
         out = recal_ptrue(tmp_path, records)
-        assert [r.verbal_confidence for r in out] == [1.0, 0.397, 0.0]
+        assert out["verbal_confidence"] == [1.0, 0.397, 0.0]
 
     def test_range_validated(self, tmp_path):
         # the loader's table is the check `recal ptrue` relies on
@@ -253,34 +252,26 @@ class TestPtrue:
         records = []
         for i in range(40):
             correct = i % 2 == 0
-            records.append(
-                PredictionRecord(
-                    qid=f"q{i}",
-                    gold_answers=("alpha",),
-                    response_text=f"Answer: {'alpha' if correct else 'omega'}",
-                    verbal_confidence=0.9,
-                    p_affirmative=0.8 if correct else 0.2,
-                )
-            )
+            records.append(prediction(f"q{i}", ("alpha",),
+                                      f"Answer: {'alpha' if correct else 'omega'}",
+                                      verbal_confidence=0.9, p_affirmative=0.8 if correct else 0.2))
 
         def overconfident_wrong(confs):
             return sum(
                 1
                 for c, r in zip(confs, records)
-                if c > 0.7 and r.gold_answers[0] not in r.response_text.lower()
+                if c > 0.7 and r["gold_answers"][0] not in r["response_text"].lower()
             )
 
-        before = overconfident_wrong([r.verbal_confidence for r in records])
-        after = overconfident_wrong(
-            [r.verbal_confidence for r in recal_ptrue(tmp_path, records)]
-        )
+        before = overconfident_wrong([r["verbal_confidence"] for r in records])
+        after = overconfident_wrong(recal_ptrue(tmp_path, records)["verbal_confidence"])
         assert before == 20 and after == 0
 
 
 def test_rank_order_preserved_under_ts(rng):
     batch = calibrated_batch(rng, 2.0, n=200)
     model = recal.fit_global_ts(score_predictions(batch))
-    confs = [r.verbal_confidence for r in batch]
+    confs = batch["verbal_confidence"]
     mapped = recal.apply_ts(model, np.array(confs))
     assert np.array_equal(np.argsort(confs, kind="stable"), np.argsort(mapped, kind="stable"))
 
@@ -288,23 +279,25 @@ def test_rank_order_preserved_under_ts(rng):
 def test_fits_score_each_record_once(rng, monkeypatch, tmp_path):
     # the command scores its fit file once; the fits read those columns and
     # score nothing themselves
-    records = calibrated_batch(rng, 1.5, n=200)
-    records.append(make_record("unparsed", None, True))
+    lines = [*calibrated_lines(rng, 1.5, n=200), make_record("unparsed", None, True)]
+    records = predictions(lines)
     batch = score_predictions(records)
-    matches = count_calls(monkeypatch, rewards, "match_record")
-    confidences = count_calls(monkeypatch, rewards, "record_confidence")
+    matches = count_calls(monkeypatch, rewards, "match_answer")
+    confidences = count_calls(monkeypatch, rewards, "confidences")
+    parsed = count_calls(monkeypatch, rewards, "extract_confidence")
     recal.fit_global_ts(batch)
     recal.fit_ats(records, batch, l2=0.01)
-    assert len(matches) == len(confidences) == 0
+    assert len(matches) == len(confidences) == len(parsed) == 0
     fit, apply = tmp_path / "fit.jsonl", tmp_path / "apply.jsonl"
-    jsonio.write_jsonl(fit, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
-    jsonio.write_jsonl(apply, [jsonio.encode(jsonio.PREDICTION, records[0])])
+    jsonio.write_jsonl(fit, lines)
+    jsonio.write_jsonl(apply, lines[:1])
     for kind in ("ts", "ats"):
         assert main(["recal", kind, "--fit", str(fit), "--apply", str(apply),
                      "--out", str(tmp_path / "out.jsonl")]) == 0
-    # each fit record once per command; the apply record's confidence once too
-    assert len(matches) == 2 * len(records)
-    assert len(confidences) == 2 * (len(records) + 1)
+    # each fit row once per command; the confidence column of each file once,
+    # reading the text of the one row without a stated confidence
+    assert len(matches) == 2 * len(lines)
+    assert len(confidences) == 2 * 2 and len(parsed) == 2
 
 
 def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):
@@ -326,7 +319,7 @@ _POOL = st.sampled_from([0.0, 1.0, 0.05, 0.5, 0.9]) | st.floats(0.0, 1.0)
 
 
 @st.composite
-def _apply_records(draw) -> list[PredictionRecord]:
+def _apply_records(draw) -> list[dict]:
     records = []
     for i in range(draw(st.integers(1, 12))):
         conf = draw(st.none() | _POOL)
@@ -336,8 +329,8 @@ def _apply_records(draw) -> list[PredictionRecord]:
             lines.append(f"Answer: {draw(st.sampled_from(['alpha', 'omega', 'a b c', '']))}")
         if in_text:
             lines.append(f"Confidence: {conf!r}")
-        records.append(PredictionRecord(
-            qid=f"q{i}", gold_answers=("alpha",), response_text="\n".join(lines),
+        records.append(prediction(
+            f"q{i}", ("alpha",), "\n".join(lines),
             extracted_answer=draw(st.none() | st.sampled_from(["alpha", "xyz", ""])),
             verbal_confidence=None if in_text else conf,
             response_token_count=draw(st.sampled_from([0, 3, 250])),
@@ -350,24 +343,24 @@ FIT_FILE = str(uncal.fixture_path("preds20.jsonl"))
 FIT_RECORDS = jsonio.load_predictions(FIT_FILE).records
 
 
-def _recal_lines(records, kind: str) -> tuple[list[PredictionRecord], list[str]]:
-    """The apply file's records as loaded, and the lines `uncal recal <kind>`
-    writes for them, fitted on the bundled fixture."""
+def _recal_lines(records, kind: str) -> tuple[dict, list[str]]:
+    """The apply file's table as loaded, and the lines `uncal recal <kind>`
+    writes for it, fitted on the bundled fixture."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "apply.jsonl", Path(tmp) / "out.jsonl"
-        jsonio.write_jsonl(path, [jsonio.encode(jsonio.PREDICTION, r) for r in records])
+        jsonio.write_jsonl(path, records)
         argv = (["recal", "ptrue", "--in", str(path)] if kind == "ptrue"
                 else ["recal", kind, "--fit", FIT_FILE, "--apply", str(path)])
         assert main(argv + ["--out", str(out)]) == 0
         return jsonio.load_predictions(path).records, out.read_text().splitlines()
 
 
-def _former_line(record, conf) -> str:
+def _former_line(row: dict, conf) -> str:
     """A line as the per-record writer wrote it: unchanged without a new
     confidence, else with `verbal_confidence` replaced."""
     if conf is None:
-        return jsonio.encode(jsonio.PREDICTION, record)
-    return jsonio.encode(jsonio.PREDICTION, record, verbal_confidence=conf)
+        return jsonio.encode(jsonio.PREDICTION, row)
+    return jsonio.encode(jsonio.PREDICTION, {**row, "verbal_confidence": conf})
 
 
 def _ats_tolerance(model, record) -> float:
@@ -378,9 +371,10 @@ def _ats_tolerance(model, record) -> float:
     two differ by at most twice that; T = softplus(u) + floor moves by at most
     sigmoid(u) times that, and sigmoid(L/T) by p (1 - p) |L| / T^2 times T's
     move. 4 ulp of T and 4 ulp of the result cover the remaining roundings."""
-    conf = np.array([rewards.record_confidence(record)])
+    conf = np.array([oracle_record_confidence(record)])
     logit = recal._logits(conf)
-    raw = recal._feature_rows([record], np.array([True]), logit)[0]
+    one = predictions([{**vars(record), "emissions": None, "match": None}])
+    raw = recal._feature_rows(one, np.array([True]), logit)[0]
     terms = (raw - model.feature_means) / model.feature_stds * model.weights
     eps = np.finfo(float).eps / 2
     du = 2 * 5 * eps / (1 - 5 * eps) * (np.abs(terms).sum() + abs(model.bias))
@@ -412,34 +406,34 @@ class TestColumnsEqualFormerPerRecordValues:
         loaded, lines = _recal_lines(records, "ts")
         assert lines == [
             _former_line(r, None if c is None else oracle_apply_ts(self.TS_MODEL, c))
-            for r, c in zip(loaded, map(rewards.record_confidence, loaded))]
+            for r, c in zip(rows(loaded),
+                            map(oracle_record_confidence, prediction_records(loaded)))]
 
     @settings(max_examples=60, deadline=None)
     @given(_apply_records())
     def test_ptrue_lines(self, records):
         loaded, lines = _recal_lines(records, "ptrue")
-        assert lines == [_former_line(r, r.p_affirmative) for r in loaded]
+        assert lines == [_former_line(r, r["p_affirmative"]) for r in rows(loaded)]
 
     @settings(max_examples=40, deadline=None)
     @given(_apply_records())
     def test_ats_lines_within_the_dot_product_rounding(self, records):
         loaded, lines = _recal_lines(records, "ats")
-        assert len(lines) == len(loaded)
-        for record, line in zip(loaded, lines):
-            if rewards.record_confidence(record) is None:
-                assert line == _former_line(record, None)
+        assert len(lines) == len(loaded["qid"])
+        for row, record, line in zip(rows(loaded), prediction_records(loaded), lines):
+            if oracle_record_confidence(record) is None:
+                assert line == _former_line(row, None)
                 continue
             got = json.loads(line)["verbal_confidence"]
             former = oracle_apply_ats(self.ATS_MODEL, record)
             assert abs(got - former) <= _ats_tolerance(self.ATS_MODEL, record)
-            assert line == _former_line(record, got)
+            assert line == _former_line(row, got)
 
     @pytest.mark.parametrize("kind", ["ts", "ats", "ptrue"])
     def test_no_usable_confidence_writes_every_line_unchanged(self, kind, capsys):
-        records = [PredictionRecord(qid=f"q{i}", gold_answers=("alpha",),
-                                    response_text="Answer: alpha") for i in range(3)]
+        records = [prediction(f"q{i}", ("alpha",), "Answer: alpha") for i in range(3)]
         loaded, lines = _recal_lines(records, kind)
-        assert lines == [_former_line(r, None) for r in loaded]
+        assert lines == [_former_line(r, None) for r in rows(loaded)]
         missing = "p_affirmative" if kind == "ptrue" else "parseable confidence"
         assert capsys.readouterr().err == f"skipped 3 records without {missing}\n"
         column = rewards.confidences(loaded)

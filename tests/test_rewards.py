@@ -7,27 +7,43 @@ from hypothesis import strategies as st
 
 from uncal import jsonio
 from uncal.rewards import (
-    EmissionEvent,
     GoldSet,
     MatchRule,
-    PredictionRecord,
+    answers,
     extract_answer_line,
     extract_confidence,
-    first_emit_fraction,
     match_answer,
-    match_record,
+    match_answers,
     normalize_answer,
     parse_date,
     reasoning_depth,
-    record_correct,
     scan_emissions,
     score_predictions,
     token_bag,
     token_f1,
 )
 
-from conftest import count_calls
-from oracles import oracle_annotate_record, oracle_match_answer
+from conftest import count_calls, emission, prediction, predictions
+from oracles import oracle_match_answer
+
+
+def matched(table, f1_threshold=0.3):
+    """Each row's answer matched, as `uncal match` writes it."""
+    return match_answers(answers(table, range(len(table["qid"]))), table["gold_answers"],
+                         f1_threshold)
+
+
+def annotate(line: dict, f1_threshold: float) -> dict:
+    """The prediction line as `uncal match` writes it at `f1_threshold`."""
+    table = predictions([line])
+    (verdict,) = matched(table, f1_threshold)
+    return {**line, "extracted_answer": answers(table, [0])[0],
+            "match": {"correct": verdict.correct, "rule": verdict.rule.value, "f1": verdict.f1}}
+
+
+def correct(line: dict, f1_threshold: float) -> bool:
+    """Is the prediction line's answer scored correct at `f1_threshold`?"""
+    return bool(score_predictions(predictions([line]), f1_threshold).correct[0])
 
 
 class TestExtractAnswerLine:
@@ -52,9 +68,9 @@ class TestExtractAnswerLine:
         for text in ("Answer: Paris Confidence  : 0.9", "Answer: Paris confidence\t:0.9"):
             assert extract_confidence(text) == 0.9
             assert extract_answer_line(text) == "Paris"
-            record = PredictionRecord(qid="q", gold_answers=("Paris",), response_text=text)
-            assert match_record(record) == match_answer("Paris", GoldSet(("Paris",)))
-            assert match_record(record).rule is MatchRule.EXACT_MATCH
+            (verdict,) = matched(predictions([prediction("q", ("Paris",), text)]))
+            assert verdict == match_answer("Paris", GoldSet(("Paris",)))
+            assert verdict.rule is MatchRule.EXACT_MATCH
 
     def test_empty_payload_is_present(self):
         assert extract_answer_line("Answer:") == ""
@@ -231,46 +247,19 @@ class TestScanEmissions:
 
     def test_adjacent_markers(self):
         events = scan_emissions("<uncertain><uncertain>")
-        assert [e.char_position for e in events] == [0, 11]
+        assert [e["char_position"] for e in events] == [0, 11]
 
 
-class TestFirstEmitFraction:
-    def test_at_start(self):
-        record = PredictionRecord(
-            qid="q", gold_answers=("a",), response_text="<uncertain> then text",
-            emissions=(EmissionEvent(0),),
-        )
-        assert first_emit_fraction(record) == 0.0
-
-    def test_absent(self):
-        record = PredictionRecord(qid="q", gold_answers=("a",), response_text="text")
-        assert first_emit_fraction(record) is None
-
-    def test_quarter(self):
-        text = "x" * 200
-        record = PredictionRecord(
-            qid="q", gold_answers=("a",), response_text=text,
-            emissions=(EmissionEvent(50),),
-        )
-        assert first_emit_fraction(record) == 0.25
-
-
-def test_match_record_uses_last_answer_line():
-    record = PredictionRecord(
-        qid="q", gold_answers=("venice",),
-        response_text="Answer: Rome\nreconsidering\nAnswer: Venice",
-    )
-    assert match_record(record).correct
+def test_match_uses_last_answer_line():
+    table = predictions([prediction("q", ("venice",),
+                                    "Answer: Rome\nreconsidering\nAnswer: Venice")])
+    assert matched(table)[0].correct
 
 
 def test_match_pipeline_deterministic():
-    record = PredictionRecord(
-        qid="q", gold_answers=("mount laurel township",),
-        response_text="Answer: born in Mount Laurel",
-    )
-    first = match_record(record)
-    second = match_record(record)
-    assert first == second
+    table = predictions([prediction("q", ("mount laurel township",),
+                                    "Answer: born in Mount Laurel")])
+    assert matched(table) == matched(table)
 
 
 def test_reasoning_depth_counts_lines_before_answer():
@@ -281,64 +270,73 @@ def test_reasoning_depth_counts_lines_before_answer():
 
 class TestScorePredictions:
     def test_fields_in_record_order(self):
-        records = [
-            PredictionRecord(qid="a", dataset="d1", gold_answers=("Paris",),
-                             response_text="hmm <uncertain>\nAnswer: Paris",
-                             verbal_confidence=0.8),
-            PredictionRecord(qid="b", dataset="d2", gold_answers=("Paris",),
-                             response_text="Answer: Rome\nConfidence: 0.3",
-                             emissions=(EmissionEvent(char_position=0),)),
-            PredictionRecord(qid="c", gold_answers=("Paris",), response_text="no answer"),
-        ]
-        batch = score_predictions(records)
+        table = predictions([
+            prediction("a", ("Paris",), "hmm <uncertain>\nAnswer: Paris", dataset="d1",
+                       verbal_confidence=0.8),
+            prediction("b", ("Paris",), "Answer: Rome\nConfidence: 0.3", dataset="d2",
+                       emissions=[emission(0)]),
+            prediction("c", ("Paris",), "no answer"),
+        ])
+        batch = score_predictions(table)
         assert len(batch) == 3
         assert batch.confidence[:2].tolist() == [0.8, 0.3]
         assert math.isnan(batch.confidence[2])
         assert batch.correct.tolist() == [True, False, False]
-        # `marked` reads the text, not the record's emission events
+        # `marked` reads the text, not the row's emission events
         assert batch.marked.tolist() == [True, False, False]
 
     def test_each_record_matched_and_read_once(self, monkeypatch):
         import uncal.rewards as rewards
 
-        matches = count_calls(monkeypatch, rewards, "match_record")
-        confidences = count_calls(monkeypatch, rewards, "record_confidence")
-        records = [
-            PredictionRecord(qid=f"q{i}", gold_answers=("x",),
-                             response_text=f"Answer: {'x' if i % 2 else 'y'}",
-                             verbal_confidence=0.5)
+        table = predictions([
+            prediction(f"q{i}", ("x",), f"Answer: {'x' if i % 2 else 'y'}", verbal_confidence=0.5)
             for i in range(7)
-        ]
-        score_predictions(records)
-        assert len(matches) == 7 and len(confidences) == 7
+        ])
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        read = count_calls(monkeypatch, rewards, "extract_answer_line")
+        parsed = count_calls(monkeypatch, rewards, "extract_confidence")
+        score_predictions(table)
+        assert len(matches) == 7 and len(read) == 7 and parsed == []
+
+    def test_a_cached_verdict_reads_no_answer_unless_it_needs_one(self, monkeypatch):
+        import uncal.rewards as rewards
+
+        lines = [annotate(prediction(f"q{i}", ("big machine records",), text), 0.3)
+                 for i, text in enumerate(["Answer: big machine records", "Answer: big machine",
+                                           "Answer: taylor"])]
+        table = predictions([{**line, "extracted_answer": None} for line in lines])
+        read = count_calls(monkeypatch, rewards, "extract_answer_line")
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        assert score_predictions(table, 0.5).correct.tolist() == [True, True, False]
+        # ExactMatch decides alone, and F1 0 is below the threshold: only the
+        # TokenF1 verdict at 0.8 asks whether its row has an answer
+        assert [args[0] for args in read] == ["Answer: big machine"] and matches == []
 
 
 class TestCachedMatchHonoursThreshold:
     # token F1 of "big machine" against "big machine records" is 0.8
-    PARTIAL = PredictionRecord(qid="p", gold_answers=("big machine records",),
-                               response_text="Answer: big machine")
+    PARTIAL = prediction("p", ("big machine records",), "Answer: big machine")
 
     def test_token_f1_cache_rejudged_at_threshold(self):
-        cached = oracle_annotate_record(self.PARTIAL, 0.3)
-        assert cached.match.correct and cached.match.rule is MatchRule.TOKEN_F1
-        assert record_correct(cached, 0.3) is True
-        assert record_correct(cached, 0.9) is False
-        assert record_correct(cached, 0.8) is True
+        cached = annotate(self.PARTIAL, 0.3)
+        assert cached["match"]["correct"] and cached["match"]["rule"] == "TokenF1"
+        assert correct(cached, 0.3) is True
+        assert correct(cached, 0.9) is False
+        assert correct(cached, 0.8) is True
 
     def test_threshold_free_rules_trust_the_cache(self):
-        record = PredictionRecord(qid="e", gold_answers=("yes",), response_text="Answer: True")
-        cached = oracle_annotate_record(record, 0.3)
-        assert cached.match.rule is MatchRule.YES_NO
-        assert record_correct(cached, 1.0) is True
+        cached = annotate(prediction("e", ("yes",), "Answer: True"), 0.3)
+        assert cached["match"]["rule"] == "YesNo"
+        assert correct(cached, 1.0) is True
 
     def test_no_answer_stays_wrong_at_zero_threshold(self):
-        record = PredictionRecord(qid="n", gold_answers=("x",), response_text="no answer")
-        assert record_correct(record, 0.0) is False
-        assert record_correct(oracle_annotate_record(record, 0.3), 0.0) is False
+        line = prediction("n", ("x",), "no answer")
+        assert correct(line, 0.0) is False
+        assert correct(annotate(line, 0.3), 0.0) is False
 
     def test_threshold_validated_on_cached_records(self):
         with pytest.raises(ValueError):
-            record_correct(oracle_annotate_record(self.PARTIAL, 0.3), 1.5)
+            correct(annotate(self.PARTIAL, 0.3), 1.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -350,7 +348,5 @@ class TestCachedMatchHonoursThreshold:
         judged_at=st.floats(0.0, 1.0),
     )
     def test_cache_never_changes_the_verdict(self, answer, gold, cached_at, judged_at):
-        record = PredictionRecord(qid="h", gold_answers=(" ".join(gold),),
-                                  response_text="Answer: " + " ".join(answer))
-        cached = oracle_annotate_record(record, cached_at)
-        assert record_correct(cached, judged_at) == record_correct(record, judged_at)
+        line = prediction("h", (" ".join(gold),), "Answer: " + " ".join(answer))
+        assert correct(annotate(line, cached_at), judged_at) == correct(line, judged_at)

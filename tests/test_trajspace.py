@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,9 +73,8 @@ class TestSpaceValidation:
     def test_confidence_range_enforced(self):
         line = {"gold_answer": "A",
                 "trajectories": [{"id": "z", "answer": "A", "confidence": 1.2, "base_prob": 1.0}]}
-        with pytest.raises(ValueError) as refused:
-            jsonio.SPACES.parse(line)
-        assert str(refused.value) == "trajectories[0]: confidence outside [0,1]"
+        _, errors, _ = jsonio.read_lines([json.dumps(line)], jsonio.SPACES)
+        assert errors == [(1, "trajectories[0]: confidence outside [0,1]")]
 
 
 class TestReward:
@@ -397,7 +397,9 @@ def test_compression_ordering_random(seed):
 def test_serialization_round_trip():
     rng = np.random.default_rng(3)
     space = ts.random_space(rng)
-    again = jsonio.SPACES.parse(json.loads(jsonio.encode(jsonio.SPACE, space)))
+    [again], errors, _ = jsonio.read_lines([jsonio.encode(jsonio.SPACE, asdict(space))],
+                                           jsonio.SPACES)
+    assert errors == []
     assert again.gold_answer == space.gold_answer
     np.testing.assert_allclose(again.probs(), space.probs(), atol=0)
     assert [t.id for t in again.trajectories] == [t.id for t in space.trajectories]
