@@ -6,8 +6,8 @@ Modules by concern: `trajspace` (exact tilted-policy simulation), `rewards`
 scaling), `probe` (hidden-state wrongness probe), `ragctl`
 (retrieval-trigger simulation), `reprgeo` (representation analytics),
 `optim` (the minimizer every fit shares: global and adaptive temperature
-scaling and the probe), `jsonio` and `matio` (file formats; a prediction or
-trace load yields one column table, a dict from field to list, and a
+scaling and the probe), `jsonio` and `matio` (file formats; every JSON
+Lines load yields one column table, a dict from field to list, and a
 rewrite replaces some of its columns), and `cli` (the `uncal` command, from
 which every report is produced; it scores each input once and hands the
 fits its columns).

@@ -251,8 +251,8 @@ def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
         print(f"{path}:{line_no}: {message}", file=sys.stderr)
 
 
-def _accepted(path, result: jsonio.LoadResult):
-    """What the accepted lines yield; each rejected line is reported once on stderr."""
+def _accepted(path, result: jsonio.LoadResult) -> dict[str, list]:
+    """The column table of the accepted lines; each rejected line is reported once on stderr."""
     _report_rejected(path, result.errors)
     return result.records
 
@@ -308,7 +308,7 @@ def _read_only(value):
 
 
 def _derived(what, path, load, derive):
-    """`derive(accepted)` of what the lines `load(path)` accepts yield, made read-only;
+    """`derive(table)` of the column table `load(path)` accepts, made read-only;
     each call reports the load's rejected lines as a lone load would. The
     value is kept under `what` (a name, and every flag `derive` reads) and
     the sha256 of the bytes the load parsed (`LoadResult.sha256`), so a
@@ -333,7 +333,12 @@ def _derived(what, path, load, derive):
 
 
 def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
-    return _accepted(path, jsonio.load_lines(path, jsonio.SPACES))
+    """The trajectory spaces of the space file `path`, each trajectory's
+    `correct` flag its answer's equality with the gold answer."""
+    table = _accepted(path, jsonio.load_lines(path, jsonio.SPACES))
+    return [trajspace.TrajectorySpace(tuple(trajspace.Trajectory(**t, correct=t["answer"] == gold)
+                                            for t in trajectories), gold)
+            for trajectories, gold in zip(table["trajectories"], table["gold_answer"])]
 
 
 def _load_preds(path) -> dict[str, list]:
@@ -345,6 +350,13 @@ def _scored_preds(path, f1_threshold: float):
     `f1_threshold`: what every fit reads."""
     table = _load_preds(path)
     return table, rewards.score_predictions(table, f1_threshold)
+
+
+def _apply_table(args, fit_table: dict) -> dict:
+    """The table of `--apply`: `fit_table`, the table of `--fit`, where both
+    name one file, so that each rejected line of it is reported once."""
+    same = os.path.exists(args.apply_path) and os.path.samefile(args.fit, args.apply_path)
+    return fit_table if same else _load_preds(args.apply_path)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +458,9 @@ def _write_recalibrated(args, table, original, new, missing: str) -> None:
 
 
 def _cmd_recal_ts(args) -> int:
-    model = recal.fit_global_ts(_scored_preds(args.fit, args.f1_threshold)[1])
-    table = _load_preds(args.apply_path)
+    fit_table, batch = _scored_preds(args.fit, args.f1_threshold)
+    model = recal.fit_global_ts(batch)
+    table = _apply_table(args, fit_table)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ts(model, confidence),
                         "parseable confidence")
@@ -466,8 +479,9 @@ def _cmd_recal_ts(args) -> int:
 
 
 def _cmd_recal_ats(args) -> int:
-    model = recal.fit_ats(*_scored_preds(args.fit, args.f1_threshold), args.l2)
-    table = _load_preds(args.apply_path)
+    fit_table, batch = _scored_preds(args.fit, args.f1_threshold)
+    model = recal.fit_ats(fit_table, batch, args.l2)
+    table = _apply_table(args, fit_table)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ats(model, table, confidence),
                         "parseable confidence")
@@ -497,17 +511,17 @@ def _cmd_recal_ptrue(args) -> int:
     return 0
 
 
-def _token_rows(rows: list[dict]) -> tuple[int, dict[str, slice | np.ndarray], str | None]:
-    """A sidecar's row count, each qid's rows in token order (a row without
-    `token_index` takes its position among the qid's rows), and the fault of
+def _token_rows(rows: dict[str, list]) -> tuple[int, dict[str, slice | np.ndarray], str | None]:
+    """From a sidecar's `qid` and `token_index` columns: its row count, each
+    qid's rows in token order (a row without `token_index` takes its
+    position among the qid's rows), and the fault of
     the first qid whose token indices are not 0..k-1, or None. A qid whose
     rows are contiguous and already in token order gets a slice, so that
     indexing a matrix with it gives a view rather than a copy; any other qid
     gets an array of its row indices."""
     grouped: dict[str, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
-        members = grouped.setdefault(row["qid"], [])
-        token = row["token_index"]
+    for i, (qid, token) in enumerate(zip(rows["qid"], rows["token_index"])):
+        members = grouped.setdefault(qid, [])
         members.append((len(members) if token is None else token, i))
     order, fault = {}, None
     for qid, members in grouped.items():
@@ -519,7 +533,7 @@ def _token_rows(rows: list[dict]) -> tuple[int, dict[str, slice | np.ndarray], s
         contiguous = indices == list(range(start, start + len(indices)))
         order[qid] = (slice(start, start + len(indices)) if contiguous
                       else np.array(indices, dtype=np.intp))
-    return len(rows), order, fault
+    return len(rows["qid"]), order, fault
 
 
 def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
@@ -712,24 +726,25 @@ def _cmd_repr_drift(args) -> int:
     return 0
 
 
-def _plan_step(argv: list[str]) -> list[str]:
-    """`argv` if it parses as one command other than `run`; else ValueError."""
+def _plan_step(argv: list[str]) -> str | None:
+    """Why `argv` is no plan step, or None where it parses as one command other than `run`."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):  # a help request prints help
             handler = getattr(_build_parser().parse_args(argv), "handler", None)
     except UsageError as exc:
-        raise ValueError(str(exc)) from None
+        return str(exc)
     except SystemExit:
-        raise ValueError("a help request is not a plan step") from None
+        return "a help request is not a plan step"
     if handler is None:
-        raise ValueError("argv names no command")
+        return "argv names no command"
     if handler is _cmd_run:
-        raise ValueError("a plan step may not run a plan")
-    return argv
+        return "a plan step may not run a plan"
+    return None
 
 
 # a plan's lines: each step's argv, refused unless it parses as a command
-_PLAN = jsonio.LineKind(jsonio.PLAN_STEP, lambda fields: list(map(_plan_step, fields["argv"])))
+_PLAN = jsonio.LineKind(jsonio.PLAN_STEP, rule=lambda fields: [
+    (row, refusal) for row, refusal in enumerate(map(_plan_step, fields["argv"])) if refusal])
 
 
 def _cmd_run(args) -> int:
@@ -743,7 +758,7 @@ def _cmd_run(args) -> int:
         _report_rejected(args.plan, plan.errors)
         raise ValueError(f"{args.plan}: {len(plan.errors)} of {plan.total_lines} plan lines "
                          "refused; no step was run")
-    for argv in plan.records:
+    for argv in plan.records["argv"]:
         code = main(argv)
         if code:
             return code

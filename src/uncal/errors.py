@@ -4,10 +4,9 @@ Every error raised by library code derives from UncalError so callers (and
 the CLI) can distinguish validation failures from genuine bugs. The theory
 layer (`trajspace`) raises InvalidStep, NumericOverflow, HypothesisViolated
 and DegenerateRatio. A JSON input value that its `jsonio` table refuses, a
-probe model's included, raises ValueError naming the field instead, and so
-does a record class for the few rules across fields that no table states;
-the table is the one check of a single field's value. The CLI exits 1 on
-both kinds.
+probe model's included, raises ValueError naming the field instead; the
+table is the one check of a single field's value, and a line kind's rule
+the one check across the fields of a line. The CLI exits 1 on both kinds.
 """
 
 from __future__ import annotations

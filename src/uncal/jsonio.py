@@ -11,16 +11,16 @@ time: each field's `Reader.check` tests the block's column of values in a
 few C-level passes (type sets, `min`/`max`, enum key sets; nested objects as
 one flattened block of their own). `check` is the only rule that accepts a
 value; a line kind's `rule`, if any, checks across the fields of the lines
-the checks accept (a prediction's emissions sorted and inside its text). A
-line a check refuses is refused with the message `_refusal` words from the
-first field `check` refuses (its `Reader.refusal`), and a line the rule
-refuses with the rule's, so a line is accepted or refused, with the same
-message, whatever block it falls in. Prediction and trace loads (`PREDICTIONS`, `RAG_TRACES`)
-yield the accepted lines as one column table: a plain dict from field to
-list, in line order, a nested object read as a dict of its fields. The other
-kinds build one object per line from the columns. A file is read line by
-line: a load holds one block of lines, their decoded objects and columns,
-and what the lines accepted so far yield. Loading is strict: invalid lines
+the checks accept (a prediction's emissions sorted and inside its text, a
+space's ids unique, a KL pair's lengths equal). A line a check refuses is
+refused with the message `_refusal` words from the first field `check`
+refuses (its `Reader.refusal`), and a line the rule refuses with the
+rule's, so a line is accepted or refused, with the same message, whatever
+block it falls in. Every load yields the accepted lines
+as one column table: a plain dict from field to list, in line order, a
+nested object read as a dict of its fields. A file is read line by line: a
+load holds one block of lines, their decoded objects and columns, and the
+columns of the lines accepted so far. Loading is strict: invalid lines
 are returned with their line numbers (the messages carry no file or line;
 callers prefix `path:line:` once), and a file where more than half the lines
 fail is rejected outright. A rejection inside a nested object starts with
@@ -39,7 +39,6 @@ Every output file is written atomically.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import io
@@ -58,11 +57,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CorruptInput, IoError, ShapeError
+from .errors import CorruptInput, IoError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
-from .reprgeo import TokenAnnotation, TokenDistPair, TokenType
+from .reprgeo import TokenType
 from .rewards import MatchRule, scan_emissions
-from .trajspace import Trajectory, TrajectorySpace
+from .trajspace import space_refusal
 
 # lines read, or rows written, together; bounds what one block holds alive
 BLOCK_LINES = 256
@@ -288,20 +287,25 @@ def _located(table: dict, name: str, value) -> str | None:
     return refusal and f"{name}: {refusal}"
 
 
-def read_object(table: dict, build) -> Reader:
-    """Reader of a nested object, read by `table` into `build(**fields)`; a
-    column of them is checked and built as one block of its own."""
+def _objects(table: dict, objs: list) -> list[dict]:
+    """The accepted nested objects `objs`, each read by `table` into a dict of its fields."""
+    fields = _fields(table, _columns(table, objs))
+    return [dict(zip(fields, row)) for row in zip(*fields.values())]
+
+
+def read_object(table: dict) -> Reader:
+    """Reader of a nested object, read by `table` into a dict of its fields;
+    a column of them is checked and read as one block of its own."""
     return Reader(lambda objs: (_typed_column(objs, _DICT)
                                 and not _refused(table, objs, _columns(table, objs))),
-                  partial(_located, table),
-                  lambda objs: _build(build, _fields(table, _columns(table, objs))), table)
+                  partial(_located, table), partial(_objects, table), table)
 
 
-def read_objects(table: dict, build) -> Reader:
-    """Reader of a list of objects, each read by `read_object(table, build)`
-    and located as `name[i]`; a column of such lists is read as the one
-    block of all their objects."""
-    each = read_object(table, build)
+def read_objects(table: dict) -> Reader:
+    """Reader of a list of objects, each read by `read_object(table)` and
+    located as `name[i]`; a column of such lists is read as the one block of
+    all their objects."""
+    each = read_object(table)
 
     def refusal(name: str, value) -> str:
         if type(value) is not list:
@@ -330,11 +334,11 @@ PREDICTION = {
     "response_text": (read_string, REQUIRED),
     "extracted_answer": (read_string, None),
     "verbal_confidence": (read_probability, None),
-    "emissions": (read_objects(EMISSION, dict), None),  # None: scanned
+    "emissions": (read_objects(EMISSION), None),  # None: scanned
     "response_token_count": (read_count, None),  # None: whitespace tokens
     "token_probs": (read_token_probs, None),
     "p_affirmative": (read_probability, None),
-    "match": (read_object(MATCH, dict), None),
+    "match": (read_object(MATCH), None),
 }
 RAG_TRACE = {
     "qid": (read_string, REQUIRED),
@@ -357,7 +361,7 @@ TRAJECTORY = {
 }
 SPACE = {
     "gold_answer": (read_string, REQUIRED),
-    "trajectories": (read_objects(TRAJECTORY, dict), REQUIRED),
+    "trajectories": (read_objects(TRAJECTORY), REQUIRED),
 }
 KL_PAIR = {
     "position": (read_count, REQUIRED),
@@ -390,8 +394,8 @@ PROBE_MODEL = {
     "threshold": (read_number, REQUIRED),
     "feature_means": (read_numbers, REQUIRED),
     "feature_stds": (read_positive_numbers, REQUIRED),  # a fit never writes one <= 0
-    "fit": (read_object(FIT, dict), None),
-    "config": (read_object(PROBE_MODEL_CONFIG, dict), None),  # None: the defaults
+    "fit": (read_object(FIT), None),
+    "config": (read_object(PROBE_MODEL_CONFIG), None),  # None: the defaults
     "schema": (Reader(lambda values: values.count("uncal-probe-model-v2") == len(values),
                       _must_be("'uncal-probe-model-v2'")), None),
 }
@@ -499,24 +503,15 @@ def _runs(items: list, lists: list):
     return map(items.__getitem__, map(slice, chain((0,), ends), ends))
 
 
-def _build(build, fields: dict[str, list]) -> list:
-    """`build(**row)` for each row of the field columns `fields`; a record
-    class gets its fields positionally, in the order it declares them."""
-    if build is dict:
-        return [dict(zip(fields, row)) for row in zip(*fields.values())]
-    return list(map(build, *(fields[f.name] for f in dataclasses.fields(build))))
-
-
 class LineKind(NamedTuple):
-    """A line stream. `table` reads its lines' fields. `rows` makes what a
-    block of lines yields from the field columns of the lines it accepts:
-    one object per line (raising ValueError or ShapeError where one refuses
-    its fields), or the column table itself. `rule`, if any, checks across
-    the fields of those lines first: it gives (row, refusal) of each row it
-    refuses."""
+    """A line stream. `table` reads its lines' fields. `rule`, if any,
+    checks across the fields of the lines the column checks accept: it gives
+    (row, refusal) of each row it refuses. `rows` then maps the field
+    columns of the lines both accept to the columns a block yields, and
+    refuses none of them; by default the columns as read."""
 
     table: dict
-    rows: Callable[[dict[str, list]], list | dict[str, list]]
+    rows: Callable[[dict[str, list]], dict[str, list]] = dict
     rule: Callable[[dict[str, list]], list[tuple[int, str]]] | None = None
 
 
@@ -547,20 +542,35 @@ def _prediction_columns(fields: dict[str, list]) -> dict[str, list]:
     return fields
 
 
-def _space_rows(fields: dict[str, list]) -> list[TrajectorySpace]:
-    return [
-        TrajectorySpace(tuple(Trajectory(**t, correct=t["answer"] == gold) for t in trajectories),
-                        gold)
-        for trajectories, gold in zip(fields["trajectories"], fields["gold_answer"])
-    ]
+def _space_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
+    """(row, refusal) of each space that `trajspace.space_refusal` refuses."""
+    refusals = (space_refusal([t["id"] for t in trajectories],
+                              [t["base_prob"] for t in trajectories])
+                for trajectories in fields["trajectories"])
+    return [(row, refusal) for row, refusal in enumerate(refusals) if refusal is not None]
+
+
+def _kl_pair_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
+    """(row, refusal) of each KL pair whose two distributions differ in
+    length, or one of which does not sum to 1 within 1e-6 (by `np.sum`)."""
+    refused = []
+    for row, pair in enumerate(zip(fields["base_probs"], fields["calibrated_probs"])):
+        if len(pair[0]) != len(pair[1]):
+            refused.append((row, "distribution pair must be two equal-length vectors"))
+            continue
+        for name, probs in zip(("base", "calibrated"), pair):
+            if abs(float(np.sum(np.asarray(probs, dtype=float))) - 1.0) > 1e-6:
+                refused.append((row, f"{name} distribution does not sum to 1"))
+                break
+    return refused
 
 
 PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
-RAG_TRACES = LineKind(RAG_TRACE, dict)  # the columns as read
-SPACES = LineKind(SPACE, _space_rows)
-KL_PAIRS = LineKind(KL_PAIR, partial(_build, TokenDistPair))
-KL_ANNOTATIONS = LineKind(KL_ANNOTATION, partial(_build, TokenAnnotation))
-ROW_IDS = LineKind(ROW_ID, partial(_build, dict))  # rows as {"qid", "token_index"} dicts
+RAG_TRACES = LineKind(RAG_TRACE)
+SPACES = LineKind(SPACE, rule=_space_refusals)
+KL_PAIRS = LineKind(KL_PAIR, rule=_kl_pair_refusals)
+KL_ANNOTATIONS = LineKind(KL_ANNOTATION)
+ROW_IDS = LineKind(ROW_ID)  # matrix sidecar rows
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +661,7 @@ def encode(table: dict, fields) -> Line:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: list | dict[str, list]  # what the accepted lines yield (`LineKind.rows`)
+    records: dict[str, list]  # the column table of the accepted lines
     errors: list[tuple[int, str]]  # (line number, message)
     total_lines: int
     sha256: str  # hex digest of the bytes read
@@ -715,8 +725,8 @@ def decode_lines(lines: Iterable[str]):
                 yield i, exc
 
 
-def _read_block(kind: LineKind, block: list, errors: list) -> list | dict[str, list]:
-    """What `kind` makes of the decoded lines `block` that it accepts; (line
+def _read_block(kind: LineKind, block: list, errors: list) -> dict[str, list]:
+    """The columns of the decoded lines `block` that `kind` accepts; (line
     number, JSONDecodeError or refusal) of each other line is appended to
     `errors`, in line order."""
     objs = list(map(itemgetter(1), block))
@@ -729,16 +739,6 @@ def _read_block(kind: LineKind, block: list, errors: list) -> list | dict[str, l
         refusals = {accepted[k]: message for k, message in ruled}
         kept = [k for k, i in enumerate(accepted) if i not in refusals]
         fields = {key: list(map(column.__getitem__, kept)) for key, column in fields.items()}
-        accepted = list(map(accepted.__getitem__, kept))
-    try:
-        built = kind.rows(fields)
-    except (ValueError, ShapeError):  # an object refused its fields: build each line alone
-        built = []
-        for k, i in enumerate(accepted):
-            try:
-                built += kind.rows({key: column[k:k + 1] for key, column in fields.items()})
-            except (ValueError, ShapeError) as exc:
-                refusals[i] = str(exc)
     accepted = set(accepted).difference(refusals)
     for i, (line_no, obj) in enumerate(block):
         if i in accepted:
@@ -747,37 +747,32 @@ def _read_block(kind: LineKind, block: list, errors: list) -> list | dict[str, l
             errors.append((line_no, obj))
         else:
             errors.append((line_no, refusals[i] if i in refusals else _refusal(kind.table, obj)))
-    return built
+    return kind.rows(fields)
 
 
-def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list | dict, list, int]:
+def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
     """(accepted, errors, count) of the nonblank lines of `lines` (see
-    `decode_lines`): what the lines `kind` accepts yield (its column table,
-    or one object per line), (line number, JSONDecodeError or refusal) of
-    each other line, and the number of lines, read a block of `BLOCK_LINES`
-    at a time."""
+    `decode_lines`): the column table of the lines `kind` accepts, (line
+    number, JSONDecodeError or refusal) of each other line, and the number
+    of lines, read a block of `BLOCK_LINES` at a time."""
     return _read_lines(lines, kind)
 
 
-def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[list | dict, list, int]:
+def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
     """`read_lines` for this module's own calls, which perfbench's tracer leaves unwrapped."""
-    accepted = kind.rows(_fields(kind.table, _columns(kind.table, [])))  # what no lines yield
+    accepted = kind.rows(_fields(kind.table, _columns(kind.table, [])))  # the columns of no lines
     errors, total = [], 0
     lines = decode_lines(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         total += len(block)
-        built = _read_block(kind, block, errors)
-        if type(accepted) is dict:
-            for key, column in built.items():
-                accepted[key] += column
-        else:
-            accepted += built
+        for key, column in _read_block(kind, block, errors).items():
+            accepted[key] += column
     return accepted, errors, total
 
 
 def read_file(path, kind: LineKind) -> LoadResult:
-    """What the nonblank lines of the file `path` that `kind` accepts yield
-    (`read_lines`), and the sha256 of the bytes read. A line that is not
+    """The column table of the nonblank lines of the file `path` that `kind`
+    accepts (`read_lines`), and the sha256 of the bytes read. A line that is not
     JSON, or that `kind` rejects, becomes an error entry (line number,
     message) instead."""
     try:

@@ -74,9 +74,9 @@ def write_row_ids(path, rows) -> None:
 
 
 def read_row_ids(path) -> jsonio.LoadResult:
-    """The sidecar's rows as `{"qid": str, "token_index": int | None}`, with
-    the sha256 of its bytes (its `errors` are always empty). The first row
-    the `jsonio.ROW_ID` table refuses fails the whole file, naming the
+    """The sidecar's columns, `qid` (str) and `token_index` (int or None),
+    with the sha256 of its bytes (its `errors` are always empty). The first
+    row the `jsonio.ROW_ID` table refuses fails the whole file, naming the
     sidecar, the line and the field; a line that is not JSON is an I/O fault."""
     try:
         fh, sha256 = jsonio.open_hashed(path)

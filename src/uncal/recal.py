@@ -145,15 +145,14 @@ class AtsModel:
 def _feature_rows(table: dict, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Raw (unstandardized) feature rows of the `usable` rows of a prediction
     table, whose confidence logits are `logits`: the logit; response length
-    in tokens (the row's token count, or whitespace tokens where it is 0);
-    answer length in characters of `rewards.answers`; and reasoning depth,
-    the nonempty lines before the answer line."""
+    in tokens (`response_token_count`, as loaded); answer length in
+    characters of `rewards.answers`; and reasoning depth, the nonempty lines
+    before the answer line."""
     texts, counts = table["response_text"], table["response_token_count"]
     if len(usable) != len(texts):
         raise ValueError("need exactly one confidence per row")
     rows = np.flatnonzero(usable).tolist()
-    features = [(float(counts[i] if counts[i] > 0 else len(texts[i].split())),
-                 float(len(answer or "")), float(reasoning_depth(texts[i])))
+    features = [(float(counts[i]), float(len(answer or "")), float(reasoning_depth(texts[i])))
                 for i, answer in zip(rows, answers(table, rows))]
     return np.column_stack([logits, np.reshape(features, (-1, 3))])
 

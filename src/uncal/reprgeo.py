@@ -8,8 +8,9 @@ matrix function computes in float64 and holds only the float64 copies its
 formula needs beside its inputs, which may stay float32: CKA one centred
 copy per input, PCA one, Frobenius drift one at a time, and the embedding
 drift report only the rows it names.
-`jsonio.KL_PAIR` checks that every probability lies in [0,1] on load;
-`TokenDistPair` checks what no table states, equal lengths and unit sums.
+KL pairs and their annotations come as the column tables `jsonio.KL_PAIRS`
+and `jsonio.KL_ANNOTATIONS` load: every probability lies in [0,1], and the
+two distributions of a pair have equal lengths and each sum to 1 within 1e-6.
 """
 
 from __future__ import annotations
@@ -35,33 +36,6 @@ class TokenType(enum.Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class TokenAnnotation:
-    position: int
-    type: TokenType
-
-
-@dataclass(frozen=True)
-class TokenDistPair:
-    """Base and calibrated next-token distributions at one position: two
-    equal-length vectors, each summing to 1 within 1e-6."""
-
-    position: int
-    base_probs: np.ndarray
-    calibrated_probs: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base_probs, dtype=float)
-        cal = np.asarray(self.calibrated_probs, dtype=float)
-        if base.shape != cal.shape or base.ndim != 1:
-            raise ShapeError("distribution pair must be two equal-length vectors")
-        for name, v in (("base", base), ("calibrated", cal)):
-            if abs(float(np.sum(v)) - 1.0) > 1e-6:
-                raise ValueError(f"{name} distribution does not sum to 1")
-        object.__setattr__(self, "base_probs", base)
-        object.__setattr__(self, "calibrated_probs", cal)
-
-
 def kl(p: Sequence[float], q: Sequence[float], epsilon: float = KL_EPSILON) -> float:
     """KL(p || q) with the reference floored at epsilon so missing support
     stays finite; 0 * log 0 counts as 0 and tiny negative round-off clips to 0."""
@@ -83,11 +57,13 @@ class TypeKlRow:
 
 
 def kl_by_type(
-    pairs: Sequence[TokenDistPair],
-    annotations: Sequence[TokenAnnotation],
+    pairs: dict[str, list],
+    annotations: dict[str, list],
     epsilon: float = KL_EPSILON,
 ) -> dict[TokenType, TypeKlRow]:
-    """Per-type mean KL and each type's share of the total KL mass.
+    """Per-type mean KL and each type's share of the total KL mass, from the
+    `position`, `base_probs` and `calibrated_probs` columns of `pairs` and
+    the `position` and `type` columns of `annotations`.
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
@@ -97,16 +73,16 @@ def kl_by_type(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be a number in (0,1), got {epsilon!r}")
     type_of = {}
-    for a in annotations:
-        if a.position in type_of:
-            raise ValueError(f"position {a.position} is annotated twice")
-        type_of[a.position] = a.type
+    for position, token_type in zip(annotations["position"], annotations["type"]):
+        if position in type_of:
+            raise ValueError(f"position {position} is annotated twice")
+        type_of[position] = token_type
     groups: dict[TokenType, list[float]] = {}
-    for pair in pairs:
-        if pair.position not in type_of:
-            raise ValueError(f"position {pair.position} has no annotation")
-        value = kl(pair.base_probs, pair.calibrated_probs, epsilon)
-        groups.setdefault(type_of[pair.position], []).append(value)
+    for position, base, calibrated in zip(pairs["position"], pairs["base_probs"],
+                                          pairs["calibrated_probs"]):
+        if position not in type_of:
+            raise ValueError(f"position {position} has no annotation")
+        groups.setdefault(type_of[position], []).append(kl(base, calibrated, epsilon))
     total = math.fsum(v for values in groups.values() for v in values)
     out = {}
     for token_type, values in groups.items():

@@ -12,8 +12,9 @@ verification possible.
 
 All operations are pure: they never mutate their inputs and return fresh
 spaces, so concurrent use over distinct spaces is safe. `jsonio.TRAJECTORY`
-checks each trajectory's confidence and base probability on load;
-`TrajectorySpace` checks the invariants across trajectories.
+checks each trajectory's confidence and base probability on load, and
+`space_refusal` the invariants across a space's trajectories: the
+`jsonio.SPACES` rule on load, and `TrajectorySpace` at construction.
 """
 
 from __future__ import annotations
@@ -45,12 +46,24 @@ class Trajectory:
     correct: bool
 
 
+def space_refusal(ids: Sequence[str], base_probs: Sequence[float]) -> str | None:
+    """Why trajectories with these ids and base probabilities make no space, or None:
+    at least one trajectory, unique ids, and an `fsum` within 1e-12 of 1, in that order."""
+    if not ids:
+        return "a trajectory space needs at least one trajectory"
+    if len(set(ids)) != len(ids):
+        return "trajectory ids must be unique"
+    total = math.fsum(base_probs)
+    if abs(total - 1.0) > _PROB_SUM_TOL:
+        return f"base probabilities must sum to 1, got {total!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class TrajectorySpace:
     """A normalized finite distribution over trajectories for one input.
 
-    Invariants enforced at construction: probabilities sum to 1 (within
-    1e-12), ids are unique, at least one trajectory exists, and each
+    Invariants enforced at construction: those of `space_refusal`, and each
     trajectory's `correct` flag agrees with `answer == gold_answer`.
     """
 
@@ -58,15 +71,11 @@ class TrajectorySpace:
     gold_answer: str
 
     def __post_init__(self):
-        if not self.trajectories:
-            raise ValueError("a trajectory space needs at least one trajectory")
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        ids = [t.id for t in self.trajectories]
-        if len(set(ids)) != len(ids):
-            raise ValueError("trajectory ids must be unique")
-        total = math.fsum(t.base_prob for t in self.trajectories)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"base probabilities must sum to 1, got {total!r}")
+        refusal = space_refusal([t.id for t in self.trajectories],
+                                [t.base_prob for t in self.trajectories])
+        if refusal is not None:
+            raise ValueError(refusal)
         for t in self.trajectories:
             if t.correct != (t.answer == self.gold_answer):
                 raise ValueError(

@@ -9,9 +9,9 @@ from uncal import cli, jsonio, ragctl
 from uncal.errors import UncalError
 
 
-def load(kind: jsonio.LineKind, lines) -> dict | list:
-    """What a load of the line objects `lines` yields (for predictions and
-    traces, their column table); a refused line fails the test."""
+def load(kind: jsonio.LineKind, lines) -> dict:
+    """The column table a load of the line objects `lines` yields; a refused
+    line fails the test."""
     accepted, errors, _ = jsonio.read_lines(map(json.dumps, lines), kind)
     assert errors == [], errors
     return accepted

@@ -553,7 +553,8 @@ def oracle_apply_ats(model, record) -> float:
     confidence parses: its features as one tuple, its temperature by a
     4-term dot product. The column form sums that product in another order,
     so it matches this one only up to the rounding of the order (not bit for
-    bit; see `test_recal._ats_tolerance`)."""
+    bit; see `test_recal._ats_tolerance`). The token count is the one
+    loaded: an explicit 0 is no longer replaced by the whitespace count."""
     import numpy as np
 
     from uncal.recal import ATS_TEMPERATURE_FLOOR, _sigmoid, _softplus
@@ -561,8 +562,6 @@ def oracle_apply_ats(model, record) -> float:
 
     conf = oracle_record_confidence(record)
     length = record.response_token_count
-    if length <= 0:
-        length = len(record.response_text.split())
     answer = record.extracted_answer
     if answer is None:
         answer = extract_answer_line(record.response_text) or ""
@@ -928,6 +927,43 @@ def trace_records(table: dict) -> list[RagTraceRecord]:
     return [RagTraceRecord(**row) for row in _table_rows(table)]
 
 
+# ---------------------------------------------------------------------------
+# The record classes that KL pair and annotation loads built before they
+# yielded column tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TokenAnnotation:
+    """`reprgeo.TokenAnnotation`: the token type at one position."""
+
+    position: int
+    type: object  # a `reprgeo.TokenType`
+
+
+@dataclass(frozen=True)
+class TokenDistPair:
+    """`reprgeo.TokenDistPair`: base and calibrated next-token distributions
+    at one position: two equal-length vectors, each summing to 1 within 1e-6."""
+
+    position: int
+    base_probs: object
+    calibrated_probs: object
+
+    def __post_init__(self):
+        import numpy as np
+
+        from uncal.errors import ShapeError
+
+        base = np.asarray(self.base_probs, dtype=float)
+        cal = np.asarray(self.calibrated_probs, dtype=float)
+        if base.shape != cal.shape or base.ndim != 1:
+            raise ShapeError("distribution pair must be two equal-length vectors")
+        for name, v in (("base", base), ("calibrated", cal)):
+            if abs(float(np.sum(v)) - 1.0) > 1e-6:
+                raise ValueError(f"{name} distribution does not sum to 1")
+
+
 def oracle_record_answer(record):
     """`rewards.record_answer`: the explicit `extracted_answer` when present,
     otherwise the last `Answer:` line of the response (None if neither)."""
@@ -1013,14 +1049,11 @@ def oracle_score_traces(records, f1_threshold=0.3):
 
 
 def oracle_ats_row(record) -> tuple[float, float, float]:
-    """`recal._ats_row`: a record's response length in tokens (its count, or
-    whitespace tokens when not positive), answer length and reasoning depth."""
+    """`recal._ats_row`: a record's response length in tokens (its count as
+    loaded, an explicit 0 included), answer length and reasoning depth."""
     from uncal.rewards import reasoning_depth
 
-    length = record.response_token_count
-    if length <= 0:
-        length = len(record.response_text.split())
-    return (float(length), float(len(oracle_record_answer(record) or "")),
+    return (float(record.response_token_count), float(len(oracle_record_answer(record) or "")),
             float(reasoning_depth(record.response_text)))
 
 

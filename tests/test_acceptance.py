@@ -310,14 +310,12 @@ def test_representation_invariances():
         s = float(rng.uniform(0.05, 20.0))
         assert abs(reprgeo.linear_cka(x, s * (x @ q)) - 1.0) < 1e-8
 
-    pairs = []
-    annotations = []
+    pairs = {"position": list(range(30)), "base_probs": [], "calibrated_probs": []}
+    for _ in range(30):
+        pairs["base_probs"].append(rng.dirichlet(np.ones(6)))
+        pairs["calibrated_probs"].append(rng.dirichlet(np.ones(6)))
     types = list(reprgeo.TokenType)
-    for i in range(30):
-        pairs.append(
-            reprgeo.TokenDistPair(i, rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6)))
-        )
-        annotations.append(reprgeo.TokenAnnotation(i, types[i % len(types)]))
+    annotations = {"position": list(range(30)), "type": [types[i % len(types)] for i in range(30)]}
     table = reprgeo.kl_by_type(pairs, annotations)
     assert abs(sum(row.mass_fraction for row in table.values()) - 1.0) < 1e-9
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, reprgeo, rewards, trajspace
+from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, rewards, trajspace
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, CorruptInput, EmptyBatch, IoError
 from uncal.jsonio import load_predictions, load_rag_traces
@@ -27,6 +27,8 @@ from oracles import (
     EmissionEvent,
     PredictionRecord,
     RagTraceRecord,
+    TokenAnnotation,
+    TokenDistPair,
     oracle_annotate_record,
     prediction_records,
     record_row,
@@ -443,6 +445,22 @@ class TestFunctional:
         assert sorted(model["fit"]) == ["converged", "grad_norm", "iterations"]
         assert model["fit"]["converged"] is True and model["fit"]["iterations"] >= 1
         assert 0.0 <= model["fit"]["grad_norm"] <= optim.GRAD_TOL
+
+    @pytest.mark.parametrize("kind", ["ts", "ats"])
+    def test_a_file_fit_and_applied_reports_each_rejected_line_once(self, tmp_path, capsys,
+                                                                     kind):
+        path, copy = tmp_path / "preds.jsonl", tmp_path / "copy.jsonl"
+        bad = jsonio.dumps_canonical(prediction("bad", ("x",), "x", verbal_confidence=1.5))
+        path.write_text(PREDS_FIXTURE.read_text() + bad + "\n")
+        shutil.copy(path, copy)
+        for apply, files in ((path, [path]), (copy, [path, copy])):
+            assert main(["recal", kind, "--fit", str(path), "--apply", str(apply),
+                         "--out", str(tmp_path / f"{apply.stem}.out.jsonl")]) == 0
+            rejected = [line for line in capsys.readouterr().err.splitlines() if ":21:" in line]
+            assert rejected == [f"{f}:21: verbal_confidence outside [0,1]" for f in files]
+        # the file's one table serves both: the lines written are those of a copy
+        assert ((tmp_path / "preds.out.jsonl").read_bytes()
+                == (tmp_path / "copy.out.jsonl").read_bytes())
 
 
 class TestGoldenReport:
@@ -1428,10 +1446,14 @@ _SPACES = st.integers(0, 2**32 - 1).map(
 @settings(max_examples=100, deadline=None)
 @given(_SPACES)
 def test_space_writer_loader_round_trip(space):
-    line = jsonio.encode(jsonio.SPACE, asdict(space))
-    [again], errors, _ = jsonio.read_lines([line], jsonio.SPACES)
-    assert errors == [] and again == space
-    assert jsonio.encode(jsonio.SPACE, asdict(again)) == line
+    row = asdict(space)
+    line = jsonio.encode(jsonio.SPACE, row)
+    again, errors, _ = jsonio.read_lines([line], jsonio.SPACES)
+    # a trajectory's `correct` is derived from the gold answer, not written
+    trajectories = [{key: t[key] for key in jsonio.TRAJECTORY} for t in row["trajectories"]]
+    assert errors == [] and again == {"gold_answer": [space.gold_answer],
+                                      "trajectories": [trajectories]}
+    assert jsonio.encode(jsonio.SPACE, {key: column[0] for key, column in again.items()}) == line
 
 
 def test_probe_model_writer_loader_round_trip(tmp_path):
@@ -1447,10 +1469,10 @@ def test_probe_model_writer_loader_round_trip(tmp_path):
     assert jsonio.encode(jsonio.PROBE_MODEL, {**vars(model), **given}) + "\n" == text
 
 
-# each table with the class its lines build (for predictions, traces and
-# emissions, the record class their loads built before they yielded column
-# tables): the table holds the class's fields, less those derived on reading,
-# plus those given on writing
+# each table with the class its rows make (for predictions, traces, emissions
+# and KL pairs and annotations, the record class their loads built before
+# they yielded column tables): the table holds the class's fields, less those
+# derived on reading, plus those given on writing
 _TABLE_CLASSES = {
     "PREDICTION": PredictionRecord,
     "EMISSION": EmissionEvent,
@@ -1458,8 +1480,8 @@ _TABLE_CLASSES = {
     "RAG_TRACE": RagTraceRecord,
     "SPACE": trajspace.TrajectorySpace,
     "TRAJECTORY": trajspace.Trajectory,
-    "KL_PAIR": reprgeo.TokenDistPair,
-    "KL_ANNOTATION": reprgeo.TokenAnnotation,
+    "KL_PAIR": TokenDistPair,
+    "KL_ANNOTATION": TokenAnnotation,
     "PROBE_MODEL": probe.ProbeModel,
     "FIT": optim.Fit,
 }

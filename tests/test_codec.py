@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncal import jsonio, matio, probe, recal
+from uncal import cli, jsonio, matio, probe, recal
 from uncal.errors import AlignmentError, IoError, ShapeError
 from uncal.rewards import MatchRule
 
 from conftest import count_calls, emission, prediction, predictions
-from oracles import oracle_read_table
+from oracles import TokenDistPair, oracle_read_table
 
 
 def _valid_predictions(n):
@@ -160,6 +160,10 @@ def _valid_row_ids(n):
     return [json.dumps({"qid": f"q{i // 3}", "token_index": i % 3}) for i in range(n)]
 
 
+def _valid_plan_steps(n):
+    return [json.dumps({"argv": ["calib", "--in", f"preds{i}.jsonl"]}) for i in range(n)]
+
+
 def _mixed(faults, valid):
     """Each fault after two valid lines, then a blank line and the last valid ones."""
     lines = []
@@ -256,16 +260,13 @@ EXPECTED = {'KL_ANNOTATIONS': [(3, "invalid JSON: Expecting ',' delimiter"),
             (39, 'gold_answer must be a string')]}
 
 
-def _count(accepted) -> int:
-    """The number of lines a load accepted: the rows of a column table, or
-    one object per line."""
-    return len(accepted["qid"]) if isinstance(accepted, dict) else len(accepted)
+def _count(accepted: dict) -> int:
+    """The number of lines a load accepted: the rows of its column table."""
+    return len(next(iter(accepted.values())))
 
 
-def _joined(kind, blocks: list):
-    """What a load of the lines, each read alone into one of `blocks`, yields."""
-    if kind.rows({key: [] for key in kind.table}) == []:  # one object per line
-        return [obj for block in blocks for obj in block]
+def _joined(kind, blocks: list) -> dict:
+    """The column table of a load of the lines, each read alone into one of `blocks`."""
     return {key: [value for block in blocks for value in block[key]] for key in kind.table}
 
 
@@ -286,24 +287,54 @@ def test_rejections_are_those_of_the_per_line_reader(tmp_path, monkeypatch, kind
     assert _count(result.records) == result.total_lines - len(result.errors)
 
 
-@pytest.mark.parametrize("emissions, message", [
-    ([{"char_position": 12}, {"char_position": 0}], "emissions must be sorted by char_position"),
-    ([{"char_position": 40}], "emission position outside response text"),
+@pytest.mark.parametrize("kind, valid, fault, message", [
+    ("PREDICTIONS", _valid_predictions,
+     {"emissions": [{"char_position": 12}, {"char_position": 0}]},
+     "emissions must be sorted by char_position"),
+    ("PREDICTIONS", _valid_predictions, {"emissions": [{"char_position": 40}]},
+     "emission position outside response text"),
+    ("SPACES", _valid_spaces,
+     {"trajectories": [_trajectory("a", "A", 0.5), _trajectory("b", "B", 0.4)]},
+     "base probabilities must sum to 1, got 0.9"),
+    ("KL_PAIRS", _valid_kl_pairs, {"calibrated_probs": [1.0]},
+     "distribution pair must be two equal-length vectors"),
 ])
-def test_an_emissions_fault_refuses_its_line_alone(monkeypatch, emissions, message):
+def test_a_rule_fault_refuses_its_line_alone(monkeypatch, kind, valid, fault, message):
     # the rule across a line's fields refuses that line in its block: the
     # block is not read again line by line, and the other lines load as
     # each would alone
-    lines = _valid_predictions(jsonio.BLOCK_LINES)
-    lines[100] = json.dumps(json.loads(lines[100]) | {"emissions": emissions})
+    lines = valid(jsonio.BLOCK_LINES)
+    lines[100] = json.dumps(json.loads(lines[100]) | fault)
     read = count_calls(monkeypatch, jsonio, "read_table")
     refusals = count_calls(monkeypatch, jsonio, "_refusal")
-    table, errors, total = jsonio.read_lines(lines, jsonio.PREDICTIONS)
+    made = []  # the calls of the kind's `rows`: one for no lines, one for the block
+    line_kind = getattr(jsonio, kind)
+    counted = line_kind._replace(rows=lambda fields: made.append(fields) or line_kind.rows(fields))
+    table, errors, total = jsonio.read_lines(lines, counted)
     assert errors == [(101, message)] and total == jsonio.BLOCK_LINES
-    assert len(read) <= len(errors) and len(refusals) <= len(errors)
-    alone = [jsonio.read_lines([line], jsonio.PREDICTIONS) for line in lines]
+    assert len(read) <= len(errors) and len(refusals) <= len(errors) and len(made) == 2
+    alone = [jsonio.read_lines([line], line_kind) for line in lines]
     assert alone[100][1] == [(1, message)]
-    assert table == _joined(jsonio.PREDICTIONS, [accepted for accepted, _, _ in alone])
+    assert table == _joined(line_kind, [accepted for accepted, _, _ in alone])
+
+
+# lines that each line kind, the plan's included, accepts
+_VALID = {"PREDICTIONS": _valid_predictions, "RAG_TRACES": _valid_rag,
+          "SPACES": _valid_spaces, "KL_PAIRS": _valid_kl_pairs,
+          "KL_ANNOTATIONS": _valid_kl_annotations, "ROW_IDS": _valid_row_ids,
+          "_PLAN": _valid_plan_steps}
+
+
+@pytest.mark.parametrize("name", sorted(
+    [name for name, value in vars(jsonio).items() if isinstance(value, jsonio.LineKind)]
+    + ["_PLAN"]))
+def test_every_line_kind_yields_a_column_table(name):
+    kind = cli._PLAN if name == "_PLAN" else getattr(jsonio, name)
+    for lines in ([], _VALID[name](5)):
+        table, errors, total = jsonio.read_lines(lines, kind)
+        assert errors == [] and total == len(lines)
+        assert type(table) is dict and list(table) == list(kind.table)
+        assert [len(column) for column in table.values()] == [total] * len(table)
 
 
 def test_a_sidecar_fails_at_its_first_rejected_row(tmp_path):
@@ -331,6 +362,8 @@ _ODD_VALUES = [
     [{"token_index": 0}], [[0]],
 ]
 _ODD = st.sampled_from(_ODD_VALUES)
+_DISTRIBUTIONS = [[1.0], [0.5, 0.5], [0.25, 0.75], [0.5, 0.4], [], [0.1] * 10,
+                  [1 - 5e-7], [1 - 2e-6], [0.5, 0.5 + 5e-7]]
 _GOOD = {
     "PREDICTIONS": st.fixed_dictionaries(
         {"qid": st.text(max_size=3), "gold_answers": st.lists(st.text(max_size=3), min_size=1,
@@ -351,6 +384,20 @@ _GOOD = {
                   "noret_probe_score": st.floats(-1e308, 1e308),
                   "noret_token_probs": st.lists(st.floats(0.01, 1), max_size=2),
                   "external_trigger": st.booleans(), "dataset": st.just("d")}),
+    # ids and probabilities from small pools, so that some spaces repeat an
+    # id, are empty, or do not sum to 1
+    "SPACES": st.fixed_dictionaries(
+        {"gold_answer": st.sampled_from(["A", "B"]),
+         "trajectories": st.lists(st.fixed_dictionaries(
+             {"id": st.sampled_from(["a", "b", "c"]), "answer": st.sampled_from(["A", "B"]),
+              "confidence": st.floats(0, 1),
+              "base_prob": st.sampled_from([0.25, 0.5, 0.75, 1.0, 0.1, 0.2, 0.7])}),
+             max_size=3)}),
+    # distributions of unequal lengths, or sums off 1 by more or less than 1e-6
+    "KL_PAIRS": st.fixed_dictionaries(
+        {"position": st.integers(0, 5),
+         "base_probs": st.sampled_from(_DISTRIBUTIONS),
+         "calibrated_probs": st.sampled_from(_DISTRIBUTIONS)}),
 }
 
 
@@ -389,7 +436,7 @@ def _per_line(kind, lines):
             for _, refusal in kind.rule(fields) if kind.rule else []:
                 raise ValueError(refusal)
             blocks.append(kind.rows(fields))
-        except (ValueError, ShapeError) as exc:
+        except ValueError as exc:
             errors.append((i, str(exc)))
     return _joined(kind, blocks), errors
 
@@ -410,6 +457,25 @@ def test_block_reader_equals_the_per_line_reader(mix, block):
     assert [(i, f"invalid JSON: {e.msg}" if isinstance(e, json.JSONDecodeError) else str(e))
             for i, e in errors] == want_errors
     assert total == sum(1 for line in lines if line.strip())
+
+
+_PROBS = st.lists(st.floats(0, 1), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_PROBS, _PROBS, st.booleans()).map(
+    lambda d: [[v / sum(p) for v in p] if d[2] and sum(p) > 0 else p for p in d[:2]]))
+def test_the_kl_pair_rule_refuses_what_the_pair_class_refused(pair):
+    # half the draws normalized, so that sums lie on both sides of 1 +- 1e-6
+    base, calibrated = pair
+    line = json.dumps({"position": 0, "base_probs": base, "calibrated_probs": calibrated})
+    _, errors, _ = jsonio.read_lines([line], jsonio.KL_PAIRS)
+    try:
+        TokenDistPair(0, base, calibrated)
+        want = []
+    except (ValueError, ShapeError) as exc:
+        want = [(1, str(exc))]
+    assert errors == want
 
 
 # every table by its name in `jsonio`, nested ones included

@@ -381,7 +381,7 @@ class TestHiddenMatrixAndMatio:
         rows = [{"qid": "a", "token_index": 0}, {"qid": "a", "token_index": 1}]
         path = tmp_path / "layer_0.mat.ids.jsonl"
         matio.write_row_ids(path, rows)
-        assert matio.read_row_ids(path).records == rows
+        assert matio.read_row_ids(path).records == {"qid": ["a", "a"], "token_index": [0, 1]}
 
     @pytest.mark.parametrize("bad", ['{"qid": "a",}', '{"qid": "a"} x', ' \ufeff{"qid": "a"}'])
     def test_sidecar_invalid_json_names_line_and_position(self, tmp_path, bad):

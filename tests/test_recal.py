@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, optim, recal, rewards
+from uncal import jsonio, optim, probe, recal, rewards
 from uncal.cli import main
 from uncal.errors import DegenerateFit
 from uncal.rewards import score_predictions
 
-from conftest import count_calls, make_record, prediction, predictions, rows
+from conftest import count_calls, emission, make_record, prediction, predictions, rows
 from oracles import (
     oracle_apply_ats,
     oracle_apply_ts,
@@ -212,6 +212,18 @@ class TestAts:
         for t in recal._temperatures(model, phi)[:50]:
             assert t >= recal.ATS_TEMPERATURE_FLOOR
 
+    def test_length_feature_is_the_token_count_as_loaded(self):
+        # an explicit 0 stays 0, as in the probe's features; only an absent
+        # count is the whitespace count, filled by the loader
+        table = predictions([
+            prediction(f"q{i}", ("a",), "one two three", emissions=[emission(0, 0)], **count)
+            for i, count in enumerate([{"response_token_count": 0}, {},
+                                       {"response_token_count": 7}])])
+        lengths = recal._feature_rows(table, np.ones(3, dtype=bool), np.zeros(3))[:, 1]
+        assert lengths.tolist() == [0.0, 3.0, 7.0]
+        assert lengths.tolist() == [probe.build_features(np.zeros((1, 1)), table, i, 0, 1)[-3]
+                                    for i in range(3)]
+
 
 def recal_ptrue(tmp_path, lines) -> dict:
     """The table of the prediction lines `lines` after `uncal recal ptrue`."""
@@ -314,7 +326,7 @@ def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):
 
 # apply records: confidences from a pool with 0 and 1 in it, stated in the
 # field or in the text or not at all; answers explicit, on an answer line or
-# absent; token counts of 0 (whitespace tokens are counted) or given
+# absent; token counts absent (whitespace tokens are counted), 0 or given
 _POOL = st.sampled_from([0.0, 1.0, 0.05, 0.5, 0.9]) | st.floats(0.0, 1.0)
 
 
@@ -333,7 +345,7 @@ def _apply_records(draw) -> list[dict]:
             f"q{i}", ("alpha",), "\n".join(lines),
             extracted_answer=draw(st.none() | st.sampled_from(["alpha", "xyz", ""])),
             verbal_confidence=None if in_text else conf,
-            response_token_count=draw(st.sampled_from([0, 3, 250])),
+            response_token_count=draw(st.sampled_from([None, 0, 3, 250])),
             p_affirmative=draw(st.none() | _POOL),
         ))
     return records

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from uncal import reprgeo
 from uncal.errors import ShapeError, UndefinedSimilarity
-from uncal.reprgeo import TokenAnnotation, TokenDistPair, TokenType
+from uncal.reprgeo import TokenType
 
 from oracles import (
     oracle_embedding_drift_report,
@@ -42,47 +42,43 @@ class TestKl:
             assert reprgeo.kl(p, q) >= 0.0
 
 
-class TestKlByType:
-    def pair(self, position, p, q):
-        return TokenDistPair(position, np.array(p), np.array(q))
+def _pairs(*rows):
+    """The KL pair columns of (position, base probs, calibrated probs) rows."""
+    return {"position": [row[0] for row in rows], "base_probs": [row[1] for row in rows],
+            "calibrated_probs": [row[2] for row in rows]}
 
+
+def _annotations(*types):
+    """The annotation columns of positions 0, 1, ... of these types."""
+    return {"position": list(range(len(types))), "type": list(types)}
+
+
+class TestKlByType:
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
     def test_epsilon_outside_the_unit_interval_refused_before_any_pair(self, epsilon):
         scored = []
 
-        class Pair:  # a pair that records that it was scored
-            position = 0
-
-            @property
-            def base_probs(self):
+        class Column(list):  # a column that records that it was read
+            def __iter__(self):
                 scored.append(self)
-                return np.array([1.0])
+                return super().__iter__()
 
+        pairs = {"position": [0], "base_probs": Column([[1.0]]), "calibrated_probs": [[1.0]]}
         with pytest.raises(ValueError, match=r"epsilon must be a number in \(0,1\)"):
-            reprgeo.kl_by_type([Pair()], [TokenAnnotation(0, TokenType.OTHER)], epsilon)
+            reprgeo.kl_by_type(pairs, _annotations(TokenType.OTHER), epsilon)
         assert scored == []
 
     def test_uniform_kl_gives_count_share(self):
-        pairs = [self.pair(i, [1.0, 0.0], [0.5, 0.5]) for i in range(4)]
-        annotations = [
-            TokenAnnotation(0, TokenType.CONFIDENCE_DIGIT),
-            TokenAnnotation(1, TokenType.REASONING_TOKEN),
-            TokenAnnotation(2, TokenType.REASONING_TOKEN),
-            TokenAnnotation(3, TokenType.REASONING_TOKEN),
-        ]
+        pairs = _pairs(*[(i, [1.0, 0.0], [0.5, 0.5]) for i in range(4)])
+        annotations = _annotations(TokenType.CONFIDENCE_DIGIT, TokenType.REASONING_TOKEN,
+                                   TokenType.REASONING_TOKEN, TokenType.REASONING_TOKEN)
         table = reprgeo.kl_by_type(pairs, annotations)
         assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(0.25)
         assert table[TokenType.REASONING_TOKEN].mass_fraction == pytest.approx(0.75)
 
     def test_single_hot_type_takes_all_mass(self):
-        pairs = [
-            self.pair(0, [1.0, 0.0], [0.5, 0.5]),
-            self.pair(1, [0.5, 0.5], [0.5, 0.5]),
-        ]
-        annotations = [
-            TokenAnnotation(0, TokenType.CONFIDENCE_DIGIT),
-            TokenAnnotation(1, TokenType.OTHER),
-        ]
+        pairs = _pairs((0, [1.0, 0.0], [0.5, 0.5]), (1, [0.5, 0.5], [0.5, 0.5]))
+        annotations = _annotations(TokenType.CONFIDENCE_DIGIT, TokenType.OTHER)
         table = reprgeo.kl_by_type(pairs, annotations)
         assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(1.0)
         assert table[TokenType.OTHER].mass_fraction == pytest.approx(0.0)
@@ -90,20 +86,20 @@ class TestKlByType:
     def test_five_position_hand_fixture(self):
         # kl values: ln2 at positions 0,1 (digit), ln2 at 2 (uncertainty),
         # 0 at 3,4 (reasoning)
-        pairs = [
-            self.pair(0, [1, 0], [0.5, 0.5]),
-            self.pair(1, [1, 0], [0.5, 0.5]),
-            self.pair(2, [1, 0], [0.5, 0.5]),
-            self.pair(3, [0.5, 0.5], [0.5, 0.5]),
-            self.pair(4, [0.5, 0.5], [0.5, 0.5]),
-        ]
-        annotations = [
-            TokenAnnotation(0, TokenType.CONFIDENCE_DIGIT),
-            TokenAnnotation(1, TokenType.CONFIDENCE_DIGIT),
-            TokenAnnotation(2, TokenType.UNCERTAINTY_TOKEN),
-            TokenAnnotation(3, TokenType.REASONING_TOKEN),
-            TokenAnnotation(4, TokenType.REASONING_TOKEN),
-        ]
+        pairs = _pairs(
+            (0, [1, 0], [0.5, 0.5]),
+            (1, [1, 0], [0.5, 0.5]),
+            (2, [1, 0], [0.5, 0.5]),
+            (3, [0.5, 0.5], [0.5, 0.5]),
+            (4, [0.5, 0.5], [0.5, 0.5]),
+        )
+        annotations = _annotations(
+            TokenType.CONFIDENCE_DIGIT,
+            TokenType.CONFIDENCE_DIGIT,
+            TokenType.UNCERTAINTY_TOKEN,
+            TokenType.REASONING_TOKEN,
+            TokenType.REASONING_TOKEN,
+        )
         table = reprgeo.kl_by_type(pairs, annotations)
         assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(2 / 3)
         assert table[TokenType.UNCERTAINTY_TOKEN].mass_fraction == pytest.approx(1 / 3)
@@ -111,22 +107,18 @@ class TestKlByType:
         assert TokenType.NEARBY_CONTEXT not in table
 
     def test_fractions_sum_to_one(self, rng):
-        pairs = []
-        annotations = []
         types = list(TokenType)
-        for i in range(24):
-            p = rng.dirichlet(np.ones(5))
-            q = rng.dirichlet(np.ones(5))
-            pairs.append(TokenDistPair(i, p, q))
-            annotations.append(TokenAnnotation(i, types[i % len(types)]))
+        pairs = _pairs(*[(i, rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5)))
+                         for i in range(24)])
+        annotations = _annotations(*[types[i % len(types)] for i in range(24)])
         table = reprgeo.kl_by_type(pairs, annotations)
         total = sum(row.mass_fraction for row in table.values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_annotation_rejected(self):
-        pairs = [self.pair(0, [1, 0], [0.5, 0.5])]
-        with pytest.raises(ValueError):
-            reprgeo.kl_by_type(pairs, [])
+        pairs = _pairs((0, [1, 0], [0.5, 0.5]))
+        with pytest.raises(ValueError, match="position 0 has no annotation"):
+            reprgeo.kl_by_type(pairs, _annotations())
 
 
 class TestLinearCka:

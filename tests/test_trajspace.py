@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncal import jsonio, trajspace as ts
+from uncal import cli, jsonio, trajspace as ts
 from uncal.errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -394,12 +394,12 @@ def test_compression_ordering_random(seed):
                 assert r1 > r2
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     space = ts.random_space(rng)
-    [again], errors, _ = jsonio.read_lines([jsonio.encode(jsonio.SPACE, asdict(space))],
-                                           jsonio.SPACES)
-    assert errors == []
+    path = tmp_path / "spaces.jsonl"
+    path.write_text(jsonio.encode(jsonio.SPACE, asdict(space)) + "\n")
+    [again] = cli._load_spaces(path)
     assert again.gold_answer == space.gold_answer
     np.testing.assert_allclose(again.probs(), space.probs(), atol=0)
     assert [t.id for t in again.trajectories] == [t.id for t in space.trajectories]
