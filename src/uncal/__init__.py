@@ -1,6 +1,7 @@
 """Toolkit for executable uncertainty interfaces over recorded model traces.
 
-Modules by concern: `trajspace` (exact tilted-policy simulation), `rewards`
+Modules by concern: `trajspace` (exact tilted-policy simulation over every
+trajectory space of a file as one flat column batch), `rewards`
 (answer matching and the scoring of a prediction table into columns),
 `calib` (calibration metrics and the error taxonomy), `recal` (temperature
 scaling), `probe` (hidden-state wrongness probe), `ragctl`

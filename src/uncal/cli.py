@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calib, jsonio, matio, probe, ragctl, recal, reprgeo, rewards, trajspace
-from .errors import AlignmentError, DegenerateRatio, HypothesisViolated, IoError, UncalError
+from .errors import AlignmentError, IoError, UncalError
 
 
 class UsageError(Exception):
@@ -332,13 +332,9 @@ def _derived(what, path, load, derive):
     return entry[0]
 
 
-def _load_spaces(path) -> list[trajspace.TrajectorySpace]:
-    """The trajectory spaces of the space file `path`, each trajectory's
-    `correct` flag its answer's equality with the gold answer."""
-    table = _accepted(path, jsonio.load_lines(path, jsonio.SPACES))
-    return [trajspace.TrajectorySpace(tuple(trajspace.Trajectory(**t, correct=t["answer"] == gold)
-                                            for t in trajectories), gold)
-            for trajectories, gold in zip(table["trajectories"], table["gold_answer"])]
+def _space_batch(path) -> trajspace.SpaceBatch:
+    """Every trajectory space of the space file `path`, as one batch."""
+    return trajspace.space_batch(_accepted(path, jsonio.load_lines(path, jsonio.SPACES)))
 
 
 def _load_preds(path) -> dict[str, list]:
@@ -365,41 +361,18 @@ def _apply_table(args, fit_table: dict) -> dict:
 
 
 def _cmd_theory_verify(args) -> int:
-    lines = []
-    for index, space in enumerate(_load_spaces(args.input)):
-        line = {"index": index, "config": _config(args), "gold_answer": space.gold_answer}
-        competitors = sorted(
-            {t.answer for t in space.trajectories if t.answer != space.gold_answer},
-            key=lambda y: (-trajspace.answer_mass(space, y), y),
-        )
-        if not competitors:
-            line["status"] = "no_competitor"
-            lines.append(line)
-            continue
-        competing = competitors[0]
-        line["competing"] = competing
-        try:
-            check = trajspace.verify_mass_ratio_bound(
-                space, args.eta, space.gold_answer, competing
-            )
-        except HypothesisViolated:
-            line["status"] = "hypothesis_violated"
-        except DegenerateRatio:
-            line["status"] = "degenerate_ratio"
-        else:
-            line.update(status="ok", **asdict(check))
-        lines.append(line)
-    _emit_lines(args, lines)
+    batch, config = _space_batch(args.input), _config(args)
+    checks = trajspace.verify_bounds(batch, args.eta)
+    _emit_lines(args, [{"index": index, "config": config, "gold_answer": gold, **check}
+                       for index, (gold, check) in enumerate(zip(batch.gold_answer, checks))])
     return 0
 
 
 def _cmd_theory_iterate(args) -> int:
-    lines = []
-    for index, space in enumerate(_load_spaces(args.input)):
-        steps = trajspace.iterate_tilt(space, args.eta, args.steps)
-        steps = [{"step": s.step, **asdict(s.summary)} for s in steps]
-        lines.append({"index": index, "config": _config(args), "steps": steps})
-    _emit_lines(args, lines)
+    batch, config = _space_batch(args.input), _config(args)
+    traces = trajspace.iterate_tilt(batch, args.eta, args.steps)
+    _emit_lines(args, [{"index": index, "config": config, "steps": steps}
+                       for index, steps in enumerate(traces)])
     return 0
 
 

@@ -2,11 +2,14 @@
 
 Every error raised by library code derives from UncalError so callers (and
 the CLI) can distinguish validation failures from genuine bugs. The theory
-layer (`trajspace`) raises InvalidStep, NumericOverflow, HypothesisViolated
-and DegenerateRatio. A JSON input value that its `jsonio` table refuses, a
-probe model's included, raises ValueError naming the field instead; the
-table is the one check of a single field's value, and a line kind's rule
-the one check across the fields of a line. The CLI exits 1 on both kinds.
+layer (`trajspace`) tilts every space of a file as one flat batch and raises
+InvalidStep, or NumericOverflow naming the first space whose tilt is not
+representable; a space on which the mass-ratio bound does not apply is a
+status of its output line, not an error. A JSON input value that its
+`jsonio` table refuses, a probe model's included, raises ValueError naming
+the field instead; the table is the one check of a single field's value,
+and a line kind's rule the one check across the fields of a line. The CLI
+exits 1 on both kinds.
 """
 
 from __future__ import annotations
@@ -22,14 +25,6 @@ class InvalidStep(UncalError):
 
 class NumericOverflow(UncalError):
     """eta * reward is too large to expose linear probabilities safely."""
-
-
-class HypothesisViolated(UncalError):
-    """The reward-separation hypothesis (a > b) does not hold."""
-
-
-class DegenerateRatio(UncalError):
-    """An answer-mass ratio is undefined because one mass is zero."""
 
 
 class MissingSignal(UncalError):

@@ -1,49 +1,42 @@
 """Exact exponential-tilting simulator over finite trajectory distributions.
 
-A TrajectorySpace is a finite distribution over reasoning trajectories for a
+A trajectory space is a finite distribution over reasoning trajectories for a
 single input, each trajectory carrying a final answer, a stated confidence,
 and a base probability. Tilting reweights the distribution by
 exp(eta * reward) and renormalizes. The reward is the one calibration
 training optimizes, the signed verbal confidence: +confidence for a correct
-trajectory, -confidence for a wrong one. Every derived quantity here (log-odds
-shifts, answer masses, mass-ratio bounds, confidence-weighted margins) can be
-computed exactly on these finite spaces, which is what makes brute-force
-verification possible.
+trajectory, -confidence for a wrong one. Every derived quantity here (answer
+masses, mass-ratio bounds, confidence-weighted margins) can be computed
+exactly on these finite spaces, which is what makes brute-force verification
+possible.
 
-All operations are pure: they never mutate their inputs and return fresh
-spaces, so concurrent use over distinct spaces is safe. `jsonio.TRAJECTORY`
-checks each trajectory's confidence and base probability on load, and
-`space_refusal` the invariants across a space's trajectories: the
-`jsonio.SPACES` rule on load, and `TrajectorySpace` at construction.
+Every space of a file is one `SpaceBatch`: flat columns over all
+trajectories, each space a contiguous run of them, with no per-space
+objects. `tilt` reweights the whole batch in one pass, and every sum over a
+space or a group of its trajectories is a `math.fsum`, which is correctly
+rounded, so a space's numbers do not depend on its neighbours or on the
+order of its trajectories. All operations are pure: a tilt returns a fresh
+batch. `jsonio.TRAJECTORY` checks each trajectory's confidence and base
+probability on load, and `space_refusal`, the `jsonio.SPACES` rule, the
+invariants across a space's trajectories.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRatio, HypothesisViolated, InvalidStep, NumericOverflow
+from .errors import InvalidStep, NumericOverflow
 
 # exp() overflows float64 a little above 709; linear exposure of the tilted
 # probabilities additionally requires the reward spread to stay representable.
 _EXP_LIMIT = 700.0
 
 _PROB_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One reasoning trajectory: answer, stated confidence, base probability,
-    each in [0,1] as `jsonio.TRAJECTORY` reads them."""
-
-    id: str
-    answer: str
-    confidence: float
-    base_prob: float
-    correct: bool
 
 
 def space_refusal(ids: Sequence[str], base_probs: Sequence[float]) -> str | None:
@@ -60,215 +53,180 @@ def space_refusal(ids: Sequence[str], base_probs: Sequence[float]) -> str | None
 
 
 @dataclass(frozen=True)
-class TrajectorySpace:
-    """A normalized finite distribution over trajectories for one input.
+class SpaceBatch:
+    """Every space of a file as flat columns over its trajectories.
 
-    Invariants enforced at construction: those of `space_refusal`, and each
-    trajectory's `correct` flag agrees with `answer == gold_answer`.
+    A space's trajectories are contiguous and grouped by answer: first those
+    of the gold answer (a group that may be empty), then one group per
+    competing answer, in answer order. `reward` is the signed verbal
+    confidence, with -0.0 made 0.0. `groups` holds the first index of every
+    group of every space, then the trajectory count, so group g is
+    `groups[g]:groups[g + 1]`; `first_group` holds each space's gold group,
+    then the group count, so the groups of space i are
+    `first_group[i]:first_group[i + 1]`.
     """
 
-    trajectories: tuple[Trajectory, ...]
-    gold_answer: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        refusal = space_refusal([t.id for t in self.trajectories],
-                                [t.base_prob for t in self.trajectories])
-        if refusal is not None:
-            raise ValueError(refusal)
-        for t in self.trajectories:
-            if t.correct != (t.answer == self.gold_answer):
-                raise ValueError(
-                    f"trajectory {t.id}: correct flag disagrees with gold answer"
-                )
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def probs(self) -> np.ndarray:
-        return np.array([t.base_prob for t in self.trajectories], dtype=float)
-
-    def with_probs(self, probs: Sequence[float]) -> "TrajectorySpace":
-        """Copy of this space with replaced base probabilities."""
-        if len(probs) != len(self.trajectories):
-            raise ValueError("probability vector length mismatch")
-        new = tuple(
-            Trajectory(t.id, t.answer, t.confidence, float(p), t.correct)
-            for t, p in zip(self.trajectories, probs)
-        )
-        return TrajectorySpace(new, self.gold_answer)
+    base_prob: np.ndarray
+    confidence: np.ndarray
+    reward: np.ndarray
+    starts: np.ndarray  # per space: its first trajectory
+    sizes: np.ndarray  # per space: its trajectory count
+    gold_answer: list[str]  # per space
+    groups: list[int]
+    group_answer: list[str]  # per group
+    first_group: list[int]
 
 
-def reward(traj: Trajectory) -> float:
-    """The signed verbal confidence: +confidence if correct, -confidence if not."""
-    value = traj.confidence if traj.correct else -traj.confidence
-    return value + 0.0  # canonicalize -0.0
+def space_batch(table: dict[str, list]) -> SpaceBatch:
+    """The batch of the spaces of a `jsonio.SPACES` table, in line order."""
+    base_prob, confidence, correct = [], [], []
+    groups, group_answer, first_group, starts = [], [], [], []
+    for trajectories, gold in zip(table["trajectories"], table["gold_answer"]):
+        starts.append(len(base_prob))
+        first_group.append(len(groups))
+        groups.append(len(base_prob))
+        group_answer.append(gold)
+        for t in sorted(trajectories, key=lambda t: (t["answer"] != gold, t["answer"])):
+            if t["answer"] != group_answer[-1]:
+                groups.append(len(base_prob))
+                group_answer.append(t["answer"])
+            base_prob.append(t["base_prob"])
+            confidence.append(t["confidence"])
+            correct.append(t["answer"] == gold)
+    first_group.append(len(groups))
+    groups.append(len(base_prob))
+    confidence = np.array(confidence, dtype=float)
+    starts = np.array(starts, dtype=np.intp)
+    return SpaceBatch(
+        base_prob=np.array(base_prob, dtype=float),
+        confidence=confidence,
+        reward=np.where(correct, confidence, -confidence) + 0.0,
+        starts=starts,
+        sizes=np.diff(np.append(starts, len(base_prob))),
+        gold_answer=list(table["gold_answer"]),
+        groups=groups,
+        group_answer=group_answer,
+        first_group=first_group,
+    )
 
 
-def space_rewards(space: TrajectorySpace) -> np.ndarray:
-    return np.array([reward(t) for t in space.trajectories], dtype=float)
+def _fsums(values: list[float], bounds: list[int]) -> list[float]:
+    """The `fsum` of `values` over each run `bounds[k]:bounds[k + 1]`."""
+    return [math.fsum(values[a:b]) for a, b in pairwise(bounds)]
 
 
-def tilt(space: TrajectorySpace, eta: float) -> TrajectorySpace:
-    """Reweight the space by exp(eta * reward) and renormalize.
+def tilt(batch: SpaceBatch, eta: float, checked: np.ndarray | None = None) -> SpaceBatch:
+    """Reweight every space by exp(eta * reward) and renormalize it.
 
     Computed in log space so that large eta * reward values do not overflow
     before normalization; the output is exposed as linear probabilities and
     preserves the support of the input exactly (zero stays zero, positive
-    stays positive).
+    stays positive). The first space in batch order, among the `checked`
+    ones (default: all), whose eta * reward or its spread exceeds the limit
+    raises NumericOverflow naming its index.
     """
     if not eta > 0.0:  # NaN too
         raise InvalidStep(f"eta must be strictly positive, got {eta}")
-    r = space_rewards(space)
-    scaled = eta * r
-    if np.max(np.abs(scaled)) > _EXP_LIMIT:
-        raise NumericOverflow(
-            f"|eta * reward| exceeds {_EXP_LIMIT}; tilted weights not representable"
-        )
-    if np.max(scaled) - np.min(scaled) > _EXP_LIMIT:
-        # a spread beyond exp(700) would silently underflow small survivors
-        # to zero, violating support preservation
-        raise NumericOverflow(
-            f"eta * reward spread exceeds {_EXP_LIMIT}; support would be lost"
-        )
-    p = space.probs()
-    positive = p > 0.0
-    logw = np.full_like(p, -np.inf)
-    logw[positive] = np.log(p[positive]) + scaled[positive]
-    peak = np.max(logw[positive])
-    lse = peak + math.log(math.fsum(np.exp(logw[positive] - peak)))
-    out = np.zeros_like(p)
-    out[positive] = np.exp(logw[positive] - lse)
-    out /= math.fsum(out)
-    return space.with_probs(out)
+    starts, sizes = batch.starts, batch.sizes
+    scaled = eta * batch.reward
+    over = np.maximum.reduceat(np.abs(scaled), starts) > _EXP_LIMIT
+    # a spread beyond exp(700) would silently underflow small survivors to
+    # zero, violating support preservation
+    spread = np.maximum.reduceat(scaled, starts) - np.minimum.reduceat(scaled, starts) > _EXP_LIMIT
+    refused = over | spread if checked is None else (over | spread) & checked
+    if refused.any():
+        space = int(np.argmax(refused))
+        if over[space]:
+            raise NumericOverflow(f"space {space}: |eta * reward| exceeds {_EXP_LIMIT}; "
+                                  "tilted weights not representable")
+        raise NumericOverflow(f"space {space}: eta * reward spread exceeds {_EXP_LIMIT}; "
+                              "support would be lost")
+    with np.errstate(divide="ignore"):
+        logw = np.log(batch.base_prob) + scaled  # -inf where the probability is 0
+    peak = np.maximum.reduceat(logw, starts)
+    spaces = [*starts.tolist(), len(logw)]
+    shifted = _fsums(np.exp(logw - np.repeat(peak, sizes)).tolist(), spaces)
+    lse = [top + math.log(total) for top, total in zip(peak.tolist(), shifted)]
+    out = np.exp(logw - np.repeat(lse, sizes))
+    out /= np.repeat(_fsums(out.tolist(), spaces), sizes)
+    return replace(batch, base_prob=out)
 
 
-def answer_mass(space: TrajectorySpace, answer: str) -> float:
-    """Total probability of trajectories producing the given answer."""
-    return math.fsum(t.base_prob for t in space.trajectories if t.answer == answer)
+def verify_bounds(batch: SpaceBatch, eta: float) -> list[dict]:
+    """Per space, the check that tilting at eta amplifies M(gold)/M(competing)
+    by at least exp(eta*(a-b)), M an answer's mass.
 
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Result of a mass-ratio bound verification.
-
-    lhs is the post-tilt mass ratio M'(favored)/M'(competing); rhs is the
-    guaranteed floor exp(eta*(a-b)) times the pre-tilt ratio. `holds` uses an
-    absolute slack of 1e-10. `support_preserved` records that the set of
-    positive-probability trajectories is unchanged by the tilt.
+    The competing answer is the wrong one of most mass, the lesser answer
+    on a tie. a is the minimum reward among positive-probability gold
+    trajectories, b the maximum among competing ones: the lowest gold
+    confidence and minus the lowest competing confidence, so a > b fails
+    only when both are 0. A space's `status` is `no_competitor` (no wrong
+    answer), `degenerate_ratio` (either side has no positive mass),
+    `hypothesis_violated` (a <= b), or `ok`. An `ok` space also carries a,
+    b, `lhs` (the post-tilt mass ratio), `rhs` (exp(eta*(a-b)) times the
+    pre-tilt one), `holds` (lhs >= rhs - 1e-10) and `support_preserved`
+    (its positive-probability trajectories are unchanged by the tilt). Only
+    `ok` spaces are tilted, so only they can overflow.
     """
-
-    a: float
-    b: float
-    lhs: float
-    rhs: float
-    holds: bool
-    support_preserved: bool
-
-
-def verify_mass_ratio_bound(
-    space: TrajectorySpace,
-    eta: float,
-    correct: str,
-    competing: str,
-) -> BoundCheck:
-    """Check that tilting amplifies M(correct)/M(competing) by >= exp(eta*(a-b)).
-
-    a is the minimum reward among (positive-probability) trajectories that
-    produce `correct`; b is the maximum among those producing `competing`.
-    For the gold answer against a wrong one, a is the lowest gold confidence
-    and b minus the lowest competing confidence, so a > b fails only when
-    both are 0. The bound applies only when a > b; otherwise
-    HypothesisViolated is raised.
-    """
-    correct_rewards = [
-        reward(t)
-        for t in space.trajectories
-        if t.answer == correct and t.base_prob > 0.0
-    ]
-    competing_rewards = [
-        reward(t)
-        for t in space.trajectories
-        if t.answer == competing and t.base_prob > 0.0
-    ]
-    if not correct_rewards or not competing_rewards:
-        raise DegenerateRatio("both answers need positive mass for a ratio bound")
-    a, b = min(correct_rewards), max(competing_rewards)
-    if a <= b:
-        raise HypothesisViolated(
-            f"need min correct reward > max competing reward, got a={a} <= b={b}"
-        )
-    m_correct = answer_mass(space, correct)
-    m_competing = answer_mass(space, competing)
-    tilted = tilt(space, eta)
-    lhs = answer_mass(tilted, correct) / answer_mass(tilted, competing)
-    rhs = math.exp(eta * (a - b)) * m_correct / m_competing
-    support_before = {t.id for t in space.trajectories if t.base_prob > 0.0}
-    support_after = {t.id for t in tilted.trajectories if t.base_prob > 0.0}
-    return BoundCheck(
-        a=a,
-        b=b,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs >= rhs - 1e-10,
-        support_preserved=support_before == support_after,
-    )
+    p, reward = batch.base_prob.tolist(), batch.reward.tolist()
+    groups = batch.groups
+    mass = _fsums(p, groups)
+    checks, pending = [], []  # pending: (space, gold group, competing group) of each ok space
+    for space, (gold, end) in enumerate(pairwise(batch.first_group)):
+        if end == gold + 1:
+            checks.append({"status": "no_competitor"})
+            continue
+        rival = min(range(gold + 1, end), key=lambda g: (-mass[g], batch.group_answer[g]))
+        checks.append({"competing": batch.group_answer[rival]})
+        a, b = ([r for r, q in zip(reward[groups[g]:groups[g + 1]], p[groups[g]:groups[g + 1]])
+                 if q > 0.0] for g in (gold, rival))
+        if not a or not b:
+            checks[-1]["status"] = "degenerate_ratio"
+        elif min(a) <= max(b):
+            checks[-1]["status"] = "hypothesis_violated"
+        else:
+            checks[-1].update(status="ok", a=min(a), b=max(b))
+            pending.append((space, gold, rival))
+    ok = np.zeros(len(checks), dtype=bool)
+    ok[[space for space, _, _ in pending]] = True
+    tilted = tilt(batch, eta, ok)
+    tilted_mass = _fsums(tilted.base_prob.tolist(), groups)
+    lost = np.logical_or.reduceat((batch.base_prob > 0.0) != (tilted.base_prob > 0.0),
+                                  batch.starts)
+    for space, gold, rival in pending:
+        check = checks[space]
+        lhs = tilted_mass[gold] / tilted_mass[rival]
+        rhs = math.exp(eta * (check["a"] - check["b"])) * mass[gold] / mass[rival]
+        check.update(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10,
+                     support_preserved=not lost[space])
+    return checks
 
 
-def confidence_weighted_score(space: TrajectorySpace, answer: str) -> float:
-    """Sum of base_prob * confidence over trajectories with the given answer."""
-    return math.fsum(
-        t.base_prob * t.confidence for t in space.trajectories if t.answer == answer
-    )
+def summarize(batch: SpaceBatch) -> list[dict]:
+    """Per space: the gold answer's mass, the confidence-weighted score of
+    the gold answer minus that of the best competitor (the gold score itself
+    where none competes), and the mean confidence of the wrong trajectories
+    by mass (None where they have no mass)."""
+    p = batch.base_prob.tolist()
+    weighted = (batch.base_prob * batch.confidence).tolist()
+    mass, score = _fsums(p, batch.groups), _fsums(weighted, batch.groups)
+    summaries = []
+    for gold, end in pairwise(batch.first_group):
+        wrong = slice(batch.groups[gold + 1], batch.groups[end])
+        wrong_mass = math.fsum(p[wrong])
+        rivals = score[gold + 1:end]
+        summaries.append({
+            "gold_mass": mass[gold],
+            "margin": score[gold] - max(rivals) if rivals else score[gold],
+            "mean_wrong_confidence": (math.fsum(weighted[wrong]) / wrong_mass
+                                      if wrong_mass > 0.0 else None),
+        })
+    return summaries
 
 
-def answer_margin(space: TrajectorySpace) -> float:
-    """Confidence-weighted score of the gold answer minus the best competitor.
-
-    If no competing answer exists the margin is the gold score itself.
-    """
-    gold_score = confidence_weighted_score(space, space.gold_answer)
-    competitors = {t.answer for t in space.trajectories} - {space.gold_answer}
-    if not competitors:
-        return gold_score
-    best = max(confidence_weighted_score(space, y) for y in competitors)
-    return gold_score - best
-
-
-@dataclass(frozen=True)
-class TiltStepSummary:
-    gold_mass: float
-    margin: float
-    mean_wrong_confidence: float | None
-
-
-@dataclass(frozen=True)
-class TiltStep:
-    step: int
-    space: TrajectorySpace
-    summary: TiltStepSummary
-
-
-def summarize(space: TrajectorySpace) -> TiltStepSummary:
-    wrong_mass = math.fsum(t.base_prob for t in space.trajectories if not t.correct)
-    if wrong_mass > 0.0:
-        mean_wrong = (
-            math.fsum(
-                t.base_prob * t.confidence for t in space.trajectories if not t.correct
-            )
-            / wrong_mass
-        )
-    else:
-        mean_wrong = None
-    return TiltStepSummary(
-        gold_mass=answer_mass(space, space.gold_answer),
-        margin=answer_margin(space),
-        mean_wrong_confidence=mean_wrong,
-    )
-
-
-def iterate_tilt(space: TrajectorySpace, eta: float, steps: int) -> list[TiltStep]:
-    """Apply `tilt` repeatedly, recording a summary after every step.
+def iterate_tilt(batch: SpaceBatch, eta: float, steps: int) -> list[list[dict]]:
+    """Per space, its `summarize` after each of `steps` tilts at eta, each
+    with its step number.
 
     Because exponential tilts compose additively in eta, k steps at eta equal
     one step at k*eta; the per-step trace exists to expose the trajectory of
@@ -276,45 +234,9 @@ def iterate_tilt(space: TrajectorySpace, eta: float, steps: int) -> list[TiltSte
     """
     if steps < 1:
         raise InvalidStep(f"steps must be >= 1, got {steps}")
-    out = []
-    current = space
-    for k in range(1, steps + 1):
-        current = tilt(current, eta)
-        out.append(TiltStep(step=k, space=current, summary=summarize(current)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The random-space generator used by the verification sweeps
-# ---------------------------------------------------------------------------
-
-
-_ALPHABET = ("A", "B", "C")
-
-
-def random_space(rng: np.random.Generator, max_trajectories: int = 20) -> TrajectorySpace:
-    """Small random space: 2..max trajectories, Dirichlet(1) probabilities,
-    uniform confidences, answers over a 3-symbol alphabet, gold drawn from the
-    answers actually present."""
-    n = int(rng.integers(2, max_trajectories + 1))
-    probs = rng.dirichlet(np.ones(n))
-    answers = [str(rng.choice(_ALPHABET)) for _ in range(n)]
-    gold = str(rng.choice(sorted(set(answers))))
-    trajs = tuple(
-        Trajectory(
-            id=f"t{i}",
-            answer=answers[i],
-            confidence=float(rng.uniform(0.0, 1.0)),
-            base_prob=float(probs[i]),
-            correct=answers[i] == gold,
-        )
-        for i in range(n)
-    )
-    # fsum of the Dirichlet draw can sit a hair off 1.0; renormalize exactly
-    total = math.fsum(t.base_prob for t in trajs)
-    trajs = tuple(
-        Trajectory(t.id, t.answer, t.confidence, t.base_prob / total, t.correct)
-        for t in trajs
-    )
-    return TrajectorySpace(trajs, gold)
-
+    traces = [[] for _ in batch.gold_answer]
+    for step in range(1, steps + 1):
+        batch = tilt(batch, eta)
+        for trace, summary in zip(traces, summarize(batch)):
+            trace.append({"step": step, **summary})
+    return traces

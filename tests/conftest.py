@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ def sweep_threshold(kind, records, grid):
     scored = ragctl.score_traces(records)
     return [(policy.threshold, ragctl.trigger_report(scored, ragctl.decide(policy, scored)))
             for policy in policies]
+
+
+_ALPHABET = ("A", "B", "C")
+
+
+def random_space(rng: np.random.Generator, max_trajectories: int = 20) -> dict:
+    """A small random `jsonio.SPACE` line mapping: 2..max trajectories,
+    Dirichlet(1) probabilities, uniform confidences, answers over a 3-symbol
+    alphabet, gold drawn from the answers actually present."""
+    n = int(rng.integers(2, max_trajectories + 1))
+    probs = rng.dirichlet(np.ones(n))
+    answers = [str(rng.choice(_ALPHABET)) for _ in range(n)]
+    gold = str(rng.choice(sorted(set(answers))))
+    confidences = [float(rng.uniform(0.0, 1.0)) for _ in range(n)]
+    # fsum of the Dirichlet draw can sit a hair off 1.0; renormalize exactly
+    total = math.fsum(float(p) for p in probs)
+    return {"gold_answer": gold,
+            "trajectories": [{"id": f"t{i}", "answer": answers[i], "confidence": confidences[i],
+                              "base_prob": float(probs[i]) / total} for i in range(n)]}
 
 
 def planted_stack(

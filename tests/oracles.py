@@ -1096,3 +1096,181 @@ def record_row(record: PredictionRecord) -> dict:
             "emissions": [vars(e) for e in record.emissions],
             "token_probs": None if record.token_probs is None else list(record.token_probs),
             "match": None if record.match is None else vars(record.match)}
+
+
+# ---------------------------------------------------------------------------
+# The per-space trajectory classes, tilt and bound check that `trajspace`
+# had before it tilted every space of a file as one flat batch
+# ---------------------------------------------------------------------------
+
+
+class OracleOverflow(Exception):
+    """`NumericOverflow` as the per-space tilt raised it, without a space index."""
+
+
+class _HypothesisViolated(Exception):
+    pass
+
+
+class _DegenerateRatio(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One reasoning trajectory: answer, stated confidence, base probability."""
+
+    id: str
+    answer: str
+    confidence: float
+    base_prob: float
+    correct: bool
+
+
+@dataclass(frozen=True)
+class TrajectorySpace:
+    """A normalized finite distribution over trajectories for one input:
+    at least one trajectory, unique ids, base probabilities whose `fsum` is
+    within 1e-12 of 1, and each `correct` flag equal to `answer == gold_answer`."""
+
+    trajectories: tuple[Trajectory, ...]
+    gold_answer: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        ids = [t.id for t in self.trajectories]
+        if not ids or len(set(ids)) != len(ids):
+            raise ValueError("a space needs at least one trajectory, with unique ids")
+        if abs(math.fsum(t.base_prob for t in self.trajectories) - 1.0) > 1e-12:
+            raise ValueError("base probabilities must sum to 1")
+        for t in self.trajectories:
+            if t.correct != (t.answer == self.gold_answer):
+                raise ValueError(f"trajectory {t.id}: correct flag disagrees with gold answer")
+
+    def probs(self):
+        import numpy as np
+
+        return np.array([t.base_prob for t in self.trajectories], dtype=float)
+
+    def with_probs(self, probs) -> "TrajectorySpace":
+        """Copy of this space with replaced base probabilities."""
+        return TrajectorySpace(tuple(Trajectory(t.id, t.answer, t.confidence, float(p), t.correct)
+                                     for t, p in zip(self.trajectories, probs)),
+                               self.gold_answer)
+
+
+def space_from_line(line: dict) -> TrajectorySpace:
+    """The space of a `jsonio.SPACE` line mapping."""
+    gold = line["gold_answer"]
+    return TrajectorySpace(tuple(Trajectory(**t, correct=t["answer"] == gold)
+                                 for t in line["trajectories"]), gold)
+
+
+def oracle_reward(traj: Trajectory) -> float:
+    """The signed verbal confidence: +confidence if correct, -confidence if not."""
+    value = traj.confidence if traj.correct else -traj.confidence
+    return value + 0.0  # canonicalize -0.0
+
+
+def oracle_space_rewards(space: TrajectorySpace):
+    import numpy as np
+
+    return np.array([oracle_reward(t) for t in space.trajectories], dtype=float)
+
+
+def oracle_tilt(space: TrajectorySpace, eta: float) -> TrajectorySpace:
+    """Reweight the space by exp(eta * reward) and renormalize, in log space."""
+    import numpy as np
+
+    scaled = eta * oracle_space_rewards(space)
+    if np.max(np.abs(scaled)) > 700.0:
+        raise OracleOverflow("|eta * reward| exceeds 700.0; tilted weights not representable")
+    if np.max(scaled) - np.min(scaled) > 700.0:
+        raise OracleOverflow("eta * reward spread exceeds 700.0; support would be lost")
+    p = space.probs()
+    positive = p > 0.0
+    logw = np.full_like(p, -np.inf)
+    logw[positive] = np.log(p[positive]) + scaled[positive]
+    peak = np.max(logw[positive])
+    lse = peak + math.log(math.fsum(np.exp(logw[positive] - peak)))
+    out = np.zeros_like(p)
+    out[positive] = np.exp(logw[positive] - lse)
+    out /= math.fsum(out)
+    return space.with_probs(out)
+
+
+def oracle_answer_mass(space: TrajectorySpace, answer: str) -> float:
+    return math.fsum(t.base_prob for t in space.trajectories if t.answer == answer)
+
+
+def oracle_confidence_weighted_score(space: TrajectorySpace, answer: str) -> float:
+    return math.fsum(t.base_prob * t.confidence for t in space.trajectories
+                     if t.answer == answer)
+
+
+def oracle_answer_margin(space: TrajectorySpace) -> float:
+    """Confidence-weighted score of the gold answer minus the best competitor's,
+    the gold score itself where no answer competes."""
+    gold_score = oracle_confidence_weighted_score(space, space.gold_answer)
+    competitors = {t.answer for t in space.trajectories} - {space.gold_answer}
+    if not competitors:
+        return gold_score
+    return gold_score - max(oracle_confidence_weighted_score(space, y) for y in competitors)
+
+
+def oracle_summarize(space: TrajectorySpace) -> dict:
+    wrong_mass = math.fsum(t.base_prob for t in space.trajectories if not t.correct)
+    mean_wrong = None
+    if wrong_mass > 0.0:
+        mean_wrong = math.fsum(t.base_prob * t.confidence for t in space.trajectories
+                               if not t.correct) / wrong_mass
+    return {"gold_mass": oracle_answer_mass(space, space.gold_answer),
+            "margin": oracle_answer_margin(space), "mean_wrong_confidence": mean_wrong}
+
+
+def oracle_iterate_tilt(space: TrajectorySpace, eta: float, steps: int) -> list[dict]:
+    """The summary after each of `steps` tilts, with its step number."""
+    out = []
+    for step in range(1, steps + 1):
+        space = oracle_tilt(space, eta)
+        out.append({"step": step, **oracle_summarize(space)})
+    return out
+
+
+def _oracle_mass_ratio_bound(space, eta, correct, competing) -> dict:
+    correct_rewards = [oracle_reward(t) for t in space.trajectories
+                       if t.answer == correct and t.base_prob > 0.0]
+    competing_rewards = [oracle_reward(t) for t in space.trajectories
+                         if t.answer == competing and t.base_prob > 0.0]
+    if not correct_rewards or not competing_rewards:
+        raise _DegenerateRatio
+    a, b = min(correct_rewards), max(competing_rewards)
+    if a <= b:
+        raise _HypothesisViolated
+    m_correct = oracle_answer_mass(space, correct)
+    m_competing = oracle_answer_mass(space, competing)
+    tilted = oracle_tilt(space, eta)
+    lhs = oracle_answer_mass(tilted, correct) / oracle_answer_mass(tilted, competing)
+    rhs = math.exp(eta * (a - b)) * m_correct / m_competing
+    support_before = {t.id for t in space.trajectories if t.base_prob > 0.0}
+    support_after = {t.id for t in tilted.trajectories if t.base_prob > 0.0}
+    return {"a": a, "b": b, "lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - 1e-10,
+            "support_preserved": support_before == support_after}
+
+
+def oracle_verify(space: TrajectorySpace, eta: float) -> dict:
+    """The fields of the space's `uncal theory verify` line, less its index,
+    config and gold answer: the gold answer against the competitor of most
+    mass (the lesser answer on a tie)."""
+    competitors = sorted({t.answer for t in space.trajectories if t.answer != space.gold_answer},
+                         key=lambda y: (-oracle_answer_mass(space, y), y))
+    if not competitors:
+        return {"status": "no_competitor"}
+    line = {"competing": competitors[0]}
+    try:
+        check = _oracle_mass_ratio_bound(space, eta, space.gold_answer, competitors[0])
+    except _HypothesisViolated:
+        return {**line, "status": "hypothesis_violated"}
+    except _DegenerateRatio:
+        return {**line, "status": "degenerate_ratio"}
+    return {**line, "status": "ok", **check}

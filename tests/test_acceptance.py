@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -17,17 +16,18 @@ import uncal
 from uncal import calib, jsonio, matio, probe, ragctl, recal, reprgeo
 from uncal import trajspace as ts
 from uncal.cli import main
-from uncal.errors import DegenerateRatio, HypothesisViolated
 from uncal.ragctl import ControllerPolicy, PolicyKind
 from uncal.rewards import GoldSet, match_answer, score_predictions
 
 from conftest import (
+    load,
     make_record,
     planted_stack,
     prediction,
     predictions,
     random_batch,
     random_rag_batch,
+    random_space,
     rows as table_rows,
     run_policy,
     sweep_threshold,
@@ -65,18 +65,21 @@ def criterion(number, description):
     return decorate
 
 
+def _space_batch(lines) -> ts.SpaceBatch:
+    return ts.space_batch(load(jsonio.SPACES, lines))
+
+
 @criterion(1, "theory suite: log-odds law, mass-ratio bound, compression ordering")
 def test_theory_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
     eta = 1.0
-    bound_checked = 0
-    for _ in range(1000):
-        space = ts.random_space(rng)
-        tilted = ts.tilt(space, eta)
-        p0 = space.probs()
-        p1 = tilted.probs()
-        rewards = ts.space_rewards(space)
+    batch = _space_batch([random_space(rng) for _ in range(1000)])
+    tilted = ts.tilt(batch, eta)
+    for space, (start, size) in enumerate(zip(batch.starts.tolist(), batch.sizes.tolist())):
+        p0 = batch.base_prob[start:start + size]
+        p1 = tilted.base_prob[start:start + size]
+        rewards = batch.reward[start:start + size]
 
         # one-step log-odds law, all pairs, 1e-10
         log0 = np.log(p0)
@@ -88,54 +91,45 @@ def test_theory_suite():
         # support preservation on every space
         assert np.array_equal(p0 > 0, p1 > 0)
 
-        # compression ordering among wrong and among correct trajectories
+        # compression ordering among wrong and among correct trajectories; a
+        # batch holds a space's correct trajectories first
         ratios = p1 / p0
-        wrong = [(t.confidence, ratios[i]) for i, t in enumerate(space.trajectories) if not t.correct]
+        confidence = batch.confidence[start:start + size]
+        gold = batch.first_group[space]
+        correct = np.arange(size) < batch.groups[gold + 1] - batch.groups[gold]
+        wrong = list(zip(confidence[~correct], ratios[~correct]))
         for c1, r1 in wrong:
             for c2, r2 in wrong:
                 if c1 > c2:
                     assert r1 < r2
-        right = [(t.confidence, ratios[i]) for i, t in enumerate(space.trajectories) if t.correct]
+        right = list(zip(confidence[correct], ratios[correct]))
         for c1, r1 in right:
             for c2, r2 in right:
                 if c1 > c2:
                     assert r1 > r2
 
-        # answer-mass ratio bound wherever the hypothesis applies
-        competitors = {t.answer for t in space.trajectories} - {space.gold_answer}
-        gold_mass = ts.answer_mass(space, space.gold_answer)
-        if competitors and gold_mass > 0:
-            competing = max(competitors, key=lambda y: (ts.answer_mass(space, y), y))
-            try:
-                check = ts.verify_mass_ratio_bound(
-                    space, eta, space.gold_answer, competing
-                )
-            except (HypothesisViolated, DegenerateRatio):
-                continue
-            assert check.holds and check.support_preserved
-            bound_checked += 1
-    assert bound_checked >= 500, f"only {bound_checked} spaces met the bound hypothesis"
+    # answer-mass ratio bound wherever the hypothesis applies
+    checked = [c for c in ts.verify_bounds(batch, eta) if c["status"] == "ok"]
+    assert all(c["holds"] and c["support_preserved"] for c in checked)
+    assert len(checked) >= 500, f"only {len(checked)} spaces met the bound hypothesis"
     assert time.perf_counter() - started < 5.0
 
 
 @criterion(2, "frozen margin-flip fixture crosses zero under one tilt")
 def test_margin_flip_fixture():
     started = time.perf_counter()
-    space = ts.TrajectorySpace(
-        (
-            ts.Trajectory("z1", "A", 0.9, 0.3, True),
-            ts.Trajectory("z2", "B", 0.8, 0.7, False),
-        ),
-        "A",
-    )
-    pre = ts.answer_margin(space)
-    assert pre <= 0.0
-    assert pre == -0.2899999999999999  # frozen: 0.3*0.9 - 0.7*0.8
-    post = ts.answer_margin(ts.tilt(space, 2.0))
-    assert post > 0.0
+    batch = _space_batch([{"gold_answer": "A", "trajectories": [
+        {"id": "z1", "answer": "A", "confidence": 0.9, "base_prob": 0.3},
+        {"id": "z2", "answer": "B", "confidence": 0.8, "base_prob": 0.7},
+    ]}])
+    [pre] = ts.summarize(batch)
+    assert pre["margin"] <= 0.0
+    assert pre["margin"] == -0.2899999999999999  # frozen: 0.3*0.9 - 0.7*0.8
+    [post] = ts.summarize(ts.tilt(batch, 2.0))
+    assert post["margin"] > 0.0
     w1 = 0.3 * math.exp(1.8)
     w2 = 0.7 * math.exp(-1.6)
-    assert abs(post - (0.9 * w1 - 0.8 * w2) / (w1 + w2)) < 1e-12
+    assert abs(post["margin"] - (0.9 * w1 - 0.8 * w2) / (w1 + w2)) < 1e-12
     assert time.perf_counter() - started < 1.0
 
 
@@ -143,12 +137,14 @@ def test_margin_flip_fixture():
 def test_tilt_composition():
     rng = np.random.default_rng(SEED + 1)
     for _ in range(100):
-        space = ts.random_space(rng)
+        batch = _space_batch([random_space(rng)])
         k = int(rng.integers(2, 6))
         eta = float(rng.uniform(0.05, 1.5))
-        stepped = ts.iterate_tilt(space, eta, k)[-1].space
-        direct = ts.tilt(space, k * eta)
-        assert np.max(np.abs(stepped.probs() - direct.probs())) < 1e-10
+        stepped = batch
+        for _ in range(k):
+            stepped = ts.tilt(stepped, eta)
+        direct = ts.tilt(batch, k * eta)
+        assert np.max(np.abs(stepped.base_prob - direct.base_prob)) < 1e-10
 
 
 @criterion(4, "metrics agree with independent brute-force oracles on 100 batches")
@@ -334,8 +330,7 @@ def test_cli_determinism(tmp_path):
     rng = np.random.default_rng(SEED)
     with open(spaces, "w") as fh:
         for _ in range(5):
-            space = ts.random_space(rng)
-            fh.write(jsonio.encode(jsonio.SPACE, asdict(space)) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, random_space(rng)) + "\n")
 
     records, stacks = planted_stack(
         np.random.default_rng(SEED + 60), layers=(0, 8), signal_layer=8, n=120

@@ -16,19 +16,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, rewards, trajspace
+from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, rewards
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, CorruptInput, EmptyBatch, IoError
 from uncal.jsonio import load_predictions, load_rag_traces
 from uncal.rewards import MatchResult, MatchRule
 
-from conftest import count_calls, planted_stack, prediction, rows
+from conftest import count_calls, planted_stack, prediction, random_space, rows
 from oracles import (
     EmissionEvent,
     PredictionRecord,
     RagTraceRecord,
     TokenAnnotation,
     TokenDistPair,
+    Trajectory,
+    TrajectorySpace,
     oracle_annotate_record,
     prediction_records,
     record_row,
@@ -43,8 +45,7 @@ def write_spaces(path, count=6, seed=1):
     rng = np.random.default_rng(seed)
     with open(path, "w") as fh:
         for _ in range(count):
-            space = trajspace.random_space(rng)
-            fh.write(jsonio.encode(jsonio.SPACE, asdict(space)) + "\n")
+            fh.write(jsonio.encode(jsonio.SPACE, random_space(rng)) + "\n")
 
 
 def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120, dims=12):
@@ -381,6 +382,25 @@ class TestFunctional:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--eta" in err and "usage:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["iterate", "--steps", "2"]])
+    @pytest.mark.parametrize("eta, message", [
+        ("800", "|eta * reward| exceeds 700.0; tilted weights not representable"),
+        ("400", "eta * reward spread exceeds 700.0; support would be lost"),
+    ])
+    def test_theory_overflow_names_its_space(self, tmp_path, capsys, command, eta, message):
+        # eta * reward at eta 400: space 0 200 and -80, space 1 400 and -400
+        def space(conf1, conf2):
+            return {"gold_answer": "A", "trajectories": [
+                {"id": "t0", "answer": "A", "confidence": conf1, "base_prob": 0.5},
+                {"id": "t1", "answer": "B", "confidence": conf2, "base_prob": 0.5}]}
+
+        spaces = _write_lines(tmp_path / "s.jsonl", [space(0.5, 0.2), space(1.0, 1.0)])
+        out = tmp_path / "o.jsonl"
+        assert main(["theory", *command, "--in", str(spaces), "--eta", eta,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"uncal: space 1: {message}\n"
         assert not out.exists()
 
     def test_probe_eval_records_the_model_layer(self, tmp_path):
@@ -1438,21 +1458,16 @@ def test_rag_writer_loader_round_trip(row):
     assert jsonio.encode(jsonio.RAG_TRACE, again) == line
 
 
-_SPACES = st.integers(0, 2**32 - 1).map(
-    lambda seed: trajspace.random_space(np.random.default_rng(seed))
-)
+_SPACES = st.integers(0, 2**32 - 1).map(lambda seed: random_space(np.random.default_rng(seed)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_SPACES)
 def test_space_writer_loader_round_trip(space):
-    row = asdict(space)
-    line = jsonio.encode(jsonio.SPACE, row)
+    line = jsonio.encode(jsonio.SPACE, space)
     again, errors, _ = jsonio.read_lines([line], jsonio.SPACES)
-    # a trajectory's `correct` is derived from the gold answer, not written
-    trajectories = [{key: t[key] for key in jsonio.TRAJECTORY} for t in row["trajectories"]]
-    assert errors == [] and again == {"gold_answer": [space.gold_answer],
-                                      "trajectories": [trajectories]}
+    assert errors == [] and again == {"gold_answer": [space["gold_answer"]],
+                                      "trajectories": [space["trajectories"]]}
     assert jsonio.encode(jsonio.SPACE, {key: column[0] for key, column in again.items()}) == line
 
 
@@ -1469,17 +1484,17 @@ def test_probe_model_writer_loader_round_trip(tmp_path):
     assert jsonio.encode(jsonio.PROBE_MODEL, {**vars(model), **given}) + "\n" == text
 
 
-# each table with the class its rows make (for predictions, traces, emissions
-# and KL pairs and annotations, the record class their loads built before
-# they yielded column tables): the table holds the class's fields, less those
+# each table with the class its rows make (for predictions, traces, emissions,
+# spaces, trajectories and KL pairs and annotations, the record class their
+# loads built before they yielded column tables): the table holds the class's fields, less those
 # derived on reading, plus those given on writing
 _TABLE_CLASSES = {
     "PREDICTION": PredictionRecord,
     "EMISSION": EmissionEvent,
     "MATCH": MatchResult,
     "RAG_TRACE": RagTraceRecord,
-    "SPACE": trajspace.TrajectorySpace,
-    "TRAJECTORY": trajspace.Trajectory,
+    "SPACE": TrajectorySpace,
+    "TRAJECTORY": Trajectory,
     "KL_PAIR": TokenDistPair,
     "KL_ANNOTATION": TokenAnnotation,
     "PROBE_MODEL": probe.ProbeModel,

@@ -5,18 +5,17 @@ load accepts every prediction and trace line their tables accept."""
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uncal import jsonio, matio, optim, probe, trajspace
+from uncal import jsonio, matio, optim, probe
 from uncal.reprgeo import TokenType
 from uncal.rewards import MatchRule
 
-from conftest import count_calls, prediction, predictions, rows
+from conftest import count_calls, prediction, predictions, random_space, rows
 from oracles import oracle_to_dict
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -102,7 +101,10 @@ def test_rag_trace_encoder(row):
 @given(st.integers(0, 2**32 - 1))
 def test_space_encoder(seed):
     # a trajectory's `correct` is no field of the table, and is not written
-    _check(jsonio.SPACE, asdict(trajspace.random_space(np.random.default_rng(seed))))
+    space = random_space(np.random.default_rng(seed))
+    gold = space["gold_answer"]
+    _check(jsonio.SPACE, {**space, "trajectories": [{**t, "correct": t["answer"] == gold}
+                                                    for t in space["trajectories"]]})
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,7 +29,6 @@ ROOTS = {
 
 ALLOWED = {
     ("__init__", "fixture_path"): "path of a bundled fixture file",
-    ("trajspace", "random_space"): "seeded spaces for the theory criteria and inputs",
     ("matio", "write_matrix"): "writes the hidden-state files that `probe` and `repr` read",
     ("matio", "write_row_ids"): "writes the sidecars that `probe` reads",
 }
