@@ -9,7 +9,9 @@ columns, counted; sums of confidences stay Python arithmetic (`math.fsum`
 over `tolist()`), so every float is the one a per-record loop would give.
 
 Records without a parseable confidence (NaN) are excluded from confidence
-metrics but still count toward accuracy and the parse rate. All aggregations
+metrics but still count toward accuracy and the parse rate. The bin count
+and NLL floor come checked from the `cli` parser (`--bins` >= 1,
+`--nll-epsilon` in (0, 0.5)); nothing here checks them again. All aggregations
 are pure and deterministic; per-dataset partitions can be computed
 independently and merged.
 """
@@ -64,16 +66,6 @@ class CalibrationReport:
     parse_rate: float
     ausc: float
     bins: tuple[CalibBin, ...]
-
-
-def _check_bins(num_bins: int) -> None:
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5)")
 
 
 def _count(mask) -> int:
@@ -144,7 +136,8 @@ def calibration_report(
     num_bins: int = DEFAULT_ECE_BINS,
     nll_epsilon: float = DEFAULT_NLL_EPSILON,
 ) -> CalibrationReport:
-    """Every calibration metric of one scored batch."""
+    """Every calibration metric of one scored batch, over `num_bins` >= 1
+    bins, with NLL confidences clamped by `nll_epsilon` in (0, 0.5)."""
     n = len(batch)
     if not n:
         raise EmptyBatch("no records")
@@ -152,8 +145,6 @@ def calibration_report(
     conf, correct = batch.confidence[usable], batch.correct[usable]
     if not len(conf):
         raise EmptyBatch("no records with parseable confidence")
-    _check_bins(num_bins)
-    _check_epsilon(nll_epsilon)
     accuracy = _count(batch.correct) / n
     confs, oks = conf.tolist(), correct.tolist()
     mean_conf = math.fsum(confs) / len(confs)

@@ -1,15 +1,17 @@
 """Exception taxonomy shared across the toolkit.
 
 Every error raised by library code derives from UncalError so callers (and
-the CLI) can distinguish validation failures from genuine bugs. The theory
-layer (`trajspace`) tilts every space of a file as one flat batch and raises
-InvalidStep, or NumericOverflow naming the first space whose tilt is not
-representable; a space on which the mass-ratio bound does not apply is a
-status of its output line, not an error. A JSON input value that its
-`jsonio` table refuses, a probe model's included, raises ValueError naming
-the field instead; the table is the one check of a single field's value,
-and a line kind's rule the one check across the fields of a line. The CLI
-exits 1 on both kinds.
+the CLI) can distinguish validation failures from genuine bugs. The errors
+here are faults of the data: the theory layer (`trajspace`) tilts every
+space of a file as one flat batch and raises NumericOverflow naming the
+first space whose tilt is not representable or loses support; a space on
+which the mass-ratio bound does not apply is a status of its output line,
+not an error. Each value is checked once, where it enters: a flag by the
+`cli` parser (a usage error), and a JSON input value, a probe model's
+included, by its `jsonio` table, which raises ValueError naming the field;
+the table is the one check of a single field's value, and a line kind's
+rule the one check across the fields of a line. The library does not check
+either again. The CLI exits 1 on all of them.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from __future__ import annotations
 
 class UncalError(Exception):
     """Base class for all toolkit errors."""
-
-
-class InvalidStep(UncalError):
-    """A tilt step size eta must be strictly positive."""
 
 
 class NumericOverflow(UncalError):
@@ -37,10 +35,6 @@ class EmptyBatch(UncalError):
 
 class DegenerateFit(UncalError):
     """A model fit cannot proceed (single class, too few records, no spread)."""
-
-
-class NotEmitted(UncalError):
-    """Span features were requested for a record without any emission."""
 
 
 class AlignmentError(UncalError):

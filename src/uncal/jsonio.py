@@ -12,21 +12,23 @@ few C-level passes (type sets, `min`/`max`, enum key sets; nested objects as
 one flattened block of their own). `check` is the only rule that accepts a
 value; a line kind's `rule`, if any, checks across the fields of the lines
 the checks accept (a prediction's emissions sorted and inside its text, a
-space's ids unique, a KL pair's lengths equal). A line a check refuses is
-refused with the message `_refusal` words from the first field `check`
-refuses (its `Reader.refusal`), and a line the rule refuses with the
-rule's, so a line is accepted or refused, with the same message, whatever
-block it falls in. Every load yields the accepted lines
-as one column table: a plain dict from field to list, in line order, a
-nested object read as a dict of its fields. A file is read line by line: a
-load holds one block of lines, their decoded objects and columns, and the
-columns of the lines accepted so far. Loading is strict: invalid lines
-are returned with their line numbers (the messages carry no file or line;
-callers prefix `path:line:` once), and a file where more than half the lines
-fail is rejected outright. A rejection inside a nested object starts with
-where it sits in the line: `emissions[0]: unknown fields ['x']`. A file's
-bytes are hashed as they are read (`open_hashed`), so a load's `sha256` names
-exactly the bytes it parsed.
+space's ids unique, a KL pair's lengths equal). One function, `_refused`,
+decides which objects a table refuses and words why: the first field, in
+table order, that is missing where it is required or whose `check` refuses
+its value (that reader's `refusal`), else the unknown fields. It words the
+refusals of a block's lines, of `read_table` and of nested objects alike; a
+line the rule refuses gets the rule's message. So a line is accepted or
+refused, with the same message, whatever block it falls in. Every load
+yields the accepted lines as one column table: a plain dict from field to
+list, in line order, a nested object read as a dict of its fields. A file
+is read line by line: a load holds one block of lines, their decoded
+objects and columns, and the columns of the lines accepted so far. Loading
+is strict: invalid lines are returned with their line numbers (the messages
+carry no file or line; callers prefix `path:line:` once), and a file where
+more than half the lines fail is rejected outright. A rejection inside a
+nested object starts with where it sits in the line: `emissions[0]: unknown
+fields ['x']`. A file's bytes are hashed as they are read (`open_hashed`),
+so a load's `sha256` names exactly the bytes it parsed.
 
 Writing is the same in reverse: lines are written from a column table, each
 field column of a block formatted by one formatter (`encode_basestring`,
@@ -270,6 +272,13 @@ read_probability = Reader(
 )
 
 
+def _int_at_least(low: int) -> Reader:
+    """Reader of the integers (no bool) of at least `low`."""
+    return Reader(lambda values: (_typed_column(values, frozenset((int,)))
+                                  and (not values or min(values) >= low)),
+                  _must_be(f"an integer >= {low}"))
+
+
 def read_enum(kind: type[enum.Enum]) -> Reader:
     """Reader of the value string of one member of `kind`, converted to that member."""
     members = {member.value: member for member in kind}
@@ -283,7 +292,7 @@ def _located(table: dict, name: str, value) -> str | None:
     `name`, where it sits: `match: missing field 'f1'`; None if accepted."""
     if type(value) is not dict:
         return f"{name} must be a JSON object"
-    refusal = _refusal(table, value)
+    refusal = _refused(table, [value], _columns(table, [value])).get(0)
     return refusal and f"{name}: {refusal}"
 
 
@@ -372,7 +381,8 @@ KL_ANNOTATION = {"position": (read_count, REQUIRED), "type": (read_enum(TokenTyp
 ROW_ID = {"qid": (read_string, REQUIRED), "token_index": (read_count, None)}  # sidecar rows
 PLAN_STEP = {"argv": (read_strings, REQUIRED)}  # one `uncal` command of a plan
 # a `probe fit` model: every field it writes; `config` and `fit` say how it was
-# fitted, and only the window and span sizes in `config` are read back
+# fitted, and only the window and span sizes in `config` are read back, in
+# the ranges `probe fit` takes them
 FIT = {
     "converged": (read_bool, REQUIRED),
     "grad_norm": (read_number, REQUIRED),
@@ -382,8 +392,8 @@ PROBE_MODEL_CONFIG = {
     "hidden": (read_string, None),
     "preds": (read_string, None),
     "layer": (read_int, None),
-    "window": (read_int, DEFAULT_WINDOW),
-    "span_tokens": (read_int, DEFAULT_SPAN_TOKENS),
+    "window": (_int_at_least(0), DEFAULT_WINDOW),
+    "span_tokens": (_int_at_least(1), DEFAULT_SPAN_TOKENS),
     "l2": (read_number, None),
     "seed": (read_int, None),
 }
@@ -401,32 +411,18 @@ PROBE_MODEL = {
 }
 
 
-def _refusal(table: dict, obj) -> str | None:
-    """Why `table` refuses the JSON object `obj`, or None if it accepts it:
-    in table order, the first field missing where it is required or whose
-    `check` refuses its value, else the unknown fields. An absent field takes
-    its default, and so does a null where the default is None."""
-    if type(obj) is not dict:
-        return "line must be a JSON object"
-    for key, (read, default) in table.items():
-        value = obj.get(key)
-        if value is None and (default is None or key not in obj):
-            if default is REQUIRED:
-                return f"missing field {key!r}"
-        elif not read.check([value]):
-            return read.refusal(key, value)
-    if not obj.keys() <= table.keys():
-        return f"unknown fields {sorted(obj.keys() - table.keys())}"
-    return None
+_NOT_AN_OBJECT = "line must be a JSON object"
 
 
 def read_table(table: dict, obj) -> dict:
     """The fields of the JSON object `obj` read by `table`, as a block of
-    that one line reads them; raises ValueError with its `_refusal`."""
-    refusal = _refusal(table, obj)
-    if refusal is not None:
-        raise ValueError(refusal)
-    return {key: column[0] for key, column in _fields(table, _columns(table, [obj])).items()}
+    that one line reads them; raises ValueError with its refusal."""
+    if type(obj) is not dict:
+        raise ValueError(_NOT_AN_OBJECT)
+    refused, fields = _read_columns(table, [obj])
+    if refused:
+        raise ValueError(refused[0])
+    return {key: column[0] for key, column in fields.items()}
 
 
 _present = partial(is_not, None)
@@ -446,28 +442,38 @@ def _failing(check, values: list, start: int, stop: int) -> list[int]:
 
 def _columns(table: dict, objs: list) -> dict[str, list]:
     """Each field's column of the values of the JSON objects `objs`: the
-    default where a field is absent, and None where it has no value."""
+    default where a field is absent, and None where it has no value (no
+    reader accepts None, so an absent required field is refused)."""
     return {key: list(map(dict.get, objs, repeat(key), repeat(None if default is REQUIRED
                                                                else default)))
             for key, (_, default) in table.items()}
 
 
-def _refused(table: dict, objs: list, columns: dict[str, list]) -> set[int]:
-    """The indices of the JSON objects `objs`, whose `_columns` are
-    `columns`, that some column check of `table` refuses. Where a column
-    fails its check, the values it refuses are found by halving it."""
-    refused = set()
-    if not set().union(*objs) <= table.keys():
-        refused.update(i for i, obj in enumerate(objs) if not obj.keys() <= table.keys())
+def _refused(table: dict, objs: list, columns: dict[str, list]) -> dict[int, str]:
+    """{index: refusal} of the JSON objects `objs`, whose `_columns` are
+    `columns`, that `table` refuses: for each, the first field in table
+    order that is missing where it is required (`missing field 'k'`) or
+    whose check refuses its value (that reader's `refusal`), else its unknown
+    fields. Where a column fails its check, the values it refuses are found
+    by halving it."""
+    refused = {}
     for key, (read, default) in table.items():
         column = columns[key]
         # where the default is None, a None is that default, which no reader sees
         rows = ([i for i, v in enumerate(column) if v is not None]
                 if default is None and any(map(_absent, column)) else None)
         values = column if rows is None else list(map(column.__getitem__, rows))
-        if not read.check(values):
-            failing = _failing(read.check, values, 0, len(values))
-            refused.update(failing if rows is None else map(rows.__getitem__, failing))
+        if read.check(values):
+            continue
+        failing = _failing(read.check, values, 0, len(values))
+        for i in failing if rows is None else map(rows.__getitem__, failing):
+            if i not in refused:
+                missing = default is REQUIRED and key not in objs[i]
+                refused[i] = f"missing field {key!r}" if missing else read.refusal(key, column[i])
+    if not set().union(*objs) <= table.keys():
+        for i, obj in enumerate(objs):
+            if i not in refused and not obj.keys() <= table.keys():
+                refused[i] = f"unknown fields {sorted(obj.keys() - table.keys())}"
     return refused
 
 
@@ -486,9 +492,9 @@ def _fields(table: dict, columns: dict[str, list]) -> dict[str, list]:
     return columns
 
 
-def _read_columns(table: dict, objs: list) -> tuple[set[int], dict[str, list]]:
-    """(refused, fields): the rows of the JSON objects `objs` that `table`
-    refuses, and the `_fields` of the others."""
+def _read_columns(table: dict, objs: list) -> tuple[dict[int, str], dict[str, list]]:
+    """(refused, fields): the `_refused` rows of the JSON objects `objs`,
+    and the `_fields` of the others."""
     columns = _columns(table, objs)
     refused = _refused(table, objs, columns)
     if refused:
@@ -733,20 +739,20 @@ def _read_block(kind: LineKind, block: list, errors: list) -> dict[str, list]:
     rows = [i for i, obj in enumerate(objs) if type(obj) is dict]  # a non-object is refused
     inner, fields = _read_columns(kind.table, objs if len(rows) == len(objs)
                                   else [objs[i] for i in rows])
-    accepted = [i for k, i in enumerate(rows) if k not in inner]
-    refusals = {}  # block index -> refusal, of the lines the checks accept
+    refusals = {rows[k]: message for k, message in inner.items()}  # block index -> refusal
     if kind.rule is not None and (ruled := kind.rule(fields)):
-        refusals = {accepted[k]: message for k, message in ruled}
+        accepted = [i for k, i in enumerate(rows) if k not in inner]
+        refusals.update((accepted[k], message) for k, message in ruled)
         kept = [k for k, i in enumerate(accepted) if i not in refusals]
         fields = {key: list(map(column.__getitem__, kept)) for key, column in fields.items()}
-    accepted = set(accepted).difference(refusals)
-    for i, (line_no, obj) in enumerate(block):
-        if i in accepted:
-            continue
-        if isinstance(obj, json.JSONDecodeError):
-            errors.append((line_no, obj))
-        else:
-            errors.append((line_no, refusals[i] if i in refusals else _refusal(kind.table, obj)))
+    if refusals or len(rows) < len(objs):
+        for i, (line_no, obj) in enumerate(block):
+            if isinstance(obj, json.JSONDecodeError):
+                errors.append((line_no, obj))
+            elif type(obj) is not dict:
+                errors.append((line_no, _NOT_AN_OBJECT))
+            elif i in refusals:
+                errors.append((line_no, refusals[i]))
     return kind.rows(fields)
 
 

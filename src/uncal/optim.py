@@ -11,9 +11,9 @@ which keeps the CG operator positive semi-definite for a non-convex row
 loss (both temperature fits) too; Armijo backtracking never lets the
 objective go up. CG starts from zero, so identical columns of `phi` get
 identical steps and an all-zero column keeps a weight of exactly 0
-(`standardize` gives a column with no spread one). A negative or
-non-finite `l2` is refused before the first step, for every fit that uses
-this minimizer.
+(`standardize` gives a column with no spread one). `l2` is finite and
+>= 0: the `cli` parser refuses any other `--l2` before a fit starts. The
+one `sigmoid` of every fit lives here too.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ class Fit:
     iterations: int
     grad_norm: float
     converged: bool
+
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)), as exp(-logaddexp(0, -x)): stable in both tails."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def _cg_step(x, row_h, penalty, grad):
@@ -91,11 +96,9 @@ def linear(phi: np.ndarray, weights, bias: float) -> np.ndarray:
 
 def minimize(row_fn, phi: np.ndarray, theta: np.ndarray, l2: float):
     """Minimize the mean row loss of u = [phi, 1] @ theta plus
-    l2 * ||theta[:-1]||^2 from `theta`. Returns the final parameters and a
-    `Fit`. `l2` must be finite and >= 0: a negative penalty rewards large
-    weights, and the objective has no minimum."""
-    if not 0.0 <= l2 < math.inf:
-        raise ValueError(f"l2={l2} must be a finite number >= 0")
+    l2 * ||theta[:-1]||^2 from `theta`, `l2` finite and >= 0 (a negative
+    penalty would reward large weights, and the objective have no minimum).
+    Returns the final parameters and a `Fit`."""
     n = phi.shape[0]
     x = np.hstack([phi, np.ones((n, 1))])
     penalty = np.full(x.shape[1], 2.0 * l2)

@@ -2,11 +2,11 @@
 
 Features pool the hidden vectors around the first emitted uncertainty span
 of a row of a prediction table (`jsonio.PREDICTIONS`) and append three
-scalar response features; `examples` refuses a window below 0 and a span
-below 1 token once per call, before it builds any feature. The
-probe itself is L2-regularized logistic regression fit by the shared
-Newton-CG minimizer (`optim`, which refuses a negative or non-finite
-penalty), with the decision threshold tuned for trigger F1 on held-out data.
+scalar response features. The window (>= 0 tokens), span (>= 1 token) and
+penalty (finite, >= 0) come checked: from the `cli` parser, or from a probe
+model's config by `jsonio.PROBE_MODEL_CONFIG`. The probe itself is
+L2-regularized logistic regression fit by the shared Newton-CG minimizer
+(`optim`), with the decision threshold tuned for trigger F1 on held-out data.
 Every fit and score takes a feature matrix, one row per example. The
 positive class is "final answer is wrong", i.e. "trigger retrieval"; the
 labels come from a `rewards.ScoredBatch` the caller has scored.
@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import optim
-from .errors import AlignmentError, DegenerateFit, NotEmitted, ShapeError, UndefinedMetric
+from .errors import AlignmentError, DegenerateFit, ShapeError, UndefinedMetric
 from .rewards import ScoredBatch
 
 DEFAULT_WINDOW = 4
@@ -29,10 +29,6 @@ DEFAULT_SPAN_TOKENS = 1
 DEFAULT_L2 = 1e-2
 TRAIN_FRACTION = 0.8
 MIN_FIT_EXAMPLES = 10
-
-
-def _sigmoid(x):
-    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def build_features(
@@ -48,17 +44,12 @@ def build_features(
     (the first emission's character position over the response length, 0
     for an empty response).
 
-    `token_hidden` is the (tokens x dims) matrix for this row's response;
-    the range is clipped to the sequence bounds. `examples` has checked that
-    `window` is at least 0 and `span_token_count` at least 1, so the range
-    always holds the first emitted token.
+    `token_hidden` is the row's non-empty (tokens x dims) matrix; the range
+    is clipped to the sequence bounds. With `window` at least 0 and
+    `span_token_count` at least 1, it always holds the first emitted token.
     """
     qid, emissions, text = table["qid"][row], table["emissions"][row], table["response_text"][row]
-    if not emissions:
-        raise NotEmitted(f"record {qid!r} has no emission")
     hidden = np.asarray(token_hidden)  # only the window's rows become float64
-    if hidden.ndim != 2 or hidden.shape[0] == 0:
-        raise AlignmentError(f"record {qid!r}: empty or malformed hidden states")
     first = emissions[0]["token_index"]
     if first is None:
         raise AlignmentError(f"record {qid!r}: first emission has no token index")
@@ -90,13 +81,8 @@ def examples(
     `batch` holds the scores of the rows of the prediction table `table`;
     `stack` maps qid -> (tokens x dims) hidden matrix. An example is an
     emitted row with hidden states in `stack`; its label is 1 where the batch
-    scored it wrong. A `window` below 0 or a `span_token_count` below 1 is
-    refused first.
+    scored it wrong.
     """
-    if window < 0:
-        raise ValueError(f"window={window} must be at least 0")
-    if span_token_count < 1:
-        raise ValueError(f"span_tokens={span_token_count} must be at least 1")
     rows = [i for i, (qid, emissions, _) in enumerate(
                 zip(table["qid"], table["emissions"], batch.correct, strict=True))
             if emissions and qid in stack]
@@ -130,7 +116,7 @@ class ProbeModel:
                 "for {} features".format(*sizes, x.shape[1])
             )
         phi = (x - self.feature_means) / self.feature_stds
-        return _sigmoid(optim.linear(phi, self.weights, self.bias))
+        return optim.sigmoid(optim.linear(phi, self.weights, self.bias))
 
 
 def fit_probe(
@@ -140,15 +126,13 @@ def fit_probe(
     layer: int = -1,
 ) -> ProbeModel:
     """L2-regularized logistic regression from zero on the feature rows `x`,
-    standardized on the fit set (`optim.standardize`), minimized by
-    `optim.minimize` (Newton-CG).
+    one label each (as `examples` returns them), standardized on the fit set
+    (`optim.standardize`), minimized by `optim.minimize` (Newton-CG).
 
     The threshold is left at 0.5 until tuned. `fit` records the objective per
     iteration, which never increases, and whether the fit converged.
     """
     y = np.asarray(labels, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and labels must align")
     if x.shape[0] < MIN_FIT_EXAMPLES:
         raise DegenerateFit(f"need at least {MIN_FIT_EXAMPLES} examples")
     if len(set(y.tolist())) < 2:
@@ -158,7 +142,7 @@ def fit_probe(
         raise DegenerateFit("every feature is constant; nothing to fit")
 
     def logistic(u):
-        p = _sigmoid(u)
+        p = optim.sigmoid(u)
         # mean logistic loss, computed stably via logaddexp
         return float(np.mean(np.logaddexp(0.0, u) - y * u)), p - y, p * (1.0 - p)
 

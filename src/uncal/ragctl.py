@@ -178,11 +178,9 @@ def _count(mask) -> int:
 
 
 def _tally(scored: ScoredTraces, fires, members) -> TriggerReport:
-    """Report over the records `members` selects (a slice or a mask)."""
-    fires = np.asarray(fires, dtype=bool)
-    if len(fires) != len(scored.qid):
-        raise ValueError("need exactly one decision per scored record")
-    fire = fires[members]
+    """Report over the records `members` selects (a slice or a mask), from
+    `decide`'s one decision per scored record."""
+    fire = np.asarray(fires, dtype=bool)[members]
     n = len(fire)
     if not n:
         raise EmptyBatch("no trace records")

@@ -36,11 +36,6 @@ def _logits(confidence: np.ndarray) -> np.ndarray:
     return np.array([math.log(c / (1.0 - c)) for c in clamped.tolist()])
 
 
-def _sigmoid(x):
-    # exp(-logaddexp(0, -x)): stable in both tails
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
 def _softplus(x):
     return np.logaddexp(0.0, x)
 
@@ -97,7 +92,7 @@ def fit_global_ts(batch: ScoredBatch) -> TsModel:
 
     def nll(u):
         a = logits * np.exp(u)
-        p = _sigmoid(a)
+        p = optim.sigmoid(a)
         loss = float(np.mean(_softplus(a) - outcomes * a))
         h = p * (1.0 - p) * a**2 + (p - outcomes) * a
         # every row shares u, so a step reads only the rows' mean curvature;
@@ -109,8 +104,8 @@ def fit_global_ts(batch: ScoredBatch) -> TsModel:
 
     theta, fit = optim.minimize(nll, np.empty((len(logits), 0)), np.zeros(1), 0.0)
     t = math.exp(-theta[0])
-    return TsModel(temperature=t, fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes),
-                   fit=fit)
+    fit_nll = _bernoulli_nll(optim.sigmoid(logits / t), outcomes)
+    return TsModel(temperature=t, fit_nll=fit_nll, fit=fit)
 
 
 def apply_ts(model: TsModel, confidence: np.ndarray) -> np.ndarray:
@@ -118,7 +113,7 @@ def apply_ts(model: TsModel, confidence: np.ndarray) -> np.ndarray:
     monotone in c, so rank order survives."""
     usable = ~np.isnan(confidence)
     out = np.full(len(confidence), np.nan)
-    out[usable] = _sigmoid(_logits(confidence[usable]) / model.temperature)
+    out[usable] = optim.sigmoid(_logits(confidence[usable]) / model.temperature)
     return out
 
 
@@ -144,13 +139,12 @@ class AtsModel:
 
 def _feature_rows(table: dict, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Raw (unstandardized) feature rows of the `usable` rows of a prediction
-    table, whose confidence logits are `logits`: the logit; response length
+    table (a mask with one entry per row, from the table's own confidence
+    column), whose confidence logits are `logits`: the logit; response length
     in tokens (`response_token_count`, as loaded); answer length in
     characters of `rewards.answers`; and reasoning depth, the nonempty lines
     before the answer line."""
     texts, counts = table["response_text"], table["response_token_count"]
-    if len(usable) != len(texts):
-        raise ValueError("need exactly one confidence per row")
     rows = np.flatnonzero(usable).tolist()
     features = [(float(counts[i]), float(len(answer or "")), float(reasoning_depth(texts[i])))
                 for i, answer in zip(rows, answers(table, rows))]
@@ -171,10 +165,10 @@ def fit_ats(table: dict, batch: ScoredBatch, l2: float = DEFAULT_ATS_L2) -> AtsM
     phi, means, stds = optim.standardize(_feature_rows(table, usable, logits))
 
     def nll(u):
-        s = _sigmoid(u)  # dT/du
+        s = optim.sigmoid(u)  # dT/du
         t = _softplus(u) + ATS_TEMPERATURE_FLOOR
         z = logits / t
-        p = _sigmoid(z)
+        p = optim.sigmoid(z)
         dz = -logits * s / t**2
         d2z = -logits * s * ((1.0 - s) / t**2 - 2.0 * s / t**3)
         loss = float(np.mean(np.logaddexp(0.0, z) - outcomes * z))
@@ -192,7 +186,7 @@ def fit_ats(table: dict, batch: ScoredBatch, l2: float = DEFAULT_ATS_L2) -> AtsM
         fit=fit,
     )
     t = _temperatures(model, phi)
-    return replace(model, fit_nll=_bernoulli_nll(_sigmoid(logits / t), outcomes))
+    return replace(model, fit_nll=_bernoulli_nll(optim.sigmoid(logits / t), outcomes))
 
 
 def _temperatures(model: AtsModel, phi: np.ndarray) -> np.ndarray:
@@ -209,5 +203,5 @@ def apply_ats(model: AtsModel, table: dict, confidence: np.ndarray) -> np.ndarra
     logits = _logits(confidence[usable])
     phi = (_feature_rows(table, usable, logits) - model.feature_means) / model.feature_stds
     out = np.full(len(confidence), np.nan)
-    out[usable] = _sigmoid(logits / _temperatures(model, phi))
+    out[usable] = optim.sigmoid(logits / _temperatures(model, phi))
     return out

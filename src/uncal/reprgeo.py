@@ -11,6 +11,9 @@ drift report only the rows it names.
 KL pairs and their annotations come as the column tables `jsonio.KL_PAIRS`
 and `jsonio.KL_ANNOTATIONS` load: every probability lies in [0,1], and the
 two distributions of a pair have equal lengths and each sum to 1 within 1e-6.
+The KL floor (`--epsilon`, in (0,1)) and the PCA `--k` (>= 1) come checked
+from the `cli` parser; nothing here checks a value its loader or parser
+has refused already.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ class TokenType(enum.Enum):
 
 
 def kl(p: Sequence[float], q: Sequence[float], epsilon: float = KL_EPSILON) -> float:
-    """KL(p || q) with the reference floored at epsilon so missing support
-    stays finite; 0 * log 0 counts as 0 and tiny negative round-off clips to 0."""
+    """KL(p || q) of two equal-length vectors, with the reference floored at
+    epsilon so missing support stays finite; 0 * log 0 counts as 0 and tiny
+    negative round-off clips to 0."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ShapeError("KL needs two equal-length vectors")
     q_floor = np.maximum(q, epsilon)
     mask = p > 0.0
     value = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q_floor[mask]))))
@@ -67,11 +69,9 @@ def kl_by_type(
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
-    total KL is 0. `epsilon`, the floor of a calibrated probability, must lie
+    total KL is 0. `epsilon`, the floor of a calibrated probability, lies
     in (0,1).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be a number in (0,1), got {epsilon!r}")
     type_of = {}
     for position, token_type in zip(annotations["position"], annotations["type"]):
         if position in type_of:
@@ -133,8 +133,8 @@ class PcaResult:
 
 
 def pca_project(x, k: int) -> PcaResult:
-    """Top-k principal components: the eigenvectors of the (dims x dims)
-    sample covariance with the k largest eigenvalues, in descending order.
+    """Top-k principal components, k >= 1: the eigenvectors of the (dims x
+    dims) sample covariance with the k largest eigenvalues, in descending order.
 
     Exact up to floating point; each component's largest-magnitude entry is
     made positive, so the output is unique wherever the top k eigenvalues are
@@ -143,8 +143,6 @@ def pca_project(x, k: int) -> PcaResult:
     # one float64 copy of the input, centred in place below
     centered = _as_2d(np.array(x, dtype=float))
     n, d = centered.shape
-    if k < 1:
-        raise ShapeError(f"k={k} must be at least 1")
     if k > d:
         raise ShapeError(f"k={k} exceeds dims={d}")
     if n <= k:

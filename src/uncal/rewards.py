@@ -16,7 +16,9 @@ the signed verbal confidence, is applied to trajectories by `trajspace`.
 
 `jsonio.PREDICTION` is the one check of each field's value (non-empty
 `gold_answers`, confidences in [0,1]), and the load's check across fields
-refuses emissions that are unsorted or outside the text.
+refuses emissions that are unsorted or outside the text. The F1 threshold
+is in [0,1], as the `cli` parser's `--f1-threshold` refusal leaves it;
+matching does not check it again.
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ def _dates_agree(a: tuple[int, int | None, int | None], b) -> bool:
     return all(x is None or y is None or x == y for x, y in zip(a, b))
 
 
-def _check_threshold(f1_threshold: float) -> None:
-    if not 0.0 <= f1_threshold <= 1.0:
-        raise ValueError("f1_threshold must lie in [0,1]")
-
-
 class GoldSet:
     """A row's gold answers prepared once for matching: the normalized
     strings, the yes/no values among them and, once the token-F1 rule first
@@ -211,7 +208,6 @@ def match_answer(
     calendar-date agreement, token-F1 >= threshold. The first rule that fires
     wins; if none fires the result is incorrect with the best token F1.
     """
-    _check_threshold(f1_threshold)
     norm_pred = normalize_answer(pred)
     if norm_pred in golds.normalized:
         return _EXACT_MATCH
@@ -245,7 +241,6 @@ def match_answers(
     """`match_answer` of each answer against its row's gold answers, whose
     `GoldSet`s are all built first; a row without an answer is incorrect
     with F1 = 0."""
-    _check_threshold(f1_threshold)
     golds = list(map(GoldSet, gold_answers))
     return [_NO_ANSWER if pred is None else match_answer(pred, gold, f1_threshold)
             for pred, gold in zip(preds, golds)]

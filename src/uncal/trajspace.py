@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidStep, NumericOverflow
+from .errors import NumericOverflow
 
 # exp() overflows float64 a little above 709; linear exposure of the tilted
 # probabilities additionally requires the reward spread to stay representable.
@@ -116,39 +116,45 @@ def _fsums(values: list[float], bounds: list[int]) -> list[float]:
 
 
 def tilt(batch: SpaceBatch, eta: float, checked: np.ndarray | None = None) -> SpaceBatch:
-    """Reweight every space by exp(eta * reward) and renormalize it.
+    """Reweight every space by exp(eta * reward), eta > 0, and renormalize it.
 
     Computed in log space so that large eta * reward values do not overflow
     before normalization; the output is exposed as linear probabilities and
     preserves the support of the input exactly (zero stays zero, positive
     stays positive). The first space in batch order, among the `checked`
-    ones (default: all), whose eta * reward or its spread exceeds the limit
-    raises NumericOverflow naming its index.
+    ones (default: all), whose eta * reward or its spread exceeds the limit,
+    or in which a positive probability tilts to exactly 0, raises
+    NumericOverflow naming its index.
     """
-    if not eta > 0.0:  # NaN too
-        raise InvalidStep(f"eta must be strictly positive, got {eta}")
     starts, sizes = batch.starts, batch.sizes
     scaled = eta * batch.reward
     over = np.maximum.reduceat(np.abs(scaled), starts) > _EXP_LIMIT
-    # a spread beyond exp(700) would silently underflow small survivors to
-    # zero, violating support preservation
-    spread = np.maximum.reduceat(scaled, starts) - np.minimum.reduceat(scaled, starts) > _EXP_LIMIT
-    refused = over | spread if checked is None else (over | spread) & checked
+    # the log of a probability 0 is -inf; an `over` space may overflow, and is refused below
+    with np.errstate(divide="ignore", over="ignore"):
+        spread = (np.maximum.reduceat(scaled, starts) - np.minimum.reduceat(scaled, starts)
+                  > _EXP_LIMIT)
+        logw = np.log(batch.base_prob) + scaled
+        peak = np.maximum.reduceat(logw, starts)
+        spaces = [*starts.tolist(), len(logw)]
+        shifted = _fsums(np.exp(logw - np.repeat(peak, sizes)).tolist(), spaces)
+        lse = [top + math.log(total) for top, total in zip(peak.tolist(), shifted)]
+        out = np.exp(logw - np.repeat(lse, sizes))
+        out /= np.repeat(_fsums(out.tolist(), spaces), sizes)
+    # a tiny probability far below its space's peak underflows to 0
+    lost = np.logical_or.reduceat((batch.base_prob > 0.0) & (out == 0.0), starts)
+    refused = over | spread | lost
+    if checked is not None:
+        refused &= checked
     if refused.any():
         space = int(np.argmax(refused))
         if over[space]:
             raise NumericOverflow(f"space {space}: |eta * reward| exceeds {_EXP_LIMIT}; "
                                   "tilted weights not representable")
-        raise NumericOverflow(f"space {space}: eta * reward spread exceeds {_EXP_LIMIT}; "
+        if spread[space]:
+            raise NumericOverflow(f"space {space}: eta * reward spread exceeds {_EXP_LIMIT}; "
+                                  "support would be lost")
+        raise NumericOverflow(f"space {space}: a positive probability tilts to 0; "
                               "support would be lost")
-    with np.errstate(divide="ignore"):
-        logw = np.log(batch.base_prob) + scaled  # -inf where the probability is 0
-    peak = np.maximum.reduceat(logw, starts)
-    spaces = [*starts.tolist(), len(logw)]
-    shifted = _fsums(np.exp(logw - np.repeat(peak, sizes)).tolist(), spaces)
-    lse = [top + math.log(total) for top, total in zip(peak.tolist(), shifted)]
-    out = np.exp(logw - np.repeat(lse, sizes))
-    out /= np.repeat(_fsums(out.tolist(), spaces), sizes)
     return replace(batch, base_prob=out)
 
 
@@ -164,9 +170,9 @@ def verify_bounds(batch: SpaceBatch, eta: float) -> list[dict]:
     answer), `degenerate_ratio` (either side has no positive mass),
     `hypothesis_violated` (a <= b), or `ok`. An `ok` space also carries a,
     b, `lhs` (the post-tilt mass ratio), `rhs` (exp(eta*(a-b)) times the
-    pre-tilt one), `holds` (lhs >= rhs - 1e-10) and `support_preserved`
-    (its positive-probability trajectories are unchanged by the tilt). Only
-    `ok` spaces are tilted, so only they can overflow.
+    pre-tilt one), `holds` (lhs >= rhs - 1e-10) and `support_preserved`,
+    always true: a tilt that loses support raises. Only `ok` spaces are
+    checked, so only they can overflow.
     """
     p, reward = batch.base_prob.tolist(), batch.reward.tolist()
     groups = batch.groups
@@ -191,14 +197,11 @@ def verify_bounds(batch: SpaceBatch, eta: float) -> list[dict]:
     ok[[space for space, _, _ in pending]] = True
     tilted = tilt(batch, eta, ok)
     tilted_mass = _fsums(tilted.base_prob.tolist(), groups)
-    lost = np.logical_or.reduceat((batch.base_prob > 0.0) != (tilted.base_prob > 0.0),
-                                  batch.starts)
     for space, gold, rival in pending:
         check = checks[space]
         lhs = tilted_mass[gold] / tilted_mass[rival]
         rhs = math.exp(eta * (check["a"] - check["b"])) * mass[gold] / mass[rival]
-        check.update(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10,
-                     support_preserved=not lost[space])
+        check.update(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10, support_preserved=True)
     return checks
 
 
@@ -225,15 +228,13 @@ def summarize(batch: SpaceBatch) -> list[dict]:
 
 
 def iterate_tilt(batch: SpaceBatch, eta: float, steps: int) -> list[list[dict]]:
-    """Per space, its `summarize` after each of `steps` tilts at eta, each
-    with its step number.
+    """Per space, its `summarize` after each of `steps` (at least 1) tilts
+    at eta, each with its step number.
 
     Because exponential tilts compose additively in eta, k steps at eta equal
     one step at k*eta; the per-step trace exists to expose the trajectory of
     the gold-answer mass and margin.
     """
-    if steps < 1:
-        raise InvalidStep(f"steps must be >= 1, got {steps}")
     traces = [[] for _ in batch.gold_answer]
     for step in range(1, steps + 1):
         batch = tilt(batch, eta)

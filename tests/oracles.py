@@ -225,7 +225,6 @@ def oracle_match_answer(pred, golds, f1_threshold=0.3):
     from uncal.rewards import (
         MatchResult,
         MatchRule,
-        _check_threshold,
         _dates_agree,
         normalize_answer,
         parse_date,
@@ -258,7 +257,6 @@ def oracle_match_answer(pred, golds, f1_threshold=0.3):
 
     if not golds:
         raise ValueError("golds must be non-empty")
-    _check_threshold(f1_threshold)
     norm_pred = normalize_answer(pred)
     if any(norm_pred == normalize_answer(g) for g in golds):
         return MatchResult(True, MatchRule.EXACT_MATCH, 1.0)
@@ -493,9 +491,9 @@ def oracle_apply_ts(model, confidence: float) -> float:
     """`recal.apply_ts` as it was when it mapped one confidence."""
     import numpy as np
 
-    from uncal.recal import _sigmoid
+    from uncal.optim import sigmoid
 
-    return float(_sigmoid(np.array(_former_logit(confidence) / model.temperature)))
+    return float(sigmoid(np.array(_former_logit(confidence) / model.temperature)))
 
 
 def oracle_ts_nll(model, table, f1_threshold=0.3) -> float:
@@ -503,14 +501,15 @@ def oracle_ts_nll(model, table, f1_threshold=0.3) -> float:
     a prediction table a fit reads (those whose confidence is not NaN)."""
     import numpy as np
 
-    from uncal.recal import _bernoulli_nll, _sigmoid
+    from uncal.optim import sigmoid
+    from uncal.recal import _bernoulli_nll
     from uncal.rewards import score_predictions
 
     batch = score_predictions(table, f1_threshold)
     usable = ~np.isnan(batch.confidence)
     logits = np.array([_former_logit(c) for c in batch.confidence[usable].tolist()])
     outcomes = batch.correct[usable].astype(float)
-    return _bernoulli_nll(_sigmoid(logits / model.temperature), outcomes)
+    return _bernoulli_nll(sigmoid(logits / model.temperature), outcomes)
 
 
 def oracle_fit_global_ts(batch):
@@ -520,14 +519,15 @@ def oracle_fit_global_ts(batch):
     unimodal in log T), falling back to T = 1 where that is no worse."""
     import numpy as np
 
-    from uncal.recal import TsModel, _bernoulli_nll, _sigmoid
+    from uncal.optim import sigmoid
+    from uncal.recal import TsModel, _bernoulli_nll
 
     usable = ~np.isnan(batch.confidence)
     logits = np.array([_former_logit(c) for c in batch.confidence[usable].tolist()])
     outcomes = batch.correct[usable].astype(float)
 
     def objective(log_t):
-        return _bernoulli_nll(_sigmoid(logits / math.exp(log_t)), outcomes)
+        return _bernoulli_nll(sigmoid(logits / math.exp(log_t)), outcomes)
 
     lo, hi = -5.0, 5.0
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -557,7 +557,8 @@ def oracle_apply_ats(model, record) -> float:
     loaded: an explicit 0 is no longer replaced by the whitespace count."""
     import numpy as np
 
-    from uncal.recal import ATS_TEMPERATURE_FLOOR, _sigmoid, _softplus
+    from uncal.optim import sigmoid
+    from uncal.recal import ATS_TEMPERATURE_FLOOR, _softplus
     from uncal.rewards import extract_answer_line, reasoning_depth
 
     conf = oracle_record_confidence(record)
@@ -571,7 +572,7 @@ def oracle_apply_ats(model, record) -> float:
     phi = (raw - np.array(model.feature_means)) / np.array(model.feature_stds)
     u = float(phi @ np.array(model.weights)) + model.bias
     t = float(_softplus(np.array(u))) + ATS_TEMPERATURE_FLOOR
-    return float(_sigmoid(np.array(_former_logit(conf) / t)))
+    return float(sigmoid(np.array(_former_logit(conf) / t)))
 
 
 def oracle_annotate_record(record, f1_threshold=0.3):
@@ -773,6 +774,10 @@ def _former_tables() -> dict[str, dict]:
 
     string = reader(lambda v: type(v) is str, "a string")
     integer = reader(lambda v: type(v) is int, "an integer")
+
+    def at_least(low):  # a change since: a model's window and span take the flags' ranges
+        return reader(lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+
     boolean = reader(lambda v: type(v) is bool, "true or false")
     strings = reader(lambda v: type(v) is list and v and all(type(s) is str for s in v),
                      "a non-empty list of strings")
@@ -822,7 +827,7 @@ def _former_tables() -> dict[str, dict]:
                 "iterations": (count, REQUIRED)}
     t["PROBE_MODEL_CONFIG"] = {
         "hidden": (string, None), "preds": (string, None), "layer": (integer, None),
-        "window": (integer, DEFAULT_WINDOW), "span_tokens": (integer, DEFAULT_SPAN_TOKENS),
+        "window": (at_least(0), DEFAULT_WINDOW), "span_tokens": (at_least(1), DEFAULT_SPAN_TOKENS),
         "l2": (number, None), "seed": (integer, None),
     }
     t["PROBE_MODEL"] = {
@@ -988,12 +993,11 @@ def oracle_record_correct(record, f1_threshold=0.3) -> bool:
     """`rewards.record_correct`: a cached `match` decides without rematching
     but never overrides the threshold (a cached TokenF1 result is correct
     exactly when its F1 reaches it and the record has an answer)."""
-    from uncal.rewards import MatchRule, _check_threshold
+    from uncal.rewards import MatchRule
 
     cached = record.match
     if cached is None:
         return oracle_match_record(record, f1_threshold).correct
-    _check_threshold(f1_threshold)
     if cached.rule is not MatchRule.TOKEN_F1:
         return cached.correct
     if cached.f1 < f1_threshold:
@@ -1196,6 +1200,8 @@ def oracle_tilt(space: TrajectorySpace, eta: float) -> TrajectorySpace:
     out = np.zeros_like(p)
     out[positive] = np.exp(logw[positive] - lse)
     out /= math.fsum(out)
+    if (positive & (out == 0.0)).any():
+        raise OracleOverflow("a positive probability tilts to 0; support would be lost")
     return space.with_probs(out)
 
 

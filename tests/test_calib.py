@@ -89,10 +89,6 @@ class TestNll:
         value = metrics([make_record("q", 1.0, False)], epsilon=1e-6).nll
         assert value == pytest.approx(-math.log(1e-6), rel=1e-9)
 
-    def test_epsilon_validated(self):
-        with pytest.raises(ValueError):
-            metrics([make_record("q", 0.5, True)], epsilon=0.7)
-
 
 class TestAusc:
     def test_all_correct(self):
@@ -215,12 +211,6 @@ class TestScoredBatch:
             calib.error_taxonomy(score_predictions(predictions([])))
         with pytest.raises(EmptyBatch):
             calib.calibration_report(score_predictions(predictions([make_record("q", None, True)])))
-
-    def test_bins_validated(self):
-        with pytest.raises(ValueError):
-            calib.calibration_report(
-                score_predictions(predictions([make_record("q", 0.5, True)])), num_bins=0
-            )
 
 
 @st.composite

@@ -403,6 +403,21 @@ class TestFunctional:
         assert capsys.readouterr().err == f"uncal: space 1: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["verify"], ["iterate", "--steps", "2"]])
+    def test_theory_underflow_names_its_space(self, tmp_path, capsys, command):
+        # spread 680 is under the limit, but 1e-300 * exp(-680) rounds to 0:
+        # verify ended in a ZeroDivisionError traceback, and iterate exited 0
+        # with a mean wrong confidence of null
+        spaces = _write_lines(tmp_path / "s.jsonl", [{"gold_answer": "A", "trajectories": [
+            {"id": "a", "answer": "A", "confidence": 1.0, "base_prob": 1.0},
+            {"id": "b", "answer": "B", "confidence": 1.0, "base_prob": 1e-300}]}])
+        out = tmp_path / "o.jsonl"
+        assert main(["theory", *command, "--in", str(spaces), "--eta", "340",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "uncal: space 0: a positive probability tilts to 0; support would be lost\n")
+        assert not out.exists()
+
     def test_probe_eval_records_the_model_layer(self, tmp_path):
         preds = write_hidden_dir(tmp_path / "hidden")
         layer = str(tmp_path / "hidden" / "layer_8.mat")
@@ -1297,6 +1312,40 @@ def test_a_bad_flag_value_is_refused_before_any_input_is_read(
     assert reads == matrices == []
 
 
+def _number_flags(parser, command=()):
+    """(command words, flag) of each flag, in every subcommand of `parser`,
+    whose values a `cli._number_flag` parser reads."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from _number_flags(sub, (*command, word))
+        elif getattr(action.type, "__qualname__", "").startswith("_number_flag."):
+            yield command, action.option_strings[0]
+
+
+_NUMBER_FLAGS = list(_number_flags(cli._build_parser()))
+
+
+def test_the_walk_finds_every_range_flag():
+    assert {flag for _, flag in _NUMBER_FLAGS} >= {"--eta", "--steps", "--f1-threshold",
+                                                   "--bins", "--nll-epsilon", "--l2",
+                                                   "--window", "--span-tokens", "--epsilon",
+                                                   "--k"}
+
+
+@pytest.mark.parametrize("command, flag", _NUMBER_FLAGS,
+                         ids=[" ".join((*command, flag)) for command, flag in _NUMBER_FLAGS])
+def test_every_number_flag_refuses_nan_before_anything_is_written(tmp_path, monkeypatch,
+                                                                  capsys, command, flag):
+    # the parser is the only check of a flag's range, and `_number_flag`
+    # refuses nan whatever the range: a range flag added later is covered too
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, flag, "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"uncal: bad {flag} value 'nan'")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFitFlagRanges:
     """Fit settings that used to produce garbage are refused with exit 1 and a
     message naming the setting; no output is written."""
@@ -1350,8 +1399,8 @@ class TestFitFlagRanges:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, message", [
-        ({"window": -1}, "window=-1 must be at least 0"),
-        ({"span_tokens": 0}, "span_tokens=0 must be at least 1"),
+        ({"window": -1}, "probe model config: window must be an integer >= 0"),
+        ({"span_tokens": 0}, "probe model config: span_tokens must be an integer >= 1"),
     ])
     def test_probe_eval_reads_the_ranges_from_the_model(
         self, tmp_path, capsys, probe_inputs, config, message
@@ -1366,7 +1415,7 @@ class TestFitFlagRanges:
         model.write_text(json.dumps(obj))
         assert main(["probe", "eval", "--model", str(model), "--hidden", str(layer),
                      "--preds", str(preds), "--out", str(tmp_path / "e.json")]) == 1
-        assert capsys.readouterr().err == f"uncal: {message}\n"
+        assert capsys.readouterr().err == f"uncal: {model}: {message}\n"
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -1669,7 +1718,7 @@ class TestMissingFields:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda obj: obj["config"].update(window=None),
-         "probe model config: window must be an integer"),
+         "probe model config: window must be an integer >= 0"),
         (lambda obj: obj["fit"].pop("converged"), "probe model fit: missing field 'converged'"),
         (lambda obj: obj.update(note="x"), "probe model unknown fields ['note']"),
         (lambda obj: obj.update(schema="uncal-ats-model-v3"),

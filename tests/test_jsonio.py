@@ -192,6 +192,31 @@ def test_encoder_refuses_a_missing_field_and_leaves_out_other_keys():
             == '{"qid":"q","token_index":0}')
 
 
+@pytest.mark.parametrize("config, refusal", [
+    ({"window": 0, "span_tokens": 1}, None),
+    ({"window": 5, "span_tokens": 16}, None),
+    ({}, None),  # the defaults
+    ({"window": -1}, "window must be an integer >= 0"),
+    ({"window": 1.0}, "window must be an integer >= 0"),
+    ({"window": True}, "window must be an integer >= 0"),
+    ({"window": None}, "window must be an integer >= 0"),
+    ({"span_tokens": 0}, "span_tokens must be an integer >= 1"),
+    ({"span_tokens": -4}, "span_tokens must be an integer >= 1"),
+    ({"span_tokens": "2"}, "span_tokens must be an integer >= 1"),
+    # the first refused field in table order words the refusal
+    ({"window": -1, "span_tokens": 0}, "window must be an integer >= 0"),
+])
+def test_probe_model_config_reads_the_window_and_span_ranges(config, refusal):
+    # the one place a probe model's window and span ranges are checked
+    if refusal is None:
+        fields = jsonio.read_table(jsonio.PROBE_MODEL_CONFIG, config)
+        assert fields["window"] == config.get("window", jsonio.DEFAULT_WINDOW)
+        assert fields["span_tokens"] == config.get("span_tokens", jsonio.DEFAULT_SPAN_TOKENS)
+    else:
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            jsonio.read_table(jsonio.PROBE_MODEL_CONFIG, config)
+
+
 # list elements on either side of every bound: bools, NaN, signed zeros,
 # ints too large for a float, and values that are no numbers
 _ELEMENTS = st.sampled_from([

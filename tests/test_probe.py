@@ -11,7 +11,6 @@ from uncal.errors import (
     AlignmentError,
     DegenerateFit,
     IoError,
-    NotEmitted,
     UndefinedMetric,
 )
 from uncal.rewards import score_predictions
@@ -69,22 +68,6 @@ class TestBuildFeatures:
         record = emitted_record(0, text_pos=position, text=text)
         assert probe.build_features(np.ones((2, 1)), record, 0)[-1] == fraction
 
-    @pytest.mark.parametrize("window, span, message", [
-        (-1, 1, "window=-1 must be at least 0"),
-        (0, 0, "span_tokens=0 must be at least 1"),
-        (2, -3, "span_tokens=-3 must be at least 1"),
-    ])
-    def test_window_and_span_ranges(self, window, span, message):
-        records = emitted_record(3)
-        with pytest.raises(ValueError, match=message):
-            probe.examples(records, score_predictions(records), {"q": np.ones((10, 2))},
-                           window, span)
-
-    def test_not_emitted(self):
-        record = predictions([prediction("q", ("a",), "Answer: a")])
-        with pytest.raises(NotEmitted):
-            probe.build_features(np.ones((4, 2)), record, 0)
-
     def test_missing_token_index(self):
         record = predictions([prediction("q", ("a",), "<uncertain>\nAnswer: a",
                                          emissions=[emission(0)])])
@@ -94,6 +77,26 @@ class TestBuildFeatures:
     def test_out_of_bounds_token_index(self):
         with pytest.raises(AlignmentError):
             probe.build_features(np.ones((4, 2)), emitted_record(9, tokens=10), 0)
+
+
+class TestSigmoid:
+    """`optim.sigmoid`, the one logistic function of the probe and recal fits."""
+
+    def test_equals_the_logistic_function(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        np.testing.assert_allclose(optim.sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
+        assert optim.sigmoid(np.float64(0.0)) == 0.5
+
+    def test_symmetric(self):
+        x = np.linspace(-40.0, 40.0, 801)
+        np.testing.assert_allclose(optim.sigmoid(x) + optim.sigmoid(-x), 1.0, rtol=1e-15)
+
+    def test_tails_neither_overflow_nor_leave_the_unit_interval(self):
+        x = np.array([-1e308, -1000.0, -700.0, 700.0, 1000.0, 1e308])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            p = optim.sigmoid(x)
+        assert p.tolist() == [0.0, 0.0, optim.sigmoid(np.float64(-700.0)), 1.0, 1.0, 1.0]
+        assert 0.0 < p[2] < 1e-300
 
 
 class TestFitProbe:

@@ -30,10 +30,6 @@ class TestKl:
         value = reprgeo.kl([0.5, 0.5], [1.0, 0.0], epsilon=1e-9)
         assert np.isfinite(value) and value > 5.0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            reprgeo.kl([0.5, 0.5], [1.0])
-
     def test_nonnegative_on_random_pairs(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 30))
@@ -54,20 +50,6 @@ def _annotations(*types):
 
 
 class TestKlByType:
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
-    def test_epsilon_outside_the_unit_interval_refused_before_any_pair(self, epsilon):
-        scored = []
-
-        class Column(list):  # a column that records that it was read
-            def __iter__(self):
-                scored.append(self)
-                return super().__iter__()
-
-        pairs = {"position": [0], "base_probs": Column([[1.0]]), "calibrated_probs": [[1.0]]}
-        with pytest.raises(ValueError, match=r"epsilon must be a number in \(0,1\)"):
-            reprgeo.kl_by_type(pairs, _annotations(TokenType.OTHER), epsilon)
-        assert scored == []
-
     def test_uniform_kl_gives_count_share(self):
         pairs = _pairs(*[(i, [1.0, 0.0], [0.5, 0.5]) for i in range(4)])
         annotations = _annotations(TokenType.CONFIDENCE_DIGIT, TokenType.REASONING_TOKEN,

@@ -334,10 +334,6 @@ class TestCachedMatchHonoursThreshold:
         assert correct(line, 0.0) is False
         assert correct(annotate(line, 0.3), 0.0) is False
 
-    def test_threshold_validated_on_cached_records(self):
-        with pytest.raises(ValueError):
-            correct(annotate(self.PARTIAL, 0.3), 1.5)
-
     @settings(max_examples=200, deadline=None)
     @given(
         answer=st.lists(st.sampled_from(["big", "machine", "records", "the", "yes"]),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from uncal import cli, jsonio, trajspace as ts
 from uncal.cli import main
-from uncal.errors import InvalidStep, NumericOverflow
+from uncal.errors import NumericOverflow
 
 from conftest import load, random_space
 from oracles import (
@@ -136,11 +136,6 @@ class TestTilt:
         b = batch(two_space(conf1=1.0, conf2=1.0))
         np.testing.assert_allclose(ts.tilt(b, math.log(2.0)).base_prob, [0.8, 0.2], atol=1e-12)
 
-    def test_nonpositive_eta_rejected(self):
-        for eta in (0.0, float("nan")):
-            with pytest.raises(InvalidStep):
-                ts.tilt(batch(two_space()), eta)
-
     def test_overflow_guard(self):
         # eta * reward: 800 and 0
         with pytest.raises(NumericOverflow, match=r"^space 0: \|eta \* reward\| exceeds 700.0"):
@@ -151,6 +146,18 @@ class TestTilt:
         with pytest.raises(NumericOverflow,
                            match="^space 0: eta \\* reward spread exceeds 700.0; support"):
             ts.tilt(batch(two_space(conf1=1.0, conf2=1.0)), 400.0)
+
+    def test_only_checked_spaces_lose_support(self):
+        # eta * reward: 690 and 0, a spread under the limit, in one answer's
+        # space, which verify does not tilt (no competitor); the base
+        # probability 1e-300 tilts to 1e-300 * exp(-690), which rounds to 0
+        space = {"gold_answer": "A", "trajectories": [traj("a", "A", 1.0, 1.0),
+                                                      traj("b", "A", 0.0, 1e-300)]}
+        assert ts.verify_bounds(batch(space), 690.0) == [{"status": "no_competitor"}]
+        with pytest.raises(NumericOverflow, match="^space 0: a positive probability tilts to "
+                                                  "0; support would be lost$"):
+            ts.tilt(batch(space), 690.0)
+        assert ts.tilt(batch(space), 20.0).base_prob[1] > 0.0  # 1e-300 * exp(-20)
 
     def test_overflow_names_the_first_offending_space(self):
         # eta * reward: space 0 400 and 400, space 1 400 and -320 (the spread
@@ -163,6 +170,22 @@ class TestTilt:
         with pytest.raises(NumericOverflow, match=r"^space 2: \|eta \* reward\|"):
             ts.tilt(b, 800.0, np.array([True, False, True]))
         ts.tilt(b, 800.0, np.array([True, False, False]))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_underflow_names_the_first_space_that_loses_support(self, position):
+        # eta * reward: 340 and -340, a spread under the limit, but the base
+        # probability 1e-300 tilts to 1e-300 * exp(-680), which rounds to 0;
+        # the other spaces tilt 0.5 and 0.5 by 170 and -170
+        lines = [two_space() for _ in range(3)]
+        lines[position] = {"gold_answer": "A", "trajectories": [traj("a", "A", 1.0, 1.0),
+                                                                traj("b", "B", 1.0, 1e-300)]}
+        with pytest.raises(NumericOverflow, match=f"^space {position}: a positive probability "
+                                                  "tilts to 0; support would be lost$"):
+            ts.tilt(batch(*lines), 340.0)
+        with pytest.raises(NumericOverflow, match=f"^space {position}: "):
+            ts.verify_bounds(batch(*lines), 340.0)
+        unchecked = np.arange(3) != position
+        assert np.all(ts.tilt(batch(*lines), 340.0, unchecked).base_prob[unchecked.repeat(2)] > 0)
 
     def test_large_but_safe_rewards_stay_finite(self):
         # eta * reward: 690 and 345
@@ -362,10 +385,6 @@ class TestIterateTilt:
         for step in steps:
             assert 0.0 <= step["gold_mass"] <= 1.0
             assert step["mean_wrong_confidence"] == pytest.approx(0.8, abs=1e-12)
-
-    def test_invalid_steps(self):
-        with pytest.raises(InvalidStep):
-            ts.iterate_tilt(batch(two_space()), 1.0, 0)
 
 
 @settings(max_examples=60, deadline=None)
