@@ -670,9 +670,7 @@ def _cmd_repr_pca(args) -> int:
     })
     if args.csv:
         header = [f"pc{i + 1}" for i in range(args.k)]
-        jsonio.write_csv(
-            args.csv, header, [[float(v) for v in row] for row in result.projection]
-        )
+        jsonio.write_csv(args.csv, header, result.projection.tolist())
     return 0
 
 

@@ -33,7 +33,8 @@ so a load's `sha256` names exactly the bytes it parsed.
 Writing is the same in reverse: lines are written from a column table, each
 field column of a block formatted by one formatter (`encode_basestring`,
 17-digit floats, a nested table's own lines), and each line joins its row;
-a command that rewrites a table replaces the columns it changed. Report
+a command that rewrites a table replaces the columns it changed. A CSV is
+written the same way, a block of rows and one column at a time. Report
 writing controls float formatting (17 significant digits, round-trip exact)
 and key order so that identical configurations produce byte-identical files.
 Every output file is written atomically.
@@ -166,20 +167,36 @@ def write_jsonl(path, objs: Iterable) -> None:
 _CSV_QUOTED = frozenset(',"\r\n')  # a cell holding one of these is quoted (RFC 4180)
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: None empty, a bool `true`/`false`, a float as in the
+    reports (digits, sign, point and exponent only), and any other value's
+    text, quoted where it holds a comma, a quote or a line break."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    text = str(value)
+    return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _csv_column(values: tuple) -> list[str]:
+    """The cells of one column: all floats in one pass, else cell by cell."""
+    return _float_texts(values) if _typed_column(values, _FLOAT) else list(map(_csv_cell, values))
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Plot-ready CSV with the same float discipline as the JSON reports."""
+    """Plot-ready CSV with the same float discipline as the JSON reports,
+    formatted a block of `BLOCK_LINES` rows at a time, one column at a time."""
 
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):  # digits, sign, point and exponent only
-            return format_float(value)
-        text = str(value)
-        return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+    def lines():
+        yield ",".join(map(_csv_cell, header)) + "\n"
+        for start in range(0, len(rows), BLOCK_LINES):
+            columns = map(_csv_column, zip(*rows[start:start + BLOCK_LINES], strict=True))
+            yield "".join(map("%s\n".__mod__, map(",".join, zip(*columns))))
 
-    _write_atomic(path, (",".join(map(cell, row)) + "\n" for row in chain([header], rows)))
+    _write_atomic(path, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +208,7 @@ _NUMBER_TYPES = frozenset((int, float))
 _LIST = frozenset((list,))
 _DICT = frozenset((dict,))
 _STR = frozenset((str,))
+_FLOAT = frozenset((float,))
 _FLOAT_MAX = sys.float_info.max
 
 

@@ -4,10 +4,14 @@ Covers token-level KL divergence (optionally grouped by token type), linear
 centered kernel alignment between representation matrices, exact PCA from
 one symmetric eigendecomposition of the covariance, and relative Frobenius
 drift between weight matrices. Nothing here draws random numbers. Each
-matrix function computes in float64 and holds only the float64 copies its
-formula needs beside its inputs, which may stay float32: CKA one centred
-copy per input, PCA one, Frobenius drift one at a time, and the embedding
-drift report only the rows it names.
+matrix function computes in float64 but reads its inputs, which may stay
+float32, `BLOCK_ROWS` rows at a time into one reused float64 buffer per
+input, centred by column means taken first; beside the buffers it keeps only
+a `dims x dims` sum or a scalar. A matrix whose `dims x dims` sums would
+outweigh the float64 copy they save (fewer than `BLOCK_ROWS + dims` rows)
+is read as one block, which computes the bits the whole-matrix formulas
+give. The embedding drift report converts only the rows it names.
+Matrices come from `matio.read_matrix`, so they are 2-D.
 KL pairs and their annotations come as the column tables `jsonio.KL_PAIRS`
 and `jsonio.KL_ANNOTATIONS` load: every probability lies in [0,1], and the
 two distributions of a pair have equal lengths and each sum to 1 within 1e-6.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +33,9 @@ import numpy as np
 from .errors import ShapeError, UndefinedSimilarity
 
 KL_EPSILON = 1e-9
+
+# rows converted to float64 together; bounds what a matrix function holds beside its inputs
+BLOCK_ROWS = 1024
 
 
 class TokenType(enum.Enum):
@@ -95,11 +103,35 @@ def kl_by_type(
     return out
 
 
-def _as_2d(x) -> np.ndarray:
-    values = np.asarray(x, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError("expected a 2-dimensional matrix")
-    return values
+def _block_size(rows: int, dims: int) -> int:
+    """Rows per block: `BLOCK_ROWS`, or all the rows (at least one) below
+    `BLOCK_ROWS + dims` rows, where a block's buffer with a running
+    `dims x dims` sum and the block's own product would hold more than one
+    whole float64 copy and one product."""
+    return BLOCK_ROWS if rows >= BLOCK_ROWS + dims else max(rows, 1)
+
+
+def _centred(x, mean, size: int):
+    """Each block of `size` rows of `x` minus `mean`, in float64, read in
+    turn into one buffer: a block holds until the next one is drawn."""
+    buffer = np.empty((min(size, len(x)), x.shape[1]))
+    for start in range(0, len(x), size):
+        block = x[start:start + size]
+        yield np.subtract(block, mean, out=buffer[:len(block)], dtype=float)
+
+
+def _summed(products):
+    """The sum of the arrays `products`, each added in turn into the first."""
+    total = next(products)
+    for product in products:
+        total += product
+    return total
+
+
+def _squared_norm(block) -> float:
+    """The squared Frobenius norm, as `np.linalg.norm` sums it before its root."""
+    flat = block.ravel()
+    return flat.dot(flat)
 
 
 def linear_cka(x, y) -> float:
@@ -107,19 +139,20 @@ def linear_cka(x, y) -> float:
 
     Invariant to orthogonal right-multiplication and isotropic scaling of
     either argument; 1.0 means geometrically identical representations.
+    The three products `Y^T X`, `X^T X` and `Y^T Y` are built in turn, each
+    summed over the row blocks and reduced to its norm before the next.
     """
-    # one float64 copy of each input, centred in place below
-    xc = _as_2d(np.array(x, dtype=float))
-    yc = _as_2d(np.array(y, dtype=float))
-    if xc.shape[0] != yc.shape[0]:
+    rows = x.shape[0]
+    if rows != y.shape[0]:
         raise ShapeError("matrices must have the same number of rows")
-    if xc.shape[0] < 2:
+    if rows < 2:
         raise ShapeError("need at least two rows")
-    xc -= xc.mean(axis=0)
-    yc -= yc.mean(axis=0)
-    cross = float(np.linalg.norm(yc.T @ xc, "fro") ** 2)
-    norm_x = float(np.linalg.norm(xc.T @ xc, "fro"))
-    norm_y = float(np.linalg.norm(yc.T @ yc, "fro"))
+    size = _block_size(rows, max(x.shape[1], y.shape[1]))
+    xs = partial(_centred, x, x.mean(axis=0, dtype=float), size)
+    ys = partial(_centred, y, y.mean(axis=0, dtype=float), size)
+    cross = float(np.linalg.norm(_summed(b.T @ a for a, b in zip(xs(), ys())), "fro") ** 2)
+    norm_x = float(np.linalg.norm(_summed(a.T @ a for a in xs()), "fro"))
+    norm_y = float(np.linalg.norm(_summed(b.T @ b for b in ys()), "fro"))
     if norm_x == 0.0 or norm_y == 0.0:
         raise UndefinedSimilarity("a zero-variance matrix has no geometry to compare")
     return cross / (norm_x * norm_y)
@@ -138,27 +171,32 @@ def pca_project(x, k: int) -> PcaResult:
 
     Exact up to floating point; each component's largest-magnitude entry is
     made positive, so the output is unique wherever the top k eigenvalues are
-    distinct.
+    distinct. The covariance is summed over the row blocks; a second pass
+    over them fills the `rows x k` projection.
     """
-    # one float64 copy of the input, centred in place below
-    centered = _as_2d(np.array(x, dtype=float))
-    n, d = centered.shape
+    n, d = x.shape
     if k > d:
         raise ShapeError(f"k={k} exceeds dims={d}")
     if n <= k:
         raise ShapeError(f"need more rows than components, got rows={n}, k={k}")
-    centered -= centered.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    size = _block_size(n, d)
+    mean = x.mean(axis=0, dtype=float)
+    cov = _summed(b.T @ b for b in _centred(x, mean, size))
+    cov /= n - 1
     total_var = float(np.trace(cov))
     if total_var == 0.0:
         raise UndefinedSimilarity("zero-variance matrix has no principal directions")
     eigenvalues, vectors = np.linalg.eigh(cov)  # ascending
+    del cov  # not held beside the projection
     comp = vectors[:, ::-1][:, :k].T
     peaks = comp[np.arange(k), np.argmax(np.abs(comp), axis=1)]
     comp = comp * np.sign(peaks)[:, None]
     ratios = np.maximum(eigenvalues[::-1][:k], 0.0) / total_var
+    projection = np.empty((n, k))
+    for start, block in zip(range(0, n, size), _centred(x, mean, size)):
+        np.matmul(block, comp.T, out=projection[start:start + len(block)])
     return PcaResult(
-        projection=centered @ comp.T,
+        projection=projection,
         explained_variance_ratio=ratios,
         components=comp,
     )
@@ -166,18 +204,25 @@ def pca_project(x, k: int) -> PcaResult:
 
 def frobenius_drift(w_base, w_cal) -> float:
     """Relative Frobenius drift ||cal - base||_F / ||base||_F, in float64
-    whatever the inputs' dtype. At most one float64 matrix is held at a time:
-    the base's, for its norm, and then the difference."""
-    base = np.asarray(w_base)
-    cal = np.asarray(w_cal)
-    if base.shape != cal.shape:
+    whatever the inputs' dtype. Each row block is read into one float64
+    buffer, first the base's, for its squared norm, and then the difference."""
+    if w_base.shape != w_cal.shape:
         raise ShapeError("weight matrices must have the same shape")
-    base_norm = float(np.linalg.norm(np.asarray(base, dtype=float)))
+    size = _block_size(len(w_base), 0)  # no dims x dims sum
+    buffer = np.empty((min(size, len(w_base)), w_base.shape[1]))
+    base_squares = diff_squares = 0.0
+    for start in range(0, len(w_base), size):
+        base = w_base[start:start + size]
+        block = buffer[:len(base)]
+        block[...] = base
+        base_squares += _squared_norm(block)
+        block[...] = w_cal[start:start + size]
+        block -= base
+        diff_squares += _squared_norm(block)
+    base_norm = float(np.sqrt(base_squares))
     if base_norm == 0.0:
         raise UndefinedSimilarity("zero base norm makes relative drift undefined")
-    diff = cal.astype(float)
-    diff -= base
-    return float(np.linalg.norm(diff)) / base_norm
+    return float(np.sqrt(diff_squares)) / base_norm
 
 
 @dataclass(frozen=True)
@@ -201,8 +246,6 @@ def embedding_drift_report(
         raise ShapeError("weight matrices must have the same shape")
     interest = list(rows_of_interest)
     baseline = list(baseline_rows)
-    if not interest or not baseline:
-        raise ValueError("row sets must be non-empty")
     if set(interest) & set(baseline):
         raise ValueError("row sets must be disjoint")
     for i in interest + baseline:

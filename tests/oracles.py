@@ -181,6 +181,28 @@ def oracle_tune_threshold(scores, labels):
 # ---------------------------------------------------------------------------
 
 
+def oracle_csv_text(header, rows) -> str:
+    """The text `jsonio.write_csv` wrote when it formatted each cell on its
+    own, row by row."""
+    from itertools import chain
+
+    from uncal.jsonio import format_float
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format_float(value)
+        text = str(value)
+        if frozenset(',"\r\n').isdisjoint(text):
+            return text
+        return '"' + text.replace('"', '""') + '"'
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in chain([header], rows))
+
+
 def oracle_to_dict(table: dict, fields) -> dict:
     """The line object of the mapping `fields` as the field-dict writer
     built it, before lines were encoded straight to text: `dumps_canonical`
@@ -589,15 +611,42 @@ def oracle_annotate_record(record, f1_threshold=0.3):
                    match=oracle_match_record(record, f1_threshold))
 
 
+def oracle_linear_cka(x, y) -> float:
+    """`reprgeo.linear_cka` as it was when it centred a float64 copy of each
+    whole input in place and built each product from the whole copies."""
+    import numpy as np
+
+    from uncal.errors import ShapeError, UndefinedSimilarity
+
+    xc = np.array(x, dtype=float)
+    yc = np.array(y, dtype=float)
+    if xc.ndim != 2 or yc.ndim != 2:
+        raise ShapeError("expected a 2-dimensional matrix")
+    if xc.shape[0] != yc.shape[0]:
+        raise ShapeError("matrices must have the same number of rows")
+    if xc.shape[0] < 2:
+        raise ShapeError("need at least two rows")
+    xc -= xc.mean(axis=0)
+    yc -= yc.mean(axis=0)
+    cross = float(np.linalg.norm(yc.T @ xc, "fro") ** 2)
+    norm_x = float(np.linalg.norm(xc.T @ xc, "fro"))
+    norm_y = float(np.linalg.norm(yc.T @ yc, "fro"))
+    if norm_x == 0.0 or norm_y == 0.0:
+        raise UndefinedSimilarity("a zero-variance matrix has no geometry to compare")
+    return cross / (norm_x * norm_y)
+
+
 def oracle_pca_project(x, k: int):
     """`reprgeo.pca_project` as it was when it centred a second float64 copy
     of the input instead of the first one in place."""
     import numpy as np
 
     from uncal.errors import ShapeError, UndefinedSimilarity
-    from uncal.reprgeo import PcaResult, _as_2d
+    from uncal.reprgeo import PcaResult
 
-    values = _as_2d(x)
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 2:
+        raise ShapeError("expected a 2-dimensional matrix")
     n, d = values.shape
     if k < 1:
         raise ShapeError(f"k={k} must be at least 1")

@@ -201,6 +201,8 @@ class TestExitCodes:
         ["--interest", "0,x", "--baseline", "1"],
         ["--interest", "0", "--baseline", "1,1"],
         ["--interest", "0"],
+        ["--interest", "", "--baseline", "1"],
+        ["--interest", "0", "--baseline", ""],
     ])
     def test_bad_row_lists_are_refused_before_the_matrices_are_read(
         self, tmp_path, monkeypatch, capsys, flags
@@ -681,11 +683,24 @@ def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 class TestMatrixMemory:
     """Peak memory of the matrix commands as `tracemalloc` sees it (numpy
-    reports its buffers), in units of one float32 input matrix. Each bound
-    is what the command's formula needs: the float32 inputs plus its float64
-    working copies (8 bytes, so 2 units, each), with a little room."""
+    reports its buffers). Each bound is what the command's formula needs, in
+    units of one float32 input matrix plus `dims x dims` float64 squares:
+    the float32 inputs; a float64 buffer per input of at most
+    `reprgeo.BLOCK_ROWS` rows (8 bytes a value, so 2 units where it holds
+    every row); the sums or products of the covariance kind; and a little
+    room. A matrix of fewer than `BLOCK_ROWS + dims` rows is one block, and
+    keeps the bounds of the whole float64 copies it was read into before."""
 
-    ROWS, DIMS = 2000, 128
+    # (rows, dims) -> command -> (input units, dims x dims float64 squares)
+    BOUNDS = {
+        # one block of more than BLOCK_ROWS rows: a whole copy per input, as before
+        (1100, 2048): {"drift": (4.6, 0), "pca": (3.6, 2), "cka": (6.3, 1)},
+        # two blocks of 1024 and 976 rows
+        (2000, 128): {"drift": (3.3, 0), "pca": (2.3, 2), "cka": (4.2, 2)},
+        # sixteen blocks: the inputs, and buffers of 1/16 unit each; the PCA's
+        # CSV rows (a list of two floats per row) take about 1/3 unit
+        (16384, 64): {"drift": (2.35, 0), "pca": (1.7, 2), "cka": (2.4, 2)},
+    }
 
     @staticmethod
     def peak(argv) -> int:
@@ -697,33 +712,38 @@ class TestMatrixMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.fixture(scope="class")
-    def matrices(self, tmp_path_factory):
+    @pytest.fixture(scope="class", params=sorted(BOUNDS), ids=lambda shape: "%dx%d" % shape)
+    def matrices(self, request, tmp_path_factory):
         work = tmp_path_factory.mktemp("matrices")
         rng = np.random.default_rng(6)
         for name in ("x", "y"):
-            matio.write_matrix(work / f"{name}.mat", rng.normal(size=(self.ROWS, self.DIMS)))
-        return work
+            matio.write_matrix(work / f"{name}.mat", rng.normal(size=request.param))
+        return work, request.param
 
-    def units(self, argv) -> float:
-        return self.peak(argv) / (self.ROWS * self.DIMS * 4)
+    def bound(self, shape, command) -> float:
+        rows, dims = shape
+        units, squares = self.BOUNDS[shape][command]
+        return units * rows * dims * 4 + squares * dims * dims * 8
 
-    def test_drift_holds_one_float64_copy_at_a_time(self, matrices):
-        # two inputs, then the base's float64 copy or the difference
-        assert self.units(["repr", "drift", "--base", str(matrices / "x.mat"),
-                           "--cal", str(matrices / "y.mat"), "--interest", "0,1,2,3",
-                           "--baseline", "10,11,12,13",
-                           "--out", str(matrices / "drift.json")]) <= 4.6
+    def test_drift_holds_a_block_of_float64_rows(self, matrices):
+        # two inputs and one buffer: the base's block, then the difference
+        work, shape = matrices
+        assert self.peak(["repr", "drift", "--base", str(work / "x.mat"),
+                          "--cal", str(work / "y.mat"), "--interest", "0,1,2,3",
+                          "--baseline", "10,11,12,13",
+                          "--out", str(work / "drift.json")]) <= self.bound(shape, "drift")
 
-    def test_pca_centres_its_one_float64_copy(self, matrices):
-        assert self.units(["repr", "pca", "--in", str(matrices / "x.mat"), "--k", "2",
-                           "--out", str(matrices / "pca.json"),
-                           "--csv", str(matrices / "pca.csv")]) <= 3.6
+    def test_pca_centres_a_block_at_a_time(self, matrices):
+        work, shape = matrices
+        assert self.peak(["repr", "pca", "--in", str(work / "x.mat"), "--k", "2",
+                          "--out", str(work / "pca.json"),
+                          "--csv", str(work / "pca.csv")]) <= self.bound(shape, "pca")
 
-    def test_cka_holds_one_centred_copy_per_input(self, matrices):
-        assert self.units(["repr", "cka", "--x", str(matrices / "x.mat"),
-                           "--y", str(matrices / "y.mat"),
-                           "--out", str(matrices / "cka.json")]) <= 6.3
+    def test_cka_holds_one_centred_block_per_input(self, matrices):
+        work, shape = matrices
+        assert self.peak(["repr", "cka", "--x", str(work / "x.mat"),
+                          "--y", str(work / "y.mat"),
+                          "--out", str(work / "cka.json")]) <= self.bound(shape, "cka")
 
     def test_sweep_holds_at_most_two_layers(self, tmp_path):
         # before one layer was fitted at a time, all four were held at once

@@ -16,7 +16,7 @@ from uncal.reprgeo import TokenType
 from uncal.rewards import MatchRule
 
 from conftest import count_calls, prediction, predictions, random_space, rows
-from oracles import oracle_to_dict
+from oracles import oracle_csv_text, oracle_to_dict
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 _PROB = st.floats(0.0, 1.0)
@@ -415,6 +415,32 @@ def test_csv_cells_read_back_through_the_csv_module(tmp_path_factory, rows):
     jsonio.write_csv(path, ["a,b", "c"], rows)
     with open(path, newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == [["a,b", "c"]] + [list(map(text, row)) for row in rows]
+
+
+_CSV_TEXT = st.text(st.sampled_from('ab,"\r\n -0'), max_size=5)
+_CSV_ANY = st.none() | st.booleans() | st.integers() | _FINITE_ANY | st.just(-0.0) | _CSV_TEXT
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_FINITE | st.just(-0.0), st.integers(), _FINITE.map(np.float64),
+                          _CSV_TEXT, _CSV_ANY), min_size=1, max_size=12),
+       st.integers(0, 2 * jsonio.BLOCK_LINES + 1))
+def test_csv_bytes_equal_the_per_cell_rule(tmp_path_factory, drawn, count):
+    # whole float columns are formatted at once, other columns cell by cell;
+    # the drawn rows repeat over a few blocks of rows
+    rows = [list(drawn[i % len(drawn)]) for i in range(count)]
+    header = ["x", "n", "np", 'a,"b"', "any"]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    jsonio.write_csv(path, header, rows)
+    assert path.read_bytes() == oracle_csv_text(header, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")])
+def test_a_csv_value_no_report_may_hold_leaves_no_file(tmp_path, bad):
+    rows = [[0.5, "x"]] * (2 * jsonio.BLOCK_LINES) + [[bad, "y"]]
+    with pytest.raises(ValueError, match="NaN or infinity"):
+        jsonio.write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_csv_cell_is_quoted_only_where_it_must_be(tmp_path):

@@ -13,6 +13,7 @@ from uncal.reprgeo import TokenType
 from oracles import (
     oracle_embedding_drift_report,
     oracle_frobenius_drift,
+    oracle_linear_cka,
     oracle_pca,
     oracle_pca_project,
 )
@@ -264,9 +265,11 @@ class TestEmbeddingDrift:
             reprgeo.embedding_drift_report([0, 1], [1, 2], np.eye(3), np.eye(3))
 
 
-# The matrix functions hold fewer float64 copies than they did; every value
-# they compute must still equal, bit for bit, the former code's in
-# `oracles.py`, whatever the inputs' dtype and whether rows exceed dims.
+# The matrix functions read their rows a block at a time instead of as whole
+# float64 copies. Where the rows fit in one block, every value they compute
+# must still equal, bit for bit, the former code's in `oracles.py`, whatever
+# the inputs' dtype and whether rows exceed dims; over several blocks only the
+# order of the sums changes.
 
 
 def _outcome(function, *args):
@@ -318,3 +321,52 @@ def test_pca_project_equals_the_former_code(pair, data):
     else:
         for field in ("projection", "explained_variance_ratio", "components"):
             assert getattr(new, field).tobytes() == getattr(old, field).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_linear_cka_equals_the_former_code(data):
+    x, y = data.draw(_matrix_pairs())
+    y = y[:, :data.draw(st.integers(1, y.shape[1]))]  # the two may differ in dims
+    if data.draw(st.booleans()):
+        y = y[:-1]  # or in rows
+    assert _outcome(reprgeo.linear_cka, x, y) == _outcome(oracle_linear_cka, x, y)
+
+
+def _random_matrix(rng, rows, dims, dtype):
+    """A matrix of a few scales and offsets, so that centring matters."""
+    return (rng.normal(size=(rows, dims)) * rng.uniform(0.1, 10.0, size=dims)
+            + rng.normal(size=dims)).astype(dtype)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, reprgeo.BLOCK_ROWS), st.integers(1, 300), st.integers(1, 300),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_one_block_computes_the_former_bits(rows, dims_x, dims_y, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = _random_matrix(rng, rows, dims_x, dtype)
+    y = _random_matrix(rng, rows, dims_y, dtype)
+    assert reprgeo.linear_cka(x, y) == oracle_linear_cka(x, y)
+    cal = (x + 0.1 * rng.normal(size=x.shape)).astype(dtype)
+    assert reprgeo.frobenius_drift(x, cal) == oracle_frobenius_drift(x, cal)
+    k = min(dims_x, rows - 1, 4)
+    new, old = reprgeo.pca_project(x, k), oracle_pca_project(x, k)
+    for field in ("projection", "explained_variance_ratio", "components"):
+        assert getattr(new, field).tobytes() == getattr(old, field).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_several_blocks_with_a_ragged_tail_agree_with_the_former_code(rng, dtype):
+    rows = int(2.5 * reprgeo.BLOCK_ROWS) + 3  # two whole blocks and a part
+    x = _random_matrix(rng, rows, 24, dtype)
+    y = (x[:, :16] @ rng.normal(size=(16, 20)) + rng.normal(size=(rows, 20))).astype(dtype)
+    assert reprgeo.linear_cka(x, y) == pytest.approx(oracle_linear_cka(x, y), rel=1e-12, abs=0)
+    cal = (x + 0.1 * rng.normal(size=x.shape)).astype(dtype)
+    assert reprgeo.frobenius_drift(x, cal) == pytest.approx(oracle_frobenius_drift(x, cal),
+                                                             rel=1e-12, abs=0)
+    new, old = reprgeo.pca_project(x, 3), oracle_pca_project(x, 3)
+    np.testing.assert_allclose(new.explained_variance_ratio, old.explained_variance_ratio,
+                               rtol=1e-12, atol=0)
+    for got, want in zip(new.projection.T, old.projection.T):
+        sign = 1.0 if got @ want >= 0.0 else -1.0
+        np.testing.assert_allclose(got, sign * want, rtol=0, atol=1e-9)
