@@ -670,7 +670,7 @@ def _cmd_repr_pca(args) -> int:
     })
     if args.csv:
         header = [f"pc{i + 1}" for i in range(args.k)]
-        jsonio.write_csv(args.csv, header, result.projection.tolist())
+        jsonio.write_csv(args.csv, header, result.projection)
     return 0
 
 

@@ -20,7 +20,10 @@ refusals of a block's lines, of `read_table` and of nested objects alike; a
 line the rule refuses gets the rule's message. So a line is accepted or
 refused, with the same message, whatever block it falls in. Every load
 yields the accepted lines as one column table: a plain dict from field to
-list, in line order, a nested object read as a dict of its fields. A file
+list, in line order, a nested object read as a dict of its fields. A line
+kind's `rows` may map a block's columns first: a trace load (`RAG_TRACES`)
+checks every token probability and the response text of each line, but
+keeps only each trace's minimum token probability, and not the text. A file
 is read line by line: a load holds one block of lines, their decoded
 objects and columns, and the columns of the lines accepted so far. Loading
 is strict: invalid lines are returned with their line numbers (the messages
@@ -181,19 +184,23 @@ def _csv_cell(value) -> str:
     return text if _CSV_QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
-def _csv_column(values: tuple) -> list[str]:
+def _csv_column(values: Sequence) -> list[str]:
     """The cells of one column: all floats in one pass, else cell by cell."""
     return _float_texts(values) if _typed_column(values, _FLOAT) else list(map(_csv_cell, values))
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> None:
     """Plot-ready CSV with the same float discipline as the JSON reports,
-    formatted a block of `BLOCK_LINES` rows at a time, one column at a time."""
+    formatted a block of `BLOCK_LINES` rows at a time, one column at a time;
+    the rows of a 2-D numpy array are converted to Python values a block at
+    a time."""
 
     def lines():
         yield ",".join(map(_csv_cell, header)) + "\n"
         for start in range(0, len(rows), BLOCK_LINES):
-            columns = map(_csv_column, zip(*rows[start:start + BLOCK_LINES], strict=True))
+            block = rows[start:start + BLOCK_LINES]
+            columns = map(_csv_column, block.T.tolist() if isinstance(block, np.ndarray)
+                          else zip(*block, strict=True))
             yield "".join(map("%s\n".__mod__, map(",".join, zip(*columns))))
 
     _write_atomic(path, lines())
@@ -376,8 +383,9 @@ RAG_TRACE = {
     "noret_confidence": (read_probability, None),
     "noret_emissions": (read_count, 0),
     "noret_probe_score": (read_number, None),
+    # checked whole, but a load keeps only the minimum (`_trace_columns`)
     "noret_token_probs": (read_token_probs, None),
-    "noret_response_text": (read_string, None),
+    "noret_response_text": (read_string, None),  # checked, not kept
     "external_trigger": (read_bool, None),
 }
 TRAJECTORY = {
@@ -566,6 +574,16 @@ def _prediction_columns(fields: dict[str, list]) -> dict[str, list]:
     return fields
 
 
+def _trace_columns(fields: dict[str, list]) -> dict[str, list]:
+    """The fields, with each trace's token probabilities replaced by their
+    minimum (`noret_min_token_prob`: None where a line gives no list, +inf
+    where it gives an empty one) and the response text left out."""
+    del fields["noret_response_text"]
+    fields["noret_min_token_prob"] = [None if probs is None else min(probs, default=math.inf)
+                                      for probs in fields.pop("noret_token_probs")]
+    return fields
+
+
 def _space_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
     """(row, refusal) of each space that `trajspace.space_refusal` refuses."""
     refusals = (space_refusal([t["id"] for t in trajectories],
@@ -590,7 +608,7 @@ def _kl_pair_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
 
 
 PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
-RAG_TRACES = LineKind(RAG_TRACE)
+RAG_TRACES = LineKind(RAG_TRACE, _trace_columns)
 SPACES = LineKind(SPACE, rule=_space_refusals)
 KL_PAIRS = LineKind(KL_PAIR, rule=_kl_pair_refusals)
 KL_ANNOTATIONS = LineKind(KL_ANNOTATION)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import AlignmentError, IoError
+from .reprgeo import BLOCK_ROWS
 
 _HEADER_RE = re.compile(rb"^UNCAL-MAT v1 rows=(\d+) dims=(\d+) dtype=f32le\n$")
 
@@ -63,8 +64,9 @@ def read_matrix(path) -> np.ndarray:
         raise IoError(f"cannot read matrix file {path}: {exc}") from exc
     if got != expected:  # the file shrank after its size was checked
         raise IoError(f"{path}: expected {expected} payload bytes, got {got}")
-    if not np.isfinite(values).all():
-        raise IoError(f"{path}: payload holds a NaN or infinite value")
+    for start in range(0, rows, BLOCK_ROWS):  # a mask of one block, not of the matrix
+        if not np.isfinite(values[start:start + BLOCK_ROWS]).all():
+            raise IoError(f"{path}: payload holds a NaN or infinite value")
     return values.astype(np.float32, copy=False)
 
 

@@ -3,9 +3,12 @@
 Each trace carries a no-retrieval answer, the uncertainty signals a
 controller might consume, and the answer the model produced when retrieval
 was forced; a trace load yields them as one column table (`jsonio.RAG_TRACES`:
-a dict from field to list, in line order). A policy decides per trace whether
-to retrieve; the simulator then scores the resulting final answers and the
-trigger decisions against the pre-retrieval failures.
+a dict from field to list, in line order). Of a trace's token probabilities
+the table holds only their minimum (`noret_min_token_prob`), the one value
+the flare signal reads; its response text is checked on load but not kept.
+A policy decides per trace whether to retrieve; the simulator then scores
+the resulting final answers and the trigger decisions against the
+pre-retrieval failures.
 
 Scoring and deciding are separate passes, and there is no one-call run that
 hides them. `score_traces` matches both answers of every trace once (against
@@ -62,9 +65,8 @@ _SIGNALS = {
         score if count >= 1 else -math.inf
         for score, count in zip(t["noret_probe_score"], t["noret_emissions"])]),
     # some token probability below T is the lowest one below T; none reads +inf
-    PolicyKind.TOKEN_PROB_WINDOW: ("token probabilities", True, None, lambda t: [
-        None if probs is None else min(probs, default=math.inf)
-        for probs in t["noret_token_probs"]]),
+    PolicyKind.TOKEN_PROB_WINDOW: ("token probabilities", True, None,
+                                   lambda t: t["noret_min_token_prob"]),
     PolicyKind.EXTERNAL: ("external trigger column", False, 1.0, lambda t: t["external_trigger"]),
 }
 

@@ -39,6 +39,9 @@ DEFAULT_F1_THRESHOLD = 0.3
 _ANSWER_LINE_RE = re.compile(r"^[ \t]*answer[ \t]*:(.*)$", re.IGNORECASE | re.MULTILINE)
 # a stated confidence's label, where an answer line's answer ends
 _CONFIDENCE_LABEL_RE = re.compile(r"confidence[ \t]*:", re.IGNORECASE)
+# an answer line's label at the start of one line of `str.splitlines`, which
+# breaks at "\r", U+2028 and the like too, where a MULTILINE "^" would not
+_ANSWER_LABEL_RE = re.compile(r"[ \t]*answer[ \t]*:", re.IGNORECASE)
 _CONFIDENCE_RE = re.compile(
     _CONFIDENCE_LABEL_RE.pattern + r"[ \t]*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE
 )
@@ -325,7 +328,7 @@ def reasoning_depth(response_text: str) -> int:
     lines = response_text.splitlines()
     last_answer = None
     for i, line in enumerate(lines):
-        if re.match(r"^[ \t]*answer[ \t]*:", line, re.IGNORECASE):
+        if _ANSWER_LABEL_RE.match(line):
             last_answer = i
     upto = last_answer if last_answer is not None else len(lines)
     return sum(1 for line in lines[:upto] if line.strip())

@@ -976,9 +976,26 @@ def prediction_records(table: dict) -> list[PredictionRecord]:
     return records
 
 
-def trace_records(table: dict) -> list[RagTraceRecord]:
-    """The record of each row of a trace table, as the loader built it."""
-    return [RagTraceRecord(**row) for row in _table_rows(table)]
+def trace_records(lines: list[dict]) -> list[RagTraceRecord]:
+    """The record of each trace line object, as the loader built it when it
+    kept every field of a line."""
+    from uncal import jsonio
+
+    return [RagTraceRecord(**jsonio.read_table(jsonio.RAG_TRACE, obj)) for obj in lines]
+
+
+def oracle_trace_table(records: list[RagTraceRecord]) -> dict:
+    """The column table a trace load yields for `records`: each field's
+    column, with the minimum token probability of each (+inf for an empty
+    list, None for none) in place of the list, and no response text."""
+    table = {key: [getattr(r, key) for r in records] for key in (
+        "qid", "dataset", "noret_answer", "ret_answer", "noret_confidence",
+        "noret_emissions", "noret_probe_score", "external_trigger")}
+    table["gold_answers"] = [list(r.gold_answers) for r in records]
+    table["noret_min_token_prob"] = [None if r.noret_token_probs is None
+                                     else min(r.noret_token_probs, default=math.inf)
+                                     for r in records]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -1099,6 +1116,20 @@ def oracle_score_traces(records, f1_threshold=0.3):
         PolicyKind.EXTERNAL: [r.external_trigger for r in records],
     }
     return noret, ret, {kind: np.array(column, dtype=float) for kind, column in signals.items()}
+
+
+def oracle_reasoning_depth(response_text: str) -> int:
+    """`rewards.reasoning_depth` as it was, matching each line with the
+    pattern's text rather than a compiled pattern."""
+    import re
+
+    lines = response_text.splitlines()
+    last_answer = None
+    for i, line in enumerate(lines):
+        if re.match(r"^[ \t]*answer[ \t]*:", line, re.IGNORECASE):
+            last_answer = i
+    upto = last_answer if last_answer is not None else len(lines)
+    return sum(1 for line in lines[:upto] if line.strip())
 
 
 def oracle_ats_row(record) -> tuple[float, float, float]:

@@ -32,6 +32,7 @@ from oracles import (
     Trajectory,
     TrajectorySpace,
     oracle_annotate_record,
+    oracle_trace_table,
     prediction_records,
     record_row,
 )
@@ -115,10 +116,14 @@ class TestLoadPredictions:
         assert again.records == result.records
 
     def test_rag_fixture_round_trip(self, tmp_path):
+        # the field table reads and writes each line whole; a load keeps less
         result = load_rag_traces(RAG_FIXTURE)
         assert result.total_lines == 20 and not result.errors
+        lines = RAG_FIXTURE.read_text(encoding="utf-8").splitlines()
+        fields = [jsonio.read_table(jsonio.RAG_TRACE, json.loads(line)) for line in lines]
         out = tmp_path / "rag.jsonl"
-        jsonio.write_jsonl(out, jsonio.encode_lines(jsonio.RAG_TRACE, result.records))
+        jsonio.write_jsonl(out, [jsonio.encode(jsonio.RAG_TRACE, row) for row in fields])
+        assert out.read_bytes() == RAG_FIXTURE.read_bytes()
         assert load_rag_traces(out).records == result.records
 
     def test_match_output_reloads_with_annotations(self, tmp_path):
@@ -697,9 +702,9 @@ class TestMatrixMemory:
         (1100, 2048): {"drift": (4.6, 0), "pca": (3.6, 2), "cka": (6.3, 1)},
         # two blocks of 1024 and 976 rows
         (2000, 128): {"drift": (3.3, 0), "pca": (2.3, 2), "cka": (4.2, 2)},
-        # sixteen blocks: the inputs, and buffers of 1/16 unit each; the PCA's
-        # CSV rows (a list of two floats per row) take about 1/3 unit
-        (16384, 64): {"drift": (2.35, 0), "pca": (1.7, 2), "cka": (2.4, 2)},
+        # sixteen blocks: the inputs, and float64 buffers of 1/8 unit each; the
+        # read's finiteness check and the PCA's CSV rows hold a block at a time
+        (16384, 64): {"drift": (2.2, 0), "pca": (1.3, 2), "cka": (2.3, 2)},
     }
 
     @staticmethod
@@ -1522,9 +1527,12 @@ def test_match_lines_equal_the_former_annotation(lines, threshold):
 @given(_RAG_TRACES)
 def test_rag_writer_loader_round_trip(row):
     line = jsonio.encode(jsonio.RAG_TRACE, row)
-    again = _reread(jsonio.RAG_TRACES, line)
+    again = jsonio.read_table(jsonio.RAG_TRACE, json.loads(line))
     assert again == row
     assert jsonio.encode(jsonio.RAG_TRACE, again) == line
+    # a load keeps the minimum token probability and not the response text
+    want = rows(oracle_trace_table([RagTraceRecord(**again)]))[0]
+    assert _reread(jsonio.RAG_TRACES, line) == want
 
 
 _SPACES = st.integers(0, 2**32 - 1).map(lambda seed: random_space(np.random.default_rng(seed)))

@@ -5,6 +5,7 @@ load accepts every prediction and trace line their tables accept."""
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from uncal.reprgeo import TokenType
 from uncal.rewards import MatchRule
 
 from conftest import count_calls, prediction, predictions, random_space, rows
-from oracles import oracle_csv_text, oracle_to_dict
+from oracles import RagTraceRecord, oracle_csv_text, oracle_to_dict, oracle_trace_table
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 _PROB = st.floats(0.0, 1.0)
@@ -378,10 +379,43 @@ _PREDICTION_EDGE = {"qid": "q", "gold_answers": ["a"], "response_text": "<uncert
 @example(_RAG_EDGE | {"noret_confidence": 1.0, "noret_probe_score": 1e308,
                       "noret_token_probs": []})
 def test_every_rag_line_the_table_accepts_loads_as_it_reads(obj):
-    # the table is the one check of a field's value; a trace load adds none
+    # the table is the one check of a field's value; a trace load adds none,
+    # and keeps the lowest token probability and not the response text
     fields = jsonio.read_table(jsonio.RAG_TRACE, obj)
     table, errors, _ = jsonio.read_lines([json.dumps(obj)], jsonio.RAG_TRACES)
-    assert errors == [] and table == {key: [value] for key, value in fields.items()}
+    assert errors == [] and table == oracle_trace_table([RagTraceRecord(**fields)])
+
+
+def _held_per_trace(path) -> float:
+    """The bytes per trace that the table of a load of the trace file `path`
+    holds, as `tracemalloc` sees them."""
+    jsonio.load_rag_traces(path)  # warm: lazy imports and caches are not the table's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = jsonio.load_rag_traces(path).records
+        return (tracemalloc.get_traced_memory()[0] - before) / len(table["qid"])
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_trace_load_holds_the_same_bytes_whatever_the_token_count(tmp_path):
+    # a trace keeps its lowest token probability, not the list, nor its text
+    held = {}
+    for count in (32, 320):
+        rng = np.random.default_rng(3)
+        path = tmp_path / f"{count}.jsonl"
+        path.write_text("".join(json.dumps({
+            "qid": f"r{i}", "dataset": "d", "gold_answers": ["alpha beta"],
+            "noret_answer": "alpha", "ret_answer": "beta",
+            "noret_confidence": float(rng.random()), "noret_emissions": i % 3,
+            "noret_probe_score": float(rng.random()),
+            "noret_token_probs": rng.uniform(0.01, 1.0, size=count).tolist(),
+            "noret_response_text": "Some words of reasoning.\nAnswer: alpha",
+            "external_trigger": i % 2 == 0}) + "\n" for i in range(1000)))
+        held[count] = _held_per_trace(path)
+    assert max(held.values()) <= 1.1 * min(held.values())
+    assert max(held.values()) <= 600  # ten fields, as numbers and short strings
 
 
 @settings(max_examples=300, deadline=None)
@@ -433,6 +467,17 @@ def test_csv_bytes_equal_the_per_cell_rule(tmp_path_factory, drawn, count):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     jsonio.write_csv(path, header, rows)
     assert path.read_bytes() == oracle_csv_text(header, rows).encode("utf-8")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_FINITE | st.just(-0.0), _FINITE), min_size=1, max_size=6),
+       st.integers(0, 2 * jsonio.BLOCK_LINES + 1))
+def test_a_csv_of_an_array_equals_that_of_its_rows(tmp_path_factory, drawn, count):
+    # an array's rows are converted a block at a time, to the same bytes
+    array = np.array([drawn[i % len(drawn)] for i in range(count)]).reshape(count, 2)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    jsonio.write_csv(path, ["pc1", "pc2"], array)
+    assert path.read_bytes() == oracle_csv_text(["pc1", "pc2"], array.tolist()).encode("utf-8")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")])

@@ -13,6 +13,7 @@ from uncal.errors import (
     IoError,
     UndefinedMetric,
 )
+from uncal.reprgeo import BLOCK_ROWS
 from uncal.rewards import score_predictions
 
 from conftest import emission, planted_stack, prediction, predictions, rows
@@ -369,6 +370,16 @@ class TestHiddenMatrixAndMatio:
             matio.write_matrix(path, np.array([[1.0, bad], [0.0, 2.0]]))
             with pytest.raises(IoError, match="layer_0.mat"):
                 matio.read_matrix(path)
+
+    @pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 2])
+    def test_a_value_in_any_block_is_checked(self, tmp_path, row):
+        # finiteness is checked a block of rows at a time, the ragged last one included
+        values = np.ones((2 * BLOCK_ROWS + 3, 2))
+        values[row, 1] = np.nan
+        path = tmp_path / "layer_0.mat"
+        matio.write_matrix(path, values)
+        with pytest.raises(IoError, match="payload holds a NaN or infinite value"):
+            matio.read_matrix(path)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

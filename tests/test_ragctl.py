@@ -21,7 +21,9 @@ from conftest import (
 )
 from oracles import (
     RagTraceRecord,
+    oracle_decide,
     oracle_match_answer,
+    oracle_trace_table,
     oracle_trigger_counts,
     oracle_trigger_reports,
     trace_records,
@@ -43,12 +45,13 @@ def hand_trace(qid, noret_ok, ret_ok, conf=0.5, emissions=0, probe_score=None,
                  noret_token_probs=token_probs, external_trigger=external)
 
 
-HAND_FIXTURE = traces([
+HAND_LINES = [
     hand_trace("r1", noret_ok=False, ret_ok=True, conf=0.2),
     hand_trace("r2", noret_ok=False, ret_ok=False, conf=0.8),
     hand_trace("r3", noret_ok=True, ret_ok=True, conf=0.3),
     hand_trace("r4", noret_ok=True, ret_ok=False, conf=0.9),
-])
+]
+HAND_FIXTURE = traces(HAND_LINES)
 
 
 def decided(policy, *lines):
@@ -58,7 +61,7 @@ def decided(policy, *lines):
 
 class TestDecide:
     def test_never_and_always(self):
-        record = rows(HAND_FIXTURE)[0]
+        record = HAND_LINES[0]
         assert decided(ControllerPolicy(PolicyKind.NEVER), record) == [False]
         assert decided(ControllerPolicy(PolicyKind.ALWAYS), record) == [True]
 
@@ -73,6 +76,8 @@ class TestDecide:
         assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), record) == [False]
         low = hand_trace("r", True, True, token_probs=(0.39, 0.6))
         assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 0.4), low) == [True]
+        empty = hand_trace("r", True, True, token_probs=())  # no probability: never fires
+        assert decided(ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, 1.0), empty) == [False]
 
     def test_emission_only(self):
         policy = ControllerPolicy(PolicyKind.EMISSION_ONLY)
@@ -269,7 +274,7 @@ class TestRecordRanges:
         for probe_score, token_probs in ((-3.0, [1.0]), (1e300, [5e-324, 1.0]), (0.0, [])):
             table = traces([hand_trace("r", True, True, probe_score=probe_score,
                                        token_probs=token_probs)])
-            assert table["noret_token_probs"] == [token_probs]
+            assert table["noret_min_token_prob"] == [min(token_probs, default=_INF)]
             assert table["noret_probe_score"] == [probe_score]
 
 
@@ -331,7 +336,8 @@ class TestScoredTraces:
             by_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
             assert list(by_dataset) == sorted(set(records["dataset"]))
             for name, report in by_dataset.items():
-                members = traces([r for r in rows(records) if r["dataset"] == name])
+                members = {key: [v for v, d in zip(column, records["dataset"]) if d == name]
+                           for key, column in records.items()}
                 assert report == run_policy(policy, members)
 
     def test_empty_batch(self):
@@ -381,7 +387,7 @@ def _signal_traces(draw):
 @given(_signal_traces(), _ANY_POLICY, st.sampled_from([0.0, 0.3, 1.0]))
 def test_reports_equal_the_former_per_record_loop(records, policy, f1_threshold):
     table = traces(list(map(vars, records)))
-    assert trace_records(table) == records
+    assert table == oracle_trace_table(records)
 
     def columnar():
         scored = ragctl.score_traces(table, f1_threshold)
@@ -393,6 +399,39 @@ def test_reports_equal_the_former_per_record_loop(records, policy, f1_threshold)
     want = outcome(lambda: oracle_trigger_reports(records, policy, f1_threshold))
     # repr also tells a numpy scalar from the Python number the loop gave
     assert got == want and repr(got) == repr(want)
+
+
+class TestFlareDecisions:
+    """`flare:T` reads the one minimum token probability a load keeps per
+    trace; it decides as the per-record rule did from the whole list (some
+    probability strictly below T), for absent, empty and non-empty lists."""
+
+    @staticmethod
+    def assert_oracle_decisions(table, records, threshold):
+        policy = ControllerPolicy(PolicyKind.TOKEN_PROB_WINDOW, threshold)
+        got = outcome(lambda: ragctl.decide(policy, ragctl.score_traces(table)).tolist())
+        assert got == outcome(lambda: [oracle_decide(policy, r) for r in records])
+
+    def test_fixture(self):
+        path = uncal.fixture_path("ragtraces20.jsonl")
+        table = jsonio.load_rag_traces(path).records
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = trace_records(list(map(json.loads, lines)))
+        minima = {min(r.noret_token_probs) for r in records}
+        for threshold in sorted(minima | {0.0, 0.3, 1.0}):
+            self.assert_oracle_decisions(table, records, threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.none() | st.lists(
+        st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+        max_size=4), min_size=1, max_size=10), st.data())
+    def test_drawn(self, token_probs, data):
+        # a threshold drawn from the minima themselves, where `<` is decided
+        minima = sorted({min(probs) for probs in token_probs if probs})
+        threshold = data.draw(st.sampled_from([0.0, 1.0, *minima]) | st.floats(0.0, 1.0))
+        lines = [hand_trace(f"r{i}", True, True, token_probs=probs)
+                 for i, probs in enumerate(token_probs)]
+        self.assert_oracle_decisions(traces(lines), trace_records(lines), threshold)
 
 
 class TestMissingSignalOrder:

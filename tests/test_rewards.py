@@ -24,7 +24,7 @@ from uncal.rewards import (
 )
 
 from conftest import count_calls, emission, prediction, predictions
-from oracles import oracle_match_answer
+from oracles import oracle_match_answer, oracle_reasoning_depth
 
 
 def matched(table, f1_threshold=0.3):
@@ -266,6 +266,17 @@ def test_reasoning_depth_counts_lines_before_answer():
     text = "step one\n\nstep two\nAnswer: x\ntrailing"
     assert reasoning_depth(text) == 2
     assert reasoning_depth("no answer\nlines here") == 2
+    # a line ends wherever `str.splitlines` ends it, not only at "\n"
+    assert reasoning_depth("one\rtwo\u2028 answer :x\x85three") == 2
+    assert reasoning_depth("one\nx answer: y\vAnswer\t:z") == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["answer", "ANSWER", "Answer", ":", " ", "\t", "x", "\n", "\r",
+                                 "\r\n", "\u2028", "\x85", "\v", "\f", "\x1c"]),
+                max_size=16).map("".join))
+def test_reasoning_depth_equals_the_former_rule(text):
+    assert reasoning_depth(text) == oracle_reasoning_depth(text)
 
 
 class TestScorePredictions:

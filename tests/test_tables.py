@@ -5,6 +5,8 @@ included) and `ragctl.score_traces`, the ATS design rows of
 `recal._feature_rows`, and the examples of `probe.examples`. Each is checked
 on the bundled fixtures and on Hypothesis-drawn tables."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,15 @@ from oracles import (
     oracle_examples,
     oracle_score_predictions,
     oracle_score_traces,
+    oracle_trace_table,
     prediction_records,
     trace_records,
 )
 
 PREDS = jsonio.load_predictions(uncal.fixture_path("preds20.jsonl")).records
 TRACES = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
+TRACE_LINES = list(map(json.loads, uncal.fixture_path("ragtraces20.jsonl").read_text(
+    encoding="utf-8").splitlines()))
 THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 
@@ -40,9 +45,12 @@ def assert_scores_equal(table: dict, f1_threshold: float) -> None:
         assert_same(got, column)
 
 
-def assert_traces_equal(table: dict, f1_threshold: float) -> None:
+def assert_traces_equal(table: dict, lines: list[dict], f1_threshold: float) -> None:
+    """`table`, the load of the trace line objects `lines`, scores as their
+    records do."""
     scored = ragctl.score_traces(table, f1_threshold)
-    records = trace_records(table)
+    records = trace_records(lines)
+    assert table == oracle_trace_table(records)
     noret, ret, signals = oracle_score_traces(records, f1_threshold)
     assert scored.qid.tolist() == [r.qid for r in records]
     assert scored.dataset.tolist() == [r.dataset for r in records]
@@ -90,7 +98,7 @@ def test_fixture_scores():
 
 def test_fixture_traces():
     for f1_threshold in (0.0, 0.3, 1.0):
-        assert_traces_equal(TRACES, f1_threshold)
+        assert_traces_equal(TRACES, TRACE_LINES, f1_threshold)
 
 
 def test_fixture_ats_design():
@@ -192,6 +200,6 @@ _SIGNAL = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
                 max_size=12),
        THRESHOLDS)
 def test_drawn_traces(drawn, f1_threshold):
-    table = traces([trace(f"r{i}", golds, noret, ret, **signals)
-                    for i, (golds, noret, ret, signals) in enumerate(drawn)])
-    assert_traces_equal(table, f1_threshold)
+    lines = [trace(f"r{i}", golds, noret, ret, **signals)
+             for i, (golds, noret, ret, signals) in enumerate(drawn)]
+    assert_traces_equal(traces(lines), lines, f1_threshold)
