@@ -3,8 +3,9 @@
 Every metric reads one `ScoredBatch` (`rewards.score_predictions`): each
 record's confidence and correctness are computed once, however many metrics a
 report holds. `calibration_report` computes every metric of a batch and
-`error_taxonomy` splits its wrong answers; there is no single-metric entry
-point. Bins, bands and the taxonomy's classes are masks over the batch's
+`error_taxonomy` splits its wrong answers, each into the plain dict the
+`calib` report writes; there is no single-metric entry point. Bins, bands
+and the taxonomy's classes are masks over the batch's
 columns, counted; sums of confidences stay Python arithmetic (`math.fsum`
 over `tolist()`), so every float is the one a per-record loop would give.
 
@@ -19,7 +20,6 @@ independently and merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,29 +45,6 @@ ERROR_BANDS = (
 )
 
 
-@dataclass(frozen=True)
-class CalibBin:
-    lo: float
-    hi: float
-    count: int
-    mean_conf: float
-    accuracy: float
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    n: int
-    accuracy: float
-    mean_confidence: float
-    overconfidence_gap: float
-    ece: float
-    brier: float
-    nll: float
-    parse_rate: float
-    ausc: float
-    bins: tuple[CalibBin, ...]
-
-
 def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
@@ -84,14 +61,14 @@ def _calib_bins(conf, correct, num_bins):
         else:
             mean_conf = 0.0
             acc = 0.0
-        out.append(CalibBin(lo=i / num_bins, hi=(i + 1) / num_bins, count=count,
-                            mean_conf=mean_conf, accuracy=acc))
-    return tuple(out)
+        out.append({"lo": i / num_bins, "hi": (i + 1) / num_bins, "count": count,
+                    "mean_conf": mean_conf, "accuracy": acc})
+    return out
 
 
 def _ece(bins, n):
     """Expected calibration error over the `_calib_bins` of `n` rows."""
-    return sum((b.count / n) * abs(b.accuracy - b.mean_conf) for b in bins)
+    return sum((b["count"] / n) * abs(b["accuracy"] - b["mean_conf"]) for b in bins)
 
 
 def _brier(confs, oks):
@@ -135,9 +112,14 @@ def calibration_report(
     batch: ScoredBatch,
     num_bins: int = DEFAULT_ECE_BINS,
     nll_epsilon: float = DEFAULT_NLL_EPSILON,
-) -> CalibrationReport:
+) -> dict:
     """Every calibration metric of one scored batch, over `num_bins` >= 1
-    bins, with NLL confidences clamped by `nll_epsilon` in (0, 0.5)."""
+    bins, with NLL confidences clamped by `nll_epsilon` in (0, 0.5), as the
+    dict a report holds: `n`, `accuracy`, `mean_confidence`,
+    `overconfidence_gap`, `ece`, `brier`, `nll`, `parse_rate`, `ausc`, and
+    `bins`, one dict per equal-width confidence bin in ascending order
+    (`lo`, `hi`, `count`, `mean_conf`, `accuracy`; an empty bin reads 0.0
+    for both means)."""
     n = len(batch)
     if not n:
         raise EmptyBatch("no records")
@@ -149,40 +131,26 @@ def calibration_report(
     confs, oks = conf.tolist(), correct.tolist()
     mean_conf = math.fsum(confs) / len(confs)
     bins = _calib_bins(conf, correct, num_bins)
-    return CalibrationReport(
-        n=n,
-        accuracy=accuracy,
-        mean_confidence=mean_conf,
-        overconfidence_gap=mean_conf - accuracy,
-        ece=_ece(bins, len(confs)),
-        brier=_brier(confs, oks),
-        nll=_nll(confs, oks, nll_epsilon),
-        parse_rate=len(confs) / n,
-        ausc=_ausc(conf, correct),
-        bins=bins,
-    )
+    return {
+        "n": n,
+        "accuracy": accuracy,
+        "mean_confidence": mean_conf,
+        "overconfidence_gap": mean_conf - accuracy,
+        "ece": _ece(bins, len(confs)),
+        "brier": _brier(confs, oks),
+        "nll": _nll(confs, oks, nll_epsilon),
+        "parse_rate": len(confs) / n,
+        "ausc": _ausc(conf, correct),
+        "bins": bins,
+    }
 
 
-@dataclass(frozen=True)
-class ErrorBand:
-    label: str
-    count: int
-    fraction: float
-
-
-@dataclass(frozen=True)
-class ErrorTaxonomy:
-    total_wrong: int
-    epistemic: int
-    aleatoric: int
-    strict_epistemic: int
-    bands: tuple[ErrorBand, ...]
-    epistemic_with_emit: int
-    epistemic_without_emit: int
-
-
-def error_taxonomy(batch: ScoredBatch) -> ErrorTaxonomy:
-    """Decompose wrong answers by stated confidence.
+def error_taxonomy(batch: ScoredBatch) -> dict:
+    """Decompose wrong answers by stated confidence, as the dict a report
+    holds: `total_wrong`, `epistemic`, `aleatoric`, `strict_epistemic`,
+    `epistemic_with_emit`, `epistemic_without_emit`, and `bands`, one dict
+    per `ERROR_BANDS` entry in its order (`label`, `count`, and `fraction`
+    of the wrong answers, 0.0 where there are none).
 
     Epistemic errors are wrong answers above `EPISTEMIC_THRESHOLD`; aleatoric
     ones sit at or below it. Strict epistemic errors sit above
@@ -201,14 +169,14 @@ def error_taxonomy(batch: ScoredBatch) -> ErrorTaxonomy:
     for label, lo, hi in ERROR_BANDS:
         count = _count(conf <= hi if lo == 0.0 else (lo < conf) & (conf <= hi))
         fraction = count / total_wrong if total_wrong else 0.0
-        bands.append(ErrorBand(label=label, count=count, fraction=fraction))
+        bands.append({"label": label, "count": count, "fraction": fraction})
     with_emit = _count(above & marked)
-    return ErrorTaxonomy(
-        total_wrong=total_wrong,
-        epistemic=epistemic,
-        aleatoric=total_wrong - epistemic,
-        strict_epistemic=_count(conf > STRICT_THRESHOLD),
-        bands=tuple(bands),
-        epistemic_with_emit=with_emit,
-        epistemic_without_emit=epistemic - with_emit,
-    )
+    return {
+        "total_wrong": total_wrong,
+        "epistemic": epistemic,
+        "aleatoric": total_wrong - epistemic,
+        "strict_epistemic": _count(conf > STRICT_THRESHOLD),
+        "bands": bands,
+        "epistemic_with_emit": with_emit,
+        "epistemic_without_emit": epistemic - with_emit,
+    }

@@ -28,7 +28,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -400,15 +399,12 @@ def _cmd_calib(args) -> int:
     _emit(args, {
         "schema": "uncal-calib-report-v2",
         "config": _config(args),
-        **asdict(report),
-        "error_taxonomy": asdict(calib.error_taxonomy(batch)),
+        **report,
+        "error_taxonomy": calib.error_taxonomy(batch),
     })
     if args.csv:
-        jsonio.write_csv(
-            args.csv,
-            ["lo", "hi", "count", "mean_conf", "accuracy"],
-            [[b.lo, b.hi, b.count, b.mean_conf, b.accuracy] for b in report.bins],
-        )
+        header = ["lo", "hi", "count", "mean_conf", "accuracy"]
+        jsonio.write_csv(args.csv, header, [[b[key] for key in header] for b in report["bins"]])
     return 0
 
 
@@ -537,14 +533,11 @@ def _cmd_probe_sweep(args) -> int:
     _emit(args, {
         "schema": "uncal-probe-sweep-v1",
         "config": {**_config(args), "seed": args.seed},
-        "rows": [asdict(r) for r in rows],
+        "rows": rows,
     })
     if args.csv:
-        jsonio.write_csv(
-            args.csv,
-            ["layer", "auroc", "auprc", "precision", "recall", "f1"],
-            [[r.layer, r.auroc, r.auprc, r.precision, r.recall, r.f1] for r in rows],
-        )
+        header = ["layer", "auroc", "auprc", "precision", "recall", "f1"]
+        jsonio.write_csv(args.csv, header, [[r[key] for key in header] for r in rows])
     return 0
 
 
@@ -597,7 +590,7 @@ def _cmd_probe_eval(args) -> int:
         "config": _config(args),
         "layer": model.layer,
         "n": int(len(labels)),
-        **asdict(probe.evaluate(probe.ranked(model.scores(x), labels), model.threshold)),
+        **probe.evaluate(probe.ranked(model.scores(x), labels), model.threshold),
         "threshold": model.threshold,
     })
     return 0
@@ -613,19 +606,15 @@ def _cmd_rag(args) -> int:
     _emit(args, {
         "schema": "uncal-rag-report-v3",
         "config": _config(args),
-        "overall": asdict(report),
-        "per_dataset": {name: asdict(r) for name, r in per_dataset.items()},
+        "overall": report,
+        "per_dataset": per_dataset,
     })
     if args.csv:
-        jsonio.write_csv(
-            args.csv,
-            ["dataset", "em", "f1", "trigger_rate"],
-            [
-                [name, r.final_em, r.final_f1, r.trigger_rate]
-                for name, r in per_dataset.items()
-            ]
-            + [["overall", report.final_em, report.final_f1, report.trigger_rate]],
-        )
+        # "overall" is appended, not merged in: a dataset may bear that name
+        cells = ["final_em", "final_f1", "trigger_rate"]
+        rows = [[name] + [r[key] for key in cells] for name, r in per_dataset.items()]
+        rows.append(["overall"] + [report[key] for key in cells])
+        jsonio.write_csv(args.csv, ["dataset", "em", "f1", "trigger_rate"], rows)
     return 0
 
 
@@ -646,7 +635,7 @@ def _cmd_repr_kl(args) -> int:
     annotations = _accepted(args.annotations,
                             jsonio.load_lines(args.annotations, jsonio.KL_ANNOTATIONS))
     table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
-    rows = {token_type.value: asdict(row) for token_type, row in table.items()}
+    rows = {token_type.value: row for token_type, row in table.items()}
     _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})
     if args.csv:
         jsonio.write_csv(
@@ -691,8 +680,9 @@ def _cmd_repr_drift(args) -> int:
     }
     if args.interest is not None:
         report = reprgeo.embedding_drift_report(interest, baseline, base, cal)
-        ratio = "inf" if report.ratio == float("inf") else report.ratio
-        payload["embedding_drift"] = {**asdict(report), "ratio": ratio}
+        if report["ratio"] == math.inf:
+            report["ratio"] = "inf"
+        payload["embedding_drift"] = report
     _emit(args, payload)
     return 0
 

@@ -15,7 +15,7 @@ labels come from a `rewards.ScoredBatch` the caller has scored.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -270,31 +270,14 @@ def fit_on_split(x: np.ndarray, labels: np.ndarray, qids: Sequence[str],
     return tune_threshold(model, dev), dev, len(train_idx), len(dev_idx)
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """How a model's scores rank the wrong rows, and how its threshold triggers."""
-
-    auroc: float
-    auprc: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def evaluate(ranking: Ranking, threshold: float) -> Evaluation:
-    """AUROC and AUPRC of a model's ranked scores, and the trigger precision,
-    recall and F1 of its `threshold`, against the wrong labels."""
+def evaluate(ranking: Ranking, threshold: float) -> dict:
+    """How a model's scores rank the wrong rows, and how its threshold
+    triggers: the `auroc` and `auprc` of its ranked scores, and the trigger
+    `precision`, `recall` and `f1` of its `threshold`, against the wrong
+    labels."""
     precision, recall, f1 = trigger_prf(ranking, threshold)
-    return Evaluation(auroc(ranking), auprc(ranking), precision, recall, f1)
-
-
-@dataclass(frozen=True)
-class LayerSweepRow(Evaluation):
-    """The dev-row evaluation of one layer's model, and the split's sizes."""
-
-    layer: int
-    n_train: int
-    n_dev: int
+    return {"auroc": auroc(ranking), "auprc": auprc(ranking), "precision": precision,
+            "recall": recall, "f1": f1}
 
 
 def layer_sweep(
@@ -305,8 +288,10 @@ def layer_sweep(
     span_token_count: int = DEFAULT_SPAN_TOKENS,
     l2: float = DEFAULT_L2,
     seed: int = 0,
-) -> list[LayerSweepRow]:
-    """Full fit + threshold tuning per layer on a fixed qid-hash split.
+) -> list[dict]:
+    """Full fit + threshold tuning per layer on a fixed qid-hash split: per
+    layer, the `evaluate` dict of its model on the dev rows, with its
+    `layer` and the split's sizes `n_train` and `n_dev`.
 
     `stacks` yields (layer, qid -> (tokens x dims) hidden matrix) pairs, such
     as a dict's `items()`. Each layer is fitted before the next pair is
@@ -320,9 +305,7 @@ def layer_sweep(
     for layer, stack in stacks:
         x, y, qids = examples(table, batch, stack, window, span_token_count)
         model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
-        rows.append(LayerSweepRow(
-            layer=layer, **asdict(evaluate(dev, model.threshold)),
-            n_train=n_train, n_dev=n_dev,
-        ))
+        rows.append({"layer": layer, **evaluate(dev, model.threshold),
+                     "n_train": n_train, "n_dev": n_dev})
         del stack  # free this layer before `stacks` loads the next
-    return sorted(rows, key=lambda row: row.layer)
+    return sorted(rows, key=lambda row: row["layer"])

@@ -15,9 +15,9 @@ hides them. `score_traces` matches both answers of every trace once (against
 one `rewards.GoldSet`) and reads the table into numpy columns: per answer its
 verdict, rule and F1, and one float column per controller signal. `decide`
 compares one signal column with a threshold, giving one bool per trace. A
-`TriggerReport` counts masks over those columns (`trigger_report`,
-`trigger_reports_by_dataset`), so one scoring serves the overall report,
-every dataset and every point of a threshold sweep.
+report is a plain dict of counts of masks over those columns
+(`trigger_report`, `trigger_reports_by_dataset`), so one scoring serves the
+overall report, every dataset and every point of a threshold sweep.
 
 Policies: always, never, emit (any emission), conf:T (confidence below T),
 emit+probe:T (an emission and a probe score of at least T), flare:T (some
@@ -88,31 +88,6 @@ class ControllerPolicy:
             raise ValueError("threshold must lie in [0,1]")
 
 
-@dataclass(frozen=True)
-class TriggerReport:
-    """Accounting of one policy over one batch.
-
-    Precision and recall take the no-retrieval answer's wrongness as
-    reference (the pre-intervention failure set), so `trigger_recall` is also
-    the share of no-retrieval failures the policy covers;
-    `wrong_within_triggered` instead looks at the final answers of triggered
-    records, i.e. how much failure survives retrieval. Undefined cells (zero
-    denominators) are None.
-    """
-
-    n: int
-    triggered: int
-    noret_wrong: int
-    triggered_and_wrong: int
-    trigger_rate: float
-    final_em: float
-    final_f1: float
-    trigger_precision: float | None
-    trigger_recall: float | None
-    untouched_accuracy: float | None
-    wrong_within_triggered: float | None
-
-
 @dataclass(frozen=True, eq=False)
 class MatchColumns:
     """One answer of every trace as matched: verdict (bool), deciding rule
@@ -179,9 +154,20 @@ def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _tally(scored: ScoredTraces, fires, members) -> TriggerReport:
-    """Report over the records `members` selects (a slice or a mask), from
-    `decide`'s one decision per scored record."""
+def _tally(scored: ScoredTraces, fires, members) -> dict:
+    """Accounting of one policy over the records `members` selects (a slice
+    or a mask), from `decide`'s one decision per scored record: the counts
+    `n`, `triggered`, `noret_wrong` and `triggered_and_wrong`, and the
+    shares `trigger_rate`, `final_em`, `final_f1`, `trigger_precision`,
+    `trigger_recall`, `untouched_accuracy` and `wrong_within_triggered`.
+
+    Precision and recall take the no-retrieval answer's wrongness as
+    reference (the pre-intervention failure set), so `trigger_recall` is also
+    the share of no-retrieval failures the policy covers;
+    `wrong_within_triggered` instead looks at the final answers of triggered
+    records, i.e. how much failure survives retrieval. Undefined cells (zero
+    denominators) are None.
+    """
     fire = np.asarray(fires, dtype=bool)[members]
     n = len(fire)
     if not n:
@@ -197,28 +183,29 @@ def _tally(scored: ScoredTraces, fires, members) -> TriggerReport:
     noret_wrong = _count(~noret_ok)
     triggered_and_wrong = _count(fire & ~noret_ok)
     untouched = n - triggered
-    return TriggerReport(
-        n=n,
-        triggered=triggered,
-        noret_wrong=noret_wrong,
-        triggered_and_wrong=triggered_and_wrong,
-        trigger_rate=triggered / n,
-        final_em=_count(final_ok & (final_rule == MatchRule.EXACT_MATCH)) / n,
-        final_f1=f1_sum / n,
-        trigger_precision=triggered_and_wrong / triggered if triggered else None,
-        trigger_recall=triggered_and_wrong / noret_wrong if noret_wrong else None,
-        untouched_accuracy=_count(~fire & noret_ok) / untouched if untouched else None,
-        wrong_within_triggered=_count(fire & ~ret_ok) / triggered if triggered else None,
-    )
+    return {
+        "n": n,
+        "triggered": triggered,
+        "noret_wrong": noret_wrong,
+        "triggered_and_wrong": triggered_and_wrong,
+        "trigger_rate": triggered / n,
+        "final_em": _count(final_ok & (final_rule == MatchRule.EXACT_MATCH)) / n,
+        "final_f1": f1_sum / n,
+        "trigger_precision": triggered_and_wrong / triggered if triggered else None,
+        "trigger_recall": triggered_and_wrong / noret_wrong if noret_wrong else None,
+        "untouched_accuracy": _count(~fire & noret_ok) / untouched if untouched else None,
+        "wrong_within_triggered": _count(fire & ~ret_ok) / triggered if triggered else None,
+    }
 
 
-def trigger_report(scored: ScoredTraces, fires) -> TriggerReport:
-    """Accounting of one set of decisions over the whole scored batch."""
+def trigger_report(scored: ScoredTraces, fires) -> dict:
+    """`_tally`'s accounting of one set of decisions over the whole scored batch."""
     return _tally(scored, fires, slice(None))
 
 
-def trigger_reports_by_dataset(scored: ScoredTraces, fires) -> dict[str, TriggerReport]:
-    """Per-dataset reports (sorted by dataset name), for table-shaped output."""
+def trigger_reports_by_dataset(scored: ScoredTraces, fires) -> dict[str, dict]:
+    """`_tally`'s accounting per dataset (sorted by dataset name), for
+    table-shaped output."""
     names, code = np.unique(scored.dataset, return_inverse=True)
     return {name: _tally(scored, fires, code == k) for k, name in enumerate(names)}
 

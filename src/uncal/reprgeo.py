@@ -59,21 +59,15 @@ def kl(p: Sequence[float], q: Sequence[float], epsilon: float = KL_EPSILON) -> f
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class TypeKlRow:
-    count: int
-    mean_kl: float
-    mass_fraction: float | None
-
-
 def kl_by_type(
     pairs: dict[str, list],
     annotations: dict[str, list],
     epsilon: float = KL_EPSILON,
-) -> dict[TokenType, TypeKlRow]:
+) -> dict[TokenType, dict]:
     """Per-type mean KL and each type's share of the total KL mass, from the
     `position`, `base_probs` and `calibrated_probs` columns of `pairs` and
-    the `position` and `type` columns of `annotations`.
+    the `position` and `type` columns of `annotations`: per type a dict of
+    its `count` of positions, `mean_kl` and `mass_fraction`.
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
@@ -95,11 +89,11 @@ def kl_by_type(
     out = {}
     for token_type, values in groups.items():
         mass = math.fsum(values)
-        out[token_type] = TypeKlRow(
-            count=len(values),
-            mean_kl=mass / len(values),
-            mass_fraction=mass / total if total > 0.0 else None,
-        )
+        out[token_type] = {
+            "count": len(values),
+            "mean_kl": mass / len(values),
+            "mass_fraction": mass / total if total > 0.0 else None,
+        }
     return out
 
 
@@ -225,21 +219,16 @@ def frobenius_drift(w_base, w_cal) -> float:
     return float(np.sqrt(diff_squares)) / base_norm
 
 
-@dataclass(frozen=True)
-class EmbeddingDriftReport:
-    interest_mean_drift: float
-    baseline_mean_drift: float
-    ratio: float | None  # None when 0/0; +inf when only the baseline is still
-
-
 def embedding_drift_report(
     rows_of_interest: Sequence[int],
     baseline_rows: Sequence[int],
     w_base,
     w_cal,
-) -> EmbeddingDriftReport:
+) -> dict:
     """Mean per-row relative drift of interest rows vs. a baseline row set,
-    in float64; only the named rows are converted."""
+    in float64; only the named rows are converted. The dict holds both means
+    (`interest_mean_drift`, `baseline_mean_drift`) and their `ratio`: None
+    when both are 0, +inf when only the baseline is still."""
     base = np.asarray(w_base)
     cal = np.asarray(w_cal)
     if base.shape != cal.shape:
@@ -271,8 +260,8 @@ def embedding_drift_report(
         ratio = math.inf
     else:
         ratio = None
-    return EmbeddingDriftReport(
-        interest_mean_drift=interest_mean,
-        baseline_mean_drift=baseline_mean,
-        ratio=ratio,
-    )
+    return {
+        "interest_mean_drift": interest_mean,
+        "baseline_mean_drift": baseline_mean,
+        "ratio": ratio,
+    }

@@ -336,7 +336,6 @@ def oracle_trigger_reports(records, policy, f1_threshold=0.3):
     each answer matched into a `MatchResult` and the reports tallied by a
     per-record loop over the members of each dataset."""
     from uncal.errors import EmptyBatch
-    from uncal.ragctl import TriggerReport
     from uncal.rewards import GoldSet, MatchRule, match_answer
 
     fires = [oracle_decide(policy, r) for r in records]
@@ -375,20 +374,20 @@ def oracle_trigger_reports(records, policy, f1_threshold=0.3):
                 if fire:
                     triggered_and_wrong += 1
         untouched = n - triggered
-        return TriggerReport(
-            n=n,
-            triggered=triggered,
-            noret_wrong=noret_wrong,
-            triggered_and_wrong=triggered_and_wrong,
-            trigger_rate=triggered / n,
-            final_em=em_sum / n,
-            final_f1=f1_sum / n,
-            trigger_precision=triggered_and_wrong / triggered if triggered else None,
-            trigger_recall=triggered_and_wrong / noret_wrong if noret_wrong else None,
-            untouched_accuracy=untouched_correct / untouched if untouched else None,
-            wrong_within_triggered=(final_wrong_in_triggered / triggered
-                                    if triggered else None),
-        )
+        return {
+            "n": n,
+            "triggered": triggered,
+            "noret_wrong": noret_wrong,
+            "triggered_and_wrong": triggered_and_wrong,
+            "trigger_rate": triggered / n,
+            "final_em": em_sum / n,
+            "final_f1": f1_sum / n,
+            "trigger_precision": triggered_and_wrong / triggered if triggered else None,
+            "trigger_recall": triggered_and_wrong / noret_wrong if noret_wrong else None,
+            "untouched_accuracy": untouched_correct / untouched if untouched else None,
+            "wrong_within_triggered": (final_wrong_in_triggered / triggered
+                                       if triggered else None),
+        }
 
     overall = tally(range(len(records)))
     members: dict[str, list[int]] = {}
@@ -400,7 +399,6 @@ def oracle_trigger_reports(records, policy, f1_threshold=0.3):
 def oracle_calibration_report(confidence, correct, num_bins, nll_epsilon):
     """`calib.calibration_report` as it was over per-record tuples
     (`confidence` None where none parsed), with list-filled bins."""
-    from uncal.calib import CalibBin, CalibrationReport
     from uncal.errors import EmptyBatch
     from uncal.probe import ranked
 
@@ -426,8 +424,8 @@ def oracle_calibration_report(confidence, correct, num_bins, nll_epsilon):
         else:
             mean_conf = 0.0
             acc = 0.0
-        calib_bins.append(CalibBin(lo=i / num_bins, hi=(i + 1) / num_bins,
-                                   count=len(members), mean_conf=mean_conf, accuracy=acc))
+        calib_bins.append({"lo": i / num_bins, "hi": (i + 1) / num_bins,
+                           "count": len(members), "mean_conf": mean_conf, "accuracy": acc})
 
     nll = 0.0
     for conf, ok in rows:
@@ -448,30 +446,25 @@ def oracle_calibration_report(confidence, correct, num_bins, nll_epsilon):
 
     accuracy = sum(1 for ok in correct if ok) / n
     mean_conf = math.fsum(c for c, _ in rows) / len(rows)
-    return CalibrationReport(
-        n=n,
-        accuracy=accuracy,
-        mean_confidence=mean_conf,
-        overconfidence_gap=mean_conf - accuracy,
-        ece=sum((b.count / len(rows)) * abs(b.accuracy - b.mean_conf) for b in calib_bins),
-        brier=math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in rows) / len(rows),
-        nll=nll / len(rows),
-        parse_rate=len(rows) / n,
-        ausc=ausc,
-        bins=tuple(calib_bins),
-    )
+    return {
+        "n": n,
+        "accuracy": accuracy,
+        "mean_confidence": mean_conf,
+        "overconfidence_gap": mean_conf - accuracy,
+        "ece": sum((b["count"] / len(rows)) * abs(b["accuracy"] - b["mean_conf"])
+                   for b in calib_bins),
+        "brier": math.fsum((c - (1.0 if y else 0.0)) ** 2 for c, y in rows) / len(rows),
+        "nll": nll / len(rows),
+        "parse_rate": len(rows) / n,
+        "ausc": ausc,
+        "bins": calib_bins,
+    }
 
 
 def oracle_error_taxonomy(confidence, correct, marked):
     """`calib.error_taxonomy` as it was over per-record tuples, counting
     each class with its own pass over the wrong answers."""
-    from uncal.calib import (
-        EPISTEMIC_THRESHOLD,
-        ERROR_BANDS,
-        STRICT_THRESHOLD,
-        ErrorBand,
-        ErrorTaxonomy,
-    )
+    from uncal.calib import EPISTEMIC_THRESHOLD, ERROR_BANDS, STRICT_THRESHOLD
     from uncal.errors import EmptyBatch
 
     if not len(correct):
@@ -488,17 +481,17 @@ def oracle_error_taxonomy(confidence, correct, marked):
         else:
             count = sum(1 for c, _ in wrong if lo < c <= hi)
         fraction = count / total_wrong if total_wrong else 0.0
-        bands.append(ErrorBand(label=label, count=count, fraction=fraction))
+        bands.append({"label": label, "count": count, "fraction": fraction})
     with_emit = sum(1 for c, e in wrong if c > EPISTEMIC_THRESHOLD and e)
-    return ErrorTaxonomy(
-        total_wrong=total_wrong,
-        epistemic=epistemic,
-        aleatoric=total_wrong - epistemic,
-        strict_epistemic=strict,
-        bands=tuple(bands),
-        epistemic_with_emit=with_emit,
-        epistemic_without_emit=epistemic - with_emit,
-    )
+    return {
+        "total_wrong": total_wrong,
+        "epistemic": epistemic,
+        "aleatoric": total_wrong - epistemic,
+        "strict_epistemic": strict,
+        "bands": bands,
+        "epistemic_with_emit": with_emit,
+        "epistemic_without_emit": epistemic - with_emit,
+    }
 
 
 def _former_logit(c: float) -> float:
@@ -694,7 +687,6 @@ def oracle_embedding_drift_report(rows_of_interest, baseline_rows, w_base, w_cal
     import numpy as np
 
     from uncal.errors import ShapeError, UndefinedSimilarity
-    from uncal.reprgeo import EmbeddingDriftReport
 
     base = np.asarray(w_base, dtype=float)
     cal = np.asarray(w_cal, dtype=float)
@@ -727,11 +719,11 @@ def oracle_embedding_drift_report(rows_of_interest, baseline_rows, w_base, w_cal
         ratio = math.inf
     else:
         ratio = None
-    return EmbeddingDriftReport(
-        interest_mean_drift=interest_mean,
-        baseline_mean_drift=baseline_mean,
-        ratio=ratio,
-    )
+    return {
+        "interest_mean_drift": interest_mean,
+        "baseline_mean_drift": baseline_mean,
+        "ratio": ratio,
+    }
 
 
 def oracle_read_table(name: str, obj) -> dict:

@@ -155,10 +155,10 @@ def test_metric_oracle_equivalence():
         records, rows = random_batch(rng, int(rng.integers(3, 40)), with_ties=trial % 3 == 0)
         pairs = [(c, y) for c, y, _ in rows]
         metrics = calib.calibration_report(score_predictions(records), 10, 1e-6)
-        assert abs(metrics.ece - oracle_ece(pairs, 10)) < 1e-12
-        assert abs(metrics.brier - oracle_brier(pairs)) < 1e-12
-        assert abs(metrics.nll - oracle_nll(pairs, 1e-6)) < 1e-12
-        assert abs(metrics.ausc - oracle_ausc(rows)) < 1e-12
+        assert abs(metrics["ece"] - oracle_ece(pairs, 10)) < 1e-12
+        assert abs(metrics["brier"] - oracle_brier(pairs)) < 1e-12
+        assert abs(metrics["nll"] - oracle_nll(pairs, 1e-6)) < 1e-12
+        assert abs(metrics["ausc"] - oracle_ausc(rows)) < 1e-12
 
         scores = [c for c, _, _ in rows]
         labels = [0 if y else 1 for _, y, _ in rows]
@@ -180,19 +180,23 @@ def test_metric_oracle_equivalence():
             for d, r in zip(decisions, lines)
         ]
         counts = oracle_trigger_counts(decisions, noret_ok, final_ok)
-        assert report.n == counts["n"]
-        assert report.triggered == counts["triggered"]
-        assert report.noret_wrong == counts["noret_wrong"]
-        assert report.triggered_and_wrong == counts["triggered_and_wrong"]
-        if report.triggered:
-            assert report.trigger_precision == counts["triggered_and_wrong"] / counts["triggered"]
-            assert report.wrong_within_triggered == (
+        assert report["n"] == counts["n"]
+        assert report["triggered"] == counts["triggered"]
+        assert report["noret_wrong"] == counts["noret_wrong"]
+        assert report["triggered_and_wrong"] == counts["triggered_and_wrong"]
+        if report["triggered"]:
+            assert report["trigger_precision"] == (
+                counts["triggered_and_wrong"] / counts["triggered"]
+            )
+            assert report["wrong_within_triggered"] == (
                 counts["final_wrong_in_triggered"] / counts["triggered"]
             )
-        if report.noret_wrong:
-            assert report.trigger_recall == counts["triggered_and_wrong"] / counts["noret_wrong"]
+        if report["noret_wrong"]:
+            assert report["trigger_recall"] == (
+                counts["triggered_and_wrong"] / counts["noret_wrong"]
+            )
         if counts["n"] - counts["triggered"]:
-            assert report.untouched_accuracy == (
+            assert report["untouched_accuracy"] == (
                 counts["untouched_correct"] / (counts["n"] - counts["triggered"])
             )
     assert time.perf_counter() - started < 30.0
@@ -255,7 +259,7 @@ def test_probe_planted_signal_sweep():
     rng = np.random.default_rng(SEED)
     records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=600)
     rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
-    by_layer = {r.layer: r.auroc for r in rows}
+    by_layer = {r["layer"]: r["auroc"] for r in rows}
     assert max(by_layer, key=by_layer.get) == 8
     assert by_layer[8] >= 0.95
     for null_layer in (0, 16):
@@ -280,20 +284,20 @@ def test_controller_identities():
 
     always = run_policy(ControllerPolicy(PolicyKind.ALWAYS), fixture)
     em, f1, rate = accounting(fixture, [True] * 20)
-    assert (always.final_em, always.final_f1, always.trigger_rate) == (em, f1, rate)
-    assert always.trigger_rate == 1.0 and always.trigger_recall == 1.0
+    assert (always["final_em"], always["final_f1"], always["trigger_rate"]) == (em, f1, rate)
+    assert always["trigger_rate"] == 1.0 and always["trigger_recall"] == 1.0
 
     never = run_policy(ControllerPolicy(PolicyKind.NEVER), fixture)
     em, f1, rate = accounting(fixture, [False] * 20)
-    assert (never.final_em, never.final_f1, never.trigger_rate) == (em, f1, rate)
-    assert never.trigger_rate == 0.0 and never.trigger_recall == 0.0
+    assert (never["final_em"], never["final_f1"], never["trigger_rate"]) == (em, f1, rate)
+    assert never["trigger_rate"] == 0.0 and never["trigger_recall"] == 0.0
 
     rng = np.random.default_rng(SEED + 40)
     grid = [i / 20 for i in range(21)]
     for _ in range(50):
         records = random_rag_batch(rng, int(rng.integers(5, 40)))
         reports = sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
-        rates = [r.trigger_rate for _, r in reports]
+        rates = [r["trigger_rate"] for _, r in reports]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
@@ -313,7 +317,7 @@ def test_representation_invariances():
     types = list(reprgeo.TokenType)
     annotations = {"position": list(range(30)), "type": [types[i % len(types)] for i in range(30)]}
     table = reprgeo.kl_by_type(pairs, annotations)
-    assert abs(sum(row.mass_fraction for row in table.values()) - 1.0) < 1e-9
+    assert abs(sum(row["mass_fraction"] for row in table.values()) - 1.0) < 1e-9
 
     direction = np.array([2.0, -1.0, 0.5, 3.0])
     line = rng.normal(size=(80, 1)) * direction

@@ -30,14 +30,14 @@ def metrics(records, num_bins=10, epsilon=1e-6):
 class TestEce:
     def test_perfect_calibration(self):
         records = [make_record(f"q{i}", 1.0, True) for i in range(5)]
-        assert metrics(records, 10).ece == 0.0
+        assert metrics(records, 10)["ece"] == 0.0
 
     def test_two_record_hand_value(self):
         records = [make_record("q1", 0.9, True), make_record("q2", 0.9, False)]
-        assert metrics(records, 10).ece == pytest.approx(0.4, abs=1e-15)
+        assert metrics(records, 10)["ece"] == pytest.approx(0.4, abs=1e-15)
 
     def test_single_wrong_record(self):
-        assert metrics([make_record("q1", 0.9, False)], 10).ece == pytest.approx(0.9)
+        assert metrics([make_record("q1", 0.9, False)], 10)["ece"] == pytest.approx(0.9)
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
@@ -50,19 +50,19 @@ class TestEce:
             records.append(make_record(f"a{i}", 0.8, i < 8))
         for i in range(10):
             records.append(make_record(f"b{i}", 0.3, i < 3))
-        assert metrics(records, 10).ece == pytest.approx(0.0, abs=1e-15)
+        assert metrics(records, 10)["ece"] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBrier:
     def test_confident_correct(self):
-        assert metrics([make_record("q", 1.0, True)]).brier == 0.0
+        assert metrics([make_record("q", 1.0, True)])["brier"] == 0.0
 
     def test_hand_value(self):
-        assert metrics([make_record("q", 0.7, False)]).brier == pytest.approx(0.49)
+        assert metrics([make_record("q", 0.7, False)])["brier"] == pytest.approx(0.49)
 
     def test_midpoint_constant(self):
         records = [make_record(f"q{i}", 0.5, i % 2 == 0) for i in range(6)]
-        assert metrics(records).brier == pytest.approx(0.25)
+        assert metrics(records)["brier"] == pytest.approx(0.25)
 
     def test_constant_confidence_decomposition(self, rng):
         for _ in range(20):
@@ -73,35 +73,35 @@ class TestBrier:
             ]
             acc = float(np.mean(outcomes))
             expected = c**2 * (1 - acc) + (1 - c) ** 2 * acc
-            assert metrics(records).brier == pytest.approx(expected, abs=1e-12)
+            assert metrics(records)["brier"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestNll:
     def test_half_confidence(self):
         records = [make_record("q1", 0.5, True), make_record("q2", 0.5, False)]
-        assert metrics(records).nll == pytest.approx(math.log(2.0), abs=1e-12)
+        assert metrics(records)["nll"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct_near_zero(self):
-        value = metrics([make_record("q", 1.0, True)], epsilon=1e-6).nll
+        value = metrics([make_record("q", 1.0, True)], epsilon=1e-6)["nll"]
         assert value == pytest.approx(1e-6, abs=1e-9)
 
     def test_confident_wrong_clamped(self):
-        value = metrics([make_record("q", 1.0, False)], epsilon=1e-6).nll
+        value = metrics([make_record("q", 1.0, False)], epsilon=1e-6)["nll"]
         assert value == pytest.approx(-math.log(1e-6), rel=1e-9)
 
 
 class TestAusc:
     def test_all_correct(self):
         records = [make_record(f"q{i}", 0.1 * i + 0.1, True) for i in range(5)]
-        assert metrics(records).ausc == 1.0
+        assert metrics(records)["ausc"] == 1.0
 
     def test_all_wrong(self):
         records = [make_record(f"q{i}", 0.1 * i + 0.1, False) for i in range(5)]
-        assert metrics(records).ausc == 0.0
+        assert metrics(records)["ausc"] == 0.0
 
     def test_two_record_hand_value(self):
         records = [make_record("q1", 0.9, True), make_record("q2", 0.1, False)]
-        assert metrics(records).ausc == pytest.approx(0.75, abs=1e-15)
+        assert metrics(records)["ausc"] == pytest.approx(0.75, abs=1e-15)
 
     def test_duplication_invariance(self, rng):
         for trial in range(10):
@@ -110,7 +110,7 @@ class TestAusc:
                                               "verbal_confidence", "dataset")}
                      for r in rows(records)]
             doubled = lines + [{**line, "qid": line["qid"] + "-copy"} for line in lines]
-            assert metrics(doubled).ausc == pytest.approx(metrics(records).ausc, abs=1e-12)
+            assert metrics(doubled)["ausc"] == pytest.approx(metrics(records)["ausc"], abs=1e-12)
 
 
 class TestMetricOracleAgreement:
@@ -118,22 +118,22 @@ class TestMetricOracleAgreement:
         for trial in range(30):
             records, rows = random_batch(rng, int(rng.integers(3, 40)), with_ties=trial % 3 == 0)
             pairs = [(c, y) for c, y, _ in rows]
-            assert metrics(records, 10).ece == pytest.approx(
+            assert metrics(records, 10)["ece"] == pytest.approx(
                 oracle_ece(pairs, 10), abs=1e-12
             )
-            assert metrics(records).brier == pytest.approx(oracle_brier(pairs), abs=1e-12)
-            assert metrics(records).nll == pytest.approx(
+            assert metrics(records)["brier"] == pytest.approx(oracle_brier(pairs), abs=1e-12)
+            assert metrics(records)["nll"] == pytest.approx(
                 oracle_nll(pairs, 1e-6), abs=1e-12
             )
-            assert metrics(records).ausc == pytest.approx(oracle_ausc(rows), abs=1e-12)
+            assert metrics(records)["ausc"] == pytest.approx(oracle_ausc(rows), abs=1e-12)
 
 
 class TestErrorTaxonomy:
     def test_no_wrong_answers(self):
         records = [make_record(f"q{i}", 0.9, True) for i in range(4)]
         taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
-        assert taxonomy.total_wrong == 0 and taxonomy.epistemic == 0
-        assert all(b.count == 0 for b in taxonomy.bands)
+        assert taxonomy["total_wrong"] == 0 and taxonomy["epistemic"] == 0
+        assert all(b["count"] == 0 for b in taxonomy["bands"])
 
     def test_threshold_application(self):
         records = [
@@ -142,10 +142,10 @@ class TestErrorTaxonomy:
             make_record("q3", 0.2, False),
         ]
         taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
-        assert taxonomy.total_wrong == 3
-        assert taxonomy.epistemic == 2 and taxonomy.aleatoric == 1
-        assert taxonomy.strict_epistemic == 1
-        assert taxonomy.epistemic + taxonomy.aleatoric == taxonomy.total_wrong
+        assert taxonomy["total_wrong"] == 3
+        assert taxonomy["epistemic"] == 2 and taxonomy["aleatoric"] == 1
+        assert taxonomy["strict_epistemic"] == 1
+        assert taxonomy["epistemic"] + taxonomy["aleatoric"] == taxonomy["total_wrong"]
 
     def test_band_edges(self):
         records = [
@@ -154,7 +154,7 @@ class TestErrorTaxonomy:
             make_record("q3", 0.1, False),   # lands in c <= 0.1
         ]
         taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
-        by_label = {b.label: b.count for b in taxonomy.bands}
+        by_label = {b["label"]: b["count"] for b in taxonomy["bands"]}
         assert by_label["c>0.7"] == 1
         assert by_label["0.5<c<=0.7"] == 1
         assert by_label["c<=0.1"] == 1
@@ -165,16 +165,16 @@ class TestErrorTaxonomy:
             make_record("q2", 0.8, False),
         ]
         taxonomy = calib.error_taxonomy(score_predictions(predictions(records)))
-        assert taxonomy.epistemic_with_emit == 1
-        assert taxonomy.epistemic_without_emit == 1
+        assert taxonomy["epistemic_with_emit"] == 1
+        assert taxonomy["epistemic_without_emit"] == 1
 
     def test_partition_invariant(self, rng):
         for _ in range(10):
             records, _ = random_batch(rng, 25)
             taxonomy = calib.error_taxonomy(score_predictions(records))
-            assert taxonomy.epistemic + taxonomy.aleatoric == taxonomy.total_wrong
-            assert taxonomy.strict_epistemic <= taxonomy.epistemic
-            assert sum(b.count for b in taxonomy.bands) == taxonomy.total_wrong
+            assert taxonomy["epistemic"] + taxonomy["aleatoric"] == taxonomy["total_wrong"]
+            assert taxonomy["strict_epistemic"] <= taxonomy["epistemic"]
+            assert sum(b["count"] for b in taxonomy["bands"]) == taxonomy["total_wrong"]
 
 
 def test_calibration_report_shape():
@@ -184,13 +184,14 @@ def test_calibration_report_shape():
         make_record("q3", None, True),
     ]
     report = calib.calibration_report(score_predictions(predictions(records)), num_bins=5)
-    assert report.n == 3
-    assert report.parse_rate == pytest.approx(2.0 / 3.0)
-    assert report.accuracy == pytest.approx(2.0 / 3.0)
-    assert report.mean_confidence == pytest.approx(0.65)
-    assert report.overconfidence_gap == pytest.approx(report.mean_confidence - report.accuracy)
-    assert len(report.bins) == 5
-    assert sum(b.count for b in report.bins) == 2
+    assert report["n"] == 3
+    assert report["parse_rate"] == pytest.approx(2.0 / 3.0)
+    assert report["accuracy"] == pytest.approx(2.0 / 3.0)
+    assert report["mean_confidence"] == pytest.approx(0.65)
+    gap = report["mean_confidence"] - report["accuracy"]
+    assert report["overconfidence_gap"] == pytest.approx(gap)
+    assert len(report["bins"]) == 5
+    assert sum(b["count"] for b in report["bins"]) == 2
 
 
 class TestScoredBatch:

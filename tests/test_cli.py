@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -1638,7 +1637,7 @@ def test_calib_cli_equals_api(records, bins):
             return
         assert main(argv) == 0
         got = json.loads(out.read_text())
-    want = _as_json({**asdict(report), "error_taxonomy": asdict(calib.error_taxonomy(batch))})
+    want = _as_json({**report, "error_taxonomy": calib.error_taxonomy(batch)})
     assert {key: got[key] for key in want} == want
 
 
@@ -1664,10 +1663,8 @@ def test_rag_cli_equals_api(records, policy):
         loaded = load_rag_traces(path).records
     scored = ragctl.score_traces(loaded)
     fires = ragctl.decide(ragctl.parse_policy_spec(policy), scored)
-    assert got["overall"] == _as_json(asdict(ragctl.trigger_report(scored, fires)))
-    assert got["per_dataset"] == _as_json(
-        {name: asdict(r) for name, r in ragctl.trigger_reports_by_dataset(scored, fires).items()}
-    )
+    assert got["overall"] == _as_json(ragctl.trigger_report(scored, fires))
+    assert got["per_dataset"] == _as_json(ragctl.trigger_reports_by_dataset(scored, fires))
 
 
 class TestProbeScoring:

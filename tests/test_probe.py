@@ -341,9 +341,9 @@ class TestLayerSweep:
     def test_planted_signal_peaks_at_its_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=320)
         rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
-        by_layer = {r.layer: r for r in rows}
-        assert max(by_layer, key=lambda k: by_layer[k].auroc) == 8
-        assert by_layer[8].auroc >= 0.95
+        by_layer = {r["layer"]: r for r in rows}
+        assert max(by_layer, key=lambda k: by_layer[k]["auroc"]) == 8
+        assert by_layer[8]["auroc"] >= 0.95
 
     def test_identical_stacks_give_identical_metrics(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=200)
@@ -351,15 +351,15 @@ class TestLayerSweep:
         rows = probe.layer_sweep(cloned.items(), records, score_predictions(records), seed=0)
         first = rows[0]
         for row in rows[1:]:
-            assert (row.auroc, row.auprc, row.precision, row.recall, row.f1) == (
-                first.auroc, first.auprc, first.precision, first.recall, first.f1,
+            assert (row["auroc"], row["auprc"], row["precision"], row["recall"], row["f1"]) == (
+                first["auroc"], first["auprc"], first["precision"], first["recall"], first["f1"],
             )
 
     def test_rows_sorted_by_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8), signal_layer=8, n=200)
         rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}.items(), records,
                                  score_predictions(records), seed=0)
-        assert [r.layer for r in rows] == [0, 8]
+        assert [r["layer"] for r in rows] == [0, 8]
 
 
 class TestHiddenMatrixAndMatio:

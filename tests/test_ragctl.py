@@ -109,45 +109,46 @@ class TestDecide:
 class TestSimulate:
     def test_always_reproduces_retrieve_all(self):
         report = run_policy(ControllerPolicy(PolicyKind.ALWAYS), HAND_FIXTURE)
-        assert report.trigger_rate == 1.0
+        assert report["trigger_rate"] == 1.0
         # final answers are the retrieval answers: r1, r3 correct
-        assert report.final_em == pytest.approx(0.5)
-        assert report.untouched_accuracy is None
-        assert report.trigger_recall == 1.0
+        assert report["final_em"] == pytest.approx(0.5)
+        assert report["untouched_accuracy"] is None
+        assert report["trigger_recall"] == 1.0
 
     def test_never_reproduces_no_retrieval(self):
         report = run_policy(ControllerPolicy(PolicyKind.NEVER), HAND_FIXTURE)
-        assert report.trigger_rate == 0.0
-        assert report.final_em == pytest.approx(0.5)
-        assert report.untouched_accuracy == pytest.approx(0.5)
-        assert report.trigger_precision is None
-        assert report.trigger_recall == 0.0
+        assert report["trigger_rate"] == 0.0
+        assert report["final_em"] == pytest.approx(0.5)
+        assert report["untouched_accuracy"] == pytest.approx(0.5)
+        assert report["trigger_precision"] is None
+        assert report["trigger_recall"] == 0.0
 
     def test_hand_fixture_counts(self):
         report = run_policy(
             ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.5), HAND_FIXTURE
         )
-        assert report.trigger_rate == pytest.approx(0.5)
-        assert report.trigger_precision == pytest.approx(0.5)
-        assert report.trigger_recall == pytest.approx(0.5)
-        assert report.untouched_accuracy == pytest.approx(0.5)
+        assert report["trigger_rate"] == pytest.approx(0.5)
+        assert report["trigger_precision"] == pytest.approx(0.5)
+        assert report["trigger_recall"] == pytest.approx(0.5)
+        assert report["untouched_accuracy"] == pytest.approx(0.5)
         # both triggered records end correct after retrieval
-        assert report.wrong_within_triggered == 0.0
-        assert report.final_em == pytest.approx(0.75)
+        assert report["wrong_within_triggered"] == 0.0
+        assert report["final_em"] == pytest.approx(0.75)
 
     def test_counts_partition_and_identities(self, rng):
         for _ in range(20):
             records = random_rag_batch(rng, int(rng.integers(2, 30)))
             policy = ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, float(rng.uniform(0, 1)))
             report = run_policy(policy, records)
-            untouched = report.n - report.triggered
+            untouched = report["n"] - report["triggered"]
             assert untouched >= 0
-            if report.trigger_precision is not None:
-                assert report.trigger_precision * report.triggered == pytest.approx(
-                    report.triggered_and_wrong
+            if report["trigger_precision"] is not None:
+                assert report["trigger_precision"] * report["triggered"] == pytest.approx(
+                    report["triggered_and_wrong"]
                 )
-            if report.noret_wrong:
-                assert run_policy(ControllerPolicy(PolicyKind.ALWAYS), records).trigger_recall == 1.0
+            if report["noret_wrong"]:
+                always = run_policy(ControllerPolicy(PolicyKind.ALWAYS), records)
+                assert always["trigger_recall"] == 1.0
 
     def test_agrees_with_recount_oracle(self, rng):
         for _ in range(20):
@@ -162,9 +163,9 @@ class TestSimulate:
                 for d, r in zip(decisions, rows(records))
             ]
             counts = oracle_trigger_counts(decisions, noret_ok, final_ok)
-            assert report.triggered == counts["triggered"]
-            assert report.noret_wrong == counts["noret_wrong"]
-            assert report.triggered_and_wrong == counts["triggered_and_wrong"]
+            assert report["triggered"] == counts["triggered"]
+            assert report["noret_wrong"] == counts["noret_wrong"]
+            assert report["triggered_and_wrong"] == counts["triggered_and_wrong"]
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
@@ -187,7 +188,7 @@ class TestSweepThreshold:
         for _ in range(10):
             records = random_rag_batch(rng, 30)
             reports = sweep_threshold(PolicyKind.CONFIDENCE_THRESHOLD, records, grid)
-            rates = [r.trigger_rate for _, r in reports]
+            rates = [r["trigger_rate"] for _, r in reports]
             assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_single_point_grid_equals_simulate(self, rng):
@@ -284,7 +285,7 @@ def test_per_dataset_reports(rng):
     scored = ragctl.score_traces(records)
     by_dataset = ragctl.trigger_reports_by_dataset(scored, ragctl.decide(policy, scored))
     assert set(by_dataset) == set(records["dataset"])
-    assert sum(r.n for r in by_dataset.values()) == 40
+    assert sum(r["n"] for r in by_dataset.values()) == 40
 
 
 class TestScoredTraces:

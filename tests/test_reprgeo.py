@@ -56,15 +56,15 @@ class TestKlByType:
         annotations = _annotations(TokenType.CONFIDENCE_DIGIT, TokenType.REASONING_TOKEN,
                                    TokenType.REASONING_TOKEN, TokenType.REASONING_TOKEN)
         table = reprgeo.kl_by_type(pairs, annotations)
-        assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(0.25)
-        assert table[TokenType.REASONING_TOKEN].mass_fraction == pytest.approx(0.75)
+        assert table[TokenType.CONFIDENCE_DIGIT]["mass_fraction"] == pytest.approx(0.25)
+        assert table[TokenType.REASONING_TOKEN]["mass_fraction"] == pytest.approx(0.75)
 
     def test_single_hot_type_takes_all_mass(self):
         pairs = _pairs((0, [1.0, 0.0], [0.5, 0.5]), (1, [0.5, 0.5], [0.5, 0.5]))
         annotations = _annotations(TokenType.CONFIDENCE_DIGIT, TokenType.OTHER)
         table = reprgeo.kl_by_type(pairs, annotations)
-        assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(1.0)
-        assert table[TokenType.OTHER].mass_fraction == pytest.approx(0.0)
+        assert table[TokenType.CONFIDENCE_DIGIT]["mass_fraction"] == pytest.approx(1.0)
+        assert table[TokenType.OTHER]["mass_fraction"] == pytest.approx(0.0)
 
     def test_five_position_hand_fixture(self):
         # kl values: ln2 at positions 0,1 (digit), ln2 at 2 (uncertainty),
@@ -84,9 +84,9 @@ class TestKlByType:
             TokenType.REASONING_TOKEN,
         )
         table = reprgeo.kl_by_type(pairs, annotations)
-        assert table[TokenType.CONFIDENCE_DIGIT].mass_fraction == pytest.approx(2 / 3)
-        assert table[TokenType.UNCERTAINTY_TOKEN].mass_fraction == pytest.approx(1 / 3)
-        assert table[TokenType.CONFIDENCE_DIGIT].mean_kl == pytest.approx(math.log(2.0))
+        assert table[TokenType.CONFIDENCE_DIGIT]["mass_fraction"] == pytest.approx(2 / 3)
+        assert table[TokenType.UNCERTAINTY_TOKEN]["mass_fraction"] == pytest.approx(1 / 3)
+        assert table[TokenType.CONFIDENCE_DIGIT]["mean_kl"] == pytest.approx(math.log(2.0))
         assert TokenType.NEARBY_CONTEXT not in table
 
     def test_fractions_sum_to_one(self, rng):
@@ -95,7 +95,7 @@ class TestKlByType:
                          for i in range(24)])
         annotations = _annotations(*[types[i % len(types)] for i in range(24)])
         table = reprgeo.kl_by_type(pairs, annotations)
-        total = sum(row.mass_fraction for row in table.values())
+        total = sum(row["mass_fraction"] for row in table.values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_annotation_rejected(self):
@@ -243,14 +243,14 @@ class TestEmbeddingDrift:
     def test_no_drift_ratio_absent(self):
         w = np.eye(4)
         report = reprgeo.embedding_drift_report([0, 1], [2, 3], w, w.copy())
-        assert report.ratio is None
+        assert report["ratio"] is None
 
     def test_interest_only_drift_is_infinite(self):
         base = np.eye(4)
         cal = base.copy()
         cal[0, 0] = 2.0
         report = reprgeo.embedding_drift_report([0], [2, 3], base, cal)
-        assert report.ratio == math.inf
+        assert report["ratio"] == math.inf
 
     def test_planted_ratio(self):
         base = np.ones((4, 2))
@@ -258,7 +258,7 @@ class TestEmbeddingDrift:
         cal[0] += (0.6, 0.8)  # drift 1.0 / sqrt(2) on the interest row
         cal[2] += (0.3, 0.4)  # drift 0.5 / sqrt(2) on the baseline row
         report = reprgeo.embedding_drift_report([0], [2], base, cal)
-        assert report.ratio == pytest.approx(2.0, abs=1e-10)
+        assert report["ratio"] == pytest.approx(2.0, abs=1e-10)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):
