@@ -36,11 +36,10 @@ UNCERTAIN_MARKER = "<uncertain>"
 
 DEFAULT_F1_THRESHOLD = 0.3
 
-_ANSWER_LINE_RE = re.compile(r"^[ \t]*answer[ \t]*:(.*)$", re.IGNORECASE | re.MULTILINE)
 # a stated confidence's label, where an answer line's answer ends
 _CONFIDENCE_LABEL_RE = re.compile(r"confidence[ \t]*:", re.IGNORECASE)
-# an answer line's label at the start of one line of `str.splitlines`, which
-# breaks at "\r", U+2028 and the like too, where a MULTILINE "^" would not
+# an answer line's label, at the start of one line of `str.splitlines`: a line
+# ends at "\n", "\r", "\f", U+2028 and the others that method breaks at
 _ANSWER_LABEL_RE = re.compile(r"[ \t]*answer[ \t]*:", re.IGNORECASE)
 _CONFIDENCE_RE = re.compile(
     _CONFIDENCE_LABEL_RE.pattern + r"[ \t]*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE
@@ -82,17 +81,28 @@ class MatchResult:
     f1: float
 
 
+def _last_answer_line(lines: list[str]) -> tuple[int, str] | None:
+    """The index of the last of `lines` that opens with an answer label, and
+    the rest of that line after the label; None where no line does."""
+    for i in range(len(lines) - 1, -1, -1):
+        label = _ANSWER_LABEL_RE.match(lines[i])
+        if label:
+            return i, lines[i][label.end():]
+    return None
+
+
 def extract_answer_line(response_text: str) -> str | None:
     """Payload of the last `Answer:` line, or None if no such line exists.
+    Lines are those of `str.splitlines`, as `reasoning_depth` reads them.
 
-    A trailing `Confidence: x` on the same physical line, with any spaces or
-    tabs before its colon (as `extract_confidence` reads it), is not part of
-    the answer and is stripped.
+    A trailing `Confidence: x` on the same line, with any spaces or tabs
+    before its colon (as `extract_confidence` reads it), is not part of the
+    answer and is stripped.
     """
-    matches = _ANSWER_LINE_RE.findall(response_text)
-    if not matches:
+    found = _last_answer_line(response_text.splitlines())
+    if found is None:
         return None
-    return _CONFIDENCE_LABEL_RE.split(matches[-1], maxsplit=1)[0].strip()
+    return _CONFIDENCE_LABEL_RE.split(found[1], maxsplit=1)[0].strip()
 
 
 def extract_confidence(response_text: str) -> float | None:
@@ -324,11 +334,9 @@ def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -
 
 def reasoning_depth(response_text: str) -> int:
     """Number of nonempty lines before the last answer line (all nonempty
-    lines when no answer line exists)."""
+    lines when no answer line exists), with lines and answer lines as
+    `extract_answer_line` reads them."""
     lines = response_text.splitlines()
-    last_answer = None
-    for i, line in enumerate(lines):
-        if _ANSWER_LABEL_RE.match(line):
-            last_answer = i
-    upto = last_answer if last_answer is not None else len(lines)
+    found = _last_answer_line(lines)
+    upto = len(lines) if found is None else found[0]
     return sum(1 for line in lines[:upto] if line.strip())

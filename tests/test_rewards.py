@@ -271,12 +271,38 @@ def test_reasoning_depth_counts_lines_before_answer():
     assert reasoning_depth("one\nx answer: y\vAnswer\t:z") == 2
 
 
+# texts of answer labels, payloads and every kind of line break
+_LABELLED_TEXTS = st.lists(st.sampled_from(["answer", "ANSWER", "Answer", ":", " ", "\t", "x",
+                                            "\n", "\r", "\r\n", "\u2028", "\x85", "\v", "\f",
+                                            "\x1c"]),
+                           max_size=16).map("".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(["answer", "ANSWER", "Answer", ":", " ", "\t", "x", "\n", "\r",
-                                 "\r\n", "\u2028", "\x85", "\v", "\f", "\x1c"]),
-                max_size=16).map("".join))
+@given(_LABELLED_TEXTS)
 def test_reasoning_depth_equals_the_former_rule(text):
     assert reasoning_depth(text) == oracle_reasoning_depth(text)
+
+
+@pytest.mark.parametrize("text, answer, depth", [
+    ("Step 1: a\rAnswer: X", "X", 1),
+    ("Step 1: a\u2028Answer: X", "X", 1),
+    ("Answer: Q\x0cStep: r", "Q", 0),
+])
+def test_an_answer_line_ends_where_a_reasoning_line_does(text, answer, depth):
+    assert (extract_answer_line(text), reasoning_depth(text)) == (answer, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABELLED_TEXTS)
+def test_the_answer_is_read_from_the_line_reasoning_depth_stops_at(text):
+    # the answer line is nonempty, so depth falls short of the nonempty
+    # lines exactly when it stops at one: the one after `depth` of them
+    lines = [line for line in text.splitlines() if line.strip()]
+    depth, answer = reasoning_depth(text), extract_answer_line(text)
+    assert (answer is not None) == (depth < len(lines))
+    if answer is not None:
+        assert answer == extract_answer_line(lines[depth])
 
 
 class TestScorePredictions:
