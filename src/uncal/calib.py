@@ -5,9 +5,9 @@ record's confidence and correctness are computed once, however many metrics a
 report holds. `calibration_report` computes every metric of a batch and
 `error_taxonomy` splits its wrong answers, each into the plain dict the
 `calib` report writes; there is no single-metric entry point. Bins, bands
-and the taxonomy's classes are masks over the batch's
-columns, counted; sums of confidences stay Python arithmetic (`math.fsum`
-over `tolist()`), so every float is the one a per-record loop would give.
+and the taxonomy's classes are masks over the batch's columns, counted;
+sums of confidences stay Python arithmetic (`math.fsum` over `tolist()`),
+so every float is the one a per-record loop would give.
 
 Records without a parseable confidence (NaN) are excluded from confidence
 metrics but still count toward accuracy and the parse rate. The bin count
@@ -115,11 +115,8 @@ def calibration_report(
 ) -> dict:
     """Every calibration metric of one scored batch, over `num_bins` >= 1
     bins, with NLL confidences clamped by `nll_epsilon` in (0, 0.5), as the
-    dict a report holds: `n`, `accuracy`, `mean_confidence`,
-    `overconfidence_gap`, `ece`, `brier`, `nll`, `parse_rate`, `ausc`, and
-    `bins`, one dict per equal-width confidence bin in ascending order
-    (`lo`, `hi`, `count`, `mean_conf`, `accuracy`; an empty bin reads 0.0
-    for both means)."""
+    dict a report holds. `bins` has one dict per equal-width bin, ascending;
+    an empty bin reads 0.0 for both means."""
     n = len(batch)
     if not n:
         raise EmptyBatch("no records")
@@ -147,10 +144,8 @@ def calibration_report(
 
 def error_taxonomy(batch: ScoredBatch) -> dict:
     """Decompose wrong answers by stated confidence, as the dict a report
-    holds: `total_wrong`, `epistemic`, `aleatoric`, `strict_epistemic`,
-    `epistemic_with_emit`, `epistemic_without_emit`, and `bands`, one dict
-    per `ERROR_BANDS` entry in its order (`label`, `count`, and `fraction`
-    of the wrong answers, 0.0 where there are none).
+    holds. `bands` has one dict per `ERROR_BANDS` entry, in its order; a
+    band's fraction of no wrong answers reads 0.0.
 
     Epistemic errors are wrong answers above `EPISTEMIC_THRESHOLD`; aleatoric
     ones sit at or below it. Strict epistemic errors sit above

@@ -638,14 +638,9 @@ def _cmd_repr_kl(args) -> int:
     rows = {token_type.value: row for token_type, row in table.items()}
     _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})
     if args.csv:
-        jsonio.write_csv(
-            args.csv,
-            ["type", "count", "mean_kl", "mass_fraction"],
-            [
-                [name, row["count"], row["mean_kl"], row["mass_fraction"]]
-                for name, row in sorted(rows.items())
-            ],
-        )
+        cells = ["count", "mean_kl", "mass_fraction"]
+        jsonio.write_csv(args.csv, ["type", *cells], [
+            [name] + [row[key] for key in cells] for name, row in sorted(rows.items())])
     return 0
 
 

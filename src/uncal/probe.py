@@ -9,7 +9,9 @@ L2-regularized logistic regression fit by the shared Newton-CG minimizer
 (`optim`), with the decision threshold tuned for trigger F1 on held-out data.
 Every fit and score takes a feature matrix, one row per example. The
 positive class is "final answer is wrong", i.e. "trigger retrieval"; the
-labels come from a `rewards.ScoredBatch` the caller has scored.
+labels come from a `rewards.ScoredBatch` the caller has scored. `evaluate`
+and `layer_sweep` return the plain dicts that the `probe eval` and `probe
+sweep` reports write.
 """
 
 from __future__ import annotations

@@ -156,10 +156,7 @@ def _count(mask) -> int:
 
 def _tally(scored: ScoredTraces, fires, members) -> dict:
     """Accounting of one policy over the records `members` selects (a slice
-    or a mask), from `decide`'s one decision per scored record: the counts
-    `n`, `triggered`, `noret_wrong` and `triggered_and_wrong`, and the
-    shares `trigger_rate`, `final_em`, `final_f1`, `trigger_precision`,
-    `trigger_recall`, `untouched_accuracy` and `wrong_within_triggered`.
+    or a mask), from `decide`'s one decision per scored record.
 
     Precision and recall take the no-retrieval answer's wrongness as
     reference (the pre-intervention failure set), so `trigger_recall` is also

@@ -66,8 +66,7 @@ def kl_by_type(
 ) -> dict[TokenType, dict]:
     """Per-type mean KL and each type's share of the total KL mass, from the
     `position`, `base_probs` and `calibrated_probs` columns of `pairs` and
-    the `position` and `type` columns of `annotations`: per type a dict of
-    its `count` of positions, `mean_kl` and `mass_fraction`.
+    the `position` and `type` columns of `annotations`, as one dict per type.
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the

@@ -85,8 +85,7 @@ def _last_answer_line(lines: list[str]) -> tuple[int, str] | None:
     """The index of the last of `lines` that opens with an answer label, and
     the rest of that line after the label; None where no line does."""
     for i in range(len(lines) - 1, -1, -1):
-        label = _ANSWER_LABEL_RE.match(lines[i])
-        if label:
+        if label := _ANSWER_LABEL_RE.match(lines[i]):
             return i, lines[i][label.end():]
     return None
 

@@ -27,12 +27,15 @@ import uncal
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
-def _tree(path: Path) -> dict[str, bytes | None]:
-    """Each file directly in `path`, by name; a directory maps to None."""
-    return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(path.iterdir())}
+def _subdirectories(path: Path) -> list[str]:
+    return sorted(p.name for p in path.iterdir() if p.is_dir())
 
 
-WORKLOADS = sorted(name for name, data in _tree(GOLDEN).items() if data is None)
+def _files(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+WORKLOADS = _subdirectories(GOLDEN)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +52,7 @@ def regenerated(tmp_path_factory) -> Path:
 
 
 def test_every_workload_has_golden_bytes(regenerated):
-    assert sorted(name for name, data in _tree(regenerated).items() if data is None) == WORKLOADS
+    assert _subdirectories(regenerated) == WORKLOADS
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -58,7 +61,7 @@ def test_session_outputs_equal_the_golden_bytes(regenerated, workload):
     running = json.loads((regenerated / "versions.json").read_text(encoding="utf-8"))
     if running != recorded:
         pytest.skip(f"golden bytes come from {recorded}; this interpreter has {running}")
-    outputs, golden = _tree(regenerated / workload), _tree(GOLDEN / workload)
+    outputs, golden = _files(regenerated / workload), _files(GOLDEN / workload)
     assert sorted(outputs) == sorted(golden)
     changed = [name for name in sorted(golden) if outputs[name] != golden[name]]
     assert changed == [], f"{workload}: outputs differ from the golden bytes"
