@@ -8,11 +8,13 @@ probe's train/dev split, so only `probe sweep` and `probe fit` record it.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 
 What a command derives from an input file (the scored columns of `rag` and
-`calib`, a sidecar's row order) is kept per process under the sha256 of the
-file's bytes, so `uncal run --plan` steps, or repeated `main` calls, that
-read the same bytes load and score them once. The cache never holds a
-load's table or a matrix, and each `main` call drops the entries it did not
-read.
+`calib`, the `probe.emitted` rows of a `probe` command's predictions, a
+sidecar's row order) is kept per process under the sha256 of the file's
+bytes, so `uncal run --plan` steps, or repeated `main` calls, that read the
+same bytes load and score them once: `probe sweep`, `fit` and `eval` on one
+predictions file parse it once. The cache holds those columns and arrays
+alone, never a load's table or a matrix, and each `main` call drops the
+entries it did not read.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ def _load_preds(path) -> dict[str, list]:
 
 def _scored_preds(path, f1_threshold: float):
     """The table of the prediction file `path`, and its scores at
-    `f1_threshold`: what every fit reads."""
+    `f1_threshold`: what a recalibration fit reads."""
     table = _load_preds(path)
     return table, rewards.score_predictions(table, f1_threshold)
 
@@ -505,11 +507,11 @@ def _token_rows(rows: dict[str, list]) -> tuple[int, dict[str, slice | np.ndarra
     return len(rows["qid"]), order, fault
 
 
-def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
-    """qid -> (tokens x dims) matrix from a layer file plus its sidecar: row t
-    of a qid's matrix is the hidden state of its token t. Each is a view of
-    the layer's matrix where the qid's rows are contiguous and in token
-    order, and a copy of its rows otherwise. Sidecars with the same bytes,
+def _load_token_stack(mat_path) -> probe.TokenStack:
+    """A layer file's matrix and, from its sidecar, each qid's rows in token
+    order: row t of a qid's rows is the hidden state of its token t. A qid
+    whose rows are contiguous and in token order has a slice of the matrix;
+    any other has an array of its row indices. Sidecars with the same bytes,
     such as those of a model's layers, share one parse."""
     values = matio.read_matrix(mat_path)
     count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", matio.read_row_ids,
@@ -518,15 +520,23 @@ def _load_token_stack(mat_path) -> dict[str, np.ndarray]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     if fault is not None:
         raise AlignmentError(f"{mat_path}: {fault}")
-    return {qid: values[rows] for qid, rows in order.items()}
+    return values, order
+
+
+def _probe_inputs(path) -> dict:
+    """The `probe.emitted` rows of the prediction file `path`, scored at the
+    default F1 threshold: `probe sweep`, `fit` and `eval` on one file load
+    and score it once."""
+    return _derived("probe", path, jsonio.load_predictions, lambda table: probe.emitted(
+        table, rewards.score_predictions(table, rewards.DEFAULT_F1_THRESHOLD)))
 
 
 def _cmd_probe_sweep(args) -> int:
-    table, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
+    inputs = _probe_inputs(args.preds)
     # a generator: each layer is loaded only once the one before it is fitted
     stacks = ((k, _load_token_stack(Path(args.hidden) / f"layer_{k}.mat")) for k in args.layers)
     rows = probe.layer_sweep(
-        stacks, table, batch,
+        stacks, inputs,
         window=args.window, span_token_count=args.span_tokens,
         l2=args.l2, seed=args.seed,
     )
@@ -544,8 +554,8 @@ def _cmd_probe_sweep(args) -> int:
 def _probe_examples(args, window: int, span_tokens: int):
     """The probe's (features, wrong labels, qids) from `--preds` and the one
     layer file `--hidden`."""
-    table, batch = _scored_preds(args.preds, rewards.DEFAULT_F1_THRESHOLD)
-    return probe.examples(table, batch, _load_token_stack(args.hidden), window, span_tokens)
+    return probe.examples(_probe_inputs(args.preds), _load_token_stack(args.hidden), window,
+                          span_tokens)
 
 
 def _cmd_probe_fit(args) -> int:

@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import CorruptInput, IoError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
-from .reprgeo import TokenType
+from .reprgeo import TokenType, paired_rows
 from .rewards import MatchRule, scan_emissions
 from .trajspace import space_refusal
 
@@ -594,17 +594,20 @@ def _space_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
 
 def _kl_pair_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
     """(row, refusal) of each KL pair whose two distributions differ in
-    length, or one of which does not sum to 1 within 1e-6 (by `np.sum`)."""
-    refused = []
-    for row, pair in enumerate(zip(fields["base_probs"], fields["calibrated_probs"])):
-        if len(pair[0]) != len(pair[1]):
-            refused.append((row, "distribution pair must be two equal-length vectors"))
+    length, or one of which does not sum to 1 within 1e-6 (its row sum,
+    the bits `np.sum` of its vector gives), base before calibrated. The
+    pairs of each pair of lengths are summed as one 2-D array."""
+    refused = {}
+    for rows, base, calibrated in paired_rows(fields["base_probs"], fields["calibrated_probs"]):
+        if base.shape != calibrated.shape:
+            refused |= dict.fromkeys(rows, "distribution pair must be two equal-length vectors")
             continue
-        for name, probs in zip(("base", "calibrated"), pair):
-            if abs(float(np.sum(np.asarray(probs, dtype=float))) - 1.0) > 1e-6:
-                refused.append((row, f"{name} distribution does not sum to 1"))
-                break
-    return refused
+        base_off = np.abs(base.sum(axis=1) - 1.0) > 1e-6
+        calibrated_off = np.abs(calibrated.sum(axis=1) - 1.0) > 1e-6
+        for k in np.flatnonzero(base_off | calibrated_off).tolist():
+            name = "base" if base_off[k] else "calibrated"
+            refused[rows[k]] = f"{name} distribution does not sum to 1"
+    return sorted(refused.items())
 
 
 PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)

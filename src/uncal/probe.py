@@ -1,17 +1,20 @@
 """Span-aware linear wrongness probe over hidden states at emission points.
 
 Features pool the hidden vectors around the first emitted uncertainty span
-of a row of a prediction table (`jsonio.PREDICTIONS`) and append three
-scalar response features. The window (>= 0 tokens), span (>= 1 token) and
-penalty (finite, >= 0) come checked: from the `cli` parser, or from a probe
-model's config by `jsonio.PROBE_MODEL_CONFIG`. The probe itself is
-L2-regularized logistic regression fit by the shared Newton-CG minimizer
-(`optim`), with the decision threshold tuned for trigger F1 on held-out data.
-Every fit and score takes a feature matrix, one row per example. The
-positive class is "final answer is wrong", i.e. "trigger retrieval"; the
-labels come from a `rewards.ScoredBatch` the caller has scored. `evaluate`
-and `layer_sweep` return the plain dicts that the `probe eval` and `probe
-sweep` reports write.
+of each emitted row of a prediction table (`jsonio.PREDICTIONS`) and append
+three scalar response features. A table's rows give the probe only what
+`emitted` takes of them, once per file, and a layer is one (rows x dims)
+matrix with each qid's rows in token order; `examples` pools every window of
+a layer in one float64 matrix of an example per row. The window (>= 0
+tokens), span (>= 1 token) and penalty (finite, >= 0) come checked: from the
+`cli` parser, or from a probe model's config by `jsonio.PROBE_MODEL_CONFIG`.
+The probe itself is L2-regularized logistic regression fit by the shared
+Newton-CG minimizer (`optim`), with the decision threshold tuned for
+trigger F1 on held-out data. Every fit and score takes a feature matrix,
+one row per example. The positive class is "final answer is wrong", i.e.
+"trigger retrieval"; the labels come from a `rewards.ScoredBatch` the
+caller has scored. `evaluate` and `layer_sweep` return the plain dicts that
+the `probe eval` and `probe sweep` reports write.
 """
 
 from __future__ import annotations
@@ -33,67 +36,104 @@ TRAIN_FRACTION = 0.8
 MIN_FIT_EXAMPLES = 10
 
 
-def build_features(
-    token_hidden: np.ndarray,
-    table: dict,
-    row: int,
-    window: int = DEFAULT_WINDOW,
-    span_token_count: int = DEFAULT_SPAN_TOKENS,
-) -> np.ndarray:
-    """Feature vector of the emitted row `row` of a prediction table: the
-    mean of its hidden vectors over [first_emit - window, first_emit + span +
-    window), then its token count, emission count and first-emit fraction
-    (the first emission's character position over the response length, 0
-    for an empty response).
+def emitted(table: dict, batch: ScoredBatch) -> dict:
+    """The probe's inputs from the emitted rows of the prediction table
+    `table`, whose scores `batch` holds, in row order: each row's `qid`, the
+    `token_index` of its first emission (None where it has none), its
+    `scalars` (token count, emission count and first-emit fraction: the
+    first emission's character position over the response length, 0 for an
+    empty response) as one float64 row, and its `wrong` label, 1 where the
+    batch scored it wrong. `examples` reads nothing else of a table."""
+    emissions, texts = table["emissions"], table["response_text"]
+    rows = [i for i, (events, _) in enumerate(zip(emissions, batch.correct, strict=True))
+            if events]
+    return {
+        "qid": [table["qid"][i] for i in rows],
+        "token_index": [emissions[i][0]["token_index"] for i in rows],
+        "scalars": np.array([
+            (float(table["response_token_count"][i]), float(len(emissions[i])),
+             emissions[i][0]["char_position"] / len(texts[i]) if texts[i] else 0.0)
+            for i in rows], dtype=float).reshape(-1, 3),
+        "wrong": (~batch.correct[rows]).astype(int),
+    }
 
-    `token_hidden` is the row's non-empty (tokens x dims) matrix; the range
-    is clipped to the sequence bounds. With `window` at least 0 and
-    `span_token_count` at least 1, it always holds the first emitted token.
-    """
-    qid, emissions, text = table["qid"][row], table["emissions"][row], table["response_text"][row]
-    hidden = np.asarray(token_hidden)  # only the window's rows become float64
-    first = emissions[0]["token_index"]
-    if first is None:
-        raise AlignmentError(f"record {qid!r}: first emission has no token index")
-    n_tokens = hidden.shape[0]
-    if not 0 <= first < n_tokens:
-        raise AlignmentError(
-            f"record {qid!r}: emission token {first} outside 0..{n_tokens - 1}"
-        )
-    lo = max(0, first - window)
-    hi = min(n_tokens, first + span_token_count + window)
-    span_mean = np.asarray(hidden[lo:hi], dtype=float).mean(axis=0)
-    scalars = (
-        float(table["response_token_count"][row]),
-        float(len(emissions)),
-        float(emissions[0]["char_position"] / len(text) if text else 0.0),
-    )
-    return np.concatenate([span_mean, scalars])
+
+TokenStack = tuple[np.ndarray, Mapping[str, "slice | np.ndarray"]]  # what `cli` loads per layer
+
+
+def _window_rows(qids, firsts, rows_of, window: int, span_token_count: int):
+    """The matrix rows of each example's window, one row of the returned
+    (examples x widest window) index array per example, and each window's
+    length. An example's window is [first - window, first + span + window)
+    clipped to its qid's tokens; its entries past its length repeat its
+    last row. The first example whose first emission has no token index, or
+    one outside its tokens, is refused."""
+    tokens = np.empty(len(qids), dtype=np.intp)
+    starts = np.zeros(len(qids), dtype=np.intp)
+    scattered = []  # (example, row indices) of each qid whose rows are no slice
+    for i, (qid, first) in enumerate(zip(qids, firsts)):
+        rows = rows_of[qid]
+        if type(rows) is slice:
+            tokens[i], starts[i] = rows.stop - rows.start, rows.start
+        else:
+            tokens[i] = len(rows)
+            scattered.append((i, rows))
+        if first is None:
+            raise AlignmentError(f"record {qid!r}: first emission has no token index")
+        if not 0 <= first < tokens[i]:
+            raise AlignmentError(
+                f"record {qid!r}: emission token {first} outside 0..{tokens[i] - 1}"
+            )
+    # a reach beyond the longest sequence clips as that sequence's length does
+    longest = int(tokens.max())
+    first = np.array(firsts, dtype=np.intp)
+    lo = np.maximum(first - min(window, longest), 0)
+    hi = np.minimum(first + min(span_token_count, longest) + min(window, longest), tokens)
+    lengths = hi - lo
+    offsets = np.minimum(lo[:, None] + np.arange(lengths.max()), hi[:, None] - 1)
+    offsets += starts[:, None]
+    for i, rows in scattered:
+        offsets[i] = rows[offsets[i]]
+    return offsets, lengths
 
 
 def examples(
-    table: dict,
-    batch: ScoredBatch,
-    stack: Mapping[str, np.ndarray],
+    inputs: dict,
+    stack: TokenStack,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(features, wrong labels, qids) of the probe's examples, in row order.
 
-    `batch` holds the scores of the rows of the prediction table `table`;
-    `stack` maps qid -> (tokens x dims) hidden matrix. An example is an
-    emitted row with hidden states in `stack`; its label is 1 where the batch
-    scored it wrong.
+    `inputs` are the `emitted` rows of a prediction table; `stack` is a
+    layer's (rows x dims) hidden matrix with each qid's rows in token order
+    (a slice of the matrix, or an array of row indices). An example is an
+    emitted row whose qid has rows. Its features are the mean of its hidden
+    vectors over [first_emit - window, first_emit + span + window), clipped
+    to its tokens (with `window` >= 0 and `span_token_count` >= 1 it always
+    holds the first emitted token), then its three `scalars`.
+
+    The windows are pooled in one (examples x dims) float64 accumulator: it
+    starts as each window's first hidden vector, and each further offset
+    adds, in one gather, the vector at that offset of every window that
+    long, before each sum is divided by its window's length. That is the
+    order `np.mean(axis=0)` sums a window of two or more dims in, so the
+    features are its bits (with one dim, numpy sums a window pairwise, and
+    the last bits may differ); only the windows' rows are ever converted to
+    float64, one offset at a time.
     """
-    rows = [i for i, (qid, emissions, _) in enumerate(
-                zip(table["qid"], table["emissions"], batch.correct, strict=True))
-            if emissions and qid in stack]
-    if not rows:
+    matrix, rows_of = stack
+    keep = [i for i, qid in enumerate(inputs["qid"]) if qid in rows_of]
+    if not keep:
         raise AlignmentError("no emitted record has hidden states")
-    qids = [table["qid"][i] for i in rows]
-    x = np.stack([build_features(stack[qid], table, i, window, span_token_count)
-                  for i, qid in zip(rows, qids)])
-    return x, (~batch.correct[rows]).astype(int), qids
+    qids = [inputs["qid"][i] for i in keep]
+    rows, lengths = _window_rows(qids, [inputs["token_index"][i] for i in keep], rows_of,
+                                 window, span_token_count)
+    pooled = matrix[rows[:, 0]].astype(float)
+    for k in range(1, rows.shape[1]):
+        np.add(pooled, matrix[rows[:, k]], out=pooled, where=(lengths > k)[:, None])
+    pooled /= lengths[:, None]
+    return np.hstack([pooled, inputs["scalars"][keep]]), inputs["wrong"][keep], qids
 
 
 @dataclass(frozen=True)
@@ -199,13 +239,9 @@ def auprc(ranking: Ranking) -> float:
     if n_pos == 0 or n_pos == int(rows.sum()):
         raise UndefinedMetric("AUPRC needs both classes")
     tp = np.cumsum(pos[::-1])
-    recall = tp / n_pos
-    area = 0.0
+    steps = np.diff(tp / n_pos, prepend=0.0)
     # one term per threshold, added in curve order (the float sum depends on it)
-    for step, precision in zip(np.diff(recall, prepend=0.0).tolist(),
-                               (tp / np.cumsum(rows[::-1])).tolist()):
-        area += step * precision
-    return area
+    return float(np.cumsum(steps * (tp / np.cumsum(rows[::-1])))[-1])
 
 
 def _trigger_curve(distinct, rows, wrong, thresholds):
@@ -283,9 +319,8 @@ def evaluate(ranking: Ranking, threshold: float) -> dict:
 
 
 def layer_sweep(
-    stacks: Iterable[tuple[int, Mapping[str, np.ndarray]]],
-    table: dict,
-    batch: ScoredBatch,
+    stacks: Iterable[tuple[int, TokenStack]],
+    inputs: dict,
     window: int = DEFAULT_WINDOW,
     span_token_count: int = DEFAULT_SPAN_TOKENS,
     l2: float = DEFAULT_L2,
@@ -295,17 +330,17 @@ def layer_sweep(
     layer, the `evaluate` dict of its model on the dev rows, with its
     `layer` and the split's sizes `n_train` and `n_dev`.
 
-    `stacks` yields (layer, qid -> (tokens x dims) hidden matrix) pairs, such
+    `stacks` yields (layer, hidden matrix and each qid's rows) pairs, such
     as a dict's `items()`. Each layer is fitted before the next pair is
     drawn, so a generator that loads its layers lazily holds about two at a
     time; a layer that fails to load or fit then fails after the layers
-    before it have been fitted. `batch` holds the scores of the rows of the
-    prediction table `table`, which every layer reads; see `examples` for
-    which rows take part. Rows come back sorted by layer index.
+    before it have been fitted. `inputs` are the `emitted` rows of the
+    prediction table that every layer reads; see `examples` for which rows
+    take part. Rows come back sorted by layer index.
     """
     rows = []
     for layer, stack in stacks:
-        x, y, qids = examples(table, batch, stack, window, span_token_count)
+        x, y, qids = examples(inputs, stack, window, span_token_count)
         model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
         rows.append({"layer": layer, **evaluate(dev, model.threshold),
                      "n_train": n_train, "n_dev": n_dev})

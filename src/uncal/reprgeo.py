@@ -15,6 +15,10 @@ Matrices come from `matio.read_matrix`, so they are 2-D.
 KL pairs and their annotations come as the column tables `jsonio.KL_PAIRS`
 and `jsonio.KL_ANNOTATIONS` load: every probability lies in [0,1], and the
 two distributions of a pair have equal lengths and each sum to 1 within 1e-6.
+The KL values of a block of pairs are computed as one 2-D expression per
+length (`paired_rows`, `kl_rows`), a pair per row and one row sum each, as
+the `jsonio.KL_PAIRS` load rule sums a block's distributions; beside the
+loaded lists, they hold one block's arrays.
 The KL floor (`--epsilon`, in (0,1)) and the PCA `--k` (>= 1) come checked
 from the `cli` parser; nothing here checks a value its loader or parser
 has refused already.
@@ -47,16 +51,33 @@ class TokenType(enum.Enum):
     OTHER = "Other"
 
 
-def kl(p: Sequence[float], q: Sequence[float], epsilon: float = KL_EPSILON) -> float:
-    """KL(p || q) of two equal-length vectors, with the reference floored at
-    epsilon so missing support stays finite; 0 * log 0 counts as 0 and tiny
-    negative round-off clips to 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    q_floor = np.maximum(q, epsilon)
-    mask = p > 0.0
-    value = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q_floor[mask]))))
-    return max(value, 0.0)
+def paired_rows(first: Sequence[list], second: Sequence[list]):
+    """(indices, a, b) for each pair of lengths of the list pairs
+    (first[i], second[i]), in order of first appearance: the indices of the
+    pairs of those lengths, and their firsts and their seconds as two float64
+    arrays of a pair per row."""
+    by_lengths: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b) in enumerate(zip(first, second)):
+        by_lengths.setdefault((len(a), len(b)), []).append(i)
+    for rows in by_lengths.values():
+        yield (rows, np.array([first[i] for i in rows], dtype=float),
+               np.array([second[i] for i in rows], dtype=float))
+
+
+def kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float = KL_EPSILON) -> np.ndarray:
+    """KL(p_i || q_i) of each row pair of two (pairs x length) arrays, with
+    the reference floored at epsilon so missing support stays finite;
+    0 * log 0 counts as 0 and tiny negative round-off clips to 0.
+
+    A pair's terms are summed along its row, as `np.sum` sums one vector:
+    where every p > 0 the value is the bits of `np.sum` of that pair's
+    terms. Where some p are 0, the row sums their 0 terms with the others,
+    which regroups numpy's pairwise sum, so the last bits may differ from a
+    sum of the other terms alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, then 0 * -inf
+        terms = p * (np.log(p) - np.log(np.maximum(q, epsilon)))
+    terms[p == 0.0] = 0.0
+    return np.maximum(terms.sum(axis=1), 0.0)
 
 
 def kl_by_type(
@@ -71,20 +92,29 @@ def kl_by_type(
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
     total KL is 0. `epsilon`, the floor of a calibrated probability, lies
-    in (0,1).
+    in (0,1). The KL values are computed `BLOCK_ROWS` pairs at a time, each
+    length's pairs of a block as one `kl_rows` call.
     """
     type_of = {}
     for position, token_type in zip(annotations["position"], annotations["type"]):
         if position in type_of:
             raise ValueError(f"position {position} is annotated twice")
         type_of[position] = token_type
-    groups: dict[TokenType, list[float]] = {}
-    for position, base, calibrated in zip(pairs["position"], pairs["base_probs"],
-                                          pairs["calibrated_probs"]):
+    types = []
+    for position in pairs["position"]:
         if position not in type_of:
             raise ValueError(f"position {position} has no annotation")
-        groups.setdefault(type_of[position], []).append(kl(base, calibrated, epsilon))
-    total = math.fsum(v for values in groups.values() for v in values)
+        types.append(type_of[position])
+    kls = np.empty(len(types))
+    for start in range(0, len(types), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        for rows, base, calibrated in paired_rows(pairs["base_probs"][block],
+                                                  pairs["calibrated_probs"][block]):
+            kls[np.add(rows, start)] = kl_rows(base, calibrated, epsilon)
+    groups: dict[TokenType, list[float]] = {}
+    for token_type, value in zip(types, kls.tolist()):
+        groups.setdefault(token_type, []).append(value)
+    total = math.fsum(kls.tolist())
     out = {}
     for token_type, values in groups.items():
         mass = math.fsum(values)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import math
 
+# before numpy, as the `uncal` command imports it: importing `uncal` pins one
+# BLAS thread, which a numpy already loaded would not take up
+from uncal import cli, jsonio, ragctl  # isort: skip
+from uncal.errors import UncalError  # isort: skip
+
 import numpy as np
 import pytest
-
-from uncal import cli, jsonio, ragctl
-from uncal.errors import UncalError
 
 
 def load(kind: jsonio.LineKind, lines) -> dict:
@@ -169,6 +171,21 @@ def planted_stack(
                 mat[lo:hi, 0] += separation
             stacks[layer][qid] = mat
     return predictions(lines), stacks
+
+
+def token_stack(stack: dict) -> tuple[np.ndarray, dict]:
+    """The layer `cli._load_token_stack` reads for the qid -> (tokens x dims)
+    matrices `stack`: their rows stacked qid after qid, and each qid's slice."""
+    rows, start = {}, 0
+    for qid, values in stack.items():
+        rows[qid] = slice(start, start + len(values))
+        start += len(values)
+    return np.concatenate(list(stack.values())), rows
+
+
+def token_stacks(stacks: dict) -> dict:
+    """`token_stack` of each layer's matrices of `stacks`, by layer."""
+    return {layer: token_stack(stack) for layer, stack in stacks.items()}
 
 
 def outcome(run):

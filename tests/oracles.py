@@ -604,6 +604,35 @@ def oracle_annotate_record(record, f1_threshold=0.3):
                    match=oracle_match_record(record, f1_threshold))
 
 
+def oracle_step_auprc(ranking) -> float:
+    """`probe.auprc` as it was when it added the area of each threshold in a
+    Python loop, in curve order."""
+    import numpy as np
+
+    _, rows, pos = ranking
+    n_pos = int(pos.sum())
+    tp = np.cumsum(pos[::-1])
+    recall = tp / n_pos
+    area = 0.0
+    for step, precision in zip(np.diff(recall, prepend=0.0).tolist(),
+                               (tp / np.cumsum(rows[::-1])).tolist()):
+        area += step * precision
+    return area
+
+
+def oracle_kl(p, q, epsilon=1e-9) -> float:
+    """`reprgeo.kl` of one pair, as it was before a block of pairs was one
+    2-D expression: the sum of the terms of its positive base probabilities."""
+    import numpy as np
+
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    q_floor = np.maximum(q, epsilon)
+    mask = p > 0.0
+    value = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q_floor[mask]))))
+    return max(value, 0.0)
+
+
 def oracle_linear_cka(x, y) -> float:
     """`reprgeo.linear_cka` as it was when it centred a float64 copy of each
     whole input in place and built each product from the whole copies."""

@@ -31,6 +31,7 @@ from conftest import (
     rows as table_rows,
     run_policy,
     sweep_threshold,
+    token_stacks,
 )
 from oracles import (
     oracle_auprc,
@@ -258,7 +259,8 @@ def test_ats_dominance():
 def test_probe_planted_signal_sweep():
     rng = np.random.default_rng(SEED)
     records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=600)
-    rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
+    rows = probe.layer_sweep(token_stacks(stacks).items(),
+                             probe.emitted(records, score_predictions(records)), seed=0)
     by_layer = {r["layer"]: r["auroc"] for r in rows}
     assert max(by_layer, key=by_layer.get) == 8
     assert by_layer[8] >= 0.95

@@ -260,6 +260,12 @@ class TestExitCodes:
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", str(out)]) == 0
 
 
+def qid_matrices(path) -> dict:
+    """qid -> (tokens x dims) matrix of the layer file `path`, row t its token t."""
+    values, rows = _load_token_stack(path)
+    return {qid: values[qid_rows] for qid, qid_rows in rows.items()}
+
+
 class TestTokenStack:
     @staticmethod
     def write_layer(path, ids):
@@ -273,7 +279,7 @@ class TestTokenStack:
         values = self.write_layer(
             path, [{"qid": "a", "token_index": 1}, {"qid": "a", "token_index": 0}]
         )
-        np.testing.assert_array_equal(_load_token_stack(path)["a"], values[[1, 0]])
+        np.testing.assert_array_equal(qid_matrices(path)["a"], values[[1, 0]])
 
     def test_gap_rejected(self, tmp_path):
         # an emission at token 2 would otherwise read token 3's hidden state
@@ -297,7 +303,7 @@ class TestTokenStack:
     def test_missing_token_index_uses_position_within_qid(self, tmp_path):
         path = tmp_path / "layer_0.mat"
         values = self.write_layer(path, [{"qid": q} for q in ("a", "b", "a", "b", "b")])
-        stack = _load_token_stack(path)
+        stack = qid_matrices(path)
         np.testing.assert_array_equal(stack["a"], values[[0, 2]])
         np.testing.assert_array_equal(stack["b"], values[[1, 3, 4]])
 
@@ -314,12 +320,12 @@ class TestTokenStack:
             matio.write_row_ids(str(path) + ".ids.jsonl",
                                 [ids[i] for i in order] if k == 2 else ids)
         reads = count_calls(monkeypatch, matio, "read_row_ids")
-        swept = [_load_token_stack(tmp_path / f"layer_{k}.mat") for k in range(4)]
+        swept = [qid_matrices(tmp_path / f"layer_{k}.mat") for k in range(4)]
         assert len(reads) == 2  # layers 1 and 3 reuse layer 0's rows by content
         alone = []
         for k in range(4):
             cli._CACHE.clear()
-            alone.append(_load_token_stack(tmp_path / f"layer_{k}.mat"))
+            alone.append(qid_matrices(tmp_path / f"layer_{k}.mat"))
         for stack, single in zip(swept, alone):
             assert list(stack) == list(single)
             for qid in single:
@@ -328,21 +334,24 @@ class TestTokenStack:
             np.testing.assert_array_equal(swept[2][qid], swept[0][qid])
 
     def test_in_order_and_shuffled_sidecars_give_equal_stacks(self, tmp_path):
-        # rows listed qid by qid in token order become views of the layer's
-        # matrix; the same rows shuffled are gathered into copies
+        # rows listed qid by qid in token order are slices of the layer's
+        # matrix; the same rows shuffled are arrays of row indices
         ids = [{"qid": q, "token_index": t} for q in ("a", "b", "c") for t in range(3)]
         order = [4, 0, 8, 2, 6, 1, 3, 7, 5]
         values = np.random.default_rng(1).normal(size=(9, 2)).astype(np.float32)
         for name, rows in (("in_order", list(range(9))), ("shuffled", order)):
             matio.write_matrix(tmp_path / f"{name}.mat", values[rows])
             matio.write_row_ids(tmp_path / f"{name}.mat.ids.jsonl", [ids[i] for i in rows])
-        in_order = _load_token_stack(tmp_path / "in_order.mat")
-        shuffled = _load_token_stack(tmp_path / "shuffled.mat")
+        in_order = qid_matrices(tmp_path / "in_order.mat")
+        shuffled = qid_matrices(tmp_path / "shuffled.mat")
         assert sorted(in_order) == sorted(shuffled) == ["a", "b", "c"]
         for qid in in_order:
             np.testing.assert_array_equal(in_order[qid], shuffled[qid])
-            assert not in_order[qid].flags.owndata
-            assert shuffled[qid].flags.owndata
+        assert _load_token_stack(tmp_path / "in_order.mat")[1] == {
+            "a": slice(0, 3), "b": slice(3, 6), "c": slice(6, 9)}
+        shuffled_rows = _load_token_stack(tmp_path / "shuffled.mat")[1]
+        assert {qid: rows.tolist() for qid, rows in shuffled_rows.items()} == {
+            "a": [1, 5, 3], "b": [6, 0, 8], "c": [4, 7, 2]}
 
     def test_reused_sidecar_still_checked_against_each_layer(self, tmp_path):
         ids = [{"qid": "a", "token_index": t} for t in (1, 0)]
@@ -659,10 +668,12 @@ assert main(["probe", "sweep", "--hidden", "hidden", "--preds", "hidden/preds.js
 """
 
 
-def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
     # at 4800 x 256 a float64 product split over two BLAS threads changes
     # the last bits of all three outputs unless `uncal` pins one thread;
-    # `probe sweep` scores each row alone, and fits through the same pin
+    # `probe sweep` scores each row alone, and fits through the same pin.
+    # This process runs the commands too: `conftest.py` imports `uncal`
+    # before numpy, so the in-process tests get the command's one thread
     write_hidden_dir(tmp_path / "hidden", n=400, dims=64)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4800, 256))
@@ -681,8 +692,14 @@ def test_repr_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-c", _REPR_SCRIPT, str(out)], cwd=tmp_path,
                        env=env, check=True, timeout=300)
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    here = tmp_path / "in_process"
+    here.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["-c", str(here)])
+    exec(_REPR_SCRIPT, {})
+    outputs["in process"] = {p.name: p.read_bytes() for p in sorted(here.iterdir())}
     assert sorted(outputs["1"]) == ["cka.json", "drift.json", "pca.csv", "pca.json", "sweep.json"]
-    assert outputs[None] == outputs["1"] == outputs["2"]
+    assert outputs[None] == outputs["1"] == outputs["2"] == outputs["in process"]
 
 
 class TestMatrixMemory:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from uncal import cli, jsonio, matio, probe, recal
 from uncal.errors import AlignmentError, IoError, ShapeError
-from uncal.rewards import MatchRule
+from uncal.rewards import MatchRule, score_predictions
 
 from conftest import count_calls, emission, prediction, predictions
 from oracles import TokenDistPair, oracle_read_table
@@ -467,13 +467,14 @@ def test_block_reader_equals_the_per_line_reader(mix, block):
 
 
 _PROBS = st.lists(st.floats(0, 1), max_size=4)
+# half the draws normalized, so that sums lie on both sides of 1 +- 1e-6
+_PAIR = st.tuples(_PROBS, _PROBS, st.booleans()).map(
+    lambda d: [[v / sum(p) for v in p] if d[2] and sum(p) > 0 else p for p in d[:2]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(_PROBS, _PROBS, st.booleans()).map(
-    lambda d: [[v / sum(p) for v in p] if d[2] and sum(p) > 0 else p for p in d[:2]]))
+@given(_PAIR)
 def test_the_kl_pair_rule_refuses_what_the_pair_class_refused(pair):
-    # half the draws normalized, so that sums lie on both sides of 1 +- 1e-6
     base, calibrated = pair
     line = json.dumps({"position": 0, "base_probs": base, "calibrated_probs": calibrated})
     _, errors, _ = jsonio.read_lines([line], jsonio.KL_PAIRS)
@@ -483,6 +484,29 @@ def test_the_kl_pair_rule_refuses_what_the_pair_class_refused(pair):
     except (ValueError, ShapeError) as exc:
         want = [(1, str(exc))]
     assert errors == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAIR, max_size=40), st.sampled_from([1, 3, 7, jsonio.BLOCK_LINES]))
+def test_the_kl_pair_rule_refuses_each_pair_of_a_mixed_block_as_it_would_alone(pairs, block):
+    # a block's pairs of each pair of lengths are summed together: the
+    # refusals, and their order, are those of each pair read by itself
+    lines = [json.dumps({"position": i, "base_probs": base, "calibrated_probs": calibrated})
+             for i, (base, calibrated) in enumerate(pairs)]
+    saved, jsonio.BLOCK_LINES = jsonio.BLOCK_LINES, block
+    try:
+        table, errors, _ = jsonio.read_lines(lines, jsonio.KL_PAIRS)
+    finally:
+        jsonio.BLOCK_LINES = saved
+    want = []
+    for i, (base, calibrated) in enumerate(pairs, start=1):
+        try:
+            TokenDistPair(0, base, calibrated)
+        except (ValueError, ShapeError) as exc:
+            want.append((i, str(exc)))
+    assert errors == want
+    assert table["position"] == [i - 1 for i in range(1, len(pairs) + 1)
+                                 if i not in dict(want)]
 
 
 # every table by its name in `jsonio`, nested ones included
@@ -620,21 +644,33 @@ def test_loading_predictions_peaks_at_most_as_the_per_line_reader_did(tmp_path):
 
 
 def test_probe_features_convert_only_the_window(tmp_path):
-    hidden = np.random.default_rng(0).normal(size=(2000, 256)).astype(np.float32)
-    record = predictions([prediction("q", ("a",), "x" * 3000, emissions=[emission(1500, 1000)],
-                                     response_token_count=2000)])
-    want = np.concatenate([hidden[996:1005].astype(float).mean(axis=0), [2000.0, 1.0, 0.5]])
-    probe.build_features(hidden, record, 0, 4, 1)  # warm
+    # 50 qids of 40 tokens in one 2000 x 256 float32 layer; one example each
+    n, tokens, dims = 50, 40, 256
+    hidden = np.random.default_rng(0).normal(size=(n * tokens, dims)).astype(np.float32)
+    firsts = [(7 * i) % tokens for i in range(n)]
+    table = predictions([prediction(f"q{i}", ("a",), "x" * 3000,
+                                    emissions=[emission(1500, first)],
+                                    response_token_count=tokens)
+                         for i, first in enumerate(firsts)])
+    inputs = probe.emitted(table, score_predictions(table))
+    stack = hidden, {f"q{i}": slice(i * tokens, (i + 1) * tokens) for i in range(n)}
+    want = np.stack([np.concatenate([hidden[i * tokens + max(0, first - 4):
+                                            i * tokens + min(tokens, first + 5)]
+                                     .astype(float).mean(axis=0), [tokens, 1.0, 0.5]])
+                     for i, first in enumerate(firsts)])
+    probe.examples(inputs, stack, 4, 1)  # warm
     tracemalloc.start()
     try:
-        got = probe.build_features(hidden, record, 0, 4, 1)
+        got, _, _ = probe.examples(inputs, stack, 4, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
-    # converting the whole matrix peaked at 4.1 MB; the 9 rows averaged take 18 kB
-    window = 9 * 256 * 8
-    assert peak <= 2 * window, peak
+    # in units of an (examples x dims) float64 matrix: the accumulator with
+    # one offset's float32 rows, then the features made of it (2.3 units
+    # measured); converting the whole layer would take 40 units
+    unit = n * dims * 8
+    assert peak <= 2.6 * unit, peak / unit
 
 
 # ---------------------------------------------------------------------------

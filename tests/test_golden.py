@@ -4,9 +4,10 @@
 `perfbench/gen.py` at `--size tiny` with seed 1 and runs its session through
 `uncal.cli.main`, with each step's planted check. Here it runs once, into a
 temporary directory, and every output file must equal the committed bytes
-under `tests/data/golden/<workload>/`. It runs in its own interpreter, which
-imports `uncal` before numpy: this one has imported numpy first, so its BLAS
-may run more threads, which change the last digits of `repr drift`. The last
+under `tests/data/golden/<workload>/`. It runs the script as it is run to
+write the bytes, in its own interpreter with an empty cache of derived inputs;
+like this one (see `conftest.py`), that interpreter imports `uncal` before
+numpy, so its BLAS runs the one thread the `uncal` command runs. The last
 bits of a float can depend on the numpy build, so where numpy, its BLAS or the
 machine differ from those the bytes came from (`versions.json`), the test
 skips.

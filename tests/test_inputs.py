@@ -1,10 +1,10 @@
 """The per-process cache of derived inputs and `uncal run --plan`.
 
-A command reads what it derives from an input file (scored columns, a
-sidecar's row order) from `cli._CACHE` when an earlier command in the same
-process read the same bytes. Every test here compares a command's stdout,
-stderr, exit code and files with the same command run with an empty cache,
-or in a fresh interpreter.
+A command reads what it derives from an input file (scored columns, the
+probe's emitted rows, a sidecar's row order) from `cli._CACHE` when an
+earlier command in the same process read the same bytes. Every test here
+compares a command's stdout, stderr, exit code and files with the same
+command run with an empty cache, or in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -235,9 +235,12 @@ class TestMemoryRule:
         arrays += [batch.confidence, batch.correct, batch.marked]
         assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"), "--preds",
                      str(preds), "--layers", "0,8", "--out", out]) == 0
-        count, order, fault = next(iter(cli._CACHE.values()))[0]
+        entries = {key[0]: value for key, (value, _) in cli._CACHE.items()}
+        assert entries.keys() == {"probe", "rows"}
+        count, order, fault = entries["rows"]
         arrays += [rows for rows in order.values() if isinstance(rows, np.ndarray)]
         assert count > 0 and fault is None
+        arrays += [entries["probe"]["scalars"], entries["probe"]["wrong"]]
         assert all(not a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             scored.noret.correct[0] = not scored.noret.correct[0]
@@ -255,6 +258,49 @@ class TestMemoryRule:
              "--preds", str(preds), "--out", str(tmp_path / "e.json")],
         ]))]) == 0
         assert len(reads) == 1
+
+
+def test_probe_commands_on_one_predictions_file_parse_it_once(tmp_path, monkeypatch, capsys):
+    # a rejected line, reported by every command that reads the file
+    preds = write_hidden_dir(tmp_path / "hidden")
+    with open(preds, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(GOOD_PRED | {"verbal_confidence": 1.5}) + "\n")
+    rejected = len(preds.read_text().splitlines())
+    layer = str(tmp_path / "hidden" / "layer_8.mat")
+    steps = [
+        ["probe", "sweep", "--hidden", str(tmp_path / "hidden"), "--preds", str(preds),
+         "--layers", "0,8", "--out", "{out}/s.json"],
+        ["probe", "fit", "--hidden", layer, "--preds", str(preds), "--layer", "8",
+         "--out", "{out}/m.json"],
+        ["probe", "eval", "--model", "{out}/m.json", "--hidden", layer, "--preds", str(preds),
+         "--out", "{out}/e.json"],
+    ]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for argv in steps:
+        cli._CACHE.clear()
+        assert main(_argv(argv, alone)) == 0
+    want = capsys.readouterr()
+    planned = tmp_path / "planned"
+    planned.mkdir()
+    cli._CACHE.clear()
+    loads = count_calls(monkeypatch, jsonio, "load_predictions")
+    assert main(["run", "--plan", str(_plan(tmp_path / "plan.jsonl",
+                                            [_argv(argv, planned) for argv in steps]))]) == 0
+    assert [args[0] for args in loads] == [str(preds)]
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert got.err.count(f"{preds}:{rejected}: ") == 3
+    # the model's path, in the eval report's config, names its directory
+    assert ({name: data.replace(str(planned).encode(), b"{out}")
+             for name, data in _outcome(0, "", "", planned)[3].items()}
+            == {name: data.replace(str(alone).encode(), b"{out}")
+                for name, data in _outcome(0, "", "", alone)[3].items()})
+    # other bytes: derived again, under their own digest
+    preds.write_text(preds.read_text().replace('"qid":"p', '"qid":"x'), encoding="utf-8")
+    assert main(_argv(steps[1], planned)) == 1  # no qid of the file has hidden states
+    assert len(loads) == 2
+    assert "no emitted record has hidden states" in capsys.readouterr().err
 
 
 def _fifo_feed(path: Path, data: bytes) -> threading.Thread:

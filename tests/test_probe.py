@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uncal import matio, optim, probe
 from uncal.errors import (
@@ -16,8 +18,22 @@ from uncal.errors import (
 from uncal.reprgeo import BLOCK_ROWS
 from uncal.rewards import score_predictions
 
-from conftest import emission, planted_stack, prediction, predictions, rows
-from oracles import oracle_auprc, oracle_auroc, oracle_logistic_gd, oracle_tune_threshold
+from conftest import (
+    emission,
+    planted_stack,
+    prediction,
+    predictions,
+    rows,
+    token_stack,
+    token_stacks,
+)
+from oracles import (
+    oracle_auprc,
+    oracle_auroc,
+    oracle_logistic_gd,
+    oracle_step_auprc,
+    oracle_tune_threshold,
+)
 
 
 def emitted_record(token_index, tokens=10, text_pos=5, text=None):
@@ -29,16 +45,26 @@ def emitted_record(token_index, tokens=10, text_pos=5, text=None):
                                    response_token_count=tokens)])
 
 
+def features(hidden, table, window=probe.DEFAULT_WINDOW, span=probe.DEFAULT_SPAN_TOKENS):
+    """The feature row of the one-row prediction table `table`, whose qid's
+    hidden states are the rows of `hidden`."""
+    inputs = probe.emitted(table, score_predictions(table))
+    x, _, _ = probe.examples(inputs, token_stack({table["qid"][0]: hidden}), window, span)
+    return x[0]
+
+
 class TestBuildFeatures:
+    """The features of one example, by `probe.examples`."""
+
     def test_window_zero_single_token(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
-        features = probe.build_features(hidden, emitted_record(3), 0, window=0)
-        np.testing.assert_array_equal(features[:-3], hidden[3])
+        np.testing.assert_array_equal(features(hidden, emitted_record(3), window=0)[:-3],
+                                      hidden[3])
 
     def test_left_clip_at_sequence_start(self):
         hidden = np.arange(40, dtype=float).reshape(10, 4)
-        features = probe.build_features(hidden, emitted_record(0), 0, window=3)
-        np.testing.assert_allclose(features[:-3], hidden[0:4].mean(axis=0))
+        np.testing.assert_allclose(features(hidden, emitted_record(0), window=3)[:-3],
+                                   hidden[0:4].mean(axis=0))
 
     def test_hand_mean_two_token_span(self):
         hidden = np.zeros((8, 2))
@@ -46,17 +72,15 @@ class TestBuildFeatures:
         hidden[3] = (0.0, 1.0)
         hidden[4] = (2.0, 2.0)
         hidden[5] = (1.0, 3.0)
-        features = probe.build_features(
-            hidden, emitted_record(3), 0, window=1, span_token_count=2
-        )
-        np.testing.assert_allclose(features[:-3], hidden[2:6].mean(axis=0))
+        np.testing.assert_allclose(features(hidden, emitted_record(3), window=1, span=2)[:-3],
+                                   hidden[2:6].mean(axis=0))
 
     def test_scalars(self):
         hidden = np.ones((10, 3))
         record = emitted_record(4)
-        features = probe.build_features(hidden, record, 0, window=1)
-        assert features.shape == (6,)
-        count, emissions, fraction = features[-3:]
+        row = features(hidden, record, window=1)
+        assert row.shape == (6,)
+        count, emissions, fraction = row[-3:]
         assert count == 10.0 and emissions == 1.0
         assert fraction == pytest.approx(5 / len(record["response_text"][0]))
 
@@ -67,17 +91,35 @@ class TestBuildFeatures:
         # the first emission's position over the response length; 0 for an
         # empty response, where position 0 is the one an emission may take
         record = emitted_record(0, text_pos=position, text=text)
-        assert probe.build_features(np.ones((2, 1)), record, 0)[-1] == fraction
+        assert features(np.ones((2, 1)), record)[-1] == fraction
 
     def test_missing_token_index(self):
         record = predictions([prediction("q", ("a",), "<uncertain>\nAnswer: a",
                                          emissions=[emission(0)])])
-        with pytest.raises(AlignmentError):
-            probe.build_features(np.ones((4, 2)), record, 0)
+        with pytest.raises(AlignmentError, match="'q': first emission has no token index"):
+            features(np.ones((4, 2)), record)
 
     def test_out_of_bounds_token_index(self):
-        with pytest.raises(AlignmentError):
-            probe.build_features(np.ones((4, 2)), emitted_record(9, tokens=10), 0)
+        with pytest.raises(AlignmentError, match="'q': emission token 9 outside 0..3"):
+            features(np.ones((4, 2)), emitted_record(9, tokens=10))
+
+    @pytest.mark.parametrize("window, span", [(10**30, 1), (0, 10**30), (2**63, 2**63)])
+    def test_a_reach_beyond_every_sequence_clips_to_it(self, window, span):
+        # the window and span are Python ints of any size, as the parser reads them
+        hidden = np.arange(20, dtype=float).reshape(5, 4)
+        lo = 0 if window else 2
+        np.testing.assert_array_equal(
+            features(hidden, emitted_record(2), window=window, span=span)[:-3],
+            hidden[lo:].mean(axis=0))
+
+    def test_the_first_refused_example_in_row_order_is_named(self):
+        table = predictions([
+            prediction(qid, ("a",), "<uncertain>\nAnswer: a", emissions=[emission(0, token)])
+            for qid, token in (("ok", 1), ("far", 7), ("none", None))])
+        inputs = probe.emitted(table, score_predictions(table))
+        stack = token_stack({qid: np.ones((3, 2)) for qid in ("ok", "far", "none")})
+        with pytest.raises(AlignmentError, match="'far': emission token 7 outside 0..2"):
+            probe.examples(inputs, stack)
 
 
 class TestSigmoid:
@@ -243,6 +285,16 @@ class TestRankMetrics:
             )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1e6, 1e6),
+                          st.booleans()), min_size=2, max_size=300))
+def test_auprc_equals_the_former_loop(rows):
+    scores, labels = zip(*rows)
+    assume(0 < sum(labels) < len(labels))
+    ranking = probe.ranked(scores, np.array(labels, dtype=int))
+    assert probe.auprc(ranking) == oracle_step_auprc(ranking)
+
+
 class TestTuneThreshold:
     def fitted_model(self):
         rng = np.random.default_rng(6)
@@ -323,32 +375,52 @@ class TestExamples:
         records = predictions(lines)
         stack = {qid: m for qid, m in stacks[0].items() if qid != records["qid"][2]}
         batch = score_predictions(records)
-        x, wrong, qids = probe.examples(records, batch, stack)
+        x, wrong, qids = probe.examples(probe.emitted(records, batch), token_stack(stack))
         kept = [(i, ok) for i, (r, ok) in enumerate(zip(rows(records), batch.correct))
                 if r["emissions"] and r["qid"] in stack]
         assert qids == [records["qid"][i] for i, _ in kept] and len(qids) == 29
         assert wrong.tolist() == [0 if ok else 1 for _, ok in kept]
-        np.testing.assert_array_equal(x, np.stack([
-            probe.build_features(stack[records["qid"][i]], records, i) for i, _ in kept]))
+        for row, (i, _) in zip(x, kept):
+            one = predictions([rows(records)[i]])
+            np.testing.assert_array_equal(row, features(stack[records["qid"][i]], one))
 
     def test_no_example_rejected(self):
         records = predictions([prediction("q", ("a",), "Answer: a")])
         with pytest.raises(AlignmentError):
-            probe.examples(records, score_predictions(records), {"q": np.ones((3, 2))})
+            probe.examples(probe.emitted(records, score_predictions(records)),
+                           token_stack({"q": np.ones((3, 2))}))
+
+    def test_emitted_takes_only_the_emitted_rows(self):
+        records = predictions([
+            prediction("a", ("x",), "<uncertain> y\nAnswer: x", emissions=[emission(0, 2)],
+                       response_token_count=7),
+            prediction("b", ("x",), "Answer: x"),
+            prediction("c", ("x",), "<uncertain>\nAnswer: z", emissions=[emission(0)]),
+        ])
+        inputs = probe.emitted(records, score_predictions(records))
+        assert inputs["qid"] == ["a", "c"] and inputs["token_index"] == [2, None]
+        assert inputs["wrong"].tolist() == [0, 1]
+        assert inputs["scalars"].tolist() == [[7.0, 1.0, 0.0], [3.0, 1.0, 0.0]]
+
+
+def sweep_inputs(records: dict) -> dict:
+    """The `probe.emitted` rows of `records`, as `probe sweep` scores them."""
+    return probe.emitted(records, score_predictions(records))
 
 
 class TestLayerSweep:
     def test_planted_signal_peaks_at_its_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=320)
-        rows = probe.layer_sweep(stacks.items(), records, score_predictions(records), seed=0)
+        rows = probe.layer_sweep(token_stacks(stacks).items(), sweep_inputs(records), seed=0)
         by_layer = {r["layer"]: r for r in rows}
         assert max(by_layer, key=lambda k: by_layer[k]["auroc"]) == 8
         assert by_layer[8]["auroc"] >= 0.95
 
     def test_identical_stacks_give_identical_metrics(self, rng):
         records, stacks = planted_stack(rng, layers=(0,), signal_layer=0, n=200)
-        cloned = {0: stacks[0], 4: stacks[0], 9: stacks[0]}
-        rows = probe.layer_sweep(cloned.items(), records, score_predictions(records), seed=0)
+        layer = token_stack(stacks[0])
+        cloned = {0: layer, 4: layer, 9: layer}
+        rows = probe.layer_sweep(cloned.items(), sweep_inputs(records), seed=0)
         first = rows[0]
         for row in rows[1:]:
             assert (row["auroc"], row["auprc"], row["precision"], row["recall"], row["f1"]) == (
@@ -357,8 +429,9 @@ class TestLayerSweep:
 
     def test_rows_sorted_by_layer(self, rng):
         records, stacks = planted_stack(rng, layers=(0, 8), signal_layer=8, n=200)
-        rows = probe.layer_sweep({8: stacks[8], 0: stacks[0]}.items(), records,
-                                 score_predictions(records), seed=0)
+        layers = token_stacks(stacks)
+        rows = probe.layer_sweep({8: layers[8], 0: layers[0]}.items(), sweep_inputs(records),
+                                 seed=0)
         assert [r["layer"] for r in rows] == [0, 8]
 
 

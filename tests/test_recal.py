@@ -214,8 +214,8 @@ class TestAts:
                                        {"response_token_count": 7}])])
         lengths = recal._feature_rows(table, np.ones(3, dtype=bool), np.zeros(3))[:, 1]
         assert lengths.tolist() == [0.0, 3.0, 7.0]
-        assert lengths.tolist() == [probe.build_features(np.zeros((1, 1)), table, i, 0, 1)[-3]
-                                    for i in range(3)]
+        inputs = probe.emitted(table, score_predictions(table))
+        assert lengths.tolist() == inputs["scalars"][:, 0].tolist()
 
 
 def recal_ptrue(tmp_path, lines) -> dict:

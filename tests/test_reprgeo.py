@@ -12,6 +12,7 @@ from uncal.reprgeo import TokenType
 
 from oracles import (
     oracle_embedding_drift_report,
+    oracle_kl,
     oracle_frobenius_drift,
     oracle_linear_cka,
     oracle_pca,
@@ -19,16 +20,22 @@ from oracles import (
 )
 
 
+def kl(p, q, epsilon=reprgeo.KL_EPSILON) -> float:
+    """`reprgeo.kl_rows` of the one pair (p, q)."""
+    return float(reprgeo.kl_rows(np.array([p], dtype=float), np.array([q], dtype=float),
+                                 epsilon)[0])
+
+
 class TestKl:
     def test_identical_distributions(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert reprgeo.kl(p, p) == 0.0
+        assert kl(p, p) == 0.0
 
     def test_hand_value(self):
-        assert reprgeo.kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_reference_smoothed_finite(self):
-        value = reprgeo.kl([0.5, 0.5], [1.0, 0.0], epsilon=1e-9)
+        value = kl([0.5, 0.5], [1.0, 0.0], epsilon=1e-9)
         assert np.isfinite(value) and value > 5.0
 
     def test_nonnegative_on_random_pairs(self, rng):
@@ -36,7 +43,37 @@ class TestKl:
             n = int(rng.integers(2, 30))
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(n))
-            assert reprgeo.kl(p, q) >= 0.0
+            assert kl(p, q) >= 0.0
+
+
+# below numpy's 8-way unrolled sum, at it, within one pairwise block, and above it
+_KL_LENGTHS = st.sampled_from([1, 2, 5, 7, 8, 9, 16, 64, 127, 128, 129, 200, 300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), _KL_LENGTHS, st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]), st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_kl_rows_equal_the_per_pair_kl(pairs, length, seed, zeros, epsilon):
+    # a row whose base probabilities are all > 0 sums the terms the former
+    # code summed, in its order; where some are 0, the row also sums their 0
+    # terms, which regroups numpy's pairwise sum: there the difference stays
+    # within the error bound of summing the terms in any order, twice over
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(length, 0.3), size=pairs)
+    q = rng.dirichlet(np.full(length, 0.3), size=pairs)
+    p[rng.random(p.shape) < zeros / 2] = 0.0
+    q[rng.random(q.shape) < zeros / 2] = 0.0
+    got = reprgeo.kl_rows(p, q, epsilon)
+    for row, value in zip(range(pairs), got.tolist()):
+        want = oracle_kl(p[row], q[row], epsilon)
+        if (p[row] > 0).all():
+            assert value == want
+        else:
+            mask = p[row] > 0
+            terms = p[row][mask] * (np.log(p[row][mask])
+                                    - np.log(np.maximum(q[row][mask], epsilon)))
+            bound = 2 * length * np.finfo(float).eps * float(np.abs(terms).sum())
+            assert abs(value - want) <= bound
 
 
 def _pairs(*rows):
@@ -102,6 +139,25 @@ class TestKlByType:
         pairs = _pairs((0, [1, 0], [0.5, 0.5]))
         with pytest.raises(ValueError, match="position 0 has no annotation"):
             reprgeo.kl_by_type(pairs, _annotations())
+
+
+def test_kl_by_type_equals_the_per_pair_values_over_blocks_of_mixed_lengths(rng):
+    # two and a half blocks, each holding pairs of several lengths in turn
+    count = 2 * reprgeo.BLOCK_ROWS + reprgeo.BLOCK_ROWS // 2
+    lengths = rng.choice([1, 3, 8, 40, 129], size=count)
+    base = [rng.dirichlet(np.ones(n)).tolist() for n in lengths]
+    calibrated = [rng.dirichlet(np.ones(n)).tolist() for n in lengths]
+    types = list(TokenType)
+    annotations = {"position": list(range(count))[::-1],
+                   "type": [types[i % 5] for i in range(count)][::-1]}
+    table = reprgeo.kl_by_type({"position": list(range(count)), "base_probs": base,
+                                "calibrated_probs": calibrated}, annotations, 1e-6)
+    values = [oracle_kl(p, q, 1e-6) for p, q in zip(base, calibrated)]
+    groups = {token_type: values[i::5] for i, token_type in enumerate(types[:5])}
+    total = math.fsum(values)
+    assert table == {token_type: {"count": len(group), "mean_kl": math.fsum(group) / len(group),
+                                  "mass_fraction": math.fsum(group) / total}
+                     for token_type, group in groups.items()}
 
 
 class TestLinearCka:

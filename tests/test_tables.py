@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, probe, ragctl, recal, rewards
+from uncal import cli, jsonio, probe, ragctl, recal, rewards
 from uncal.rewards import MatchRule, score_predictions
 
 from conftest import prediction, predictions, rows, trace, traces
@@ -72,14 +72,43 @@ def assert_ats_design_equal(table: dict) -> None:
     assert_same(recal._feature_rows(table, usable, logits), want)
 
 
-def assert_examples_equal(table: dict, stack: dict, window: int, span: int) -> None:
+def assert_examples_equal(table: dict, stack: dict, window: int, span: int,
+                          order: str = "in order", seed: int = 0) -> None:
+    """`probe.examples` of `table` over a layer holding the qid -> matrix
+    `stack`, its sidecar listing the rows in `order` (see `_layer`), equal
+    the former per-record features bit for bit."""
     batch = score_predictions(table)
-    x, labels, qids = probe.examples(table, batch, stack, window, span)
+    x, labels, qids = probe.examples(probe.emitted(table, batch), _layer(stack, order, seed),
+                                     window, span)
     want_x, want_labels, want_qids = oracle_examples(
         prediction_records(table), batch.correct.tolist(), stack, window, span)
     assert_same(x, want_x)
     assert_same(labels, want_labels)
     assert qids == want_qids
+
+
+_ORDERS = ("in order", "tokens reversed", "interleaved", "shuffled")
+
+
+def _layer(stack: dict, order: str, seed: int):
+    """The layer `cli._load_token_stack` reads where the sidecar lists the
+    tokens of the qid -> matrix `stack` qid by qid `in order`, each qid's
+    `tokens reversed`, `interleaved` token by token across the qids, or
+    `shuffled`: each qid's rows a slice of the matrix where they are
+    contiguous and in order, an array of row indices otherwise."""
+    ids = [(qid, token) for qid, values in stack.items() for token in range(len(values))]
+    if order == "tokens reversed":
+        ids = [(qid, token) for qid, values in stack.items()
+               for token in reversed(range(len(values)))]
+    elif order == "interleaved":
+        ids.sort(key=lambda row: row[1])
+    elif order == "shuffled":
+        ids = [ids[i] for i in np.random.default_rng(seed).permutation(len(ids))]
+    matrix = np.array([stack[qid][token] for qid, token in ids])
+    count, rows, fault = cli._token_rows({"qid": [qid for qid, _ in ids],
+                                          "token_index": [token for _, token in ids]})
+    assert count == len(matrix) and fault is None
+    return matrix, rows
 
 
 def _matched(table: dict, f1_threshold: float) -> dict:
@@ -116,7 +145,8 @@ def test_fixture_examples():
     stack = {qid: rng.normal(size=(6, 4)).astype(np.float32) for qid in table["qid"][::2]}
     stack.update({qid: rng.normal(size=(6, 4)) for qid in table["qid"][1::2]})
     for window, span in ((0, 1), (1, 2), (4, 1)):
-        assert_examples_equal(table, stack, window, span)
+        for order in _ORDERS:
+            assert_examples_equal(table, stack, window, span, order)
 
 
 # answers and gold answers from a pool that reaches every match rule
@@ -172,16 +202,22 @@ def test_drawn_ats_design(lines):
     assert_ats_design_equal(predictions(lines))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_prediction_lines(emitted=True), st.integers(0, 2**32 - 1), st.integers(0, 3),
-       st.integers(1, 3))
-def test_drawn_examples(lines, seed, window, span):
+       st.integers(1, 3), st.sampled_from(_ORDERS), st.sampled_from([2, 3, 7]),
+       st.sampled_from([np.float32, np.float64]))
+def test_drawn_examples(lines, seed, window, span, order, dims, dtype):
+    # window 0, spans past the first token, windows clipped at either end of
+    # sequences of 1 to 12 tokens (each longer than its first emission), and
+    # sidecars that list a qid's rows out of token order or apart
     table = predictions(lines)
     rng = np.random.default_rng(seed)
+    firsts = {qid: events[0]["token_index"] for qid, events in zip(table["qid"],
+                                                                    table["emissions"])}
     # the first row always has hidden states, the others at random
-    stack = {qid: rng.normal(size=(_TOKENS, 3)) for i, qid in enumerate(table["qid"])
-             if i == 0 or rng.random() < 0.7}
-    assert_examples_equal(table, stack, window, span)
+    stack = {qid: rng.normal(size=(int(rng.integers(first + 1, 13)), dims)).astype(dtype)
+             for i, (qid, first) in enumerate(firsts.items()) if i == 0 or rng.random() < 0.7}
+    assert_examples_equal(table, stack, window, span, order, seed)
 
 
 _SIGNAL = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
