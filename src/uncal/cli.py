@@ -7,14 +7,18 @@ configurations produce byte-identical outputs. `--seed` is read only by the
 probe's train/dev split, so only `probe sweep` and `probe fit` record it.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 
-What a command derives from an input file (the scored columns of `rag` and
-`calib`, the `probe.emitted` rows of a `probe` command's predictions, a
-sidecar's row order) is kept per process under the sha256 of the file's
-bytes, so `uncal run --plan` steps, or repeated `main` calls, that read the
-same bytes load and score them once: `probe sweep`, `fit` and `eval` on one
-predictions file parse it once. The cache holds those columns and arrays
-alone, never a load's table or a matrix, and each `main` call drops the
-entries it did not read.
+What a command derives from an input file is kept per process under the
+sha256 of the file's bytes: the verdicts `match` computes (one bool per
+row), a prediction file's `ScoredBatch` (what `calib` and a `recal` fit
+read), the `probe.emitted` rows of a `probe` command's predictions, the
+scored columns of `rag`, and a sidecar's row order. So `uncal run --plan`
+steps, or repeated `main` calls, that read the same bytes load and score
+them once: after `match`, `calib`, `recal` and `probe` on that file match
+no row again, and `probe sweep`, `fit` and `eval` on one predictions file
+parse it once. A command that reads a table (`match`, `recal ats`'s fit,
+every `--apply`) loads its file each time; the cache holds those columns
+and arrays alone, never a load's table or a matrix, and each `main` call
+drops the entries it did not read.
 """
 
 from __future__ import annotations
@@ -263,7 +267,7 @@ def _accepted(path, result: jsonio.LoadResult) -> dict[str, list]:
 # ---------------------------------------------------------------------------
 
 # (what was derived and with which flags, sha256 of the file's bytes) -> (the
-# derived columns, read-only, and the load's rejected lines); never a load's
+# derived value, read-only, and the load's rejected lines); never a load's
 # table or a matrix
 _CACHE: dict[tuple, tuple] = {}
 _READ: set[tuple] = set()  # the keys the running command has read
@@ -294,6 +298,13 @@ def _sha256(path) -> str | None:
     return digest.hexdigest()
 
 
+def _digest(path, result: jsonio.LoadResult) -> str | None:
+    """The sha256 that what is derived from `result`, the load of `path`, is
+    kept under: that of the bytes the load parsed, or None where `path` is
+    not a regular file, whose derivations are never kept."""
+    return result.sha256 if _regular(path) else None
+
+
 def _read_only(value):
     """`value`, with each numpy array in it (through dataclasses, dicts and
     tuples) made read-only."""
@@ -308,29 +319,47 @@ def _read_only(value):
     return value
 
 
-def _derived(what, path, load, derive):
-    """`derive(table)` of the column table `load(path)` accepts, made read-only;
-    each call reports the load's rejected lines as a lone load would. The
-    value is kept under `what` (a name, and every flag `derive` reads) and
-    the sha256 of the bytes the load parsed (`LoadResult.sha256`), so a
-    later call for the same `what` on a file with the same bytes neither
-    loads nor derives again. A file that is not regular is loaded every
-    time and never kept."""
-    # a lookup hashes the file, a read of its own: with no entry for `what`
-    # kept, none can hit, and the load alone hashes the file
-    digest = _sha256(path) if any(key[0] == what for key in _CACHE) else None
+def _kept(what, digest: str | None):
+    """The entry (value, rejected lines) kept under `what` for the bytes
+    `digest`, now read by the running command; None where none is kept."""
     entry = _CACHE.get((what, digest))
-    if entry is None:
-        result = load(path)
-        entry = _read_only(derive(_accepted(path, result))), result.errors
-        if not _regular(path):
+    if entry is not None:
+        _READ.add((what, digest))
+    return entry
+
+
+def _keep(what, path, result: jsonio.LoadResult, value):
+    """`value`, made read-only, and kept with the rejected lines of
+    `result`, the load of `path`, under `what` and `_digest(path, result)`,
+    as read by the running command."""
+    digest = _digest(path, result)
+    if digest is not None:
+        _CACHE[what, digest] = value, result.errors
+        _READ.add((what, digest))
+    return _read_only(value)
+
+
+def _derived(what, path, load, derive, result=None):
+    """`derive(result)` of `result = load(path)`, made read-only; each call
+    reports the load's rejected lines as a lone load would. The value is
+    kept under `what` (a name, and every flag `derive` reads) and the sha256
+    of the bytes the load parsed (`_keep`), so a later call for the same
+    `what` on a file with the same bytes neither loads nor derives again. A
+    caller that has loaded `path` itself, and reported the load's rejected
+    lines, passes that load as `result`: then nothing is loaded or reported.
+    A file that is not regular is loaded every time and never kept."""
+    if result is None:
+        # a lookup hashes the file, a read of its own: with no entry for `what`
+        # kept, none can hit, and the load alone hashes the file
+        entry = _kept(what, _sha256(path)) if any(key[0] == what for key in _CACHE) else None
+        if entry is not None:
+            _report_rejected(path, entry[1])
             return entry[0]
-        digest = result.sha256
-        _CACHE[what, digest] = entry
-    else:
-        _report_rejected(path, entry[1])
-    _READ.add((what, digest))
-    return entry[0]
+        result = load(path)
+        _report_rejected(path, result.errors)
+    elif (entry := _kept(what, _digest(path, result))) is not None:
+        return entry[0]
+    return _keep(what, path, result, derive(result))
 
 
 def _space_batch(path) -> trajspace.SpaceBatch:
@@ -338,22 +367,41 @@ def _space_batch(path) -> trajspace.SpaceBatch:
     return trajspace.space_batch(_accepted(path, jsonio.load_lines(path, jsonio.SPACES)))
 
 
-def _load_preds(path) -> dict[str, list]:
-    return _accepted(path, jsonio.load_predictions(path))
+def _load_preds(path) -> jsonio.LoadResult:
+    """The load of the prediction file `path`, for a command that reads its
+    table; each rejected line is reported once on stderr."""
+    result = jsonio.load_predictions(path)
+    _report_rejected(path, result.errors)
+    return result
 
 
-def _scored_preds(path, f1_threshold: float):
-    """The table of the prediction file `path`, and its scores at
-    `f1_threshold`: what a recalibration fit reads."""
-    table = _load_preds(path)
-    return table, rewards.score_predictions(table, f1_threshold)
+def _scored(path, f1_threshold: float, result=None) -> rewards.ScoredBatch:
+    """The `ScoredBatch` of the prediction file `path` at `f1_threshold`,
+    kept under ("calib", f1_threshold) by `_derived`: a command that reads
+    no table (`calib`, `recal ts`) reads a kept batch without loading the
+    file. `result` is the load `_load_preds` made for a command that reads
+    the table too. A row without a `match` block takes the verdict `uncal
+    match` kept for the same bytes and threshold, so no row that `match`
+    has matched is matched again in the process."""
+
+    def score(result):
+        verdicts = _kept(("verdicts", f1_threshold), _digest(path, result))
+        return rewards.score_predictions(result.records, f1_threshold,
+                                         None if verdicts is None else verdicts[0])
+
+    return _derived(("calib", f1_threshold), path, jsonio.load_predictions, score, result)
 
 
-def _apply_table(args, fit_table: dict) -> dict:
-    """The table of `--apply`: `fit_table`, the table of `--fit`, where both
-    name one file, so that each rejected line of it is reported once."""
-    same = os.path.exists(args.apply_path) and os.path.samefile(args.fit, args.apply_path)
-    return fit_table if same else _load_preds(args.apply_path)
+def _same_file(a, b) -> bool:
+    """Do the paths `a` and `b` name one existing file?"""
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
+def _apply_table(args, fit: jsonio.LoadResult | None) -> dict:
+    """The table of `--apply`: that of `fit`, the load of `--fit`, where
+    that is given (both name one file), so that each rejected line of the
+    file is reported once."""
+    return (_load_preds(args.apply_path) if fit is None else fit).records
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +429,24 @@ def _cmd_match(args) -> int:
     """Write the loaded table with its answers and their matches filled in:
     to `--out`, or over the input, which is refused where a line of it was
     rejected (rewriting it would drop that line)."""
-    result = jsonio.load_predictions(args.input)
-    table = _accepted(args.input, result)
+    result = _load_preds(args.input)
+    table = result.records
     if result.errors and not args.out:
         raise ValueError(f"{args.input}: {len(result.errors)} of {result.total_lines} lines "
                          "rejected; the file is left as it was (give --out to write the "
                          "accepted lines)")
     answers = rewards.answers(table, range(len(table["qid"])))
     matches = rewards.match_answers(answers, table["gold_answers"], args.f1_threshold)
+    # each row's verdict, which `_scored` reads of these bytes at this threshold
+    _keep(("verdicts", args.f1_threshold), args.input, result,
+          np.array([match.correct for match in matches], dtype=bool))
     jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(jsonio.PREDICTION, {
         **table, "extracted_answer": answers, "match": list(map(vars, matches))}))
     return 0
 
 
 def _cmd_calib(args) -> int:
-    batch = _derived(("calib", args.f1_threshold), args.input, jsonio.load_predictions,
-                     lambda table: rewards.score_predictions(table, args.f1_threshold))
+    batch = _scored(args.input, args.f1_threshold)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     _emit(args, {
         "schema": "uncal-calib-report-v2",
@@ -429,9 +479,10 @@ def _write_recalibrated(args, table, original, new, missing: str) -> None:
 
 
 def _cmd_recal_ts(args) -> int:
-    fit_table, batch = _scored_preds(args.fit, args.f1_threshold)
-    model = recal.fit_global_ts(batch)
-    table = _apply_table(args, fit_table)
+    # the fit reads only the batch: `--fit` is loaded where it is `--apply` too
+    fit = _load_preds(args.fit) if _same_file(args.fit, args.apply_path) else None
+    model = recal.fit_global_ts(_scored(args.fit, args.f1_threshold, fit))
+    table = _apply_table(args, fit)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ts(model, confidence),
                         "parseable confidence")
@@ -450,9 +501,10 @@ def _cmd_recal_ts(args) -> int:
 
 
 def _cmd_recal_ats(args) -> int:
-    fit_table, batch = _scored_preds(args.fit, args.f1_threshold)
-    model = recal.fit_ats(fit_table, batch, args.l2)
-    table = _apply_table(args, fit_table)
+    same = _same_file(args.fit, args.apply_path)
+    fit = _load_preds(args.fit)
+    model = recal.fit_ats(fit.records, _scored(args.fit, args.f1_threshold, fit), args.l2)
+    table = _apply_table(args, fit if same else None)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ats(model, table, confidence),
                         "parseable confidence")
@@ -476,7 +528,7 @@ def _cmd_recal_ats(args) -> int:
 
 
 def _cmd_recal_ptrue(args) -> int:
-    table = _load_preds(args.input)
+    table = _load_preds(args.input).records
     p_affirmative = np.array(table["p_affirmative"], dtype=float)
     _write_recalibrated(args, table, p_affirmative, p_affirmative, "p_affirmative")
     return 0
@@ -515,7 +567,7 @@ def _load_token_stack(mat_path) -> probe.TokenStack:
     such as those of a model's layers, share one parse."""
     values = matio.read_matrix(mat_path)
     count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", matio.read_row_ids,
-                                   _token_rows)
+                                   lambda result: _token_rows(result.records))
     if count != values.shape[0]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     if fault is not None:
@@ -525,10 +577,10 @@ def _load_token_stack(mat_path) -> probe.TokenStack:
 
 def _probe_inputs(path) -> dict:
     """The `probe.emitted` rows of the prediction file `path`, scored at the
-    default F1 threshold: `probe sweep`, `fit` and `eval` on one file load
-    and score it once."""
-    return _derived("probe", path, jsonio.load_predictions, lambda table: probe.emitted(
-        table, rewards.score_predictions(table, rewards.DEFAULT_F1_THRESHOLD)))
+    default F1 threshold (`_scored`): `probe sweep`, `fit` and `eval` on one
+    file load and score it once."""
+    return _derived("probe", path, jsonio.load_predictions, lambda result: probe.emitted(
+        result.records, _scored(path, rewards.DEFAULT_F1_THRESHOLD, result)))
 
 
 def _cmd_probe_sweep(args) -> int:
@@ -560,7 +612,8 @@ def _probe_examples(args, window: int, span_tokens: int):
 
 def _cmd_probe_fit(args) -> int:
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
-    model = probe.fit_on_split(x, labels, qids, args.l2, args.layer, args.seed)[0]
+    model = probe.fit_on_split(x, labels, probe.split_by_qid(qids, args.seed), args.l2,
+                               args.layer)[0]
     jsonio.write_report(args.out, jsonio.encode(jsonio.PROBE_MODEL, {
         **vars(model), "fit": vars(model.fit), "schema": "uncal-probe-model-v2",
         "config": {**_config(args), "seed": args.seed},
@@ -609,7 +662,7 @@ def _cmd_probe_eval(args) -> int:
 def _cmd_rag(args) -> int:
     policy = ragctl.parse_policy_spec(args.policy)
     scored = _derived(("rag", args.f1_threshold), args.input, jsonio.load_rag_traces,
-                      lambda table: ragctl.score_traces(table, args.f1_threshold))
+                      lambda result: ragctl.score_traces(result.records, args.f1_threshold))
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)

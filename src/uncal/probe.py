@@ -297,12 +297,13 @@ def split_by_qid(qids: Sequence[str], seed: int = 0):
     return train_idx, dev_idx
 
 
-def fit_on_split(x: np.ndarray, labels: np.ndarray, qids: Sequence[str],
-                 l2: float, layer: int, seed: int):
-    """Fit on the train rows of the qid split (`split_by_qid(qids, seed)`) and
-    tune the threshold on its dev rows. Returns the model, the ranking of its
-    dev scores, and the numbers of train and dev rows."""
-    train_idx, dev_idx = split_by_qid(qids, seed)
+def fit_on_split(x: np.ndarray, labels: np.ndarray, split: tuple[list[int], list[int]],
+                 l2: float, layer: int):
+    """Fit on the train rows of the qid split `split` (`split_by_qid` of the
+    examples' qids) and tune the threshold on its dev rows. Returns the
+    model, the ranking of its dev scores, and the numbers of train and dev
+    rows."""
+    train_idx, dev_idx = split
     model = fit_probe(x[train_idx], labels[train_idx], l2=l2, layer=layer)
     dev = ranked(model.scores(x[dev_idx]), labels[dev_idx])
     return tune_threshold(model, dev), dev, len(train_idx), len(dev_idx)
@@ -336,12 +337,16 @@ def layer_sweep(
     time; a layer that fails to load or fit then fails after the layers
     before it have been fitted. `inputs` are the `emitted` rows of the
     prediction table that every layer reads; see `examples` for which rows
-    take part. Rows come back sorted by layer index.
+    take part. Rows come back sorted by layer index. The qid split is a
+    function of the examples' qids and `seed` alone, so a layer with the
+    qids of the layer before it reuses that layer's split.
     """
-    rows = []
+    rows, split_qids = [], None
     for layer, stack in stacks:
         x, y, qids = examples(inputs, stack, window, span_token_count)
-        model, dev, n_train, n_dev = fit_on_split(x, y, qids, l2, layer, seed)
+        if qids != split_qids:
+            split, split_qids = split_by_qid(qids, seed), qids
+        model, dev, n_train, n_dev = fit_on_split(x, y, split, l2, layer)
         rows.append({"layer": layer, **evaluate(dev, model.threshold),
                      "n_train": n_train, "n_dev": n_dev})
         del stack  # free this layer before `stacks` loads the next

@@ -308,18 +308,25 @@ class ScoredBatch:
         return len(self.correct)
 
 
-def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -> ScoredBatch:
+def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD,
+                      verdicts: np.ndarray | None = None) -> ScoredBatch:
     """Score every row once: one confidence and one correctness verdict per
-    row. A cached `match` block decides without rematching (`_cached_correct`);
-    a row without one has its answer matched against its gold answers."""
+    row. A cached `match` block decides without rematching (`_cached_correct`).
+    A row without one takes its verdict from `verdicts`, where given: one
+    bool per row of the table, each row's `match_answers` verdict at
+    `f1_threshold`, as `uncal match` computes them for every row. Otherwise
+    its answer is matched against its gold answers here."""
     cached, golds = table["match"], table["gold_answers"]
     unmatched = [i for i, block in enumerate(cached) if block is None]
-    verdicts = match_answers(answers(table, unmatched), [golds[i] for i in unmatched],
-                             f1_threshold)
     correct = [None if block is None else _cached_correct(block, f1_threshold)
                for block in cached]
+    if verdicts is None:
+        verdicts = [match.correct for match in match_answers(
+            answers(table, unmatched), [golds[i] for i in unmatched], f1_threshold)]
+    else:
+        verdicts = verdicts[unmatched].tolist()
     for i, verdict in zip(unmatched, verdicts):
-        correct[i] = verdict.correct
+        correct[i] = verdict
     pending = [i for i, verdict in enumerate(correct) if verdict is None]
     for i, answer in zip(pending, answers(table, pending)):
         correct[i] = answer is not None

@@ -1,20 +1,23 @@
 """The per-process cache of derived inputs and `uncal run --plan`.
 
-A command reads what it derives from an input file (scored columns, the
-probe's emitted rows, a sidecar's row order) from `cli._CACHE` when an
-earlier command in the same process read the same bytes. Every test here
-compares a command's stdout, stderr, exit code and files with the same
-command run with an empty cache, or in a fresh interpreter.
+A command reads what it derives from an input file (`match`'s verdicts,
+scored columns, the probe's emitted rows, a sidecar's row order) from
+`cli._CACHE` when an earlier command in the same process read the same
+bytes. Every test here compares a command's stdout, stderr, exit code and
+files with the same command run with an empty cache, or in a fresh
+interpreter.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +157,12 @@ class TestContentKey:
         loads = count_calls(monkeypatch, jsonio, "load_predictions")
         assert main(["match", "--in", str(path)]) == 0
         assert _sha256(path) != before
+        # the verdicts are kept under the bytes `match` read, not those it wrote
+        assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), before)]
+        matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
         assert len(loads) == 2  # match's load, and calib's of the new bytes
+        assert matches == []  # every row of the new bytes has its match block
         assert [key[1] for key in cli._CACHE] == [_sha256(path)]
         assert got == _calib_alone(path)
 
@@ -230,17 +237,24 @@ class TestMemoryRule:
         arrays = [scored.qid, scored.dataset, *scored.signals.values()]
         arrays += [getattr(m, f) for m in (scored.noret, scored.ret)
                    for f in ("correct", "rule", "f1")]
+        assert main(["match", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
+        (verdicts, _), = cli._CACHE.values()
+        arrays.append(verdicts)
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
-        batch = next(iter(cli._CACHE.values()))[0]
+        batch = cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD),
+                           _sha256(PREDS_FIXTURE)][0]
         arrays += [batch.confidence, batch.correct, batch.marked]
         assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"), "--preds",
                      str(preds), "--layers", "0,8", "--out", out]) == 0
         entries = {key[0]: value for key, (value, _) in cli._CACHE.items()}
-        assert entries.keys() == {"probe", "rows"}
+        # the probe's rows, the batch they were scored from, and the sidecar's order
+        assert entries.keys() == {"probe", ("calib", rewards.DEFAULT_F1_THRESHOLD), "rows"}
         count, order, fault = entries["rows"]
         arrays += [rows for rows in order.values() if isinstance(rows, np.ndarray)]
         assert count > 0 and fault is None
         arrays += [entries["probe"]["scalars"], entries["probe"]["wrong"]]
+        batch = entries[("calib", rewards.DEFAULT_F1_THRESHOLD)]
+        arrays += [batch.confidence, batch.correct, batch.marked]
         assert all(not a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             scored.noret.correct[0] = not scored.noret.correct[0]
@@ -301,6 +315,90 @@ def test_probe_commands_on_one_predictions_file_parse_it_once(tmp_path, monkeypa
     assert main(_argv(steps[1], planned)) == 1  # no qid of the file has hidden states
     assert len(loads) == 2
     assert "no emitted record has hidden states" in capsys.readouterr().err
+
+
+def _plan_preds(tmp_path: Path) -> Path:
+    """The predictions of a probe's hidden directory, each with a stated
+    confidence, the first with a cached match block, and one rejected line."""
+    preds = write_hidden_dir(tmp_path / "hidden")
+    rng = np.random.default_rng(5)
+    lines = [json.loads(line) | {"verbal_confidence": round(float(rng.uniform(0.05, 0.95)), 3)}
+             for line in preds.read_text(encoding="utf-8").splitlines()]
+    lines[0]["match"] = {"correct": True, "rule": "ExactMatch", "f1": 1.0}
+    return _lines(preds, lines, json.dumps(GOOD_PRED | {"verbal_confidence": 1.5}) + "\n")
+
+
+class TestOneScoringPerFile:
+    def test_a_plan_matches_each_row_once_per_bytes_and_threshold(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        preds = _plan_preds(tmp_path)
+        steps = [
+            ["match", "--in", str(preds), "--out", "{out}/m.jsonl"],
+            ["calib", "--in", str(preds), "--out", "{out}/c.json", "--csv", "{out}/c.csv"],
+            ["recal", "ts", "--fit", str(preds), "--apply", str(PREDS_FIXTURE),
+             "--out", "{out}/ts.jsonl", "--model-out", "{out}/ts.json"],
+            ["recal", "ats", "--fit", str(preds), "--apply", str(preds),
+             "--out", "{out}/ats.jsonl", "--model-out", "{out}/ats.json"],
+            ["probe", "sweep", "--hidden", str(tmp_path / "hidden"), "--preds", str(preds),
+             "--layers", "0,8", "--out", "{out}/s.json"],
+            ["calib", "--in", str(preds), "--f1-threshold", "0.9"],
+        ]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        codes = []
+        for argv in steps:
+            cli._CACHE.clear()
+            codes.append(main(_argv(argv, alone)))
+        assert codes == [0] * len(steps)
+        want = capsys.readouterr()
+        planned = tmp_path / "planned"
+        planned.mkdir()
+        cli._CACHE.clear()
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        assert main(["run", "--plan", str(_plan(tmp_path / "plan.jsonl",
+                                                [_argv(argv, planned) for argv in steps]))]) == 0
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        rejected = f"{preds}:{len(preds.read_text().splitlines())}: "
+        assert got.err.count(rejected) == len(steps)  # once per step, `ats` included
+        assert _outcome(0, "", "", planned)[3] == _outcome(0, "", "", alone)[3]
+        # `match` matches every row at 0.3, and nothing after it matches a row
+        # at 0.3 again; at 0.9 `calib` matches each row without a cached block
+        rows = len(preds.read_text().splitlines()) - 1
+        thresholds = [args[2] for args in matches]
+        assert thresholds.count(0.3) == rows
+        assert thresholds.count(0.9) == rows - 1
+        assert len(thresholds) == 2 * rows - 1
+
+    @pytest.mark.parametrize("kind", ["ts", "ats"])
+    def test_a_lone_recal_loads_each_of_its_files_once(self, tmp_path, monkeypatch, kind):
+        preds = _plan_preds(tmp_path)
+        loads = count_calls(monkeypatch, jsonio, "load_predictions")
+        for apply in (PREDS_FIXTURE, preds):
+            cli._CACHE.clear()
+            assert main(["recal", kind, "--fit", str(preds), "--apply", str(apply),
+                         "--out", str(tmp_path / "o.jsonl")]) == 0
+        assert [args[0] for args in loads] == [str(preds), str(PREDS_FIXTURE), str(preds)]
+
+    def test_the_kept_verdicts_hold_no_table(self, tmp_path):
+        path = _lines(tmp_path / "preds.jsonl", [
+            GOOD_PRED | {"qid": f"q{i}", "response_text": f"Answer: a {i}"} for i in range(2000)])
+        argv = ["match", "--in", str(path), "--out", str(tmp_path / "m.jsonl")]
+        assert main(argv) == 0  # compiles and caches what any first call would
+        cli._CACHE.clear()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 2000
+        (key, (verdicts, errors)), = cli._CACHE.items()
+        assert key == (("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))
+        assert verdicts.dtype == bool and verdicts.shape == (2000,) and errors == []
 
 
 def _fifo_feed(path: Path, data: bytes) -> threading.Thread:

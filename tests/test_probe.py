@@ -19,6 +19,7 @@ from uncal.reprgeo import BLOCK_ROWS
 from uncal.rewards import score_predictions
 
 from conftest import (
+    count_calls,
     emission,
     planted_stack,
     prediction,
@@ -433,6 +434,21 @@ class TestLayerSweep:
         rows = probe.layer_sweep({8: layers[8], 0: layers[0]}.items(), sweep_inputs(records),
                                  seed=0)
         assert [r["layer"] for r in rows] == [0, 8]
+
+    def test_layers_with_the_qids_of_the_layer_before_share_its_split(self, rng, monkeypatch):
+        records, stacks = planted_stack(rng, layers=(0, 8, 16), signal_layer=8, n=200)
+        layers = token_stacks(stacks)
+        # layer 16 lacks a qid: its examples, and so its split, differ
+        matrix, rows_of = layers[16]
+        layers[16] = matrix, {qid: rows for qid, rows in rows_of.items() if qid != "p0003"}
+        splits = count_calls(monkeypatch, probe, "split_by_qid")
+        rows = probe.layer_sweep(layers.items(), sweep_inputs(records), seed=3)
+        assert len(splits) == 2
+        monkeypatch.undo()
+        # each layer swept alone, so split afresh: the same rows
+        for row, (layer, stack) in zip(rows, layers.items()):
+            assert probe.layer_sweep([(layer, stack)], sweep_inputs(records), seed=3) == [row]
+        assert rows[2]["n_train"] + rows[2]["n_dev"] == rows[0]["n_train"] + rows[0]["n_dev"] - 1
 
 
 class TestHiddenMatrixAndMatio:

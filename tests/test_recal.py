@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uncal
-from uncal import jsonio, optim, probe, recal, rewards
+from uncal import cli, jsonio, optim, probe, recal, rewards
 from uncal.cli import main
 from uncal.errors import DegenerateFit
 from uncal.rewards import score_predictions
@@ -299,10 +299,17 @@ def test_fits_score_each_record_once(rng, monkeypatch, tmp_path):
     for kind in ("ts", "ats"):
         assert main(["recal", kind, "--fit", str(fit), "--apply", str(apply),
                      "--out", str(tmp_path / "out.jsonl")]) == 0
-    # each fit row once per command; the confidence column of each file once,
-    # reading the text of the one row without a stated confidence
+    # each fit row once per process: `ats` reads the batch `ts` scored. The
+    # confidence column of the fit file once, reading the text of the one row
+    # without a stated confidence, and that of the apply file once per command
+    assert len(matches) == len(lines)
+    assert len(confidences) == 1 + 2 and len(parsed) == 1
+    # a lone command scores its fit file once
+    cli._CACHE.clear()
+    assert main(["recal", "ats", "--fit", str(fit), "--apply", str(apply),
+                 "--out", str(tmp_path / "out.jsonl")]) == 0
     assert len(matches) == 2 * len(lines)
-    assert len(confidences) == 2 * 2 and len(parsed) == 2
+    assert len(confidences) == 3 + 2 and len(parsed) == 2
 
 
 def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,6 +349,65 @@ class TestScorePredictions:
         # ExactMatch decides alone, and F1 0 is below the threshold: only the
         # TokenF1 verdict at 0.8 asks whether its row has an answer
         assert [args[0] for args in read] == ["Answer: big machine"] and matches == []
+
+
+_WORDS = ("big", "machine", "records", "yes", "true", "2001")
+
+
+@st.composite
+def _mixed_line(draw) -> dict:
+    """A prediction line with a cached ExactMatch or TokenF1 block, or none;
+    its answer on an `Answer:` line, in `extracted_answer`, or nowhere."""
+    gold = " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)))
+    answer = " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=3)))
+    where = draw(st.sampled_from(["line", "field", "none"]))
+    line = prediction("q", (gold,), f"Answer: {answer}" if where == "line" else "no answer",
+                      extracted_answer=answer if where == "field" else None,
+                      verbal_confidence=draw(st.none() | st.floats(0.0, 1.0)))
+    rule = draw(st.sampled_from([None, "ExactMatch", "TokenF1"]))
+    if rule == "ExactMatch":
+        line["match"] = {"correct": True, "rule": rule, "f1": 1.0}
+    elif rule == "TokenF1":
+        f1 = draw(st.floats(0.0, 1.0))
+        line["match"] = {"correct": f1 >= 0.3, "rule": rule, "f1": f1}
+    return line
+
+
+def match_verdicts(table, f1_threshold: float) -> np.ndarray:
+    """The verdict of each row, as `uncal match` computes them for every row."""
+    return np.array([verdict.correct for verdict in matched(table, f1_threshold)], dtype=bool)
+
+
+def assert_batches_equal(got, want):
+    assert np.array_equal(got.confidence, want.confidence, equal_nan=True)
+    assert np.array_equal(got.correct, want.correct)
+    assert np.array_equal(got.marked, want.marked)
+
+
+class TestScoreWithMatchVerdicts:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_mixed_line(), max_size=12),
+           threshold=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    def test_the_verdicts_of_match_score_as_matching_does(self, lines, threshold):
+        table = predictions([{**line, "qid": f"q{i}"} for i, line in enumerate(lines)])
+        assert_batches_equal(score_predictions(table, threshold, match_verdicts(table, threshold)),
+                             score_predictions(table, threshold))
+
+    def test_rows_without_a_block_take_the_verdict_and_match_nothing(self, monkeypatch):
+        import uncal.rewards as rewards
+
+        table = predictions([
+            prediction("a", ("x",), "Answer: x"),
+            annotate(prediction("b", ("x",), "Answer: x"), 0.3),
+            prediction("c", ("x",), "Answer: y"),
+            annotate(prediction("d", ("x",), "Answer: y"), 0.3),
+        ])
+        # inverted verdicts: only the rows without a cached block read them
+        inverted = ~match_verdicts(table, 0.3)
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        batch = score_predictions(table, 0.3, inverted)
+        assert batch.correct.tolist() == [False, True, True, False]
+        assert matches == []
 
 
 class TestCachedMatchHonoursThreshold:
