@@ -7,18 +7,23 @@ configurations produce byte-identical outputs. `--seed` is read only by the
 probe's train/dev split, so only `probe sweep` and `probe fit` record it.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 
+A command that writes no line back derives what it reads as it loads, a
+block of lines at a time (`jsonio.load_lines` with a derive): `calib`, both
+`recal` fits, `rag` and `probe` never hold an input's whole table. Only a
+command that writes lines back (`match`, every `--apply`, `recal ptrue`)
+loads a table, and it loads it each time.
+
 What a command derives from an input file is kept per process under the
-sha256 of the file's bytes: the verdicts `match` computes (one bool per
-row), a prediction file's `ScoredBatch` (what `calib` and a `recal` fit
-read), the `probe.emitted` rows of a `probe` command's predictions, the
-scored columns of `rag`, and a sidecar's row order. So `uncal run --plan`
-steps, or repeated `main` calls, that read the same bytes load and score
-them once: after `match`, `calib`, `recal` and `probe` on that file match
-no row again, and `probe sweep`, `fit` and `eval` on one predictions file
-parse it once. A command that reads a table (`match`, `recal ats`'s fit,
-every `--apply`) loads its file each time; the cache holds those columns
-and arrays alone, never a load's table or a matrix, and each `main` call
-drops the entries it did not read.
+sha256 of the file's bytes: a prediction file's `ScoredBatch` (what `calib`
+and a `recal` fit read, and what `match` scores with its own verdicts),
+the `probe.emitted` rows of a `probe` command's predictions, the scored
+columns of `rag`, and a sidecar's row order. So `uncal run --plan` steps,
+or repeated `main` calls, that read the same bytes load and score them
+once: `calib` after `match` loads nothing, `recal` and `probe` after
+either match no row again, and `probe sweep`, `fit` and `eval` on one
+predictions file parse it once. The cache holds those columns and arrays
+alone, never a load's table or a matrix, and each `main` call drops the
+entries it did not read.
 """
 
 from __future__ import annotations
@@ -256,10 +261,12 @@ def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
         print(f"{path}:{line_no}: {message}", file=sys.stderr)
 
 
-def _accepted(path, result: jsonio.LoadResult) -> dict[str, list]:
-    """The column table of the accepted lines; each rejected line is reported once on stderr."""
+def _loaded(path, kind: jsonio.LineKind, derive=None) -> jsonio.LoadResult:
+    """`jsonio.load_lines` of `path` by `kind` and `derive`, each rejected
+    line reported once on stderr."""
+    result = jsonio.load_lines(path, kind, derive)
     _report_rejected(path, result.errors)
-    return result.records
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +335,17 @@ def _kept(what, digest: str | None):
     return entry
 
 
+def _lookup(what, path) -> tuple[str | None, tuple | None]:
+    """(digest, entry): the sha256 of `path`, and the entry `_kept` under
+    `what` for those bytes. A lookup hashes the file, a read of its own:
+    with no entry kept under `what`, none can hit, and (None, None) leaves
+    the load alone to read the file."""
+    if not any(key[0] == what for key in _CACHE):
+        return None, None
+    digest = _sha256(path)
+    return digest, _kept(what, digest)
+
+
 def _keep(what, path, result: jsonio.LoadResult, value):
     """`value`, made read-only, and kept with the rejected lines of
     `result`, the load of `path`, under `what` and `_digest(path, result)`,
@@ -339,69 +357,96 @@ def _keep(what, path, result: jsonio.LoadResult, value):
     return _read_only(value)
 
 
-def _derived(what, path, load, derive, result=None):
-    """`derive(result)` of `result = load(path)`, made read-only; each call
-    reports the load's rejected lines as a lone load would. The value is
-    kept under `what` (a name, and every flag `derive` reads) and the sha256
-    of the bytes the load parsed (`_keep`), so a later call for the same
+def _derived(what, path, load):
+    """What `load(path)` derives of the file `path` (its result's
+    `records`), made read-only; `load` reports the rejected lines, and a
+    later call reports them as that load did. The value is kept under
+    `what` (a name, and every flag the derivation reads) and the sha256 of
+    the bytes the load parsed (`_keep`), so a later call for the same
     `what` on a file with the same bytes neither loads nor derives again. A
-    caller that has loaded `path` itself, and reported the load's rejected
-    lines, passes that load as `result`: then nothing is loaded or reported.
-    A file that is not regular is loaded every time and never kept."""
-    if result is None:
-        # a lookup hashes the file, a read of its own: with no entry for `what`
-        # kept, none can hit, and the load alone hashes the file
-        entry = _kept(what, _sha256(path)) if any(key[0] == what for key in _CACHE) else None
-        if entry is not None:
-            _report_rejected(path, entry[1])
-            return entry[0]
-        result = load(path)
-        _report_rejected(path, result.errors)
-    elif (entry := _kept(what, _digest(path, result))) is not None:
+    file that is not regular is loaded every time and never kept."""
+    _, entry = _lookup(what, path)
+    if entry is not None:
+        _report_rejected(path, entry[1])
         return entry[0]
-    return _keep(what, path, result, derive(result))
+    result = load(path)
+    return _keep(what, path, result, result.records)
 
 
 def _space_batch(path) -> trajspace.SpaceBatch:
     """Every trajectory space of the space file `path`, as one batch."""
-    return trajspace.space_batch(_accepted(path, jsonio.load_lines(path, jsonio.SPACES)))
+    return trajspace.space_batch(_loaded(path, jsonio.SPACES).records)
 
 
 def _load_preds(path) -> jsonio.LoadResult:
-    """The load of the prediction file `path`, for a command that reads its
-    table; each rejected line is reported once on stderr."""
-    result = jsonio.load_predictions(path)
-    _report_rejected(path, result.errors)
-    return result
+    """The table of the prediction file `path`, for a command that writes
+    its lines back; each rejected line is reported once on stderr."""
+    return _loaded(path, jsonio.PREDICTIONS)
 
 
-def _scored(path, f1_threshold: float, result=None) -> rewards.ScoredBatch:
+def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
     """The `ScoredBatch` of the prediction file `path` at `f1_threshold`,
-    kept under ("calib", f1_threshold) by `_derived`: a command that reads
-    no table (`calib`, `recal ts`) reads a kept batch without loading the
-    file. `result` is the load `_load_preds` made for a command that reads
-    the table too. A row without a `match` block takes the verdict `uncal
-    match` kept for the same bytes and threshold, so no row that `match`
-    has matched is matched again in the process."""
+    scored a block of lines at a time as it loads, and kept under ("calib",
+    f1_threshold) by `_derived`: `calib` and a `recal` fit read a batch
+    that `match`, or any scoring of the same bytes, kept."""
+    return _derived(("calib", f1_threshold), path, lambda path: _loaded(
+        path, jsonio.PREDICTIONS, lambda block: rewards.score_predictions(block, f1_threshold)))
 
-    def score(result):
-        verdicts = _kept(("verdicts", f1_threshold), _digest(path, result))
-        return rewards.score_predictions(result.records, f1_threshold,
-                                         None if verdicts is None else verdicts[0])
 
-    return _derived(("calib", f1_threshold), path, jsonio.load_predictions, score, result)
+def _table_scored(path, f1_threshold: float, result: jsonio.LoadResult) -> rewards.ScoredBatch:
+    """The `ScoredBatch` at `f1_threshold` of `result`, a command's load of
+    the table of `path`: the one kept for its bytes, else the table scored
+    as one block, and kept."""
+    what = ("calib", f1_threshold)
+    entry = _kept(what, _digest(path, result))
+    return entry[0] if entry is not None else _keep(
+        what, path, result, rewards.score_predictions(result.records, f1_threshold))
+
+
+def _block_batches(batch: rewards.ScoredBatch | None, f1_threshold: float):
+    """The function from each block's columns, in load order, to the block's
+    `ScoredBatch` at `f1_threshold`: scored there, or where `batch` is the
+    batch kept for the bytes loaded, its next rows."""
+    if batch is None:
+        return lambda columns: rewards.score_predictions(columns, f1_threshold)
+    start = 0
+
+    def rows(columns):
+        nonlocal start
+        block = slice(start, start + len(columns["qid"]))
+        start = block.stop
+        return rewards.ScoredBatch(batch.confidence[block], batch.correct[block],
+                                   batch.marked[block])
+
+    return rows
+
+
+def _with_batch(path, f1_threshold: float, derive) -> jsonio.LoadResult:
+    """The load of the prediction file `path` whose `records` are (its
+    `ScoredBatch` at `f1_threshold`, what `derive(columns, batch)` derives
+    of its blocks' columns and batches), derived a block at a time; each
+    rejected line is reported once. The batch is kept under ("calib",
+    f1_threshold). Where a batch is kept for the file's bytes, no row is
+    scored again: each block takes its rows of it, and if the load parsed
+    other bytes than the lookup hashed, the file is loaded again."""
+    digest, entry = _lookup(("calib", f1_threshold), path)
+    batches = _block_batches(None if entry is None else entry[0], f1_threshold)
+
+    def block(columns):
+        batch = batches(columns)
+        return batch, derive(columns, batch)
+
+    result = jsonio.load_lines(path, jsonio.PREDICTIONS, block)
+    if entry is not None and result.sha256 != digest:  # changed after the lookup
+        return _with_batch(path, f1_threshold, derive)
+    _report_rejected(path, result.errors)
+    _keep(("calib", f1_threshold), path, result, result.records[0])
+    return result
 
 
 def _same_file(a, b) -> bool:
     """Do the paths `a` and `b` name one existing file?"""
     return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-
-
-def _apply_table(args, fit: jsonio.LoadResult | None) -> dict:
-    """The table of `--apply`: that of `fit`, the load of `--fit`, where
-    that is given (both name one file), so that each rejected line of the
-    file is reported once."""
-    return (_load_preds(args.apply_path) if fit is None else fit).records
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +473,8 @@ def _cmd_theory_iterate(args) -> int:
 def _cmd_match(args) -> int:
     """Write the loaded table with its answers and their matches filled in:
     to `--out`, or over the input, which is refused where a line of it was
-    rejected (rewriting it would drop that line)."""
+    rejected (rewriting it would drop that line). The table's `ScoredBatch`,
+    scored with these verdicts, is kept for the bytes read, for `calib`."""
     result = _load_preds(args.input)
     table = result.records
     if result.errors and not args.out:
@@ -437,9 +483,9 @@ def _cmd_match(args) -> int:
                          "accepted lines)")
     answers = rewards.answers(table, range(len(table["qid"])))
     matches = rewards.match_answers(answers, table["gold_answers"], args.f1_threshold)
-    # each row's verdict, which `_scored` reads of these bytes at this threshold
-    _keep(("verdicts", args.f1_threshold), args.input, result,
-          np.array([match.correct for match in matches], dtype=bool))
+    # the batch `_scored` reads of these bytes at this threshold, with these verdicts
+    _keep(("calib", args.f1_threshold), args.input, result, rewards.score_predictions(
+        table, args.f1_threshold, np.array([match.correct for match in matches], dtype=bool)))
     jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(jsonio.PREDICTION, {
         **table, "extracted_answer": answers, "match": list(map(vars, matches))}))
     return 0
@@ -479,10 +525,14 @@ def _write_recalibrated(args, table, original, new, missing: str) -> None:
 
 
 def _cmd_recal_ts(args) -> int:
-    # the fit reads only the batch: `--fit` is loaded where it is `--apply` too
-    fit = _load_preds(args.fit) if _same_file(args.fit, args.apply_path) else None
-    model = recal.fit_global_ts(_scored(args.fit, args.f1_threshold, fit))
-    table = _apply_table(args, fit)
+    # the fit reads only the batch: `--fit` is a table where it is `--apply` too
+    if _same_file(args.fit, args.apply_path):
+        fit = _load_preds(args.fit)
+        batch, table = _table_scored(args.fit, args.f1_threshold, fit), fit.records
+    else:
+        batch = _scored(args.fit, args.f1_threshold)
+        table = _load_preds(args.apply_path).records
+    model = recal.fit_global_ts(batch)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ts(model, confidence),
                         "parseable confidence")
@@ -501,10 +551,17 @@ def _cmd_recal_ts(args) -> int:
 
 
 def _cmd_recal_ats(args) -> int:
-    same = _same_file(args.fit, args.apply_path)
-    fit = _load_preds(args.fit)
-    model = recal.fit_ats(fit.records, _scored(args.fit, args.f1_threshold, fit), args.l2)
-    table = _apply_table(args, fit if same else None)
+    # the fit reads the batch and three feature columns: `--fit` is a table
+    # where it is `--apply` too
+    if _same_file(args.fit, args.apply_path):
+        fit = _load_preds(args.fit)
+        batch, table = _table_scored(args.fit, args.f1_threshold, fit), fit.records
+        features = recal.ats_features(table, batch.confidence)
+    else:
+        batch, features = _with_batch(args.fit, args.f1_threshold, lambda columns, batch: (
+            recal.ats_features(columns, batch.confidence))).records
+        table = _load_preds(args.apply_path).records
+    model = recal.fit_ats(features, batch, args.l2)
     confidence = rewards.confidences(table)
     _write_recalibrated(args, table, confidence, recal.apply_ats(model, table, confidence),
                         "parseable confidence")
@@ -559,6 +616,12 @@ def _token_rows(rows: dict[str, list]) -> tuple[int, dict[str, slice | np.ndarra
     return len(rows["qid"]), order, fault
 
 
+def _row_order(path) -> jsonio.LoadResult:
+    """The read of the sidecar `path`, whose `records` are its `_token_rows`."""
+    result = matio.read_row_ids(path)
+    return dataclasses.replace(result, records=_token_rows(result.records))
+
+
 def _load_token_stack(mat_path) -> probe.TokenStack:
     """A layer file's matrix and, from its sidecar, each qid's rows in token
     order: row t of a qid's rows is the hidden state of its token t. A qid
@@ -566,8 +629,7 @@ def _load_token_stack(mat_path) -> probe.TokenStack:
     any other has an array of its row indices. Sidecars with the same bytes,
     such as those of a model's layers, share one parse."""
     values = matio.read_matrix(mat_path)
-    count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", matio.read_row_ids,
-                                   lambda result: _token_rows(result.records))
+    count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", _row_order)
     if count != values.shape[0]:
         raise IoError(f"{mat_path}: sidecar row count does not match matrix")
     if fault is not None:
@@ -577,10 +639,14 @@ def _load_token_stack(mat_path) -> probe.TokenStack:
 
 def _probe_inputs(path) -> dict:
     """The `probe.emitted` rows of the prediction file `path`, scored at the
-    default F1 threshold (`_scored`): `probe sweep`, `fit` and `eval` on one
-    file load and score it once."""
-    return _derived("probe", path, jsonio.load_predictions, lambda result: probe.emitted(
-        result.records, _scored(path, rewards.DEFAULT_F1_THRESHOLD, result)))
+    default F1 threshold, derived a block of lines at a time (`_with_batch`):
+    `probe sweep`, `fit` and `eval` on one file load and score it once."""
+
+    def load(path):
+        result = _with_batch(path, rewards.DEFAULT_F1_THRESHOLD, probe.emitted)
+        return dataclasses.replace(result, records=result.records[1])
+
+    return _derived("probe", path, load)
 
 
 def _cmd_probe_sweep(args) -> int:
@@ -661,8 +727,8 @@ def _cmd_probe_eval(args) -> int:
 
 def _cmd_rag(args) -> int:
     policy = ragctl.parse_policy_spec(args.policy)
-    scored = _derived(("rag", args.f1_threshold), args.input, jsonio.load_rag_traces,
-                      lambda result: ragctl.score_traces(result.records, args.f1_threshold))
+    scored = _derived(("rag", args.f1_threshold), args.input, lambda path: _loaded(
+        path, jsonio.RAG_TRACES, lambda columns: ragctl.score_traces(columns, args.f1_threshold)))
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
@@ -694,10 +760,9 @@ def _cmd_repr_cka(args) -> int:
 
 
 def _cmd_repr_kl(args) -> int:
-    pairs = _accepted(args.pairs, jsonio.load_lines(args.pairs, jsonio.KL_PAIRS))
-    annotations = _accepted(args.annotations,
-                            jsonio.load_lines(args.annotations, jsonio.KL_ANNOTATIONS))
-    table = reprgeo.kl_by_type(pairs, annotations, args.epsilon)
+    pairs = _loaded(args.pairs, jsonio.scored_kl_pairs(args.epsilon)).records
+    annotations = _loaded(args.annotations, jsonio.KL_ANNOTATIONS).records
+    table = reprgeo.kl_by_type(pairs, annotations)
     rows = {token_type.value: row for token_type, row in table.items()}
     _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})
     if args.csv:

@@ -18,14 +18,22 @@ table order, that is missing where it is required or whose `check` refuses
 its value (that reader's `refusal`), else the unknown fields. It words the
 refusals of a block's lines, of `read_table` and of nested objects alike; a
 line the rule refuses gets the rule's message. So a line is accepted or
-refused, with the same message, whatever block it falls in. Every load
+refused, with the same message, whatever block it falls in. A table load
 yields the accepted lines as one column table: a plain dict from field to
 list, in line order, a nested object read as a dict of its fields. A line
 kind's `rows` may map a block's columns first: a trace load (`RAG_TRACES`)
 checks every token probability and the response text of each line, but
-keeps only each trace's minimum token probability, and not the text. A file
-is read line by line: a load holds one block of lines, their decoded
-objects and columns, and the columns of the lines accepted so far. Loading
+keeps only each trace's minimum token probability, and not the text. A load
+may instead derive: a function (`Derive`) maps each block's columns, as
+soon as the block is read, to its part of a value, and the parts are joined
+once the last block is read (`_joined`: arrays concatenated, lists chained,
+dataclasses, dicts and tuples field by field). A table load is the same
+reader with no derive, and a derivation that reads each row alone gives of
+a table, taken as one block, what the load derives. `scored_kl_pairs` reads
+KL pairs whose rule's arrays also give each pair's KL, so a load keeps only
+positions and KL values. A file is read line by line: a load holds one
+block of lines, their decoded objects and columns, and the parts derived
+so far (for a table, the columns of the lines accepted so far). Loading
 is strict: invalid lines are returned with their line numbers (the messages
 carry no file or line; callers prefix `path:line:` once), and a file where
 more than half the lines fail is rejected outright. A rejection inside a
@@ -45,6 +53,7 @@ Every output file is written atomically.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import io
@@ -65,7 +74,7 @@ import numpy as np
 
 from .errors import CorruptInput, IoError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
-from .reprgeo import TokenType, paired_rows
+from .reprgeo import TokenType, kl_rows, paired_rows
 from .rewards import MatchRule, scan_emissions
 from .trajspace import space_refusal
 
@@ -538,9 +547,10 @@ def _runs(items: list, lists: list):
 class LineKind(NamedTuple):
     """A line stream. `table` reads its lines' fields. `rule`, if any,
     checks across the fields of the lines the column checks accept: it gives
-    (row, refusal) of each row it refuses. `rows` then maps the field
-    columns of the lines both accept to the columns a block yields, and
-    refuses none of them; by default the columns as read."""
+    (row, refusal) of each row it refuses, and may add a column of what its
+    check computed per row (the KL of `scored_kl_pairs`). `rows` then maps
+    the field columns of the lines both accept to the columns a block
+    yields, and refuses none of them; by default the columns as read."""
 
     table: dict
     rows: Callable[[dict[str, list]], dict[str, list]] = dict
@@ -592,12 +602,15 @@ def _space_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
     return [(row, refusal) for row, refusal in enumerate(refusals) if refusal is not None]
 
 
-def _kl_pair_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
+def _kl_pair_refusals(fields: dict[str, list], epsilon: float | None) -> list[tuple[int, str]]:
     """(row, refusal) of each KL pair whose two distributions differ in
     length, or one of which does not sum to 1 within 1e-6 (its row sum,
     the bits `np.sum` of its vector gives), base before calibrated. The
-    pairs of each pair of lengths are summed as one 2-D array."""
-    refused = {}
+    pairs of each pair of lengths are read as one 2-D array per side; where
+    `epsilon` is given, the same arrays give each pair's KL at that floor
+    (`reprgeo.kl_rows`), which goes into a `kl` column of `fields` (None
+    where the lengths differ)."""
+    refused, kls = {}, [None] * len(fields["position"])
     for rows, base, calibrated in paired_rows(fields["base_probs"], fields["calibrated_probs"]):
         if base.shape != calibrated.shape:
             refused |= dict.fromkeys(rows, "distribution pair must be two equal-length vectors")
@@ -607,13 +620,26 @@ def _kl_pair_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
         for k in np.flatnonzero(base_off | calibrated_off).tolist():
             name = "base" if base_off[k] else "calibrated"
             refused[rows[k]] = f"{name} distribution does not sum to 1"
+        if epsilon is not None:
+            for row, kl in zip(rows, kl_rows(base, calibrated, epsilon).tolist()):
+                kls[row] = kl
+    if epsilon is not None:
+        fields["kl"] = kls
     return sorted(refused.items())
+
+
+def scored_kl_pairs(epsilon: float) -> LineKind:
+    """KL pairs as `repr kl` reads them: checked by the rule of `KL_PAIRS`,
+    whose arrays also give each pair's KL at the floor `epsilon`; a load
+    keeps each pair's `position` and `kl` alone, not its distributions."""
+    return LineKind(KL_PAIR, lambda fields: {"position": fields["position"], "kl": fields["kl"]},
+                    lambda fields: _kl_pair_refusals(fields, epsilon))
 
 
 PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
 RAG_TRACES = LineKind(RAG_TRACE, _trace_columns)
 SPACES = LineKind(SPACE, rule=_space_refusals)
-KL_PAIRS = LineKind(KL_PAIR, rule=_kl_pair_refusals)
+KL_PAIRS = LineKind(KL_PAIR, rule=lambda fields: _kl_pair_refusals(fields, None))
 KL_ANNOTATIONS = LineKind(KL_ANNOTATION)
 ROW_IDS = LineKind(ROW_ID)  # matrix sidecar rows
 
@@ -706,7 +732,7 @@ def encode(table: dict, fields) -> Line:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: dict[str, list]  # the column table of the accepted lines
+    records: object  # the column table of the accepted lines, or what a derive made of it
     errors: list[tuple[int, str]]  # (line number, message)
     total_lines: int
     sha256: str  # hex digest of the bytes read
@@ -795,35 +821,69 @@ def _read_block(kind: LineKind, block: list, errors: list) -> dict[str, list]:
     return kind.rows(fields)
 
 
+Derive = Callable[[dict[str, list]], object]  # a block's columns -> its part of a value
+
+
+def _joined(parts: list):
+    """The value whose parts, one per block in line order, are `parts`, all
+    of one structure: arrays are concatenated, lists chained, and
+    dataclasses, dicts and tuples joined field by field. Each part's lists
+    are emptied as they are chained, so a joined table holds about one list
+    of its values at a time."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, list):
+        joined = []
+        for part in parts:
+            joined += part
+            part.clear()
+        return joined
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{field.name: _joined([getattr(part, field.name) for part in parts])
+                              for field in dataclasses.fields(first)})
+    if isinstance(first, dict):
+        return {key: _joined([part[key] for part in parts]) for key in first}
+    return tuple(map(_joined, map(list, zip(*parts))))
+
+
 def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
     """(accepted, errors, count) of the nonblank lines of `lines` (see
     `decode_lines`): the column table of the lines `kind` accepts, (line
     number, JSONDecodeError or refusal) of each other line, and the number
     of lines, read a block of `BLOCK_LINES` at a time."""
-    return _read_lines(lines, kind)
+    return _read_lines(lines, kind, None)
 
 
-def _read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
-    """`read_lines` for this module's own calls, which perfbench's tracer leaves unwrapped."""
-    accepted = kind.rows(_fields(kind.table, _columns(kind.table, [])))  # the columns of no lines
-    errors, total = [], 0
+def _read_lines(lines: Iterable[str], kind: LineKind,
+                derive: Derive | None) -> tuple[object, list, int]:
+    """`read_lines` for this module's own calls, which perfbench's tracer
+    leaves unwrapped; or where `derive` is given, what it derives of the
+    accepted lines instead of their table: it maps the columns of each
+    block as soon as the block is read, and the parts are joined
+    (`_joined`) once the last block is, so the table is never whole. A
+    table is the join of the blocks' tables, and `derive` of a table is
+    `derive` of one block of all its lines."""
+    derive = derive or dict
+    parts, errors, total = [], [], 0
     lines = decode_lines(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         total += len(block)
-        for key, column in _read_block(kind, block, errors).items():
-            accepted[key] += column
-    return accepted, errors, total
+        parts.append(derive(_read_block(kind, block, errors)))
+    if not parts:  # the part of no lines: a file of none still yields every column
+        parts.append(derive(_read_block(kind, [], errors)))
+    return _joined(parts), errors, total
 
 
-def read_file(path, kind: LineKind) -> LoadResult:
-    """The column table of the nonblank lines of the file `path` that `kind`
-    accepts (`read_lines`), and the sha256 of the bytes read. A line that is not
-    JSON, or that `kind` rejects, becomes an error entry (line number,
-    message) instead."""
+def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
+    """`read_lines` of the file `path`, with the sha256 of the bytes read: the
+    column table of the nonblank lines that `kind` accepts, or what `derive`
+    derives of them. A line that is not JSON, or that `kind` rejects,
+    becomes an error entry (line number, message) instead."""
     try:
         fh, sha256 = open_hashed(path)
         with fh:  # line by line: the text is never whole
-            records, refused, total = _read_lines(fh, kind)
+            records, refused, total = _read_lines(fh, kind, derive)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
@@ -832,21 +892,12 @@ def read_file(path, kind: LineKind) -> LoadResult:
                       sha256=sha256.hexdigest())
 
 
-def load_lines(path, kind: LineKind) -> LoadResult:
+def load_lines(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
     """`read_file`, refusing a file where more than half the lines fail."""
-    result = read_file(path, kind)
+    result = read_file(path, kind, derive)
     if result.total_lines and len(result.errors) > result.total_lines / 2:
         raise CorruptInput(
             f"{path}: {len(result.errors)} of {result.total_lines} lines failed validation"
         )
     return result
 
-
-def load_predictions(path) -> LoadResult:
-    """The column table of a prediction file (`PREDICTIONS`), by `load_lines`."""
-    return load_lines(path, PREDICTIONS)
-
-
-def load_rag_traces(path) -> LoadResult:
-    """The column table of a trace file (`RAG_TRACES`), by `load_lines`."""
-    return load_lines(path, RAG_TRACES)

@@ -3,7 +3,8 @@
 Features pool the hidden vectors around the first emitted uncertainty span
 of each emitted row of a prediction table (`jsonio.PREDICTIONS`) and append
 three scalar response features. A table's rows give the probe only what
-`emitted` takes of them, once per file, and a layer is one (rows x dims)
+`emitted` takes of them, once per file, a block of lines at a time as `cli`
+loads it (a row's inputs read that row alone), and a layer is one (rows x dims)
 matrix with each qid's rows in token order; `examples` pools every window of
 a layer in one float64 matrix of an example per row. The window (>= 0
 tokens), span (>= 1 token) and penalty (finite, >= 0) come checked: from the

@@ -13,7 +13,10 @@ pre-retrieval failures.
 Scoring and deciding are separate passes, and there is no one-call run that
 hides them. `score_traces` matches both answers of every trace once (against
 one `rewards.GoldSet`) and reads the table into numpy columns: per answer its
-verdict, rule and F1, and one float column per controller signal. `decide`
+verdict, rule and F1, and one float column per controller signal. A trace's
+columns read that trace alone, so `cli` scores a trace file a block of lines
+at a time as it loads, and the blocks' `ScoredTraces`, joined, are those of
+the whole table, which is never held. `decide`
 compares one signal column with a threshold, giving one bool per trace. A
 report is a plain dict of counts of masks over those columns
 (`trigger_report`, `trigger_reports_by_dataset`), so one scoring serves the

@@ -6,8 +6,10 @@ mapping. Both fitters are deterministic and share the Newton-CG minimizer
 (`optim`), each from the identity mapping (T = 1): global scaling over
 u = log(1/T), adaptive scaling over the weights of its features. Each fits
 the rows of one `rewards.ScoredBatch` (the caller scores them) whose
-confidence column is not NaN; adaptive scaling also reads their features
-from the prediction table (`jsonio.PREDICTIONS`) the batch scored.
+confidence column is not NaN; adaptive scaling also reads their
+`ats_features`, three raw columns of the prediction table
+(`jsonio.PREDICTIONS`) the batch scored, which a caller may derive a block
+of lines at a time.
 
 Applying a model maps a confidence column (`rewards.confidences`) to a new
 one and matches nothing: `apply_ts` reads the column alone, `apply_ats` also
@@ -137,32 +139,33 @@ class AtsModel:
     fit: optim.Fit | None = None
 
 
-def _feature_rows(table: dict, usable: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Raw (unstandardized) feature rows of the `usable` rows of a prediction
-    table (a mask with one entry per row, from the table's own confidence
-    column), whose confidence logits are `logits`: the logit; response length
-    in tokens (`response_token_count`, as loaded); answer length in
-    characters of `rewards.answers`; and reasoning depth, the nonempty lines
-    before the answer line."""
+def ats_features(table: dict, confidence: np.ndarray) -> np.ndarray:
+    """Raw (unstandardized) features, one row each, of the rows of a
+    prediction table whose confidence is not NaN in `confidence` (one entry
+    per row): response length in tokens (`response_token_count`, as
+    loaded), answer length in characters of `rewards.answers`, and
+    reasoning depth, the nonempty lines before the answer line. A fit and
+    an apply put each row's confidence logit before them."""
     texts, counts = table["response_text"], table["response_token_count"]
-    rows = np.flatnonzero(usable).tolist()
+    rows = np.flatnonzero(~np.isnan(confidence)).tolist()
     features = [(float(counts[i]), float(len(answer or "")), float(reasoning_depth(texts[i])))
                 for i, answer in zip(rows, answers(table, rows))]
-    return np.column_stack([logits, np.reshape(features, (-1, 3))])
+    return np.reshape(features, (-1, 3))
 
 
-def fit_ats(table: dict, batch: ScoredBatch, l2: float = DEFAULT_ATS_L2) -> AtsModel:
+def fit_ats(features: np.ndarray, batch: ScoredBatch, l2: float = DEFAULT_ATS_L2) -> AtsModel:
     """Fit adaptive temperature scaling of the rows of a prediction table,
-    whose scores are `batch`, with `optim.minimize` (Newton-CG) over features standardized
-    on the fit set (`optim.standardize`).
+    whose scores are `batch` and whose `ats_features` are `features`, with
+    `optim.minimize` (Newton-CG) over features standardized on the fit set
+    (`optim.standardize`).
 
     The fit starts from w = 0 and the bias that makes the initial temperature
     exactly 1 (the identity mapping); the line search never lets the
     objective rise above that start. `fit_nll` is the unpenalized NLL at the
     result, computed as for global scaling.
     """
-    usable, logits, outcomes = _fit_rows(batch)
-    phi, means, stds = optim.standardize(_feature_rows(table, usable, logits))
+    _, logits, outcomes = _fit_rows(batch)
+    phi, means, stds = optim.standardize(np.column_stack([logits, features]))
 
     def nll(u):
         s = optim.sigmoid(u)  # dT/du
@@ -201,7 +204,8 @@ def apply_ats(model: AtsModel, table: dict, confidence: np.ndarray) -> np.ndarra
     `rewards.confidences(table)`."""
     usable = ~np.isnan(confidence)
     logits = _logits(confidence[usable])
-    phi = (_feature_rows(table, usable, logits) - model.feature_means) / model.feature_stds
+    phi = ((np.column_stack([logits, ats_features(table, confidence)]) - model.feature_means)
+           / model.feature_stds)
     out = np.full(len(confidence), np.nan)
     out[usable] = optim.sigmoid(logits / _temperatures(model, phi))
     return out

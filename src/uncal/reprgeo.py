@@ -12,13 +12,12 @@ outweigh the float64 copy they save (fewer than `BLOCK_ROWS + dims` rows)
 is read as one block, which computes the bits the whole-matrix formulas
 give. The embedding drift report converts only the rows it names.
 Matrices come from `matio.read_matrix`, so they are 2-D.
-KL pairs and their annotations come as the column tables `jsonio.KL_PAIRS`
-and `jsonio.KL_ANNOTATIONS` load: every probability lies in [0,1], and the
-two distributions of a pair have equal lengths and each sum to 1 within 1e-6.
-The KL values of a block of pairs are computed as one 2-D expression per
-length (`paired_rows`, `kl_rows`), a pair per row and one row sum each, as
-the `jsonio.KL_PAIRS` load rule sums a block's distributions; beside the
-loaded lists, they hold one block's arrays.
+KL pairs are scored as they load (`jsonio.scored_kl_pairs`): the pairs of
+each length in a block become one float64 array per side (`paired_rows`),
+which give both the load rule's row sums (every probability in [0,1], the
+two distributions of equal length, each summing to 1 within 1e-6) and each
+pair's KL (`kl_rows`, one row sum per pair). `kl_by_type` reads only each
+pair's position and KL, and the `jsonio.KL_ANNOTATIONS` columns.
 The KL floor (`--epsilon`, in (0,1)) and the PCA `--k` (>= 1) come checked
 from the `cli` parser; nothing here checks a value its loader or parser
 has refused already.
@@ -80,41 +79,27 @@ def kl_rows(p: np.ndarray, q: np.ndarray, epsilon: float = KL_EPSILON) -> np.nda
     return np.maximum(terms.sum(axis=1), 0.0)
 
 
-def kl_by_type(
-    pairs: dict[str, list],
-    annotations: dict[str, list],
-    epsilon: float = KL_EPSILON,
-) -> dict[TokenType, dict]:
+def kl_by_type(pairs: dict[str, list], annotations: dict[str, list]) -> dict[TokenType, dict]:
     """Per-type mean KL and each type's share of the total KL mass, from the
-    `position`, `base_probs` and `calibrated_probs` columns of `pairs` and
-    the `position` and `type` columns of `annotations`, as one dict per type.
+    `position` and `kl` columns of `pairs` (as a `jsonio.scored_kl_pairs`
+    load yields them) and the `position` and `type` columns of
+    `annotations`, as one dict per type.
 
     Every pair position must be annotated, and no position twice. Types with
     no positions are absent from the result; mass fractions are None when the
-    total KL is 0. `epsilon`, the floor of a calibrated probability, lies
-    in (0,1). The KL values are computed `BLOCK_ROWS` pairs at a time, each
-    length's pairs of a block as one `kl_rows` call.
+    total KL is 0.
     """
     type_of = {}
     for position, token_type in zip(annotations["position"], annotations["type"]):
         if position in type_of:
             raise ValueError(f"position {position} is annotated twice")
         type_of[position] = token_type
-    types = []
-    for position in pairs["position"]:
+    groups: dict[TokenType, list[float]] = {}
+    for position, value in zip(pairs["position"], pairs["kl"]):
         if position not in type_of:
             raise ValueError(f"position {position} has no annotation")
-        types.append(type_of[position])
-    kls = np.empty(len(types))
-    for start in range(0, len(types), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        for rows, base, calibrated in paired_rows(pairs["base_probs"][block],
-                                                  pairs["calibrated_probs"][block]):
-            kls[np.add(rows, start)] = kl_rows(base, calibrated, epsilon)
-    groups: dict[TokenType, list[float]] = {}
-    for token_type, value in zip(types, kls.tolist()):
-        groups.setdefault(token_type, []).append(value)
-    total = math.fsum(kls.tolist())
+        groups.setdefault(type_of[position], []).append(value)
+    total = math.fsum(pairs["kl"])
     out = {}
     for token_type, values in groups.items():
         mass = math.fsum(values)

@@ -10,6 +10,9 @@ answer is `answers` (the explicit field, else the last `Answer:` line) and
 its confidence `confidences`. `score_predictions` turns a table into three
 numpy columns (confidence, NaN where none parses; correctness; marker flag),
 so each row is matched at most once however many metrics read the batch.
+Each row's scores read that row alone, so a file scored a block of lines at
+a time as it loads (as `cli` scores one) gives, its blocks' batches joined,
+the batch of its whole table.
 Applying a recalibration reads that column and matches nothing. No command
 computes a training reward from a row: the one reward the toolkit models,
 the signed verbal confidence, is applied to trajectories by `trajspace`.

@@ -5,7 +5,7 @@ import math
 
 # before numpy, as the `uncal` command imports it: importing `uncal` pins one
 # BLAS thread, which a numpy already loaded would not take up
-from uncal import cli, jsonio, ragctl  # isort: skip
+from uncal import cli, jsonio, ragctl, recal  # isort: skip
 from uncal.errors import UncalError  # isort: skip
 
 import numpy as np
@@ -28,6 +28,11 @@ def predictions(lines) -> dict:
 def traces(lines) -> dict:
     """The column table a load of the trace line objects `lines` yields."""
     return load(jsonio.RAG_TRACES, lines)
+
+
+def fit_ats(table: dict, batch, l2: float = recal.DEFAULT_ATS_L2) -> recal.AtsModel:
+    """`recal.fit_ats` of the prediction table `table`, whose scores are `batch`."""
+    return recal.fit_ats(recal.ats_features(table, batch.confidence), batch, l2)
 
 
 def prediction(qid: str, gold_answers, response_text: str, **fields) -> dict:

@@ -7,6 +7,7 @@ lines as they complete.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import time
 
@@ -20,6 +21,7 @@ from uncal.ragctl import ControllerPolicy, PolicyKind
 from uncal.rewards import GoldSet, match_answer, score_predictions
 
 from conftest import (
+    fit_ats,
     load,
     make_record,
     planted_stack,
@@ -233,7 +235,7 @@ def test_ats_dominance():
             records.append(make_record(f"q{i}", conf, outcome))
         records = predictions(records)
         ts_model = recal.fit_global_ts(score_predictions(records))
-        ats_model = recal.fit_ats(records, score_predictions(records), l2=0.0)
+        ats_model = fit_ats(records, score_predictions(records), l2=0.0)
         assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
 
     rng = np.random.default_rng(SEED + 30)
@@ -250,7 +252,7 @@ def test_ats_dominance():
                                   response_token_count=len(text.split())))
     planted = predictions(planted)
     ts_model = recal.fit_global_ts(score_predictions(planted))
-    ats_model = recal.fit_ats(planted, score_predictions(planted), l2=0.0)
+    ats_model = fit_ats(planted, score_predictions(planted), l2=0.0)
     assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
     assert ts_model.fit_nll - ats_model.fit_nll >= 0.01
 
@@ -270,7 +272,7 @@ def test_probe_planted_signal_sweep():
 
 @criterion(8, "Always/Never reproduce Ret-All/No-Ret; trigger rate monotone in tau")
 def test_controller_identities():
-    fixture = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
+    fixture = jsonio.load_lines(uncal.fixture_path("ragtraces20.jsonl"), jsonio.RAG_TRACES).records
     assert len(fixture["qid"]) == 20
 
     def accounting(table, decisions):
@@ -312,10 +314,11 @@ def test_representation_invariances():
         s = float(rng.uniform(0.05, 20.0))
         assert abs(reprgeo.linear_cka(x, s * (x @ q)) - 1.0) < 1e-8
 
-    pairs = {"position": list(range(30)), "base_probs": [], "calibrated_probs": []}
-    for _ in range(30):
-        pairs["base_probs"].append(rng.dirichlet(np.ones(6)))
-        pairs["calibrated_probs"].append(rng.dirichlet(np.ones(6)))
+    lines = [json.dumps({"position": i, "base_probs": rng.dirichlet(np.ones(6)).tolist(),
+                         "calibrated_probs": rng.dirichlet(np.ones(6)).tolist()})
+             for i in range(30)]
+    pairs, errors, _ = jsonio.read_lines(lines, jsonio.scored_kl_pairs(reprgeo.KL_EPSILON))
+    assert errors == []
     types = list(reprgeo.TokenType)
     annotations = {"position": list(range(30)), "type": [types[i % len(types)] for i in range(30)]}
     table = reprgeo.kl_by_type(pairs, annotations)

@@ -18,7 +18,6 @@ import uncal
 from uncal import calib, cli, jsonio, matio, optim, probe, ragctl, rewards
 from uncal.cli import _load_probe_model, _load_token_stack, main
 from uncal.errors import AlignmentError, CorruptInput, EmptyBatch, IoError
-from uncal.jsonio import load_predictions, load_rag_traces
 from uncal.rewards import MatchResult, MatchRule
 
 from conftest import count_calls, planted_stack, prediction, random_space, rows
@@ -70,7 +69,7 @@ class TestLoadPredictions:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        result = load_predictions(path)
+        result = jsonio.load_lines(path, jsonio.PREDICTIONS)
         assert result.records == {key: [] for key in jsonio.PREDICTION}
         assert result.errors == []
 
@@ -84,7 +83,7 @@ class TestLoadPredictions:
         lines.insert(4, "{broken json")
         path = tmp_path / "preds.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        result = load_predictions(path)
+        result = jsonio.load_lines(path, jsonio.PREDICTIONS)
         assert len(result.records["qid"]) == 9
         assert len(result.errors) == 1 and result.errors[0][0] == 5
 
@@ -92,7 +91,7 @@ class TestLoadPredictions:
         path = tmp_path / "bad.jsonl"
         path.write_text("nope\nnope\n" + '{"qid":"q","gold_answers":["a"],"response_text":"x"}\n')
         with pytest.raises(CorruptInput):
-            load_predictions(path)
+            jsonio.load_lines(path, jsonio.PREDICTIONS)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "extra.jsonl"
@@ -102,33 +101,33 @@ class TestLoadPredictions:
             + '{"qid":"q","gold_answers":["a"],"response_text":"x","bogus":1}\n'
             + good.replace('"g"', '"h"') + "\n"
         )
-        result = load_predictions(path)
+        result = jsonio.load_lines(path, jsonio.PREDICTIONS)
         assert len(result.records["qid"]) == 2 and len(result.errors) == 1
         assert "bogus" in result.errors[0][1]
 
     def test_round_trip_fixture(self, tmp_path):
-        result = load_predictions(PREDS_FIXTURE)
+        result = jsonio.load_lines(PREDS_FIXTURE, jsonio.PREDICTIONS)
         assert result.total_lines == 20 and not result.errors
         out = tmp_path / "again.jsonl"
         jsonio.write_jsonl(out, jsonio.encode_lines(jsonio.PREDICTION, result.records))
-        again = load_predictions(out)
+        again = jsonio.load_lines(out, jsonio.PREDICTIONS)
         assert again.records == result.records
 
     def test_rag_fixture_round_trip(self, tmp_path):
         # the field table reads and writes each line whole; a load keeps less
-        result = load_rag_traces(RAG_FIXTURE)
+        result = jsonio.load_lines(RAG_FIXTURE, jsonio.RAG_TRACES)
         assert result.total_lines == 20 and not result.errors
         lines = RAG_FIXTURE.read_text(encoding="utf-8").splitlines()
         fields = [jsonio.read_table(jsonio.RAG_TRACE, json.loads(line)) for line in lines]
         out = tmp_path / "rag.jsonl"
         jsonio.write_jsonl(out, [jsonio.encode(jsonio.RAG_TRACE, row) for row in fields])
         assert out.read_bytes() == RAG_FIXTURE.read_bytes()
-        assert load_rag_traces(out).records == result.records
+        assert jsonio.load_lines(out, jsonio.RAG_TRACES).records == result.records
 
     def test_match_output_reloads_with_annotations(self, tmp_path):
         out = tmp_path / "matched.jsonl"
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", str(out)]) == 0
-        result = load_predictions(out)
+        result = jsonio.load_lines(out, jsonio.PREDICTIONS)
         assert not result.errors
         table = result.records
         assert all(match is not None for match in table["match"])
@@ -197,7 +196,7 @@ class TestExitCodes:
     def test_bad_policy_is_refused_before_the_traces_are_read(
         self, monkeypatch, capsys, policy
     ):
-        loads = count_calls(monkeypatch, jsonio, "load_rag_traces")
+        loads = count_calls(monkeypatch, jsonio, "load_lines")
         assert main(["rag", "--policy", policy, "--in", str(RAG_FIXTURE)]) == 1
         assert loads == [] and repr(policy) in capsys.readouterr().err
 
@@ -455,7 +454,7 @@ class TestFunctional:
         src.write_text("".join(jsonio.dumps_canonical(r) + "\n" for r in records))
         out = tmp_path / "out.jsonl"
         assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
-        loaded = load_predictions(out).records
+        loaded = jsonio.load_lines(out, jsonio.PREDICTIONS).records
         assert loaded["verbal_confidence"][0] == 0.25   # replaced
         assert loaded["verbal_confidence"][1] == 0.9    # no p_affirmative: untouched
 
@@ -1074,7 +1073,7 @@ class TestRagLoaderChecks:
     def load_one(self, tmp_path, **fields):
         """Rejections among three traces whose middle one carries `fields`."""
         path = _write_lines(tmp_path / "t.jsonl", [self.GOOD, self.GOOD | fields, self.GOOD])
-        return load_rag_traces(path).errors
+        return jsonio.load_lines(path, jsonio.RAG_TRACES).errors
 
     @pytest.mark.parametrize("value", [True, "0.5", 1.5, -0.1])
     def test_noret_confidence_is_a_number_in_unit_interval(self, tmp_path, value):
@@ -1121,7 +1120,7 @@ class TestPredictionLoaderChecks:
     ])
     def test_rejected(self, tmp_path, fields, named):
         path = _write_lines(tmp_path / "p.jsonl", [self.GOOD, self.GOOD | fields, self.GOOD])
-        [(line, message)] = load_predictions(path).errors
+        [(line, message)] = jsonio.load_lines(path, jsonio.PREDICTIONS).errors
         assert line == 2 and named in message
 
 
@@ -1535,7 +1534,7 @@ def test_match_lines_equal_the_former_annotation(lines, threshold):
                      "--out", str(out)]) == 0
         want = [jsonio.encode(jsonio.PREDICTION,
                               record_row(oracle_annotate_record(r, threshold))) + "\n"
-                for r in prediction_records(load_predictions(path).records)]
+                for r in prediction_records(jsonio.load_lines(path, jsonio.PREDICTIONS).records)]
         assert out.read_text(encoding="utf-8") == "".join(want)
 
 
@@ -1646,7 +1645,7 @@ def test_calib_cli_equals_api(records, bins):
         path, out = Path(tmp) / "preds.jsonl", Path(tmp) / "calib.json"
         jsonio.write_jsonl(path, records)
         argv = ["calib", "--in", str(path), "--bins", str(bins), "--out", str(out)]
-        batch = rewards.score_predictions(load_predictions(path).records)
+        batch = rewards.score_predictions(jsonio.load_lines(path, jsonio.PREDICTIONS).records)
         try:
             report = calib.calibration_report(batch, bins)
         except EmptyBatch:
@@ -1677,7 +1676,7 @@ def test_rag_cli_equals_api(records, policy):
         jsonio.write_jsonl(path, records)
         assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
         got = json.loads(out.read_text())
-        loaded = load_rag_traces(path).records
+        loaded = jsonio.load_lines(path, jsonio.RAG_TRACES).records
     scored = ragctl.score_traces(loaded)
     fires = ragctl.decide(ragctl.parse_policy_spec(policy), scored)
     assert got["overall"] == _as_json(ragctl.trigger_report(scored, fires))
@@ -1718,7 +1717,7 @@ class TestProbeScoring:
         assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"),
                      "--preds", str(preds), "--layers", "0,4,8",
                      "--out", str(tmp_path / "s.json")]) == 0
-        qids = load_predictions(preds).records["qid"]
+        qids = jsonio.load_lines(preds, jsonio.PREDICTIONS).records["qid"]
         assert [args[0]["qid"] for args in scored] == [qids] and len(matches) == len(qids)
 
 
@@ -1862,7 +1861,7 @@ class TestAtomicInPlaceMatch:
         shutil.copy(PREDS_FIXTURE, path)
         path.chmod(0o640)
         assert main(["match", "--in", str(path)]) == 0
-        assert None not in load_predictions(path).records["match"]
+        assert None not in jsonio.load_lines(path, jsonio.PREDICTIONS).records["match"]
         assert path.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
 
@@ -1881,8 +1880,8 @@ class TestAtomicInPlaceMatch:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ip.jsonl"]
         out = tmp_path / "out.jsonl"
         assert main(["match", "--in", str(path), "--out", str(out)]) == 0
-        fixture = load_predictions(PREDS_FIXTURE).records
-        assert load_predictions(out).records["qid"] == fixture["qid"]
+        fixture = jsonio.load_lines(PREDS_FIXTURE, jsonio.PREDICTIONS).records
+        assert jsonio.load_lines(out, jsonio.PREDICTIONS).records["qid"] == fixture["qid"]
 
     def test_failing_writer_leaves_input_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "preds.jsonl"

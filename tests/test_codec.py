@@ -307,12 +307,12 @@ def test_a_rule_fault_refuses_its_line_alone(monkeypatch, kind, valid, fault, me
     lines = valid(jsonio.BLOCK_LINES)
     lines[100] = json.dumps(json.loads(lines[100]) | fault)
     read = count_calls(monkeypatch, jsonio, "read_table")
-    made = []  # the calls of the kind's `rows`: one for no lines, one for the block
+    made = []  # the calls of the kind's `rows`: one for the block
     line_kind = getattr(jsonio, kind)
     counted = line_kind._replace(rows=lambda fields: made.append(fields) or line_kind.rows(fields))
     table, errors, total = jsonio.read_lines(lines, counted)
     assert errors == [(101, message)] and total == jsonio.BLOCK_LINES
-    assert len(read) <= len(errors) and len(made) == 2
+    assert len(read) <= len(errors) and len(made) == 1
     alone = [jsonio.read_lines([line], line_kind) for line in lines]
     assert alone[100][1] == [(1, message)]
     assert table == _joined(line_kind, [accepted for accepted, _, _ in alone])
@@ -632,10 +632,10 @@ def test_loading_predictions_peaks_at_most_as_the_per_line_reader_did(tmp_path):
                 "match": {"correct": True, "rule": "ExactMatch", "f1": 1.0},
             }, sort_keys=True) + "\n")
     size = path.stat().st_size
-    jsonio.load_predictions(path)  # warm: lazy imports and caches are not the load's
+    jsonio.load_lines(path, jsonio.PREDICTIONS)  # warm: lazy imports and caches are not the load's
     tracemalloc.start()
     try:
-        result = jsonio.load_predictions(path)
+        result = jsonio.load_lines(path, jsonio.PREDICTIONS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

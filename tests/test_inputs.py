@@ -154,16 +154,27 @@ class TestContentKey:
         path.write_bytes(PREDS_FIXTURE.read_bytes())
         _calib(path)
         before = _sha256(path)
-        loads = count_calls(monkeypatch, jsonio, "load_predictions")
+        loads = count_calls(monkeypatch, jsonio, "load_lines")
         assert main(["match", "--in", str(path)]) == 0
         assert _sha256(path) != before
-        # the verdicts are kept under the bytes `match` read, not those it wrote
-        assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), before)]
+        # the batch is kept under the bytes `match` read, not those it wrote
+        assert list(cli._CACHE) == [(("calib", rewards.DEFAULT_F1_THRESHOLD), before)]
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
         assert len(loads) == 2  # match's load, and calib's of the new bytes
         assert matches == []  # every row of the new bytes has its match block
         assert [key[1] for key in cli._CACHE] == [_sha256(path)]
+        assert got == _calib_alone(path)
+
+    def test_calib_after_match_loads_nothing(self, tmp_path, monkeypatch):
+        # `match` keeps the batch of the bytes it read, scored with its verdicts
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes(PREDS_FIXTURE.read_bytes())
+        assert main(["match", "--in", str(path), "--out", str(tmp_path / "m.jsonl")]) == 0
+        loads = count_calls(monkeypatch, jsonio, "load_lines")
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        got = _calib(path)
+        assert loads == [] and matches == []
         assert got == _calib_alone(path)
 
     def test_same_size_and_mtime_rewrite_is_read_again(self, tmp_path):
@@ -208,6 +219,34 @@ class TestContentKey:
         path.write_text(old)
         assert _calib(path)["mean_confidence"] == 0.5
 
+    def test_a_kept_batch_is_not_read_for_other_bytes(self, tmp_path, monkeypatch):
+        # `recal ats` reads the batch kept for its fit file a block at a time:
+        # where the file changes between the lookup's digest and the load, the
+        # batch of the bytes before must not score the bytes the load parsed
+        path = _lines(tmp_path / "fit.jsonl", [
+            GOOD_PRED | {"qid": f"q{i}", "verbal_confidence": 0.1 + 0.2 * (i % 4),
+                         "response_text": f"Answer: {'ab'[i % 3 == 0]}"} for i in range(12)])
+        old = path.read_text()
+        new = old.replace('"response_text": "Answer: b"', '"response_text": "Answer: a"', 1)
+        argv = ["recal", "ats", "--fit", str(path), "--apply", str(PREDS_FIXTURE),
+                "--out", str(tmp_path / "o.jsonl"), "--model-out", str(tmp_path / "m.json")]
+        path.write_text(new)
+        cli._CACHE.clear()
+        assert main(argv) == 0
+        want = (tmp_path / "m.json").read_bytes()
+        path.write_text(old)
+        _calib_alone(path)  # keeps the batch of the old bytes
+        lookup = cli._sha256
+
+        def digest_then_edit(p):
+            digest = lookup(p)
+            path.write_text(new)
+            return digest
+
+        monkeypatch.setattr(cli, "_sha256", digest_then_edit)
+        assert main(argv) == 0
+        assert (tmp_path / "m.json").read_bytes() == want
+
 
 class TestMemoryRule:
     def test_main_keeps_only_the_entries_it_read(self, tmp_path):
@@ -238,8 +277,8 @@ class TestMemoryRule:
         arrays += [getattr(m, f) for m in (scored.noret, scored.ret)
                    for f in ("correct", "rule", "f1")]
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
-        (verdicts, _), = cli._CACHE.values()
-        arrays.append(verdicts)
+        (batch, _), = cli._CACHE.values()
+        arrays += [batch.confidence, batch.correct, batch.marked]
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
         batch = cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD),
                            _sha256(PREDS_FIXTURE)][0]
@@ -298,7 +337,7 @@ def test_probe_commands_on_one_predictions_file_parse_it_once(tmp_path, monkeypa
     planned = tmp_path / "planned"
     planned.mkdir()
     cli._CACHE.clear()
-    loads = count_calls(monkeypatch, jsonio, "load_predictions")
+    loads = count_calls(monkeypatch, jsonio, "load_lines")
     assert main(["run", "--plan", str(_plan(tmp_path / "plan.jsonl",
                                             [_argv(argv, planned) for argv in steps]))]) == 0
     assert [args[0] for args in loads] == [str(preds)]
@@ -373,7 +412,7 @@ class TestOneScoringPerFile:
     @pytest.mark.parametrize("kind", ["ts", "ats"])
     def test_a_lone_recal_loads_each_of_its_files_once(self, tmp_path, monkeypatch, kind):
         preds = _plan_preds(tmp_path)
-        loads = count_calls(monkeypatch, jsonio, "load_predictions")
+        loads = count_calls(monkeypatch, jsonio, "load_lines")
         for apply in (PREDS_FIXTURE, preds):
             cli._CACHE.clear()
             assert main(["recal", kind, "--fit", str(preds), "--apply", str(apply),
@@ -396,9 +435,9 @@ class TestOneScoringPerFile:
         finally:
             tracemalloc.stop()
         assert held < 64 * 2000
-        (key, (verdicts, errors)), = cli._CACHE.items()
-        assert key == (("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))
-        assert verdicts.dtype == bool and verdicts.shape == (2000,) and errors == []
+        (key, (batch, errors)), = cli._CACHE.items()
+        assert key == (("calib", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))
+        assert batch.correct.dtype == bool and len(batch) == 2000 and errors == []
 
 
 def _fifo_feed(path: Path, data: bytes) -> threading.Thread:

@@ -291,7 +291,7 @@ def test_line_breaking_characters_stay_inside_their_line(tmp_path, char):
     line = jsonio.encode(jsonio.PREDICTION, row)
     assert char in line
     path.write_text(line + "\n" + line + "\r\n", encoding="utf-8")
-    result = jsonio.load_predictions(path)
+    result = jsonio.load_lines(path, jsonio.PREDICTIONS)
     assert not result.errors and result.total_lines == 2
     assert result.records["qid"] == [row["qid"]] * 2
 
@@ -315,7 +315,7 @@ def test_a_carriage_return_inside_a_line_does_not_end_it(tmp_path):
     # universal newlines split this line at its "\r" into two invalid ones
     path = tmp_path / "cr.jsonl"
     path.write_bytes(b'{"qid": "a",\r"gold_answers": ["x"], "response_text": "Answer: x"}')
-    result = jsonio.load_predictions(path)
+    result = jsonio.load_lines(path, jsonio.PREDICTIONS)
     assert (result.errors, result.total_lines) == ([], 1)
     assert (result.records["qid"], result.records["gold_answers"]) == (["a"], [["x"]])
 
@@ -389,11 +389,11 @@ def test_every_rag_line_the_table_accepts_loads_as_it_reads(obj):
 def _held_per_trace(path) -> float:
     """The bytes per trace that the table of a load of the trace file `path`
     holds, as `tracemalloc` sees them."""
-    jsonio.load_rag_traces(path)  # warm: lazy imports and caches are not the table's
+    jsonio.load_lines(path, jsonio.RAG_TRACES)  # warm: lazy imports and caches are not the table's
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = jsonio.load_rag_traces(path).records
+        table = jsonio.load_lines(path, jsonio.RAG_TRACES).records
         return (tracemalloc.get_traced_memory()[0] - before) / len(table["qid"])
     finally:
         tracemalloc.stop()

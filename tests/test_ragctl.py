@@ -266,7 +266,7 @@ class TestRecordRanges:
         path = tmp_path / "traces.jsonl"
         # `json.dumps` writes the literals NaN, Infinity and -Infinity
         path.write_text(json.dumps(fields) + "\n" + json.dumps({**fields, field: value}) + "\n")
-        loaded = jsonio.load_rag_traces(path)
+        loaded = jsonio.load_lines(path, jsonio.RAG_TRACES)
         [(line, message)] = loaded.errors
         assert line == 2 and message.startswith(f"{field} must be ")
         assert loaded.records["qid"] == ["r"]
@@ -311,7 +311,7 @@ class TestScoredTraces:
                 assert (correct, rule, repr(f1)) == (want.correct, want.rule, repr(want.f1))
 
     def test_fixture_scores_equal_per_answer_oracle_matching(self):
-        records = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
+        records = jsonio.load_lines(uncal.fixture_path("ragtraces20.jsonl"), jsonio.RAG_TRACES).records
         assert len(records["qid"]) == 20
         for f1_threshold in (0.0, 0.3, 1.0):
             self.assert_oracle_scores(records, f1_threshold)
@@ -415,7 +415,7 @@ class TestFlareDecisions:
 
     def test_fixture(self):
         path = uncal.fixture_path("ragtraces20.jsonl")
-        table = jsonio.load_rag_traces(path).records
+        table = jsonio.load_lines(path, jsonio.RAG_TRACES).records
         lines = path.read_text(encoding="utf-8").splitlines()
         records = trace_records(list(map(json.loads, lines)))
         minima = {min(r.noret_token_probs) for r in records}

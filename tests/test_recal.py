@@ -14,7 +14,8 @@ from uncal.cli import main
 from uncal.errors import DegenerateFit
 from uncal.rewards import score_predictions
 
-from conftest import count_calls, emission, make_record, prediction, predictions, rows
+from conftest import (count_calls, emission, fit_ats, make_record, prediction, predictions,
+                      rows)
 from oracles import (
     oracle_apply_ats,
     oracle_apply_ts,
@@ -167,7 +168,7 @@ class TestAts:
         batch = calibrated_batch(rng, 2.0, n=1500)
         ts_model = recal.fit_global_ts(score_predictions(batch))
         for l2 in (8.0, 1e3):
-            ats_model = recal.fit_ats(batch, score_predictions(batch), l2=l2)
+            ats_model = fit_ats(batch, score_predictions(batch), l2=l2)
             assert max(abs(w) for w in ats_model.weights) < 1e-2
             assert abs(ats_model.fit_nll - ts_model.fit_nll) < 1e-3
 
@@ -177,7 +178,7 @@ class TestAts:
                        verbal_confidence=float(rng.uniform(0.2, 0.8)), response_token_count=5)
             for i in range(40)
         ])
-        model = recal.fit_ats(records, score_predictions(records), l2=0.0)
+        model = fit_ats(records, score_predictions(records), l2=0.0)
         # length, answer length, and depth are constant across the batch
         assert model.weights[1] == 0.0
         assert model.weights[2] == 0.0
@@ -186,22 +187,24 @@ class TestAts:
     def test_planted_length_overconfidence_beats_global_ts(self, rng):
         batch = length_overconfident_batch(rng)
         ts_model = recal.fit_global_ts(score_predictions(batch))
-        ats_model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
+        ats_model = fit_ats(batch, score_predictions(batch), l2=0.0)
         assert ats_model.fit_nll < ts_model.fit_nll - 0.01
 
     def test_dominates_global_ts_with_no_regularization(self):
         for seed in (1, 2, 3, 4):
             batch = calibrated_batch(np.random.default_rng(seed), 2.0, n=600)
             ts_model = recal.fit_global_ts(score_predictions(batch))
-            ats_model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
+            ats_model = fit_ats(batch, score_predictions(batch), l2=0.0)
             assert ats_model.fit_nll <= ts_model.fit_nll + 1e-9
 
     def test_temperature_floor_respected(self, rng):
         batch = calibrated_batch(rng, 0.5, n=300)
-        model = recal.fit_ats(batch, score_predictions(batch), l2=0.0)
+        model = fit_ats(batch, score_predictions(batch), l2=0.0)
         # the temperatures whose NLL the fit reports as `fit_nll`
-        usable, logits, _ = recal._fit_rows(score_predictions(batch))
-        phi, _, _ = optim.standardize(recal._feature_rows(batch, usable, logits))
+        scores = score_predictions(batch)
+        _, logits, _ = recal._fit_rows(scores)
+        phi, _, _ = optim.standardize(np.column_stack([
+            logits, recal.ats_features(batch, scores.confidence)]))
         for t in recal._temperatures(model, phi)[:50]:
             assert t >= recal.ATS_TEMPERATURE_FLOOR
 
@@ -212,7 +215,7 @@ class TestAts:
             prediction(f"q{i}", ("a",), "one two three", emissions=[emission(0, 0)], **count)
             for i, count in enumerate([{"response_token_count": 0}, {},
                                        {"response_token_count": 7}])])
-        lengths = recal._feature_rows(table, np.ones(3, dtype=bool), np.zeros(3))[:, 1]
+        lengths = recal.ats_features(table, np.zeros(3))[:, 0]
         assert lengths.tolist() == [0.0, 3.0, 7.0]
         inputs = probe.emitted(table, score_predictions(table))
         assert lengths.tolist() == inputs["scalars"][:, 0].tolist()
@@ -224,7 +227,7 @@ def recal_ptrue(tmp_path, lines) -> dict:
     out = tmp_path / "out.jsonl"
     jsonio.write_jsonl(src, lines)
     assert main(["recal", "ptrue", "--in", str(src), "--out", str(out)]) == 0
-    return jsonio.load_predictions(out).records
+    return jsonio.load_lines(out, jsonio.PREDICTIONS).records
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
@@ -250,7 +253,7 @@ class TestPtrue:
         good = {"qid": "q", "gold_answers": ["x"], "response_text": "Answer: x"}
         path = tmp_path / "in.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"p_affirmative": 1.2}) + "\n")
-        assert jsonio.load_predictions(path).errors == [(2, "p_affirmative outside [0,1]")]
+        assert jsonio.load_lines(path, jsonio.PREDICTIONS).errors == [(2, "p_affirmative outside [0,1]")]
 
     def test_batch_replacement_reduces_overconfident_wrong(self, tmp_path):
         # wrong answers carry low affirmative probability in this fixture
@@ -291,7 +294,7 @@ def test_fits_score_each_record_once(rng, monkeypatch, tmp_path):
     confidences = count_calls(monkeypatch, rewards, "confidences")
     parsed = count_calls(monkeypatch, rewards, "extract_confidence")
     recal.fit_global_ts(batch)
-    recal.fit_ats(records, batch, l2=0.01)
+    fit_ats(records, batch, l2=0.01)
     assert len(matches) == len(confidences) == len(parsed) == 0
     fit, apply = tmp_path / "fit.jsonl", tmp_path / "apply.jsonl"
     jsonio.write_jsonl(fit, lines)
@@ -352,7 +355,7 @@ def _apply_records(draw) -> list[dict]:
 
 
 FIT_FILE = str(uncal.fixture_path("preds20.jsonl"))
-FIT_RECORDS = jsonio.load_predictions(FIT_FILE).records
+FIT_RECORDS = jsonio.load_lines(FIT_FILE, jsonio.PREDICTIONS).records
 
 
 def _recal_lines(records, kind: str) -> tuple[dict, list[str]]:
@@ -364,7 +367,7 @@ def _recal_lines(records, kind: str) -> tuple[dict, list[str]]:
         argv = (["recal", "ptrue", "--in", str(path)] if kind == "ptrue"
                 else ["recal", kind, "--fit", FIT_FILE, "--apply", str(path)])
         assert main(argv + ["--out", str(out)]) == 0
-        return jsonio.load_predictions(path).records, out.read_text().splitlines()
+        return jsonio.load_lines(path, jsonio.PREDICTIONS).records, out.read_text().splitlines()
 
 
 def _former_line(row: dict, conf) -> str:
@@ -386,7 +389,7 @@ def _ats_tolerance(model, record) -> float:
     conf = np.array([oracle_record_confidence(record)])
     logit = recal._logits(conf)
     one = predictions([{**vars(record), "emissions": None, "match": None}])
-    raw = recal._feature_rows(one, np.array([True]), logit)[0]
+    raw = np.column_stack([logit, recal.ats_features(one, conf)])[0]
     terms = (raw - model.feature_means) / model.feature_stds * model.weights
     eps = np.finfo(float).eps / 2
     du = 2 * 5 * eps / (1 - 5 * eps) * (np.abs(terms).sum() + abs(model.bias))
@@ -399,7 +402,7 @@ def _ats_tolerance(model, record) -> float:
 
 class TestColumnsEqualFormerPerRecordValues:
     TS_MODEL = recal.fit_global_ts(score_predictions(FIT_RECORDS))
-    ATS_MODEL = recal.fit_ats(FIT_RECORDS, score_predictions(FIT_RECORDS))
+    ATS_MODEL = fit_ats(FIT_RECORDS, score_predictions(FIT_RECORDS))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.none() | _POOL | st.just(float("nan")), max_size=20))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uncal import reprgeo
+from uncal import jsonio, reprgeo
 from uncal.errors import ShapeError, UndefinedSimilarity
 from uncal.reprgeo import TokenType
 
@@ -76,10 +77,19 @@ def test_kl_rows_equal_the_per_pair_kl(pairs, length, seed, zeros, epsilon):
             assert abs(value - want) <= bound
 
 
-def _pairs(*rows):
-    """The KL pair columns of (position, base probs, calibrated probs) rows."""
-    return {"position": [row[0] for row in rows], "base_probs": [row[1] for row in rows],
-            "calibrated_probs": [row[2] for row in rows]}
+def _scored(lines, epsilon=reprgeo.KL_EPSILON) -> dict:
+    """The position and KL columns a `repr kl` load of the KL pair lines
+    `lines` yields at the floor `epsilon`; a refused line fails the test."""
+    table, errors, _ = jsonio.read_lines(lines, jsonio.scored_kl_pairs(epsilon))
+    assert errors == []
+    return table
+
+
+def _pairs(*rows, epsilon=reprgeo.KL_EPSILON):
+    """`_scored` of the KL pairs of (position, base probs, calibrated probs) rows."""
+    return _scored([json.dumps({"position": position, "base_probs": list(map(float, base)),
+                                "calibrated_probs": list(map(float, calibrated))})
+                    for position, base, calibrated in rows], epsilon)
 
 
 def _annotations(*types):
@@ -142,16 +152,16 @@ class TestKlByType:
 
 
 def test_kl_by_type_equals_the_per_pair_values_over_blocks_of_mixed_lengths(rng):
-    # two and a half blocks, each holding pairs of several lengths in turn
-    count = 2 * reprgeo.BLOCK_ROWS + reprgeo.BLOCK_ROWS // 2
+    # two and a half blocks of a load, each holding pairs of several lengths in turn
+    count = 2 * jsonio.BLOCK_LINES + jsonio.BLOCK_LINES // 2
     lengths = rng.choice([1, 3, 8, 40, 129], size=count)
     base = [rng.dirichlet(np.ones(n)).tolist() for n in lengths]
     calibrated = [rng.dirichlet(np.ones(n)).tolist() for n in lengths]
     types = list(TokenType)
     annotations = {"position": list(range(count))[::-1],
                    "type": [types[i % 5] for i in range(count)][::-1]}
-    table = reprgeo.kl_by_type({"position": list(range(count)), "base_probs": base,
-                                "calibrated_probs": calibrated}, annotations, 1e-6)
+    table = reprgeo.kl_by_type(_pairs(*zip(range(count), base, calibrated), epsilon=1e-6),
+                               annotations)
     values = [oracle_kl(p, q, 1e-6) for p, q in zip(base, calibrated)]
     groups = {token_type: values[i::5] for i, token_type in enumerate(types[:5])}
     total = math.fsum(values)

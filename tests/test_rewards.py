@@ -223,7 +223,7 @@ class TestMatchAnswer:
         good = {"qid": "q", "gold_answers": ["x"], "response_text": "Answer: x"}
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"gold_answers": []}) + "\n")
-        assert jsonio.load_predictions(path).errors == [
+        assert jsonio.load_lines(path, jsonio.PREDICTIONS).errors == [
             (2, "gold_answers must be a non-empty list of strings")]
 
     @settings(max_examples=1000, deadline=None)

@@ -2,7 +2,7 @@
 per-record rules they replaced (`oracles.py`), bit for bit: the scores of
 `rewards.score_predictions` (cached `match` blocks and the threshold rule
 included) and `ragctl.score_traces`, the ATS design rows of
-`recal._feature_rows`, and the examples of `probe.examples`. Each is checked
+`recal.ats_features`, and the examples of `probe.examples`. Each is checked
 on the bundled fixtures and on Hypothesis-drawn tables."""
 
 import json
@@ -26,8 +26,8 @@ from oracles import (
     trace_records,
 )
 
-PREDS = jsonio.load_predictions(uncal.fixture_path("preds20.jsonl")).records
-TRACES = jsonio.load_rag_traces(uncal.fixture_path("ragtraces20.jsonl")).records
+PREDS = jsonio.load_lines(uncal.fixture_path("preds20.jsonl"), jsonio.PREDICTIONS).records
+TRACES = jsonio.load_lines(uncal.fixture_path("ragtraces20.jsonl"), jsonio.RAG_TRACES).records
 TRACE_LINES = list(map(json.loads, uncal.fixture_path("ragtraces20.jsonl").read_text(
     encoding="utf-8").splitlines()))
 THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -69,7 +69,7 @@ def assert_ats_design_equal(table: dict) -> None:
     logits = recal._logits(confidence[usable])
     records = [r for r, ok in zip(prediction_records(table), usable.tolist()) if ok]
     want = np.column_stack([logits, np.reshape([oracle_ats_row(r) for r in records], (-1, 3))])
-    assert_same(recal._feature_rows(table, usable, logits), want)
+    assert_same(np.column_stack([logits, recal.ats_features(table, confidence)]), want)
 
 
 def assert_examples_equal(table: dict, stack: dict, window: int, span: int,
