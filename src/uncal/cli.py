@@ -14,16 +14,17 @@ command that writes lines back (`match`, every `--apply`, `recal ptrue`)
 loads a table, and it loads it each time.
 
 What a command derives from an input file is kept per process under the
-sha256 of the file's bytes: a prediction file's `ScoredBatch` (what `calib`
-and a `recal` fit read, and what `match` scores with its own verdicts),
-the `probe.emitted` rows of a `probe` command's predictions, the scored
-columns of `rag`, and a sidecar's row order. So `uncal run --plan` steps,
-or repeated `main` calls, that read the same bytes load and score them
-once: `calib` after `match` loads nothing, `recal` and `probe` after
-either match no row again, and `probe sweep`, `fit` and `eval` on one
-predictions file parse it once. The cache holds those columns and arrays
-alone, never a load's table or a matrix, and each `main` call drops the
-entries it did not read.
+sha256 of the file's bytes: the verdicts `match` computes (one bool per
+row), a prediction file's `ScoredBatch` (what `calib` and a `recal` fit
+read), the `probe.emitted` rows of a `probe` command's predictions, the
+scored columns of `rag`, and a sidecar's row order. So `uncal run --plan`
+steps, or repeated `main` calls, that read the same bytes load and score
+them once: after `match`, `calib`, `recal` and `probe` on that file match
+no row again; after `calib`, a `recal` fit and `probe` score no row again
+(a second `calib`, and `recal ts`'s fit, load nothing); and `probe sweep`,
+`fit` and `eval` on one predictions file parse it once. The cache holds those columns and
+arrays alone, never a load's table or a matrix, and each `main` call drops
+the entries it did not read.
 """
 
 from __future__ import annotations
@@ -335,15 +336,15 @@ def _kept(what, digest: str | None):
     return entry
 
 
-def _lookup(what, path) -> tuple[str | None, tuple | None]:
+def _lookup(path, *whats) -> tuple[str | None, tuple | None]:
     """(digest, entry): the sha256 of `path`, and the entry `_kept` under
-    `what` for those bytes. A lookup hashes the file, a read of its own:
-    with no entry kept under `what`, none can hit, and (None, None) leaves
-    the load alone to read the file."""
-    if not any(key[0] == what for key in _CACHE):
+    the first of `whats` that holds one for those bytes. A lookup hashes the
+    file, a read of its own: with no entry kept under any of `whats`, none
+    can hit, and (None, None) leaves the load alone to read the file."""
+    if not any(key[0] in whats for key in _CACHE):
         return None, None
     digest = _sha256(path)
-    return digest, _kept(what, digest)
+    return digest, next(filter(None, (_kept(what, digest) for what in whats)), None)
 
 
 def _keep(what, path, result: jsonio.LoadResult, value):
@@ -365,7 +366,7 @@ def _derived(what, path, load):
     the bytes the load parsed (`_keep`), so a later call for the same
     `what` on a file with the same bytes neither loads nor derives again. A
     file that is not regular is loaded every time and never kept."""
-    _, entry = _lookup(what, path)
+    _, entry = _lookup(path, what)
     if entry is not None:
         _report_rejected(path, entry[1])
         return entry[0]
@@ -384,64 +385,92 @@ def _load_preds(path) -> jsonio.LoadResult:
     return _loaded(path, jsonio.PREDICTIONS)
 
 
+def _scores_kept(path, f1_threshold: float) -> tuple[str | None, tuple | None]:
+    """`_lookup` of what is kept of `path` at `f1_threshold`: its
+    `ScoredBatch`, else the verdicts `uncal match` computed of its bytes."""
+    return _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
+
+
 def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
-    """The `ScoredBatch` of the prediction file `path` at `f1_threshold`,
-    scored a block of lines at a time as it loads, and kept under ("calib",
-    f1_threshold) by `_derived`: `calib` and a `recal` fit read a batch
-    that `match`, or any scoring of the same bytes, kept."""
-    return _derived(("calib", f1_threshold), path, lambda path: _loaded(
-        path, jsonio.PREDICTIONS, lambda block: rewards.score_predictions(block, f1_threshold)))
+    """The `ScoredBatch` of the prediction file `path` at `f1_threshold`:
+    the batch kept for its bytes, read without loading the file (`calib`
+    and a `recal` fit after any scoring of them), else `_with_batch`'s."""
+    found = _scores_kept(path, f1_threshold)
+    entry = found[1]
+    if entry is not None and isinstance(entry[0], rewards.ScoredBatch):
+        _report_rejected(path, entry[1])
+        return entry[0]
+    return _with_batch(path, f1_threshold, found=found).records[0]
 
 
 def _table_scored(path, f1_threshold: float, result: jsonio.LoadResult) -> rewards.ScoredBatch:
     """The `ScoredBatch` at `f1_threshold` of `result`, a command's load of
     the table of `path`: the one kept for its bytes, else the table scored
-    as one block, and kept."""
-    what = ("calib", f1_threshold)
-    entry = _kept(what, _digest(path, result))
-    return entry[0] if entry is not None else _keep(
-        what, path, result, rewards.score_predictions(result.records, f1_threshold))
+    as one block (with the verdicts `match` kept for them, where it did),
+    and kept."""
+    what, digest = ("calib", f1_threshold), _digest(path, result)
+    entry = _kept(what, digest)
+    if entry is not None:
+        return entry[0]
+    verdicts = _kept(("verdicts", f1_threshold), digest)
+    return _keep(what, path, result, rewards.score_predictions(
+        result.records, f1_threshold, None if verdicts is None else verdicts[0]))
 
 
-def _block_batches(batch: rewards.ScoredBatch | None, f1_threshold: float):
-    """The function from each block's columns, in load order, to the block's
-    `ScoredBatch` at `f1_threshold`: scored there, or where `batch` is the
-    batch kept for the bytes loaded, its next rows."""
-    if batch is None:
-        return lambda columns: rewards.score_predictions(columns, f1_threshold)
+def _block_rows(kept):
+    """The function from each block's columns, in load order, to the
+    block's rows of `kept`, a batch or verdict array kept for the bytes
+    loaded: None where `kept` is None, or where the block runs past its end
+    (the file gained lines after the lookup, and is loaded again)."""
     start = 0
 
     def rows(columns):
         nonlocal start
         block = slice(start, start + len(columns["qid"]))
         start = block.stop
-        return rewards.ScoredBatch(batch.confidence[block], batch.correct[block],
-                                   batch.marked[block])
+        if kept is None or block.stop > len(kept):
+            return None
+        if isinstance(kept, rewards.ScoredBatch):
+            return rewards.ScoredBatch(kept.confidence[block], kept.correct[block],
+                                       kept.marked[block])
+        return kept[block]
 
     return rows
 
 
-def _with_batch(path, f1_threshold: float, derive) -> jsonio.LoadResult:
+def _with_batch(path, f1_threshold: float, derive=None, found=None) -> jsonio.LoadResult:
     """The load of the prediction file `path` whose `records` are (its
     `ScoredBatch` at `f1_threshold`, what `derive(columns, batch)` derives
-    of its blocks' columns and batches), derived a block at a time; each
-    rejected line is reported once. The batch is kept under ("calib",
-    f1_threshold). Where a batch is kept for the file's bytes, no row is
-    scored again: each block takes its rows of it, and if the load parsed
-    other bytes than the lookup hashed, the file is loaded again."""
-    digest, entry = _lookup(("calib", f1_threshold), path)
-    batches = _block_batches(None if entry is None else entry[0], f1_threshold)
+    of its blocks' columns and batches, or None without `derive`), read a
+    block of lines at a time; each rejected line is reported once. `found`
+    is the file's `_scores_kept`, where the caller looked it up. The batch
+    is kept under ("calib", f1_threshold). Where one is kept for the file's
+    bytes, each block takes its rows of it and none is scored again; the
+    batch returned and kept is that one, not a join of its rows. Otherwise
+    each block is scored, a row without a `match` block taking the verdict
+    `uncal match` kept for the same bytes and threshold, where it did. If
+    the load parsed other bytes than the lookup hashed, the file is loaded
+    again."""
+    digest, entry = found or _scores_kept(path, f1_threshold)
+    kept = None if entry is None else entry[0]
+    reuse = isinstance(kept, rewards.ScoredBatch)
+    rows = _block_rows(kept)
 
     def block(columns):
-        batch = batches(columns)
-        return batch, derive(columns, batch)
+        part = rows(columns)
+        if reuse:  # past the kept batch's end, the load is repeated
+            batch = rewards.score_predictions(columns, f1_threshold) if part is None else part
+            return None if derive is None else derive(columns, batch)
+        batch = rewards.score_predictions(columns, f1_threshold, part)
+        return batch, None if derive is None else derive(columns, batch)
 
     result = jsonio.load_lines(path, jsonio.PREDICTIONS, block)
     if entry is not None and result.sha256 != digest:  # changed after the lookup
         return _with_batch(path, f1_threshold, derive)
+    batch, derived = (kept, result.records) if reuse else result.records
     _report_rejected(path, result.errors)
-    _keep(("calib", f1_threshold), path, result, result.records[0])
-    return result
+    return dataclasses.replace(result, records=(
+        _keep(("calib", f1_threshold), path, result, batch), derived))
 
 
 def _same_file(a, b) -> bool:
@@ -473,8 +502,8 @@ def _cmd_theory_iterate(args) -> int:
 def _cmd_match(args) -> int:
     """Write the loaded table with its answers and their matches filled in:
     to `--out`, or over the input, which is refused where a line of it was
-    rejected (rewriting it would drop that line). The table's `ScoredBatch`,
-    scored with these verdicts, is kept for the bytes read, for `calib`."""
+    rejected (rewriting it would drop that line). The verdicts, one bool per
+    row, are kept for the bytes read: scoring them matches no row again."""
     result = _load_preds(args.input)
     table = result.records
     if result.errors and not args.out:
@@ -483,9 +512,9 @@ def _cmd_match(args) -> int:
                          "accepted lines)")
     answers = rewards.answers(table, range(len(table["qid"])))
     matches = rewards.match_answers(answers, table["gold_answers"], args.f1_threshold)
-    # the batch `_scored` reads of these bytes at this threshold, with these verdicts
-    _keep(("calib", args.f1_threshold), args.input, result, rewards.score_predictions(
-        table, args.f1_threshold, np.array([match.correct for match in matches], dtype=bool)))
+    # the verdicts a later scoring of these bytes at this threshold reads
+    _keep(("verdicts", args.f1_threshold), args.input, result,
+          np.array([match.correct for match in matches], dtype=bool))
     jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(jsonio.PREDICTION, {
         **table, "extracted_answer": answers, "match": list(map(vars, matches))}))
     return 0

@@ -602,12 +602,12 @@ def _space_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
     return [(row, refusal) for row, refusal in enumerate(refusals) if refusal is not None]
 
 
-def _kl_pair_refusals(fields: dict[str, list], epsilon: float | None) -> list[tuple[int, str]]:
+def _kl_pair_refusals(fields: dict[str, list], epsilon: float) -> list[tuple[int, str]]:
     """(row, refusal) of each KL pair whose two distributions differ in
     length, or one of which does not sum to 1 within 1e-6 (its row sum,
     the bits `np.sum` of its vector gives), base before calibrated. The
-    pairs of each pair of lengths are read as one 2-D array per side; where
-    `epsilon` is given, the same arrays give each pair's KL at that floor
+    pairs of each pair of lengths are read as one 2-D array per side, and
+    the same arrays give each pair's KL at the floor `epsilon`
     (`reprgeo.kl_rows`), which goes into a `kl` column of `fields` (None
     where the lengths differ)."""
     refused, kls = {}, [None] * len(fields["position"])
@@ -620,17 +620,16 @@ def _kl_pair_refusals(fields: dict[str, list], epsilon: float | None) -> list[tu
         for k in np.flatnonzero(base_off | calibrated_off).tolist():
             name = "base" if base_off[k] else "calibrated"
             refused[rows[k]] = f"{name} distribution does not sum to 1"
-        if epsilon is not None:
-            for row, kl in zip(rows, kl_rows(base, calibrated, epsilon).tolist()):
-                kls[row] = kl
-    if epsilon is not None:
-        fields["kl"] = kls
+        for row, kl in zip(rows, kl_rows(base, calibrated, epsilon).tolist()):
+            kls[row] = kl
+    fields["kl"] = kls
     return sorted(refused.items())
 
 
 def scored_kl_pairs(epsilon: float) -> LineKind:
-    """KL pairs as `repr kl` reads them: checked by the rule of `KL_PAIRS`,
-    whose arrays also give each pair's KL at the floor `epsilon`; a load
+    """KL pairs as `repr kl` reads them: a pair is refused where its
+    distributions differ in length or one does not sum to 1, and the arrays
+    that rule reads also give each pair's KL at the floor `epsilon`; a load
     keeps each pair's `position` and `kl` alone, not its distributions."""
     return LineKind(KL_PAIR, lambda fields: {"position": fields["position"], "kl": fields["kl"]},
                     lambda fields: _kl_pair_refusals(fields, epsilon))
@@ -639,7 +638,6 @@ def scored_kl_pairs(epsilon: float) -> LineKind:
 PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
 RAG_TRACES = LineKind(RAG_TRACE, _trace_columns)
 SPACES = LineKind(SPACE, rule=_space_refusals)
-KL_PAIRS = LineKind(KL_PAIR, rule=lambda fields: _kl_pair_refusals(fields, None))
 KL_ANNOTATIONS = LineKind(KL_ANNOTATION)
 ROW_IDS = LineKind(ROW_ID)  # matrix sidecar rows
 
@@ -828,9 +826,11 @@ def _joined(parts: list):
     """The value whose parts, one per block in line order, are `parts`, all
     of one structure: arrays are concatenated, lists chained, and
     dataclasses, dicts and tuples joined field by field. Each part's lists
-    are emptied as they are chained, so a joined table holds about one list
-    of its values at a time."""
+    are emptied as they are chained, so a join holds about one list of its
+    values at a time."""
     first = parts[0]
+    if first is None:  # a derive that keeps nothing of a block
+        return None
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)
     if isinstance(first, list):
@@ -862,17 +862,24 @@ def _read_lines(lines: Iterable[str], kind: LineKind,
     accepted lines instead of their table: it maps the columns of each
     block as soon as the block is read, and the parts are joined
     (`_joined`) once the last block is, so the table is never whole. A
-    table is the join of the blocks' tables, and `derive` of a table is
-    `derive` of one block of all its lines."""
-    derive = derive or dict
+    table grows by each block's columns as the block is read, so it is the
+    join of the blocks' tables, and `derive` of a table is `derive` of one
+    block of all its lines."""
     parts, errors, total = [], [], 0
     lines = decode_lines(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         total += len(block)
-        parts.append(derive(_read_block(kind, block, errors)))
+        columns = _read_block(kind, block, errors)
+        if derive:
+            parts.append(derive(columns))
+        elif parts:
+            for key, column in columns.items():
+                parts[0][key] += column
+        else:
+            parts.append(columns)
     if not parts:  # the part of no lines: a file of none still yields every column
-        parts.append(derive(_read_block(kind, [], errors)))
-    return _joined(parts), errors, total
+        parts.append((derive or dict)(_read_block(kind, [], errors)))
+    return _joined(parts) if derive else parts[0], errors, total
 
 
 def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:

@@ -145,12 +145,13 @@ _KL_DISTRIBUTIONS = st.sampled_from(_DISTRIBUTIONS + [[0.125] * 8, [0.0, 0.25, 0
 @given(st.lists(st.tuples(_KL_DISTRIBUTIONS, _KL_DISTRIBUTIONS), max_size=20),
        st.sampled_from(BLOCKS), st.sampled_from([1e-9, 1e-3]))
 def test_kl_values_loaded_by_blocks_are_those_of_each_pair_alone(pairs, block, epsilon):
-    # the refusals, and each accepted pair's KL, whatever pairs share its block
+    # the refusals (as a load at the default block size gives them), and
+    # each accepted pair's KL, whatever pairs share its block
     lines = _kl_lines(pairs)
     kind = jsonio.scored_kl_pairs(epsilon)
     with _block_lines(block):
         got, errors, total = jsonio.read_lines(lines, kind)
-    _, want_errors, want_total = jsonio.read_lines(lines, jsonio.KL_PAIRS)
+    _, want_errors, want_total = jsonio.read_lines(lines, jsonio.scored_kl_pairs(epsilon))
     assert (_messages(errors), total) == (_messages(want_errors), want_total)
     refused = {line for line, _ in errors}
     accepted = [(i, pair) for i, pair in enumerate(pairs) if i + 1 not in refused]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncal import cli, jsonio, matio, probe, recal
+from uncal import cli, jsonio, matio, probe, recal, reprgeo
 from uncal.errors import AlignmentError, IoError, ShapeError
 from uncal.rewards import MatchRule, score_predictions
 
@@ -260,6 +260,14 @@ EXPECTED = {'KL_ANNOTATIONS': [(3, "invalid JSON: Expecting ',' delimiter"),
             (39, 'gold_answer must be a string')]}
 
 
+def _kind(name: str) -> jsonio.LineKind:
+    """The line kind `name`: a `jsonio` kind, or KL_PAIRS, the pairs `repr
+    kl` reads (`jsonio.scored_kl_pairs`) at its default floor."""
+    if name == "KL_PAIRS":
+        return jsonio.scored_kl_pairs(reprgeo.KL_EPSILON)
+    return getattr(jsonio, name)
+
+
 def _count(accepted: dict) -> int:
     """The number of lines a load accepted: the rows of its column table."""
     return len(next(iter(accepted.values())))
@@ -274,7 +282,7 @@ def _joined(kind, blocks: list) -> dict:
 def _load(tmp_path, kind, lines):
     path = tmp_path / f"{kind}.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return jsonio.load_lines(path, getattr(jsonio, kind))
+    return jsonio.load_lines(path, _kind(kind))
 
 
 @pytest.mark.parametrize("block", [1, 3, jsonio.BLOCK_LINES])
@@ -308,7 +316,7 @@ def test_a_rule_fault_refuses_its_line_alone(monkeypatch, kind, valid, fault, me
     lines[100] = json.dumps(json.loads(lines[100]) | fault)
     read = count_calls(monkeypatch, jsonio, "read_table")
     made = []  # the calls of the kind's `rows`: one for the block
-    line_kind = getattr(jsonio, kind)
+    line_kind = _kind(kind)
     counted = line_kind._replace(rows=lambda fields: made.append(fields) or line_kind.rows(fields))
     table, errors, total = jsonio.read_lines(lines, counted)
     assert errors == [(101, message)] and total == jsonio.BLOCK_LINES
@@ -329,14 +337,15 @@ _VALID = {"PREDICTIONS": _valid_predictions, "RAG_TRACES": _valid_rag,
 # a trace keeps its lowest token probability, and not its response text
 _YIELDED = {"RAG_TRACES": [key for key in jsonio.RAG_TRACE
                            if key not in ("noret_token_probs", "noret_response_text")]
-            + ["noret_min_token_prob"]}
+            + ["noret_min_token_prob"],
+            "KL_PAIRS": ["position", "kl"]}
 
 
 @pytest.mark.parametrize("name", sorted(
     [name for name, value in vars(jsonio).items() if isinstance(value, jsonio.LineKind)]
-    + ["_PLAN"]))
+    + ["KL_PAIRS", "_PLAN"]))
 def test_every_line_kind_yields_a_column_table(name):
-    kind = cli._PLAN if name == "_PLAN" else getattr(jsonio, name)
+    kind = cli._PLAN if name == "_PLAN" else _kind(name)
     for lines in ([], _VALID[name](5)):
         table, errors, total = jsonio.read_lines(lines, kind)
         assert errors == [] and total == len(lines)
@@ -410,7 +419,7 @@ _GOOD = {
 
 @st.composite
 def _line_mixes(draw, kind):
-    table = getattr(jsonio, kind).table
+    table = _kind(kind).table
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         obj = draw(_GOOD[kind])
@@ -453,7 +462,7 @@ def _per_line(kind, lines):
     st.just(kind), _line_mixes(kind))), st.sampled_from([1, 2, 3, jsonio.BLOCK_LINES]))
 def test_block_reader_equals_the_per_line_reader(mix, block):
     kind_name, lines = mix
-    kind = getattr(jsonio, kind_name)
+    kind = _kind(kind_name)
     saved, jsonio.BLOCK_LINES = jsonio.BLOCK_LINES, block
     try:
         records, errors, total = jsonio.read_lines(lines, kind)
@@ -477,7 +486,7 @@ _PAIR = st.tuples(_PROBS, _PROBS, st.booleans()).map(
 def test_the_kl_pair_rule_refuses_what_the_pair_class_refused(pair):
     base, calibrated = pair
     line = json.dumps({"position": 0, "base_probs": base, "calibrated_probs": calibrated})
-    _, errors, _ = jsonio.read_lines([line], jsonio.KL_PAIRS)
+    _, errors, _ = jsonio.read_lines([line], _kind("KL_PAIRS"))
     try:
         TokenDistPair(0, base, calibrated)
         want = []
@@ -495,7 +504,7 @@ def test_the_kl_pair_rule_refuses_each_pair_of_a_mixed_block_as_it_would_alone(p
              for i, (base, calibrated) in enumerate(pairs)]
     saved, jsonio.BLOCK_LINES = jsonio.BLOCK_LINES, block
     try:
-        table, errors, _ = jsonio.read_lines(lines, jsonio.KL_PAIRS)
+        table, errors, _ = jsonio.read_lines(lines, _kind("KL_PAIRS"))
     finally:
         jsonio.BLOCK_LINES = saved
     want = []

@@ -157,8 +157,8 @@ class TestContentKey:
         loads = count_calls(monkeypatch, jsonio, "load_lines")
         assert main(["match", "--in", str(path)]) == 0
         assert _sha256(path) != before
-        # the batch is kept under the bytes `match` read, not those it wrote
-        assert list(cli._CACHE) == [(("calib", rewards.DEFAULT_F1_THRESHOLD), before)]
+        # the verdicts are kept under the bytes `match` read, not those it wrote
+        assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), before)]
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
         assert len(loads) == 2  # match's load, and calib's of the new bytes
@@ -166,15 +166,18 @@ class TestContentKey:
         assert [key[1] for key in cli._CACHE] == [_sha256(path)]
         assert got == _calib_alone(path)
 
-    def test_calib_after_match_loads_nothing(self, tmp_path, monkeypatch):
-        # `match` keeps the batch of the bytes it read, scored with its verdicts
+    def test_calib_after_match_matches_nothing(self, tmp_path, monkeypatch):
+        # `match` keeps the verdicts of the bytes it read; `calib` scores
+        # each block with its rows of them, and keeps the batch
         path = tmp_path / "preds.jsonl"
         path.write_bytes(PREDS_FIXTURE.read_bytes())
         assert main(["match", "--in", str(path), "--out", str(tmp_path / "m.jsonl")]) == 0
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", 3)
         loads = count_calls(monkeypatch, jsonio, "load_lines")
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
-        assert loads == [] and matches == []
+        assert [args[0] for args in loads] == [str(path)] and matches == []
+        assert {key[0][0] for key in cli._CACHE} == {"verdicts", "calib"}
         assert got == _calib_alone(path)
 
     def test_same_size_and_mtime_rewrite_is_read_again(self, tmp_path):
@@ -247,6 +250,36 @@ class TestContentKey:
         assert main(argv) == 0
         assert (tmp_path / "m.json").read_bytes() == want
 
+    def test_a_kept_batch_is_not_read_for_a_file_that_gained_lines(self, tmp_path, monkeypatch):
+        # the probe's predictions gain a line between the lookup's digest and
+        # the load: the blocks past the kept batch's end are scored, and the
+        # file is loaded again, as if nothing had been kept
+        preds = write_hidden_dir(tmp_path / "hidden")
+        old = preds.read_text()
+        new = old + json.dumps(GOOD_PRED | {"qid": "extra"}) + "\n"
+        argv = ["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+                "--preds", str(preds), "--layer", "8", "--out", str(tmp_path / "m.json")]
+        preds.write_text(new)
+        cli._CACHE.clear()
+        assert main(argv) == 0
+        want = (tmp_path / "m.json").read_bytes()
+        lookup = cli._sha256
+
+        def digest_then_edit(p):
+            digest = lookup(p)
+            preds.write_text(new)
+            return digest
+
+        for block in (256, 7):
+            monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
+            monkeypatch.setattr(cli, "_sha256", lookup)
+            preds.write_text(old)
+            cli._CACHE.clear()
+            cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD)  # keeps the old bytes' batch
+            monkeypatch.setattr(cli, "_sha256", digest_then_edit)
+            assert main(argv) == 0
+            assert (tmp_path / "m.json").read_bytes() == want
+
 
 class TestMemoryRule:
     def test_main_keeps_only_the_entries_it_read(self, tmp_path):
@@ -277,8 +310,8 @@ class TestMemoryRule:
         arrays += [getattr(m, f) for m in (scored.noret, scored.ret)
                    for f in ("correct", "rule", "f1")]
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
-        (batch, _), = cli._CACHE.values()
-        arrays += [batch.confidence, batch.correct, batch.marked]
+        (verdicts, _), = cli._CACHE.values()
+        arrays.append(verdicts)
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
         batch = cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD),
                            _sha256(PREDS_FIXTURE)][0]
@@ -435,9 +468,9 @@ class TestOneScoringPerFile:
         finally:
             tracemalloc.stop()
         assert held < 64 * 2000
-        (key, (batch, errors)), = cli._CACHE.items()
-        assert key == (("calib", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))
-        assert batch.correct.dtype == bool and len(batch) == 2000 and errors == []
+        (key, (verdicts, errors)), = cli._CACHE.items()
+        assert key == (("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))
+        assert verdicts.dtype == bool and verdicts.shape == (2000,) and errors == []
 
 
 def _fifo_feed(path: Path, data: bytes) -> threading.Thread:

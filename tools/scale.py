@@ -1,11 +1,11 @@
 """Time and measure `uncal` commands on generated inputs of a given size.
 
-    python3 tools/scale.py --records 100000 [--seed 1] [--src SRC] [--work DIR] \
+    python3 tools/scale.py --records 100000 [--src SRC] [--work DIR] \
         [--commands calib-raw,rag] [--repeat 3]
 
 The inputs come from the benchmark's own generators (`perfbench/gen.py`,
 imported, not changed): the preds-raw, preds-matched and rag-traces
-workloads at `--records` records, with the workload's seed. Each command
+workloads at `--records` records, with seed 1. Each command
 then runs in a fresh `python -m uncal.cli` process with `SRC` (default:
 this checkout's `src`) on its `PYTHONPATH`, so two checkouts compare on the
 same inputs. For each command the script prints its wall seconds, the
@@ -32,6 +32,7 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 1  # the generators' seed, as in `perfbench/run.py --seed 1`
 
 # command -> (workload of its inputs, argv with {in} the input directory and
 # {out} the output directory); the `recal` commands fit on one half of the
@@ -48,22 +49,22 @@ COMMANDS = {
 }
 
 
-def _generate(out: Path, workload: str, records: int, seed: int) -> None:
-    """Write the workload's inputs into `out`, with the workload's seeded generator."""
+def _generate(out: Path, workload: str, records: int) -> None:
+    """Write the workload's inputs into `out`, with its generator at `SEED`."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen
 
-    gen.GENERATORS[workload](out, random.Random(f"{workload}:{seed}"), {"records": records})
+    gen.GENERATORS[workload](out, random.Random(f"{workload}:{SEED}"), {"records": records})
 
 
-def generate(work: Path, workload: str, records: int, seed: int) -> Path:
+def generate(work: Path, workload: str, records: int) -> Path:
     """The directory of the workload's inputs at `records` records, written
-    once per (workload, records, seed) under `work`, by a fresh process."""
-    out = work / f"{workload}-{records}-seed{seed}"
+    once per (workload, records) under `work`, by a fresh process."""
+    out = work / f"{workload}-{records}-seed{SEED}"
     if not (out / ".done").exists():
         out.mkdir(parents=True, exist_ok=True)
         proc = multiprocessing.get_context("spawn").Process(
-            target=_generate, args=(out, workload, records, seed))
+            target=_generate, args=(out, workload, records))
         proc.start()
         proc.join()
         if proc.exitcode:
@@ -103,13 +104,12 @@ def _file_sha256(path: Path) -> bytes:
     return digest.digest()
 
 
-def measure(src: Path, work: Path, records: int, seed: int, names: list[str],
-            repeat: int) -> list[dict]:
+def measure(src: Path, work: Path, records: int, names: list[str], repeat: int) -> list[dict]:
     """One row per command of `names`: its medians over `repeat` runs."""
     rows = []
     for name in names:
         workload, template = COMMANDS[name]
-        inputs = generate(work, workload, records, seed)
+        inputs = generate(work, workload, records)
         argv = template.format(**{"in": inputs, "out": work / "out"}).split()
         runs = [run_once(src, argv, work / "out") for _ in range(repeat)]
         digests = {digest for _, _, digest in runs}
@@ -125,7 +125,6 @@ def measure(src: Path, work: Path, records: int, seed: int, names: list[str],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose uncal runs")
     parser.add_argument("--work", type=Path, default=None,
@@ -141,7 +140,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown commands {unknown}")
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        rows = measure(args.src.resolve(), work, args.records, args.seed, names, args.repeat)
+        rows = measure(args.src.resolve(), work, args.records, names, args.repeat)
     print(f"{'command':<14} {'records':>8} {'wall_s':>8} {'max_rss_mib':>12}  sha256")
     for row in rows:
         print(f"{row['command']:<14} {row['records']:>8} {row['wall_s']:>8.3f} "
