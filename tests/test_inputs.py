@@ -250,6 +250,19 @@ class TestContentKey:
         assert main(argv) == 0
         assert (tmp_path / "m.json").read_bytes() == want
 
+    def test_a_kept_batch_read_a_block_at_a_time_stays_as_it_is(self, tmp_path, monkeypatch):
+        # `probe` takes each block's rows of the batch kept for its
+        # predictions: it scores no row, and the kept batch is not rebuilt
+        preds = write_hidden_dir(tmp_path / "hidden")
+        cli._CACHE.clear()
+        batch = cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD)
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", 7)
+        scored = count_calls(monkeypatch, rewards, "score_predictions")
+        assert main(["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+                     "--preds", str(preds), "--layer", "8", "--out", str(tmp_path / "m.json")]) == 0
+        assert scored == []
+        assert cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD), _sha256(preds)][0] is batch
+
     def test_a_kept_batch_is_not_read_for_a_file_that_gained_lines(self, tmp_path, monkeypatch):
         # the probe's predictions gain a line between the lookup's digest and
         # the load: the blocks past the kept batch's end are scored, and the

@@ -1,17 +1,19 @@
 """Time and measure `uncal` commands on generated inputs of a given size.
 
-    python3 tools/scale.py --records 100000 [--src SRC] [--work DIR] \
-        [--commands calib-raw,rag] [--repeat 3]
+    python3 tools/scale.py --records 100000 [--src SRC [--src SRC ...]] \
+        [--work DIR] [--commands calib-raw,rag] [--repeat 3]
 
 The inputs come from the benchmark's own generators (`perfbench/gen.py`,
 imported, not changed): the preds-raw, preds-matched and rag-traces
 workloads at `--records` records, with seed 1. Each command
 then runs in a fresh `python -m uncal.cli` process with `SRC` (default:
-this checkout's `src`) on its `PYTHONPATH`, so two checkouts compare on the
-same inputs. For each command the script prints its wall seconds, the
-process's max RSS in MiB (`wait4`'s `ru_maxrss`) and the sha256 over the
-files it wrote; with `--repeat`, the medians of the runs, whose digests
-must agree. A process starts with the peak RSS of the one it was forked
+this checkout's `src`) on its `PYTHONPATH`. Given several `--src`, each
+command runs for each of them in turn, the first to run rotating from one
+repetition to the next, so that checkouts compare on the same inputs and a
+drift in machine speed reaches each alike. For each `SRC` and command the
+script prints its wall seconds, the process's max RSS in MiB (`wait4`'s
+`ru_maxrss`) and the sha256 over the files it wrote; with `--repeat`, the
+medians of the runs, whose digests must agree. A process starts with the peak RSS of the one it was forked
 from, so the inputs are generated in a process of their own, outputs are
 hashed a chunk at a time, and this one stays far smaller than any `uncal`
 command.
@@ -104,29 +106,35 @@ def _file_sha256(path: Path) -> bytes:
     return digest.digest()
 
 
-def measure(src: Path, work: Path, records: int, names: list[str], repeat: int) -> list[dict]:
-    """One row per command of `names`: its medians over `repeat` runs."""
-    rows = []
+def measure(srcs: list[Path], work: Path, records: int, names: list[str],
+            repeat: int) -> dict[Path, list[dict]]:
+    """For each of `srcs`, one row per command of `names`: its medians over
+    `repeat` runs, the runs of each command alternating between `srcs`."""
+    rows = {src: [] for src in srcs}
     for name in names:
         workload, template = COMMANDS[name]
         inputs = generate(work, workload, records)
         argv = template.format(**{"in": inputs, "out": work / "out"}).split()
-        runs = [run_once(src, argv, work / "out") for _ in range(repeat)]
-        digests = {digest for _, _, digest in runs}
-        if len(digests) > 1:
-            raise RuntimeError(f"{name}: runs wrote different bytes")
-        rows.append({"command": name, "records": records,
-                     "wall_s": median(wall for wall, _, _ in runs),
-                     "max_rss_mib": median(rss for _, rss, _ in runs),
-                     "sha256": digests.pop()})
+        runs = {src: [] for src in srcs}
+        for k in range(repeat):
+            for src in srcs[k % len(srcs):] + srcs[:k % len(srcs)]:
+                runs[src].append(run_once(src, argv, work / "out"))
+        for src, done in runs.items():
+            digests = {digest for _, _, digest in done}
+            if len(digests) > 1:
+                raise RuntimeError(f"{name}: runs wrote different bytes")
+            rows[src].append({"command": name, "records": records,
+                              "wall_s": median(wall for wall, _, _ in done),
+                              "max_rss_mib": median(rss for _, rss, _ in done),
+                              "sha256": digests.pop()})
     return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, required=True)
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the src directory whose uncal runs")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a src directory whose uncal runs (default: this checkout's)")
     parser.add_argument("--work", type=Path, default=None,
                         help="where inputs are generated and outputs written (default: a "
                              "temporary directory)")
@@ -140,11 +148,14 @@ def main(argv=None) -> int:
         parser.error(f"unknown commands {unknown}")
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        rows = measure(args.src.resolve(), work, args.records, names, args.repeat)
-    print(f"{'command':<14} {'records':>8} {'wall_s':>8} {'max_rss_mib':>12}  sha256")
-    for row in rows:
-        print(f"{row['command']:<14} {row['records']:>8} {row['wall_s']:>8.3f} "
-              f"{row['max_rss_mib']:>12.1f}  {row['sha256']}")
+        srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+        tables = measure(srcs, work, args.records, names, args.repeat)
+    for src, rows in tables.items():
+        print(f"src: {src}")
+        print(f"{'command':<14} {'records':>8} {'wall_s':>8} {'max_rss_mib':>12}  sha256")
+        for row in rows:
+            print(f"{row['command']:<14} {row['records']:>8} {row['wall_s']:>8.3f} "
+                  f"{row['max_rss_mib']:>12.1f}  {row['sha256']}")
     return 0
 
 
