@@ -22,9 +22,9 @@ steps, or repeated `main` calls, that read the same bytes load and score
 them once: after `match`, `calib`, `recal` and `probe` on that file match
 no row again; after `calib`, a `recal` fit and `probe` score no row again
 (a second `calib`, and `recal ts`'s fit, load nothing); and `probe sweep`,
-`fit` and `eval` on one predictions file parse it once. The cache holds those columns and
-arrays alone, never a load's table or a matrix, and each `main` call drops
-the entries it did not read.
+`fit` and `eval` on one predictions file parse it once. The cache holds
+those columns and arrays alone, never a load's table or a matrix, and each
+`main` call drops the entries it did not read.
 """
 
 from __future__ import annotations

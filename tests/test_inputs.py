@@ -258,8 +258,9 @@ class TestContentKey:
         batch = cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD)
         monkeypatch.setattr(jsonio, "BLOCK_LINES", 7)
         scored = count_calls(monkeypatch, rewards, "score_predictions")
-        assert main(["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
-                     "--preds", str(preds), "--layer", "8", "--out", str(tmp_path / "m.json")]) == 0
+        layer = str(tmp_path / "hidden" / "layer_8.mat")
+        assert main(["probe", "fit", "--hidden", layer, "--preds", str(preds), "--layer", "8",
+                     "--out", str(tmp_path / "m.json")]) == 0
         assert scored == []
         assert cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD), _sha256(preds)][0] is batch
 

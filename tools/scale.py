@@ -5,18 +5,18 @@
 
 The inputs come from the benchmark's own generators (`perfbench/gen.py`,
 imported, not changed): the preds-raw, preds-matched and rag-traces
-workloads at `--records` records, with seed 1. Each command
-then runs in a fresh `python -m uncal.cli` process with `SRC` (default:
-this checkout's `src`) on its `PYTHONPATH`. Given several `--src`, each
-command runs for each of them in turn, the first to run rotating from one
-repetition to the next, so that checkouts compare on the same inputs and a
-drift in machine speed reaches each alike. For each `SRC` and command the
-script prints its wall seconds, the process's max RSS in MiB (`wait4`'s
-`ru_maxrss`) and the sha256 over the files it wrote; with `--repeat`, the
-medians of the runs, whose digests must agree. A process starts with the peak RSS of the one it was forked
-from, so the inputs are generated in a process of their own, outputs are
-hashed a chunk at a time, and this one stays far smaller than any `uncal`
-command.
+workloads at `--records` records, with seed 1. Each command then runs in a
+fresh `python -m uncal.cli` process with `SRC` (default: this checkout's
+`src`) on its `PYTHONPATH`. Given several `--src`, each command runs for
+each of them in turn, the first to run rotating from one repetition to the
+next, so that checkouts compare on the same inputs and a drift in machine
+speed reaches each alike. For each `SRC` and command the script prints its
+wall seconds, the process's max RSS in MiB (`wait4`'s `ru_maxrss`) and the
+sha256 over the files it wrote; with `--repeat`, the medians of the runs,
+whose digests must agree. A process starts with the peak RSS of the one it
+was forked from, so the inputs are generated in a process of their own,
+outputs are hashed a chunk at a time, and this one stays far smaller than
+any `uncal` command.
 """
 
 from __future__ import annotations
