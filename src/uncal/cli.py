@@ -256,10 +256,17 @@ def _emit_lines(args, lines: list[dict]) -> None:
             print(jsonio.dumps_canonical(line))
 
 
+_REPORTED: set[tuple] = set()  # (file, line, message) the running command has reported
+
+
 def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
-    """Report each rejected line on stderr as `path:line: message`."""
+    """Report each rejected line on stderr as `path:line: message`, once per
+    command: a file read twice (`recal ts --fit f --apply f`) by any name
+    reports it once."""
     for line_no, message in errors:
-        print(f"{path}:{line_no}: {message}", file=sys.stderr)
+        if (key := (os.path.realpath(path), line_no, message)) not in _REPORTED:
+            _REPORTED.add(key)
+            print(f"{path}:{line_no}: {message}", file=sys.stderr)
 
 
 def _loaded(path, kind: jsonio.LineKind, derive=None) -> jsonio.LoadResult:
@@ -379,12 +386,6 @@ def _space_batch(path) -> trajspace.SpaceBatch:
     return trajspace.space_batch(_loaded(path, jsonio.SPACES).records)
 
 
-def _load_preds(path) -> jsonio.LoadResult:
-    """The table of the prediction file `path`, for a command that writes
-    its lines back; each rejected line is reported once on stderr."""
-    return _loaded(path, jsonio.PREDICTIONS)
-
-
 def _scores_kept(path, f1_threshold: float) -> tuple[str | None, tuple | None]:
     """`_lookup` of what is kept of `path` at `f1_threshold`: its
     `ScoredBatch`, else the verdicts `uncal match` computed of its bytes."""
@@ -401,20 +402,6 @@ def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
         _report_rejected(path, entry[1])
         return entry[0]
     return _with_batch(path, f1_threshold, found=found).records[0]
-
-
-def _table_scored(path, f1_threshold: float, result: jsonio.LoadResult) -> rewards.ScoredBatch:
-    """The `ScoredBatch` at `f1_threshold` of `result`, a command's load of
-    the table of `path`: the one kept for its bytes, else the table scored
-    as one block (with the verdicts `match` kept for them, where it did),
-    and kept."""
-    what, digest = ("calib", f1_threshold), _digest(path, result)
-    entry = _kept(what, digest)
-    if entry is not None:
-        return entry[0]
-    verdicts = _kept(("verdicts", f1_threshold), digest)
-    return _keep(what, path, result, rewards.score_predictions(
-        result.records, f1_threshold, None if verdicts is None else verdicts[0]))
 
 
 def _block_rows(kept):
@@ -473,11 +460,6 @@ def _with_batch(path, f1_threshold: float, derive=None, found=None) -> jsonio.Lo
         _keep(("calib", f1_threshold), path, result, batch), derived))
 
 
-def _same_file(a, b) -> bool:
-    """Do the paths `a` and `b` name one existing file?"""
-    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -500,23 +482,31 @@ def _cmd_theory_iterate(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    """Write the loaded table with its answers and their matches filled in:
-    to `--out`, or over the input, which is refused where a line of it was
-    rejected (rewriting it would drop that line). The verdicts, one bool per
-    row, are kept for the bytes read: scoring them matches no row again."""
-    result = _load_preds(args.input)
-    table = result.records
-    if result.errors and not args.out:
-        raise ValueError(f"{args.input}: {len(result.errors)} of {result.total_lines} lines "
-                         "rejected; the file is left as it was (give --out to write the "
-                         "accepted lines)")
-    answers = rewards.answers(table, range(len(table["qid"])))
-    matches = rewards.match_answers(answers, table["gold_answers"], args.f1_threshold)
-    # the verdicts a later scoring of these bytes at this threshold reads
-    _keep(("verdicts", args.f1_threshold), args.input, result,
-          np.array([match.correct for match in matches], dtype=bool))
-    jsonio.write_jsonl(args.out or args.input, jsonio.encode_lines(jsonio.PREDICTION, {
-        **table, "extracted_answer": answers, "match": list(map(vars, matches))}))
+    """Write each line with its answer and that answer's match filled in, a
+    block of lines at a time: to `--out`, or over the input, which is left
+    as it was where a line of it was rejected (rewriting it would drop that
+    line). The verdicts, one bool per row, are kept for the bytes read:
+    scoring them matches no row again."""
+    verdicts = []
+
+    def rewrite(columns):
+        answers = rewards.answers(columns, range(len(columns["qid"])))
+        matches = rewards.match_answers(answers, columns["gold_answers"], args.f1_threshold)
+        verdicts.extend(match.correct for match in matches)
+        return jsonio.encode_lines(jsonio.PREDICTION, {
+            **columns, "extracted_answer": answers, "match": list(map(vars, matches))})
+
+    def finish(result):
+        _report_rejected(args.input, result.errors)
+        if result.errors and not args.out:
+            raise ValueError(f"{args.input}: {len(result.errors)} of {result.total_lines} "
+                             "lines rejected; the file is left as it was (give --out to write "
+                             "the accepted lines)")
+        # the verdicts a later scoring of these bytes at this threshold reads
+        _keep(("verdicts", args.f1_threshold), args.input, result,
+              np.array(verdicts, dtype=bool))
+
+    jsonio.rewrite_file(args.input, args.out or args.input, jsonio.PREDICTIONS, rewrite, finish)
     return 0
 
 
@@ -535,36 +525,38 @@ def _cmd_calib(args) -> int:
     return 0
 
 
-def _write_recalibrated(args, table, original, new, missing: str) -> None:
-    """Write the prediction table `table` to `--out` with its
-    `verbal_confidence` column replaced by the column `new`. A row whose
-    value in the input column `original` is NaN keeps its own and is counted
-    on stderr as lacking `missing`. A new value outside [0,1], NaN included,
-    for any other row is refused before anything is written."""
-    skipped = np.isnan(original)
-    if not (skipped | ((new >= 0.0) & (new <= 1.0))).all():
-        raise ValueError("verbal_confidence must lie in [0,1]")
-    confidence = [kept if skip else conf for kept, skip, conf
-                  in zip(table["verbal_confidence"], skipped.tolist(), new.tolist())]
-    jsonio.write_jsonl(args.out, jsonio.encode_lines(
-        jsonio.PREDICTION, {**table, "verbal_confidence": confidence}))
-    count = int(skipped.sum())
-    if count:
-        print(f"skipped {count} records without {missing}", file=sys.stderr)
+def _recalibrate(args, path, original_of, new_of, missing: str) -> None:
+    """Write the prediction file `path` to `--out`, a block of lines at a
+    time, with the `verbal_confidence` column of each block's `columns`
+    replaced by `new_of(columns, original)`, where `original` is
+    `original_of(columns)`. A row whose original value is NaN keeps its own
+    and is counted on stderr as lacking `missing`. A new value outside
+    [0,1], NaN included, for any other row is refused, and nothing is
+    written."""
+    skipped = 0
+
+    def rewrite(columns):
+        nonlocal skipped
+        original = original_of(columns)
+        new, skip = new_of(columns, original), np.isnan(original)
+        if not (skip | ((new >= 0.0) & (new <= 1.0))).all():
+            raise ValueError("verbal_confidence must lie in [0,1]")
+        skipped += int(skip.sum())
+        confidence = [own if keep else conf for own, keep, conf
+                      in zip(columns["verbal_confidence"], skip.tolist(), new.tolist())]
+        return jsonio.encode_lines(jsonio.PREDICTION, {**columns, "verbal_confidence": confidence})
+
+    jsonio.rewrite_file(path, args.out, jsonio.PREDICTIONS, rewrite,
+                        lambda result: _report_rejected(path, result.errors))
+    if skipped:
+        print(f"skipped {skipped} records without {missing}", file=sys.stderr)
 
 
 def _cmd_recal_ts(args) -> int:
-    # the fit reads only the batch: `--fit` is a table where it is `--apply` too
-    if _same_file(args.fit, args.apply_path):
-        fit = _load_preds(args.fit)
-        batch, table = _table_scored(args.fit, args.f1_threshold, fit), fit.records
-    else:
-        batch = _scored(args.fit, args.f1_threshold)
-        table = _load_preds(args.apply_path).records
-    model = recal.fit_global_ts(batch)
-    confidence = rewards.confidences(table)
-    _write_recalibrated(args, table, confidence, recal.apply_ts(model, confidence),
-                        "parseable confidence")
+    model = recal.fit_global_ts(_scored(args.fit, args.f1_threshold))
+    _recalibrate(args, args.apply_path, rewards.confidences,
+                 lambda columns, confidence: recal.apply_ts(model, confidence),
+                 "parseable confidence")
     if args.model_out:
         jsonio.write_report(
             args.model_out,
@@ -580,20 +572,13 @@ def _cmd_recal_ts(args) -> int:
 
 
 def _cmd_recal_ats(args) -> int:
-    # the fit reads the batch and three feature columns: `--fit` is a table
-    # where it is `--apply` too
-    if _same_file(args.fit, args.apply_path):
-        fit = _load_preds(args.fit)
-        batch, table = _table_scored(args.fit, args.f1_threshold, fit), fit.records
-        features = recal.ats_features(table, batch.confidence)
-    else:
-        batch, features = _with_batch(args.fit, args.f1_threshold, lambda columns, batch: (
-            recal.ats_features(columns, batch.confidence))).records
-        table = _load_preds(args.apply_path).records
+    # the fit reads the batch and three feature columns of `--fit`
+    batch, features = _with_batch(args.fit, args.f1_threshold, lambda columns, batch: (
+        recal.ats_features(columns, batch.confidence))).records
     model = recal.fit_ats(features, batch, args.l2)
-    confidence = rewards.confidences(table)
-    _write_recalibrated(args, table, confidence, recal.apply_ats(model, table, confidence),
-                        "parseable confidence")
+    _recalibrate(args, args.apply_path, rewards.confidences,
+                 lambda columns, confidence: recal.apply_ats(model, columns, confidence),
+                 "parseable confidence")
     if args.model_out:
         jsonio.write_report(
             args.model_out,
@@ -614,9 +599,8 @@ def _cmd_recal_ats(args) -> int:
 
 
 def _cmd_recal_ptrue(args) -> int:
-    table = _load_preds(args.input).records
-    p_affirmative = np.array(table["p_affirmative"], dtype=float)
-    _write_recalibrated(args, table, p_affirmative, p_affirmative, "p_affirmative")
+    _recalibrate(args, args.input, lambda columns: np.array(columns["p_affirmative"], dtype=float),
+                 lambda columns, p_affirmative: p_affirmative, "p_affirmative")
     return 0
 
 
@@ -881,6 +865,7 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     """Run one command; then drop each cached input the command did not read."""
     _READ.clear()
+    _REPORTED.clear()
     try:
         return _main(argv)
     finally:

@@ -855,6 +855,15 @@ def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
     return _read_lines(lines, kind, None)
 
 
+def _blocks(lines: Iterable[str], kind: LineKind, errors: list) -> Iterator[tuple[int, dict]]:
+    """(count, columns) of each block of `BLOCK_LINES` nonblank lines of
+    `lines`, in line order: its number of lines and the columns of those
+    `kind` accepts (`_read_block`, which appends the others to `errors`)."""
+    lines = decode_lines(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        yield len(block), _read_block(kind, block, errors)
+
+
 def _read_lines(lines: Iterable[str], kind: LineKind,
                 derive: Derive | None) -> tuple[object, list, int]:
     """`read_lines` for this module's own calls, which perfbench's tracer
@@ -866,10 +875,8 @@ def _read_lines(lines: Iterable[str], kind: LineKind,
     join of the blocks' tables, and `derive` of a table is `derive` of one
     block of all its lines."""
     parts, errors, total = [], [], 0
-    lines = decode_lines(lines)
-    while block := list(islice(lines, BLOCK_LINES)):
-        total += len(block)
-        columns = _read_block(kind, block, errors)
+    for count, columns in _blocks(lines, kind, errors):
+        total += count
         if derive:
             parts.append(derive(columns))
         elif parts:
@@ -880,6 +887,24 @@ def _read_lines(lines: Iterable[str], kind: LineKind,
     if not parts:  # the part of no lines: a file of none still yields every column
         parts.append((derive or dict)(_read_block(kind, [], errors)))
     return _joined(parts) if derive else parts[0], errors, total
+
+
+def _result(refused: list, total: int, sha256, records=None) -> LoadResult:
+    """The LoadResult of a read of `total` lines, whose JSON errors among
+    `refused` become messages."""
+    errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
+               else str(exc)) for i, exc in refused]
+    return LoadResult(records=records, errors=errors, total_lines=total,
+                      sha256=sha256.hexdigest())
+
+
+def _valid(path, result: LoadResult) -> LoadResult:
+    """`result`, the read of `path`, refused where more than half the lines fail."""
+    if result.total_lines and len(result.errors) > result.total_lines / 2:
+        raise CorruptInput(
+            f"{path}: {len(result.errors)} of {result.total_lines} lines failed validation"
+        )
+    return result
 
 
 def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
@@ -893,18 +918,35 @@ def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
             records, refused, total = _read_lines(fh, kind, derive)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
-               else str(exc)) for i, exc in refused]
-    return LoadResult(records=records, errors=errors, total_lines=total,
-                      sha256=sha256.hexdigest())
+    return _result(refused, total, sha256, records)
+
+
+def rewrite_file(source, target, kind: LineKind, rewrite: Callable[[dict], Iterable[str]],
+                 finish: Callable[[LoadResult], None]) -> None:
+    """Write to `target` (atomically, see `_write_atomic`) the lines that
+    `rewrite` makes of the columns of each block of the file `source`, read
+    as `load_lines` reads it, in one pass: each block is read, rewritten and
+    written before the next is read, so neither file's table is ever held.
+    `finish` gets the read's result (its `records` None) once the last
+    block is written, before the file takes `target`'s place: a refused
+    `source`, or anything `finish` raises, leaves `target` as it was and no
+    temporary file. `target` may be `source`."""
+    try:
+        fh, sha256 = open_hashed(source)
+    except OSError as exc:
+        raise IoError(f"cannot read {source}: {exc}") from exc
+
+    def chunks():
+        refused, total = [], 0
+        for count, columns in _blocks(fh, kind, refused):
+            total += count
+            yield "".join(map("%s\n".__mod__, rewrite(columns)))
+        finish(_valid(source, _result(refused, total, sha256)))
+
+    with fh:
+        _write_atomic(target, chunks())
 
 
 def load_lines(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
     """`read_file`, refusing a file where more than half the lines fail."""
-    result = read_file(path, kind, derive)
-    if result.total_lines and len(result.errors) > result.total_lines / 2:
-        raise CorruptInput(
-            f"{path}: {len(result.errors)} of {result.total_lines} lines failed validation"
-        )
-    return result
-
+    return _valid(path, read_file(path, kind, derive))

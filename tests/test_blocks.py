@@ -10,6 +10,7 @@ import gc
 import io
 import json
 import random
+import shutil
 import sys
 import tracemalloc
 from pathlib import Path
@@ -168,9 +169,13 @@ def test_kl_values_loaded_by_blocks_are_those_of_each_pair_alone(pairs, block, e
 
 def _inputs(tmp_path: Path) -> dict[str, str]:
     """The bundled fixtures, a probe's hidden directory and its predictions
-    (`_plan_preds`), and KL pairs of several lengths with their annotations,
+    (`_plan_preds`), the fixture's predictions with `p_affirmative` on two
+    lines of three, and KL pairs of several lengths with their annotations,
     each file of ours with a rejected line."""
     preds = _plan_preds(tmp_path)
+    (tmp_path / "ptrue.jsonl").write_text("".join(
+        json.dumps(json.loads(line) | ({"p_affirmative": i / 20} if i % 3 else {})) + "\n"
+        for i, line in enumerate(PREDS_FIXTURE.read_text().splitlines())) + '{"qid": 1}\n')
     rng = np.random.default_rng(4)
     pairs = [(rng.dirichlet(np.ones(n)).tolist(), rng.dirichlet(np.ones(n)).tolist())
              for n in rng.choice([1, 3, 8], size=40)]
@@ -179,20 +184,25 @@ def _inputs(tmp_path: Path) -> dict[str, str]:
     (tmp_path / "ann.jsonl").write_text("".join(
         json.dumps({"position": i, "type": types[i % len(types)]}) + "\n" for i in range(40)))
     return {"preds": str(PREDS_FIXTURE), "traces": str(RAG_FIXTURE), "hidden": str(preds.parent),
-            "hidden_preds": str(preds), "pairs": str(tmp_path / "pairs.jsonl"),
+            "hidden_preds": str(preds), "ptrue": str(tmp_path / "ptrue.jsonl"),
+            "pairs": str(tmp_path / "pairs.jsonl"),
             "ann": str(tmp_path / "ann.jsonl")}
 
 
 # a `match` first and a `calib` of the probe's predictions, so that later
-# steps read a kept batch a block at a time
+# steps read a kept batch a block at a time; `inplace.jsonl` is a fresh copy
+# of the bundled predictions each time the steps run
 STEPS = [
     "match --in {preds} --out {out}/matched.jsonl",
+    "match --in {out}/inplace.jsonl",
     "calib --in {preds} --out {out}/calib.json --csv {out}/calib.csv",
     "calib --in {out}/matched.jsonl --out {out}/calib_matched.json",
     "recal ts --fit {preds} --apply {hidden_preds} --out {out}/ts.jsonl --model-out {out}/ts.json",
     "recal ats --fit {preds} --apply {hidden_preds} --out {out}/ats.jsonl "
     "--model-out {out}/ats.json",
     "recal ats --fit {hidden_preds} --apply {hidden_preds} --out {out}/ats_same.jsonl",
+    "recal ts --fit {hidden_preds} --apply {hidden_preds} --out {out}/ts_same.jsonl",
+    "recal ptrue --in {ptrue} --out {out}/ptrue.jsonl",
     "calib --in {hidden_preds} --out {out}/calib_hidden.json",
     "probe sweep --hidden {hidden} --preds {hidden_preds} --layers 0,8 --out {out}/sweep.json",
     "probe fit --hidden {hidden}/layer_8.mat --preds {hidden_preds} --layer 8 "
@@ -208,6 +218,7 @@ STEPS = [
 def _run_steps(argvs: list[list[str]], out: Path, plan: Path | None, capsys) -> tuple:
     """(stderr, files) of the steps run as one plan, or each alone with an
     empty cache."""
+    shutil.copy(PREDS_FIXTURE, out / "inplace.jsonl")
     cli._CACHE.clear()
     if plan is not None:
         plan.write_text("".join(json.dumps({"argv": argv}) + "\n" for argv in argvs))
@@ -233,34 +244,47 @@ def test_every_command_writes_the_same_bytes_whatever_the_block_size(tmp_path, m
             outcomes[block, plan is None] = _run_steps(argvs, out, plan, capsys)
     first = outcomes[BLOCKS[-1], False]
     assert f"{files['hidden_preds']}:" in first[0] and f"{files['pairs']}:41: " in first[0]
-    assert len(first[1]) == 18
+    assert f"{files['ptrue']}:21: " in first[0]
+    assert len(first[1]) == 21 and first[1]["inplace.jsonl"] != PREDS_FIXTURE.read_bytes()
     for outcome in outcomes.values():
         assert outcome == first
 
 
 # ---------------------------------------------------------------------------
-# Memory: a cold `calib` or `rag` holds a bounded number of bytes per line
+# Memory: a cold command holds a bounded number of bytes per line
 # ---------------------------------------------------------------------------
 
 # traced peak bytes per line of a cold command at 8000 lines, with room
-# above the 126 (`calib`) and 420 (`rag`) measured on Python 3.11; a load of
-# the whole table peaked at 1786 and 1671
-PEAK_PER_LINE = {"calib": 160, "rag": 500}
-ARGV = {"calib": ["calib"], "rag": ["rag", "--policy", "conf:0.5"]}
-WORKLOAD = {"calib": ("preds-raw", "preds.jsonl"), "rag": ("rag-traces", "traces.jsonl")}
+# above the 126 (`calib`), 420 (`rag`), 156 (`match`) and 158 (`recal
+# ptrue`) measured on Python 3.11; a load of the whole table peaked at 1786,
+# 1671, 1734 and 1130
+PEAK_PER_LINE = {"calib": 160, "rag": 500, "match": 200, "recal ptrue": 200}
+ARGV = {"calib": ["calib"], "rag": ["rag", "--policy", "conf:0.5"], "match": ["match"],
+        "recal ptrue": ["recal", "ptrue"]}
+WORKLOAD = {"calib": ("preds-raw", "preds.jsonl"), "rag": ("rag-traces", "traces.jsonl"),
+            "match": ("preds-raw", "preds.jsonl"), "recal ptrue": ("preds-matched", "preds.jsonl")}
 
 
-def _generated(tmp_path: Path, workload: str, records: int) -> Path:
-    """The inputs `perfbench/gen.py` writes for `workload` at `records` records, seed 1."""
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """The function from (workload, records) to the file of `WORKLOAD`
+    inputs that `perfbench/gen.py` writes for it at seed 1, each generated
+    once per module."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import gen
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    out = tmp_path / f"{workload}-{records}"
-    out.mkdir()
-    gen.GENERATORS[workload](out, random.Random(f"{workload}:1"), {"records": records})
-    return out
+    made = {}
+
+    def inputs(workload: str, records: int) -> Path:
+        if (workload, records) not in made:
+            out = tmp_path_factory.mktemp(f"{workload}-{records}")
+            gen.GENERATORS[workload](out, random.Random(f"{workload}:1"), {"records": records})
+            made[workload, records] = out
+        return made[workload, records]
+
+    return inputs
 
 
 def _peak_per_line(argv: list[str], lines: int) -> float:
@@ -278,13 +302,30 @@ def _peak_per_line(argv: list[str], lines: int) -> float:
 
 
 @pytest.mark.parametrize("command", sorted(ARGV))
-def test_a_cold_command_peaks_at_a_bounded_size_per_line(tmp_path, command):
+def test_a_cold_command_peaks_at_a_bounded_size_per_line(tmp_path, generated, command):
     workload, name = WORKLOAD[command]
-    out = str(tmp_path / "report.json")
-    warm = _generated(tmp_path, workload, 50) / name  # imports and compiled patterns
+    out = str(tmp_path / "out")
+    warm = generated(workload, 50) / name  # imports and compiled patterns
     _peak_per_line([*ARGV[command], "--in", str(warm), "--out", out], 50)
     peaks = {records: _peak_per_line([*ARGV[command], "--in", str(
-        _generated(tmp_path, workload, records) / name), "--out", out], records)
+        generated(workload, records) / name), "--out", out], records)
         for records in (8000, 16000)}
     assert peaks[8000] <= PEAK_PER_LINE[command]
     assert peaks[16000] <= peaks[8000]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_an_in_place_match_refused_at_the_end_leaves_its_file_as_it_was(tmp_path, monkeypatch,
+                                                                       capsys, block):
+    # the rejected line is the last: every block before it is written first
+    monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(PREDS_FIXTURE.read_bytes() + b'{"qid": "bad"}\n')
+    before = path.read_bytes()
+    assert main(["match", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:21: missing field 'gold_answers'",
+        f"uncal: {path}: 1 of 21 lines rejected; the file is left as it was (give --out to "
+        "write the accepted lines)"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]

@@ -507,7 +507,7 @@ class TestFunctional:
                          "--out", str(tmp_path / f"{apply.stem}.out.jsonl")]) == 0
             rejected = [line for line in capsys.readouterr().err.splitlines() if ":21:" in line]
             assert rejected == [f"{f}:21: verbal_confidence outside [0,1]" for f in files]
-        # the file's one table serves both: the lines written are those of a copy
+        # a file fit and applied is read twice, and writes the lines its copy does
         assert ((tmp_path / "preds.out.jsonl").read_bytes()
                 == (tmp_path / "copy.out.jsonl").read_bytes())
 

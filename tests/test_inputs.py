@@ -155,13 +155,15 @@ class TestContentKey:
         _calib(path)
         before = _sha256(path)
         loads = count_calls(monkeypatch, jsonio, "load_lines")
+        rewrites = count_calls(monkeypatch, jsonio, "rewrite_file")
         assert main(["match", "--in", str(path)]) == 0
         assert _sha256(path) != before
         # the verdicts are kept under the bytes `match` read, not those it wrote
         assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), before)]
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
-        assert len(loads) == 2  # match's load, and calib's of the new bytes
+        # match's read as it writes, and calib's load of the new bytes
+        assert len(rewrites) == len(loads) == 1
         assert matches == []  # every row of the new bytes has its match block
         assert [key[1] for key in cli._CACHE] == [_sha256(path)]
         assert got == _calib_alone(path)
@@ -460,11 +462,15 @@ class TestOneScoringPerFile:
     def test_a_lone_recal_loads_each_of_its_files_once(self, tmp_path, monkeypatch, kind):
         preds = _plan_preds(tmp_path)
         loads = count_calls(monkeypatch, jsonio, "load_lines")
+        rewrites = count_calls(monkeypatch, jsonio, "rewrite_file")
         for apply in (PREDS_FIXTURE, preds):
             cli._CACHE.clear()
             assert main(["recal", kind, "--fit", str(preds), "--apply", str(apply),
                          "--out", str(tmp_path / "o.jsonl")]) == 0
-        assert [args[0] for args in loads] == [str(preds), str(PREDS_FIXTURE), str(preds)]
+        # the fit is loaded, and `--apply` read as it is written: a file
+        # that is both is read twice, and never held whole
+        assert [args[0] for args in loads] == [str(preds), str(preds)]
+        assert [args[0] for args in rewrites] == [str(PREDS_FIXTURE), str(preds)]
 
     def test_the_kept_verdicts_hold_no_table(self, tmp_path):
         path = _lines(tmp_path / "preds.jsonl", [

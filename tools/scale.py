@@ -26,6 +26,7 @@ import hashlib
 import multiprocessing
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -38,17 +39,22 @@ SEED = 1  # the generators' seed, as in `perfbench/run.py --seed 1`
 
 # command -> (workload of its inputs, argv with {in} the input directory and
 # {out} the output directory); the `recal` commands fit on one half of the
-# records and apply to the other
+# records and apply to the other. A run starts with an empty output
+# directory, into which `match-inplace`'s input, whose lines it rewrites, is
+# first copied (`COPIED`).
 COMMANDS = {
     "match": ("preds-raw", "match --in {in}/preds.jsonl --out {out}/matched.jsonl"),
+    "match-inplace": ("preds-raw", "match --in {out}/preds.jsonl"),
     "calib-raw": ("preds-raw", "calib --in {in}/preds.jsonl --out {out}/calib.json"),
     "recal-ts": ("preds-raw", "recal ts --fit {in}/fit.jsonl --apply {in}/apply.jsonl "
                               "--out {out}/ts.jsonl --model-out {out}/ts.json"),
     "recal-ats": ("preds-raw", "recal ats --fit {in}/fit.jsonl --apply {in}/apply.jsonl "
                                "--out {out}/ats.jsonl --model-out {out}/ats.json"),
     "calib-matched": ("preds-matched", "calib --in {in}/preds.jsonl --out {out}/calib.json"),
+    "recal-ptrue": ("preds-matched", "recal ptrue --in {in}/preds.jsonl --out {out}/ptrue.jsonl"),
     "rag": ("rag-traces", "rag --policy conf:0.5 --in {in}/traces.jsonl --out {out}/rag.json"),
 }
+COPIED = {"match-inplace": "preds.jsonl"}  # command -> input file copied to {out} first
 
 
 def _generate(out: Path, workload: str, records: int) -> None:
@@ -75,12 +81,17 @@ def generate(work: Path, workload: str, records: int) -> Path:
     return out
 
 
-def run_once(src: Path, argv: list[str], out: Path) -> tuple[float, float, str]:
-    """(wall seconds, max RSS MiB, sha256 over the written files) of one run
-    of `uncal argv` in a fresh process; a failing command raises."""
+def run_once(src: Path, argv: list[str], out: Path,
+             copied: Path | None = None) -> tuple[float, float, str]:
+    """(wall seconds, max RSS MiB, sha256 over the files in `out` after it)
+    of one run of `uncal argv` in a fresh process, with `out` emptied and
+    the file `copied`, if any, copied into it first; a failing command
+    raises."""
     out.mkdir(parents=True, exist_ok=True)
     for old in out.iterdir():
         old.unlink()
+    if copied is not None:
+        shutil.copyfile(copied, out / copied.name)
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "uncal.cli", *argv], env=env,
@@ -115,10 +126,11 @@ def measure(srcs: list[Path], work: Path, records: int, names: list[str],
         workload, template = COMMANDS[name]
         inputs = generate(work, workload, records)
         argv = template.format(**{"in": inputs, "out": work / "out"}).split()
+        copied = inputs / COPIED[name] if name in COPIED else None
         runs = {src: [] for src in srcs}
         for k in range(repeat):
             for src in srcs[k % len(srcs):] + srcs[:k % len(srcs)]:
-                runs[src].append(run_once(src, argv, work / "out"))
+                runs[src].append(run_once(src, argv, work / "out", copied))
         for src, done in runs.items():
             digests = {digest for _, _, digest in done}
             if len(digests) > 1:
