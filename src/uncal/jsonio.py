@@ -75,7 +75,7 @@ import numpy as np
 from .errors import CorruptInput, IoError
 from .probe import DEFAULT_SPAN_TOKENS, DEFAULT_WINDOW
 from .reprgeo import TokenType, kl_rows, paired_rows
-from .rewards import MatchRule, scan_emissions
+from .rewards import MatchRule
 from .trajspace import space_refusal
 
 # lines read, or rows written, together; bounds what one block holds alive
@@ -377,8 +377,8 @@ PREDICTION = {
     "response_text": (read_string, REQUIRED),
     "extracted_answer": (read_string, None),
     "verbal_confidence": (read_probability, None),
-    "emissions": (read_objects(EMISSION), None),  # None: scanned
-    "response_token_count": (read_count, None),  # None: whitespace tokens
+    "emissions": (read_objects(EMISSION), None),  # None: `probe.emitted` scans the text
+    "response_token_count": (read_count, None),  # None: `rewards.token_counts` counts
     "token_probs": (read_token_probs, None),
     "p_affirmative": (read_probability, None),
     "match": (read_object(MATCH), None),
@@ -572,18 +572,6 @@ def _emission_refusals(fields: dict[str, list]) -> list[tuple[int, str]]:
     return refused
 
 
-def _prediction_columns(fields: dict[str, list]) -> dict[str, list]:
-    """The fields, with the emissions scanned, and the whitespace tokens
-    counted, where a line does not give them."""
-    texts = fields["response_text"]
-    fields["emissions"] = [scan_emissions(text) if found is None else found
-                           for found, text in zip(fields["emissions"], texts)]
-    fields["response_token_count"] = [len(text.split()) if count is None else count
-                                      for count, text in zip(fields["response_token_count"],
-                                                             texts)]
-    return fields
-
-
 def _trace_columns(fields: dict[str, list]) -> dict[str, list]:
     """The fields, with each trace's token probabilities replaced by their
     minimum (`noret_min_token_prob`: None where a line gives no list, +inf
@@ -635,7 +623,7 @@ def scored_kl_pairs(epsilon: float) -> LineKind:
                     lambda fields: _kl_pair_refusals(fields, epsilon))
 
 
-PREDICTIONS = LineKind(PREDICTION, _prediction_columns, _emission_refusals)
+PREDICTIONS = LineKind(PREDICTION, rule=_emission_refusals)
 RAG_TRACES = LineKind(RAG_TRACE, _trace_columns)
 SPACES = LineKind(SPACE, rule=_space_refusals)
 KL_ANNOTATIONS = LineKind(KL_ANNOTATION)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import optim
 from .errors import AlignmentError, DegenerateFit, ShapeError, UndefinedMetric
-from .rewards import ScoredBatch
+from .rewards import ScoredBatch, scan_emissions, token_counts
 
 DEFAULT_WINDOW = 4
 DEFAULT_SPAN_TOKENS = 1
@@ -41,20 +41,24 @@ def emitted(table: dict, batch: ScoredBatch) -> dict:
     """The probe's inputs from the emitted rows of the prediction table
     `table`, whose scores `batch` holds, in row order: each row's `qid`, the
     `token_index` of its first emission (None where it has none), its
-    `scalars` (token count, emission count and first-emit fraction: the
-    first emission's character position over the response length, 0 for an
-    empty response) as one float64 row, and its `wrong` label, 1 where the
-    batch scored it wrong. `examples` reads nothing else of a table."""
-    emissions, texts = table["emissions"], table["response_text"]
+    `scalars` (token count, as `rewards.token_counts` gives it, emission
+    count and first-emit fraction: the first emission's character position
+    over the response length, 0 for an empty response) as one float64 row,
+    and its `wrong` label, 1 where the batch scored it wrong. A row's
+    emissions are those its line gives, else the markers `scan_emissions`
+    finds in its text. `examples` reads nothing else of a table."""
+    texts = table["response_text"]
+    emissions = [scan_emissions(text) if events is None else events
+                 for events, text in zip(table["emissions"], texts, strict=True)]
     rows = [i for i, (events, _) in enumerate(zip(emissions, batch.correct, strict=True))
             if events]
     return {
         "qid": [table["qid"][i] for i in rows],
         "token_index": [emissions[i][0]["token_index"] for i in rows],
         "scalars": np.array([
-            (float(table["response_token_count"][i]), float(len(emissions[i])),
+            (float(count), float(len(emissions[i])),
              emissions[i][0]["char_position"] / len(texts[i]) if texts[i] else 0.0)
-            for i in rows], dtype=float).reshape(-1, 3),
+            for i, count in zip(rows, token_counts(table, rows))], dtype=float).reshape(-1, 3),
         "wrong": (~batch.correct[rows]).astype(int),
     }
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import optim
 from .errors import DegenerateFit
-from .rewards import ScoredBatch, answers, reasoning_depth
+from .rewards import ScoredBatch, answers, reasoning_depth, token_counts
 
 CONF_CLAMP = 1e-4
 ATS_TEMPERATURE_FLOOR = 0.05
@@ -142,14 +142,14 @@ class AtsModel:
 def ats_features(table: dict, confidence: np.ndarray) -> np.ndarray:
     """Raw (unstandardized) features, one row each, of the rows of a
     prediction table whose confidence is not NaN in `confidence` (one entry
-    per row): response length in tokens (`response_token_count`, as
-    loaded), answer length in characters of `rewards.answers`, and
-    reasoning depth, the nonempty lines before the answer line. A fit and
-    an apply put each row's confidence logit before them."""
-    texts, counts = table["response_text"], table["response_token_count"]
+    per row): response length in tokens (`rewards.token_counts`), answer
+    length in characters of `rewards.answers`, and reasoning depth, the
+    nonempty lines before the answer line. A fit and an apply put each
+    row's confidence logit before them."""
+    texts = table["response_text"]
     rows = np.flatnonzero(~np.isnan(confidence)).tolist()
-    features = [(float(counts[i]), float(len(answer or "")), float(reasoning_depth(texts[i])))
-                for i, answer in zip(rows, answers(table, rows))]
+    features = [(float(count), float(len(answer or "")), float(reasoning_depth(texts[i])))
+                for i, count, answer in zip(rows, token_counts(table, rows), answers(table, rows))]
     return np.reshape(features, (-1, 3))
 
 

@@ -242,6 +242,14 @@ def match_answer(
 _NO_ANSWER = MatchResult(False, MatchRule.TOKEN_F1, 0.0)
 
 
+def token_counts(table: dict, rows: Iterable[int]) -> list[int]:
+    """The response length in tokens of each of the `rows` (indices) of a
+    prediction table: the row's `response_token_count` where given,
+    otherwise the whitespace-separated tokens of its response."""
+    given, texts = table["response_token_count"], table["response_text"]
+    return [len(texts[i].split()) if given[i] is None else given[i] for i in rows]
+
+
 def answers(table: dict, rows: Iterable[int]) -> list[str | None]:
     """The answer of each of the `rows` (indices) of a prediction table: the
     row's `extracted_answer` where given, otherwise the last `Answer:` line

@@ -10,6 +10,7 @@ must match exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -985,14 +986,22 @@ def _table_rows(table: dict) -> list[dict]:
 
 
 def prediction_records(table: dict) -> list[PredictionRecord]:
-    """The record of each row of a prediction table, as the loader built it."""
-    from uncal.rewards import MatchResult
+    """The record of each row of a prediction table, as the loader built it:
+    where a row gives no emissions, those found by scanning its text for the
+    marker, and where it gives no token count, its whitespace tokens."""
+    from uncal.rewards import UNCERTAIN_MARKER, MatchResult
 
     records = []
     for row in _table_rows(table):
-        match = row.pop("match")
+        match, text = row.pop("match"), row["response_text"]
+        events = row["emissions"]
+        if events is None:
+            events = [{"char_position": m.start()}
+                      for m in re.finditer(re.escape(UNCERTAIN_MARKER), text)]
+        if row["response_token_count"] is None:
+            row["response_token_count"] = len(text.split())
         records.append(PredictionRecord(
-            **row | {"emissions": tuple(EmissionEvent(**e) for e in row["emissions"])},
+            **row | {"emissions": tuple(EmissionEvent(**e) for e in events)},
             match=None if match is None else MatchResult(**match)))
     return records
 
