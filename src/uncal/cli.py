@@ -7,24 +7,21 @@ configurations produce byte-identical outputs. `--seed` is read only by the
 probe's train/dev split, so only `probe sweep` and `probe fit` record it.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 
-A command that writes no line back derives what it reads as it loads, a
-block of lines at a time (`jsonio.load_lines` with a derive): `calib`, both
-`recal` fits, `rag` and `probe` never hold an input's whole table. Only a
-command that writes lines back (`match`, every `--apply`, `recal ptrue`)
-loads a table, and it loads it each time.
+No command holds an input's table: each reads a block of lines at a time
+and derives what it reads as it loads (`jsonio.load_lines` with a derive:
+`calib`, the `recal` fits, `rag`, `probe`), or writes each block's lines
+before it reads the next (`jsonio.rewrite_file`: `match`, every `--apply`,
+`recal ptrue`), a line as read with the columns it replaces.
 
 What a command derives from an input file is kept per process under the
 sha256 of the file's bytes: the verdicts `match` computes (one bool per
-row), a prediction file's `ScoredBatch` (what `calib` and a `recal` fit
-read), the `probe.emitted` rows of a `probe` command's predictions, the
-scored columns of `rag`, and a sidecar's row order. So `uncal run --plan`
-steps, or repeated `main` calls, that read the same bytes load and score
-them once: after `match`, `calib`, `recal` and `probe` on that file match
-no row again; after `calib`, a `recal` fit and `probe` score no row again
-(a second `calib`, and `recal ts`'s fit, load nothing); and `probe sweep`,
-`fit` and `eval` on one predictions file parse it once. The cache holds
-those columns and arrays alone, never a load's table or a matrix, and each
-`main` call drops the entries it did not read.
+row), a prediction file's `ScoredBatch`, the `probe.emitted` rows, the
+scored columns of `rag`, and a sidecar's row order, never a table or a
+matrix. So `uncal run --plan` steps, or repeated `main` calls, that read
+the same bytes match and score them once (a second `calib`, and `recal
+ts`'s fit, load nothing), and `probe sweep`, `fit` and `eval` on one
+predictions file parse it once. Each `main` call drops the entries it did
+not read.
 """
 
 from __future__ import annotations
@@ -256,17 +253,28 @@ def _emit_lines(args, lines: list[dict]) -> None:
             print(jsonio.dumps_canonical(line))
 
 
-_REPORTED: set[tuple] = set()  # (file, line, message) the running command has reported
+_REPORTED: set[tuple] = set()  # (file, note) the running command has reported
+
+
+def _report(path, notes) -> None:
+    """Print each of `notes` on the file `path` on stderr as `path:note`, once
+    per command, however often (`recal ts --fit f --apply f`) and by what name it is read."""
+    for note in notes:
+        if (key := (os.path.realpath(path), note)) not in _REPORTED:
+            _REPORTED.add(key)
+            print(f"{path}:{note}", file=sys.stderr)
 
 
 def _report_rejected(path, errors: list[tuple[int, str]]) -> None:
-    """Report each rejected line on stderr as `path:line: message`, once per
-    command: a file read twice (`recal ts --fit f --apply f`) by any name
-    reports it once."""
-    for line_no, message in errors:
-        if (key := (os.path.realpath(path), line_no, message)) not in _REPORTED:
-            _REPORTED.add(key)
-            print(f"{path}:{line_no}: {message}", file=sys.stderr)
+    """Report each rejected line on stderr as `path:line: message`."""
+    _report(path, [f"{line_no}: {message}" for line_no, message in errors])
+
+
+def _report_clamped(path, clamped) -> None:
+    """Report on stderr how many confidences parsed from `path` were clamped
+    into [0,1], where any were: `clamped` is their count, or their flags."""
+    if count := int(np.sum(clamped)):
+        _report(path, [f" clamped {count} confidence values outside [0,1]"])
 
 
 def _loaded(path, kind: jsonio.LineKind, derive=None) -> jsonio.LoadResult:
@@ -313,13 +321,6 @@ def _sha256(path) -> str | None:
     return digest.hexdigest()
 
 
-def _digest(path, result: jsonio.LoadResult) -> str | None:
-    """The sha256 that what is derived from `result`, the load of `path`, is
-    kept under: that of the bytes the load parsed, or None where `path` is
-    not a regular file, whose derivations are never kept."""
-    return result.sha256 if _regular(path) else None
-
-
 def _read_only(value):
     """`value`, with each numpy array in it (through dataclasses, dicts and
     tuples) made read-only."""
@@ -334,34 +335,30 @@ def _read_only(value):
     return value
 
 
-def _kept(what, digest: str | None):
-    """The entry (value, rejected lines) kept under `what` for the bytes
-    `digest`, now read by the running command; None where none is kept."""
-    entry = _CACHE.get((what, digest))
-    if entry is not None:
-        _READ.add((what, digest))
-    return entry
-
-
 def _lookup(path, *whats) -> tuple[str | None, tuple | None]:
-    """(digest, entry): the sha256 of `path`, and the entry `_kept` under
-    the first of `whats` that holds one for those bytes. A lookup hashes the
-    file, a read of its own: with no entry kept under any of `whats`, none
-    can hit, and (None, None) leaves the load alone to read the file."""
+    """(digest, entry): the sha256 of `path`, and the entry (value, rejected
+    lines) kept under the first of `whats` for those bytes, now read by the
+    running command. A lookup hashes the file, a read of its own: with no
+    entry kept under any of `whats`, none can hit, and (None, None) leaves
+    the load alone to read the file."""
     if not any(key[0] in whats for key in _CACHE):
         return None, None
     digest = _sha256(path)
-    return digest, next(filter(None, (_kept(what, digest) for what in whats)), None)
+    for key in ((what, digest) for what in whats):
+        if key in _CACHE:
+            _READ.add(key)
+            return digest, _CACHE[key]
+    return digest, None
 
 
 def _keep(what, path, result: jsonio.LoadResult, value):
     """`value`, made read-only, and kept with the rejected lines of
-    `result`, the load of `path`, under `what` and `_digest(path, result)`,
-    as read by the running command."""
-    digest = _digest(path, result)
-    if digest is not None:
-        _CACHE[what, digest] = value, result.errors
-        _READ.add((what, digest))
+    `result`, the load of `path`, under `what` and the sha256 of the bytes
+    the load parsed, as read by the running command; nothing is kept of a
+    file that is not regular."""
+    if _regular(path):
+        _CACHE[what, result.sha256] = value, result.errors
+        _READ.add((what, result.sha256))
     return _read_only(value)
 
 
@@ -386,17 +383,12 @@ def _space_batch(path) -> trajspace.SpaceBatch:
     return trajspace.space_batch(_loaded(path, jsonio.SPACES).records)
 
 
-def _scores_kept(path, f1_threshold: float) -> tuple[str | None, tuple | None]:
-    """`_lookup` of what is kept of `path` at `f1_threshold`: its
-    `ScoredBatch`, else the verdicts `uncal match` computed of its bytes."""
-    return _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
-
-
 def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
     """The `ScoredBatch` of the prediction file `path` at `f1_threshold`:
     the batch kept for its bytes, read without loading the file (`calib`
     and a `recal` fit after any scoring of them), else `_with_batch`'s."""
-    found = _scores_kept(path, f1_threshold)
+    # what is kept of its bytes: their batch, else the verdicts `match` computed
+    found = _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
     entry = found[1]
     if entry is not None and isinstance(entry[0], rewards.ScoredBatch):
         _report_rejected(path, entry[1])
@@ -404,48 +396,31 @@ def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
     return _with_batch(path, f1_threshold, found=found).records[0]
 
 
-def _block_rows(kept):
-    """The function from each block's columns, in load order, to the
-    block's rows of `kept`, a batch or verdict array kept for the bytes
-    loaded: None where `kept` is None, or where the block runs past its end
-    (the file gained lines after the lookup, and is loaded again)."""
-    start = 0
-
-    def rows(columns):
-        nonlocal start
-        block = slice(start, start + len(columns["qid"]))
-        start = block.stop
-        if kept is None or block.stop > len(kept):
-            return None
-        if isinstance(kept, rewards.ScoredBatch):
-            return rewards.ScoredBatch(kept.confidence[block], kept.correct[block],
-                                       kept.marked[block])
-        return kept[block]
-
-    return rows
-
-
 def _with_batch(path, f1_threshold: float, derive=None, found=None) -> jsonio.LoadResult:
     """The load of the prediction file `path` whose `records` are (its
     `ScoredBatch` at `f1_threshold`, what `derive(columns, batch)` derives
     of its blocks' columns and batches, or None without `derive`), read a
     block of lines at a time; each rejected line is reported once. `found`
-    is the file's `_scores_kept`, where the caller looked it up. The batch
-    is kept under ("calib", f1_threshold). Where one is kept for the file's
-    bytes, each block takes its rows of it and none is scored again; the
-    batch returned and kept is that one, not a join of its rows. Otherwise
-    each block is scored, a row without a `match` block taking the verdict
-    `uncal match` kept for the same bytes and threshold, where it did. If
-    the load parsed other bytes than the lookup hashed, the file is loaded
-    again."""
-    digest, entry = found or _scores_kept(path, f1_threshold)
+    is `_scored`'s lookup of the file, where it made one. The batch is kept
+    under ("calib", f1_threshold). Where one is kept for the file's bytes,
+    each block takes its rows of it, and the batch returned and kept is
+    that one, not a join of its rows. Otherwise each block is scored, a row
+    without a `match` block taking the verdict `uncal match` kept for the
+    same bytes and threshold, where it did. If the load parsed other bytes
+    than the lookup hashed, the file is loaded again."""
+    digest, entry = found or _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
     kept = None if entry is None else entry[0]
     reuse = isinstance(kept, rewards.ScoredBatch)
-    rows = _block_rows(kept)
+    start = 0
 
     def block(columns):
-        part = rows(columns)
-        if reuse:  # past the kept batch's end, the load is repeated
+        nonlocal start
+        rows = slice(start, start + len(columns["qid"]))
+        start = rows.stop
+        # the block's rows of the kept batch or verdicts: None past their end,
+        # where the file gained lines after the lookup (and is loaded again)
+        part = None if kept is None or rows.stop > len(kept) else kept[rows]
+        if reuse:
             batch = rewards.score_predictions(columns, f1_threshold) if part is None else part
             return None if derive is None else derive(columns, batch)
         batch = rewards.score_predictions(columns, f1_threshold, part)
@@ -512,6 +487,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_calib(args) -> int:
     batch = _scored(args.input, args.f1_threshold)
+    _report_clamped(args.input, batch.clamped)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     _emit(args, {
         "schema": "uncal-calib-report-v2",
@@ -526,19 +502,20 @@ def _cmd_calib(args) -> int:
 
 
 def _recalibrate(args, path, original_of, new_of, missing: str) -> None:
-    """Write the prediction file `path` to `--out`, a block of lines at a
-    time, with the `verbal_confidence` column of each block's `columns`
-    replaced by `new_of(columns, original)`, where `original` is
-    `original_of(columns)`. A row whose original value is NaN keeps its own
-    and is counted on stderr as lacking `missing`. A new value outside
-    [0,1], NaN included, for any other row is refused, and nothing is
-    written."""
-    skipped = 0
+    """Write the prediction file `path` to `--out` a block of lines at a
+    time, the `verbal_confidence` column of each block's `columns` replaced
+    by `new_of(columns, original)`, where `original_of(columns)` is
+    (`original`, the flags of its values clamped, counted on stderr). A row
+    whose original is NaN keeps its own and is counted on stderr as lacking
+    `missing`. A new value outside [0,1], NaN included, for any other row
+    is refused, and nothing is written."""
+    skipped = clamped = 0
 
     def rewrite(columns):
-        nonlocal skipped
-        original = original_of(columns)
+        nonlocal skipped, clamped
+        original, flags = original_of(columns)
         new, skip = new_of(columns, original), np.isnan(original)
+        clamped += np.count_nonzero(flags)
         if not (skip | ((new >= 0.0) & (new <= 1.0))).all():
             raise ValueError("verbal_confidence must lie in [0,1]")
         skipped += int(skip.sum())
@@ -548,58 +525,44 @@ def _recalibrate(args, path, original_of, new_of, missing: str) -> None:
 
     jsonio.rewrite_file(path, args.out, jsonio.PREDICTIONS, rewrite,
                         lambda result: _report_rejected(path, result.errors))
+    _report_clamped(path, clamped)
     if skipped:
         print(f"skipped {skipped} records without {missing}", file=sys.stderr)
 
 
-def _cmd_recal_ts(args) -> int:
-    model = recal.fit_global_ts(_scored(args.fit, args.f1_threshold))
-    _recalibrate(args, args.apply_path, rewards.confidences,
-                 lambda columns, confidence: recal.apply_ts(model, confidence),
-                 "parseable confidence")
+def _apply_model(args, model, apply, schema: str, **fields) -> int:
+    """Write `--apply` recalibrated by `apply(columns, confidence)`, and to any
+    `--model-out` every field of `model`, `fields`, the `schema` and the config."""
+    _recalibrate(args, args.apply_path, rewards.confidences, apply, "parseable confidence")
     if args.model_out:
-        jsonio.write_report(
-            args.model_out,
-            {
-                "schema": "uncal-ts-model-v3",
-                "temperature": model.temperature,
-                "fit_nll": model.fit_nll,
-                "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
-                "config": _config(args),
-            },
-        )
+        jsonio.write_report(args.model_out, {
+            **vars(model), **fields, "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
+            "schema": schema, "config": _config(args)})
     return 0
+
+
+def _cmd_recal_ts(args) -> int:
+    batch = _scored(args.fit, args.f1_threshold)
+    _report_clamped(args.fit, batch.clamped)
+    model = recal.fit_global_ts(batch)
+    return _apply_model(args, model, lambda columns, confidence: recal.apply_ts(model, confidence),
+                        "uncal-ts-model-v3")
 
 
 def _cmd_recal_ats(args) -> int:
     # the fit reads the batch and three feature columns of `--fit`
     batch, features = _with_batch(args.fit, args.f1_threshold, lambda columns, batch: (
         recal.ats_features(columns, batch.confidence))).records
+    _report_clamped(args.fit, batch.clamped)
     model = recal.fit_ats(features, batch, args.l2)
-    _recalibrate(args, args.apply_path, rewards.confidences,
-                 lambda columns, confidence: recal.apply_ats(model, columns, confidence),
-                 "parseable confidence")
-    if args.model_out:
-        jsonio.write_report(
-            args.model_out,
-            {
-                "schema": "uncal-ats-model-v3",
-                "weights": list(model.weights),
-                "bias": model.bias,
-                "l2": model.l2,
-                "feature_means": list(model.feature_means),
-                "feature_stds": list(model.feature_stds),
-                "temperature_floor": recal.ATS_TEMPERATURE_FLOOR,
-                "fit_nll": model.fit_nll,
-                "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
-                "config": _config(args),
-            },
-        )
-    return 0
+    return _apply_model(args, model,
+                        lambda columns, confidence: recal.apply_ats(model, columns, confidence),
+                        "uncal-ats-model-v3", temperature_floor=recal.ATS_TEMPERATURE_FLOOR)
 
 
 def _cmd_recal_ptrue(args) -> int:
-    _recalibrate(args, args.input, lambda columns: np.array(columns["p_affirmative"], dtype=float),
+    _recalibrate(args, args.input,
+                 lambda columns: (np.array(columns["p_affirmative"], dtype=float), False),
                  lambda columns, p_affirmative: p_affirmative, "p_affirmative")
     return 0
 

@@ -844,9 +844,8 @@ def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
 
 
 def _blocks(lines: Iterable[str], kind: LineKind, errors: list) -> Iterator[tuple[int, dict]]:
-    """(count, columns) of each block of `BLOCK_LINES` nonblank lines of
-    `lines`, in line order: its number of lines and the columns of those
-    `kind` accepts (`_read_block`, which appends the others to `errors`)."""
+    """(line count, columns) of each block of `BLOCK_LINES` nonblank lines
+    of `lines`, in order: `_read_block`, which appends to `errors`."""
     lines = decode_lines(lines)
     while block := list(islice(lines, BLOCK_LINES)):
         yield len(block), _read_block(kind, block, errors)
@@ -859,27 +858,19 @@ def _read_lines(lines: Iterable[str], kind: LineKind,
     accepted lines instead of their table: it maps the columns of each
     block as soon as the block is read, and the parts are joined
     (`_joined`) once the last block is, so the table is never whole. A
-    table grows by each block's columns as the block is read, so it is the
-    join of the blocks' tables, and `derive` of a table is `derive` of one
-    block of all its lines."""
-    parts, errors, total = [], [], 0
+    table is the join of its blocks' tables (each derived by `dict`), so
+    `derive` of a table is `derive` of one block of all its lines."""
+    derive, parts, errors, total = derive or dict, [], [], 0
     for count, columns in _blocks(lines, kind, errors):
         total += count
-        if derive:
-            parts.append(derive(columns))
-        elif parts:
-            for key, column in columns.items():
-                parts[0][key] += column
-        else:
-            parts.append(columns)
+        parts.append(derive(columns))
     if not parts:  # the part of no lines: a file of none still yields every column
-        parts.append((derive or dict)(_read_block(kind, [], errors)))
-    return _joined(parts) if derive else parts[0], errors, total
+        parts.append(derive(_read_block(kind, [], errors)))
+    return _joined(parts), errors, total
 
 
 def _result(refused: list, total: int, sha256, records=None) -> LoadResult:
-    """The LoadResult of a read of `total` lines, whose JSON errors among
-    `refused` become messages."""
+    """The LoadResult of a read of `total` lines, the JSON errors of `refused` as messages."""
     errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
                else str(exc)) for i, exc in refused]
     return LoadResult(records=records, errors=errors, total_lines=total,
@@ -889,9 +880,8 @@ def _result(refused: list, total: int, sha256, records=None) -> LoadResult:
 def _valid(path, result: LoadResult) -> LoadResult:
     """`result`, the read of `path`, refused where more than half the lines fail."""
     if result.total_lines and len(result.errors) > result.total_lines / 2:
-        raise CorruptInput(
-            f"{path}: {len(result.errors)} of {result.total_lines} lines failed validation"
-        )
+        raise CorruptInput(f"{path}: {len(result.errors)} of {result.total_lines} lines "
+                           "failed validation")
     return result
 
 
@@ -911,14 +901,13 @@ def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
 
 def rewrite_file(source, target, kind: LineKind, rewrite: Callable[[dict], Iterable[str]],
                  finish: Callable[[LoadResult], None]) -> None:
-    """Write to `target` (atomically, see `_write_atomic`) the lines that
-    `rewrite` makes of the columns of each block of the file `source`, read
-    as `load_lines` reads it, in one pass: each block is read, rewritten and
-    written before the next is read, so neither file's table is ever held.
-    `finish` gets the read's result (its `records` None) once the last
-    block is written, before the file takes `target`'s place: a refused
-    `source`, or anything `finish` raises, leaves `target` as it was and no
-    temporary file. `target` may be `source`."""
+    """Write to `target` (atomically: `_write_atomic`) the lines `rewrite`
+    makes of the columns of each block of the file `source`, read as by
+    `load_lines`, in one pass: each block is written before the next is
+    read, so no table is held. `finish` gets the read's result (`records`
+    None) after the last block, before the file takes `target`'s place
+    (which may be `source`'s): a refused `source`, or what `finish` raises,
+    leaves `target` as it was and no temporary file."""
     try:
         fh, sha256 = open_hashed(source)
     except OSError as exc:

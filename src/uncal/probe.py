@@ -41,12 +41,12 @@ def emitted(table: dict, batch: ScoredBatch) -> dict:
     """The probe's inputs from the emitted rows of the prediction table
     `table`, whose scores `batch` holds, in row order: each row's `qid`, the
     `token_index` of its first emission (None where it has none), its
-    `scalars` (token count, as `rewards.token_counts` gives it, emission
-    count and first-emit fraction: the first emission's character position
-    over the response length, 0 for an empty response) as one float64 row,
-    and its `wrong` label, 1 where the batch scored it wrong. A row's
-    emissions are those its line gives, else the markers `scan_emissions`
-    finds in its text. `examples` reads nothing else of a table."""
+    `scalars` (`rewards.token_counts`, emission count and first-emit
+    fraction: the first emission's character position over the response
+    length, 0 for an empty response) as one float64 row, and its `wrong`
+    label, 1 where the batch scored it wrong. A row's emissions are its
+    line's, else those `scan_emissions` finds in its text. `examples` reads
+    nothing else of a table."""
     texts = table["response_text"]
     emissions = [scan_emissions(text) if events is None else events
                  for events, text in zip(table["emissions"], texts, strict=True)]

@@ -201,7 +201,7 @@ def _temperatures(model: AtsModel, phi: np.ndarray) -> np.ndarray:
 def apply_ats(model: AtsModel, table: dict, confidence: np.ndarray) -> np.ndarray:
     """sigmoid(logit(c)/T) of each row's confidence c, T being the row's own
     temperature, NaN where c is NaN; `confidence` is
-    `rewards.confidences(table)`."""
+    `rewards.confidences(table)[0]`."""
     usable = ~np.isnan(confidence)
     logits = _logits(confidence[usable])
     phi = ((np.column_stack([logits, ats_features(table, confidence)]) - model.feature_means)

@@ -44,9 +44,10 @@ _CONFIDENCE_LABEL_RE = re.compile(r"confidence[ \t]*:", re.IGNORECASE)
 # an answer line's label, at the start of one line of `str.splitlines`: a line
 # ends at "\n", "\r", "\f", U+2028 and the others that method breaks at
 _ANSWER_LABEL_RE = re.compile(r"[ \t]*answer[ \t]*:", re.IGNORECASE)
-_CONFIDENCE_RE = re.compile(
-    _CONFIDENCE_LABEL_RE.pattern + r"[ \t]*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE
-)
+# a stated confidence: any decimal number (`.8`, `8e-1`), a `%` sign after it
+_CONFIDENCE_RE = re.compile(_CONFIDENCE_LABEL_RE.pattern
+                            + r"[ \t]*([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)[ \t]*(%?)",
+                            re.IGNORECASE)
 _ARTICLES = ("a", "an", "the")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -107,8 +108,14 @@ def extract_answer_line(response_text: str) -> str | None:
     return _CONFIDENCE_LABEL_RE.split(found[1], maxsplit=1)[0].strip()
 
 
+class Clamped(float):
+    """A stated confidence that lay outside [0,1], clamped into it."""
+
+
 def extract_confidence(response_text: str) -> float | None:
-    """The last `Confidence:` value, clamped to [0,1].
+    """The last `Confidence:` value as the model wrote it, a `%` sign after
+    it dividing it by 100 (`80%` and `.8` both read 0.8), clamped to [0,1]:
+    a value the clamp moved is returned as a `Clamped`.
 
     Absence of a parseable value is None; that absence is what the
     parse-rate metric counts.
@@ -116,7 +123,11 @@ def extract_confidence(response_text: str) -> float | None:
     matches = _CONFIDENCE_RE.findall(response_text)
     if not matches:
         return None
-    return min(max(float(matches[-1]), 0.0), 1.0)
+    number, percent = matches[-1]
+    value = float(number)
+    if percent:  # the digits shifted, so that `33.3%` reads as `.333` does
+        value = float(number + "e-2") if "e" not in number.lower() else value / 100.0
+    return value if 0.0 <= value <= 1.0 else Clamped(min(max(value, 0.0), 1.0))
 
 
 def normalize_answer(text: str) -> str:
@@ -293,30 +304,38 @@ def scan_emissions(response_text: str) -> list[dict]:
         start = idx + len(UNCERTAIN_MARKER)
 
 
-def confidences(table: dict) -> np.ndarray:
-    """Each row's stated confidence as a float64 column: the explicit
-    `verbal_confidence` where given, otherwise parsed from the response
-    text, NaN where none parses."""
-    return np.array([extract_confidence(text) if conf is None else conf
-                     for conf, text in zip(table["verbal_confidence"], table["response_text"])],
-                    dtype=float)
+def confidences(table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(confidence, clamped): each row's stated confidence as a float64
+    column, the explicit `verbal_confidence` where given, otherwise parsed
+    from the response text (`extract_confidence`), NaN where none parses;
+    and the bool column of the rows whose parsed value was clamped."""
+    values = [extract_confidence(text) if conf is None else conf
+              for conf, text in zip(table["verbal_confidence"], table["response_text"])]
+    return (np.array(values, dtype=float),
+            np.array([type(value) is Clamped for value in values], dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)
 class ScoredBatch:
     """One verdict per row of a prediction table, as columns in row order.
 
-    `confidence` (float64) is NaN where no confidence parses; `correct` and
-    `marked` are bool, and `marked` says whether the response text contains
-    the uncertainty marker (what a rescan with `scan_emissions` would find).
+    `confidence` (float64) is NaN where no confidence parses; `correct`,
+    `marked` (the response text holds the uncertainty marker, as a rescan
+    with `scan_emissions` would find) and `clamped` (the confidence parsed
+    from it was clamped, `confidences`) are bool.
     """
 
     confidence: np.ndarray
     correct: np.ndarray
     marked: np.ndarray
+    clamped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.correct)
+
+    def __getitem__(self, rows) -> ScoredBatch:
+        """The batch of the `rows` (a slice or index array) alone."""
+        return ScoredBatch(*(column[rows] for column in vars(self).values()))
 
 
 def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD,
@@ -341,11 +360,13 @@ def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD,
     pending = [i for i, verdict in enumerate(correct) if verdict is None]
     for i, answer in zip(pending, answers(table, pending)):
         correct[i] = answer is not None
+    confidence, clamped = confidences(table)
     return ScoredBatch(
-        confidence=confidences(table),
+        confidence=confidence,
         correct=np.array(correct, dtype=bool),
         marked=np.array([UNCERTAIN_MARKER in text for text in table["response_text"]],
                         dtype=bool),
+        clamped=clamped,
     )
 
 

@@ -234,7 +234,7 @@ def test_reports_equal_the_former_list_implementations(bins_and_rows, epsilon):
     correct = [ok for _, ok, _ in rows]
     marked = [m for _, _, m in rows]
     batch = ScoredBatch(np.array(confidence, dtype=float), np.array(correct, dtype=bool),
-                        np.array(marked, dtype=bool))
+                        np.array(marked, dtype=bool), np.zeros(len(rows), dtype=bool))
     for got, want in (
         (outcome(lambda: calib.calibration_report(batch, bins, epsilon)),
          outcome(lambda: oracle_calibration_report(confidence, correct, bins, epsilon))),

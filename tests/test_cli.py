@@ -2,11 +2,13 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +497,16 @@ class TestFunctional:
         assert model["fit"]["converged"] is True and model["fit"]["iterations"] >= 1
         assert 0.0 <= model["fit"]["grad_norm"] <= optim.GRAD_TOL
 
+    def test_the_clamped_confidences_of_a_file_are_reported_once(self, tmp_path, capsys):
+        copy = tmp_path / "copy.jsonl"
+        shutil.copy(PREDS_FIXTURE, copy)
+        for apply, files in ((PREDS_FIXTURE, [PREDS_FIXTURE]), (copy, [PREDS_FIXTURE, copy])):
+            assert main(["recal", "ts", "--fit", str(PREDS_FIXTURE), "--apply", str(apply),
+                         "--out", str(tmp_path / "o.jsonl")]) == 0
+            assert [line for line in capsys.readouterr().err.splitlines()
+                    if "clamped" in line] == [
+                f"{f}: clamped 1 confidence values outside [0,1]" for f in files]
+
     @pytest.mark.parametrize("kind", ["ts", "ats"])
     def test_a_file_fit_and_applied_reports_each_rejected_line_once(self, tmp_path, capsys,
                                                                      kind):
@@ -519,6 +531,23 @@ class TestGoldenReport:
         assert main(["calib", "--in", "preds20.jsonl", "--bins", "10",
                      "--out", "report.json"]) == 0
         assert Path("report.json").read_bytes() == GOLDEN_CALIB.read_bytes()
+
+    def test_a_percent_copy_gives_the_same_report(self, tmp_path, capsys):
+        # each stated confidence of the fixture written as a percentage: 0.65
+        # as `65.00%`, and the 1.7 that is clamped as `170.0%`
+        percent = tmp_path / "percent.jsonl"
+        percent.write_text(re.sub(r"(Confidence: )(\d+\.\d+)", lambda m: (
+            f"{m[1]}{Decimal(m[2]) * 100}%"), PREDS_FIXTURE.read_text()))
+        assert percent.read_text().count("%") == 18
+        reports = []
+        for path in (PREDS_FIXTURE, percent):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["calib", "--in", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+            del reports[-1]["config"]["input"]
+        assert reports[0] == reports[1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}: clamped 1 confidence values outside [0,1]" for path in (PREDS_FIXTURE, percent)]
 
     def test_a_crlf_copy_gives_the_same_report(self, tmp_path, monkeypatch):
         # the config names the input, so both runs read `preds20.jsonl` by that name
@@ -1055,9 +1084,11 @@ class TestCountsBeyondTheFloatRange:
         out = tmp_path / "o.jsonl"
         assert main(["recal", "ats", "--fit", str(path), "--apply", str(PREDS_FIXTURE),
                      "--out", str(out)]) == 0
+        # the fixture's `Confidence: 1.7` is clamped
         assert [text for text in capsys.readouterr().err.splitlines()
                 if text.startswith(f"{path}:")] == [
-            f"{path}:{line}: response_token_count exceeds 1.7976931348623157e+308"]
+            f"{path}:{line}: response_token_count exceeds 1.7976931348623157e+308",
+            f"{path}: clamped 1 confidence values outside [0,1]"]
 
     def test_the_largest_float_is_a_count(self):
         largest = int(sys.float_info.max)

@@ -450,6 +450,8 @@ class TestColumnsEqualFormerPerRecordValues:
         loaded, lines = _recal_lines(records, kind)
         assert lines == [_former_line(r, None) for r in rows(loaded)]
         missing = "p_affirmative" if kind == "ptrue" else "parseable confidence"
-        assert capsys.readouterr().err == f"skipped 3 records without {missing}\n"
-        column = rewards.confidences(loaded)
+        fitted = ("" if kind == "ptrue"
+                  else f"{FIT_FILE}: clamped 1 confidence values outside [0,1]\n")
+        assert capsys.readouterr().err == fitted + f"skipped 3 records without {missing}\n"
+        column, _ = rewards.confidences(loaded)
         assert np.isnan(recal.apply_ats(self.ATS_MODEL, loaded, column)).all()

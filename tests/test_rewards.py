@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from uncal import jsonio
 from uncal.rewards import (
+    Clamped,
     GoldSet,
     MatchRule,
     answers,
+    confidences,
     extract_answer_line,
     extract_confidence,
     match_answer,
@@ -92,6 +94,34 @@ class TestExtractConfidence:
 
     def test_negative_clamps_to_zero(self):
         assert extract_confidence("Confidence: -0.2") == 0.0
+
+    def test_the_decimal_grammar_and_percentages(self):
+        for text, want in (("Confidence: .8", 0.8), ("Confidence: 8e-1", 0.8),
+                           ("Confidence: 8E-1%", 0.008), ("Confidence: 80%", 0.8),
+                           ("Confidence: 65 %", 0.65), ("Confidence: 33.3%", 0.333),
+                           ("Confidence: 1e999%", 1.0), ("Confidence: 80", 1.0)):
+            assert extract_confidence(text) == want
+
+    def test_a_value_the_clamp_moved_is_marked(self):
+        for text in ("Confidence: 1.7", "Confidence: -0.2", "Confidence: 170%"):
+            assert type(extract_confidence(text)) is Clamped
+        for text in ("Confidence: 1", "Confidence: 100%", "Confidence: 0"):
+            assert type(extract_confidence(text)) is float
+        table = predictions([prediction(f"q{i}", ("a",), f"Confidence: {c}")
+                             for i, c in enumerate(["1.7", "0.5", "50", "x"])])
+        column, clamped = confidences(table)
+        assert np.array_equal(column, [1.0, 0.5, 1.0, np.nan], equal_nan=True)
+        assert clamped.tolist() == [True, False, True, False]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0, 1))
+def test_a_formatted_probability_reads_back_within_its_rounding(p):
+    # two decimals, a whole percentage, and two significant digits
+    for text, rounding in ((f"{p:.2f}", 0.005), (f"{100 * p:.0f}%", 0.005),
+                           (f"{p:.1e}", 0.05 * p)):
+        got = extract_confidence(f"Answer: x\nConfidence: {text}")
+        assert type(got) is float and abs(got - p) <= rounding + 1e-15, text
 
 
 class TestNormalizeAnswer:
