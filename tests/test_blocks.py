@@ -1,7 +1,8 @@
 """Loads that derive as they read: whatever `jsonio.BLOCK_LINES` is, what
 a load derives a block at a time equals what the same derivation gives of
-the whole table, and every command writes the same bytes. A derived load
-holds a bounded number of bytes per line."""
+the whole table, and every command, the writers included, writes the same
+bytes. A derived load, and a writer, hold a bounded number of bytes per
+line."""
 
 from __future__ import annotations
 
@@ -267,9 +268,9 @@ WORKLOAD = {"calib": ("preds-raw", "preds.jsonl"), "rag": ("rag-traces", "traces
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
-    """The function from (workload, records) to the file of `WORKLOAD`
-    inputs that `perfbench/gen.py` writes for it at seed 1, each generated
-    once per module."""
+    """The function from (workload, records) to the directory of the inputs
+    `perfbench/gen.py` writes for them at seed 1, each generated once per
+    module."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import gen
@@ -312,20 +313,3 @@ def test_a_cold_command_peaks_at_a_bounded_size_per_line(tmp_path, generated, co
         for records in (8000, 16000)}
     assert peaks[8000] <= PEAK_PER_LINE[command]
     assert peaks[16000] <= peaks[8000]
-
-
-@pytest.mark.parametrize("block", BLOCKS)
-def test_an_in_place_match_refused_at_the_end_leaves_its_file_as_it_was(tmp_path, monkeypatch,
-                                                                       capsys, block):
-    # the rejected line is the last: every block before it is written first
-    monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
-    path = tmp_path / "preds.jsonl"
-    path.write_bytes(PREDS_FIXTURE.read_bytes() + b'{"qid": "bad"}\n')
-    before = path.read_bytes()
-    assert main(["match", "--in", str(path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"{path}:21: missing field 'gold_answers'",
-        f"uncal: {path}: 1 of 21 lines rejected; the file is left as it was (give --out to "
-        "write the accepted lines)"]
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]

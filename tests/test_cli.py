@@ -1896,8 +1896,12 @@ class TestAtomicInPlaceMatch:
         assert path.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
 
-    def test_a_file_with_a_rejected_line_is_not_rewritten(self, tmp_path, capsys):
-        # rewriting it would drop the rejected line; `--out` writes the accepted ones
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_a_file_with_a_rejected_line_is_not_rewritten(self, tmp_path, monkeypatch, capsys,
+                                                          block):
+        # rewriting it would drop the rejected line; `--out` writes the accepted
+        # ones. It is the last line, so smaller blocks are written before it is read
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
         path = tmp_path / "ip.jsonl"
         path.write_bytes(PREDS_FIXTURE.read_bytes() + b'{"qid": "bad", "gold_answers": ["a"], '
                          b'"response_text": "x", "verbal_confidence": 3}\n')
