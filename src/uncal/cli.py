@@ -14,14 +14,14 @@ before it reads the next (`jsonio.rewrite_file`: `match`, every `--apply`,
 `recal ptrue`), a line as read with the columns it replaces.
 
 What a command derives from an input file is kept per process under the
-sha256 of the file's bytes: the verdicts `match` computes (one bool per
-row), a prediction file's `ScoredBatch`, the `probe.emitted` rows, the
-scored columns of `rag`, and a sidecar's row order, never a table or a
-matrix. So `uncal run --plan` steps, or repeated `main` calls, that read
-the same bytes match and score them once (a second `calib`, and `recal
-ts`'s fit, load nothing), and `probe sweep`, `fit` and `eval` on one
-predictions file parse it once. Each `main` call drops the entries it did
-not read.
+sha256 of the file's bytes: a prediction file's verdicts (one bool per
+row, from `match` or any scoring of the file), the `probe.emitted` rows,
+the scored columns of `rag`, and a sidecar's row order, never a table, a
+scored batch or a matrix. So `uncal run --plan` steps, or repeated `main`
+calls, that read the same bytes match them once (a second `calib`, or
+`recal ats` after `recal ts`, loads the file but matches no row), and
+`probe sweep`, `fit` and `eval` on one predictions file parse it once.
+Each `main` call drops the entries it did not read.
 """
 
 from __future__ import annotations
@@ -289,9 +289,8 @@ def _loaded(path, kind: jsonio.LineKind, derive=None) -> jsonio.LoadResult:
 # Derived inputs: computed once per file content and process
 # ---------------------------------------------------------------------------
 
-# (what was derived and with which flags, sha256 of the file's bytes) -> (the
-# derived value, read-only, and the load's rejected lines); never a load's
-# table or a matrix
+# (what was derived and with which flags, sha256 of the file's bytes) ->
+# (the derived value, read-only, and the load's rejected lines)
 _CACHE: dict[tuple, tuple] = {}
 _READ: set[tuple] = set()  # the keys the running command has read
 
@@ -335,27 +334,23 @@ def _read_only(value):
     return value
 
 
-def _lookup(path, *whats) -> tuple[str | None, tuple | None]:
-    """(digest, entry): the sha256 of `path`, and the entry (value, rejected
-    lines) kept under the first of `whats` for those bytes, now read by the
-    running command. A lookup hashes the file, a read of its own: with no
-    entry kept under any of `whats`, none can hit, and (None, None) leaves
-    the load alone to read the file."""
-    if not any(key[0] in whats for key in _CACHE):
+def _lookup(path, what) -> tuple[str | None, tuple | None]:
+    """(digest, entry): the sha256 of `path` and the entry (value, rejected
+    lines) kept under `what` for those bytes, now read by the running command;
+    (None, None), hashing nothing, where no entry is kept under `what`."""
+    if not any(key[0] == what for key in _CACHE):
         return None, None
     digest = _sha256(path)
-    for key in ((what, digest) for what in whats):
-        if key in _CACHE:
-            _READ.add(key)
-            return digest, _CACHE[key]
-    return digest, None
+    entry = _CACHE.get((what, digest))
+    if entry is not None:
+        _READ.add((what, digest))
+    return digest, entry
 
 
 def _keep(what, path, result: jsonio.LoadResult, value):
-    """`value`, made read-only, and kept with the rejected lines of
-    `result`, the load of `path`, under `what` and the sha256 of the bytes
-    the load parsed, as read by the running command; nothing is kept of a
-    file that is not regular."""
+    """`value`, made read-only, kept with the rejected lines of `result` (the
+    load of `path`) under `what` and the sha256 of the bytes the load parsed,
+    as read by the running command; nothing is kept of a file that is not regular."""
     if _regular(path):
         _CACHE[what, result.sha256] = value, result.errors
         _READ.add((what, result.sha256))
@@ -363,13 +358,11 @@ def _keep(what, path, result: jsonio.LoadResult, value):
 
 
 def _derived(what, path, load):
-    """What `load(path)` derives of the file `path` (its result's
-    `records`), made read-only; `load` reports the rejected lines, and a
-    later call reports them as that load did. The value is kept under
-    `what` (a name, and every flag the derivation reads) and the sha256 of
-    the bytes the load parsed (`_keep`), so a later call for the same
-    `what` on a file with the same bytes neither loads nor derives again. A
-    file that is not regular is loaded every time and never kept."""
+    """What `load(path)` derives of the file `path` (its result's `records`),
+    made read-only and kept (`_keep`) under `what`, a name and every flag the
+    derivation reads: a later call for the same `what` and bytes neither
+    loads nor derives again, and reports the rejected lines as the load did.
+    A file that is not regular is loaded every time."""
     _, entry = _lookup(path, what)
     if entry is not None:
         _report_rejected(path, entry[1])
@@ -383,56 +376,34 @@ def _space_batch(path) -> trajspace.SpaceBatch:
     return trajspace.space_batch(_loaded(path, jsonio.SPACES).records)
 
 
-def _scored(path, f1_threshold: float) -> rewards.ScoredBatch:
-    """The `ScoredBatch` of the prediction file `path` at `f1_threshold`:
-    the batch kept for its bytes, read without loading the file (`calib`
-    and a `recal` fit after any scoring of them), else `_with_batch`'s."""
-    # what is kept of its bytes: their batch, else the verdicts `match` computed
-    found = _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
-    entry = found[1]
-    if entry is not None and isinstance(entry[0], rewards.ScoredBatch):
-        _report_rejected(path, entry[1])
-        return entry[0]
-    return _with_batch(path, f1_threshold, found=found).records[0]
-
-
-def _with_batch(path, f1_threshold: float, derive=None, found=None) -> jsonio.LoadResult:
-    """The load of the prediction file `path` whose `records` are (its
-    `ScoredBatch` at `f1_threshold`, what `derive(columns, batch)` derives
-    of its blocks' columns and batches, or None without `derive`), read a
-    block of lines at a time; each rejected line is reported once. `found`
-    is `_scored`'s lookup of the file, where it made one. The batch is kept
-    under ("calib", f1_threshold). Where one is kept for the file's bytes,
-    each block takes its rows of it, and the batch returned and kept is
-    that one, not a join of its rows. Otherwise each block is scored, a row
-    without a `match` block taking the verdict `uncal match` kept for the
-    same bytes and threshold, where it did. If the load parsed other bytes
-    than the lookup hashed, the file is loaded again."""
-    digest, entry = found or _lookup(path, ("calib", f1_threshold), ("verdicts", f1_threshold))
+def _scored(path, f1_threshold: float, derive=None) -> jsonio.LoadResult:
+    """The load of the prediction file `path`, a block of lines at a time,
+    whose `records` are (its `ScoredBatch` at `f1_threshold`, what
+    `derive(columns, batch)` derives of each block, or None); each rejected
+    line is reported once. A row without a `match` block takes the verdict
+    kept for its bytes and threshold, where one is, and the batch's verdicts
+    are kept. Bytes changed after the lookup are loaded again."""
+    what = ("verdicts", f1_threshold)
+    digest, entry = _lookup(path, what)
     kept = None if entry is None else entry[0]
-    reuse = isinstance(kept, rewards.ScoredBatch)
     start = 0
 
     def block(columns):
         nonlocal start
         rows = slice(start, start + len(columns["qid"]))
         start = rows.stop
-        # the block's rows of the kept batch or verdicts: None past their end,
-        # where the file gained lines after the lookup (and is loaded again)
+        # the block's rows of the kept verdicts: None past their end, where
+        # the file gained lines after the lookup (and is loaded again)
         part = None if kept is None or rows.stop > len(kept) else kept[rows]
-        if reuse:
-            batch = rewards.score_predictions(columns, f1_threshold) if part is None else part
-            return None if derive is None else derive(columns, batch)
         batch = rewards.score_predictions(columns, f1_threshold, part)
         return batch, None if derive is None else derive(columns, batch)
 
     result = jsonio.load_lines(path, jsonio.PREDICTIONS, block)
     if entry is not None and result.sha256 != digest:  # changed after the lookup
-        return _with_batch(path, f1_threshold, derive)
-    batch, derived = (kept, result.records) if reuse else result.records
+        return _scored(path, f1_threshold, derive)
     _report_rejected(path, result.errors)
-    return dataclasses.replace(result, records=(
-        _keep(("calib", f1_threshold), path, result, batch), derived))
+    _keep(what, path, result, result.records[0].correct)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +457,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_calib(args) -> int:
-    batch = _scored(args.input, args.f1_threshold)
+    batch = _scored(args.input, args.f1_threshold).records[0]
     _report_clamped(args.input, batch.clamped)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
     _emit(args, {
@@ -542,7 +513,7 @@ def _apply_model(args, model, apply, schema: str, **fields) -> int:
 
 
 def _cmd_recal_ts(args) -> int:
-    batch = _scored(args.fit, args.f1_threshold)
+    batch = _scored(args.fit, args.f1_threshold).records[0]
     _report_clamped(args.fit, batch.clamped)
     model = recal.fit_global_ts(batch)
     return _apply_model(args, model, lambda columns, confidence: recal.apply_ts(model, confidence),
@@ -551,7 +522,7 @@ def _cmd_recal_ts(args) -> int:
 
 def _cmd_recal_ats(args) -> int:
     # the fit reads the batch and three feature columns of `--fit`
-    batch, features = _with_batch(args.fit, args.f1_threshold, lambda columns, batch: (
+    batch, features = _scored(args.fit, args.f1_threshold, lambda columns, batch: (
         recal.ats_features(columns, batch.confidence))).records
     _report_clamped(args.fit, batch.clamped)
     model = recal.fit_ats(features, batch, args.l2)
@@ -615,11 +586,11 @@ def _load_token_stack(mat_path) -> probe.TokenStack:
 
 def _probe_inputs(path) -> dict:
     """The `probe.emitted` rows of the prediction file `path`, scored at the
-    default F1 threshold, derived a block of lines at a time (`_with_batch`):
+    default F1 threshold, derived a block of lines at a time (`_scored`):
     `probe sweep`, `fit` and `eval` on one file load and score it once."""
 
     def load(path):
-        result = _with_batch(path, rewards.DEFAULT_F1_THRESHOLD, probe.emitted)
+        result = _scored(path, rewards.DEFAULT_F1_THRESHOLD, probe.emitted)
         return dataclasses.replace(result, records=result.records[1])
 
     return _derived("probe", path, load)

@@ -913,9 +913,17 @@ def rewrite_file(source, target, kind: LineKind, rewrite: Callable[[dict], Itera
     except OSError as exc:
         raise IoError(f"cannot read {source}: {exc}") from exc
 
+    refused = []
+
+    def blocks():  # a read fault is the source's, not a write fault of `target`
+        try:
+            yield from _blocks(fh, kind, refused)
+        except OSError as exc:
+            raise IoError(f"cannot read {source}: {exc}") from exc
+
     def chunks():
-        refused, total = [], 0
-        for count, columns in _blocks(fh, kind, refused):
+        total = 0
+        for count, columns in blocks():
             total += count
             yield "".join(map("%s\n".__mod__, rewrite(columns)))
         finish(_valid(source, _result(refused, total, sha256)))

@@ -70,11 +70,6 @@ def read_matrix(path) -> np.ndarray:
     return values.astype(np.float32, copy=False)
 
 
-def write_row_ids(path, rows) -> None:
-    """Write a sidecar, one canonical line per row, as `jsonio.write_jsonl` does."""
-    jsonio.write_jsonl(path, rows)
-
-
 def read_row_ids(path) -> jsonio.LoadResult:
     """The sidecar's columns, `qid` (str) and `token_index` (int or None),
     with the sha256 of its bytes (its `errors` are always empty). The first

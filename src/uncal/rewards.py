@@ -333,19 +333,15 @@ class ScoredBatch:
     def __len__(self) -> int:
         return len(self.correct)
 
-    def __getitem__(self, rows) -> ScoredBatch:
-        """The batch of the `rows` (a slice or index array) alone."""
-        return ScoredBatch(*(column[rows] for column in vars(self).values()))
-
 
 def score_predictions(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD,
                       verdicts: np.ndarray | None = None) -> ScoredBatch:
     """Score every row once: one confidence and one correctness verdict per
     row. A cached `match` block decides without rematching (`_cached_correct`).
     A row without one takes its verdict from `verdicts`, where given: one
-    bool per row of the table, each row's `match_answers` verdict at
-    `f1_threshold`, as `uncal match` computes them for every row. Otherwise
-    its answer is matched against its gold answers here."""
+    bool per row of the table at `f1_threshold`, as `uncal match` computes
+    them or an earlier scoring of the rows found them. Otherwise its answer
+    is matched against its gold answers here."""
     cached, golds = table["match"], table["gold_answers"]
     unmatched = [i for i, block in enumerate(cached) if block is None]
     correct = [None if block is None else _cached_correct(block, f1_threshold)

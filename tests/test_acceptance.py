@@ -352,7 +352,7 @@ def test_cli_determinism(tmp_path):
             mats.append(per_qid[qid])
             ids.extend({"qid": qid, "token_index": t} for t in range(per_qid[qid].shape[0]))
         matio.write_matrix(hidden / f"layer_{layer}.mat", np.vstack(mats))
-        matio.write_row_ids(hidden / f"layer_{layer}.mat.ids.jsonl", ids)
+        jsonio.write_jsonl(hidden / f"layer_{layer}.mat.ids.jsonl", ids)
     probe_preds = tmp_path / "probe_preds.jsonl"
     jsonio.write_jsonl(probe_preds, jsonio.encode_lines(jsonio.PREDICTION, records))
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -61,7 +62,7 @@ def write_hidden_dir(directory, layers=(0, 8), seed=2, n=120, dims=12):
             mats.append(m)
             ids.extend({"qid": qid, "token_index": t} for t in range(m.shape[0]))
         matio.write_matrix(directory / f"layer_{layer}.mat", np.vstack(mats))
-        matio.write_row_ids(directory / f"layer_{layer}.mat.ids.jsonl", ids)
+        jsonio.write_jsonl(directory / f"layer_{layer}.mat.ids.jsonl", ids)
     preds = directory / "preds.jsonl"
     jsonio.write_jsonl(preds, jsonio.encode_lines(jsonio.PREDICTION, records))
     return preds
@@ -272,7 +273,7 @@ class TestTokenStack:
     def write_layer(path, ids):
         values = np.arange(2 * len(ids), dtype=np.float32).reshape(len(ids), 2)
         matio.write_matrix(path, values)
-        matio.write_row_ids(str(path) + ".ids.jsonl", ids)
+        jsonio.write_jsonl(str(path) + ".ids.jsonl", ids)
         return values
 
     def test_rows_ordered_by_token_index(self, tmp_path):
@@ -318,7 +319,7 @@ class TestTokenStack:
         for k in range(4):
             path = tmp_path / f"layer_{k}.mat"
             matio.write_matrix(path, values[k])
-            matio.write_row_ids(str(path) + ".ids.jsonl",
+            jsonio.write_jsonl(str(path) + ".ids.jsonl",
                                 [ids[i] for i in order] if k == 2 else ids)
         reads = count_calls(monkeypatch, matio, "read_row_ids")
         swept = [qid_matrices(tmp_path / f"layer_{k}.mat") for k in range(4)]
@@ -342,7 +343,7 @@ class TestTokenStack:
         values = np.random.default_rng(1).normal(size=(9, 2)).astype(np.float32)
         for name, rows in (("in_order", list(range(9))), ("shuffled", order)):
             matio.write_matrix(tmp_path / f"{name}.mat", values[rows])
-            matio.write_row_ids(tmp_path / f"{name}.mat.ids.jsonl", [ids[i] for i in rows])
+            jsonio.write_jsonl(tmp_path / f"{name}.mat.ids.jsonl", [ids[i] for i in rows])
         in_order = qid_matrices(tmp_path / "in_order.mat")
         shuffled = qid_matrices(tmp_path / "shuffled.mat")
         assert sorted(in_order) == sorted(shuffled) == ["a", "b", "c"]
@@ -1939,6 +1940,34 @@ class TestAtomicInPlaceMatch:
         assert len(lines) == 4
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+    @pytest.mark.parametrize("block", [2, 256])
+    def test_failing_read_names_the_source(self, tmp_path, monkeypatch, capsys, block):
+        # the sixth line cannot be read: with two-line blocks, once two
+        # blocks are written to the temporary file
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
+        path, out = tmp_path / "preds.jsonl", tmp_path / "out.jsonl"
+        shutil.copy(PREDS_FIXTURE, path)
+        out.write_text("kept\n")
+        opened = jsonio.open_hashed
+
+        class FailingLines(contextlib.closing):
+            def __iter__(self):
+                for number, line in enumerate(self.thing, start=1):
+                    if number == 6:
+                        raise OSError(5, "Input/output error")
+                    yield line
+
+        def failing(source):
+            fh, sha256 = opened(source)
+            return FailingLines(fh), sha256
+
+        monkeypatch.setattr(jsonio, "open_hashed", failing)
+        assert main(["match", "--in", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"uncal: cannot read {path}: [Errno 5] Input/output error\n")
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "preds.jsonl"]
 
 
 @settings(max_examples=300, deadline=None)

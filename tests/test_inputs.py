@@ -170,7 +170,7 @@ class TestContentKey:
 
     def test_calib_after_match_matches_nothing(self, tmp_path, monkeypatch):
         # `match` keeps the verdicts of the bytes it read; `calib` scores
-        # each block with its rows of them, and keeps the batch
+        # each block with its rows of them, and keeps its batch's verdicts
         path = tmp_path / "preds.jsonl"
         path.write_bytes(PREDS_FIXTURE.read_bytes())
         assert main(["match", "--in", str(path), "--out", str(tmp_path / "m.jsonl")]) == 0
@@ -179,7 +179,7 @@ class TestContentKey:
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
         assert [args[0] for args in loads] == [str(path)] and matches == []
-        assert {key[0][0] for key in cli._CACHE} == {"verdicts", "calib"}
+        assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(path))]
         assert got == _calib_alone(path)
 
     def test_same_size_and_mtime_rewrite_is_read_again(self, tmp_path):
@@ -252,19 +252,20 @@ class TestContentKey:
         assert main(argv) == 0
         assert (tmp_path / "m.json").read_bytes() == want
 
-    def test_a_kept_batch_read_a_block_at_a_time_stays_as_it_is(self, tmp_path, monkeypatch):
-        # `probe` takes each block's rows of the batch kept for its
-        # predictions: it scores no row, and the kept batch is not rebuilt
+    def test_kept_verdicts_read_a_block_at_a_time_match_no_row(self, tmp_path, monkeypatch):
+        # `probe` scores each block with its rows of the verdicts kept for
+        # its predictions: it matches no row, and keeps verdicts, not a batch
         preds = write_hidden_dir(tmp_path / "hidden")
         cli._CACHE.clear()
-        batch = cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD)
+        want = cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD).records[0].correct
         monkeypatch.setattr(jsonio, "BLOCK_LINES", 7)
-        scored = count_calls(monkeypatch, rewards, "score_predictions")
+        matches = count_calls(monkeypatch, rewards, "match_answer")
         layer = str(tmp_path / "hidden" / "layer_8.mat")
         assert main(["probe", "fit", "--hidden", layer, "--preds", str(preds), "--layer", "8",
                      "--out", str(tmp_path / "m.json")]) == 0
-        assert scored == []
-        assert cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD), _sha256(preds)][0] is batch
+        assert matches == []
+        verdicts = cli._CACHE[("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(preds)][0]
+        assert verdicts.tolist() == want.tolist()
 
     def test_a_kept_batch_is_not_read_for_a_file_that_gained_lines(self, tmp_path, monkeypatch):
         # the probe's predictions gain a line between the lookup's digest and
@@ -297,11 +298,81 @@ class TestContentKey:
             assert (tmp_path / "m.json").read_bytes() == want
 
 
+def _changed(lines: list[str], change: str) -> list[str]:
+    """`lines` with five answers flipped from wrong to right ("edited"), or
+    with a line put before them, so that no row keeps its place ("grown")."""
+    if change == "grown":
+        return [json.dumps(GOOD_PRED | {"qid": "first"}), *lines]
+    objs = list(map(json.loads, lines))
+    for obj in objs[1:6]:
+        obj["response_text"] = obj["response_text"].replace("Answer: omega", "Answer: alpha")
+    return list(map(json.dumps, objs))
+
+
+# what each command writes of its predictions, by the argv of its run
+KEPT_VERDICT_READERS = {
+    "calib": ["calib", "--in", "{preds}", "--out", "{out}/c.json"],
+    "recal ats": ["recal", "ats", "--fit", "{preds}", "--apply", str(PREDS_FIXTURE),
+                  "--out", "{out}/o.jsonl", "--model-out", "{out}/m.json"],
+    "probe fit": ["probe", "fit", "--hidden", "{hidden}/layer_8.mat", "--preds", "{preds}",
+                  "--layer", "8", "--out", "{out}/m.json"],
+}
+
+
+class TestKeptVerdicts:
+    @pytest.mark.parametrize("block", [7, 256])
+    @pytest.mark.parametrize("change", ["edited", "grown"])
+    @pytest.mark.parametrize("name", sorted(KEPT_VERDICT_READERS))
+    def test_verdicts_of_other_bytes_are_not_read(self, tmp_path, monkeypatch, name, change,
+                                                  block):
+        # the predictions change between the lookup's digest and the load:
+        # the verdicts kept for the bytes before must not score them
+        preds = _plan_preds(tmp_path)
+        old = preds.read_text(encoding="utf-8")
+        new = "".join(line + "\n" for line in _changed(old.splitlines(), change))
+        argv = [arg.format(preds=preds, hidden=tmp_path / "hidden", out="{out}")
+                for arg in KEPT_VERDICT_READERS[name]]
+
+        def run(out: Path) -> tuple:
+            out.mkdir()
+            return _outcome(main(_argv(argv, out)), "", "", out)
+
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
+        preds.write_text(new, encoding="utf-8")
+        cli._CACHE.clear()
+        want = run(tmp_path / "alone")
+        preds.write_text(old, encoding="utf-8")
+        cli._CACHE.clear()
+        assert main(["match", "--in", str(preds), "--out", str(tmp_path / "m.jsonl")]) == 0
+        lookup = cli._sha256
+
+        def digest_then_edit(p):
+            digest = lookup(p)
+            preds.write_text(new, encoding="utf-8")
+            return digest
+
+        monkeypatch.setattr(cli, "_sha256", digest_then_edit)
+        assert run(tmp_path / "kept") == want
+        assert want[0] == 0
+
+    def test_recal_ats_after_recal_ts_matches_nothing(self, tmp_path, monkeypatch):
+        preds = _plan_preds(tmp_path)
+        argv = ["--fit", str(preds), "--apply", str(PREDS_FIXTURE),
+                "--out", str(tmp_path / "o.jsonl")]
+        assert main(["recal", "ts", *argv]) == 0
+        matches = count_calls(monkeypatch, rewards, "match_answer")
+        assert main(["recal", "ats", *argv]) == 0
+        assert matches == []
+        assert [key[0] for key in cli._CACHE] == [("verdicts", rewards.DEFAULT_F1_THRESHOLD)]
+        assert not any(isinstance(value, rewards.ScoredBatch)
+                       for value, _ in cli._CACHE.values())
+
+
 class TestMemoryRule:
     def test_main_keeps_only_the_entries_it_read(self, tmp_path):
         out = tmp_path / "o.json"
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", str(out)]) == 0
-        assert [key[0] for key in cli._CACHE] == [("calib", rewards.DEFAULT_F1_THRESHOLD)]
+        assert [key[0] for key in cli._CACHE] == [("verdicts", rewards.DEFAULT_F1_THRESHOLD)]
         assert main(["rag", "--policy", "always", "--in", str(RAG_FIXTURE),
                      "--out", str(out)]) == 0
         assert [key for key in cli._CACHE] == [(("rag", rewards.DEFAULT_F1_THRESHOLD),
@@ -329,20 +400,18 @@ class TestMemoryRule:
         (verdicts, _), = cli._CACHE.values()
         arrays.append(verdicts)
         assert main(["calib", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
-        batch = cli._CACHE[("calib", rewards.DEFAULT_F1_THRESHOLD),
-                           _sha256(PREDS_FIXTURE)][0]
-        arrays += [batch.confidence, batch.correct, batch.marked]
+        arrays.append(cli._CACHE[("verdicts", rewards.DEFAULT_F1_THRESHOLD),
+                                 _sha256(PREDS_FIXTURE)][0])
         assert main(["probe", "sweep", "--hidden", str(tmp_path / "hidden"), "--preds",
                      str(preds), "--layers", "0,8", "--out", out]) == 0
         entries = {key[0]: value for key, (value, _) in cli._CACHE.items()}
-        # the probe's rows, the batch they were scored from, and the sidecar's order
-        assert entries.keys() == {"probe", ("calib", rewards.DEFAULT_F1_THRESHOLD), "rows"}
+        # the probe's rows, the verdicts they were scored with, and the sidecar's order
+        assert entries.keys() == {"probe", ("verdicts", rewards.DEFAULT_F1_THRESHOLD), "rows"}
         count, order, fault = entries["rows"]
         arrays += [rows for rows in order.values() if isinstance(rows, np.ndarray)]
         assert count > 0 and fault is None
         arrays += [entries["probe"]["scalars"], entries["probe"]["wrong"]]
-        batch = entries[("calib", rewards.DEFAULT_F1_THRESHOLD)]
-        arrays += [batch.confidence, batch.correct, batch.marked]
+        arrays.append(entries[("verdicts", rewards.DEFAULT_F1_THRESHOLD)])
         assert all(not a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             scored.noret.correct[0] = not scored.noret.correct[0]

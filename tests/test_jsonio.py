@@ -324,7 +324,7 @@ def test_a_crlf_sidecar_reads_as_its_lf_copy(tmp_path):
     rows = [{"qid": "a", "token_index": 0}, {"qid": "a", "token_index": None},
             {"qid": "b\r", "token_index": 0}]
     lf, crlf = tmp_path / "lf.ids.jsonl", tmp_path / "crlf.ids.jsonl"
-    matio.write_row_ids(lf, rows)
+    jsonio.write_jsonl(lf, rows)
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     assert b"\r\n" in crlf.read_bytes()
     assert matio.read_row_ids(crlf).records == matio.read_row_ids(lf).records == {

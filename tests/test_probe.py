@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uncal import matio, optim, probe
+from uncal import jsonio, matio, optim, probe
 from uncal.errors import (
     AlignmentError,
     DegenerateFit,
@@ -483,7 +483,7 @@ class TestHiddenMatrixAndMatio:
     def test_sidecar_round_trip(self, tmp_path):
         rows = [{"qid": "a", "token_index": 0}, {"qid": "a", "token_index": 1}]
         path = tmp_path / "layer_0.mat.ids.jsonl"
-        matio.write_row_ids(path, rows)
+        jsonio.write_jsonl(path, rows)
         assert matio.read_row_ids(path).records == {"qid": ["a", "a"], "token_index": [0, 1]}
 
     @pytest.mark.parametrize("bad", ['{"qid": "a",}', '{"qid": "a"} x', ' \ufeff{"qid": "a"}'])

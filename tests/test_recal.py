@@ -302,17 +302,17 @@ def test_fits_score_each_record_once(rng, monkeypatch, tmp_path):
     for kind in ("ts", "ats"):
         assert main(["recal", kind, "--fit", str(fit), "--apply", str(apply),
                      "--out", str(tmp_path / "out.jsonl")]) == 0
-    # each fit row once per process: `ats` reads the batch `ts` scored. The
-    # confidence column of the fit file once, reading the text of the one row
-    # without a stated confidence, and that of the apply file once per command
+    # each fit row once per process: `ats` reads the verdicts `ts` kept. The
+    # confidence column of the fit file once per command, reading the text of
+    # the one row without a stated confidence, and that of the apply file too
     assert len(matches) == len(lines)
-    assert len(confidences) == 1 + 2 and len(parsed) == 1
+    assert len(confidences) == 2 + 2 and len(parsed) == 2
     # a lone command scores its fit file once
     cli._CACHE.clear()
     assert main(["recal", "ats", "--fit", str(fit), "--apply", str(apply),
                  "--out", str(tmp_path / "out.jsonl")]) == 0
     assert len(matches) == 2 * len(lines)
-    assert len(confidences) == 3 + 2 and len(parsed) == 2
+    assert len(confidences) == 4 + 2 and len(parsed) == 3
 
 
 def test_ats_cli_default_l2_keeps_weights_finite_scale(tmp_path):

@@ -30,7 +30,6 @@ ROOTS = {
 ALLOWED = {
     ("__init__", "fixture_path"): "path of a bundled fixture file",
     ("matio", "write_matrix"): "writes the hidden-state files that `probe` and `repr` read",
-    ("matio", "write_row_ids"): "writes the sidecars that `probe` reads",
 }
 
 
