@@ -309,7 +309,7 @@ def _changed(lines: list[str], change: str) -> list[str]:
     return list(map(json.dumps, objs))
 
 
-# what each command writes of its predictions, by the argv of its run
+# commands that score a prediction file `{preds}` and write what they make of it
 KEPT_VERDICT_READERS = {
     "calib": ["calib", "--in", "{preds}", "--out", "{out}/c.json"],
     "recal ats": ["recal", "ats", "--fit", "{preds}", "--apply", str(PREDS_FIXTURE),
