@@ -16,12 +16,12 @@ before it reads the next (`jsonio.rewrite_file`: `match`, every `--apply`,
 What a command derives from an input file is kept per process under the
 sha256 of the file's bytes: a prediction file's verdicts (one bool per
 row, from `match` or any scoring of the file), the `probe.emitted` rows,
-the scored columns of `rag`, and a sidecar's row order, never a table, a
-scored batch or a matrix. So `uncal run --plan` steps, or repeated `main`
-calls, that read the same bytes match them once (a second `calib`, or
-`recal ats` after `recal ts`, loads the file but matches no row), and
-`probe sweep`, `fit` and `eval` on one predictions file parse it once.
-Each `main` call drops the entries it did not read.
+the scored columns of `rag` (dataset names sorted, a code per trace), and
+a sidecar's row order, never a table, a scored batch or a matrix. So `uncal
+run --plan` steps, or repeated `main` calls, that read the same bytes match
+them once (a second `calib`, or `recal ats` after `recal ts`, loads the file
+but matches no row), and `probe sweep`, `fit` and `eval` on one predictions
+file parse it once. Each `main` call drops the entries it did not read.
 """
 
 from __future__ import annotations
@@ -674,8 +674,13 @@ def _cmd_probe_eval(args) -> int:
 
 def _cmd_rag(args) -> int:
     policy = ragctl.parse_policy_spec(args.policy)
-    scored = _derived(("rag", args.f1_threshold), args.input, lambda path: _loaded(
-        path, jsonio.RAG_TRACES, lambda columns: ragctl.score_traces(columns, args.f1_threshold)))
+
+    def load(path):  # scored a block at a time, grouped once whole
+        result = _loaded(path, jsonio.RAG_TRACES,
+                         lambda columns: ragctl.score_traces(columns, args.f1_threshold))
+        return dataclasses.replace(result, records=ragctl.grouped(result.records))
+
+    scored = _derived(("rag", args.f1_threshold), args.input, load)
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)

@@ -13,13 +13,13 @@ pre-retrieval failures.
 Scoring and deciding are separate passes, and there is no one-call run that
 hides them. `score_traces` matches both answers of every trace once (against
 one `rewards.GoldSet`) and reads the table into numpy columns: per answer its
-verdict, rule and F1, and one float column per controller signal. A trace's
-columns read that trace alone, so `cli` scores a trace file a block of lines
-at a time as it loads, and the blocks' `ScoredTraces`, joined, are those of
-the whole table, which is never held. `decide`
-compares one signal column with a threshold, giving one bool per trace. A
-report is a plain dict of counts of masks over those columns
-(`trigger_report`, `trigger_reports_by_dataset`), so one scoring serves the
+verdict, rule and F1, one float column per controller signal, and each
+trace's dataset. A trace's columns read that trace alone, so `cli` scores a
+trace file a block of lines at a time as it loads; the blocks' joined
+`ScoredTraces` are those of the whole table, which is never held, and
+`grouped` sorts their dataset names once. `decide` compares one signal
+column with a threshold, giving one bool per trace. A report is a plain
+dict of `np.bincount`s over those columns, so one scoring serves the
 overall report, every dataset and every point of a threshold sweep.
 
 Policies: always, never, emit (any emission), conf:T (confidence below T),
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -109,14 +109,16 @@ class MatchColumns:
 
 @dataclass(frozen=True, eq=False)
 class ScoredTraces:
-    """Both answers of every trace matched once, and one float64 column per
-    signalled kind (NaN where a trace lacks the signal), in record order."""
+    """Every trace's two answers matched once, signals (a float64 column per
+    kind, NaN where a trace lacks it) and dataset, in record order: its name
+    in `datasets`, or once `grouped` its `code` into the sorted names there."""
 
     qid: np.ndarray
-    dataset: np.ndarray
+    datasets: np.ndarray
     noret: MatchColumns
     ret: MatchColumns
     signals: dict[PolicyKind, np.ndarray]
+    code: np.ndarray | None = None
 
 
 def score_traces(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -> ScoredTraces:
@@ -130,12 +132,18 @@ def score_traces(table: dict, f1_threshold: float = DEFAULT_F1_THRESHOLD) -> Sco
            for r, a, g, m in zip(ret_answers, noret_answers, golds, noret)]
     return ScoredTraces(
         qid=np.array(table["qid"], dtype=object),
-        dataset=np.array(table["dataset"], dtype=object),
+        datasets=np.array(table["dataset"], dtype=object),
         noret=MatchColumns.of(noret),
         ret=MatchColumns.of(ret),
         signals={kind: np.array(signal(table), dtype=float)
                  for kind, (_, _, _, signal) in _SIGNALS.items()},
     )
+
+
+def grouped(scored: ScoredTraces) -> ScoredTraces:
+    """`scored` whole, its names sorted once: `datasets` distinct, a `code` per trace."""
+    datasets, code = np.unique(scored.datasets, return_inverse=True)
+    return replace(scored, datasets=datasets, code=code)
 
 
 def decide(policy: ControllerPolicy, scored: ScoredTraces) -> np.ndarray:
@@ -153,61 +161,48 @@ def decide(policy: ControllerPolicy, scored: ScoredTraces) -> np.ndarray:
     return signal < threshold if below else signal >= threshold
 
 
-def _count(mask) -> int:
-    return int(np.count_nonzero(mask))
-
-
-def _tally(scored: ScoredTraces, fires, members) -> dict:
-    """Accounting of one policy over the records `members` selects (a slice
-    or a mask), from `decide`'s one decision per scored record.
-
-    Precision and recall take the no-retrieval answer's wrongness as
-    reference (the pre-intervention failure set), so `trigger_recall` is also
-    the share of no-retrieval failures the policy covers;
-    `wrong_within_triggered` instead looks at the final answers of triggered
-    records, i.e. how much failure survives retrieval. Undefined cells (zero
-    denominators) are None.
-    """
-    fire = np.asarray(fires, dtype=bool)[members]
-    n = len(fire)
-    if not n:
+def _reports(scored: ScoredTraces, fires, code: np.ndarray, bins: int) -> list[dict]:
+    """Accounting of `decide`'s decisions per group k < `bins` (the records
+    whose `code` is k), in one pass: each count a bincount of `code` weighted
+    by a bool column (a float sum of ones, exact), each F1 sum one weighted by
+    F1, added in record order (left to right, not pairwise). Precision and
+    recall take the no-retrieval failures as reference, so `trigger_recall`
+    is the share of them covered; `wrong_within_triggered` is the failure
+    that survives retrieval among triggered records. Zero denominators give None."""
+    fire = np.asarray(fires, dtype=bool)
+    noret_ok, ret_ok, exact = scored.noret.correct, scored.ret.correct, MatchRule.EXACT_MATCH
+    final_em = (fire & ret_ok & (scored.ret.rule == exact)
+                | ~fire & noret_ok & (scored.noret.rule == exact))
+    counts = [np.bincount(code, mask, bins).astype(np.intp).tolist() for mask in (None, fire,
+              ~noret_ok, fire & ~noret_ok, final_em, ~fire & noret_ok, fire & ~ret_ok)]
+    if 0 in counts[0]:
         raise EmptyBatch("no trace records")
-    noret, ret = scored.noret, scored.ret
-    noret_ok, ret_ok = noret.correct[members], ret.correct[members]
-    final_ok = np.where(fire, ret_ok, noret_ok)
-    final_rule = np.where(fire, ret.rule[members], noret.rule[members])
-    f1_sum = 0.0
-    for f1 in np.where(fire, ret.f1[members], noret.f1[members]).tolist():
-        f1_sum += f1  # left to right in record order, not pairwise
-    triggered = _count(fire)
-    noret_wrong = _count(~noret_ok)
-    triggered_and_wrong = _count(fire & ~noret_ok)
-    untouched = n - triggered
-    return {
+    f1_sums = np.bincount(code, np.where(fire, scored.ret.f1, scored.noret.f1), bins).tolist()
+    return [{
         "n": n,
         "triggered": triggered,
         "noret_wrong": noret_wrong,
         "triggered_and_wrong": triggered_and_wrong,
         "trigger_rate": triggered / n,
-        "final_em": _count(final_ok & (final_rule == MatchRule.EXACT_MATCH)) / n,
+        "final_em": em / n,
         "final_f1": f1_sum / n,
         "trigger_precision": triggered_and_wrong / triggered if triggered else None,
         "trigger_recall": triggered_and_wrong / noret_wrong if noret_wrong else None,
-        "untouched_accuracy": _count(~fire & noret_ok) / untouched if untouched else None,
-        "wrong_within_triggered": _count(fire & ~ret_ok) / triggered if triggered else None,
-    }
+        "untouched_accuracy": untouched_ok / (n - triggered) if n - triggered else None,
+        "wrong_within_triggered": wrong_after / triggered if triggered else None,
+    } for n, triggered, noret_wrong, triggered_and_wrong, em, untouched_ok, wrong_after, f1_sum
+        in zip(*counts, f1_sums)]
 
 
 def trigger_report(scored: ScoredTraces, fires) -> dict:
-    """`_tally`'s accounting of one set of decisions over the whole scored batch."""
-    return _tally(scored, fires, slice(None))
+    """`_reports`' accounting of one set of decisions, every record in one bin."""
+    return _reports(scored, fires, np.zeros(len(scored.qid), dtype=np.intp), 1)[0]
 
 
 def trigger_reports_by_dataset(scored: ScoredTraces, fires) -> dict[str, dict]:
-    """`_tally`'s accounting per dataset (sorted by dataset name), for
-    table-shaped output."""
-    names, code = np.unique(scored.dataset, return_inverse=True)
-    return {name: _tally(scored, fires, code == k) for k, name in enumerate(names)}
+    """`_reports`' accounting per dataset (sorted by name) of a `grouped` scoring."""
+    return dict(zip(scored.datasets.tolist(),
+                    _reports(scored, fires, scored.code, len(scored.datasets))))
 
 
 def parse_policy_spec(spec: str) -> ControllerPolicy:

@@ -1709,7 +1709,7 @@ def test_rag_cli_equals_api(records, policy):
         assert main(["rag", "--policy", policy, "--in", str(path), "--out", str(out)]) == 0
         got = json.loads(out.read_text())
         loaded = jsonio.load_lines(path, jsonio.RAG_TRACES).records
-    scored = ragctl.score_traces(loaded)
+    scored = ragctl.grouped(ragctl.score_traces(loaded))
     fires = ragctl.decide(ragctl.parse_policy_spec(policy), scored)
     assert got["overall"] == _as_json(ragctl.trigger_report(scored, fires))
     assert got["per_dataset"] == _as_json(ragctl.trigger_reports_by_dataset(scored, fires))

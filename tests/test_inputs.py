@@ -224,34 +224,6 @@ class TestContentKey:
         path.write_text(old)
         assert _calib(path)["mean_confidence"] == 0.5
 
-    def test_a_kept_batch_is_not_read_for_other_bytes(self, tmp_path, monkeypatch):
-        # `recal ats` reads the batch kept for its fit file a block at a time:
-        # where the file changes between the lookup's digest and the load, the
-        # batch of the bytes before must not score the bytes the load parsed
-        path = _lines(tmp_path / "fit.jsonl", [
-            GOOD_PRED | {"qid": f"q{i}", "verbal_confidence": 0.1 + 0.2 * (i % 4),
-                         "response_text": f"Answer: {'ab'[i % 3 == 0]}"} for i in range(12)])
-        old = path.read_text()
-        new = old.replace('"response_text": "Answer: b"', '"response_text": "Answer: a"', 1)
-        argv = ["recal", "ats", "--fit", str(path), "--apply", str(PREDS_FIXTURE),
-                "--out", str(tmp_path / "o.jsonl"), "--model-out", str(tmp_path / "m.json")]
-        path.write_text(new)
-        cli._CACHE.clear()
-        assert main(argv) == 0
-        want = (tmp_path / "m.json").read_bytes()
-        path.write_text(old)
-        _calib_alone(path)  # keeps the batch of the old bytes
-        lookup = cli._sha256
-
-        def digest_then_edit(p):
-            digest = lookup(p)
-            path.write_text(new)
-            return digest
-
-        monkeypatch.setattr(cli, "_sha256", digest_then_edit)
-        assert main(argv) == 0
-        assert (tmp_path / "m.json").read_bytes() == want
-
     def test_kept_verdicts_read_a_block_at_a_time_match_no_row(self, tmp_path, monkeypatch):
         # `probe` scores each block with its rows of the verdicts kept for
         # its predictions: it matches no row, and keeps verdicts, not a batch
@@ -267,42 +239,15 @@ class TestContentKey:
         verdicts = cli._CACHE[("verdicts", rewards.DEFAULT_F1_THRESHOLD), _sha256(preds)][0]
         assert verdicts.tolist() == want.tolist()
 
-    def test_a_kept_batch_is_not_read_for_a_file_that_gained_lines(self, tmp_path, monkeypatch):
-        # the probe's predictions gain a line between the lookup's digest and
-        # the load: the blocks past the kept batch's end are scored, and the
-        # file is loaded again, as if nothing had been kept
-        preds = write_hidden_dir(tmp_path / "hidden")
-        old = preds.read_text()
-        new = old + json.dumps(GOOD_PRED | {"qid": "extra"}) + "\n"
-        argv = ["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
-                "--preds", str(preds), "--layer", "8", "--out", str(tmp_path / "m.json")]
-        preds.write_text(new)
-        cli._CACHE.clear()
-        assert main(argv) == 0
-        want = (tmp_path / "m.json").read_bytes()
-        lookup = cli._sha256
-
-        def digest_then_edit(p):
-            digest = lookup(p)
-            preds.write_text(new)
-            return digest
-
-        for block in (256, 7):
-            monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
-            monkeypatch.setattr(cli, "_sha256", lookup)
-            preds.write_text(old)
-            cli._CACHE.clear()
-            cli._scored(preds, rewards.DEFAULT_F1_THRESHOLD)  # keeps the old bytes' batch
-            monkeypatch.setattr(cli, "_sha256", digest_then_edit)
-            assert main(argv) == 0
-            assert (tmp_path / "m.json").read_bytes() == want
-
 
 def _changed(lines: list[str], change: str) -> list[str]:
-    """`lines` with five answers flipped from wrong to right ("edited"), or
-    with a line put before them, so that no row keeps its place ("grown")."""
+    """`lines` with five answers flipped from wrong to right ("edited"), with
+    a line put before them, so that no row keeps its place ("grown"), or
+    with a line after them, a row past the end of what was kept ("appended")."""
     if change == "grown":
         return [json.dumps(GOOD_PRED | {"qid": "first"}), *lines]
+    if change == "appended":
+        return [*lines, json.dumps(GOOD_PRED | {"qid": "extra"})]
     objs = list(map(json.loads, lines))
     for obj in objs[1:6]:
         obj["response_text"] = obj["response_text"].replace("Answer: omega", "Answer: alpha")
@@ -320,13 +265,15 @@ KEPT_VERDICT_READERS = {
 
 
 class TestKeptVerdicts:
+    @pytest.mark.parametrize("keeper", ["match", "calib"])
     @pytest.mark.parametrize("block", [7, 256])
-    @pytest.mark.parametrize("change", ["edited", "grown"])
+    @pytest.mark.parametrize("change", ["edited", "grown", "appended"])
     @pytest.mark.parametrize("name", sorted(KEPT_VERDICT_READERS))
     def test_verdicts_of_other_bytes_are_not_read(self, tmp_path, monkeypatch, name, change,
-                                                  block):
+                                                  block, keeper):
         # the predictions change between the lookup's digest and the load:
-        # the verdicts kept for the bytes before must not score them
+        # the verdicts kept (by `match` or by a scoring) for the bytes before
+        # must not score them
         preds = _plan_preds(tmp_path)
         old = preds.read_text(encoding="utf-8")
         new = "".join(line + "\n" for line in _changed(old.splitlines(), change))
@@ -343,7 +290,8 @@ class TestKeptVerdicts:
         want = run(tmp_path / "alone")
         preds.write_text(old, encoding="utf-8")
         cli._CACHE.clear()
-        assert main(["match", "--in", str(preds), "--out", str(tmp_path / "m.jsonl")]) == 0
+        assert main([keeper, "--in", str(preds), "--out", str(tmp_path / f"{keeper}.out")]) == 0
+        assert [key[0] for key in cli._CACHE] == [("verdicts", rewards.DEFAULT_F1_THRESHOLD)]
         lookup = cli._sha256
 
         def digest_then_edit(p):
@@ -393,7 +341,7 @@ class TestMemoryRule:
         ]))]) == 0
         scored = next(iter(cli._CACHE.values()))[0]
         assert isinstance(scored, ragctl.ScoredTraces)
-        arrays = [scored.qid, scored.dataset, *scored.signals.values()]
+        arrays = [scored.qid, scored.datasets, scored.code, *scored.signals.values()]
         arrays += [getattr(m, f) for m in (scored.noret, scored.ret)
                    for f in ("correct", "rule", "f1")]
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
@@ -675,6 +623,25 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in alone.iterdir())
         for p in out.iterdir():
             assert p.read_bytes() == (alone / p.name).read_bytes()
+
+    def test_a_second_policy_neither_matches_nor_groups(self, tmp_path, monkeypatch):
+        # the first `rag` scores the traces a block at a time and groups
+        # them once, whole; a second policy on the same bytes reads that
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", 7)
+        scores = count_calls(monkeypatch, ragctl, "score_traces")
+        groups = count_calls(monkeypatch, ragctl, "grouped")
+        assert main(_rag_step("always", tmp_path)) == 0
+        assert len(scores) == 3 and len(groups) == 1
+        (scored, _), = cli._CACHE.values()
+        assert scored.code.dtype == np.intp and not scored.code.flags.writeable
+        with pytest.raises(ValueError):
+            scored.code[0] = 1
+        matches = count_calls(monkeypatch, ragctl, "match_answer")
+        del groups[:]
+        assert main(_rag_step("conf:0.5", tmp_path)) == 0
+        assert matches == [] and groups == [] and len(scores) == 3
+        (kept, _), = cli._CACHE.values()
+        assert kept is scored
 
     def test_steps_write_what_they_write_alone(self, tmp_path, capsys):
         files = _with_rejections(tmp_path)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ import uncal
 from uncal import jsonio, ragctl
 from uncal.errors import EmptyBatch, MissingSignal
 from uncal.ragctl import ControllerPolicy, PolicyKind
+from uncal.rewards import MatchRule
 
 from conftest import (
     count_calls,
@@ -282,7 +284,7 @@ class TestRecordRanges:
 def test_per_dataset_reports(rng):
     records = random_rag_batch(rng, 40)
     policy = ControllerPolicy(PolicyKind.ALWAYS)
-    scored = ragctl.score_traces(records)
+    scored = ragctl.grouped(ragctl.score_traces(records))
     by_dataset = ragctl.trigger_reports_by_dataset(scored, ragctl.decide(policy, scored))
     assert set(by_dataset) == set(records["dataset"])
     assert sum(r["n"] for r in by_dataset.values()) == 40
@@ -327,7 +329,7 @@ class TestScoredTraces:
 
     def test_reports_are_counts_over_one_scoring(self, rng):
         records = random_rag_batch(rng, 50)
-        scored = ragctl.score_traces(records)
+        scored = ragctl.grouped(ragctl.score_traces(records))
         assert scored.noret.correct.tolist() == [a == "alpha" for a in records["noret_answer"]]
         assert scored.ret.correct.tolist() == [a == "alpha" for a in records["ret_answer"]]
         for policy in (ControllerPolicy(PolicyKind.CONFIDENCE_THRESHOLD, 0.4),
@@ -342,10 +344,43 @@ class TestScoredTraces:
                 assert report == run_policy(policy, members)
 
     def test_empty_batch(self):
-        scored = ragctl.score_traces(traces([]))
+        scored = ragctl.grouped(ragctl.score_traces(traces([])))
         with pytest.raises(EmptyBatch):
             ragctl.trigger_report(scored, [])
         assert ragctl.trigger_reports_by_dataset(scored, []) == {}
+
+
+def test_f1_sums_keep_record_order():
+    # added left to right, a 2**-53 after a 1.0 rounds away, while numpy's
+    # pairwise np.sum keeps the tiny values' sum; dataset b's two tiny values
+    # before its 1.0 add up first, so the overall sum, where a's 1.0 comes
+    # first, is not the datasets' sums added either
+    tiny = 2.0 ** -53
+    members = {"a": [1.0] + [tiny] * 15, "b": [tiny, tiny, 1.0] + [tiny] * 13}
+    names = ["a"] + ["b", "a"] * 15 + ["b"]
+    f1 = [members[name][names[:k].count(name)] for k, name in enumerate(names)]
+    members["overall"] = f1
+    n = len(f1)
+    answers = ragctl.MatchColumns(np.zeros(n, dtype=bool),
+                                  np.full(n, MatchRule.TOKEN_F1, dtype=object),
+                                  np.array(f1, dtype=float))
+    scored = ragctl.grouped(ragctl.ScoredTraces(
+        qid=np.array([f"r{i}" for i in range(n)], dtype=object),
+        datasets=np.array(names, dtype=object), noret=answers, ret=answers, signals={}))
+    fires = ragctl.decide(ControllerPolicy(PolicyKind.NEVER), scored)
+    got = {"overall": ragctl.trigger_report(scored, fires),
+           **ragctl.trigger_reports_by_dataset(scored, fires)}
+    assert list(got) == ["overall", "a", "b"]
+    in_order = {}
+    for name, values in members.items():
+        in_order[name] = 0.0
+        for value in values:
+            in_order[name] += value
+        assert float(np.sum(values)) != in_order[name]  # the case tells the two sums apart
+        final_f1 = got[name]["final_f1"]
+        assert type(final_f1) is float
+        assert final_f1.hex() == (in_order[name] / len(values)).hex()
+    assert in_order["a"] + in_order["b"] != in_order["overall"]
 
 
 # answers that exact-match, yes/no-match or date-match some gold, or share
@@ -391,7 +426,7 @@ def test_reports_equal_the_former_per_record_loop(records, policy, f1_threshold)
     assert table == oracle_trace_table(records)
 
     def columnar():
-        scored = ragctl.score_traces(table, f1_threshold)
+        scored = ragctl.grouped(ragctl.score_traces(table, f1_threshold))
         fires = ragctl.decide(policy, scored)
         return (ragctl.trigger_report(scored, fires),
                 ragctl.trigger_reports_by_dataset(scored, fires))

@@ -25,6 +25,10 @@ def test_every_command_at_200_records(tmp_path, capsys):
     # the inputs are generated once, and the same inputs give the same bytes
     generated = sorted(p.name for p in tmp_path.iterdir() if p.name != "out")
     assert generated == ["preds-matched-200-seed1", "preds-raw-200-seed1", "rag-traces-200-seed1"]
+    # the last command's plan ran one `rag` step per policy of the workload
+    assert list(scale.COMMANDS)[-1] == "rag-plan"
+    wrote = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert wrote == ["plan.jsonl"] + [f"rag_{k}.{ext}" for k in range(4) for ext in ("csv", "json")]
     # two checkouts' runs of a command alternate, each printed as its own table
     other = tmp_path / "other"
     shutil.copytree(scale.ROOT / "src" / "uncal", other / "uncal")
@@ -32,7 +36,8 @@ def test_every_command_at_200_records(tmp_path, capsys):
                        "--src", str(scale.ROOT / "src"), "--src", str(other)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [lines[0], lines[3]] == [f"src: {scale.ROOT / 'src'}", f"src: {other}"]
-    assert lines[2].split()[-1] == lines[5].split()[-1] == rows[-1].split()[-1]
+    digests = {row.split()[0]: row.split()[-1] for row in rows}
+    assert lines[2].split()[-1] == lines[5].split()[-1] == digests["rag"]
 
 
 def test_an_unknown_command_is_refused(tmp_path):

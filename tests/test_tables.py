@@ -53,7 +53,12 @@ def assert_traces_equal(table: dict, lines: list[dict], f1_threshold: float) -> 
     assert table == oracle_trace_table(records)
     noret, ret, signals = oracle_score_traces(records, f1_threshold)
     assert scored.qid.tolist() == [r.qid for r in records]
-    assert scored.dataset.tolist() == [r.dataset for r in records]
+    assert scored.datasets.tolist() == [r.dataset for r in records] and scored.code is None
+    # grouped: the sorted distinct names, and each trace's index among them
+    grouped = ragctl.grouped(scored)
+    assert grouped.datasets.tolist() == sorted({r.dataset for r in records})
+    assert grouped.code.dtype == np.intp
+    assert grouped.datasets[grouped.code].tolist() == [r.dataset for r in records]
     for columns, matches in ((scored.noret, noret), (scored.ret, ret)):
         assert columns.correct.tolist() == [m.correct for m in matches]
         assert columns.rule.tolist() == [m.rule for m in matches]

@@ -1,7 +1,7 @@
 """Time and measure `uncal` commands on generated inputs of a given size.
 
     python3 tools/scale.py --records 100000 [--src SRC [--src SRC ...]] \
-        [--work DIR] [--commands calib-raw,rag] [--repeat 3]
+        [--work DIR] [--commands calib-raw,rag,rag-plan] [--repeat 3]
 
 The inputs come from the benchmark's own generators (`perfbench/gen.py`,
 imported, not changed): the preds-raw, preds-matched and rag-traces
@@ -22,7 +22,10 @@ any `uncal` command.
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
 import hashlib
+import json
 import multiprocessing
 import os
 import random
@@ -40,8 +43,10 @@ SEED = 1  # the generators' seed, as in `perfbench/run.py --seed 1`
 # command -> (workload of its inputs, argv with {in} the input directory and
 # {out} the output directory); the `recal` commands fit on one half of the
 # records and apply to the other. A run starts with an empty output
-# directory, into which `match-inplace`'s input, whose lines it rewrites, is
-# first copied (`COPIED`).
+# directory, into which `PREPARED` first writes what the command reads
+# there: `match-inplace`'s input, whose lines it rewrites, and `rag-plan`'s
+# plan, one `rag` step per policy of the rag-traces workload, so that its
+# time past the first step is the cost of a policy on a kept scoring.
 COMMANDS = {
     "match": ("preds-raw", "match --in {in}/preds.jsonl --out {out}/matched.jsonl"),
     "match-inplace": ("preds-raw", "match --in {out}/preds.jsonl"),
@@ -53,8 +58,38 @@ COMMANDS = {
     "calib-matched": ("preds-matched", "calib --in {in}/preds.jsonl --out {out}/calib.json"),
     "recal-ptrue": ("preds-matched", "recal ptrue --in {in}/preds.jsonl --out {out}/ptrue.jsonl"),
     "rag": ("rag-traces", "rag --policy conf:0.5 --in {in}/traces.jsonl --out {out}/rag.json"),
+    "rag-plan": ("rag-traces", "run --plan {out}/plan.jsonl"),
 }
-COPIED = {"match-inplace": "preds.jsonl"}  # command -> input file copied to {out} first
+
+
+def _rag_policies() -> tuple[str, ...]:
+    """`RAG_POLICIES` of `perfbench/gen.py`, read from its source: importing
+    it would load numpy into this process, whose peak RSS a command's
+    process starts with."""
+    for node in ast.parse((ROOT / "perfbench" / "gen.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["RAG_POLICIES"]:
+            return ast.literal_eval(node.value)
+    raise RuntimeError("perfbench/gen.py defines no RAG_POLICIES")
+
+
+def _write_rag_plan(inputs: Path, out: Path) -> None:
+    """The plan of one `rag` step per policy over `inputs`' traces, each
+    writing its report and CSV into `out`, as perfbench's rag-traces
+    session does."""
+    with open(out / "plan.jsonl", "w", encoding="utf-8") as fh:
+        for k, policy in enumerate(_rag_policies()):
+            argv = ["rag", "--policy", policy, "--in", str(inputs / "traces.jsonl"),
+                    "--out", str(out / f"rag_{k}.json"), "--csv", str(out / f"rag_{k}.csv")]
+            fh.write(json.dumps({"argv": argv}) + "\n")
+
+
+# command -> what it reads in {out}, written there before each run from
+# (the input directory, the output directory)
+PREPARED = {
+    "match-inplace": lambda inputs, out: shutil.copyfile(inputs / "preds.jsonl",
+                                                         out / "preds.jsonl"),
+    "rag-plan": _write_rag_plan,
+}
 
 
 def _generate(out: Path, workload: str, records: int) -> None:
@@ -82,16 +117,16 @@ def generate(work: Path, workload: str, records: int) -> Path:
 
 
 def run_once(src: Path, argv: list[str], out: Path,
-             copied: Path | None = None) -> tuple[float, float, str]:
+             prepare=None) -> tuple[float, float, str]:
     """(wall seconds, max RSS MiB, sha256 over the files in `out` after it)
     of one run of `uncal argv` in a fresh process, with `out` emptied and
-    the file `copied`, if any, copied into it first; a failing command
+    `prepare(out)`, if given, writing into it first; a failing command
     raises."""
     out.mkdir(parents=True, exist_ok=True)
     for old in out.iterdir():
         old.unlink()
-    if copied is not None:
-        shutil.copyfile(copied, out / copied.name)
+    if prepare is not None:
+        prepare(out)
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "uncal.cli", *argv], env=env,
@@ -126,11 +161,11 @@ def measure(srcs: list[Path], work: Path, records: int, names: list[str],
         workload, template = COMMANDS[name]
         inputs = generate(work, workload, records)
         argv = template.format(**{"in": inputs, "out": work / "out"}).split()
-        copied = inputs / COPIED[name] if name in COPIED else None
+        prepare = functools.partial(PREPARED[name], inputs) if name in PREPARED else None
         runs = {src: [] for src in srcs}
         for k in range(repeat):
             for src in srcs[k % len(srcs):] + srcs[:k % len(srcs)]:
-                runs[src].append(run_once(src, argv, work / "out", copied))
+                runs[src].append(run_once(src, argv, work / "out", prepare))
         for src, done in runs.items():
             digests = {digest for _, _, digest in done}
             if len(digests) > 1:
