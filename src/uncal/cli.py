@@ -3,15 +3,16 @@
 Every subcommand reads files, writes files, and records in its report's
 `config` every parsed flag of the command except its outputs and `--apply`,
 so a flag added to the parser is recorded without further edits. Identical
-configurations produce byte-identical outputs. `--seed` is read only by the
-probe's train/dev split, so only `probe sweep` and `probe fit` record it.
+configurations produce byte-identical outputs. `--seed` seeds the probe's
+train/dev split, so it is a flag of `probe sweep` and `probe fit` alone.
 Exit codes: 0 success, 1 validation or usage failure, 2 I/O failure.
 
 No command holds an input's table: each reads a block of lines at a time
-and derives what it reads as it loads (`jsonio.load_lines` with a derive:
-`calib`, the `recal` fits, `rag`, `probe`), or writes each block's lines
-before it reads the next (`jsonio.rewrite_file`: `match`, every `--apply`,
-`recal ptrue`), a line as read with the columns it replaces.
+and derives what it reads as it loads (`jsonio.load_lines` with a derive).
+A line writer (`match`, every `--apply`, `recal ptrue`) is such a load
+whose derive writes each block's lines, each a line as read with the
+columns it replaces, into `jsonio.atomic`'s temporary file before the
+next block is read. Every output goes through `jsonio.atomic`.
 
 What a command derives from an input file is kept per process under the
 sha256 of the file's bytes: a prediction file's verdicts (one bool per
@@ -104,6 +105,7 @@ def _add_f1_threshold(parser: _Parser) -> None:
 
 
 def _add_probe_fit_flags(parser: _Parser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="seed of the probe's qid split")
     parser.add_argument("--window", type=_int_flag("--window", 0), default=probe.DEFAULT_WINDOW)
     parser.add_argument("--span-tokens", type=_int_flag("--span-tokens", 1),
                         default=probe.DEFAULT_SPAN_TOKENS)
@@ -113,7 +115,6 @@ def _add_probe_fit_flags(parser: _Parser) -> None:
 @functools.cache  # built by the first `main` call, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uncal", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="seed of the probe's qid split")
     sub = parser.add_subparsers()
 
     theory = sub.add_parser("theory", help="tilted-policy verification").add_subparsers()
@@ -228,9 +229,8 @@ def _build_parser() -> _Parser:
 
 
 # parsed flags that are not part of a run's configuration: where its outputs
-# go, the file a fitted model is applied to, the dispatch target, and the seed,
-# which only the probe's split reads
-_NOT_CONFIG = frozenset({"out", "csv", "model_out", "apply_path", "handler", "seed"})
+# go, the file a fitted model is applied to, and the dispatch target
+_NOT_CONFIG = frozenset({"out", "csv", "model_out", "apply_path", "handler"})
 
 
 def _config(args) -> dict:
@@ -238,14 +238,8 @@ def _config(args) -> dict:
     return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
 
 
-def _emit(args, payload: dict) -> None:
-    if args.out:
-        jsonio.write_report(args.out, payload)
-    else:
-        print(jsonio.dumps_canonical(payload))
-
-
-def _emit_lines(args, lines: list[dict]) -> None:
+def _emit(args, lines: list[dict]) -> None:
+    """Each of `lines` as one canonical line: to `--out`, or to stdout."""
     if args.out:
         jsonio.write_jsonl(args.out, lines)
     else:
@@ -414,7 +408,7 @@ def _scored(path, f1_threshold: float, derive=None) -> jsonio.LoadResult:
 def _cmd_theory_verify(args) -> int:
     batch, config = _space_batch(args.input), _config(args)
     checks = trajspace.verify_bounds(batch, args.eta)
-    _emit_lines(args, [{"index": index, "config": config, "gold_answer": gold, **check}
+    _emit(args, [{"index": index, "config": config, "gold_answer": gold, **check}
                        for index, (gold, check) in enumerate(zip(batch.gold_answer, checks))])
     return 0
 
@@ -422,37 +416,33 @@ def _cmd_theory_verify(args) -> int:
 def _cmd_theory_iterate(args) -> int:
     batch, config = _space_batch(args.input), _config(args)
     traces = trajspace.iterate_tilt(batch, args.eta, args.steps)
-    _emit_lines(args, [{"index": index, "config": config, "steps": steps}
+    _emit(args, [{"index": index, "config": config, "steps": steps}
                        for index, steps in enumerate(traces)])
     return 0
 
 
 def _cmd_match(args) -> int:
     """Write each line with its answer and that answer's match filled in, a
-    block of lines at a time: to `--out`, or over the input, which is left
-    as it was where a line of it was rejected (rewriting it would drop that
-    line). The verdicts, one bool per row, are kept for the bytes read:
-    scoring them matches no row again."""
-    verdicts = []
+    block of lines at a time as it is read: to `--out`, or over the input,
+    which is left as it was where a line of it was rejected (rewriting it
+    would drop that line). The verdicts, one bool per row, are kept for the
+    bytes read: scoring them matches no row again."""
 
-    def rewrite(columns):
+    def rewrite(columns):  # each block written before the next is read
         answers = rewards.answers(columns, range(len(columns["qid"])))
         matches = rewards.match_answers(answers, columns["gold_answers"], args.f1_threshold)
-        verdicts.extend(match.correct for match in matches)
-        return jsonio.encode_lines(jsonio.PREDICTION, {
-            **columns, "extracted_answer": answers, "match": list(map(vars, matches))})
+        write(jsonio.encode_lines(jsonio.PREDICTION, {
+            **columns, "extracted_answer": answers, "match": list(map(vars, matches))}))
+        return np.array([match.correct for match in matches], dtype=bool)
 
-    def finish(result):
-        _report_rejected(args.input, result.errors)
+    with jsonio.atomic(args.out or args.input) as write:
+        result = _loaded(args.input, jsonio.PREDICTIONS, rewrite)
         if result.errors and not args.out:
             raise ValueError(f"{args.input}: {len(result.errors)} of {result.total_lines} "
                              "lines rejected; the file is left as it was (give --out to write "
                              "the accepted lines)")
-        # the verdicts a later scoring of these bytes at this threshold reads
-        _keep(("verdicts", args.f1_threshold), args.input, result,
-              np.array(verdicts, dtype=bool))
-
-    jsonio.rewrite_file(args.input, args.out or args.input, jsonio.PREDICTIONS, rewrite, finish)
+    # the verdicts a later scoring of these bytes at this threshold reads
+    _keep(("verdicts", args.f1_threshold), args.input, result, result.records)
     return 0
 
 
@@ -460,12 +450,12 @@ def _cmd_calib(args) -> int:
     batch = _scored(args.input, args.f1_threshold).records[0]
     _report_clamped(args.input, batch.clamped)
     report = calib.calibration_report(batch, args.bins, args.nll_epsilon)
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-calib-report-v2",
         "config": _config(args),
         **report,
         "error_taxonomy": calib.error_taxonomy(batch),
-    })
+    }])
     if args.csv:
         header = ["lo", "hi", "count", "mean_conf", "accuracy"]
         jsonio.write_csv(args.csv, header, [[b[key] for key in header] for b in report["bins"]])
@@ -482,7 +472,7 @@ def _recalibrate(args, path, original_of, new_of, missing: str) -> None:
     is refused, and nothing is written."""
     skipped = clamped = 0
 
-    def rewrite(columns):
+    def rewrite(columns):  # each block written before the next is read
         nonlocal skipped, clamped
         original, flags = original_of(columns)
         new, skip = new_of(columns, original), np.isnan(original)
@@ -492,10 +482,10 @@ def _recalibrate(args, path, original_of, new_of, missing: str) -> None:
         skipped += int(skip.sum())
         confidence = [own if keep else conf for own, keep, conf
                       in zip(columns["verbal_confidence"], skip.tolist(), new.tolist())]
-        return jsonio.encode_lines(jsonio.PREDICTION, {**columns, "verbal_confidence": confidence})
+        write(jsonio.encode_lines(jsonio.PREDICTION, {**columns, "verbal_confidence": confidence}))
 
-    jsonio.rewrite_file(path, args.out, jsonio.PREDICTIONS, rewrite,
-                        lambda result: _report_rejected(path, result.errors))
+    with jsonio.atomic(args.out) as write:
+        _loaded(path, jsonio.PREDICTIONS, rewrite)
     _report_clamped(path, clamped)
     if skipped:
         print(f"skipped {skipped} records without {missing}", file=sys.stderr)
@@ -506,9 +496,9 @@ def _apply_model(args, model, apply, schema: str, **fields) -> int:
     `--model-out` every field of `model`, `fields`, the `schema` and the config."""
     _recalibrate(args, args.apply_path, rewards.confidences, apply, "parseable confidence")
     if args.model_out:
-        jsonio.write_report(args.model_out, {
+        jsonio.write_jsonl(args.model_out, [{
             **vars(model), **fields, "fit": jsonio.encode(jsonio.FIT, vars(model.fit)),
-            "schema": schema, "config": _config(args)})
+            "schema": schema, "config": _config(args)}])
     return 0
 
 
@@ -543,9 +533,9 @@ def _token_rows(rows: dict[str, list]) -> tuple[int, dict[str, slice | np.ndarra
     qid's rows in token order (a row without `token_index` takes its
     position among the qid's rows), and the fault of
     the first qid whose token indices are not 0..k-1, or None. A qid whose
-    rows are contiguous and already in token order gets a slice, so that
-    indexing a matrix with it gives a view rather than a copy; any other qid
-    gets an array of its row indices."""
+    rows are contiguous and already in token order gets a slice, of which
+    `probe` reads only the start and stop; any other qid gets an array of
+    its row indices."""
     grouped: dict[str, list[tuple[int, int]]] = {}
     for i, (qid, token) in enumerate(zip(rows["qid"], rows["token_index"])):
         members = grouped.setdefault(qid, [])
@@ -572,8 +562,9 @@ def _row_order(path) -> jsonio.LoadResult:
 def _load_token_stack(mat_path) -> probe.TokenStack:
     """A layer file's matrix and, from its sidecar, each qid's rows in token
     order: row t of a qid's rows is the hidden state of its token t. A qid
-    whose rows are contiguous and in token order has a slice of the matrix;
-    any other has an array of its row indices. Sidecars with the same bytes,
+    whose rows are contiguous and in token order has a slice (its first row
+    and the row past its last); any other has an array of its row indices.
+    Sidecars with the same bytes,
     such as those of a model's layers, share one parse."""
     values = matio.read_matrix(mat_path)
     count, order, fault = _derived("rows", str(mat_path) + ".ids.jsonl", _row_order)
@@ -605,11 +596,11 @@ def _cmd_probe_sweep(args) -> int:
         window=args.window, span_token_count=args.span_tokens,
         l2=args.l2, seed=args.seed,
     )
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-probe-sweep-v1",
-        "config": {**_config(args), "seed": args.seed},
+        "config": _config(args),
         "rows": rows,
-    })
+    }])
     if args.csv:
         header = ["layer", "auroc", "auprc", "precision", "recall", "f1"]
         jsonio.write_csv(args.csv, header, [[r[key] for key in header] for r in rows])
@@ -627,10 +618,10 @@ def _cmd_probe_fit(args) -> int:
     x, labels, qids = _probe_examples(args, args.window, args.span_tokens)
     model = probe.fit_on_split(x, labels, probe.split_by_qid(qids, args.seed), args.l2,
                                args.layer)[0]
-    jsonio.write_report(args.out, jsonio.encode(jsonio.PROBE_MODEL, {
+    jsonio.write_jsonl(args.out, [jsonio.encode(jsonio.PROBE_MODEL, {
         **vars(model), "fit": vars(model.fit), "schema": "uncal-probe-model-v2",
-        "config": {**_config(args), "seed": args.seed},
-    }))
+        "config": _config(args),
+    })])
     return 0
 
 
@@ -661,14 +652,14 @@ def _load_probe_model(path) -> tuple[probe.ProbeModel, tuple[int, int]]:
 def _cmd_probe_eval(args) -> int:
     model, (window, span_tokens) = _load_probe_model(args.model)
     x, labels, _ = _probe_examples(args, window, span_tokens)
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-probe-eval-v3",
         "config": _config(args),
         "layer": model.layer,
         "n": int(len(labels)),
         **probe.evaluate(probe.ranked(model.scores(x), labels), model.threshold),
         "threshold": model.threshold,
-    })
+    }])
     return 0
 
 
@@ -684,12 +675,12 @@ def _cmd_rag(args) -> int:
     fires = ragctl.decide(policy, scored)
     report = ragctl.trigger_report(scored, fires)
     per_dataset = ragctl.trigger_reports_by_dataset(scored, fires)
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-rag-report-v3",
         "config": _config(args),
         "overall": report,
         "per_dataset": per_dataset,
-    })
+    }])
     if args.csv:
         # "overall" is appended, not merged in: a dataset may bear that name
         cells = ["final_em", "final_f1", "trigger_rate"]
@@ -702,12 +693,12 @@ def _cmd_rag(args) -> int:
 def _cmd_repr_cka(args) -> int:
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-repr-cka-v2",
         "config": _config(args),
         "cka": reprgeo.linear_cka(x, y),
         "rows": int(x.shape[0]),
-    })
+    }])
     return 0
 
 
@@ -716,7 +707,7 @@ def _cmd_repr_kl(args) -> int:
     annotations = _loaded(args.annotations, jsonio.KL_ANNOTATIONS).records
     table = reprgeo.kl_by_type(pairs, annotations)
     rows = {token_type.value: row for token_type, row in table.items()}
-    _emit(args, {"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows})
+    _emit(args, [{"schema": "uncal-repr-kl-v2", "config": _config(args), "by_type": rows}])
     if args.csv:
         cells = ["count", "mean_kl", "mass_fraction"]
         jsonio.write_csv(args.csv, ["type", *cells], [
@@ -727,11 +718,11 @@ def _cmd_repr_kl(args) -> int:
 def _cmd_repr_pca(args) -> int:
     x = matio.read_matrix(args.input)
     result = reprgeo.pca_project(x, args.k)
-    _emit(args, {
+    _emit(args, [{
         "schema": "uncal-repr-pca-v2",
         "config": _config(args),
         "explained_variance_ratio": [float(v) for v in result.explained_variance_ratio],
-    })
+    }])
     if args.csv:
         header = [f"pc{i + 1}" for i in range(args.k)]
         jsonio.write_csv(args.csv, header, result.projection)
@@ -758,7 +749,7 @@ def _cmd_repr_drift(args) -> int:
         if report["ratio"] == math.inf:
             report["ratio"] = "inf"
         payload["embedding_drift"] = report
-    _emit(args, payload)
+    _emit(args, [payload])
     return 0
 
 
@@ -787,8 +778,6 @@ def _cmd_run(args) -> int:
     """Each step of the plan, as `main` runs it alone, in order; the first
     step that exits non-zero stops the plan with its code. The whole plan is
     read and checked first: a refused line runs no step."""
-    if args.seed:
-        raise UsageError("--seed is given in each plan step, not to run")
     plan = jsonio.read_file(args.plan, _PLAN)
     if plan.errors:
         _report_rejected(args.plan, plan.errors)

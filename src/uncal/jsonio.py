@@ -27,9 +27,11 @@ keeps only each trace's minimum token probability, and not the text. A load
 may instead derive: a function (`Derive`) maps each block's columns, as
 soon as the block is read, to its part of a value, and the parts are joined
 once the last block is read (`_joined`: arrays concatenated, lists chained,
-dataclasses, dicts and tuples field by field). A table load is the same
-reader with no derive, and a derivation that reads each row alone gives of
-a table, taken as one block, what the load derives. `scored_kl_pairs` reads
+dataclasses, dicts and tuples field by field). A derive runs before the
+next block is read, so a load whose derive writes each block's lines out
+rewrites a file a block at a time. A table load is the same reader with no
+derive, and a derivation that reads each row alone gives of a table, taken
+as one block, what the load derives. `scored_kl_pairs` reads
 KL pairs whose rule's arrays also give each pair's KL, so a load keeps only
 positions and KL values. A file is read line by line: a load holds one
 block of lines, their decoded objects and columns, and the parts derived
@@ -48,7 +50,8 @@ a command that rewrites a table replaces the columns it changed. A CSV is
 written the same way, a block of rows and one column at a time. Report
 writing controls float formatting (17 significant digits, round-trip exact)
 and key order so that identical configurations produce byte-identical files.
-Every output file is written atomically.
+Every output file is written through one sink, `atomic`: its lines go to a
+temporary file that takes the output's place only once all are written.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
@@ -135,20 +139,30 @@ def _canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write the text `chunks` to `path` atomically: they go to a temporary
-    file in the same directory, which then takes the path's place. If writing
-    fails (an I/O error, or a value a report may not hold), no partial file is
-    left and an existing file is untouched. The file keeps the mode of the one
-    it replaces, or takes the mode `open` would give; a symlinked path is
-    written through to its target."""
+@contextmanager
+def atomic(path) -> Iterator[Callable[[Iterable[str]], None]]:
+    """A `write(lines)` that writes each of `lines`, and a line end, to
+    `path` atomically: they go to a temporary file in the same directory,
+    which takes the path's place when the block exits cleanly and is removed
+    on any exception, leaving an existing file untouched. An OSError of the
+    file, or from drawing the lines, raises IoError `cannot write PATH`. The
+    file keeps the mode of the one it replaces, or takes the mode `open`
+    would give; a symlinked path is written through to its target."""
     target = Path(os.path.realpath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
+                def write(lines: Iterable[str]) -> None:
+                    lines = iter(lines)
+                    # named here: inside a load's derive, the load would
+                    # take an OSError for a read fault of its own file
+                    try:
+                        while block := list(islice(lines, BLOCK_LINES)):  # one call per block
+                            fh.write("".join(map("%s\n".__mod__, block)))
+                    except OSError as exc:
+                        raise IoError(f"cannot write {path}: {exc}") from exc
+                yield write
             os.chmod(tmp, _mode(target))
             os.replace(tmp, target)
         except BaseException:
@@ -167,13 +181,10 @@ def _mode(path: Path) -> int:
     return 0o666 & ~umask
 
 
-def write_report(path, obj) -> None:
-    _write_atomic(path, [_canonical(obj) + "\n"])
-
-
 def write_jsonl(path, objs: Iterable) -> None:
-    """One canonical line per object; the lines are streamed, not built in memory."""
-    _write_atomic(path, (_canonical(obj) + "\n" for obj in objs))
+    """One canonical line per object, written a block at a time (`atomic`)."""
+    with atomic(path) as write:
+        write(map(_canonical, objs))
 
 
 _CSV_QUOTED = frozenset(',"\r\n')  # a cell holding one of these is quoted (RFC 4180)
@@ -203,16 +214,13 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence] | np.ndarray
     formatted a block of `BLOCK_LINES` rows at a time, one column at a time;
     the rows of a 2-D numpy array are converted to Python values a block at
     a time."""
-
-    def lines():
-        yield ",".join(map(_csv_cell, header)) + "\n"
+    with atomic(path) as write:
+        write([",".join(map(_csv_cell, header))])
         for start in range(0, len(rows), BLOCK_LINES):
             block = rows[start:start + BLOCK_LINES]
             columns = map(_csv_column, block.T.tolist() if isinstance(block, np.ndarray)
                           else zip(*block, strict=True))
-            yield "".join(map("%s\n".__mod__, map(",".join, zip(*columns))))
-
-    _write_atomic(path, lines())
+            write(map(",".join, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -843,46 +851,24 @@ def read_lines(lines: Iterable[str], kind: LineKind) -> tuple[dict, list, int]:
     return _read_lines(lines, kind, None)
 
 
-def _blocks(lines: Iterable[str], kind: LineKind, errors: list) -> Iterator[tuple[int, dict]]:
-    """(line count, columns) of each block of `BLOCK_LINES` nonblank lines
-    of `lines`, in order: `_read_block`, which appends to `errors`."""
-    lines = decode_lines(lines)
-    while block := list(islice(lines, BLOCK_LINES)):
-        yield len(block), _read_block(kind, block, errors)
-
-
 def _read_lines(lines: Iterable[str], kind: LineKind,
                 derive: Derive | None) -> tuple[object, list, int]:
     """`read_lines` for this module's own calls, which perfbench's tracer
     leaves unwrapped; or where `derive` is given, what it derives of the
     accepted lines instead of their table: it maps the columns of each
-    block as soon as the block is read, and the parts are joined
-    (`_joined`) once the last block is, so the table is never whole. A
-    table is the join of its blocks' tables (each derived by `dict`), so
-    `derive` of a table is `derive` of one block of all its lines."""
+    block as soon as the block is read, before the next is (so a derive
+    may write each block out), and the parts are joined (`_joined`) once
+    the last block is, so the table is never whole. A table is the join of
+    its blocks' tables (each derived by `dict`), so `derive` of a table is
+    `derive` of one block of all its lines."""
     derive, parts, errors, total = derive or dict, [], [], 0
-    for count, columns in _blocks(lines, kind, errors):
-        total += count
-        parts.append(derive(columns))
+    lines = decode_lines(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        total += len(block)
+        parts.append(derive(_read_block(kind, block, errors)))
     if not parts:  # the part of no lines: a file of none still yields every column
         parts.append(derive(_read_block(kind, [], errors)))
     return _joined(parts), errors, total
-
-
-def _result(refused: list, total: int, sha256, records=None) -> LoadResult:
-    """The LoadResult of a read of `total` lines, the JSON errors of `refused` as messages."""
-    errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
-               else str(exc)) for i, exc in refused]
-    return LoadResult(records=records, errors=errors, total_lines=total,
-                      sha256=sha256.hexdigest())
-
-
-def _valid(path, result: LoadResult) -> LoadResult:
-    """`result`, the read of `path`, refused where more than half the lines fail."""
-    if result.total_lines and len(result.errors) > result.total_lines / 2:
-        raise CorruptInput(f"{path}: {len(result.errors)} of {result.total_lines} lines "
-                           "failed validation")
-    return result
 
 
 def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
@@ -896,42 +882,16 @@ def read_file(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
             records, refused, total = _read_lines(fh, kind, derive)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return _result(refused, total, sha256, records)
-
-
-def rewrite_file(source, target, kind: LineKind, rewrite: Callable[[dict], Iterable[str]],
-                 finish: Callable[[LoadResult], None]) -> None:
-    """Write to `target` (atomically: `_write_atomic`) the lines `rewrite`
-    makes of the columns of each block of the file `source`, read as by
-    `load_lines`, in one pass: each block is written before the next is
-    read, so no table is held. `finish` gets the read's result (`records`
-    None) after the last block, before the file takes `target`'s place
-    (which may be `source`'s): a refused `source`, or what `finish` raises,
-    leaves `target` as it was and no temporary file."""
-    try:
-        fh, sha256 = open_hashed(source)
-    except OSError as exc:
-        raise IoError(f"cannot read {source}: {exc}") from exc
-
-    refused = []
-
-    def blocks():  # a read fault is the source's, not a write fault of `target`
-        try:
-            yield from _blocks(fh, kind, refused)
-        except OSError as exc:
-            raise IoError(f"cannot read {source}: {exc}") from exc
-
-    def chunks():
-        total = 0
-        for count, columns in blocks():
-            total += count
-            yield "".join(map("%s\n".__mod__, rewrite(columns)))
-        finish(_valid(source, _result(refused, total, sha256)))
-
-    with fh:
-        _write_atomic(target, chunks())
+    errors = [(i, f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError)
+               else str(exc)) for i, exc in refused]
+    return LoadResult(records=records, errors=errors, total_lines=total,
+                      sha256=sha256.hexdigest())
 
 
 def load_lines(path, kind: LineKind, derive: Derive | None = None) -> LoadResult:
     """`read_file`, refusing a file where more than half the lines fail."""
-    return _valid(path, read_file(path, kind, derive))
+    result = read_file(path, kind, derive)
+    if result.total_lines and len(result.errors) > result.total_lines / 2:
+        raise CorruptInput(f"{path}: {len(result.errors)} of {result.total_lines} lines "
+                           "failed validation")
+    return result

@@ -13,7 +13,7 @@ pre-retrieval failures.
 Scoring and deciding are separate passes, and there is no one-call run that
 hides them. `score_traces` matches both answers of every trace once (against
 one `rewards.GoldSet`) and reads the table into numpy columns: per answer its
-verdict, rule and F1, one float column per controller signal, and each
+verdict, whether it is an exact match, and F1, one float column per controller signal, and each
 trace's dataset. A trace's columns read that trace alone, so `cli` scores a
 trace file a block of lines at a time as it loads; the blocks' joined
 `ScoredTraces` are those of the whole table, which is never held, and
@@ -93,17 +93,18 @@ class ControllerPolicy:
 
 @dataclass(frozen=True, eq=False)
 class MatchColumns:
-    """One answer of every trace as matched: verdict (bool), deciding rule
-    (`MatchRule` objects) and token F1 (float64), in record order."""
+    """One answer of every trace as matched: verdict (bool), whether an
+    exact match decided it (bool; such a verdict is always correct) and
+    token F1 (float64), in record order."""
 
     correct: np.ndarray
-    rule: np.ndarray
+    exact: np.ndarray
     f1: np.ndarray
 
     @classmethod
     def of(cls, matches: Sequence[MatchResult]) -> MatchColumns:
         return cls(np.array([m.correct for m in matches], dtype=bool),
-                   np.array([m.rule for m in matches], dtype=object),
+                   np.array([m.rule is MatchRule.EXACT_MATCH for m in matches], dtype=bool),
                    np.array([m.f1 for m in matches], dtype=float))
 
 
@@ -170,9 +171,8 @@ def _reports(scored: ScoredTraces, fires, code: np.ndarray, bins: int) -> list[d
     is the share of them covered; `wrong_within_triggered` is the failure
     that survives retrieval among triggered records. Zero denominators give None."""
     fire = np.asarray(fires, dtype=bool)
-    noret_ok, ret_ok, exact = scored.noret.correct, scored.ret.correct, MatchRule.EXACT_MATCH
-    final_em = (fire & ret_ok & (scored.ret.rule == exact)
-                | ~fire & noret_ok & (scored.noret.rule == exact))
+    noret_ok, ret_ok = scored.noret.correct, scored.ret.correct
+    final_em = fire & scored.ret.exact | ~fire & scored.noret.exact
     counts = [np.bincount(code, mask, bins).astype(np.intp).tolist() for mask in (None, fire,
               ~noret_ok, fire & ~noret_ok, final_em, ~fire & noret_ok, fire & ~ret_ok)]
     if 0 in counts[0]:

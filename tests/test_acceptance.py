@@ -382,9 +382,9 @@ def test_cli_determinism(tmp_path):
         (["recal", "ats", "--fit", preds, "--apply", preds, "--l2", "0.01"], ["o.jsonl"]),
         (["recal", "ptrue", "--in", preds], ["o.jsonl"]),
         (["probe", "sweep", "--hidden", str(hidden), "--preds", str(probe_preds),
-          "--layers", "0,8"], ["s.json"]),
+          "--layers", "0,8", "--seed", "0"], ["s.json"]),
         (["probe", "fit", "--hidden", str(hidden / "layer_8.mat"),
-          "--preds", str(probe_preds), "--layer", "8"], ["model.json"]),
+          "--preds", str(probe_preds), "--layer", "8", "--seed", "0"], ["model.json"]),
         (["rag", "--policy", "conf:0.5", "--in", traces], ["r.json"]),
         (["repr", "cka", "--x", str(tmp_path / "x.mat"), "--y", str(tmp_path / "y.mat")], ["k.json"]),
         (["repr", "kl", "--pairs", str(pairs_path), "--annotations", str(ann_path)], ["k.json"]),
@@ -402,7 +402,7 @@ def test_cli_determinism(tmp_path):
             run_dir = tmp_path / f"{argv[0]}_{run}"
             run_dir.mkdir(exist_ok=True)
             target = run_dir / outputs[0]
-            full = ["--seed", "0", *argv, out_flag[argv[0]], str(target)]
+            full = [*argv, out_flag[argv[0]], str(target)]
             assert main(full) == 0, f"{argv} failed"
             blobs.append(target.read_bytes())
         assert blobs[0] == blobs[1], f"{argv} not byte-deterministic"

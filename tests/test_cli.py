@@ -811,8 +811,8 @@ class TestSeedHandling:
     def test_uncal_seed_environment_variable_changes_nothing(self, tmp_path, monkeypatch):
         # it once overrode `--seed`; now `--seed` is the only way to set the seed
         preds = write_hidden_dir(tmp_path / "hidden")
-        fit = ["--seed", "3", "probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
-               "--preds", str(preds), "--layer", "8", "--out"]
+        fit = ["probe", "fit", "--hidden", str(tmp_path / "hidden" / "layer_8.mat"),
+               "--preds", str(preds), "--layer", "8", "--seed", "3", "--out"]
         assert main([*fit, str(tmp_path / "a.json")]) == 0
         monkeypatch.setenv("UNCAL_SEED", "999")
         assert main([*fit, str(tmp_path / "b.json")]) == 0
@@ -875,15 +875,15 @@ class TestSeedHandling:
         "theory verify", "theory iterate", "match", "calib", "recal ts", "recal ats",
         "recal ptrue", "probe eval", "rag", "repr cka", "repr kl", "repr pca", "repr drift",
     ])
-    def test_seed_changes_no_byte_outside_the_probe_split(self, tmp_path, name):
-        argv, outputs = self.invocations(tmp_path)[name]
-        blobs = []
-        for run, seed in (("a", "0"), ("b", "999")):
-            run_dir = tmp_path / run
-            run_dir.mkdir()
-            assert main(["--seed", seed, *[a.replace("{out}", str(run_dir)) for a in argv]]) == 0
-            blobs.append([(run_dir / o).read_bytes() for o in outputs])
-        assert blobs[0] == blobs[1]
+    def test_seed_is_a_usage_error_outside_the_probe_split(self, tmp_path, capsys, name):
+        # only `probe sweep` and `probe fit` read a seed; given to any other
+        # command, before or after its name, it would change nothing
+        argv = [a.replace("{out}", str(tmp_path)) for a in self.invocations(tmp_path)[name][0]]
+        capsys.readouterr()
+        for seeded in (["--seed", "3", *argv], [*argv, "--seed", "3"]):
+            assert main(seeded) == 1
+            assert "usage: uncal" in capsys.readouterr().err
+        assert not any(p.name.startswith("o.") for p in tmp_path.iterdir())
 
     @staticmethod
     def flag_dests(command: str) -> set[str]:
@@ -910,8 +910,6 @@ class TestSeedHandling:
         text = (tmp_path / self.CONFIG_FILES[name]).read_text()
         configs = [json.loads(line)["config"] for line in text.splitlines()]
         expected = self.flag_dests(name) - {"out", "csv", "model_out", "apply_path"}
-        if name.startswith("probe ") and name != "probe eval":
-            expected.add("seed")
         assert expected and configs and all(set(c) == expected for c in configs)
 
 
@@ -949,7 +947,7 @@ def test_write_jsonl_leaves_no_partial_file_and_keeps_modes(tmp_path):
 
 _WRITERS = {
     "csv": lambda path, value: jsonio.write_csv(path, ["a"], [[1.0], [value]]),
-    "report": lambda path, value: jsonio.write_report(path, {"a": [1.0, value]}),
+    "report": lambda path, value: jsonio.write_jsonl(path, [{"a": [1.0, value]}]),
 }
 
 
@@ -1919,7 +1917,9 @@ class TestAtomicInPlaceMatch:
         fixture = jsonio.load_lines(PREDS_FIXTURE, jsonio.PREDICTIONS).records
         assert jsonio.load_lines(out, jsonio.PREDICTIONS).records["qid"] == fixture["qid"]
 
-    def test_failing_writer_leaves_input_intact(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [2, 256])
+    def test_failing_writer_leaves_input_intact(self, tmp_path, monkeypatch, capsys, block):
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
         path = tmp_path / "preds.jsonl"
         shutil.copy(PREDS_FIXTURE, path)
         before = path.read_bytes()
@@ -1937,6 +1937,8 @@ class TestAtomicInPlaceMatch:
 
         monkeypatch.setattr(jsonio, "encode_lines", failing)
         assert main(["match", "--in", str(path)]) == 2
+        # a write fault inside the read names the file written, not the one read
+        assert capsys.readouterr().err == f"uncal: cannot write {path}: disk full\n"
         assert len(lines) == 4
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
@@ -1968,6 +1970,54 @@ class TestAtomicInPlaceMatch:
             f"uncal: cannot read {path}: [Errno 5] Input/output error\n")
         assert out.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "preds.jsonl"]
+
+
+class TestLineWriterFaults:
+    """`match`, `recal ... --apply` and `recal ptrue` write each block as
+    they read it, into a temporary file that replaces the target only once
+    the whole input is read and accepted."""
+
+    WRITERS = {
+        "match": ["match", "--in", "{src}", "--out", "{out}"],
+        "match in place": ["match", "--in", "{src}"],
+        "recal ts": ["recal", "ts", "--fit", str(PREDS_FIXTURE), "--apply", "{src}",
+                     "--out", "{out}"],
+        "recal ptrue": ["recal", "ptrue", "--in", "{src}", "--out", "{out}"],
+    }
+
+    @staticmethod
+    def argv(name, src, out) -> list[str]:
+        return [a.replace("{src}", str(src)).replace("{out}", str(out))
+                for a in TestLineWriterFaults.WRITERS[name]]
+
+    @pytest.mark.parametrize("block", [2, 256])
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_a_refused_input_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                          name, block):
+        # four accepted lines, written in two blocks of two before the five
+        # refused ones are read
+        monkeypatch.setattr(jsonio, "BLOCK_LINES", block)
+        src, out = tmp_path / "src.jsonl", tmp_path / "out.jsonl"
+        src.write_bytes(b"".join(PREDS_FIXTURE.read_bytes().splitlines(keepends=True)[:4])
+                        + b'{"qid": "bad"}\n' * 5)
+        out.write_text("kept\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(self.argv(name, src, out)) == 1
+        assert capsys.readouterr().err.endswith(f"uncal: {src}: 5 of 9 lines failed validation\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("name", sorted(set(WRITERS) - {"match in place"}))
+    def test_each_fault_names_its_file(self, tmp_path, capsys, name):
+        # the temporary file is made before the input is opened, so where
+        # both fail, the write is the fault named
+        missing, unwritable = tmp_path / "none.jsonl", tmp_path / "no-dir" / "out.jsonl"
+        for src, out, fault in ((missing, tmp_path / "out.jsonl", f"cannot read {missing}"),
+                                (PREDS_FIXTURE, unwritable, f"cannot write {unwritable}"),
+                                (missing, unwritable, f"cannot write {unwritable}")):
+            assert main(self.argv(name, src, out)) == 2
+            last = capsys.readouterr().err.splitlines()[-1]  # after the fit's notes
+            assert last.startswith(f"uncal: {fault}: [Errno 2]")
+        assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -155,15 +155,14 @@ class TestContentKey:
         _calib(path)
         before = _sha256(path)
         loads = count_calls(monkeypatch, jsonio, "load_lines")
-        rewrites = count_calls(monkeypatch, jsonio, "rewrite_file")
         assert main(["match", "--in", str(path)]) == 0
         assert _sha256(path) != before
         # the verdicts are kept under the bytes `match` read, not those it wrote
         assert list(cli._CACHE) == [(("verdicts", rewards.DEFAULT_F1_THRESHOLD), before)]
         matches = count_calls(monkeypatch, rewards, "match_answer")
         got = _calib(path)
-        # match's read as it writes, and calib's load of the new bytes
-        assert len(rewrites) == len(loads) == 1
+        # match's load, which writes as it reads, and calib's load of the new bytes
+        assert [args[0] for args in loads] == [str(path), str(path)]
         assert matches == []  # every row of the new bytes has its match block
         assert [key[1] for key in cli._CACHE] == [_sha256(path)]
         assert got == _calib_alone(path)
@@ -343,7 +342,7 @@ class TestMemoryRule:
         assert isinstance(scored, ragctl.ScoredTraces)
         arrays = [scored.qid, scored.datasets, scored.code, *scored.signals.values()]
         arrays += [getattr(m, f) for m in (scored.noret, scored.ret)
-                   for f in ("correct", "rule", "f1")]
+                   for f in ("correct", "exact", "f1")]
         assert main(["match", "--in", str(PREDS_FIXTURE), "--out", out]) == 0
         (verdicts, _), = cli._CACHE.values()
         arrays.append(verdicts)
@@ -479,15 +478,14 @@ class TestOneScoringPerFile:
     def test_a_lone_recal_loads_each_of_its_files_once(self, tmp_path, monkeypatch, kind):
         preds = _plan_preds(tmp_path)
         loads = count_calls(monkeypatch, jsonio, "load_lines")
-        rewrites = count_calls(monkeypatch, jsonio, "rewrite_file")
         for apply in (PREDS_FIXTURE, preds):
             cli._CACHE.clear()
             assert main(["recal", kind, "--fit", str(preds), "--apply", str(apply),
                          "--out", str(tmp_path / "o.jsonl")]) == 0
-        # the fit is loaded, and `--apply` read as it is written: a file
+        # the fit is loaded, then `--apply`, written as it is read: a file
         # that is both is read twice, and never held whole
-        assert [args[0] for args in loads] == [str(preds), str(preds)]
-        assert [args[0] for args in rewrites] == [str(PREDS_FIXTURE), str(preds)]
+        assert [args[0] for args in loads] == [str(preds), str(PREDS_FIXTURE),
+                                               str(preds), str(preds)]
 
     def test_the_kept_verdicts_hold_no_table(self, tmp_path):
         path = _lines(tmp_path / "preds.jsonl", [
@@ -684,7 +682,7 @@ class TestRun:
             json.dumps({"argv": "calib"}),
             json.dumps({"argv": calib, "cwd": "."}),
             json.dumps({"argv": ["calib", "--bins", "x", "--in", "p"]}),
-            json.dumps({"argv": ["--seed", "2", "run", "--plan", "p"]}),
+            json.dumps({"argv": ["run", "--seed", "2", "--plan", "p"]}),
             json.dumps({"argv": ["calib", "--help"]}),
             json.dumps({"argv": ["probe"]}),
             "",
@@ -699,7 +697,7 @@ class TestRun:
             f"{plan}:5: argv must be a non-empty list of strings",
             f"{plan}:6: unknown fields ['cwd']",
             f"{plan}:7: bad --bins value 'x': must be an integer >= 1",
-            f"{plan}:8: a plan step may not run a plan",
+            f"{plan}:8: unrecognized arguments: --seed 2",
             f"{plan}:9: a help request is not a plan step",
             f"{plan}:10: argv names no command",
             f"uncal: {plan}: 9 of 10 plan lines refused; no step was run",
@@ -707,10 +705,13 @@ class TestRun:
         assert not out.exists()
 
     def test_seed_belongs_to_each_step(self, tmp_path, capsys):
+        # `--seed` is a flag of `probe sweep` and `probe fit` alone
         plan = _plan(tmp_path / "plan.jsonl", [])
         assert main(["run", "--plan", str(plan)]) == 0
+        assert main(["run", "--seed", "3", "--plan", str(plan)]) == 1
+        assert "uncal: unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert main(["--seed", "3", "run", "--plan", str(plan)]) == 1
-        assert "--seed is given in each plan step" in capsys.readouterr().err
+        assert "usage: uncal" in capsys.readouterr().err
 
     def test_a_missing_plan_exits_two(self, tmp_path, capsys):
         assert main(["run", "--plan", str(tmp_path / "none.jsonl")]) == 2

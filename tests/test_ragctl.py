@@ -305,12 +305,13 @@ class TestScoredTraces:
         scored = ragctl.score_traces(table, f1_threshold)
         for columns, answers in ((scored.noret, table["noret_answer"]),
                                  (scored.ret, table["ret_answer"])):
-            got = zip(columns.correct.tolist(), columns.rule.tolist(), columns.f1.tolist(),
+            got = zip(columns.correct.tolist(), columns.exact.tolist(), columns.f1.tolist(),
                       strict=True)
-            for (correct, rule, f1), answer, golds in zip(got, answers, table["gold_answers"],
-                                                          strict=True):
+            for (correct, exact, f1), answer, golds in zip(got, answers, table["gold_answers"],
+                                                           strict=True):
                 want = oracle_match_answer(answer, golds, f1_threshold)
-                assert (correct, rule, repr(f1)) == (want.correct, want.rule, repr(want.f1))
+                assert (correct, exact, repr(f1)) == (
+                    want.correct, want.rule is MatchRule.EXACT_MATCH, repr(want.f1))
 
     def test_fixture_scores_equal_per_answer_oracle_matching(self):
         records = jsonio.load_lines(uncal.fixture_path("ragtraces20.jsonl"), jsonio.RAG_TRACES).records
@@ -361,8 +362,7 @@ def test_f1_sums_keep_record_order():
     f1 = [members[name][names[:k].count(name)] for k, name in enumerate(names)]
     members["overall"] = f1
     n = len(f1)
-    answers = ragctl.MatchColumns(np.zeros(n, dtype=bool),
-                                  np.full(n, MatchRule.TOKEN_F1, dtype=object),
+    answers = ragctl.MatchColumns(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
                                   np.array(f1, dtype=float))
     scored = ragctl.grouped(ragctl.ScoredTraces(
         qid=np.array([f"r{i}" for i in range(n)], dtype=object),

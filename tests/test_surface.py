@@ -212,6 +212,70 @@ def test_only_the_command_scores_predictions():
     assert scorers == {"cli"}
 
 
+# the one sink every output goes through, and the writer kept for tests alone
+WRITERS = {("jsonio", "atomic"), ("matio", "write_matrix")}
+_TEMPFILES = frozenset({"tempfile", "mkstemp", "mkdtemp", "TemporaryFile", "NamedTemporaryFile",
+                        "SpooledTemporaryFile", "TemporaryDirectory"})
+
+
+def _name_of(node) -> str | None:
+    """The name a Name node reads, or the attribute an Attribute node reads."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """Does `node` open a file for writing: an `open` call whose mode is
+    not a constant without w, a or x (no mode is "r"), `write_text` or
+    `write_bytes`, `os.fdopen`, or anything of `tempfile`?"""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name in _TEMPFILES for alias in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "tempfile")
+    if _name_of(node) in _TEMPFILES | {"fdopen", "write_text", "write_bytes"}:
+        return True
+    if isinstance(node, ast.Call) and _name_of(node.func) == "open":
+        receiver = _name_of(getattr(node.func, "value", None))  # the `os` of `os.open`
+        if receiver == "os":
+            return True  # opened by flags, not a mode
+        # the mode follows the path in `open(p, m)` and `io.open`, and leads in `Path(p).open(m)`
+        first = 0 if isinstance(node.func, ast.Attribute) and receiver != "io" else 1
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[first:first + 1]
+        mode = modes[0] if modes else ast.Constant("r")
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax"))
+    return False
+
+
+def _file_writers(tree: ast.Module, module: str) -> set[tuple[str, str]]:
+    """(module, top-level definition, or "<module>" for a statement outside
+    one) of each node of `tree` that opens a file for writing."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, _DEFS) else "<module>"
+        if any(_opens_for_writing(node) for node in ast.walk(stmt)):
+            found.add((module, owner))
+    return found
+
+
+def test_every_output_goes_through_the_atomic_sink():
+    # an output written elsewhere could be left half-written, or replace its
+    # file before the input it rewrites is read; `import tempfile` sits at
+    # module level, so that statement is let through by name alone
+    modules = _modules()
+    found = set().union(*(_file_writers(tree, module) for module, tree in modules.items()))
+    assert found - {("jsonio", "<module>")} == WRITERS
+    imports = [stmt for stmt in modules["jsonio"].body if _opens_for_writing(stmt)]
+    assert [ast.unparse(stmt) for stmt in imports] == ["import tempfile"]
+    # the check sees each way a writer could open a file
+    for line in ['open(p, "w")', 'open(p, mode="ab")', "open(p, m)", 'Path(p).open("x")',
+                 'io.open(p, "w")', "os.open(p, flags)", "os.fdopen(fd)", "tempfile.mkstemp()",
+                 "from tempfile import mkstemp", "p.write_text(t)", "p.write_bytes(b)"]:
+        assert _file_writers(ast.parse(f"def f():\n    {line}\n"), "m") == {("m", "f")}, line
+    for line in ['open(p, "rb", buffering=0)', "open(p)", 'open(p, mode="r")', "Path(p).open()",
+                 'io.open(p, "rb")', "fh.write(t)"]:
+        assert _file_writers(ast.parse(f"def f():\n    {line}\n"), "m") == set(), line
+
+
 def test_every_source_file_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10; a newer syntax (such
     # as a `type` statement or an `except*` group) would fail there at import

@@ -61,7 +61,7 @@ def assert_traces_equal(table: dict, lines: list[dict], f1_threshold: float) -> 
     assert grouped.datasets[grouped.code].tolist() == [r.dataset for r in records]
     for columns, matches in ((scored.noret, noret), (scored.ret, ret)):
         assert columns.correct.tolist() == [m.correct for m in matches]
-        assert columns.rule.tolist() == [m.rule for m in matches]
+        assert columns.exact.tolist() == [m.rule is MatchRule.EXACT_MATCH for m in matches]
         assert_same(columns.f1, np.array([m.f1 for m in matches], dtype=float))
     assert scored.signals.keys() == signals.keys()
     for kind, column in signals.items():
